@@ -469,10 +469,9 @@ pub fn try_pbsm_join_ctl(
             if !record.is_multiple_of(64) {
                 return None;
             }
-            ctl.charge(
-                "partition",
-                disk.io_seconds() + model.scaled_cpu(t0.elapsed().as_secs_f64()),
-            )
+            ctl.charge("partition", || {
+                disk.io_seconds() + model.scaled_cpu(t0.elapsed().as_secs_f64())
+            })
         };
         let run_both = |g: TileGrid,
                         m: PartitionMap,
@@ -593,7 +592,7 @@ pub fn try_pbsm_join_ctl(
         .filter(|i| !cp.as_ref().is_some_and(|c| c.is_committed(*i)))
         .collect();
     if single {
-        if let Some(e) = ctl.charge("join", elapsed_now()) {
+        if let Some(e) = ctl.charge("join", elapsed_now) {
             return Err(e);
         }
         if todo.is_empty() {
@@ -693,7 +692,7 @@ pub fn try_pbsm_join_ctl(
         let mut first_err: Option<JoinError> = None;
         for &i in &todo {
             if first_err.is_none() {
-                first_err = ctl.charge("join", elapsed_now());
+                first_err = ctl.charge("join", elapsed_now);
             }
             if first_err.is_none() {
                 let chain = RegionChain::top(grid, map, i);
@@ -1009,11 +1008,10 @@ pub fn try_pbsm_join_ctl(
                 if first_err.is_none() {
                     // Deadline at partition granularity: the coordinator's
                     // own meter plus every forked delta folded in so far.
-                    first_err = ctl.charge(
-                        "join",
+                    first_err = ctl.charge("join", || {
                         model.seconds(&disk.stats().plus(&est_io))
-                            + model.scaled_cpu(cpu_base + coord_clock.seconds()),
-                    );
+                            + model.scaled_cpu(cpu_base + coord_clock.seconds())
+                    });
                 }
                 match result {
                     Ok(t) => {

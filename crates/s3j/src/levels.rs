@@ -14,11 +14,13 @@ pub struct LevelRecord {
 impl FixedRecord for LevelRecord {
     const SIZE: usize = 8 + Kpe::ENCODED_SIZE;
 
+    #[inline]
     fn encode(&self, buf: &mut [u8]) {
         buf[0..8].copy_from_slice(&self.code.to_le_bytes());
         self.kpe.encode(&mut buf[8..]);
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         // Invariant: callers hand `decode` exactly `SIZE` bytes, so the
         // 8-byte code sub-slice always converts.

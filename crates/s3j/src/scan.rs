@@ -641,17 +641,7 @@ fn rebuild_sorted_to_spare(
         disk.delete(damaged);
     }
     let mut w = RecordWriter::new(disk, spare, buffer_pages);
-    let mut push_err: Option<IoError> = None;
-    for rec in &recs {
-        if let Err(e) = w.try_push(rec) {
-            push_err = Some(e);
-            break;
-        }
-    }
-    let res = match push_err {
-        None => w.try_finish(),
-        Some(e) => Err(e),
-    };
+    let res = w.try_push_all(&recs).and_then(|()| w.try_finish());
     if res.is_err() {
         disk.delete(spare);
     }
@@ -738,7 +728,7 @@ pub fn try_s3j_join_ctl(
         manifest_levels.clone().unwrap_or_default()
     } else {
         let elapsed = || disk.io_seconds() + model.scaled_cpu(t0.elapsed().as_secs_f64());
-        if let Some(e) = ctl.charge("build", elapsed()) {
+        if let Some(e) = ctl.charge("build", elapsed) {
             return Err(e);
         }
         let lf_r = LevelFiles::try_build(
@@ -751,7 +741,7 @@ pub fn try_s3j_join_ctl(
             cfg.level_buffer_pages,
         )
         .map_err(|e| JoinError::new("build", e))?;
-        if let Some(e) = ctl.charge("build", elapsed()) {
+        if let Some(e) = ctl.charge("build", elapsed) {
             lf_r.delete(disk);
             return Err(e);
         }
@@ -770,7 +760,7 @@ pub fn try_s3j_join_ctl(
                 return Err(JoinError::new("build", e));
             }
         };
-        if let Some(e) = ctl.charge("build", elapsed()) {
+        if let Some(e) = ctl.charge("build", elapsed) {
             lf_r.delete(disk);
             lf_s.delete(disk);
             return Err(e);
@@ -824,7 +814,7 @@ pub fn try_s3j_join_ctl(
                 .map(|(level, f)| {
                     f.and_then(|f| {
                         if err.is_none() {
-                            *err = ctl.charge("sort", elapsed());
+                            *err = ctl.charge("sort", elapsed);
                         }
                         if err.is_some() {
                             if !checkpointing {
@@ -1135,7 +1125,7 @@ fn heap_scan(
     while let Some(Reverse((_, _, _, ci))) = heap.pop() {
         // Interruption check at partition granularity; a checkpointed run's
         // committed prefix stays durable and resumable.
-        if let Some(e) = ctl.charge("scan", elapsed()) {
+        if let Some(e) = ctl.charge("scan", elapsed) {
             return Err(e);
         }
         let mut part = cursors[ci]
@@ -1281,7 +1271,7 @@ fn heap_scan_parallel(
     let mut partition_ranges: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
     let mut d: u32 = 0; // discovery index, identical to the sequential scan
     while let Some(Reverse((_, _, _, ci))) = heap.pop() {
-        if let Some(e) = ctl.charge("scan", elapsed()) {
+        if let Some(e) = ctl.charge("scan", elapsed) {
             return Err(e);
         }
         let part = cursors[ci]
@@ -1407,7 +1397,7 @@ fn heap_scan_parallel(
             // Deadline at unit granularity on the coordinator (workers do
             // no I/O, so `elapsed` sees the whole simulated-time story).
             if first_err.is_none() {
-                first_err = ctl.charge("scan", elapsed());
+                first_err = ctl.charge("scan", elapsed);
             }
             if ctl.observed() && first_err.is_none() {
                 ctl.event(
@@ -1560,7 +1550,7 @@ fn pair_scan(
             // Interruption check once per level-file pair: the ablation
             // scan has no partition-discovery loop on the coordinator to
             // hook into, so cancellation is coarser here.
-            if let Some(e) = ctl.charge("scan", elapsed()) {
+            if let Some(e) = ctl.charge("scan", elapsed) {
                 return Err(e);
             }
             let src_r = LevelSource::for_rel(cfg, r, s, 0);

@@ -27,12 +27,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// A disk snapshot plus the FNV-1a hash of its bytes, recorded at insert.
-/// The hash is the cache's integrity gate: a snapshot restored onto a fresh
-/// disk drives a *resumed* durable run, so serving rotten bytes would turn
-/// silent memory corruption into silently wrong join output. [`verify`]
-/// recomputes the hash at every lookup; a mismatch evicts the slot and the
-/// caller re-warms from scratch (a fresh durable run) instead.
+/// A disk snapshot plus the [`storage::checksum64`] of its bytes, recorded at
+/// insert. The sum is the cache's integrity gate: a snapshot restored onto a
+/// fresh disk drives a *resumed* durable run, so serving rotten bytes would
+/// turn silent memory corruption into silently wrong join output. [`verify`]
+/// recomputes the sum at every lookup; a mismatch evicts the slot and the
+/// caller re-warms from scratch (a fresh durable run) instead. The sum lives
+/// and dies with the process (this guards against corruption, not
+/// adversaries), so it is the fast in-memory checksum, not a stored format.
 ///
 /// [`verify`]: Snapshot::verify
 #[derive(Clone)]
@@ -41,20 +43,9 @@ pub struct Snapshot {
     checksum: u64,
 }
 
-/// FNV-1a over the snapshot blob — cheap, dependency-free, and plenty to
-/// catch bit rot (this guards against corruption, not adversaries).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl Snapshot {
     pub fn new(bytes: Vec<u8>) -> Snapshot {
-        let checksum = fnv1a(&bytes);
+        let checksum = storage::checksum64(&bytes);
         Snapshot {
             bytes: Arc::new(bytes),
             checksum,
@@ -67,7 +58,7 @@ impl Snapshot {
 
     /// `true` iff the bytes still hash to the checksum taken at insert.
     pub fn verify(&self) -> bool {
-        fnv1a(&self.bytes) == self.checksum
+        storage::checksum64(&self.bytes) == self.checksum
     }
 }
 

@@ -911,7 +911,13 @@ fn run_cached(
                 FaultPlan::crash_only(fp, CrashPoint::MidPartition(0)),
                 RetryPolicy::default(),
             );
-            match join.try_run_durable_with(&warm, left, right, fp, &mut |_, _| {}) {
+            // The warm leg dies by design, and a pooled executor answers the
+            // injected crash by tripping its run's cancel token (the workers
+            // of a dead process claim nothing more). That must stay the warm
+            // leg's own token: on the session's, the serving leg below would
+            // start cancelled, claim no partition and report an empty result.
+            let warm_join = join.clone().with_cancel(CancelToken::new());
+            match warm_join.try_run_durable_with(&warm, left, right, fp, &mut |_, _| {}) {
                 Err(e) if matches!(e.kind, JoinErrorKind::Crashed(_)) => {
                     let snap = Snapshot::new(warm.export_files());
                     inner.cache.insert(fp, Slot::Ready(snap.clone()));

@@ -3,6 +3,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::checksum::checksum64;
 use crate::fault::{FaultPlan, IoError, IoErrorKind, IoOp, PERMANENT};
 use crate::retry::RetryPolicy;
 
@@ -232,18 +233,6 @@ impl FileId {
     }
 }
 
-/// FNV-1a 64-bit: the per-page checksum of the simulated page format, and
-/// the record checksum of the manifest/journal layer (`crate::manifest`).
-#[inline]
-pub(crate) fn page_checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// A file's bytes plus the per-page checksums the simulated page format
 /// carries. Checksums are recomputed for the pages an append touches and
 /// verified for the pages a read touches — injected bit-rot is *detected* by
@@ -281,7 +270,7 @@ impl StoredFile {
         for p in first_touched..n_pages {
             let start = p * page_size;
             let end = ((p + 1) * page_size).min(self.data.len());
-            self.sums[p] = page_checksum(&self.data[start..end]);
+            self.sums[p] = checksum64(&self.data[start..end]);
         }
     }
 
@@ -293,7 +282,7 @@ impl StoredFile {
         for p in first..=last {
             let start = p as usize * page_size;
             let end = ((p as usize + 1) * page_size).min(self.data.len());
-            let mut sum = page_checksum(&self.data[start..end]);
+            let mut sum = checksum64(&self.data[start..end]);
             if corrupt_page == Some(p) {
                 sum ^= 0x1; // a single flipped bit on the wire
             }
@@ -621,7 +610,7 @@ impl SimDisk {
         if n_pages > 0 {
             // The last page may now be partial: recompute its checksum.
             let start = (n_pages - 1) * ps;
-            file.sums[n_pages - 1] = page_checksum(&file.data[start..]);
+            file.sums[n_pages - 1] = checksum64(&file.data[start..]);
         }
         Ok(())
     }

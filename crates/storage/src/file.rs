@@ -9,8 +9,9 @@ use crate::{FileId, IoError, SimDisk};
 pub struct FileWriter {
     disk: SimDisk,
     file: FileId,
+    /// The whole buffer, allocated once; `buf[..len]` is waiting for a flush.
     buf: Vec<u8>,
-    cap: usize,
+    len: usize,
     bytes_written: u64,
 }
 
@@ -20,15 +21,15 @@ impl FileWriter {
         FileWriter {
             disk: disk.clone(),
             file,
-            buf: Vec::with_capacity(cap),
-            cap,
+            buf: vec![0; cap],
+            len: 0,
             bytes_written: 0,
         }
     }
 
     /// Memory held by this writer's buffer, for memory-budget accounting.
     pub fn buffer_bytes(&self) -> usize {
-        self.cap
+        self.buf.len()
     }
 
     pub fn file(&self) -> FileId {
@@ -46,15 +47,54 @@ impl FileWriter {
     pub fn try_write(&mut self, mut data: &[u8]) -> Result<(), IoError> {
         self.bytes_written += data.len() as u64;
         while !data.is_empty() {
-            let room = self.cap - self.buf.len();
-            let take = room.min(data.len());
-            self.buf.extend_from_slice(&data[..take]);
+            let take = self.room().min(data.len());
+            self.buf[self.len..self.len + take].copy_from_slice(&data[..take]);
+            self.len += take;
             data = &data[take..];
-            if self.buf.len() == self.cap {
-                self.disk.try_append(self.file, &self.buf)?;
-                self.buf.clear();
-            }
+            self.try_flush_if_full()?;
         }
+        Ok(())
+    }
+
+    /// [`FileWriter::try_write`] of the `len` bytes `fill` produces, written
+    /// straight into the buffer — no staging copy — whenever they fit before
+    /// the next flush point. `Ok(false)` (nothing written, `fill` not called)
+    /// when they would straddle it: the caller stages those few through
+    /// [`FileWriter::try_write`], which splits them exactly as before, so
+    /// flush points and request sizes are the same on either path.
+    #[inline]
+    pub(crate) fn try_write_in_place(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<bool, IoError> {
+        let Some(slot) = self.buf.get_mut(self.len..self.len + len) else {
+            return Ok(false);
+        };
+        fill(slot);
+        self.len += len;
+        self.bytes_written += len as u64;
+        self.try_flush_if_full()?;
+        Ok(true)
+    }
+
+    /// Bytes that still fit before the next flush point.
+    #[inline]
+    pub(crate) fn room(&self) -> usize {
+        self.buf.len() - self.len
+    }
+
+    #[inline]
+    fn try_flush_if_full(&mut self) -> Result<(), IoError> {
+        if self.len == self.buf.len() {
+            self.try_flush()?;
+        }
+        Ok(())
+    }
+
+    fn try_flush(&mut self) -> Result<(), IoError> {
+        self.disk.try_append(self.file, &self.buf[..self.len])?;
+        self.len = 0;
         Ok(())
     }
 
@@ -67,10 +107,7 @@ impl FileWriter {
 
     /// Flushes any buffered bytes and returns the file handle.
     pub fn try_finish(mut self) -> Result<FileId, IoError> {
-        if !self.buf.is_empty() {
-            self.disk.try_append(self.file, &self.buf)?;
-            self.buf.clear();
-        }
+        self.try_flush()?;
         Ok(self.file)
     }
 
@@ -160,6 +197,32 @@ impl FileReader {
             done += take;
         }
         Ok(true)
+    }
+
+    /// The next `len` bytes as a view into the buffer — no copy — refilling
+    /// first if the buffer is spent. `Ok(None)` when the buffer holds some
+    /// but fewer than `len` bytes (they straddle a refill) or the stream has
+    /// fewer than `len` left: the caller falls back to
+    /// [`FileReader::try_read_exact`], which refills at the same point with
+    /// the same request, so the I/O pattern is the same on either path.
+    #[inline]
+    pub(crate) fn try_view(&mut self, len: usize) -> Result<Option<&[u8]>, IoError> {
+        if self.buf_pos == self.buf.len() && self.end - self.offset >= len as u64 {
+            self.try_refill()?;
+        }
+        let from = self.buf_pos;
+        if self.buf.len() - from < len {
+            return Ok(None);
+        }
+        self.buf_pos += len;
+        Ok(Some(&self.buf[from..from + len]))
+    }
+
+    /// Bytes buffered and unread: what [`FileReader::try_view`] can serve
+    /// without touching the disk.
+    #[inline]
+    pub(crate) fn buffered(&self) -> usize {
+        self.buf.len() - self.buf_pos
     }
 
     /// Infallible wrapper over [`FileReader::try_read_exact`]; panics with

@@ -20,6 +20,8 @@
 //!   multi-page requests (larger buffers ⇒ fewer positioning penalties),
 //! * [`RecordWriter`] / [`RecordReader`] — typed fixed-length record streams
 //!   ([`FixedRecord`]),
+//! * [`checksum64`] / [`fnv1a`] — the in-memory page checksum and the
+//!   format-bearing record checksum (see `checksum.rs` for which is which),
 //! * [`external_sort`] — memory-budgeted run formation + multiway merge,
 //!   the building block of PBSM's original duplicate-removal phase and of
 //!   S³J's level-file sorting phase.
@@ -42,6 +44,7 @@
 //! crash-point injection ([`CrashPoint`]).
 
 mod arbiter;
+mod checksum;
 mod disk;
 mod fault;
 mod file;
@@ -53,6 +56,7 @@ mod sort;
 mod retry;
 
 pub use arbiter::{AdmissionError, ArbiterSnapshot, MemoryArbiter, MemoryLease};
+pub use checksum::{checksum64, fnv1a, Fnv1a};
 pub use disk::{DiskModel, FileId, IoStats, SimDisk};
 // Re-exported so downstream crates can build a `RunControl` without a direct
 // `parallel` dependency.

@@ -68,7 +68,7 @@ use std::sync::Arc;
 use parallel::{CancelCause, CancelToken};
 use parking_lot::Mutex;
 
-use crate::disk::page_checksum as fnv1a;
+use crate::checksum::fnv1a;
 use crate::fault::{CrashPoint, JoinError};
 use crate::metrics::Recorder;
 use crate::record::{FixedRecord, IdPair};
@@ -756,21 +756,26 @@ impl RunControl {
         self.checkpoint.is_some()
     }
 
-    /// Charges `elapsed` simulated seconds against the deadline and polls
-    /// the cancel token (counting toward the deterministic
+    /// Charges the run's simulated seconds so far against the deadline and
+    /// polls the cancel token (counting toward the deterministic
     /// `cancel_after_checks` hook). Returns the typed interruption error if
-    /// the run should stop. Called at partition granularity.
-    pub fn charge(&self, phase: &'static str, elapsed: f64) -> Option<JoinError> {
-        if let Some(d) = self.deadline {
-            if elapsed >= d {
+    /// the run should stop. Called at partition granularity — thousands of
+    /// times per run — so `elapsed`, which reads the disk meter and the run's
+    /// CPU clock, is evaluated only when there is a deadline to compare it
+    /// with (or an expiry to report); the token is polled on every call.
+    pub fn charge(&self, phase: &'static str, elapsed: impl Fn() -> f64) -> Option<JoinError> {
+        let at = self.deadline.map(|d| {
+            let at = elapsed();
+            if at >= d {
                 self.cancel.cancel_deadline();
             }
-        }
+            at
+        });
         match self.cancel.check()? {
             CancelCause::Cancelled => Some(JoinError::cancelled(phase)),
             CancelCause::Deadline => Some(JoinError::deadline_exceeded(
                 phase,
-                elapsed,
+                at.unwrap_or_else(elapsed),
                 self.deadline.unwrap_or(0.0),
             )),
         }
@@ -839,6 +844,39 @@ mod tests {
             assert_eq!(Manifest::decode(&bad), None, "byte {i}");
         }
         assert_eq!(Manifest::decode(&bytes[..bytes.len() - 1]), None);
+    }
+
+
+    /// The record sums are on disk: a run directory written by an earlier
+    /// build must still recover. These are the bytes byte-wise FNV-1a
+    /// produced when it moved to `crate::checksum::fnv1a`.
+    #[test]
+    fn record_checksums_are_pinned_to_their_persisted_values() {
+        let m = Manifest {
+            run_id: 42,
+            fingerprint: 0xDEAD_BEEF,
+            phase: RunPhase::Join,
+            algo: 2,
+            partitions: 9,
+            journal: Some(FileId::from_raw(3)),
+            results: None,
+            files_r: vec![FileId::from_raw(4), FileId::from_raw(5)],
+            files_s: vec![FileId::from_raw(6)],
+        };
+        let bytes = m.encode();
+        assert_eq!(bytes[bytes.len() - 8..], [101, 207, 123, 44, 124, 165, 111, 13]);
+        let e = JournalEntry {
+            partition: 3,
+            results_end: 480,
+            candidates: 100,
+            results: 60,
+            duplicates: 40,
+        };
+        assert_eq!(e.encode()[40..], [113, 214, 166, 159, 223, 38, 133, 202]);
+        assert_eq!(
+            encode_pointer(FileId::from_raw(7))[8..],
+            [98, 91, 76, 7, 23, 163, 215, 75]
+        );
     }
 
     #[test]
@@ -1030,20 +1068,49 @@ mod tests {
     #[test]
     fn run_control_charges_deadline_and_latches_cause() {
         let ctl = RunControl::none().with_deadline(10.0);
-        assert!(ctl.charge("join", 9.9).is_none());
-        let err = ctl.charge("join", 10.5).unwrap();
+        assert!(ctl.charge("join", || 9.9).is_none());
+        let err = ctl.charge("join", || 10.5).unwrap();
         assert!(matches!(
             err.kind,
             crate::JoinErrorKind::DeadlineExceeded { .. }
         ));
         // Once tripped, even an under-budget charge reports the expiry.
-        assert!(ctl.charge("join", 0.0).is_some());
+        assert!(ctl.charge("join", || 0.0).is_some());
 
         let ctl = RunControl::none();
-        assert!(ctl.charge("partition", 1e9).is_none(), "no deadline set");
+        assert!(ctl.charge("partition", || 1e9).is_none(), "no deadline set");
         ctl.cancel.cancel();
-        let err = ctl.charge("partition", 0.0).unwrap();
+        let err = ctl.charge("partition", || 0.0).unwrap();
         assert!(matches!(err.kind, crate::JoinErrorKind::Cancelled));
+    }
+
+    #[test]
+    fn charge_reads_the_clock_only_under_a_deadline_but_always_polls_the_token() {
+        use std::cell::Cell;
+        let reads = Cell::new(0u32);
+        let clock = || {
+            reads.set(reads.get() + 1);
+            1.0
+        };
+
+        // No deadline: the clock is never read, yet every call counts as a
+        // cancel check — the armed hook trips on exactly the third one.
+        let ctl = RunControl::none();
+        ctl.cancel.cancel_after_checks(3);
+        assert!(ctl.charge("scan", clock).is_none());
+        assert!(ctl.charge("scan", clock).is_none());
+        let err = ctl.charge("scan", clock).unwrap();
+        assert!(matches!(err.kind, crate::JoinErrorKind::Cancelled));
+        assert_eq!(reads.get(), 0, "no deadline, no clock read");
+
+        // With a deadline: one read per call, and the same check counting.
+        let ctl = RunControl::none().with_deadline(5.0);
+        ctl.cancel.cancel_after_checks(2);
+        assert!(ctl.charge("scan", clock).is_none());
+        assert_eq!(reads.get(), 1);
+        let err = ctl.charge("scan", clock).unwrap();
+        assert!(matches!(err.kind, crate::JoinErrorKind::Cancelled));
+        assert_eq!(reads.get(), 2);
     }
 
     #[test]

@@ -16,10 +16,12 @@ pub trait FixedRecord: Copy {
 impl FixedRecord for Kpe {
     const SIZE: usize = Kpe::ENCODED_SIZE;
 
+    #[inline]
     fn encode(&self, buf: &mut [u8]) {
         Kpe::encode(self, buf);
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         Kpe::decode(buf)
     }
@@ -36,11 +38,13 @@ pub struct IdPair {
 impl FixedRecord for IdPair {
     const SIZE: usize = 16;
 
+    #[inline]
     fn encode(&self, buf: &mut [u8]) {
         buf[0..8].copy_from_slice(&self.r.to_le_bytes());
         buf[8..16].copy_from_slice(&self.s.to_le_bytes());
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         // Invariant: callers hand `decode` exactly `SIZE` bytes, so the
         // 8-byte sub-slices always convert.
@@ -83,12 +87,41 @@ impl<R: FixedRecord> RecordWriter<R> {
         Self::new(disk, f, buffer_pages)
     }
 
-    /// Buffers one record; an error surfaces only when a flush exhausts the
-    /// disk's retry budget.
+    /// Buffers one record, encoding it straight into the write buffer (the
+    /// scratch copy is taken only by a record that straddles a flush point);
+    /// an error surfaces only when a flush exhausts the disk's retry budget.
+    #[inline]
     pub fn try_push(&mut self, r: &R) -> Result<(), IoError> {
-        r.encode(&mut self.scratch);
-        self.inner.try_write(&self.scratch)?;
+        if !self.inner.try_write_in_place(R::SIZE, |slot| r.encode(slot))? {
+            r.encode(&mut self.scratch);
+            self.inner.try_write(&self.scratch)?;
+        }
         self.count += 1;
+        Ok(())
+    }
+
+    /// [`RecordWriter::try_push`] of every record of `records`, in order:
+    /// the same bytes, flush points and requests, encoded a buffer's worth
+    /// at a time.
+    pub fn try_push_all(&mut self, records: &[R]) -> Result<(), IoError> {
+        let mut rest = records;
+        while let Some(first) = rest.first() {
+            let fit = (self.inner.room() / R::SIZE).min(rest.len());
+            if fit == 0 {
+                self.try_push(first)?;
+                rest = &rest[1..];
+                continue;
+            }
+            let (now, later) = rest.split_at(fit);
+            let in_place = self.inner.try_write_in_place(fit * R::SIZE, |slots| {
+                for (r, slot) in now.iter().zip(slots.chunks_exact_mut(R::SIZE)) {
+                    r.encode(slot);
+                }
+            })?;
+            debug_assert!(in_place, "`fit` records fit before the flush point");
+            self.count += fit as u64;
+            rest = later;
+        }
         Ok(())
     }
 
@@ -157,19 +190,40 @@ impl<R: FixedRecord> RecordReader<R> {
 
     /// The next record, `Ok(None)` at end of stream, or a typed error when a
     /// refill exhausts the disk's retry budget (after which the reader
-    /// should be discarded — recovery restarts from a fresh one).
+    /// should be discarded — recovery restarts from a fresh one). Decoded
+    /// straight out of the read buffer; only a record that straddles a
+    /// refill is assembled in the scratch copy first.
+    #[inline]
     pub fn try_next(&mut self) -> Result<Option<R>, IoError> {
-        // Split borrow: temporarily move scratch out to satisfy the borrow
-        // checker without copying.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let got = self.inner.try_read_exact(&mut scratch);
-        let out = match got {
-            Ok(true) => Ok(Some(R::decode(&scratch))),
-            Ok(false) => Ok(None),
-            Err(e) => Err(e),
-        };
-        self.scratch = scratch;
-        out
+        if let Some(bytes) = self.inner.try_view(R::SIZE)? {
+            return Ok(Some(R::decode(bytes)));
+        }
+        let got = self.inner.try_read_exact(&mut self.scratch)?;
+        Ok(got.then(|| R::decode(&self.scratch)))
+    }
+
+    /// Appends the next `max` records (fewer at end of stream) to `out`: the
+    /// same refills as that many [`RecordReader::try_next`] calls, decoded a
+    /// buffer's worth at a time.
+    pub fn try_read_into(&mut self, out: &mut Vec<R>, max: usize) -> Result<(), IoError> {
+        let mut left = max;
+        while left > 0 {
+            // Every whole record already buffered, or — from a spent buffer —
+            // the one whose view triggers the refill.
+            let want = (self.inner.buffered() / R::SIZE).clamp(1, left);
+            if let Some(bytes) = self.inner.try_view(want * R::SIZE)? {
+                out.extend(bytes.chunks_exact(R::SIZE).map(R::decode));
+                left -= want;
+                continue;
+            }
+            // A record straddling the refill, or the end of the stream.
+            match self.try_next()? {
+                Some(r) => out.push(r),
+                None => break,
+            }
+            left -= 1;
+        }
+        Ok(())
     }
 }
 
@@ -191,11 +245,8 @@ impl<R: FixedRecord> Iterator for RecordReader<R> {
 
 /// Convenience: writes all records into a fresh file with a large buffer.
 pub fn write_all<R: FixedRecord>(disk: &SimDisk, records: &[R], buffer_pages: usize) -> FileId {
-    let mut w = RecordWriter::create(disk, buffer_pages);
-    for r in records {
-        w.push(r);
-    }
-    w.finish()
+    try_write_all(disk, records, buffer_pages)
+        .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
 }
 
 /// Fallible [`write_all`].
@@ -205,15 +256,14 @@ pub fn try_write_all<R: FixedRecord>(
     buffer_pages: usize,
 ) -> Result<FileId, IoError> {
     let mut w = RecordWriter::create(disk, buffer_pages);
-    for r in records {
-        w.try_push(r)?;
-    }
+    w.try_push_all(records)?;
     w.try_finish()
 }
 
 /// Convenience: reads a whole record file into memory.
 pub fn read_all<R: FixedRecord>(disk: &SimDisk, file: FileId, buffer_pages: usize) -> Vec<R> {
-    RecordReader::new(disk, file, buffer_pages).collect()
+    try_read_all(disk, file, buffer_pages)
+        .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
 }
 
 /// Fallible [`read_all`].
@@ -224,9 +274,7 @@ pub fn try_read_all<R: FixedRecord>(
 ) -> Result<Vec<R>, IoError> {
     let mut reader = RecordReader::<R>::new(disk, file, buffer_pages);
     let mut out = Vec::with_capacity(reader.remaining() as usize);
-    while let Some(r) = reader.try_next()? {
-        out.push(r);
-    }
+    reader.try_read_into(&mut out, usize::MAX)?;
     Ok(out)
 }
 
@@ -296,6 +344,116 @@ mod tests {
         r.next();
         assert_eq!(r.size_hint(), (16, Some(16)));
         assert_eq!(r.count(), 16);
+    }
+
+    fn kpes(n: usize) -> Vec<Kpe> {
+        (0..n)
+            .map(|i| {
+                let v = i as f64 / (2 * n.max(1)) as f64;
+                Kpe::new(RecordId(i as u64), Rect::new(v, v / 2.0, v + 0.1, v + 0.2))
+            })
+            .collect()
+    }
+
+    /// 40-byte records on 64-byte pages: most records straddle a page, and
+    /// every few a buffer boundary — the scratch path of both directions.
+    #[test]
+    fn records_round_trip_across_buffer_boundaries_and_a_partial_last_page() {
+        for n in [0, 1, 2, 3, 8, 100, 257] {
+            let want = kpes(n);
+            for write_pages in [1, 2, 3, 16] {
+                let d = disk();
+                let mut w = RecordWriter::create(&d, write_pages);
+                for k in &want {
+                    w.push(k);
+                }
+                assert_eq!(w.count(), n as u64);
+                let f = w.finish();
+                assert_eq!(d.len(f), (n * Kpe::ENCODED_SIZE) as u64);
+                for read_pages in [1, 2, 3, 16] {
+                    let got: Vec<Kpe> = RecordReader::new(&d, f, read_pages).collect();
+                    assert_eq!(got, want, "n {n} write {write_pages} read {read_pages}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_reader_may_start_and_end_mid_page() {
+        let d = disk();
+        let all = kpes(50);
+        let f = write_all(&d, &all, 2);
+        let sz = Kpe::ENCODED_SIZE as u64;
+        for (from, to) in [(3usize, 7usize), (1, 50), (13, 14), (20, 20)] {
+            assert_ne!(from as u64 * sz % 64, 0, "the range must start inside a page");
+            for pages in [1, 2, 16] {
+                let mut r =
+                    RecordReader::<Kpe>::with_range(&d, f, from as u64 * sz, to as u64 * sz, pages);
+                assert_eq!(r.remaining(), (to - from) as u64);
+                let mut got = Vec::new();
+                r.try_read_into(&mut got, 2).unwrap();
+                got.extend(&mut r);
+                assert_eq!(got, all[from..to], "records {from}..{to}, {pages}-page buffer");
+            }
+        }
+    }
+
+    /// The slice forms are the per-record path a buffer's worth at a time:
+    /// same file, same requests, same pages — for records that pack pages
+    /// exactly (`IdPair`) and records that straddle them (`Kpe`).
+    #[test]
+    fn slice_forms_cost_exactly_what_the_per_record_path_costs() {
+        fn check<R: FixedRecord + PartialEq + std::fmt::Debug>(records: &[R]) {
+            for pages in [1, 2, 16] {
+                let one = disk();
+                let mut w = RecordWriter::create(&one, pages);
+                for r in records {
+                    w.push(r);
+                }
+                let f1 = w.finish();
+                let back1: Vec<R> = RecordReader::new(&one, f1, pages).collect();
+
+                let all = disk();
+                let f2 = write_all(&all, records, pages);
+                let back2: Vec<R> = read_all(&all, f2, pages);
+
+                // Ragged batches on both sides, single records in between.
+                let mixed = disk();
+                let mut w = RecordWriter::create(&mixed, pages);
+                let mut rest = records;
+                for take in [1usize, 7, 0, 3, 64, 2].into_iter().cycle() {
+                    let (batch, after) = rest.split_at(take.min(rest.len()));
+                    w.try_push_all(batch).unwrap();
+                    let Some((single, after)) = after.split_first() else {
+                        break;
+                    };
+                    w.push(single);
+                    rest = after;
+                }
+                assert_eq!(w.count(), records.len() as u64);
+                let f3 = w.finish();
+                let mut r = RecordReader::<R>::new(&mixed, f3, pages);
+                let mut back3 = Vec::new();
+                for take in [5usize, 1, 33, 0, 2].into_iter().cycle() {
+                    let before = back3.len();
+                    r.try_read_into(&mut back3, take).unwrap();
+                    back3.extend(r.try_next().unwrap());
+                    if back3.len() == before {
+                        break;
+                    }
+                }
+
+                assert_eq!(back1, records);
+                assert_eq!(back2, records);
+                assert_eq!(back3, records);
+                assert_eq!(all.stats(), one.stats(), "write_all + read_all, {pages} pages");
+                assert_eq!(mixed.stats(), one.stats(), "ragged batches, {pages} pages");
+                assert_eq!(one.len(f1), all.len(f2));
+            }
+        }
+        check(&kpes(257));
+        check(&(0..300).map(|i| IdPair { r: i, s: !i }).collect::<Vec<_>>());
+        check::<Kpe>(&[]);
     }
 
     #[test]

@@ -86,20 +86,13 @@ where
     let formed = (|| -> Result<(), IoError> {
         loop {
             chunk.clear();
-            while chunk.len() < run_records {
-                match reader.try_next()? {
-                    Some(r) => chunk.push(r),
-                    None => break,
-                }
-            }
+            reader.try_read_into(&mut chunk, run_records)?;
             if chunk.is_empty() {
                 return Ok(());
             }
             chunk.sort_by_key(|a| key(a));
             let mut w = RecordWriter::<R>::new(disk, runs_file, plan.out_pages);
-            for r in &chunk {
-                w.try_push(r)?;
-            }
+            w.try_push_all(&chunk)?;
             let bytes = (chunk.len() * R::SIZE) as u64;
             w.try_finish()?;
             runs.push((offset, offset + bytes));
@@ -162,14 +155,7 @@ where
         let mut sorted: Vec<R> = chunk.to_vec();
         sorted.sort_by_key(|a| key(a));
         let mut w = RecordWriter::<R>::new(disk, runs_file, plan.out_pages);
-        let written = (|| -> Result<(), IoError> {
-            for r in &sorted {
-                w.try_push(r)?;
-            }
-            w.try_finish()?;
-            Ok(())
-        })();
-        if let Err(e) = written {
+        if let Err(e) = w.try_push_all(&sorted).and_then(|()| w.try_finish()) {
             disk.delete(runs_file);
             return Err(e);
         }

@@ -272,6 +272,45 @@ fn partition_reuse_is_bit_identical_and_reports_cache_hits() {
     assert!(handle.arbiter().is_idle());
 }
 
+/// A `reuse` join that *misses* the cache warms it with an injected
+/// `mid-partition:0` crash. With `threads:2` the pooled executor answers that
+/// crash by tripping the run's cancel token — which used to be the session's
+/// own, so the serving leg that followed found it tripped, claimed no
+/// partition and answered `done` with `results:0`.
+#[test]
+fn reuse_miss_with_two_threads_serves_the_full_result() {
+    let handle = start(ServerConfig::default());
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let resp = c
+        .request("{\"cmd\":\"register\",\"name\":\"r\",\"source\":\"cal_st\",\"scale\":0.1,\"seed\":7}")
+        .expect("register");
+    assert!(resp.get("ok").is_some(), "register failed: {resp}");
+
+    let join = |reuse: bool| {
+        format!(
+            "{{\"cmd\":\"join\",\"left\":\"r\",\"right\":\"r\",\"algo\":\"pbsm\",\"mem_mb\":2.0,\"threads\":2,\"reuse\":{reuse}}}"
+        )
+    };
+    let plain = c.join(&join(false)).expect("plain join");
+    assert_eq!(plain.error, None, "{:?}", plain.error);
+    let want = sorted_pairs(&plain);
+    assert!(!want.is_empty(), "the self-join has results");
+
+    for hit in [false, true] {
+        let resp = c.join(&join(true)).expect("reuse join");
+        assert_eq!(resp.error, None, "{:?}", resp.error);
+        let done = resp.done.clone().expect("done");
+        assert_eq!(done.get("cache_hit").and_then(Json::as_bool), Some(hit));
+        assert_eq!(
+            done.get("results").and_then(Json::as_u64),
+            Some(want.len() as u64),
+            "cache_hit={hit}"
+        );
+        assert_eq!(sorted_pairs(&resp), want, "cache_hit={hit}: differs from reuse:false");
+    }
+    assert!(handle.arbiter().is_idle());
+}
+
 #[test]
 fn crash_and_panic_are_contained_to_their_session() {
     let handle = start(ServerConfig {
