@@ -113,9 +113,9 @@ fn main() {
         println!(
             "{:>9} {:>12.0} {:>14} {:>12.2}",
             format!("{curve:?}"),
-            st.model.units(&st.io_total()),
+            st.clock.model.units(&st.io_total()),
             st.join_counters.tests,
-            st.model.scaled_cpu(st.cpu_partition)
+            st.clock.model.scaled_cpu(st.cpu_partition)
         );
     }
 
@@ -130,7 +130,7 @@ fn main() {
         println!(
             "{:>11} {:>14.0} {:>11.1}",
             format!("{mode:?}"),
-            st.model.units(&st.io_join),
+            st.clock.model.units(&st.io_join),
             st.total_seconds()
         );
     }

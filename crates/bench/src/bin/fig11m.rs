@@ -38,7 +38,7 @@ fn main() {
         println!(
             "{:<10} | {:>12.1} {:>12.1} {:>14} | {:>11.2} | {} of {}",
             if replicate { "replicated" } else { "original" },
-            st.model.scaled_cpu(st.cpu_join),
+            st.clock.model.scaled_cpu(st.cpu_join),
             st.total_seconds(),
             st.join_counters.tests,
             st.replication_rate(2 * data.len()),

@@ -32,13 +32,13 @@ fn main() {
         let pd = run(Dedup::SortPhase);
         let rp = run(Dedup::ReferencePoint);
         assert_eq!(pd.results, rp.results, "dedup strategies disagree");
-        let base_io = rp.model.units(
+        let base_io = rp.clock.model.units(
             &rp.io_partition
                 .plus(&rp.io_repart)
                 .plus(&rp.io_join),
         );
-        let pd_dedup = pd.model.units(&pd.io_dedup);
-        let rp_dedup = rp.model.units(&rp.io_dedup);
+        let pd_dedup = pd.clock.model.units(&pd.io_dedup);
+        let rp_dedup = rp.clock.model.units(&rp.io_dedup);
         println!(
             "{:<5} {:>10} | {:>12.0} {:>12.0} {:>12.0} | {:>10.1} {:>10.1}",
             format!("J{p}"),

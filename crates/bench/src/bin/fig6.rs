@@ -23,7 +23,7 @@ fn main() {
         let cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint);
         let st = pbsm_join(&disk, cal, cal, &cfg, &mut |_, _| {});
         let repart_secs =
-            st.model.scaled_cpu(st.cpu_repart) + st.model.seconds(&st.io_repart);
+            st.clock.model.scaled_cpu(st.cpu_repart) + st.clock.model.seconds(&st.io_repart);
         println!(
             "{:<10} {:>5} | {:>12} {:>12.1} {:>12.1}",
             mb,

@@ -32,12 +32,61 @@
 //!
 //! Exit codes: 0 success, 1 join error, 2 usage error, 3 resumable
 //! interruption of a durable run (crash point, deadline, cancellation).
+//! A reader that closes the pipe early (`sjoin … | head`) ends the run
+//! with 0: it has what it asked for.
+
+use std::io::Write;
 
 use spatialjoin::estimate::{Coefficients, DatasetProfile, PlanMode, Planner};
 use spatialjoin::{
     datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, InternalAlgo, JoinRun,
     JoinStats, Recorder, RetryPolicy, SimDisk, SpatialJoin,
 };
+
+thread_local! {
+    /// `sjoin`'s stdout — it prints from the main thread only — locked once
+    /// and buffered, so a `--limit 100000` listing is not a syscall per pair.
+    static STDOUT: std::cell::RefCell<std::io::BufWriter<std::io::StdoutLock<'static>>> =
+        std::cell::RefCell::new(std::io::BufWriter::new(std::io::stdout().lock()));
+}
+
+/// Runs `f` on stdout. A reader that went away is not an error — `println!`
+/// would panic with a backtrace after the useful output — so the run ends
+/// quietly; any other write error is fatal.
+fn with_stdout(f: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
+    match STDOUT.with(|out| f(&mut *out.borrow_mut())) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+macro_rules! outln {
+    ($($arg:tt)*) => { with_stdout(|out| writeln!(out, $($arg)*)) };
+}
+
+macro_rules! out {
+    ($($arg:tt)*) => { with_stdout(|out| write!(out, $($arg)*)) };
+}
+
+/// `eprintln!` after what stdout still buffers, so the two streams keep
+/// their order on a shared terminal or `2>&1`.
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        with_stdout(|out| out.flush());
+        eprintln!($($arg)*)
+    }};
+}
+
+/// Flushes stdout, then exits: `process::exit` runs no destructors, so what
+/// is still buffered would be lost.
+fn exit(code: i32) -> ! {
+    with_stdout(|out| out.flush());
+    std::process::exit(code)
+}
 
 struct Args {
     left: String,
@@ -240,8 +289,8 @@ impl Args {
                 "--plan" => args.plan = PlanMode::parse(&val("--plan")?).map_err(|e| format!("--plan: {e}"))?,
                 "--plan-coeffs" => args.plan_coeffs = Some(val("--plan-coeffs")?),
                 "--help" | "-h" => {
-                    println!("{}", HELP);
-                    std::process::exit(0);
+                    outln!("{}", HELP);
+                    exit(0);
                 }
                 other => {
                     return Err(match nearest_flag(other) {
@@ -437,52 +486,52 @@ fn algorithm(name: &str, mem: usize) -> Result<Algorithm, String> {
 fn print_phase_stats(stats: &JoinStats) {
     match stats {
         JoinStats::Pbsm(s) => {
-            println!("  partitions       : {} (grid {}x{})", s.partitions, s.grid.gx, s.grid.gy);
-            println!(
+            outln!("  partitions       : {} (grid {}x{})", s.partitions, s.grid.gx, s.grid.gy);
+            outln!(
                 "  replication      : {} copies written (+{} while repartitioning)",
                 s.copies_r + s.copies_s,
                 s.repart_copies
             );
-            println!("  repartitioned    : {} pairs", s.repartitioned_pairs);
+            outln!("  repartitioned    : {} pairs", s.repartitioned_pairs);
             if s.degraded_partitions + s.requeued_partitions > 0 {
-                println!(
+                outln!(
                     "  fault recovery   : {} partitions degraded, {} requeued",
                     s.degraded_partitions, s.requeued_partitions
                 );
             }
-            println!("  candidates       : {}", s.candidates);
-            println!("  duplicates       : {}", s.duplicates);
-            println!("  intersection tests: {}", s.join_counters.tests);
+            outln!("  candidates       : {}", s.candidates);
+            outln!("  duplicates       : {}", s.duplicates);
+            outln!("  intersection tests: {}", s.join_counters.tests);
         }
         JoinStats::S3j(s) => {
-            println!(
+            outln!(
                 "  level copies     : {} / {} (r/s), {} levels occupied",
                 s.copies_r,
                 s.copies_s,
                 s.histogram_r.iter().filter(|&&n| n > 0).count()
             );
-            println!("  sort runs        : {}", s.sort_runs);
-            println!("  candidates       : {}", s.candidates);
-            println!("  duplicates       : {}", s.duplicates);
-            println!("  intersection tests: {}", s.join_counters.tests);
+            outln!("  sort runs        : {}", s.sort_runs);
+            outln!("  candidates       : {}", s.candidates);
+            outln!("  duplicates       : {}", s.duplicates);
+            outln!("  intersection tests: {}", s.join_counters.tests);
         }
         JoinStats::Sssj(s) => {
-            println!("  sort runs        : {} + {}", s.sort_r.runs, s.sort_s.runs);
-            println!("  peak sweep status: {} rects", s.peak_status);
-            println!("  intersection tests: {}", s.join_counters.tests);
+            outln!("  sort runs        : {} + {}", s.sort_r.runs, s.sort_s.runs);
+            outln!("  peak sweep status: {} rects", s.peak_status);
+            outln!("  intersection tests: {}", s.join_counters.tests);
         }
         JoinStats::Shj(s) => {
-            println!("  buckets          : {}", s.buckets);
-            println!(
+            outln!("  buckets          : {}", s.buckets);
+            outln!(
                 "  probe copies     : {} ({} filtered out)",
                 s.probe_copies, s.probe_filtered
             );
-            println!("  overflowed pairs : {}", s.overflowed_pairs);
-            println!("  intersection tests: {}", s.join_counters.tests);
+            outln!("  overflowed pairs : {}", s.overflowed_pairs);
+            outln!("  intersection tests: {}", s.join_counters.tests);
         }
         JoinStats::Quadtree(s) => {
-            println!("  tree nodes       : {} + {} (r/s)", s.nodes_r, s.nodes_s);
-            println!("  intersection tests: {}", s.tests);
+            outln!("  tree nodes       : {} + {} (r/s)", s.nodes_r, s.nodes_s);
+            outln!("  intersection tests: {}", s.tests);
         }
     }
 }
@@ -500,17 +549,17 @@ fn export_observability(
     if let Some(path) = &args.metrics_json {
         let report = stats.metrics_report(algo_name, args.threads);
         if let Err(e) = report.reconcile() {
-            eprintln!("error: refusing to write {path}: {e}");
-            std::process::exit(1);
+            errln!("error: refusing to write {path}: {e}");
+            exit(1);
         }
         std::fs::write(path, report.to_json())
             .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-        println!("metrics written  : {path}");
+        outln!("metrics written  : {path}");
     }
     if let (Some(path), Some(rec)) = (&args.trace, recorder) {
         std::fs::write(path, rec.to_json())
             .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-        println!("trace written    : {path}");
+        outln!("trace written    : {path}");
     }
 }
 
@@ -523,7 +572,7 @@ fn print_fault_stats(stats: &JoinStats) {
         return;
     }
     let line = |phase: &str, s: &spatialjoin::IoStats| {
-        println!(
+        outln!(
             "  faults [{phase:<10}]: {} ({} read retries, {} write retries, {} backoff units)",
             s.faults_injected, s.read_retries, s.write_retries, s.backoff_units
         );
@@ -554,8 +603,8 @@ fn run_scrub(rest: Vec<String>) -> ! {
         }
     }
     let (summary, sound) = scrub_summary(std::path::Path::new(&run_dir));
-    println!("{summary}");
-    std::process::exit(i32::from(!sound));
+    outln!("{summary}");
+    exit(i32::from(!sound));
 }
 
 /// The machine-readable scrub report and whether every snapshot was sound.
@@ -677,19 +726,24 @@ fn finish_durable(
             }
             std::fs::write(state, disk.export_files())
                 .unwrap_or_else(|err| die(format!("cannot write {}: {err}", state.display())));
-            eprintln!("error: {e}");
-            eprintln!(
+            errln!("error: {e}");
+            errln!(
                 "run {run_id} is resumable: state saved to {}; \
                  rerun with the same flags plus --resume {run_id}",
                 state.display()
             );
-            std::process::exit(3);
+            exit(3);
         }
         Err(e) => die_join(e),
     }
 }
 
 fn main() {
+    run();
+    exit(0);
+}
+
+fn run() {
     let mut argv = std::env::args().skip(1);
     if argv.next().as_deref() == Some("scrub") {
         run_scrub(argv.collect());
@@ -697,8 +751,8 @@ fn main() {
     let args = match Args::parse() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+            errln!("error: {e}");
+            exit(2);
         }
     };
     let mem = (args.mem_mb * 1024.0 * 1024.0) as usize;
@@ -740,10 +794,10 @@ fn main() {
             &DatasetProfile::build(&right.kpes),
         );
         if args.plan == PlanMode::Explain {
-            print!("{}", plan.render_table());
+            out!("{}", plan.render_table());
         }
         let chosen = plan.chosen();
-        println!(
+        outln!(
             "plan chosen      : {} (predicted {:.2} s total, {:.0} candidates)",
             chosen.choice.describe(),
             chosen.predicted.total_seconds,
@@ -772,7 +826,7 @@ fn main() {
     if durable && (args.refine || args.distance.is_some()) {
         die::<()>("durable runs checkpoint the filter step only; drop --refine/--distance".into());
     }
-    println!(
+    outln!(
         "{} ({} MBRs) ⋈ {} ({} MBRs), {} , M = {} MiB",
         args.left,
         left.len(),
@@ -789,16 +843,16 @@ fn main() {
             join.try_within_distance(&left, &right, eps)
         }
         .unwrap_or_else(die_join);
-        println!("pairs within eps={eps}: {}", run.pairs.len());
-        println!(
+        outln!("pairs within eps={eps}: {}", run.pairs.len());
+        outln!(
             "filter candidates {}, false-positive rate {:.1}%",
             run.refine.candidates,
             100.0 * run.refine.false_positive_rate()
         );
         print_raster_line(&args, &run.refine);
-        println!("filter time {:.2}s simulated", run.filter.total_seconds());
+        outln!("filter time {:.2}s simulated", run.filter.total_seconds());
         for (a, b) in run.pairs.iter().take(args.limit) {
-            println!("  #{} ~ #{}", a.0, b.0);
+            outln!("  #{} ~ #{}", a.0, b.0);
         }
         export_observability(&args, &run.filter, join.algorithm().name(), recorder.as_deref());
         return;
@@ -818,16 +872,16 @@ fn main() {
             )
         }
         .unwrap_or_else(die_join);
-        println!("exact intersections: {}", run.pairs.len());
-        println!(
+        outln!("exact intersections: {}", run.pairs.len());
+        outln!(
             "filter candidates {}, false-positive rate {:.1}%",
             run.refine.candidates,
             100.0 * run.refine.false_positive_rate()
         );
         print_raster_line(&args, &run.refine);
-        println!("filter time {:.2}s simulated", run.filter.total_seconds());
+        outln!("filter time {:.2}s simulated", run.filter.total_seconds());
         for (a, b) in run.pairs.iter().take(args.limit) {
-            println!("  #{} x #{}", a.0, b.0);
+            outln!("  #{} x #{}", a.0, b.0);
         }
         export_observability(&args, &run.filter, join.algorithm().name(), recorder.as_deref());
         return;
@@ -838,31 +892,31 @@ fn main() {
     } else {
         join.try_run(&left.kpes, &right.kpes).unwrap_or_else(die_join)
     };
-    println!("results          : {}", run.stats.results());
-    println!("duplicates       : {}", run.stats.duplicates());
-    println!("cpu (emulated)   : {:.2} s", run.stats.scaled_cpu_seconds());
-    println!("disk (simulated) : {:.2} s", run.stats.io_seconds());
+    outln!("results          : {}", run.stats.results());
+    outln!("duplicates       : {}", run.stats.duplicates());
+    outln!("cpu (emulated)   : {:.2} s", run.stats.scaled_cpu_seconds());
+    outln!("disk (simulated) : {:.2} s", run.stats.io_seconds());
     if args.channels > 1 {
-        println!(
+        outln!(
             "disk (parallel)  : {:.2} s over {} channels, {:.2} s hidden by prefetch",
             run.stats.io_parallel_seconds(),
             args.channels,
             run.stats.prefetch_hidden_seconds()
         );
     }
-    println!("total            : {:.2} s", run.stats.total_seconds());
+    outln!("total            : {:.2} s", run.stats.total_seconds());
     if let Some(first) = run.stats.first_result_seconds() {
-        println!("first result at  : {first:.2} s");
+        outln!("first result at  : {first:.2} s");
     }
     if let Some(degraded) = degraded_line(&run.stats) {
-        println!("degraded         : {degraded}");
+        outln!("degraded         : {degraded}");
     }
     if args.stats {
         print_phase_stats(&run.stats);
         print_fault_stats(&run.stats);
     }
     for (a, b) in run.pairs.iter().take(args.limit) {
-        println!("  #{} x #{}", a.0, b.0);
+        outln!("  #{} x #{}", a.0, b.0);
     }
     export_observability(&args, &run.stats, join.algorithm().name(), recorder.as_deref());
 }
@@ -873,7 +927,7 @@ fn print_raster_line(args: &Args, st: &refine::RefineStats) {
     if !args.raster_filter {
         return;
     }
-    println!(
+    outln!(
         "raster filter: {} rejected, {} accepted, {} exact tests",
         st.raster_rejects,
         st.raster_accepts,
@@ -882,13 +936,13 @@ fn print_raster_line(args: &Args, st: &refine::RefineStats) {
 }
 
 fn die<T>(e: String) -> T {
-    eprintln!("error: {e}");
-    std::process::exit(2);
+    errln!("error: {e}");
+    exit(2);
 }
 
 fn die_join<T>(e: spatialjoin::JoinError) -> T {
-    eprintln!("error: {e}");
-    std::process::exit(1);
+    errln!("error: {e}");
+    exit(1);
 }
 
 #[cfg(test)]

@@ -74,7 +74,7 @@ pub use sweep::InternalAlgo;
 
 use std::sync::Arc;
 use std::time::Instant;
-use storage::{FileId, Recovered, RunCheckpoint, RunControl};
+use storage::{FileId, Recovered, RunCheckpoint, RunClock, RunControl};
 
 use pbsm::{Dedup, PbsmConfig, PbsmStats};
 use s3j::{S3jConfig, S3jStats};
@@ -103,10 +103,10 @@ impl Default for QuadtreeConfig {
     }
 }
 
-/// Statistics of the in-memory MX-CIF quadtree join. All I/O buckets are
-/// zero by construction — the variant never touches the simulated disk —
-/// but they are carried in full (including one bucket per data channel) so
-/// metrics reconciliation sees the same shape as every other run.
+/// Statistics of the in-memory MX-CIF quadtree join. The variant never
+/// touches the simulated disk, so its clock's I/O lanes stay zero — but they
+/// are carried in full (one bucket per data channel) so metrics
+/// reconciliation sees the same shape as every other run.
 #[derive(Debug, Clone)]
 pub struct QuadtreeStats {
     pub results: u64,
@@ -117,18 +117,12 @@ pub struct QuadtreeStats {
     pub nodes_s: u64,
     pub cpu_build: f64,
     pub cpu_join: f64,
-    pub model: DiskModel,
-    /// Always all-zero, sized to the model's data-channel count.
-    pub io_channels: Vec<IoStats>,
+    pub clock: RunClock,
 }
 
 impl QuadtreeStats {
     pub fn cpu_seconds(&self) -> f64 {
         self.cpu_build + self.cpu_join
-    }
-
-    pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
     }
 }
 
@@ -409,6 +403,19 @@ impl JoinStats {
         }
     }
 
+    /// The run-level clock state every algorithm's stats embed; all the
+    /// time accessors below are [`RunClock`]'s formulae over it,
+    /// [`cpu_seconds`](Self::cpu_seconds) and [`io_total`](Self::io_total).
+    pub fn clock(&self) -> &RunClock {
+        match self {
+            JoinStats::Pbsm(s) => &s.clock,
+            JoinStats::S3j(s) => &s.clock,
+            JoinStats::Sssj(s) => &s.clock,
+            JoinStats::Shj(s) => &s.clock,
+            JoinStats::Quadtree(s) => &s.clock,
+        }
+    }
+
     /// Measured CPU seconds.
     pub fn cpu_seconds(&self) -> f64 {
         match self {
@@ -420,26 +427,25 @@ impl JoinStats {
         }
     }
 
+    /// Total I/O counters across all phases.
+    pub fn io_total(&self) -> IoStats {
+        match self {
+            JoinStats::Pbsm(s) => s.io_total(),
+            JoinStats::S3j(s) => s.io_total(),
+            JoinStats::Sssj(s) => s.io_total(),
+            JoinStats::Shj(s) => s.io_total(),
+            JoinStats::Quadtree(_) => IoStats::default(),
+        }
+    }
+
     /// CPU seconds stretched to the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.scaled_cpu_seconds(),
-            JoinStats::S3j(s) => s.scaled_cpu_seconds(),
-            JoinStats::Sssj(s) => s.scaled_cpu_seconds(),
-            JoinStats::Shj(s) => s.scaled_cpu_seconds(),
-            JoinStats::Quadtree(s) => s.scaled_cpu_seconds(),
-        }
+        self.model().scaled_cpu(self.cpu_seconds())
     }
 
     /// Simulated disk seconds under the configured [`DiskModel`].
     pub fn io_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.io_seconds(),
-            JoinStats::S3j(s) => s.io_seconds(),
-            JoinStats::Sssj(s) => s.io_seconds(),
-            JoinStats::Shj(s) => s.io_seconds(),
-            JoinStats::Quadtree(_) => 0.0,
-        }
+        self.model().seconds(&self.io_total())
     }
 
     /// Named per-phase I/O buckets. The buckets are disjoint — each disk
@@ -474,64 +480,29 @@ impl JoinStats {
         }
     }
 
-    /// Total I/O counters across all phases.
-    pub fn io_total(&self) -> IoStats {
-        match self {
-            JoinStats::Pbsm(s) => s.io_total(),
-            JoinStats::S3j(s) => s.io_total(),
-            JoinStats::Sssj(s) => s.io_total(),
-            JoinStats::Shj(s) => s.io_total(),
-            JoinStats::Quadtree(_) => IoStats::default(),
-        }
-    }
-
     /// I/O charged to the serial shared lane (manifest, journal, results,
     /// dedup scratch, and any untagged file). Together with
     /// [`JoinStats::io_channels`] this decomposes [`JoinStats::io_total`]
     /// field-for-field.
     pub fn io_shared(&self) -> IoStats {
-        match self {
-            JoinStats::Pbsm(s) => s.io_shared,
-            JoinStats::S3j(s) => s.io_shared,
-            JoinStats::Sssj(s) => s.io_shared,
-            JoinStats::Shj(s) => s.io_shared,
-            JoinStats::Quadtree(_) => IoStats::default(),
-        }
+        self.clock().io_shared
     }
 
     /// Per-data-channel I/O, one bucket per channel of the run's disk.
     pub fn io_channels(&self) -> &[IoStats] {
-        match self {
-            JoinStats::Pbsm(s) => &s.io_channels,
-            JoinStats::S3j(s) => &s.io_channels,
-            JoinStats::Sssj(s) => &s.io_channels,
-            JoinStats::Shj(s) => &s.io_channels,
-            JoinStats::Quadtree(s) => &s.io_channels,
-        }
+        &self.clock().io_channels
     }
 
     /// Channel-parallel disk time: shared lane plus the busiest data
     /// channel. Equals [`JoinStats::io_seconds`] bit-exactly at one channel.
     pub fn io_parallel_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.io_parallel_seconds(),
-            JoinStats::S3j(s) => s.io_parallel_seconds(),
-            JoinStats::Sssj(s) => s.io_parallel_seconds(),
-            JoinStats::Shj(s) => s.io_parallel_seconds(),
-            JoinStats::Quadtree(_) => 0.0,
-        }
+        self.clock().io_parallel_seconds()
     }
 
     /// Disk time hidden behind computation by double-buffered prefetch
     /// (zero with one channel, and zero under `cpu_slowdown = 0`).
     pub fn prefetch_hidden_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.prefetch_hidden_seconds(),
-            JoinStats::S3j(s) => s.prefetch_hidden_seconds(),
-            JoinStats::Sssj(s) => s.prefetch_hidden_seconds(),
-            JoinStats::Shj(s) => s.prefetch_hidden_seconds(),
-            JoinStats::Quadtree(_) => 0.0,
-        }
+        self.clock().prefetch_hidden_seconds(self.cpu_seconds())
     }
 
     /// The paper's "total runtime": emulated CPU + channel-parallel disk
@@ -539,23 +510,12 @@ impl JoinStats {
     /// channel this reduces bit-exactly to
     /// `scaled_cpu_seconds() + io_seconds()`, the pre-channel serial clock.
     pub fn total_seconds(&self) -> f64 {
-        match self {
-            JoinStats::Pbsm(s) => s.total_seconds(),
-            JoinStats::S3j(s) => s.total_seconds(),
-            JoinStats::Sssj(s) => s.total_seconds(),
-            JoinStats::Shj(s) => s.total_seconds(),
-            JoinStats::Quadtree(s) => s.scaled_cpu_seconds(),
-        }
+        self.clock().total_seconds(self.cpu_seconds())
     }
 
     /// Simulated position of the first emitted result (pipelining metric).
     pub fn first_result_seconds(&self) -> Option<f64> {
-        match self {
-            JoinStats::Pbsm(s) => s.first_result_seconds(),
-            JoinStats::S3j(s) => s.first_result_seconds(),
-            JoinStats::Sssj(s) => s.first_result_seconds(),
-            JoinStats::Shj(_) | JoinStats::Quadtree(_) => None,
-        }
+        self.clock().first_result_seconds()
     }
 
     /// The I/O-only leg of the first-result position: pure simulated time,
@@ -564,13 +524,7 @@ impl JoinStats {
     /// bit-identical at every thread count; with live CPU costing the
     /// minimizing task can shift with the host measurement.
     pub fn first_result_io_seconds(&self) -> Option<f64> {
-        let io = match self {
-            JoinStats::Pbsm(s) => s.first_result_io.as_ref(),
-            JoinStats::S3j(s) => s.first_result_io.as_ref(),
-            JoinStats::Sssj(s) => s.first_result_io.as_ref(),
-            JoinStats::Shj(_) | JoinStats::Quadtree(_) => None,
-        }?;
-        Some(self.model().seconds(io))
+        self.clock().first_result_io_seconds()
     }
 
     /// Candidate pairs tested by the filter step, for algorithms that track
@@ -599,13 +553,7 @@ impl JoinStats {
 
     /// The disk model the run was costed under.
     pub fn model(&self) -> DiskModel {
-        match self {
-            JoinStats::Pbsm(s) => s.model,
-            JoinStats::S3j(s) => s.model,
-            JoinStats::Sssj(s) => s.model,
-            JoinStats::Shj(s) => s.model,
-            JoinStats::Quadtree(s) => s.model,
-        }
+        self.clock().model
     }
 
     /// Builds the versioned, reconciled metrics document for this run.
@@ -892,8 +840,7 @@ impl SpatialJoin {
                     nodes_s: ts.node_count() as u64,
                     cpu_build,
                     cpu_join,
-                    model: self.disk_model,
-                    io_channels: vec![IoStats::default(); self.disk_model.data_channels()],
+                    clock: RunClock::new(self.disk_model),
                 }))
             }
         }

@@ -164,32 +164,34 @@ pub enum OpStats {
 }
 
 impl OpStats {
+    /// The run's clock state and measured CPU seconds; the accessors below
+    /// are [`storage::RunClock`]'s formulae over them.
+    fn clock(&self) -> (&storage::RunClock, f64) {
+        match self {
+            OpStats::Pbsm(s) => (&s.clock, s.cpu_seconds()),
+            OpStats::S3j(s) => (&s.clock, s.cpu_seconds()),
+        }
+    }
+
     /// The run's total simulated runtime under the multi-channel clock:
     /// emulated CPU plus channel-parallel disk time, minus prefetch-hidden
     /// time. The channel count comes from the [`SimDisk`] the operator was
     /// built with; the tuple stream is identical for every value — only this
     /// clock changes.
     pub fn total_seconds(&self) -> f64 {
-        match self {
-            OpStats::Pbsm(s) => s.total_seconds(),
-            OpStats::S3j(s) => s.total_seconds(),
-        }
+        let (clock, cpu) = self.clock();
+        clock.total_seconds(cpu)
     }
 
     /// Channel-parallel disk time: shared lane plus the busiest data channel.
     pub fn io_parallel_seconds(&self) -> f64 {
-        match self {
-            OpStats::Pbsm(s) => s.io_parallel_seconds(),
-            OpStats::S3j(s) => s.io_parallel_seconds(),
-        }
+        self.clock().0.io_parallel_seconds()
     }
 
     /// Disk time hidden behind computation by double-buffered prefetch.
     pub fn prefetch_hidden_seconds(&self) -> f64 {
-        match self {
-            OpStats::Pbsm(s) => s.prefetch_hidden_seconds(),
-            OpStats::S3j(s) => s.prefetch_hidden_seconds(),
-        }
+        let (clock, cpu) = self.clock();
+        clock.prefetch_hidden_seconds(cpu)
     }
 }
 

@@ -335,8 +335,9 @@ where
     })
 }
 
-/// Scheduling state of [`run_ordered_fallible`]: fresh task indices come
-/// from `next`, failed tasks wait in `retries` for any worker to pick up.
+/// Scheduling state of [`run_ordered_prefetch_fallible_with`]: fresh task
+/// indices come from `next`, failed tasks wait in `retries` for any worker
+/// to pick up.
 struct Requeue {
     next: usize,
     retries: Vec<(usize, u32)>, // (task index, round = prior failures)
@@ -344,7 +345,7 @@ struct Requeue {
     requeues: u64,
 }
 
-/// Scheduler-level counters from one [`run_ordered_fallible`] run, counted
+/// Scheduler-level counters from one [`run_ordered_prefetch_fallible_with`] run, counted
 /// by the shared queue itself — independent of whatever the per-worker
 /// states accumulate, so callers can cross-check their own accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -409,155 +410,39 @@ fn claim_job(
     }
 }
 
-/// [`run_ordered`] for fallible tasks, with bounded requeueing: a task that
-/// returns `Err` goes back into the shared queue up to `max_requeues` times
-/// before its final `Err` is delivered to the sink. Each retry runs on
-/// whichever worker claims it (round-robin recovery: a partition whose
-/// worker exhausted its I/O retry budget gets a fresh chance, and the
-/// storage layer's shared per-identity fault counters have advanced in the
-/// meantime, so deterministic transient faults are eventually consumed).
+/// [`run_ordered_with`] for fallible tasks, with bounded requeueing and a
+/// split **load / compute** pipeline.
 ///
-/// `task(&mut state, task_idx, round)` sees `round = 0` on the first run and
-/// `round = k` on the `k`-th requeue. The sink observes exactly one final
-/// `Result` per task, in canonical order. Worker states are returned as in
+/// A task that returns `Err` goes back into the shared queue up to
+/// `max_requeues` times before its final `Err` is delivered to the sink.
+/// Each retry runs on whichever worker claims it (round-robin recovery: a
+/// partition whose worker exhausted its I/O retry budget gets a fresh
+/// chance, and the storage layer's shared per-identity fault counters have
+/// advanced in the meantime, so deterministic transient faults are
+/// eventually consumed). The sink observes exactly one final `Result` per
+/// task, in canonical order; worker states are returned as in
 /// [`run_ordered`].
-pub fn run_ordered_fallible<S, T, E, FInit, FTask, FSink>(
-    threads: usize,
-    n_tasks: usize,
-    max_requeues: u32,
-    init: FInit,
-    task: FTask,
-    sink: FSink,
-) -> (Vec<S>, PoolStats)
-where
-    S: Send,
-    T: Send,
-    E: Send,
-    FInit: Fn(usize) -> S + Sync,
-    FTask: Fn(&mut S, usize, u32) -> Result<T, E> + Sync,
-    FSink: FnMut(usize, Result<T, E>),
-{
-    run_ordered_fallible_with(threads, n_tasks, max_requeues, None, init, task, sink)
-}
-
-/// [`run_ordered_fallible`] with cooperative cancellation, with the same
-/// claim-before-poll contract as [`run_ordered_with`]: workers stop claiming
-/// (fresh indices *and* queued retries) once the token trips, in-flight
-/// tasks finish, and the sink observes a prefix of final results.
-pub fn run_ordered_fallible_with<S, T, E, FInit, FTask, FSink>(
-    threads: usize,
-    n_tasks: usize,
-    max_requeues: u32,
-    cancel: Option<&CancelToken>,
-    init: FInit,
-    task: FTask,
-    mut sink: FSink,
-) -> (Vec<S>, PoolStats)
-where
-    S: Send,
-    T: Send,
-    E: Send,
-    FInit: Fn(usize) -> S + Sync,
-    FTask: Fn(&mut S, usize, u32) -> Result<T, E> + Sync,
-    FSink: FnMut(usize, Result<T, E>),
-{
-    let threads = threads.max(1).min(n_tasks.max(1));
-    let queue = Mutex::new(Requeue {
-        next: 0,
-        retries: Vec::new(),
-        in_flight: 0,
-        requeues: 0,
-    });
-    let cvar = Condvar::new();
-    let (tx, rx) = mpsc::channel::<(usize, Result<T, E>)>();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let tx = tx.clone();
-                let queue = &queue;
-                let cvar = &cvar;
-                let init = &init;
-                let task = &task;
-                scope.spawn(move || {
-                    let mut state = init(w);
-                    loop {
-                        if cancel.is_some_and(|c| c.is_cancelled()) {
-                            break;
-                        }
-                        let claimed = claim_job(queue, cvar, n_tasks, cancel, true);
-                        let Some((i, round)) = claimed else { break };
-                        let guard = InFlightGuard { queue, cvar };
-                        let res = task(&mut state, i, round);
-                        match res {
-                            Err(e) if round < max_requeues => {
-                                let mut q = queue.lock().expect("requeue lock");
-                                q.retries.push((i, round + 1));
-                                q.requeues += 1;
-                                drop(q);
-                                drop(e);
-                            }
-                            final_res => {
-                                // Receiver outlives the scope; send only
-                                // fails if the collector panicked first.
-                                let _ = tx.send((i, final_res));
-                            }
-                        }
-                        drop(guard); // decrement + notify after requeue push
-                    }
-                    state
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // Canonical-order reassembly, as in `run_ordered`.
-        let mut pending: BTreeMap<usize, Result<T, E>> = BTreeMap::new();
-        let mut emit_next = 0usize;
-        for (i, out) in rx {
-            pending.insert(i, out);
-            while let Some(out) = pending.remove(&emit_next) {
-                sink(emit_next, out);
-                emit_next += 1;
-            }
-        }
-
-        let states: Vec<S> = handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect();
-        let q = match queue.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let stats = PoolStats {
-            tasks_claimed: q.next as u64,
-            requeues: q.requeues,
-        };
-        drop(q);
-        (states, stats)
-    })
-}
-
-/// [`run_ordered_fallible_with`] with a split **load / compute** pipeline:
-/// each worker is a two-stage software pipeline that claims and `load`s
+///
+/// Each worker is a two-stage software pipeline that claims and `load`s
 /// task `k+1` *before* computing task `k`, so on a multi-channel disk the
 /// next partition's pages stream in on their own channel while the current
 /// partition's join runs (double-buffered prefetch — the channel model
 /// turns the overlap into hidden simulated time).
 ///
 /// * `load(&mut state, task_idx, round)` performs the task's input I/O and
-///   returns whatever the compute stage needs. It runs exactly once per
-///   (task, round) — a requeued round re-loads, same as the non-pipelined
-///   pool re-runs the whole task.
+///   returns whatever the compute stage needs; `round = 0` on the first run
+///   and `k` on the `k`-th requeue. It runs exactly once per (task, round)
+///   — a requeued round re-loads.
 /// * `task(&mut state, task_idx, round, loaded)` consumes the loaded input.
 ///   Both stages of one task run on the same worker (same forked meter), in
 ///   order, so per-task I/O deltas stay exact.
 ///
-/// Scheduling, requeueing, cancellation and output order are identical to
-/// [`run_ordered_fallible_with`]: a prefetched task was *claimed*, so it is
-/// computed even if the token trips before its turn, preserving the
-/// clean-prefix property.
-#[allow(clippy::too_many_arguments)] // mirrors run_ordered_fallible_with plus the load stage
+/// Cancellation has the claim-before-poll contract of [`run_ordered_with`]:
+/// workers stop claiming (fresh indices *and* queued retries) once the
+/// token trips, and the sink observes a prefix of final results. A
+/// prefetched task was *claimed*, so it is computed even if the token trips
+/// before its turn, preserving the clean-prefix property.
+#[allow(clippy::too_many_arguments)] // the pool's knobs plus its four stages
 pub fn run_ordered_prefetch_fallible_with<S, L, T, E, FInit, FLoad, FTask, FSink>(
     threads: usize,
     n_tasks: usize,
@@ -814,12 +699,14 @@ mod tests {
         for threads in [1, 4] {
             attempts.lock().unwrap().clear();
             let mut seen = Vec::new();
-            let (_, pool) = run_ordered_fallible(
+            let (_, pool) = run_ordered_prefetch_fallible_with(
                 threads,
                 30,
                 2,
+                None,
                 |_| (),
-                |_, i, round| {
+                |_, _i, _round| (),
+                |_, i, round, ()| {
                     *attempts.lock().unwrap().entry(i).or_insert(0) += 1;
                     if round < (i % 3) as u32 {
                         Err(format!("task {i} round {round}"))
@@ -849,17 +736,70 @@ mod tests {
     }
 
     #[test]
-    fn fallible_pool_surfaces_final_error_after_cap() {
+    fn prefetch_pool_matches_a_sequential_loop() {
+        use std::collections::HashMap;
+        use std::sync::Mutex as StdMutex;
+        // What a plain loop with the same retry cap delivers: each task's
+        // final result, in task order.
+        let attempt = |i: usize, round: u32| {
+            if round < (i % 3) as u32 {
+                Err(format!("task {i} round {round}"))
+            } else {
+                Ok((i, round))
+            }
+        };
+        let want: Vec<_> = (0..30usize)
+            .map(|i| {
+                let last = (0..=2).map(|round| attempt(i, round)).find(Result::is_ok);
+                (i, last.expect("every task recovers within the cap"))
+            })
+            .collect();
+        // The pipelined pool must deliver identical final results in
+        // identical order, with load running exactly once per (task, round).
+        for threads in [1, 2, 4] {
+            let loads: StdMutex<HashMap<(usize, u32), u32>> = StdMutex::new(HashMap::new());
+            let mut seen = Vec::new();
+            let (_, pool) = run_ordered_prefetch_fallible_with(
+                threads,
+                30,
+                2,
+                None,
+                |_| (),
+                |_, i, round| {
+                    *loads.lock().unwrap().entry((i, round)).or_insert(0) += 1;
+                    i * 10 // the "loaded" payload
+                },
+                |_, i, round, loaded| {
+                    assert_eq!(loaded, i * 10, "compute sees its own load");
+                    attempt(i, round)
+                },
+                |i, out| seen.push((i, out)),
+            );
+            assert_eq!(seen, want);
+            let l = loads.lock().unwrap();
+            for i in 0..30usize {
+                for round in 0..=(i % 3) as u32 {
+                    assert_eq!(l.get(&(i, round)), Some(&1), "task {i} round {round}");
+                }
+            }
+            assert_eq!(pool.tasks_claimed, 30);
+            assert_eq!(pool.requeues, (0..30).map(|i| (i % 3) as u64).sum::<u64>());
+        }
+    }
+
+    #[test]
+    fn prefetch_pool_surfaces_final_error_after_cap() {
         for threads in [1, 3] {
             let mut results = Vec::new();
-            let (_, pool) = run_ordered_fallible(
+            let (_, pool) = run_ordered_prefetch_fallible_with(
                 threads,
                 10,
                 1,
-                |_| 0u32,
-                |runs, i, _round| {
-                    *runs += 1;
-                    if i == 4 {
+                None,
+                |_| (),
+                |_, i, _r| i,
+                |_, i, _round, loaded| {
+                    if loaded == 4 {
                         Err("always fails")
                     } else {
                         Ok(i)
@@ -877,97 +817,6 @@ mod tests {
             }
             assert_eq!(pool.requeues, 1, "task 4 requeued once before the cap");
         }
-    }
-
-    #[test]
-    fn fallible_pool_zero_tasks_is_fine() {
-        let (states, pool) = run_ordered_fallible(
-            4,
-            0,
-            3,
-            |_| (),
-            |_, _i, _r| Ok::<(), ()>(()),
-            |_, _| panic!("no tasks"),
-        );
-        assert_eq!(states.len(), 1);
-        assert_eq!(pool, PoolStats::default());
-    }
-
-    #[test]
-    fn prefetch_pool_matches_fallible_pool_results() {
-        use std::collections::HashMap;
-        use std::sync::Mutex as StdMutex;
-        // Same failure pattern as the plain fallible pool test; the
-        // pipelined pool must deliver identical final results in identical
-        // order, with load running exactly once per (task, round).
-        for threads in [1, 2, 4] {
-            let loads: StdMutex<HashMap<(usize, u32), u32>> = StdMutex::new(HashMap::new());
-            let mut seen = Vec::new();
-            let (_, pool) = run_ordered_prefetch_fallible_with(
-                threads,
-                30,
-                2,
-                None,
-                |_| (),
-                |_, i, round| {
-                    *loads.lock().unwrap().entry((i, round)).or_insert(0) += 1;
-                    i * 10 // the "loaded" payload
-                },
-                |_, i, round, loaded| {
-                    assert_eq!(loaded, i * 10, "compute sees its own load");
-                    if round < (i % 3) as u32 {
-                        Err(format!("task {i} round {round}"))
-                    } else {
-                        Ok((i, round))
-                    }
-                },
-                |i, out| seen.push((i, out)),
-            );
-            assert_eq!(seen.len(), 30);
-            for (idx, (i, out)) in seen.iter().enumerate() {
-                assert_eq!(idx, *i, "canonical order");
-                let (task, round) = out.as_ref().expect("all tasks recover within cap");
-                assert_eq!((*task, *round), (idx, (idx % 3) as u32));
-            }
-            let l = loads.lock().unwrap();
-            for i in 0..30usize {
-                for round in 0..=(i % 3) as u32 {
-                    assert_eq!(l.get(&(i, round)), Some(&1), "task {i} round {round}");
-                }
-            }
-            assert_eq!(pool.tasks_claimed, 30);
-            assert_eq!(pool.requeues, (0..30).map(|i| (i % 3) as u64).sum::<u64>());
-        }
-    }
-
-    #[test]
-    fn prefetch_pool_surfaces_final_error_after_cap() {
-        let mut results = Vec::new();
-        let (_, pool) = run_ordered_prefetch_fallible_with(
-            3,
-            10,
-            1,
-            None,
-            |_| (),
-            |_, i, _r| i,
-            |_, i, _round, loaded| {
-                if loaded == 4 {
-                    Err("always fails")
-                } else {
-                    Ok(i)
-                }
-            },
-            |i, out| results.push((i, out)),
-        );
-        assert_eq!(results.len(), 10);
-        for (i, out) in &results {
-            if *i == 4 {
-                assert_eq!(*out, Err("always fails"));
-            } else {
-                assert_eq!(*out, Ok(*i));
-            }
-        }
-        assert_eq!(pool.requeues, 1);
     }
 
     #[test]
@@ -1069,13 +918,14 @@ mod tests {
     fn cancelled_fallible_pool_stops_claiming_retries() {
         let token = CancelToken::new();
         let mut seen = Vec::new();
-        let (_, pool) = run_ordered_fallible_with(
+        let (_, pool) = run_ordered_prefetch_fallible_with(
             2,
             50,
             3,
             Some(&token),
             |_| (),
-            |_, i, round| {
+            |_, _i, _round| (),
+            |_, i, round, ()| {
                 if i == 5 && round == 0 {
                     token.cancel();
                     return Err("tripped mid-task");

@@ -2,8 +2,9 @@ use std::time::Instant;
 
 use geom::{reference_point, Kpe, RecordId};
 use storage::{
-    try_external_sort, try_read_all, DiskModel, FileId, IdPair, IoError, IoStats, JoinError,
-    RecordReader, RecordWriter, RunCheckpoint, RunControl, RunPhase, SimDisk, SortStats,
+    try_external_sort, try_read_all, Counts, DiskModel, FileId, FinishedUnit, IdPair, IoError,
+    IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk,
+    SortStats, UnitRun,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -135,33 +136,18 @@ pub struct PbsmStats {
     /// I/O spent on durability (manifest publishes, journal commits, result
     /// flushes) when the run is checkpointed; zero otherwise.
     pub io_checkpoint: IoStats,
-    /// Shared-lane I/O: untagged files (manifest, journal, results, the
-    /// dedup scratch disk) whose requests serialize on the multi-channel
-    /// clock. Together with `io_channels` this is an exact field-for-field
-    /// decomposition of [`io_total`](Self::io_total).
-    pub io_shared: IoStats,
-    /// Per-data-channel I/O (partition files ride channel `pid mod D`,
-    /// repartition sub-files their top-level partition's channel). Always
-    /// `model.data_channels()` entries; with one channel the split is
-    /// trivial and the clock is bit-identical to the serial model.
-    pub io_channels: Vec<IoStats>,
     pub cpu_partition: f64,
     pub cpu_repart: f64,
     pub cpu_join: f64,
     pub cpu_dedup: f64,
     pub sort: Option<SortStats>,
-    pub model: DiskModel,
-    /// CPU position of the earliest result on the *pipelined* clock: the
-    /// join-phase CPU base plus the emitting task's own CPU up to its first
-    /// pair, minimized over all emitting tasks. With more than one worker
-    /// this is when the first result *could* reach the consumer on dedicated
-    /// cores — never later than any single worker's emission.
-    pub first_result_cpu: Option<f64>,
-    /// I/O meter at the earliest result on the pipelined clock: the meter at
-    /// join-phase entry plus the emitting task's own I/O delta (its reads,
-    /// repartition writes and — when checkpointed — commit I/O) up to its
-    /// first pair, minimized over tasks together with `first_result_cpu`.
-    pub first_result_io: Option<IoStats>,
+    /// Model, channel decomposition (partition files ride channel
+    /// `pid mod D`, repartition sub-files their top-level partition's
+    /// channel; the dedup scratch disk rides the shared lane) and the
+    /// first-result position: the join-phase base plus the emitting task's
+    /// own CPU and I/O (its reads, repartition writes and — when
+    /// checkpointed — commit I/O) up to its first pair.
+    pub clock: RunClock,
 }
 
 impl PbsmStats {
@@ -188,29 +174,13 @@ impl PbsmStats {
             io_join: IoStats::default(),
             io_dedup: IoStats::default(),
             io_checkpoint: IoStats::default(),
-            io_shared: IoStats::default(),
-            io_channels: vec![IoStats::default(); model.data_channels()],
             cpu_partition: 0.0,
             cpu_repart: 0.0,
             cpu_join: 0.0,
             cpu_dedup: 0.0,
             sort: None,
-            model,
-            first_result_cpu: None,
-            first_result_io: None,
+            clock: RunClock::new(model),
         }
-    }
-
-    /// Simulated time at which the first result appeared (None if empty) —
-    /// the pipelining metric: RPM emits during the join phase, the sort
-    /// phase only after the complete candidate set is sorted. Measured on
-    /// the pipelined clock (min over emitting tasks of base + own work), so
-    /// it is the same at every thread count.
-    pub fn first_result_seconds(&self) -> Option<f64> {
-        Some(
-            self.model.scaled_cpu(self.first_result_cpu?)
-                + self.model.seconds(self.first_result_io.as_ref()?),
-        )
     }
 
     pub fn io_total(&self) -> IoStats {
@@ -226,40 +196,23 @@ impl PbsmStats {
     }
 
     pub fn io_seconds(&self) -> f64 {
-        self.model.seconds(&self.io_total())
+        self.clock.model.seconds(&self.io_total())
     }
 
     /// CPU seconds stretched to the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
+        self.clock.model.scaled_cpu(self.cpu_seconds())
     }
 
-    /// Simulated I/O wall time under the multi-channel clock: the shared
-    /// lane serializes, data channels overlap (`shared + max over
-    /// channels`). With one channel this is bit-identical to
-    /// [`io_seconds`](Self::io_seconds).
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.model.parallel_io_seconds(&self.io_shared, &self.io_channels)
-    }
-
-    /// I/O time hidden behind computation by the double-buffered partition
-    /// prefetch — zero with a single channel (nowhere to overlap).
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds(), &self.io_channels)
-    }
-
-    /// The paper's "total runtime": (emulated) CPU plus simulated disk time
-    /// on the multi-channel clock, minus the prefetch overlap. With one
-    /// channel this reduces bit-exactly to `scaled_cpu + io_seconds`.
+    /// The paper's "total runtime" on the multi-channel clock
+    /// ([`RunClock::total_seconds`]).
     pub fn total_seconds(&self) -> f64 {
-        self.model
-            .total_seconds(self.scaled_cpu_seconds(), &self.io_shared, &self.io_channels)
+        self.clock.total_seconds(self.cpu_seconds())
     }
 
     /// Fraction of the total runtime spent repartitioning (Figure 6).
     pub fn repart_fraction(&self) -> f64 {
-        let repart = self.model.scaled_cpu(self.cpu_repart) + self.model.seconds(&self.io_repart);
+        let repart = self.clock.model.at(self.cpu_repart, &self.io_repart);
         if self.total_seconds() > 0.0 {
             repart / self.total_seconds()
         } else {
@@ -277,10 +230,9 @@ impl PbsmStats {
     /// pure sums (independent of worker interleaving); CPU phase times take
     /// the **max over workers**, because workers run concurrently and a
     /// phase costs as much wall-clock as its slowest worker; the recursion
-    /// depth takes the max. Run-level fields (`partitions`, `grid`, `model`,
-    /// `sort`, first-result probes, and the channel decomposition
-    /// `io_shared`/`io_channels`, which the coordinator derives from the
-    /// disk's per-channel meters after all forks fold back) belong to the
+    /// depth takes the max. Run-level fields (`partitions`, `grid`, `sort`
+    /// and the `clock`, which the coordinator closes from the disk's
+    /// per-channel meters after all forks fold back) belong to the
     /// coordinating run and are kept from `self`.
     pub fn merge(&mut self, other: &PbsmStats) {
         self.copies_r += other.copies_r;
@@ -306,6 +258,16 @@ impl PbsmStats {
         self.cpu_repart = self.cpu_repart.max(other.cpu_repart);
         self.cpu_join = self.cpu_join.max(other.cpu_join);
         self.cpu_dedup = self.cpu_dedup.max(other.cpu_dedup);
+    }
+
+    fn counts(&self) -> Counts {
+        (self.candidates, self.results, self.duplicates)
+    }
+
+    fn add_counts(&mut self, (candidates, results, duplicates): Counts) {
+        self.candidates += candidates;
+        self.results += results;
+        self.duplicates += duplicates;
     }
 }
 
@@ -382,14 +344,9 @@ pub fn try_pbsm_join(
 /// diagnostic mode never dedups, so neither supports partition-granular
 /// resume; both are refused up front with a typed `Unsupported` error.
 ///
-/// Under checkpointing each partition's result pairs are buffered, durably
-/// flushed to the run's results file, journaled (the commit point — crash
-/// injection fires here), and only then emitted. An interrupted run has
-/// therefore emitted exactly its committed partitions' pairs, and a resumed
-/// run emits exactly the uncommitted ones: together the two legs produce the
-/// uninterrupted output with zero re-emissions. A resumed run folds the
-/// journaled counters into its stats, so its reported totals equal an
-/// uninterrupted run's.
+/// The lifecycle of a partition — skipped if journaled, else joined,
+/// committed, emitted — is [`UnitRun`]'s; what happens here is the partition
+/// phase and the unit body: one top-level pair, repartitioning included.
 pub fn try_pbsm_join_ctl(
     disk: &SimDisk,
     r: &[Kpe],
@@ -398,41 +355,25 @@ pub fn try_pbsm_join_ctl(
     ctl: &RunControl,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<PbsmStats, JoinError> {
-    let mut cp = ctl.checkpoint.as_ref().map(|m| m.lock());
-    let checkpointing = cp.is_some();
+    let mut run = UnitRun::begin(ctl, disk);
+    let checkpointing = run.checkpointing();
     if checkpointing && !matches!(cfg.dedup, Dedup::ReferencePoint | Dedup::TwoLayer) {
         return Err(JoinError::new("setup", IoError::unsupported()));
     }
     let model = disk.model();
     let mut stats = PbsmStats::new(model);
-    // Absolute position on the simulated timeline: disk-model seconds for an
-    // I/O meter reading plus scaled CPU — phase spans and events are stamped
-    // with this, never with wall time.
-    let sim_at = |io: &IoStats, cpu: f64| model.seconds(io) + model.scaled_cpu(cpu);
 
-    // A recovered run that already published `Done`: everything was emitted
-    // before the original process exited, so report the journaled totals and
-    // emit nothing (re-emitting would break exactly-once).
-    if let Some(cp) = cp.as_ref() {
-        if cp.phase() == RunPhase::Done {
-            stats.partitions = cp.partitions();
-            stats.grid = TileGrid::for_partitions(cp.partitions().max(1), cfg.tiles_per_partition);
-            for e in cp.committed() {
-                stats.candidates += e.candidates;
-                stats.results += e.results;
-                stats.duplicates += e.duplicates;
-            }
-            return Ok(stats);
-        }
+    if let Some(done) = run.finished() {
+        stats.partitions = run.partitions();
+        stats.grid = TileGrid::for_partitions(stats.partitions.max(1), cfg.tiles_per_partition);
+        stats.add_counts(done);
+        return Ok(stats);
     }
-    let resuming = cp.as_ref().is_some_and(|c| c.phase() == RunPhase::Join);
+    let resuming = run.phase() == Some(RunPhase::Join);
 
     // --- Phase 1: partitioning (formula (1) with safety factor t) ----------
     let t0 = Instant::now();
     let io0 = disk.stats();
-    // Per-channel baseline for the run's channel decomposition (the disk
-    // may carry charges from earlier runs; only this run's deltas count).
-    let ch0 = disk.channel_stats();
     let input_bytes = (r.len() + s.len()) * Kpe::ENCODED_SIZE;
     let mut p =
         ((cfg.safety_factor * input_bytes as f64 / cfg.mem_bytes as f64).ceil() as u32).max(1);
@@ -454,14 +395,12 @@ pub fn try_pbsm_join_ctl(
         // The manifest's partition files survived the crash intact: the
         // whole partition phase (and its page writes) is skipped.
         debug_assert_eq!(
-            cp.as_ref().map_or(0, |c| c.partitions()),
+            run.partitions(),
             p,
             "fingerprint-matched resume must re-derive the partition count"
         );
-        cp.as_ref().map_or_else(Default::default, |c| {
-            let (fr, fs) = c.files();
-            (fr.to_vec(), fs.to_vec())
-        })
+        let (fr, fs) = run.files();
+        (fr.to_vec(), fs.to_vec())
     } else {
         let mut poll = |record: u64| {
             // The whole phase is one sequential pass, so interruption checks
@@ -526,26 +465,17 @@ pub fn try_pbsm_join_ctl(
     stats.cpu_partition = t0.elapsed().as_secs_f64();
     ctl.span(
         "partition",
-        sim_at(&io0, 0.0),
-        sim_at(&disk.stats(), stats.cpu_partition),
+        model.at(0.0, &io0),
+        model.at(stats.cpu_partition, &disk.stats()),
     );
 
     // Publish the `Join` manifest (journal + results files + partition file
     // list) before any partition can commit; a resumed run instead folds the
     // journaled counters in so its totals match an uninterrupted run's.
-    if let Some(cp) = cp.as_mut() {
-        if resuming {
-            for e in cp.committed() {
-                stats.candidates += e.candidates;
-                stats.results += e.results;
-                stats.duplicates += e.duplicates;
-            }
-        } else {
-            let c0 = disk.stats();
-            let res = cp.commit_join_phase(p, &files_r, &files_s);
-            stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-            res?;
-        }
+    if resuming {
+        stats.add_counts(run.journaled());
+    } else {
+        run.publish(|cp| cp.commit_join_phase(p, &files_r, &files_s))?;
     }
 
     // --- Phases 2+3: repartition where needed, join every pair -------------
@@ -556,139 +486,38 @@ pub fn try_pbsm_join_ctl(
     let mut candidates = dedup_disk
         .as_ref()
         .map(|d| RecordWriter::<IdPair>::create(d, cfg.io_buffer_pages));
-    // First-result probe (the pipelining metric of §3.1/§5) on the
-    // *pipelined* clock: join-phase base plus the emitting task's own
-    // CPU/I/O up to its first pair, minimized over all emitting tasks.
-    // Task-own deltas are scheduling-independent, so threads=1 and
-    // threads=N report the same position (satellite fix: the old probe read
-    // the coordinator's wall clock and global meters at delivery, which on
-    // the parallel path is later than the earliest worker emission).
-    let mut first_pos: Option<(f64, IoStats)> = None;
-    let fold_first = |slot: &mut Option<(f64, IoStats)>, cand: (f64, IoStats)| {
-        let pos = |p: &(f64, IoStats)| model.scaled_cpu(p.0) + model.seconds(&p.1);
-        if slot.as_ref().is_none_or(|cur| pos(&cand) < pos(cur)) {
-            *slot = Some(cand);
-        }
-    };
-    // This run's I/O at join-phase entry — the base every task-own delta is
-    // measured against (relative to `io0`, so a reused disk's earlier
-    // charges never leak into the probe).
+    // The first-result probe (the pipelining metric of §3.1/§5) runs on the
+    // *pipelined* clock: this join-phase base plus the emitting task's own
+    // CPU/I/O up to its first pair. Task-own deltas are scheduling-
+    // independent, so threads=1 and threads=N report the same position. The
+    // base is this run's I/O at join-phase entry (relative to `io0`, so a
+    // reused disk's earlier charges never leak into the probe).
     let base_io = disk.stats().delta(&io0);
+    let cpu_base = stats.cpu_partition;
     let threads = parallel::resolve_threads(cfg.threads);
-    let mut internal = cfg.internal.create();
     // On-CPU compute clock (wall fallback) so sequential and parallel
     // join-phase measurements share a basis — see `Ctx::clock`.
     let coord_clock = parallel::WorkClock::start();
-    let wall_clock = || coord_clock.seconds();
     // Simulated time so far — what the deadline is charged against at every
-    // partition boundary.
-    let cpu_base = stats.cpu_partition;
+    // partition boundary: the disk's own seconds (which stretch a degraded
+    // channel) on the sequential path. Pool workers meter on forks that fold
+    // back only when the pool drains, so there it is the coordinator's meter
+    // plus `ahead`, the forked deltas of the tasks delivered so far.
+    let sim_now = |ahead: &IoStats| {
+        model.at(cpu_base + coord_clock.seconds(), &disk.stats().plus(ahead))
+    };
     let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + coord_clock.seconds());
     // Join-phase work units still to do: a resumed run skips every
-    // journal-committed partition (whose pairs the crashed process already
-    // emitted after its commit — skipping them is what makes resume
-    // exactly-once).
-    let todo: Vec<u32> = (0..p)
-        .filter(|i| !cp.as_ref().is_some_and(|c| c.is_committed(*i)))
-        .collect();
-    if single {
-        if let Some(e) = ctl.charge("join", elapsed_now) {
-            return Err(e);
-        }
-        if todo.is_empty() {
-            stats.join_counters = internal.counters();
-        } else {
-            let t = Instant::now();
-            let chain = RegionChain::top(grid, map, map.partition_of(0, 0, grid.gx));
-            let mut rv = r.to_vec();
-            let mut sv = s.to_vec();
-            let mut buffered: Vec<(RecordId, RecordId)> = Vec::new();
-            let base = (stats.candidates, stats.results, stats.duplicates);
-            let cpu0 = coord_clock.seconds();
-            let io0s = disk.stats();
-            let mut task_first: Option<(f64, IoStats)> = None;
-            let mut track = |a: RecordId, b: RecordId| {
-                if task_first.is_none() {
-                    task_first = Some((
-                        cpu_base + (coord_clock.seconds() - cpu0),
-                        base_io.plus(&disk.stats().delta(&io0s)),
-                    ));
-                }
-                out(a, b);
-            };
-            let joined = {
-                let mut ctx = Ctx {
-                    disk,
-                    cfg,
-                    internal: &mut *internal,
-                    stats: &mut stats,
-                    clock: &wall_clock,
-                    sources: (r, s),
-                };
-                if checkpointing {
-                    join_loaded(
-                        &mut ctx,
-                        &mut rv,
-                        &mut sv,
-                        &chain,
-                        &mut |a, b| buffered.push((a, b)),
-                        &mut |_| Ok(()),
-                    )
-                } else {
-                    join_loaded(&mut ctx, &mut rv, &mut sv, &chain, &mut track, &mut |pair| {
-                        candidates
-                            .as_mut()
-                            .expect("sort-phase candidate writer (Some iff Dedup::SortPhase)")
-                            .try_push(&pair)
-                    })
-                }
-            };
-            stats.cpu_join += t.elapsed().as_secs_f64();
-            stats.join_counters.merge(&internal.counters());
-            joined.map_err(|e| JoinError::new("dedup", e))?;
-            let deltas = (
-                stats.candidates - base.0,
-                stats.results - base.1,
-                stats.duplicates - base.2,
-            );
-            if let Some(cp) = cp.as_mut() {
-                commit_and_emit(
-                    cp,
-                    disk,
-                    &mut stats.io_checkpoint,
-                    &mut stats.checkpoint_commits,
-                    0,
-                    &buffered,
-                    deltas,
-                    &mut track,
-                )?;
-            }
-            if let Some(f) = task_first {
-                fold_first(&mut first_pos, f);
-            }
-            if ctl.observed() {
-                let io_own = disk.stats().delta(&io0s);
-                ctl.event(
-                    "partition-done",
-                    elapsed_now(),
-                    &[
-                        ("partition", 0),
-                        ("candidates", deltas.0),
-                        ("results", deltas.1),
-                        ("duplicates", deltas.2),
-                        ("pages_read", io_own.pages_read),
-                        ("pages_written", io_own.pages_written),
-                        ("committed", checkpointing as u64),
-                    ],
-                );
-            }
-        }
-    } else if threads <= 1 {
-        // Sequential executor: today's exact behaviour (threads = 1). After
+    // journal-committed partition.
+    let todo: Vec<u32> = (0..p).filter(|i| !run.is_committed(*i)).collect();
+    if single || threads <= 1 {
+        // Sequential executor (always, for the in-memory single pair). After
         // the first terminal error the remaining pairs are skipped; without
         // a checkpoint all partition files are still deleted, with one they
         // are left in place — an interruption must not destroy the state a
         // resume needs, and `finish`/the recovery scan reclaim them.
+        let mut internal = cfg.internal.create();
+        let wall_clock = || coord_clock.seconds();
         let mut first_err: Option<JoinError> = None;
         for &i in &todo {
             if first_err.is_none() {
@@ -696,21 +525,13 @@ pub fn try_pbsm_join_ctl(
             }
             if first_err.is_none() {
                 let chain = RegionChain::top(grid, map, i);
-                let mut buffered: Vec<(RecordId, RecordId)> = Vec::new();
-                let base = (stats.candidates, stats.results, stats.duplicates);
-                let cpu0 = coord_clock.seconds();
-                let io0s = disk.stats();
-                let mut task_first: Option<(f64, IoStats)> = None;
-                let mut track = |a: RecordId, b: RecordId| {
-                    if task_first.is_none() {
-                        task_first = Some((
-                            cpu_base + (coord_clock.seconds() - cpu0),
-                            base_io.plus(&disk.stats().delta(&io0s)),
-                        ));
-                    }
-                    out(a, b);
+                let (cpu0, io0s) = (coord_clock.seconds(), disk.stats());
+                let position = || {
+                    let own_cpu = coord_clock.seconds() - cpu0;
+                    (cpu_base + own_cpu, base_io.plus(&disk.stats().delta(&io0s)))
                 };
-                let res = {
+                let body = |emit: &mut dyn FnMut(RecordId, RecordId)| {
+                    let (c0, r0, d0) = stats.counts();
                     let mut ctx = Ctx {
                         disk,
                         cfg,
@@ -719,86 +540,24 @@ pub fn try_pbsm_join_ctl(
                         clock: &wall_clock,
                         sources: (r, s),
                     };
-                    if checkpointing {
-                        join_pair(
-                            &mut ctx,
-                            files_r[i as usize],
-                            files_s[i as usize],
-                            &chain,
-                            0,
-                            (false, false),
-                            i,
-                            None,
-                            &mut |a, b| buffered.push((a, b)),
-                            &mut |_| Ok(()),
-                        )
+                    let mut cand = |pair: IdPair| {
+                        candidates
+                            .as_mut()
+                            .expect("sort-phase candidate writer (Some iff Dedup::SortPhase)")
+                            .try_push(&pair)
+                    };
+                    if single {
+                        join_whole(&mut ctx, &chain, emit, &mut cand)?;
                     } else {
-                        join_pair(
-                            &mut ctx,
-                            files_r[i as usize],
-                            files_s[i as usize],
-                            &chain,
-                            0,
-                            (false, false),
-                            i,
-                            None,
-                            &mut track,
-                            &mut |pair| {
-                                candidates
-                                    .as_mut()
-                                    .expect(
-                                        "sort-phase candidate writer (Some iff Dedup::SortPhase)",
-                                    )
-                                    .try_push(&pair)
-                            },
-                        )
+                        let (fr, fs) = (files_r[i as usize], files_s[i as usize]);
+                        join_pair(&mut ctx, fr, fs, &chain, 0, (false, false), i, None, emit, &mut cand)?;
                     }
+                    let (c, r, d) = stats.counts();
+                    Ok((c - c0, r - r0, d - d0))
                 };
-                match res {
-                    Ok(()) => {
-                        if let Some(cp) = cp.as_mut() {
-                            let deltas = (
-                                stats.candidates - base.0,
-                                stats.results - base.1,
-                                stats.duplicates - base.2,
-                            );
-                            if let Err(e) = commit_and_emit(
-                                cp,
-                                disk,
-                                &mut stats.io_checkpoint,
-                                &mut stats.checkpoint_commits,
-                                i,
-                                &buffered,
-                                deltas,
-                                &mut track,
-                            ) {
-                                first_err = Some(e);
-                            }
-                        }
-                    }
-                    Err(e) => first_err = Some(e),
-                }
-                if let Some(f) = task_first {
-                    fold_first(&mut first_pos, f);
-                }
-                if ctl.observed() && first_err.is_none() {
-                    let io_own = disk.stats().delta(&io0s);
-                    ctl.event(
-                        "partition-done",
-                        elapsed_now(),
-                        &[
-                            ("partition", u64::from(i)),
-                            ("candidates", stats.candidates - base.0),
-                            ("results", stats.results - base.1),
-                            ("duplicates", stats.duplicates - base.2),
-                            ("pages_read", io_own.pages_read),
-                            ("pages_written", io_own.pages_written),
-                            ("committed", checkpointing as u64),
-                        ],
-                    );
-                }
+                first_err = run.stream(i, Some(&position), &elapsed_now, body, out).err();
             }
-            if !checkpointing {
+            if !(checkpointing || single) {
                 disk.delete(files_r[i as usize]);
                 disk.delete(files_s[i as usize]);
             }
@@ -814,36 +573,16 @@ pub fn try_pbsm_join_ctl(
         // the emitted stream — and, for the sort phase, the candidate file
         // — is byte-identical to the sequential path. Checkpoint commits
         // happen only here on the coordinator, in that same canonical order.
-        struct TaskOut {
-            pairs: Vec<(RecordId, RecordId)>,
-            cand: Vec<IdPair>,
-            /// Forked-meter delta of this task, folded into the
-            /// coordinator's deadline estimate as results land (the full
-            /// fork meters merge only after the pool drains).
-            io: IoStats,
-            /// On-CPU seconds this task cost its worker.
-            cpu: f64,
-            /// This task's own (CPU delta, I/O delta) at its first pair —
-            /// the task-local leg of the pipelined first-result probe.
-            first: Option<(f64, IoStats)>,
-            /// (candidates, results, duplicates) this task produced — the
-            /// journal record of its partition.
-            deltas: (u64, u64, u64),
-        }
         /// Load-stage handoff of the software pipeline: the preload outcome
         /// plus what it cost. The compute stage folds `io`/`cpu` into the
         /// attempt's join-phase buckets, so the phase decomposition is
         /// identical whether the load ran early or inline.
         struct Prefetch {
-            outcome: Option<Preloaded>,
+            outcome: Option<Loaded>,
             io: IoStats,
             cpu: f64,
         }
-        let mut first_err: Option<JoinError> = None;
-        let mut est_io = IoStats::default();
-        let io_ckpt = &mut stats.io_checkpoint;
-        let ckpt_commits = &mut stats.checkpoint_commits;
-        let first_pos_ref = &mut first_pos;
+        let mut ahead = IoStats::default();
         let todo_ref = &todo;
         let (workers, pool) = parallel::run_ordered_prefetch_fallible_with(
             threads,
@@ -879,20 +618,8 @@ pub fn try_pbsm_join_ctl(
                     if br == 0 || bs == 0 || (br + bs) as usize > cfg.mem_bytes {
                         return None;
                     }
-                    Some(
-                        match try_read_all::<Kpe>(fork_ref, files_r[i as usize], cfg.io_buffer_pages)
-                        {
-                            Ok(rv) => match try_read_all::<Kpe>(
-                                fork_ref,
-                                files_s[i as usize],
-                                cfg.io_buffer_pages,
-                            ) {
-                                Ok(sv) => Preloaded::Loaded(rv, sv),
-                                Err(err) => Preloaded::Failed { err, failed_r: false },
-                            },
-                            Err(err) => Preloaded::Failed { err, failed_r: true },
-                        },
-                    )
+                    let (fr, fs) = (files_r[i as usize], files_s[i as usize]);
+                    Some(load_pair(fork_ref, fr, fs, cfg.io_buffer_pages))
                 })();
                 Prefetch {
                     outcome,
@@ -922,9 +649,16 @@ pub fn try_pbsm_join_ctl(
                 let chain = RegionChain::top(grid, map, i);
                 let mut pairs = Vec::new();
                 let mut cand = Vec::new();
-                let mut first: Option<(f64, IoStats)> = None;
+                let mut first = None;
                 let fork_ref: &SimDisk = fork;
                 let clock = || work_clock.seconds();
+                // The task's own work so far. It includes the prefetched
+                // load: on the pipelined clock the pair's work starts at its
+                // load, wherever it was scheduled.
+                let own = || {
+                    let cpu = pre.cpu + (work_clock.seconds() - cpu_before);
+                    (cpu, pre.io.plus(&fork_ref.stats().delta(&io_before)))
+                };
                 let mut ctx = Ctx {
                     disk: fork_ref,
                     cfg,
@@ -944,13 +678,8 @@ pub fn try_pbsm_join_ctl(
                     pre.outcome,
                     &mut |a, b| {
                         if first.is_none() {
-                            // Task-own position includes the prefetched
-                            // load: on the pipelined clock the pair's work
-                            // starts at its load, wherever it was scheduled.
-                            first = Some((
-                                pre.cpu + (work_clock.seconds() - cpu_before),
-                                pre.io.plus(&fork_ref.stats().delta(&io_before)),
-                            ));
+                            let (cpu, io) = own();
+                            first = Some((cpu_base + cpu, base_io.plus(&io)));
                         }
                         pairs.push((a, b));
                     },
@@ -960,18 +689,22 @@ pub fn try_pbsm_join_ctl(
                     },
                 );
                 match res {
-                    Ok(()) => Ok(TaskOut {
-                        pairs,
-                        cand,
-                        io: pre.io.plus(&fork_ref.stats().delta(&io_before)),
-                        cpu: pre.cpu + (work_clock.seconds() - cpu_before),
-                        first,
-                        deltas: (
-                            partial.candidates - snapshot.candidates,
-                            partial.results - snapshot.results,
-                            partial.duplicates - snapshot.duplicates,
-                        ),
-                    }),
+                    Ok(()) => {
+                        let (cpu, io) = own();
+                        let (c, r, d) = partial.counts();
+                        let unit = FinishedUnit {
+                            pairs,
+                            counts: (
+                                c - snapshot.candidates,
+                                r - snapshot.results,
+                                d - snapshot.duplicates,
+                            ),
+                            io,
+                            first,
+                            done: (cpu_base + cpu, base_io.plus(&io)),
+                        };
+                        Ok((unit, cand))
+                    }
                     Err(e) => {
                         // Roll back the logical counters only (the requeued
                         // attempt recounts them from scratch); keep the I/O
@@ -1005,102 +738,22 @@ pub fn try_pbsm_join_ctl(
             },
             |idx, result| {
                 let i = todo_ref[idx];
-                if first_err.is_none() {
-                    // Deadline at partition granularity: the coordinator's
-                    // own meter plus every forked delta folded in so far.
-                    first_err = ctl.charge("join", || {
-                        model.seconds(&disk.stats().plus(&est_io))
-                            + model.scaled_cpu(cpu_base + coord_clock.seconds())
-                    });
-                }
-                match result {
-                    Ok(t) => {
-                        est_io = est_io.plus(&t.io);
-                        if ctl.observed() && first_err.is_none() {
-                            ctl.event(
-                                "partition-done",
-                                model.seconds(&disk.stats().plus(&est_io))
-                                    + model.scaled_cpu(cpu_base + coord_clock.seconds()),
-                                &[
-                                    ("partition", u64::from(i)),
-                                    ("candidates", t.deltas.0),
-                                    ("results", t.deltas.1),
-                                    ("duplicates", t.deltas.2),
-                                    ("pages_read", t.io.pages_read),
-                                    ("pages_written", t.io.pages_written),
-                                    ("committed", checkpointing as u64),
-                                ],
-                            );
-                        }
-                        if first_err.is_none() {
-                            if let Some(cp) = cp.as_mut() {
-                                // Emission happens after the durable commit,
-                                // so the task's pipelined first-pair position
-                                // includes its full join work plus the commit
-                                // I/O that precedes delivery.
-                                let io_c0 = disk.stats();
-                                let mut task_first: Option<(f64, IoStats)> = None;
-                                let mut track = |a: RecordId, b: RecordId| {
-                                    if task_first.is_none() {
-                                        task_first = Some((
-                                            cpu_base + t.cpu,
-                                            base_io
-                                                .plus(&t.io)
-                                                .plus(&disk.stats().delta(&io_c0)),
-                                        ));
-                                    }
-                                    out(a, b);
-                                };
-                                let res = commit_and_emit(
-                                    cp,
-                                    disk,
-                                    io_ckpt,
-                                    ckpt_commits,
-                                    i,
-                                    &t.pairs,
-                                    t.deltas,
-                                    &mut track,
-                                );
-                                if let Some(f) = task_first {
-                                    fold_first(first_pos_ref, f);
-                                }
-                                if let Err(e) = res {
-                                    first_err = Some(e);
-                                }
-                            } else {
-                                if let Some(f) = t.first {
-                                    fold_first(
-                                        first_pos_ref,
-                                        (cpu_base + f.0, base_io.plus(&f.1)),
-                                    );
-                                }
-                                for (a, b) in t.pairs {
-                                    out(a, b);
-                                }
-                                if let Some(w) = candidates.as_mut() {
-                                    for pair in t.cand {
-                                        if let Err(e) = w.try_push(&pair) {
-                                            first_err.get_or_insert(JoinError::new("dedup", e));
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
+                run.poll("join", || sim_now(&ahead));
+                let mut cand = Vec::new();
+                let unit = result.map(|(unit, c)| {
+                    ahead = ahead.plus(&unit.io);
+                    cand = c;
+                    unit
+                });
+                run.deliver(i, unit, &|| sim_now(&ahead), out);
+                if let (false, Some(w)) = (run.failed(), candidates.as_mut()) {
+                    if let Err(e) = w.try_push_all(&cand) {
+                        run.fail(JoinError::new("dedup", e));
                     }
                 }
                 if !checkpointing {
                     disk.delete(files_r[i as usize]);
                     disk.delete(files_s[i as usize]);
-                } else if first_err.is_some() {
-                    // A checkpointed run that hit a terminal error (crash,
-                    // commit failure) is dead: stop the workers from
-                    // claiming further partitions, like the process exit
-                    // they are simulating would. Committed state stays.
-                    ctl.cancel.cancel();
                 }
             },
         );
@@ -1136,7 +789,7 @@ pub fn try_pbsm_join_ctl(
         // Cross-check the scheduler's own requeue count against the
         // per-worker accounting (they can only diverge when a cancellation
         // leaves a queued retry unclaimed).
-        if first_err.is_none() && !ctl.cancel.is_cancelled() {
+        if !run.failed() && !ctl.cancel.is_cancelled() {
             debug_assert_eq!(
                 u64::from(stats.requeued_partitions),
                 pool.requeues,
@@ -1154,25 +807,20 @@ pub fn try_pbsm_join_ctl(
                 ],
             );
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        run.settle()?;
     }
 
+    let cpu_pre = stats.cpu_partition + stats.cpu_repart + stats.cpu_join;
     ctl.span(
         "join",
-        sim_at(&base_io, cpu_base),
-        sim_at(
-            &disk.stats(),
-            stats.cpu_partition + stats.cpu_repart + stats.cpu_join,
-        ),
+        model.at(cpu_base, &base_io),
+        model.at(cpu_pre, &disk.stats()),
     );
 
     // --- Phase 4 (SortPhase only): sort candidates, drop duplicates --------
     if let (Some(ddisk), Some(writer)) = (dedup_disk, candidates) {
         let t3 = Instant::now();
-        let cpu_pre = stats.cpu_partition + stats.cpu_repart + stats.cpu_join;
-        let dd_start = sim_at(&disk.stats().plus(&ddisk.stats()), cpu_pre);
+        let dd_start = model.at(cpu_pre, &disk.stats().plus(&ddisk.stats()));
         let cand_file = writer
             .try_finish()
             .map_err(|e| JoinError::new("dedup", e))?;
@@ -1192,11 +840,11 @@ pub fn try_pbsm_join_ctl(
             };
             if prev != Some(pair) {
                 stats.results += 1;
-                if first_pos.is_none() {
+                if !run.probed() {
                     // The sort phase pipelines nothing: the first pair can
                     // only appear after every candidate is sorted, so its
                     // position is the cumulative clock at this scan step.
-                    first_pos = Some((
+                    run.probe((
                         cpu_pre + t3.elapsed().as_secs_f64(),
                         disk.stats().delta(&io0).plus(&ddisk.stats()),
                     ));
@@ -1214,72 +862,15 @@ pub fn try_pbsm_join_ctl(
         ctl.span(
             "dedup",
             dd_start,
-            sim_at(&disk.stats().plus(&ddisk.stats()), cpu_pre + stats.cpu_dedup),
+            model.at(cpu_pre + stats.cpu_dedup, &disk.stats().plus(&ddisk.stats())),
         );
     }
 
-    // Publish `Done` and drop the partition files; the journal, results and
-    // manifest files remain as the run's durable record.
-    if let Some(cp) = cp.as_mut() {
-        let c0 = disk.stats();
-        let res = cp.finish();
-        stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-        res?;
-    }
-    stats.first_result_cpu = first_pos.as_ref().map(|p| p.0);
-    stats.first_result_io = first_pos.map(|p| p.1);
-    // Channel decomposition of this run's I/O: run-relative deltas of the
-    // disk's per-channel meters (every fork has folded back by now), with
-    // the dedup scratch disk's traffic on the shared lane — its files are
-    // untagged, so its time serializes like any shared file.
-    let ch_end = disk.channel_stats();
-    stats.io_shared = ch_end[0].delta(&ch0[0]).plus(&stats.io_dedup);
-    stats.io_channels = ch_end[1..]
-        .iter()
-        .zip(ch0[1..].iter())
-        .map(|(e, s)| e.delta(s))
-        .collect();
+    stats.clock = run.close(&mut stats.io_checkpoint, &mut stats.checkpoint_commits)?;
+    // The dedup scratch disk's files are untagged, so its time serializes on
+    // the shared lane like any shared file's.
+    stats.clock.io_shared = stats.clock.io_shared.plus(&stats.io_dedup);
     Ok(stats)
-}
-
-/// Commit-protocol steps 2–4 for one finished partition: durably flush its
-/// buffered pairs to the results file, append its journal record (the
-/// commit point — crash injection fires here), and only then emit the pairs
-/// downstream. The checkpoint I/O delta is folded into `io_ckpt`, and each
-/// durable journal record bumps `commits`.
-#[allow(clippy::too_many_arguments)] // internal commit driver; the args are the commit state
-fn commit_and_emit(
-    cp: &mut RunCheckpoint,
-    disk: &SimDisk,
-    io_ckpt: &mut IoStats,
-    commits: &mut u64,
-    partition: u32,
-    pairs: &[(RecordId, RecordId)],
-    (candidates, results, duplicates): (u64, u64, u64),
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(), JoinError> {
-    let io0 = disk.stats();
-    let encoded: Vec<IdPair> = pairs
-        .iter()
-        .map(|&(a, b)| IdPair { r: a.0, s: b.0 })
-        .collect();
-    let res = cp
-        .append_results(&encoded)
-        .and_then(|()| cp.commit_partition(partition, candidates, results, duplicates));
-    *io_ckpt = io_ckpt.plus(&disk.stats().delta(&io0));
-    // The durable journal record — not the process's last instruction — is
-    // the delivery boundary: a resume skips every committed partition, so a
-    // committed partition's pairs must reach the consumer even when the
-    // injected crash fires between the commit and this loop (otherwise they
-    // would be emitted by neither leg). An uncommitted partition's pairs
-    // stay unemitted; the resume recomputes and emits them.
-    if res.is_ok() || cp.is_committed(partition) {
-        *commits += 1;
-        for &(a, b) in pairs {
-            out(a, b);
-        }
-    }
-    res
 }
 
 /// Phase 1 for one relation: replicate each KPE into the partition of every
@@ -1416,6 +1007,22 @@ fn join_loaded(
         Some(e) => Err(e),
         None => Ok(()),
     }
+}
+
+/// The unit body of a single-partition run: the "pair" is the whole input,
+/// copied from the source relations and joined in memory — no partition
+/// file exists to load, degrade or quarantine.
+fn join_whole(
+    ctx: &mut Ctx<'_>,
+    chain: &RegionChain,
+    out: &mut dyn FnMut(RecordId, RecordId),
+    cand: &mut dyn FnMut(IdPair) -> Result<(), IoError>,
+) -> Result<(), JoinError> {
+    let c0 = (ctx.clock)();
+    let (mut rv, mut sv) = (ctx.sources.0.to_vec(), ctx.sources.1.to_vec());
+    let joined = join_loaded(ctx, &mut rv, &mut sv, chain, out, cand);
+    ctx.stats.cpu_join += (ctx.clock)() - c0;
+    joined.map_err(|e| JoinError::new("dedup", e))
 }
 
 /// Class of a record within one tile it overlaps (two-layer space-oriented
@@ -1604,18 +1211,21 @@ fn two_layer_join(
     });
 }
 
-/// What the prefetch load stage handed a top-level pair's compute stage.
-/// The load ran on the same worker (same forked meter) while an earlier
-/// pair was computing — the overlap the multi-channel clock credits as
-/// [`DiskModel::prefetch_hidden_seconds`].
-enum Preloaded {
-    /// Both sides are in memory; `join_pair` must not read them again.
-    Loaded(Vec<Kpe>, Vec<Kpe>),
-    /// The load exhausted the retry budget. `join_pair` degrades straight
-    /// to repartitioning *without* re-reading: the failed attempts already
-    /// advanced the shared fault counters, and a re-read would advance them
-    /// again, diverging from the sequential path's fault behaviour.
-    Failed { err: IoError, failed_r: bool },
+/// Both sides of a partition pair in memory, or the error that exhausted the
+/// retry budget and whether it was the R side's read that failed.
+type Loaded = Result<(Vec<Kpe>, Vec<Kpe>), (IoError, bool)>;
+
+/// Reads a whole partition pair. At depth 0 on the parallel path the pool's
+/// load stage calls this early — on the same worker (same forked meter),
+/// while an earlier pair is computing: the overlap the multi-channel clock
+/// credits as [`DiskModel::prefetch_hidden_seconds`] — and hands `join_pair`
+/// the outcome, which then must not read again: failed attempts already
+/// advanced the shared fault counters, and a re-read would advance them
+/// again, diverging from the sequential path's fault behaviour.
+fn load_pair(disk: &SimDisk, fr: FileId, fs: FileId, buffer_pages: usize) -> Loaded {
+    let rv = try_read_all::<Kpe>(disk, fr, buffer_pages).map_err(|e| (e, true))?;
+    let sv = try_read_all::<Kpe>(disk, fs, buffer_pages).map_err(|e| (e, false))?;
+    Ok((rv, sv))
 }
 
 /// Quarantine-recompute for a partition pair lost to persistent media
@@ -1693,7 +1303,7 @@ fn join_pair(
     // stalled, refinement provably cannot help: join over budget now.
     stalled: (bool, bool),
     top: u32,
-    preloaded: Option<Preloaded>,
+    preloaded: Option<Loaded>,
     out: &mut dyn FnMut(RecordId, RecordId),
     cand: &mut dyn FnMut(IdPair) -> Result<(), IoError>,
 ) -> Result<(), JoinError> {
@@ -1716,17 +1326,8 @@ fn join_pair(
         // A prefetched outcome substitutes for the load 1:1 — its I/O (and
         // any failed attempts) was charged when the load stage ran, so this
         // window's delta covers only the join work itself.
-        let (loaded, failed_r) = match preloaded {
-            Some(Preloaded::Loaded(rv, sv)) => (Ok((rv, sv)), false),
-            Some(Preloaded::Failed { err, failed_r }) => (Err(err), failed_r),
-            None => match try_read_all::<Kpe>(disk, fr, ctx.cfg.io_buffer_pages) {
-                Ok(rv) => match try_read_all::<Kpe>(disk, fs, ctx.cfg.io_buffer_pages) {
-                    Ok(sv) => (Ok((rv, sv)), false),
-                    Err(e) => (Err(e), false),
-                },
-                Err(e) => (Err(e), true),
-            },
-        };
+        let loaded = preloaded
+            .unwrap_or_else(|| load_pair(disk, fr, fs, ctx.cfg.io_buffer_pages));
         match loaded {
             Ok((mut rv, mut sv)) => {
                 let joined = join_loaded(ctx, &mut rv, &mut sv, chain, out, cand);
@@ -1734,7 +1335,7 @@ fn join_pair(
                 ctx.stats.cpu_join += (ctx.clock)() - c0;
                 return joined.map_err(|e| JoinError::in_partition("dedup", top, e));
             }
-            Err(e) => {
+            Err((e, failed_r)) => {
                 ctx.stats.io_join = ctx.stats.io_join.plus(&disk.stats().delta(&io0));
                 ctx.stats.cpu_join += (ctx.clock)() - c0;
                 if e.kind.is_persistent() {
@@ -2267,11 +1868,11 @@ mod tests {
             (st4.candidates, st4.results, st4.duplicates)
         );
         // The channel meters are an exact decomposition of the total.
-        assert_eq!(st1.io_channels.len(), 1);
-        assert_eq!(st4.io_channels.len(), 4);
+        assert_eq!(st1.clock.io_channels.len(), 1);
+        assert_eq!(st4.clock.io_channels.len(), 4);
         for st in [&st1, &st4, &st4t] {
-            let mut sum = st.io_shared;
-            for c in &st.io_channels {
+            let mut sum = st.clock.io_shared;
+            for c in &st.clock.io_channels {
                 sum = sum.plus(c);
             }
             assert_eq!(sum, st.io_total());
@@ -2280,7 +1881,7 @@ mod tests {
         assert_eq!(st1.total_seconds(), st1.scaled_cpu_seconds() + st1.io_seconds());
         // ...four channels spread the partition files and strictly beat it.
         assert!(
-            st4.io_channels.iter().filter(|c| c.pages_read > 0).count() > 1,
+            st4.clock.io_channels.iter().filter(|c| c.pages_read > 0).count() > 1,
             "partition files should land on several channels"
         );
         assert!(

@@ -5,8 +5,8 @@ use std::time::Instant;
 use geom::{reference_point, Kpe, RecordId};
 use sfc::{Cell, Curve, MAX_LEVEL};
 use storage::{
-    try_external_sort_by, DiskModel, FileId, IdPair, IoError, IoStats, JoinError, RecordReader,
-    RecordWriter, RunCheckpoint, RunControl, RunPhase, SimDisk,
+    try_external_sort_by, ClockPos, Counts, DiskModel, FileId, FinishedUnit, IoError, IoStats,
+    JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk, UnitRun,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -99,15 +99,6 @@ pub struct S3jStats {
     /// Checkpoint-layer I/O of a durable run (manifest publishes, journal
     /// and results-file appends); zero without a checkpoint.
     pub io_checkpoint: IoStats,
-    /// Shared-lane I/O: untagged files (manifest, journal, results, sort
-    /// scratch that outlives its level tag) whose requests serialize on the
-    /// multi-channel clock. With `io_channels` this is an exact
-    /// field-for-field decomposition of [`io_total`](Self::io_total).
-    pub io_shared: IoStats,
-    /// Per-data-channel I/O: level `l`'s file (and its sort runs, which
-    /// inherit the tag) rides channel `l mod D` for both relations. Always
-    /// `model.data_channels()` entries.
-    pub io_channels: Vec<IoStats>,
     pub cpu_partition: f64,
     pub cpu_sort: f64,
     pub cpu_join: f64,
@@ -122,15 +113,12 @@ pub struct S3jStats {
     /// switched to the in-memory replay. The run completes with the exact
     /// result set either way; this only marks that it ran degraded.
     pub quarantined_levels: u32,
-    pub model: DiskModel,
-    /// CPU position of the earliest result on the *pipelined* clock (scan
-    /// base plus the emitting task's own CPU), minimized over tasks — the
-    /// same at every thread count.
-    pub first_result_cpu: Option<f64>,
-    /// This run's I/O meter at the earliest result on the pipelined clock:
-    /// the discovery I/O up to the emitting partition (plus its commit I/O
-    /// when checkpointed) — scan workers themselves do no I/O.
-    pub first_result_io: Option<IoStats>,
+    /// Model, channel decomposition (level `l`'s file and its sort runs ride
+    /// channel `l mod D` for both relations; all S³J I/O happens on the
+    /// coordinator, scan workers are pure CPU) and the first-result
+    /// position: the discovery I/O up to the emitting partition, plus its
+    /// commit I/O when checkpointed.
+    pub clock: RunClock,
 }
 
 impl S3jStats {
@@ -146,84 +134,28 @@ impl S3jStats {
     }
 
     pub fn io_seconds(&self) -> f64 {
-        self.model.seconds(&self.io_total())
+        self.clock.model.seconds(&self.io_total())
     }
 
     /// CPU seconds stretched to the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
+        self.clock.model.scaled_cpu(self.cpu_seconds())
     }
 
-    /// Simulated I/O wall time under the multi-channel clock: the shared
-    /// lane serializes, data channels overlap (`shared + max over
-    /// channels`). With one channel this is bit-identical to
-    /// [`io_seconds`](Self::io_seconds).
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.model.parallel_io_seconds(&self.io_shared, &self.io_channels)
-    }
-
-    /// I/O time hidden behind computation — zero with a single channel.
-    /// S³J needs no explicit prefetch stage for this: the coordinator's
-    /// synchronized scan performs all I/O while workers join in-memory
-    /// partitions, so discovery reads on spare channels overlap compute.
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds(), &self.io_channels)
-    }
-
-    /// The paper's "total runtime": (emulated) CPU plus simulated disk time
-    /// on the multi-channel clock, minus the compute/I-O overlap. With one
-    /// channel this reduces bit-exactly to `scaled_cpu + io_seconds`.
+    /// The paper's "total runtime" on the multi-channel clock
+    /// ([`RunClock::total_seconds`]). S³J needs no explicit prefetch stage
+    /// for the overlap it credits: the coordinator's synchronized scan
+    /// performs all I/O while workers join in-memory partitions, so
+    /// discovery reads on spare channels overlap compute.
     pub fn total_seconds(&self) -> f64 {
-        self.model
-            .total_seconds(self.scaled_cpu_seconds(), &self.io_shared, &self.io_channels)
+        self.clock.total_seconds(self.cpu_seconds())
     }
 
     pub fn replication_rate(&self, input_len: usize) -> f64 {
         (self.copies_r + self.copies_s) as f64 / input_len.max(1) as f64
     }
 
-    /// Simulated time at which the first result appeared (None if empty).
-    /// S³J pipelines once the level files are sorted: results flow during
-    /// the synchronized scan.
-    pub fn first_result_seconds(&self) -> Option<f64> {
-        Some(
-            self.model.scaled_cpu(self.first_result_cpu?)
-                + self.model.seconds(self.first_result_io.as_ref()?),
-        )
-    }
-
-    /// Folds a per-worker partial into this stats struct — the deterministic
-    /// reduction of the parallel executor. Work counts and I/O counters are
-    /// pure sums (independent of worker interleaving); CPU phase times and
-    /// the resident peak take the **max over workers** (concurrent phases
-    /// cost as much as the slowest worker). Run-level fields (`model`,
-    /// histograms, sort stats, first-result probes, and the channel
-    /// decomposition `io_shared`/`io_channels`, derived from the disk's
-    /// per-channel meters at run end) are kept from `self`.
-    pub fn merge(&mut self, other: &S3jStats) {
-        self.copies_r += other.copies_r;
-        self.copies_s += other.copies_s;
-        self.code_computations += other.code_computations;
-        self.candidates += other.candidates;
-        self.results += other.results;
-        self.duplicates += other.duplicates;
-        self.join_counters.merge(&other.join_counters);
-        self.io_partition = self.io_partition.plus(&other.io_partition);
-        self.io_sort = self.io_sort.plus(&other.io_sort);
-        self.io_join = self.io_join.plus(&other.io_join);
-        self.io_checkpoint = self.io_checkpoint.plus(&other.io_checkpoint);
-        self.cpu_partition = self.cpu_partition.max(other.cpu_partition);
-        self.cpu_sort = self.cpu_sort.max(other.cpu_sort);
-        self.cpu_join = self.cpu_join.max(other.cpu_join);
-        self.peak_partition_bytes = self.peak_partition_bytes.max(other.peak_partition_bytes);
-        self.checkpoint_commits += other.checkpoint_commits;
-        self.quarantined_levels += other.quarantined_levels;
-    }
-
-    /// A zeroed partial for per-worker accumulation (merged back with
-    /// [`S3jStats::merge`]).
-    fn partial(model: DiskModel) -> S3jStats {
+    fn new(model: DiskModel) -> S3jStats {
         S3jStats {
             copies_r: 0,
             copies_s: 0,
@@ -240,18 +172,20 @@ impl S3jStats {
             io_sort: IoStats::default(),
             io_join: IoStats::default(),
             io_checkpoint: IoStats::default(),
-            io_shared: IoStats::default(),
-            io_channels: vec![IoStats::default(); model.data_channels()],
             cpu_partition: 0.0,
             cpu_sort: 0.0,
             cpu_join: 0.0,
             peak_partition_bytes: 0,
             checkpoint_commits: 0,
             quarantined_levels: 0,
-            model,
-            first_result_cpu: None,
-            first_result_io: None,
+            clock: RunClock::new(model),
         }
+    }
+
+    fn add_counts(&mut self, (candidates, results, duplicates): Counts) {
+        self.candidates += candidates;
+        self.results += results;
+        self.duplicates += duplicates;
     }
 }
 
@@ -473,12 +407,18 @@ impl<'a> Cursor<'a> {
 struct JoinCtx<'a> {
     cfg: &'a S3jConfig,
     internal: Box<dyn InternalJoin + Send>,
-    candidates: u64,
-    results: u64,
-    duplicates: u64,
+    counts: Counts,
 }
 
-impl JoinCtx<'_> {
+impl<'a> JoinCtx<'a> {
+    fn new(cfg: &'a S3jConfig) -> Self {
+        JoinCtx {
+            cfg,
+            internal: cfg.internal.create(),
+            counts: (0, 0, 0),
+        }
+    }
+
     /// Joins a pair of partitions where `deeper` is the one with the finer
     /// (or equal) cell. With replication, the modified RPM (§4.3) reports a
     /// pair only if its reference point lies in the deeper partition's cell.
@@ -515,9 +455,24 @@ impl JoinCtx<'_> {
                 out(a.id, b.id);
             }
         });
-        self.candidates += candidates;
-        self.results += results;
-        self.duplicates += duplicates;
+        self.counts.0 += candidates;
+        self.counts.1 += results;
+        self.counts.2 += duplicates;
+    }
+
+    /// Folds this (per-scan or per-worker) context into the run's stats:
+    /// counts are pure sums, the join phase costs as much CPU as its slowest
+    /// worker.
+    fn fold_into(self, stats: &mut S3jStats, cpu_join: f64) {
+        let (candidates, results, duplicates) = self.counts;
+        // Every candidate was either reported or suppressed by the modified
+        // reference-point test (duplicates are 0 in the unreplicated
+        // original), regardless of how chunks were interleaved across
+        // workers.
+        debug_assert_eq!(candidates, results + duplicates, "S3J accounting broken");
+        stats.add_counts(self.counts);
+        stats.join_counters.merge(&self.internal.counters());
+        stats.cpu_join = stats.cpu_join.max(cpu_join);
     }
 }
 
@@ -576,46 +531,6 @@ fn unpack_levels(files: &[FileId]) -> Vec<Option<FileId>> {
         .iter()
         .map(|&f| (f.raw() != EMPTY_LEVEL).then_some(f))
         .collect()
-}
-
-/// Commit-protocol steps 2–4 for one discovered partition: durably flush
-/// its buffered pairs to the results file, append its journal record (the
-/// commit point — crash injection fires here), and only then emit the pairs
-/// downstream. The checkpoint I/O delta is folded into `io_ckpt`, and each
-/// durable journal record bumps `commits`.
-#[allow(clippy::too_many_arguments)] // internal commit driver; the args are the commit state
-fn commit_and_emit(
-    cp: &mut RunCheckpoint,
-    disk: &SimDisk,
-    io_ckpt: &mut IoStats,
-    commits: &mut u64,
-    partition: u32,
-    pairs: &[(RecordId, RecordId)],
-    (candidates, results, duplicates): (u64, u64, u64),
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(), JoinError> {
-    let io0 = disk.stats();
-    let encoded: Vec<IdPair> = pairs
-        .iter()
-        .map(|&(a, b)| IdPair { r: a.0, s: b.0 })
-        .collect();
-    let res = cp
-        .append_results(&encoded)
-        .and_then(|()| cp.commit_partition(partition, candidates, results, duplicates));
-    *io_ckpt = io_ckpt.plus(&disk.stats().delta(&io0));
-    // The durable journal record — not the process's last instruction — is
-    // the delivery boundary: a resume skips every committed partition, so a
-    // committed partition's pairs must reach the consumer even when the
-    // injected crash fires between the commit and this loop (otherwise they
-    // would be emitted by neither leg). An uncommitted partition's pairs
-    // stay unemitted; the resume recomputes and emits them.
-    if res.is_ok() || cp.is_committed(partition) {
-        *commits += 1;
-        for &(a, b) in pairs {
-            out(a, b);
-        }
-    }
-    res
 }
 
 /// Sort-phase quarantine-recompute: `damaged` (an unsorted level file on
@@ -679,47 +594,31 @@ pub fn try_s3j_join_ctl(
     ctl: &RunControl,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<S3jStats, JoinError> {
-    let mut cp = ctl.checkpoint.as_ref().map(|m| m.lock());
-    let checkpointing = cp.is_some();
+    let mut run = UnitRun::begin(ctl, disk);
+    let checkpointing = run.checkpointing();
     if checkpointing && !matches!(cfg.scan, ScanMode::HeapMerge) {
         return Err(JoinError::new("setup", IoError::unsupported()));
     }
     let model = disk.model();
-    let mut stats = S3jStats::partial(model);
-    // Absolute simulated-timeline position for trace spans: disk meter in
-    // seconds plus scaled CPU.
-    let sim_at = |io: &IoStats, cpu: f64| model.seconds(io) + model.scaled_cpu(cpu);
+    let mut stats = S3jStats::new(model);
 
-    // A recovered run that already published `Done`: everything was emitted
-    // before the original process exited, so report the journaled totals
-    // and emit nothing (re-emitting would break exactly-once).
-    if let Some(c) = cp.as_deref() {
-        if c.phase() == RunPhase::Done {
-            for e in c.committed() {
-                stats.candidates += e.candidates;
-                stats.results += e.results;
-                stats.duplicates += e.duplicates;
-            }
-            return Ok(stats);
-        }
+    if let Some(done) = run.finished() {
+        stats.add_counts(done);
+        return Ok(stats);
     }
     // A published manifest's level-file lists: unsorted when the run died
     // in the sort phase, sorted once the `Join` manifest was out. A freshly
     // started checkpoint is also in `Partition` phase but has no files yet.
-    let manifest_levels = cp.as_deref().and_then(|c| {
-        let (fr, fs) = c.files();
+    let manifest_levels = {
+        let (fr, fs) = run.files();
         (!(fr.is_empty() && fs.is_empty())).then(|| (unpack_levels(fr), unpack_levels(fs)))
-    });
-    let resume_join = cp.as_deref().is_some_and(|c| c.phase() == RunPhase::Join);
-    let resume_build = cp.as_deref().is_some_and(|c| c.phase() == RunPhase::Partition)
-        && manifest_levels.is_some();
+    };
+    let resume_join = run.phase() == Some(RunPhase::Join);
+    let resume_build = run.phase() == Some(RunPhase::Partition) && manifest_levels.is_some();
 
     // --- Phase 1: partitioning into level files -----------------------------
     let t0 = Instant::now();
     let io0 = disk.stats();
-    // Per-channel baseline for the run's channel decomposition (the disk
-    // may carry charges from earlier runs; only this run's deltas count).
-    let ch0 = disk.channel_stats();
     let (unsorted_r, unsorted_s) = if resume_join {
         (Vec::new(), Vec::new()) // build *and* sort already durable
     } else if resume_build {
@@ -731,35 +630,17 @@ pub fn try_s3j_join_ctl(
         if let Some(e) = ctl.charge("build", elapsed) {
             return Err(e);
         }
-        let lf_r = LevelFiles::try_build(
-            disk,
-            r,
-            cfg.max_level,
-            cfg.curve,
-            cfg.replicate,
-            cfg.level_shift,
-            cfg.level_buffer_pages,
-        )
-        .map_err(|e| JoinError::new("build", e))?;
+        let build = |data: &[Kpe]| {
+            let (shift, pages) = (cfg.level_shift, cfg.level_buffer_pages);
+            LevelFiles::try_build(disk, data, cfg.max_level, cfg.curve, cfg.replicate, shift, pages)
+                .map_err(|e| JoinError::new("build", e))
+        };
+        let lf_r = build(r)?;
         if let Some(e) = ctl.charge("build", elapsed) {
             lf_r.delete(disk);
             return Err(e);
         }
-        let lf_s = match LevelFiles::try_build(
-            disk,
-            s,
-            cfg.max_level,
-            cfg.curve,
-            cfg.replicate,
-            cfg.level_shift,
-            cfg.level_buffer_pages,
-        ) {
-            Ok(lf) => lf,
-            Err(e) => {
-                lf_r.delete(disk);
-                return Err(JoinError::new("build", e));
-            }
-        };
+        let lf_s = build(s).inspect_err(|_| lf_r.delete(disk))?;
         if let Some(e) = ctl.charge("build", elapsed) {
             lf_r.delete(disk);
             lf_s.delete(disk);
@@ -774,18 +655,14 @@ pub fn try_s3j_join_ctl(
     };
     stats.io_partition = disk.stats().delta(&io0);
     stats.cpu_partition = t0.elapsed().as_secs_f64();
-    ctl.span("build", sim_at(&io0, 0.0), sim_at(&disk.stats(), stats.cpu_partition));
+    ctl.span("build", model.at(0.0, &io0), model.at(stats.cpu_partition, &disk.stats()));
     // Durable build: after this publish, a crash or deadline during the
     // sort phase resumes from the intact unsorted level files instead of
     // re-partitioning.
     if !(resume_join || resume_build) {
-        if let Some(c) = cp.as_deref_mut() {
-            let c0 = disk.stats();
-            let res =
-                c.commit_partition_phase(&pack_levels(&unsorted_r), &pack_levels(&unsorted_s));
-            stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-            res?;
-        }
+        run.publish(|c| {
+            c.commit_partition_phase(&pack_levels(&unsorted_r), &pack_levels(&unsorted_s))
+        })?;
     }
 
     // --- Phase 2: sort every level file by locational code ------------------
@@ -905,11 +782,8 @@ pub fn try_s3j_join_ctl(
         // Publish the `Join` manifest (journal + results + sorted files):
         // from here on per-partition commits are durable, and the unsorted
         // level files are no longer needed by any resume.
-        if let Some(c) = cp.as_deref_mut() {
-            let c0 = disk.stats();
-            let res = c.commit_join_phase(0, &pack_levels(&sorted_r), &pack_levels(&sorted_s));
-            stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-            res?;
+        run.publish(|c| c.commit_join_phase(0, &pack_levels(&sorted_r), &pack_levels(&sorted_s)))?;
+        if checkpointing {
             for f in unsorted_r.iter().chain(unsorted_s.iter()).flatten() {
                 disk.delete(*f);
             }
@@ -918,21 +792,15 @@ pub fn try_s3j_join_ctl(
     };
     ctl.span(
         "sort",
-        sim_at(&io1, stats.cpu_partition),
-        sim_at(&disk.stats(), stats.cpu_partition + stats.cpu_sort),
+        model.at(stats.cpu_partition, &io1),
+        model.at(stats.cpu_partition + stats.cpu_sort, &disk.stats()),
     );
 
     // A resumed join phase folds the journaled counters in, so its reported
     // totals match an uninterrupted run's (the committed partitions' pairs
     // were already emitted by the crashed process after each commit).
     if resume_join {
-        if let Some(c) = cp.as_deref() {
-            for e in c.committed() {
-                stats.candidates += e.candidates;
-                stats.results += e.results;
-                stats.duplicates += e.duplicates;
-            }
-        }
+        stats.add_counts(run.journaled());
     }
 
     // --- Phase 3: synchronized scan ------------------------------------------
@@ -941,106 +809,41 @@ pub fn try_s3j_join_ctl(
     // are meaningful even on an oversubscribed host.
     let t2 = parallel::WorkClock::start();
     let io2 = disk.stats();
-    let ckpt2 = stats.io_checkpoint;
+    let ckpt2 = run.io_checkpoint();
     let threads = parallel::resolve_threads(cfg.threads);
+    let cpu_base = stats.cpu_partition + stats.cpu_sort;
     // Simulated time so far — what the deadline is charged against at every
     // discovered partition (S³J scan workers do no I/O, so the
     // coordinator's meter is the whole story).
-    let cpu_base = stats.cpu_partition + stats.cpu_sort;
     let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + t2.seconds());
-    // Earliest result on the pipelined clock: (CPU position, this run's I/O
-    // meter) at the first delivered pair, minimized over emitting tasks.
-    // Run-relative (`delta(&io0)`) so a reused disk's earlier charges never
-    // leak into the probe.
-    let mut first_pos: Option<(f64, IoStats)> = None;
-    let scan_res: Result<(), JoinError> = if matches!(cfg.scan, ScanMode::HeapMerge) && threads > 1
-    {
-        // `cpu_join` is assembled inside: the coordinator's discovery scan
-        // plus the max-over-workers on-CPU join time — the phase cost on
-        // dedicated cores, which the pool barrier realises as wall time on
-        // an unloaded multicore host.
-        heap_scan_parallel(
-            disk,
-            cfg,
-            threads,
-            r,
-            s,
-            &sorted_r,
-            &sorted_s,
-            &mut stats,
-            ctl,
-            cp.as_deref_mut(),
-            &io0,
-            &mut first_pos,
-            &elapsed_now,
-            out,
-        )
+    let scan = Scan {
+        disk,
+        cfg,
+        sources: (r, s),
+        sorted: (&sorted_r, &sorted_s),
+        ctl,
+        elapsed: &elapsed_now,
+        io0,
+        cpu_base,
+        clock: &t2,
+    };
+    let scan_res = if !matches!(cfg.scan, ScanMode::HeapMerge) {
+        pair_scan(&scan, &mut stats, &mut run, out)
+    } else if threads > 1 {
+        heap_scan_pool(&scan, threads, &mut stats, &mut run, out)
     } else {
-        // Sequential scans emit in discovery order against a monotone meter,
-        // so the first delivery is already the minimum; reading the live
-        // clocks at that moment matches the parallel probe exactly on the
-        // I/O axis (discovery I/O through the emitting partition, plus its
-        // commit when checkpointed).
-        let mut wrapped_out = |a: RecordId, b: RecordId| {
-            if first_pos.is_none() {
-                first_pos = Some((cpu_base + t2.seconds(), disk.stats().delta(&io0)));
-            }
-            out(a, b);
-        };
-        let out = &mut wrapped_out as &mut dyn FnMut(RecordId, RecordId);
-        let mut ctx = JoinCtx {
-            cfg,
-            internal: cfg.internal.create(),
-            candidates: 0,
-            results: 0,
-            duplicates: 0,
-        };
-        let res = match cfg.scan {
-            ScanMode::HeapMerge => heap_scan(
-                disk,
-                cfg,
-                r,
-                s,
-                &sorted_r,
-                &sorted_s,
-                &mut ctx,
-                &mut stats,
-                ctl,
-                cp.as_deref_mut(),
-                &elapsed_now,
-                out,
-            ),
-            ScanMode::LevelPairs => pair_scan(
-                disk,
-                cfg,
-                r,
-                s,
-                &sorted_r,
-                &sorted_s,
-                &mut ctx,
-                &mut stats,
-                ctl,
-                &elapsed_now,
-                out,
-            ),
-        };
-        stats.candidates += ctx.candidates;
-        stats.results += ctx.results;
-        stats.duplicates += ctx.duplicates;
-        stats.join_counters = ctx.internal.counters();
-        stats.cpu_join = t2.seconds();
-        res
+        heap_scan(&scan, &mut stats, &mut run, out)
     };
     // Join-phase I/O excludes what the checkpoint layer did mid-scan (those
     // commits are accounted under `io_checkpoint`).
     stats.io_join = disk
         .stats()
         .delta(&io2)
-        .delta(&stats.io_checkpoint.delta(&ckpt2));
+        .delta(&run.io_checkpoint().delta(&ckpt2));
     ctl.span(
         "scan",
-        sim_at(&io2, cpu_base),
-        sim_at(&disk.stats(), cpu_base + stats.cpu_join),
+        model.at(cpu_base, &io2),
+        model.at(cpu_base + stats.cpu_join, &disk.stats()),
     );
 
     // An interrupted durable run must keep the sorted level files — the
@@ -1052,268 +855,187 @@ pub fn try_s3j_join_ctl(
         }
     }
     scan_res?;
-    // Publish `Done` and drop the sorted level files; the journal, results
-    // and manifest files remain as the run's durable record.
-    if let Some(c) = cp.as_deref_mut() {
-        let c0 = disk.stats();
-        let res = c.finish();
-        stats.io_checkpoint = stats.io_checkpoint.plus(&disk.stats().delta(&c0));
-        res?;
-    }
-    stats.first_result_cpu = first_pos.as_ref().map(|p| p.0);
-    stats.first_result_io = first_pos.map(|p| p.1);
-    // Channel decomposition of this run's I/O: run-relative deltas of the
-    // disk's per-channel meters. All S³J I/O happens on the coordinator
-    // (scan workers are pure CPU), so no fork folding is needed.
-    let ch_end = disk.channel_stats();
-    stats.io_shared = ch_end[0].delta(&ch0[0]);
-    stats.io_channels = ch_end[1..]
-        .iter()
-        .zip(ch0[1..].iter())
-        .map(|(e, s)| e.delta(s))
-        .collect();
+    stats.clock = run.close(&mut stats.io_checkpoint, &mut stats.checkpoint_commits)?;
     Ok(stats)
 }
 
-/// §4.4.3: one pass over all level files, merged by a heap of cursors in
-/// pre-order; per relation a stack of the partitions on the current root
-/// path. A new partition is joined against the other relation's stack (its
-/// cell's ancestors-or-equal), then pushed on its own stack.
-///
-/// Partitions are numbered in discovery order — the journal's work unit.
-/// Under a checkpoint each partition's pairs are buffered, durably flushed,
-/// journaled, and only then emitted; a resumed run skips committed
-/// partitions (their pairs were emitted by the original process after the
-/// commit) while still maintaining the stacks they feed.
-#[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
-fn heap_scan(
-    disk: &SimDisk,
-    cfg: &S3jConfig,
-    r: &[Kpe],
-    s: &[Kpe],
-    sorted_r: &[Option<FileId>],
-    sorted_s: &[Option<FileId>],
-    ctx: &mut JoinCtx<'_>,
-    stats: &mut S3jStats,
-    ctl: &RunControl,
-    mut cp: Option<&mut RunCheckpoint>,
-    elapsed: &dyn Fn() -> f64,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(), JoinError> {
-    let to_err = |e: IoError| JoinError::new("scan", e);
-    let mut cursors: Vec<Cursor<'_>> = Vec::new();
-    for (rel, files) in [(0usize, sorted_r), (1, sorted_s)] {
-        for (level, f) in files.iter().enumerate() {
-            if let Some(f) = f {
-                let src = LevelSource::for_rel(cfg, r, s, rel);
-                cursors.push(
-                    Cursor::new(disk, *f, level as u8, rel, cfg.io_buffer_pages, src)
-                        .map_err(to_err)?,
-                );
-            }
-        }
-    }
-    let mut heap: BinaryHeap<Reverse<(u64, u8, usize, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter().enumerate() {
-        if let Some((start, level, rel)) = c.peek_key(cfg.max_level) {
-            heap.push(Reverse((start, level, rel, i)));
-        }
-    }
-    let mut stacks: [Vec<Part>; 2] = [Vec::new(), Vec::new()];
-    let mut resident = 0usize;
-    let mut d: u32 = 0; // discovery index
-    while let Some(Reverse((_, _, _, ci))) = heap.pop() {
-        // Interruption check at partition granularity; a checkpointed run's
-        // committed prefix stays durable and resumable.
-        if let Some(e) = ctl.charge("scan", elapsed) {
-            return Err(e);
-        }
-        let mut part = cursors[ci]
-            .take_partition(cfg.curve, cfg.max_level)
-            .map_err(to_err)?;
-        if let Some((st, lv, rl)) = cursors[ci].peek_key(cfg.max_level) {
-            heap.push(Reverse((st, lv, rl, ci)));
-        }
-        // Unwind both stacks to the root path of the new cell.
-        for stack in stacks.iter_mut() {
-            while let Some(top) = stack.last() {
-                if top.start <= part.start && part.start < top.end {
-                    break; // ancestor (or equal): keep
-                }
-                resident -= top.rects.len() * Kpe::ENCODED_SIZE;
-                stack.pop();
-            }
-        }
-        // Join against the other relation's root path. Every stack entry is
-        // an ancestor-or-equal cell, so `part` is always the deeper one.
-        // Partitions with nothing to join against do no work and are never
-        // journaled.
-        let committed = cp.as_deref().is_some_and(|c| c.is_committed(d));
-        let base = (ctx.candidates, ctx.results, ctx.duplicates);
-        let other_stack = &mut stacks[1 - part.rel];
-        let has_work = !other_stack.is_empty();
-        if !committed && has_work {
-            match cp.as_deref_mut() {
-                Some(c) => {
-                    let mut pairs: Vec<(RecordId, RecordId)> = Vec::new();
-                    for q in other_stack.iter_mut() {
-                        ctx.join_parts(&mut part, q, &mut |a, b| pairs.push((a, b)));
-                    }
-                    let deltas = (
-                        ctx.candidates - base.0,
-                        ctx.results - base.1,
-                        ctx.duplicates - base.2,
-                    );
-                    commit_and_emit(
-                        c,
-                        disk,
-                        &mut stats.io_checkpoint,
-                        &mut stats.checkpoint_commits,
-                        d,
-                        &pairs,
-                        deltas,
-                        out,
-                    )?;
-                }
-                None => {
-                    for q in other_stack.iter_mut() {
-                        ctx.join_parts(&mut part, q, out);
-                    }
-                }
-            }
-        }
-        if ctl.observed() && has_work {
-            ctl.event(
-                "partition-done",
-                elapsed(),
-                &[
-                    ("partition", u64::from(d)),
-                    ("candidates", ctx.candidates - base.0),
-                    ("results", ctx.results - base.1),
-                    ("duplicates", ctx.duplicates - base.2),
-                    ("committed", u64::from(committed || cp.is_some())),
-                ],
-            );
-        }
-        resident += part.rects.len() * Kpe::ENCODED_SIZE;
-        stats.peak_partition_bytes = stats.peak_partition_bytes.max(resident);
-        stacks[part.rel].push(part);
-        d += 1;
-    }
-    stats.quarantined_levels += cursors.iter().filter(|c| c.quarantined).count() as u32;
-    Ok(())
+/// What every scan strategy works from: the sorted level files, the sources
+/// a quarantined level is recomputed from, and the run's clock at scan entry.
+struct Scan<'a> {
+    disk: &'a SimDisk,
+    cfg: &'a S3jConfig,
+    sources: (&'a [Kpe], &'a [Kpe]),
+    sorted: (&'a [Option<FileId>], &'a [Option<FileId>]),
+    ctl: &'a RunControl,
+    /// Simulated seconds so far, for the per-partition deadline check.
+    elapsed: &'a dyn Fn() -> f64,
+    /// The disk meter at run start: first-result positions are run-relative,
+    /// so a reused disk's earlier charges never leak into the probe.
+    io0: IoStats,
+    /// CPU seconds of the build and sort phases.
+    cpu_base: f64,
+    /// Compute clock of the scan phase.
+    clock: &'a parallel::WorkClock,
 }
 
-/// Parallel variant of [`heap_scan`]: the discovery traversal (cursors,
-/// heap, root-path stacks) runs unchanged on the coordinator — it is the
-/// only I/O — but instead of joining inline, every (new partition, stack
-/// entry) pair is queued over `Arc`-shared partitions and workers claim
-/// contiguous chunks of the queue. Workers join pristine clones (internal
-/// joins reorder rects in place) and buffer their result pairs; the pool
-/// re-assembles chunk outputs in discovery order, so
+impl<'a> Scan<'a> {
+    /// Where a sequential scan stands on the run's clock. It emits in
+    /// discovery order against a monotone meter, so its first delivery is
+    /// already the minimum; reading the live clocks at that moment matches
+    /// the pool's probe exactly on the I/O axis (discovery I/O through the
+    /// emitting partition, plus its commit when checkpointed).
+    fn position(&self) -> ClockPos {
+        let cpu = self.cpu_base + self.clock.seconds();
+        (cpu, self.disk.stats().delta(&self.io0))
+    }
+
+    /// §4.4.3, the discovery traversal shared by the sequential scan and the
+    /// pool: one pass over all level files, merged by a heap of cursors in
+    /// pre-order; per relation a stack of the partitions on the current
+    /// root path. `visit` gets each new partition with its discovery index
+    /// — stable across runs and thread counts, hence the journal's work
+    /// unit — and the other relation's stack: its cell's ancestors-or-equal,
+    /// so the new partition is always the deeper side of every pair. It
+    /// returns what goes on the partition's own stack; a resumed run's
+    /// committed partitions are not joined but still feed the stacks.
+    fn discover<P: std::borrow::Borrow<Part>>(
+        &self,
+        stats: &mut S3jStats,
+        mut visit: impl FnMut(u32, Part, &mut [P]) -> Result<P, JoinError>,
+    ) -> Result<(), JoinError> {
+        let to_err = |e: IoError| JoinError::new("scan", e);
+        let (cfg, max_level) = (self.cfg, self.cfg.max_level);
+        let mut cursors: Vec<Cursor<'_>> = Vec::new();
+        for (rel, files) in [(0usize, self.sorted.0), (1, self.sorted.1)] {
+            let src = LevelSource::for_rel(cfg, self.sources.0, self.sources.1, rel);
+            for (level, f) in files.iter().enumerate() {
+                if let Some(f) = f {
+                    let pages = cfg.io_buffer_pages;
+                    let c = Cursor::new(self.disk, *f, level as u8, rel, pages, src);
+                    cursors.push(c.map_err(to_err)?);
+                }
+            }
+        }
+        let mut heap: BinaryHeap<Reverse<(u64, u8, usize, usize)>> = BinaryHeap::new();
+        for (i, c) in cursors.iter().enumerate() {
+            if let Some((start, level, rel)) = c.peek_key(max_level) {
+                heap.push(Reverse((start, level, rel, i)));
+            }
+        }
+        let mut stacks: [Vec<P>; 2] = [Vec::new(), Vec::new()];
+        let mut resident = 0usize;
+        let mut d: u32 = 0; // discovery index
+        while let Some(Reverse((_, _, _, ci))) = heap.pop() {
+            // Interruption check at partition granularity; a checkpointed
+            // run's committed prefix stays durable and resumable.
+            if let Some(e) = self.ctl.charge("scan", self.elapsed) {
+                return Err(e);
+            }
+            let part = cursors[ci]
+                .take_partition(self.cfg.curve, max_level)
+                .map_err(to_err)?;
+            if let Some((st, lv, rl)) = cursors[ci].peek_key(max_level) {
+                heap.push(Reverse((st, lv, rl, ci)));
+            }
+            // Unwind both stacks to the root path of the new cell.
+            for stack in stacks.iter_mut() {
+                while let Some(top) = stack.last().map(|p| p.borrow()) {
+                    if top.start <= part.start && part.start < top.end {
+                        break; // ancestor (or equal): keep
+                    }
+                    resident -= top.rects.len() * Kpe::ENCODED_SIZE;
+                    stack.pop();
+                }
+            }
+            let rel = part.rel;
+            resident += part.rects.len() * Kpe::ENCODED_SIZE;
+            stats.peak_partition_bytes = stats.peak_partition_bytes.max(resident);
+            let part = visit(d, part, &mut stacks[1 - rel])?;
+            stacks[rel].push(part);
+            d += 1;
+        }
+        stats.quarantined_levels += cursors.iter().filter(|c| c.quarantined).count() as u32;
+        Ok(())
+    }
+}
+
+/// The sequential synchronized scan: every discovered partition with
+/// something on the other relation's root path is one unit, joined inline
+/// against that path and streamed through the run driver. Partitions with
+/// nothing to join against do no work and are never journaled.
+fn heap_scan(
+    scan: &Scan<'_>,
+    stats: &mut S3jStats,
+    run: &mut UnitRun<'_>,
+    out: &mut dyn FnMut(RecordId, RecordId),
+) -> Result<(), JoinError> {
+    let mut ctx = JoinCtx::new(scan.cfg);
+    let position: &dyn Fn() -> ClockPos = &|| scan.position();
+    let res = scan.discover(stats, |d, mut part: Part, others: &mut [Part]| {
+        if !others.is_empty() && !run.is_committed(d) {
+            let body = |emit: &mut dyn FnMut(RecordId, RecordId)| {
+                let (c0, r0, d0) = ctx.counts;
+                for q in others.iter_mut() {
+                    ctx.join_parts(&mut part, q, emit);
+                }
+                let (c, r, d) = ctx.counts;
+                Ok((c - c0, r - r0, d - d0))
+            };
+            run.stream(d, (!run.probed()).then_some(position), scan.elapsed, body, out)?;
+        }
+        Ok(part)
+    });
+    ctx.fold_into(stats, scan.clock.seconds());
+    res
+}
+
+/// Parallel variant of [`heap_scan`]: the discovery traversal runs unchanged
+/// on the coordinator — it is the only I/O — but instead of joining inline,
+/// every (new partition, stack entry) pair is queued over `Arc`-shared
+/// partitions and workers claim contiguous chunks of the queue. Workers join
+/// pristine clones (internal joins reorder rects in place) and buffer their
+/// result pairs; the pool re-assembles chunk outputs in discovery order, so
 /// the emitted stream is identical to the sequential scan, and the modified
 /// RPM (§4.3) keeps the union of task outputs duplicate-free no matter how
 /// tasks interleave.
-#[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
-fn heap_scan_parallel(
-    disk: &SimDisk,
-    cfg: &S3jConfig,
+fn heap_scan_pool(
+    scan: &Scan<'_>,
     threads: usize,
-    r: &[Kpe],
-    s: &[Kpe],
-    sorted_r: &[Option<FileId>],
-    sorted_s: &[Option<FileId>],
     stats: &mut S3jStats,
-    ctl: &RunControl,
-    mut cp: Option<&mut RunCheckpoint>,
-    io0: &IoStats,
-    first_pos: &mut Option<(f64, IoStats)>,
-    elapsed: &dyn Fn() -> f64,
+    run: &mut UnitRun<'_>,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<(), JoinError> {
     use std::sync::Arc;
 
-    let to_err = |e: IoError| JoinError::new("scan", e);
-    let cpu_base = stats.cpu_partition + stats.cpu_sort;
-    // Scan-phase checkpoint I/O accumulated so far (build/sort publishes):
-    // subtracted out when reconstructing the sequential meter position of a
-    // mid-scan delivery.
-    let ckpt0 = stats.io_checkpoint;
+    let Scan { disk, cfg, ctl, elapsed, cpu_base, .. } = *scan;
+    let model = disk.model();
     let t_discover = parallel::WorkClock::start();
-    let mut cursors: Vec<Cursor<'_>> = Vec::new();
-    for (rel, files) in [(0usize, sorted_r), (1, sorted_s)] {
-        for (level, f) in files.iter().enumerate() {
-            if let Some(f) = f {
-                let src = LevelSource::for_rel(cfg, r, s, rel);
-                cursors.push(
-                    Cursor::new(disk, *f, level as u8, rel, cfg.io_buffer_pages, src)
-                        .map_err(to_err)?,
-                );
-            }
-        }
-    }
-    let mut heap: BinaryHeap<Reverse<(u64, u8, usize, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter().enumerate() {
-        if let Some((start, level, rel)) = c.peek_key(cfg.max_level) {
-            heap.push(Reverse((start, level, rel, i)));
-        }
-    }
-    let mut stacks: [Vec<Arc<Part>>; 2] = [Vec::new(), Vec::new()];
-    let mut resident = 0usize;
     let mut tasks: Vec<(Arc<Part>, Arc<Part>)> = Vec::new();
     // Per task: the run-relative I/O meter right after its partition's
     // discovery read — exactly the sequential scan's meter position when it
     // would join that partition (scan workers do no I/O). Feeds the
     // pipelined first-result probe; kept aligned with `tasks`.
     let mut snaps: Vec<IoStats> = Vec::new();
-    // The pair ranges of the task list that belong to each uncommitted
-    // discovered partition (checkpointed runs only — see `units` below).
-    let mut partition_ranges: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
-    let mut d: u32 = 0; // discovery index, identical to the sequential scan
-    while let Some(Reverse((_, _, _, ci))) = heap.pop() {
-        if let Some(e) = ctl.charge("scan", elapsed) {
-            return Err(e);
-        }
-        let part = cursors[ci]
-            .take_partition(cfg.curve, cfg.max_level)
-            .map_err(to_err)?;
-        if let Some((st, lv, rl)) = cursors[ci].peek_key(cfg.max_level) {
-            heap.push(Reverse((st, lv, rl, ci)));
-        }
-        for stack in stacks.iter_mut() {
-            while let Some(top) = stack.last() {
-                if top.start <= part.start && part.start < top.end {
-                    break; // ancestor (or equal): keep
-                }
-                resident -= top.rects.len() * Kpe::ENCODED_SIZE;
-                stack.pop();
-            }
-        }
+    // The task ranges of the uncommitted discovered partitions.
+    let mut partitions: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
+    scan.discover(stats, |d, part, others: &mut [Arc<Part>]| {
         let part = Arc::new(part);
-        let start = tasks.len();
-        let snap = disk.stats().delta(io0);
-        for q in stacks[1 - part.rel].iter() {
-            tasks.push((Arc::clone(&part), Arc::clone(q)));
-            snaps.push(snap);
-        }
-        if tasks.len() > start {
-            if cp.as_deref().is_some_and(|c| c.is_committed(d)) {
-                // Resumed run: the crashed process already emitted this
-                // partition's pairs after its commit — skip the work.
-                tasks.truncate(start);
-                snaps.truncate(start);
-            } else {
-                partition_ranges.push((d, start..tasks.len()));
+        // A resumed run skips committed partitions: the crashed process
+        // already emitted their pairs after the commit.
+        if !others.is_empty() && !run.is_committed(d) {
+            let snap = disk.stats().delta(&scan.io0);
+            partitions.push((d, tasks.len()..tasks.len() + others.len()));
+            for q in others.iter() {
+                tasks.push((Arc::clone(&part), Arc::clone(q)));
+                snaps.push(snap);
             }
         }
-        resident += part.rects.len() * Kpe::ENCODED_SIZE;
-        stats.peak_partition_bytes = stats.peak_partition_bytes.max(resident);
-        stacks[part.rel].push(part);
-        d += 1;
-    }
-    drop(stacks);
-    stats.quarantined_levels += cursors.iter().filter(|c| c.quarantined).count() as u32;
+        Ok(part)
+    })?;
     let discover_secs = t_discover.seconds();
+    // The coordinator's only I/O from here on is the units' commits, so the
+    // live meter less this reading is the scan's commit I/O so far.
+    let discovered = disk.stats();
 
     // S³J partition pairs are tiny (often a handful of rects), so a task
     // per pair would drown in per-task overhead. Workers instead claim
@@ -1321,26 +1043,13 @@ fn heap_scan_parallel(
     // re-assemble in chunk order, which is discovery order. Under a
     // checkpoint the unit is one discovered partition's pair range instead
     // — the span a journal record covers — so commits align with units.
-    let units: Vec<(u32, std::ops::Range<usize>)> = if cp.is_some() {
-        partition_ranges
+    let units: Vec<(u32, std::ops::Range<usize>)> = if run.checkpointing() {
+        partitions
     } else {
         let chunk = tasks.len().div_ceil(threads * 16).max(1);
         (0..tasks.len().div_ceil(chunk))
-            .map(|c| (0, c * chunk..tasks.len().min((c + 1) * chunk)))
+            .map(|c| (c as u32, c * chunk..tasks.len().min((c + 1) * chunk)))
             .collect()
-    };
-    let model = stats.model;
-    let mut first_err: Option<JoinError> = None;
-    let io_ckpt = &mut stats.io_checkpoint;
-    let ckpt_commits = &mut stats.checkpoint_commits;
-    let units_ref = &units;
-    let snaps_ref = &snaps;
-    // Keep whichever candidate sits earliest on the pipelined clock.
-    let fold_first = |slot: &mut Option<(f64, IoStats)>, cand: (f64, IoStats)| {
-        let pos = |p: &(f64, IoStats)| model.scaled_cpu(p.0) + model.seconds(&p.1);
-        if slot.as_ref().is_none_or(|cur| pos(&cand) < pos(cur)) {
-            *slot = Some(cand);
-        }
     };
     let workers = parallel::run_ordered_with(
         threads,
@@ -1348,13 +1057,7 @@ fn heap_scan_parallel(
         Some(&ctl.cancel),
         |_w| {
             (
-                JoinCtx {
-                    cfg,
-                    internal: cfg.internal.create(),
-                    candidates: 0,
-                    results: 0,
-                    duplicates: 0,
-                },
+                JoinCtx::new(cfg),
                 0f64,
                 parallel::WorkClock::start(),
                 // Scratch rect buffers, reused across tasks: internal joins
@@ -1366,13 +1069,13 @@ fn heap_scan_parallel(
         },
         |(ctx, cpu, work_clock, scratch), u| {
             let c0 = work_clock.seconds();
-            let base = (ctx.candidates, ctx.results, ctx.duplicates);
+            let (cand0, res0, dup0) = ctx.counts;
             let mut pairs = Vec::new();
             // (global task index, own on-CPU seconds) at this unit's first
             // produced pair — the unit's contribution to the pipelined
             // first-result probe.
             let mut first: Option<(usize, f64)> = None;
-            let range = units_ref[u].1.clone();
+            let range = units[u].1.clone();
             for (i, (deeper, other)) in tasks[range.clone()].iter().enumerate() {
                 let mut deeper = deeper.copy_into(std::mem::take(&mut scratch.0));
                 let mut other = other.copy_into(std::mem::take(&mut scratch.1));
@@ -1386,119 +1089,39 @@ fn heap_scan_parallel(
                 scratch.1 = other.rects;
             }
             *cpu += work_clock.seconds() - c0;
-            let deltas = (
-                ctx.candidates - base.0,
-                ctx.results - base.1,
-                ctx.duplicates - base.2,
-            );
-            (pairs, deltas, first)
+            let (cand, res, dup) = ctx.counts;
+            (pairs, (cand - cand0, res - res0, dup - dup0), first)
         },
-        |u, (pairs, deltas, first)| {
+        |u, (pairs, counts, first)| {
+            let (unit, range) = &units[u];
             // Deadline at unit granularity on the coordinator (workers do
             // no I/O, so `elapsed` sees the whole simulated-time story).
-            if first_err.is_none() {
-                first_err = ctl.charge("scan", elapsed);
-            }
-            if ctl.observed() && first_err.is_none() {
-                ctl.event(
-                    "partition-done",
-                    elapsed(),
-                    &[
-                        ("partition", u64::from(units_ref[u].0)),
-                        ("unit", u as u64),
-                        ("candidates", deltas.0),
-                        ("results", deltas.1),
-                        ("duplicates", deltas.2),
-                        ("committed", u64::from(cp.is_some())),
-                    ],
-                );
-            }
-            if first_err.is_none() {
-                match cp.as_deref_mut() {
-                    Some(c) => {
-                        // Reconstruct the sequential meter position of this
-                        // unit's first delivered pair: discovery I/O through
-                        // its partition, scan commits of earlier units, and
-                        // the live delta of its own in-flight commit.
-                        let prior_commits = io_ckpt.delta(&ckpt0);
-                        let io_c0 = disk.stats();
-                        let mut task_first: Option<(f64, IoStats)> = None;
-                        let res = {
-                            let mut track = |a: RecordId, b: RecordId| {
-                                if task_first.is_none() {
-                                    if let Some((ti, fc)) = first {
-                                        task_first = Some((
-                                            cpu_base + discover_secs + fc,
-                                            snaps_ref[ti]
-                                                .plus(&prior_commits)
-                                                .plus(&disk.stats().delta(&io_c0)),
-                                        ));
-                                    }
-                                }
-                                out(a, b);
-                            };
-                            commit_and_emit(
-                                c,
-                                disk,
-                                io_ckpt,
-                                ckpt_commits,
-                                units_ref[u].0,
-                                &pairs,
-                                deltas,
-                                &mut track,
-                            )
-                        };
-                        if let Err(e) = res {
-                            first_err = Some(e);
-                        }
-                        if let Some(f) = task_first {
-                            fold_first(first_pos, f);
-                        }
-                    }
-                    None => {
-                        if let Some((ti, fc)) = first {
-                            fold_first(
-                                first_pos,
-                                (cpu_base + discover_secs + fc, snaps_ref[ti]),
-                            );
-                        }
-                        for (a, b) in pairs {
-                            out(a, b);
-                        }
-                    }
-                }
-            }
-            if first_err.is_some() && cp.is_some() {
-                // A checkpointed run that hit a terminal error (crash
-                // injection, commit failure, deadline) is dead: stop the
-                // workers from claiming further partitions, like the
-                // process exit they simulate. Committed state stays.
-                ctl.cancel.cancel();
-            }
+            run.poll("scan", elapsed);
+            // Where a sequential scan's run-relative meter stands once it
+            // has joined this unit: discovery through its last partition
+            // plus the scan's commits so far.
+            let seq_io = || snaps[range.end - 1].plus(&disk.stats().delta(&discovered));
+            let cpu = cpu_base + discover_secs + first.map_or(0.0, |(_, own)| own);
+            let finished = FinishedUnit {
+                pairs,
+                counts,
+                io: IoStats::default(),
+                first: first.map(|(task, _)| (cpu, snaps[task])),
+                done: (cpu, seq_io()),
+            };
+            let now = || model.at(cpu_base + scan.clock.seconds(), &scan.io0.plus(&seq_io()));
+            run.deliver(*unit, Ok(finished), &now, out);
         },
     );
     for (ctx, cpu, _clock, _scratch) in workers {
-        // Per-worker duplicate accounting: every candidate was either
-        // reported or suppressed by the modified reference-point test
-        // (duplicates are 0 in the unreplicated original), regardless of
-        // how chunks were interleaved across workers.
-        debug_assert_eq!(
-            ctx.candidates,
-            ctx.results + ctx.duplicates,
-            "per-worker S3J accounting broken"
-        );
-        let mut partial = S3jStats::partial(model);
-        partial.candidates = ctx.candidates;
-        partial.results = ctx.results;
-        partial.duplicates = ctx.duplicates;
-        partial.join_counters = ctx.internal.counters();
-        partial.cpu_join = cpu;
-        stats.merge(&partial);
+        ctx.fold_into(stats, cpu);
     }
     // Coordinator discovery (the phase's only non-checkpoint I/O and heap
     // work) happens before the workers start; it adds to whichever worker
-    // was slowest. Without a checkpoint nothing below discovery can fail:
-    // the worker tasks are pure CPU over in-memory partitions.
+    // was slowest — the phase cost on dedicated cores, which the pool
+    // barrier realises as wall time on an unloaded multicore host. Without
+    // a checkpoint nothing below discovery can fail: the worker tasks are
+    // pure CPU over in-memory partitions.
     stats.cpu_join += discover_secs;
     if ctl.observed() {
         ctl.event(
@@ -1511,29 +1134,20 @@ fn heap_scan_parallel(
             ],
         );
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    run.settle()
 }
 
 /// Ablation baseline for §4.4.3: a separate merge scan per pair of level
 /// files. Produces identical results; re-reads each level file once per
-/// opposite occupied level.
-#[allow(clippy::too_many_arguments)] // internal scan driver; the args are the scan state
+/// opposite occupied level. It has no partition-discovery order to number
+/// units by (hence no checkpointing): the whole scan is one unit.
 fn pair_scan(
-    disk: &SimDisk,
-    cfg: &S3jConfig,
-    r: &[Kpe],
-    s: &[Kpe],
-    sorted_r: &[Option<FileId>],
-    sorted_s: &[Option<FileId>],
-    ctx: &mut JoinCtx<'_>,
+    scan: &Scan<'_>,
     stats: &mut S3jStats,
-    ctl: &RunControl,
-    elapsed: &dyn Fn() -> f64,
+    run: &mut UnitRun<'_>,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<(), JoinError> {
+    let Scan { disk, cfg, sources: (r, s), sorted: (sorted_r, sorted_s), .. } = *scan;
     let to_err = |e: IoError| JoinError::new("scan", e);
     // The next whole partition of `c`, or `None` at end of file.
     fn next_part(c: &mut Cursor<'_>, curve: Curve, max_level: u8) -> Result<Option<Part>, IoError> {
@@ -1543,48 +1157,54 @@ fn pair_scan(
             Ok(None)
         }
     }
-    for (lr, fr) in sorted_r.iter().enumerate() {
-        let Some(fr) = fr else { continue };
-        for (ls, fs) in sorted_s.iter().enumerate() {
-            let Some(fs) = fs else { continue };
-            // Interruption check once per level-file pair: the ablation
-            // scan has no partition-discovery loop on the coordinator to
-            // hook into, so cancellation is coarser here.
-            if let Some(e) = ctl.charge("scan", elapsed) {
-                return Err(e);
-            }
-            let src_r = LevelSource::for_rel(cfg, r, s, 0);
-            let src_s = LevelSource::for_rel(cfg, r, s, 1);
-            let cr = Cursor::new(disk, *fr, lr as u8, 0, cfg.io_buffer_pages, src_r)
-                .map_err(to_err)?;
-            let cs = Cursor::new(disk, *fs, ls as u8, 1, cfg.io_buffer_pages, src_s)
-                .map_err(to_err)?;
-            // Merge: `a` is the coarser-or-equal side, `b` the deeper side.
-            let (mut a, mut b) = if lr <= ls { (cr, cs) } else { (cs, cr) };
-            let mut pa = next_part(&mut a, cfg.curve, cfg.max_level).map_err(to_err)?;
-            let mut pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
-            while let (Some(ca), Some(cb)) = (&mut pa, &mut pb) {
-                if ca.start <= cb.start && cb.start < ca.end {
-                    // `ca` covers `cb`: join (cb is the deeper partition).
-                    stats.peak_partition_bytes = stats.peak_partition_bytes.max(
-                        (ca.rects.len() + cb.rects.len()) * Kpe::ENCODED_SIZE,
-                    );
-                    ctx.join_parts(cb, ca, out);
-                    pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
-                } else if ca.end <= cb.start {
-                    pa = next_part(&mut a, cfg.curve, cfg.max_level).map_err(to_err)?;
-                } else {
-                    pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
+    let mut ctx = JoinCtx::new(cfg);
+    let body = |out: &mut dyn FnMut(RecordId, RecordId)| {
+        for (lr, fr) in sorted_r.iter().enumerate() {
+            let Some(fr) = fr else { continue };
+            for (ls, fs) in sorted_s.iter().enumerate() {
+                let Some(fs) = fs else { continue };
+                // Interruption check once per level-file pair: the ablation
+                // scan has no partition-discovery loop on the coordinator to
+                // hook into, so cancellation is coarser here.
+                if let Some(e) = scan.ctl.charge("scan", scan.elapsed) {
+                    return Err(e);
                 }
+                let src_r = LevelSource::for_rel(cfg, r, s, 0);
+                let src_s = LevelSource::for_rel(cfg, r, s, 1);
+                let cr = Cursor::new(disk, *fr, lr as u8, 0, cfg.io_buffer_pages, src_r)
+                    .map_err(to_err)?;
+                let cs = Cursor::new(disk, *fs, ls as u8, 1, cfg.io_buffer_pages, src_s)
+                    .map_err(to_err)?;
+                // Merge: `a` is the coarser-or-equal side, `b` the deeper side.
+                let (mut a, mut b) = if lr <= ls { (cr, cs) } else { (cs, cr) };
+                let mut pa = next_part(&mut a, cfg.curve, cfg.max_level).map_err(to_err)?;
+                let mut pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
+                while let (Some(ca), Some(cb)) = (&mut pa, &mut pb) {
+                    if ca.start <= cb.start && cb.start < ca.end {
+                        // `ca` covers `cb`: join (cb is the deeper partition).
+                        stats.peak_partition_bytes = stats.peak_partition_bytes.max(
+                            (ca.rects.len() + cb.rects.len()) * Kpe::ENCODED_SIZE,
+                        );
+                        ctx.join_parts(cb, ca, out);
+                        pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
+                    } else if ca.end <= cb.start {
+                        pa = next_part(&mut a, cfg.curve, cfg.max_level).map_err(to_err)?;
+                    } else {
+                        pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
+                    }
+                }
+                // The ablation re-reads each level file once per opposite
+                // level, so one damaged file can quarantine once per pairing
+                // — an honest per-event count.
+                stats.quarantined_levels +=
+                    [&a, &b].iter().filter(|c| c.quarantined).count() as u32;
             }
-            // The ablation re-reads each level file once per opposite level,
-            // so one damaged file can quarantine once per pairing — an
-            // honest per-event count.
-            stats.quarantined_levels +=
-                [&a, &b].iter().filter(|c| c.quarantined).count() as u32;
         }
-    }
-    Ok(())
+        Ok(ctx.counts)
+    };
+    let res = run.stream(0, Some(&|| scan.position()), scan.elapsed, body, out);
+    ctx.fold_into(stats, scan.clock.seconds());
+    res
 }
 
 #[cfg(test)]
@@ -1931,11 +1551,11 @@ mod tests {
         assert_eq!(st1.io_total(), st4.io_total());
         assert_eq!(st4.io_total(), st4t.io_total());
         // The channel meters are an exact decomposition of the total.
-        assert_eq!(st1.io_channels.len(), 1);
-        assert_eq!(st4.io_channels.len(), 4);
+        assert_eq!(st1.clock.io_channels.len(), 1);
+        assert_eq!(st4.clock.io_channels.len(), 4);
         for st in [&st1, &st4, &st4t] {
-            let mut sum = st.io_shared;
-            for c in &st.io_channels {
+            let mut sum = st.clock.io_shared;
+            for c in &st.clock.io_channels {
                 sum = sum.plus(c);
             }
             assert_eq!(sum, st.io_total());
@@ -1944,7 +1564,7 @@ mod tests {
         // the level files across channels and strictly beat it.
         assert_eq!(st1.total_seconds(), st1.scaled_cpu_seconds() + st1.io_seconds());
         assert!(
-            st4.io_channels.iter().filter(|c| c.pages_read > 0).count() > 1,
+            st4.clock.io_channels.iter().filter(|c| c.pages_read > 0).count() > 1,
             "level files should land on several channels"
         );
         assert!(

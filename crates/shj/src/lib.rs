@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use geom::{Kpe, Rect, RecordId};
 use rand::prelude::*;
-use storage::{DiskModel, FileId, IoStats, RecordReader, RecordWriter, SimDisk};
+use storage::{FileId, IoStats, RecordReader, RecordWriter, RunClock, SimDisk};
 use sweep::{InternalAlgo, JoinCounters};
 
 /// SHJ tuning knobs.
@@ -84,17 +84,14 @@ pub struct ShjStats {
     pub io_build: IoStats,
     pub io_probe: IoStats,
     pub io_join: IoStats,
-    /// Shared-lane I/O. SHJ's bucket files are untagged (the baseline's
-    /// build/probe passes interleave one sequential stream), so this equals
-    /// [`io_total`](Self::io_total) and the data channels carry nothing:
-    /// extra channels cannot speed SHJ up.
-    pub io_shared: IoStats,
-    /// Per-data-channel I/O — always `model.data_channels()` zero entries.
-    pub io_channels: Vec<IoStats>,
     pub cpu_build: f64,
     pub cpu_probe: f64,
     pub cpu_join: f64,
-    pub model: DiskModel,
+    /// SHJ's bucket files are untagged (the baseline's build/probe passes
+    /// interleave one sequential stream), so the shared lane carries
+    /// [`io_total`](Self::io_total) and the data channels nothing: extra
+    /// channels cannot speed SHJ up. SHJ reports no first-result position.
+    pub clock: RunClock,
 }
 
 impl ShjStats {
@@ -106,31 +103,8 @@ impl ShjStats {
         self.cpu_build + self.cpu_probe + self.cpu_join
     }
 
-    pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
-    }
-
-    pub fn io_seconds(&self) -> f64 {
-        self.model.seconds(&self.io_total())
-    }
-
-    /// Simulated I/O wall time under the multi-channel clock. All SHJ I/O
-    /// is shared-lane, so this is bit-identical to
-    /// [`io_seconds`](Self::io_seconds) at every channel count.
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.model.parallel_io_seconds(&self.io_shared, &self.io_channels)
-    }
-
-    /// I/O time hidden behind computation — always zero here (no data
-    /// channels carry traffic, so there is nothing to overlap).
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds(), &self.io_channels)
-    }
-
     pub fn total_seconds(&self) -> f64 {
-        self.model
-            .total_seconds(self.scaled_cpu_seconds(), &self.io_shared, &self.io_channels)
+        self.clock.total_seconds(self.cpu_seconds())
     }
 
     /// Probe-side replication rate.
@@ -149,7 +123,6 @@ pub fn shj_join(
     cfg: &ShjConfig,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> ShjStats {
-    let model = disk.model();
     let mut stats = ShjStats {
         buckets: 0,
         probe_copies: 0,
@@ -160,12 +133,10 @@ pub fn shj_join(
         io_build: IoStats::default(),
         io_probe: IoStats::default(),
         io_join: IoStats::default(),
-        io_shared: IoStats::default(),
-        io_channels: vec![IoStats::default(); model.data_channels()],
         cpu_build: 0.0,
         cpu_probe: 0.0,
         cpu_join: 0.0,
-        model,
+        clock: RunClock::new(disk.model()),
     };
     if r.is_empty() || s.is_empty() {
         return stats;
@@ -264,7 +235,7 @@ pub fn shj_join(
     stats.io_join = disk.stats().delta(&io2);
     stats.cpu_join = t2.elapsed().as_secs_f64();
     // All bucket files are untagged: the whole run rides the shared lane.
-    stats.io_shared = stats.io_total();
+    stats.clock.io_shared = stats.io_total();
     stats
 }
 

@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use geom::{Kpe, RecordId};
-use storage::{external_sort_slice, DiskModel, IoStats, RecordReader, SimDisk, SortStats};
+use storage::{external_sort_slice, IoStats, RecordReader, RunClock, SimDisk, SortStats};
 use sweep::JoinCounters;
 
 /// SSSJ tuning knobs.
@@ -52,17 +52,12 @@ pub struct SssjStats {
     pub cpu_join: f64,
     /// Peak rectangles resident in the sweep-line status.
     pub peak_status: usize,
-    /// Shared-lane I/O. SSSJ's sort/sweep files are untagged (one run file
-    /// pair, scanned sequentially — no partition structure to spread), so
-    /// this equals [`io_total`](Self::io_total) and `io_channels` is empty
-    /// of traffic: extra channels cannot speed SSSJ up.
-    pub io_shared: IoStats,
-    /// Per-data-channel I/O — always `model.data_channels()` zero entries.
-    pub io_channels: Vec<IoStats>,
-    pub model: DiskModel,
-    /// CPU/I/O position of the first emitted result (None if no results).
-    pub first_result_cpu: Option<f64>,
-    pub first_result_io: Option<IoStats>,
+    /// SSSJ's sort/sweep files are untagged (one run file pair, scanned
+    /// sequentially — no partition structure to spread), so the shared lane
+    /// carries [`io_total`](Self::io_total) and the data channels nothing:
+    /// extra channels cannot speed SSSJ up. The first-result position is
+    /// the run's cumulative clock at the first emitted pair.
+    pub clock: RunClock,
 }
 
 impl SssjStats {
@@ -74,40 +69,13 @@ impl SssjStats {
         self.cpu_sort + self.cpu_join
     }
 
-    pub fn io_seconds(&self) -> f64 {
-        self.model.seconds(&self.io_total())
-    }
-
     /// CPU seconds stretched to the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model.scaled_cpu(self.cpu_seconds())
-    }
-
-    /// Simulated I/O wall time under the multi-channel clock. All SSSJ I/O
-    /// is shared-lane, so this is bit-identical to
-    /// [`io_seconds`](Self::io_seconds) at every channel count.
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.model.parallel_io_seconds(&self.io_shared, &self.io_channels)
-    }
-
-    /// I/O time hidden behind computation — always zero here (no data
-    /// channels carry traffic, so there is nothing to overlap).
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds(), &self.io_channels)
+        self.clock.model.scaled_cpu(self.cpu_seconds())
     }
 
     pub fn total_seconds(&self) -> f64 {
-        self.model
-            .total_seconds(self.scaled_cpu_seconds(), &self.io_shared, &self.io_channels)
-    }
-
-    /// Simulated time at which the first result appeared (None if empty).
-    pub fn first_result_seconds(&self) -> Option<f64> {
-        Some(
-            self.model.scaled_cpu(self.first_result_cpu?)
-                + self.model.seconds(self.first_result_io.as_ref()?),
-        )
+        self.clock.total_seconds(self.cpu_seconds())
     }
 }
 
@@ -158,13 +126,11 @@ pub fn sssj_join(
     let io1 = disk.stats();
     let mut counters = JoinCounters::default();
     let mut peak_status = 0usize;
-    let mut first_result_cpu: Option<f64> = None;
-    let mut first_result_io: Option<IoStats> = None;
+    let mut clock = RunClock::new(disk.model());
     {
         let mut emit = |a: RecordId, b: RecordId| {
-            if first_result_cpu.is_none() {
-                first_result_cpu = Some(run_start.elapsed().as_secs_f64());
-                first_result_io = Some(disk.stats());
+            if clock.first_result.is_none() {
+                clock.first_result = Some((run_start.elapsed().as_secs_f64(), disk.stats()));
             }
             out(a, b);
         };
@@ -194,7 +160,7 @@ pub fn sssj_join(
     }
 
     let io_join = disk.stats().delta(&io1);
-    let model = disk.model();
+    clock.io_shared = io_sort.plus(&io_join);
     SssjStats {
         results: counters.results,
         join_counters: counters,
@@ -205,11 +171,7 @@ pub fn sssj_join(
         cpu_sort,
         cpu_join: t1.elapsed().as_secs_f64(),
         peak_status,
-        io_shared: io_sort.plus(&io_join),
-        io_channels: vec![IoStats::default(); model.data_channels()],
-        model,
-        first_result_cpu,
-        first_result_io,
+        clock,
     }
 }
 
@@ -373,10 +335,10 @@ mod tests {
             ..Default::default()
         };
         let stats = sssj_join(&disk, &r, &s, &cfg, &mut |_, _| {});
-        let first_io = stats.first_result_io.expect("has results");
+        let (_, first_io) = stats.clock.first_result.expect("has results");
         // Blocking: all sort I/O is already on the meter at first result.
         assert!(first_io.pages_written >= stats.io_sort.pages_written);
-        assert!(stats.first_result_seconds().unwrap() <= stats.total_seconds());
+        assert!(stats.clock.first_result_seconds().unwrap() <= stats.total_seconds());
     }
 
     #[test]
@@ -386,7 +348,7 @@ mod tests {
             panic!("no results expected")
         });
         assert_eq!(stats.results, 0);
-        assert!(stats.first_result_seconds().is_none());
+        assert!(stats.clock.first_result_seconds().is_none());
     }
 
     #[test]

@@ -81,6 +81,14 @@ impl DiskModel {
         raw_secs * self.cpu_slowdown
     }
 
+    /// Position on the simulated timeline of a point `cpu_secs` of measured
+    /// CPU and `io` of metered requests into a run: disk seconds plus scaled
+    /// CPU. Phase spans, events and the first-result probe are all stamped
+    /// with this, never with wall time.
+    pub fn at(&self, cpu_secs: f64, io: &IoStats) -> f64 {
+        self.scaled_cpu(cpu_secs) + self.seconds(io)
+    }
+
     /// The number of data channels, clamped to at least one.
     pub fn data_channels(&self) -> usize {
         self.channels.max(1)

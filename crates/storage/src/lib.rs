@@ -42,6 +42,11 @@
 //! ([`recover`]) that truncates torn tails and sweeps orphan files — plus
 //! [`RunControl`] for cooperative cancellation, simulated-time deadlines and
 //! crash-point injection ([`CrashPoint`]).
+//!
+//! Run lifecycle (PR 13): [`UnitRun`] drives the join units of a checkpointed
+//! or plain run — skip, join, commit, emit, probe, log — once for every
+//! partitioned join, and [`RunClock`] holds the clock formulae once for every
+//! stats struct (see `run.rs`).
 
 mod arbiter;
 mod checksum;
@@ -52,8 +57,9 @@ mod manifest;
 pub mod metrics;
 mod pool;
 mod record;
-mod sort;
 mod retry;
+mod run;
+mod sort;
 
 pub use arbiter::{AdmissionError, ArbiterSnapshot, MemoryArbiter, MemoryLease};
 pub use checksum::{checksum64, fnv1a, Fnv1a};
@@ -76,6 +82,7 @@ pub use record::{
     RecordWriter,
 };
 pub use retry::RetryPolicy;
+pub use run::{ClockPos, Counts, FinishedUnit, RunClock, UnitRun};
 pub use sort::{
     external_sort, external_sort_by, external_sort_slice, try_external_sort,
     try_external_sort_by, try_external_sort_slice, SortStats,

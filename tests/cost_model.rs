@@ -29,7 +29,7 @@ fn rpm_strictly_cheaper_io_than_sort_phase() {
     assert!(pd.io_dedup.pages_written > 0);
     // Dedup I/O scales with the candidate set: at least one write+read pass.
     let cand_bytes = pd.candidates * 16;
-    let ps = pd.model.page_size as u64;
+    let ps = pd.clock.model.page_size as u64;
     assert!(pd.io_dedup.pages_written >= cand_bytes / ps);
     assert!(pd.io_dedup.pages_read >= cand_bytes / ps);
 }
@@ -62,7 +62,7 @@ fn pbsm_io_passes_match_table3() {
     let (r, s) = datasets();
     let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(64 * 1024)).count(&r, &s);
     let JoinStats::Pbsm(st) = &st else { unreachable!() };
-    let ps = st.model.page_size as u64;
+    let ps = st.clock.model.page_size as u64;
     let copies_bytes = (st.copies_r + st.copies_s) * Kpe::ENCODED_SIZE as u64;
     // Partitioning phase: exactly the replicated data, written once.
     assert_eq!(st.io_partition.bytes_written, copies_bytes);

@@ -195,3 +195,93 @@ fn exported_json_matches_the_stats_surface() {
     assert!(json.contains(&format!("\"results\": {}", st.results())));
     assert!(json.contains(&format!("\"duplicates\": {}", st.duplicates())));
 }
+
+/// The run driver logs one `partition-done` event per delivered unit, after
+/// its delivery, so a trace does not depend on the thread count: same units
+/// in the same order, same attributes, same simulated timestamp — plain and
+/// durable, for both of PBSM's online dedup modes and, where S³J's unit is
+/// the discovered partition (durable runs), for S³J too.
+#[test]
+fn partition_events_are_thread_invariant() {
+    use spatialjoin::{DiskModel, Recorder};
+    let (r, s) = workload(29, 200);
+    let mem = 2 * 1024; // about ten partitions
+    let model = DiskModel { cpu_slowdown: 0.0, ..DiskModel::default() };
+    let events = |algo: &Algorithm, threads: usize, durable: bool| {
+        let recorder = Recorder::shared();
+        let join = SpatialJoin::new(algo.clone().with_threads(threads))
+            .with_disk_model(model)
+            .with_recorder(recorder.clone());
+        let res = if durable {
+            join.try_run_durable(&SimDisk::new(model), &r, &s, 5)
+        } else {
+            join.try_run(&r, &s)
+        };
+        res.unwrap_or_else(|e| panic!("{} threads={threads}: {e}", algo.name()));
+        let mut done = recorder.events();
+        done.retain(|e| e.name == "partition-done");
+        done
+    };
+    let cases = [
+        (Algorithm::pbsm_rpm(mem), false),
+        (Algorithm::pbsm_rpm(mem), true),
+        (Algorithm::two_layer(mem), false),
+        (Algorithm::two_layer(mem), true),
+        (Algorithm::s3j_replicated(mem), true),
+    ];
+    for (algo, durable) in cases {
+        let ctx = format!("{} durable={durable}", algo.name());
+        let one = events(&algo, 1, durable);
+        assert!(one.len() > 3, "{ctx}: only {} units — nothing to compare", one.len());
+        assert!(one.iter().any(|e| e.attrs.contains(&("committed", u64::from(durable)))));
+        for key in ["partition", "results", "pages_read", "pages_written"] {
+            assert!(one[0].attrs.iter().any(|(k, _)| *k == key), "{ctx}: no `{key}` key");
+        }
+        assert_eq!(one, events(&algo, 4, durable), "{ctx}: threads=4 trace diverges");
+    }
+}
+
+/// The clock accessors moved from five stats structs onto `RunClock`; the
+/// formulae must not have. One pinned J1 run per family under the
+/// deterministic clock (`cpu_slowdown = 0`), at one and four channels: the
+/// bits are the ones the per-struct copies produced before the move.
+#[test]
+fn clock_accessors_are_pinned_to_their_pre_runclock_values() {
+    use spatialjoin::DiskModel;
+    let r = datagen::sized(&datagen::la_rr_config(7), 0.02).generate();
+    let s = datagen::sized(&datagen::la_st_config(7), 0.02).generate();
+    let mem = 64 * 1024;
+    // (family, channels, [scaled_cpu, io, io_parallel, prefetch_hidden,
+    // total], [first_result, first_result_io]) as f64 bit patterns.
+    type Golden = (Algorithm, usize, [u64; 5], [Option<u64>; 2]);
+    let first = |bits: u64| [Some(bits), Some(bits)];
+    let golden: [Golden; 10] = [
+        (Algorithm::pbsm_rpm(mem), 1, [0x0, 0x3fde1b089a027526, 0x3fde1b089a027526, 0x0, 0x3fde1b089a027526], first(4600243272494164948)),
+        (Algorithm::pbsm_rpm(mem), 4, [0x0, 0x3fde1b089a027526, 0x3fc26e978d4fdf3c, 0x0, 0x3fc26e978d4fdf3c], first(4600243272494164948)),
+        (Algorithm::s3j_replicated(mem), 1, [0x0, 0x4009c0ebedfa43ff, 0x4009c0ebedfa43ff, 0x0, 0x4009c0ebedfa43ff], first(4613833334729718157)),
+        (Algorithm::s3j_replicated(mem), 4, [0x0, 0x4009c0ebedfa43ff, 0x3ff25460aa64c2f8, 0x0, 0x3ff25460aa64c2f8], first(4613833334729718157)),
+        (Algorithm::sssj(mem), 1, [0x0, 0x3ffa1cac083126ea, 0x3ffa1cac083126ea, 0x0, 0x3ffa1cac083126ea], first(4609639582756710751)),
+        (Algorithm::sssj(mem), 4, [0x0, 0x3ffa1cac083126ea, 0x3ffa1cac083126ea, 0x0, 0x3ffa1cac083126ea], first(4609639582756710751)),
+        (Algorithm::shj(mem), 1, [0x0, 0x3fe0ff972474538f, 0x3fe0ff972474538f, 0x0, 0x3fe0ff972474538f], [None, None]),
+        (Algorithm::shj(mem), 4, [0x0, 0x3fe0ff972474538f, 0x3fe0ff972474538f, 0x0, 0x3fe0ff972474538f], [None, None]),
+        (Algorithm::quadtree(1 << 20), 1, [0; 5], [None, None]),
+        (Algorithm::quadtree(1 << 20), 4, [0; 5], [None, None]),
+    ];
+    for (algo, channels, times, firsts) in golden {
+        let ctx = format!("{} channels={channels}", algo.name());
+        let model = DiskModel { cpu_slowdown: 0.0, channels, ..DiskModel::default() };
+        let (_, st) = SpatialJoin::new(algo.with_threads(1))
+            .with_disk_model(model)
+            .count(&r, &s);
+        let got = [
+            st.scaled_cpu_seconds(),
+            st.io_seconds(),
+            st.io_parallel_seconds(),
+            st.prefetch_hidden_seconds(),
+            st.total_seconds(),
+        ];
+        assert_eq!(got.map(f64::to_bits), times, "{ctx}: {got:?}");
+        let got = [st.first_result_seconds(), st.first_result_io_seconds()];
+        assert_eq!(got.map(|v| v.map(f64::to_bits)), firsts, "{ctx}: {got:?}");
+    }
+}

@@ -52,7 +52,7 @@ fn sssj_first_tuple_waits_for_sorting() {
     let spatialjoin::JoinStats::Sssj(st) = &st else {
         unreachable!()
     };
-    let first_io = st.first_result_io.as_ref().unwrap();
+    let (_, first_io) = st.clock.first_result.as_ref().unwrap();
     assert!(first_io.pages_written >= st.io_sort.pages_written);
 }
 
