@@ -48,13 +48,13 @@ const TIME_TOLERANCE: f64 = 0.05;
 /// meter into a simulated total for the two-layer beat gate (the measured
 /// clock pins `cpu_slowdown = 0`, so CPU work must be priced from the
 /// deterministic counters to stay bit-reproducible across hosts). The price
-/// is the measured cost of one test in the list sweep — the kernel both
-/// sides of the gate run: `sweep.list_ns_per_test`, 2.5–3.1 ns across the
-/// four workloads of `benchmark/README.md`'s per-layer table (it was an
-/// assumed 20 ns before there was a host-clock row to point at). The gate's
-/// verdicts do not depend on it: the two sides do identical I/O, so fewer
-/// tests win at any positive price.
-const TEST_COST: f64 = 3.0e-9;
+/// is the measured cost of one test in the list sweep's forward-scan kernel,
+/// which both sides of the gate run: `sweep.list_ns_per_test`, 0.7–1.2 ns
+/// across the four workloads of EXPERIMENTS.md "Real hardware" (3 ns for the
+/// record-at-a-time scan it replaced; an assumed 20 ns before there was a
+/// host-clock row to point at). The gate's verdicts do not depend on it: the
+/// two sides do identical I/O, so fewer tests win at any positive price.
+const TEST_COST: f64 = 1.0e-9;
 
 struct Row {
     join: &'static str,

@@ -107,15 +107,25 @@ pub struct DatasetProfile {
 impl DatasetProfile {
     /// Builds from a full scan.
     pub fn build(data: &[Kpe]) -> DatasetProfile {
-        Self::from_slice(data, 1.0)
+        Self::from_slice(data, 1.0, occupancy_sketch)
     }
 
     /// Builds from a deterministic sample of `sample_size` records (strided,
     /// so the result depends only on `seed` and the data, not on iteration
     /// order), scaling counts back up to the population.
     pub fn build_sampled(data: &[Kpe], sample_size: usize, seed: u64) -> DatasetProfile {
+        match Self::sample(data, sample_size, seed) {
+            Some((sample, factor)) => Self::from_slice(&sample, factor, occupancy_sketch),
+            None => Self::build(data),
+        }
+    }
+
+    /// The strided sample behind [`DatasetProfile::build_sampled`] and the
+    /// weight each sampled record stands for; `None` when the sample would
+    /// be the whole input.
+    fn sample(data: &[Kpe], sample_size: usize, seed: u64) -> Option<(Vec<Kpe>, f64)> {
         if sample_size == 0 || sample_size >= data.len() {
-            return Self::build(data);
+            return None;
         }
         let stride = data.len() / sample_size;
         let offset = (seed as usize) % stride.max(1);
@@ -127,10 +137,12 @@ impl DatasetProfile {
             .copied()
             .collect();
         let factor = data.len() as f64 / sample.len() as f64;
-        Self::from_slice(&sample, factor)
+        Some((sample, factor))
     }
 
-    fn from_slice(data: &[Kpe], weight: f64) -> DatasetProfile {
+    /// `sketch` is [`occupancy_sketch`]; a parameter so the tests can run the
+    /// dense reference build through the same pass.
+    fn from_slice(data: &[Kpe], weight: f64, sketch: SketchFn) -> DatasetProfile {
         let bbox = bounding_box(data);
         let g = PROFILE_GRID;
         let n = (g * g) as usize;
@@ -151,7 +163,7 @@ impl DatasetProfile {
         let bh = (bbox.yh - bbox.yl).max(f64::MIN_POSITIVE);
         let bmax = bw.max(bh);
         let fine_g = g * FINE_FACTOR;
-        let mut fine = vec![0.0f64; (fine_g * fine_g) as usize];
+        let mut fine_cells: Vec<u32> = Vec::with_capacity(data.len());
         let mut area_sum = 0.0;
         for k in data {
             let c = k.rect.center();
@@ -165,7 +177,7 @@ impl DatasetProfile {
             let cell = (iy * g + ix) as usize;
             let jx = ((fx * fine_g as f64) as u32).min(fine_g - 1);
             let jy = ((fy * fine_g as f64) as u32).min(fine_g - 1);
-            fine[(jy * fine_g + jx) as usize] += 1.0;
+            fine_cells.push(jy * fine_g + jx);
             let (w, h) = (k.rect.width(), k.rect.height());
             p.counts[cell] += weight;
             p.sum_w[cell] += weight * w;
@@ -188,34 +200,7 @@ impl DatasetProfile {
             let var: f64 = p.counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / n as f64;
             p.skew = var.sqrt() / mean;
         }
-        // Unbiased within-cell collision estimate per histogram cell:
-        // `n_sub · Σ m_f(m_f−1) / (m(m−1))` over the cell's sub-tiles is 1
-        // for uniform spread and `n_sub` when all records share a sub-tile.
-        let n_sub = (FINE_FACTOR * FINE_FACTOR) as f64;
-        for cy in 0..g {
-            for cx in 0..g {
-                let m = p.counts[(cy * g + cx) as usize] / weight;
-                if m < 2.0 {
-                    continue;
-                }
-                let mut collisions = 0.0;
-                for sy in 0..FINE_FACTOR {
-                    let fy = cy * FINE_FACTOR + sy;
-                    for sx in 0..FINE_FACTOR {
-                        let mf = fine[(fy * fine_g + cx * FINE_FACTOR + sx) as usize];
-                        collisions += mf * (mf - 1.0);
-                    }
-                }
-                p.clump[(cy * g + cx) as usize] =
-                    (n_sub * collisions / (m * (m - 1.0))).max(1.0);
-            }
-        }
-        p.fine = fine
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0.0)
-            .map(|(i, &c)| (i as u32, c * weight))
-            .collect();
+        (p.clump, p.fine) = sketch(fine_cells, &p.counts, weight);
         p
     }
 
@@ -253,6 +238,49 @@ impl DatasetProfile {
             self.occupancy.to_bits(),
         )
     }
+}
+
+/// Per-cell clump factors and the sparse fine sketch of a profile.
+type Sketch = (Vec<f64>, Vec<(u32, f64)>);
+type SketchFn = fn(Vec<u32>, &[f64], f64) -> Sketch;
+
+/// [`DatasetProfile::clump`] and [`DatasetProfile::fine`] from the fine cell
+/// of every record's centre and the weighted per-cell `counts`.
+///
+/// The cells are sorted and run-length counted, so the work and the memory
+/// follow the record count, not the `(PROFILE_GRID·FINE_FACTOR)²` cells of
+/// the sketch grid. A run's `m_f(m_f−1)` is an integer-valued `f64` and so is
+/// every partial sum, which makes the per-cell total independent of the
+/// order of the runs.
+fn occupancy_sketch(mut fine_cells: Vec<u32>, counts: &[f64], weight: f64) -> Sketch {
+    let g = PROFILE_GRID;
+    let fine_g = g * FINE_FACTOR;
+    fine_cells.sort_unstable();
+    let mut collisions = vec![0.0f64; counts.len()];
+    let mut fine = Vec::new();
+    for run in fine_cells.chunk_by(|a, b| a == b) {
+        let (idx, mf) = (run[0], run.len() as f64);
+        let (fx, fy) = (idx % fine_g, idx / fine_g);
+        collisions[((fy / FINE_FACTOR) * g + fx / FINE_FACTOR) as usize] += mf * (mf - 1.0);
+        fine.push((idx, mf * weight));
+    }
+    // Unbiased within-cell collision estimate per histogram cell:
+    // `n_sub · Σ m_f(m_f−1) / (m(m−1))` over the cell's sub-tiles is 1
+    // for uniform spread and `n_sub` when all records share a sub-tile.
+    let n_sub = (FINE_FACTOR * FINE_FACTOR) as f64;
+    let clump = counts
+        .iter()
+        .zip(&collisions)
+        .map(|(count, collisions)| {
+            let m = count / weight;
+            if m < 2.0 {
+                1.0
+            } else {
+                (n_sub * collisions / (m * (m - 1.0))).max(1.0)
+            }
+        })
+        .collect();
+    (clump, fine)
 }
 
 fn bounding_box(data: &[Kpe]) -> Rect {
@@ -1657,6 +1685,113 @@ mod tests {
             seed,
         }
         .generate()
+    }
+
+    /// The sketch as it was built before [`occupancy_sketch`]: a dense
+    /// `(PROFILE_GRID·FINE_FACTOR)²` grid of `f64` counts, scanned once per
+    /// histogram cell for the collisions and once for the occupied cells.
+    fn dense_sketch(fine_cells: Vec<u32>, counts: &[f64], weight: f64) -> Sketch {
+        let g = PROFILE_GRID;
+        let fine_g = g * FINE_FACTOR;
+        let mut fine = vec![0.0f64; (fine_g * fine_g) as usize];
+        for idx in fine_cells {
+            fine[idx as usize] += 1.0;
+        }
+        let mut clump = vec![1.0; counts.len()];
+        let n_sub = (FINE_FACTOR * FINE_FACTOR) as f64;
+        for cy in 0..g {
+            for cx in 0..g {
+                let m = counts[(cy * g + cx) as usize] / weight;
+                if m < 2.0 {
+                    continue;
+                }
+                let mut collisions = 0.0;
+                for sy in 0..FINE_FACTOR {
+                    let fy = cy * FINE_FACTOR + sy;
+                    for sx in 0..FINE_FACTOR {
+                        let mf = fine[(fy * fine_g + cx * FINE_FACTOR + sx) as usize];
+                        collisions += mf * (mf - 1.0);
+                    }
+                }
+                clump[(cy * g + cx) as usize] = (n_sub * collisions / (m * (m - 1.0))).max(1.0);
+            }
+        }
+        let fine = fine
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0.0)
+            .map(|(i, &c)| (i as u32, c * weight))
+            .collect();
+        (clump, fine)
+    }
+
+    /// Bit-for-bit equality of the full and the sampled profile with their
+    /// dense-sketch builds.
+    fn assert_matches_dense_build(data: &[Kpe], sample_size: usize, seed: u64) {
+        let same = |got: DatasetProfile, want: DatasetProfile| {
+            assert_eq!(got.invariant_key(), want.invariant_key());
+            assert_eq!(got.fine, want.fine);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.clump), bits(&want.clump));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        };
+        same(
+            DatasetProfile::build(data),
+            DatasetProfile::from_slice(data, 1.0, dense_sketch),
+        );
+        let want = match DatasetProfile::sample(data, sample_size, seed) {
+            Some((sample, factor)) => DatasetProfile::from_slice(&sample, factor, dense_sketch),
+            None => DatasetProfile::from_slice(data, 1.0, dense_sketch),
+        };
+        same(DatasetProfile::build_sampled(data, sample_size, seed), want);
+    }
+
+    #[test]
+    fn sparse_sketch_matches_dense_on_edge_cases() {
+        let at = |i: u64, x: f64, y: f64, edge: f64| {
+            Kpe::new(geom::RecordId(i), Rect::new(x, y, x + edge, y + edge))
+        };
+        // Empty input.
+        assert_matches_dense_build(&[], 4, 1);
+        // A single point mass: every record the same degenerate rectangle.
+        let mass: Vec<Kpe> = (0..300).map(|i| at(i, 0.25, 0.75, 0.0)).collect();
+        assert_matches_dense_build(&mass, 40, 3);
+        // All centres in one fine cell of a frame two far corners span.
+        let mut one_cell: Vec<Kpe> = (0..200)
+            .map(|i| at(i, 0.5 + i as f64 * 1e-7, 0.5 + i as f64 * 1e-7, 1e-8))
+            .collect();
+        one_cell.push(at(200, 0.0, 0.0, 1e-3));
+        one_cell.push(at(201, 0.999, 0.999, 1e-3));
+        assert_matches_dense_build(&one_cell, 50, 2);
+        // Real shape: clustered line networks, full and sampled.
+        assert_matches_dense_build(&tiger(6000, 0.1, 9), 700, 11);
+    }
+
+    mod sketch_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Lattice centres, so fine cells collide in every multiplicity.
+            #[test]
+            fn prop_sparse_sketch_matches_dense(
+                cells in prop::collection::vec((0u32..40, 0u32..40, 0u32..3), 0..400),
+                sample_size in 1usize..500,
+                seed in 0u64..1000,
+            ) {
+                let data: Vec<Kpe> = cells
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(x, y, e))| {
+                        let (x, y, e) = (f64::from(x) / 64.0, f64::from(y) / 64.0, f64::from(e) / 128.0);
+                        Kpe::new(geom::RecordId(i as u64), Rect::new(x, y, x + e, y + e))
+                    })
+                    .collect();
+                assert_matches_dense_build(&data, sample_size, seed);
+            }
+        }
     }
 
     #[test]

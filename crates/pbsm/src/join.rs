@@ -1,12 +1,12 @@
 use std::time::Instant;
 
-use geom::{reference_point, Kpe, RecordId};
+use geom::{reference_point, Kpe, RecordId, Rect};
 use storage::{
     try_external_sort, try_read_all, Counts, DiskModel, FileId, FinishedUnit, IdPair, IoError,
     IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk,
     SortStats, UnitRun,
 };
-use sweep::{InternalAlgo, InternalJoin, JoinCounters};
+use sweep::{forward_scan, sweep_strips, InternalAlgo, InternalJoin, JoinCounters, Strip};
 
 use crate::grid::{PartitionMap, RegionChain, TileGrid, TileScheme};
 
@@ -271,10 +271,22 @@ impl PbsmStats {
     }
 }
 
+/// The key/`yl`/`yh` columns of one tile's class buckets, per side and class
+/// (`xl`-keyed for A and B, `xh`-keyed descending for C and D); refilled for
+/// every tile of a two-layer join.
+#[derive(Default)]
+struct TileStrips {
+    r: [Strip; 4],
+    s: [Strip; 4],
+}
+
 struct Ctx<'a> {
     disk: &'a SimDisk,
     cfg: &'a PbsmConfig,
     internal: &'a mut (dyn InternalJoin + Send),
+    /// Two-layer scratch, owned by the executor (one per pool worker) so no
+    /// tile allocates columns of its own.
+    strips: &'a mut TileStrips,
     stats: &'a mut PbsmStats,
     /// Compute clock for the `cpu_join`/`cpu_repart` phase accounting: wall
     /// time on the sequential path, a per-worker [`parallel::WorkClock`] on
@@ -517,6 +529,7 @@ pub fn try_pbsm_join_ctl(
         // are left in place — an interruption must not destroy the state a
         // resume needs, and `finish`/the recovery scan reclaim them.
         let mut internal = cfg.internal.create();
+        let mut strips = TileStrips::default();
         let wall_clock = || coord_clock.seconds();
         let mut first_err: Option<JoinError> = None;
         for &i in &todo {
@@ -536,6 +549,7 @@ pub fn try_pbsm_join_ctl(
                         disk,
                         cfg,
                         internal: &mut *internal,
+                        strips: &mut strips,
                         stats: &mut stats,
                         clock: &wall_clock,
                         sources: (r, s),
@@ -593,6 +607,7 @@ pub fn try_pbsm_join_ctl(
                 (
                     disk.fork_counters(),
                     cfg.internal.create(),
+                    TileStrips::default(),
                     PbsmStats::new(model),
                     parallel::WorkClock::start(),
                 )
@@ -603,7 +618,7 @@ pub fn try_pbsm_join_ctl(
             // same worker and forked meter as the compute stage, in claim
             // order, so per-task deltas and the fault-attempt sequence are
             // exactly the sequential path's.
-            |(fork, _internal, _partial, work_clock), idx, _round| {
+            |(fork, _internal, _strips, _partial, work_clock), idx, _round| {
                 let i = todo_ref[idx];
                 let c0 = work_clock.seconds();
                 let io0 = fork.stats();
@@ -627,7 +642,7 @@ pub fn try_pbsm_join_ctl(
                     cpu: work_clock.seconds() - c0,
                 }
             },
-            |(fork, internal, partial, work_clock), idx, round, pre| {
+            |(fork, internal, strips, partial, work_clock), idx, round, pre| {
                 let i = todo_ref[idx];
                 if round > 0 {
                     partial.requeued_partitions += 1;
@@ -663,6 +678,7 @@ pub fn try_pbsm_join_ctl(
                     disk: fork_ref,
                     cfg,
                     internal: &mut **internal,
+                    strips,
                     stats: partial,
                     clock: &clock,
                     sources: (r, s),
@@ -757,7 +773,7 @@ pub fn try_pbsm_join_ctl(
                 }
             },
         );
-        for (fork, internal, mut partial, _clock) in workers {
+        for (fork, internal, _strips, mut partial, _clock) in workers {
             partial.join_counters.merge(&internal.counters());
             // Per-worker duplicate accounting, checked before the merge can
             // hide an interleaving bug: under RPM (and the raw diagnostic)
@@ -807,7 +823,7 @@ pub fn try_pbsm_join_ctl(
                 ],
             );
         }
-        run.settle()?;
+        run.settle("join", elapsed_now)?;
     }
 
     let cpu_pre = stats.cpu_partition + stats.cpu_repart + stats.cpu_join;
@@ -1093,76 +1109,28 @@ fn two_layer_join(
     scatter(rv, false);
     scatter(sv, true);
 
-    // x-interleaved forward-scan sweep over two lists sorted by `xl`; both
-    // x comparisons are implied by the scan, `y_test` applies whatever y
-    // comparisons the class combination still needs.
-    fn sweep_x(
-        r: &[Kpe],
-        s: &[Kpe],
-        tests: &mut u64,
-        y_test: &dyn Fn(&Kpe, &Kpe) -> bool,
-        emit: &mut dyn FnMut(&Kpe, &Kpe),
-    ) {
-        let (mut i, mut j) = (0, 0);
-        while i < r.len() && j < s.len() {
-            if r[i].rect.xl <= s[j].rect.xl {
-                let a = &r[i];
-                for b in &s[j..] {
-                    if b.rect.xl > a.rect.xh {
-                        break;
-                    }
-                    *tests += 1;
-                    if y_test(a, b) {
-                        emit(a, b);
-                    }
-                }
-                i += 1;
-            } else {
-                let b = &s[j];
-                for a in &r[i..] {
-                    if a.rect.xl > b.rect.xh {
-                        break;
-                    }
-                    *tests += 1;
-                    if y_test(a, b) {
-                        emit(a, b);
-                    }
-                }
-                j += 1;
-            }
-        }
-    }
-
     // One-sided scan for combinations whose only surviving x comparison is
-    // `pivot.xl ≤ span.xh`: `spans` is sorted by `xh` descending, so the
-    // first failing span terminates the inner loop. `y_test`/`emit` always
-    // take `(r, s)`.
-    fn scan_x(
+    // `pivot.xl ≤ span.xh`: `spans` is sorted by `xh` descending (and so is
+    // its strip's key), so the first failing span ends a pivot's scan. `LO`
+    // keeps `pivot.yl ≤ span.yh`, `HI` keeps `span.yl ≤ pivot.yh`; `emit`
+    // takes `(pivot, span)`.
+    fn scan_x<const LO: bool, const HI: bool>(
         pivots: &[Kpe],
-        spans: &[Kpe],
-        pivot_is_r: bool,
+        (spans, strip): (&[Kpe], &Strip),
         tests: &mut u64,
-        y_test: &dyn Fn(&Kpe, &Kpe) -> bool,
-        emit: &mut dyn FnMut(&Kpe, &Kpe),
+        mut emit: impl FnMut(&Kpe, &Kpe),
     ) {
         for p in pivots {
-            for sp in spans {
-                if sp.rect.xh < p.rect.xl {
-                    break;
-                }
-                *tests += 1;
-                let (a, b) = if pivot_is_r { (p, sp) } else { (sp, p) };
-                if y_test(a, b) {
-                    emit(a, b);
-                }
-            }
+            let Rect { xl, yl, yh, .. } = p.rect;
+            forward_scan::<false, LO, HI>(strip, 0, xl, yl, yh, tests, |k| emit(p, &spans[k]));
         }
     }
 
-    let y_full = |a: &Kpe, b: &Kpe| a.rect.yl <= b.rect.yh && b.rect.yl <= a.rect.yh;
-    let y_rlow = |a: &Kpe, b: &Kpe| a.rect.yl <= b.rect.yh; // s spans the row border
-    let y_slow = |a: &Kpe, b: &Kpe| b.rect.yl <= a.rect.yh; // r spans the row border
-
+    // Which y comparisons a class combination still needs, in `(r, s)`
+    // orientation: `LO` is `r.yl ≤ s.yh`, `HI` is `s.yl ≤ r.yh`. A side that
+    // spans the row border in from below implies the comparison on its own
+    // `yl`. `scan_x` takes them pivot-first, so mirrored combinations pass
+    // the same flags where the sweeps pass swapped ones.
     let mut tests = 0u64;
     let mut pairs = 0u64;
     {
@@ -1170,35 +1138,37 @@ fn two_layer_join(
             pairs += 1;
             out(a.id, b.id);
         };
+        let TileStrips { r: r_cols, s: s_cols } = &mut *ctx.strips;
         for (r, s) in tiles.values_mut() {
-            let by_xl = |v: &mut Vec<Kpe>| {
-                v.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
-            };
-            let by_xh_desc = |v: &mut Vec<Kpe>| {
-                v.sort_unstable_by(|a, b| b.rect.xh.total_cmp(&a.rect.xh));
-            };
-            by_xl(&mut r[CLASS_A]);
-            by_xl(&mut r[CLASS_B]);
-            by_xl(&mut s[CLASS_A]);
-            by_xl(&mut s[CLASS_B]);
-            by_xh_desc(&mut r[CLASS_C]);
-            by_xh_desc(&mut r[CLASS_D]);
-            by_xh_desc(&mut s[CLASS_C]);
-            by_xh_desc(&mut s[CLASS_D]);
+            for (buckets, cols) in [(&mut *r, &mut *r_cols), (&mut *s, &mut *s_cols)] {
+                for class in [CLASS_A, CLASS_B] {
+                    buckets[class].sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
+                    cols[class].fill(&buckets[class], |k| k.rect.xl);
+                }
+                for class in [CLASS_C, CLASS_D] {
+                    buckets[class].sort_unstable_by(|a, b| b.rect.xh.total_cmp(&a.rect.xh));
+                    cols[class].fill(&buckets[class], |k| k.rect.xh);
+                }
+            }
+            // One class of one side: the sorted bucket with its columns.
+            let (r, r_cols, s, s_cols) = (&*r, &*r_cols, &*s, &*s_cols);
+            let r = move |class: usize| (&r[class][..], &r_cols[class]);
+            let s = move |class: usize| (&s[class][..], &s_cols[class]);
+            let t = &mut tests;
             // A×A: full test.
-            sweep_x(&r[CLASS_A], &s[CLASS_A], &mut tests, &y_full, &mut emit);
+            sweep_strips::<true, true>(r(CLASS_A), s(CLASS_A), t, &mut emit);
             // A×B / B×A: the B side's y-low comparison is implied.
-            sweep_x(&r[CLASS_A], &s[CLASS_B], &mut tests, &y_rlow, &mut emit);
-            sweep_x(&r[CLASS_B], &s[CLASS_A], &mut tests, &y_slow, &mut emit);
+            sweep_strips::<true, false>(r(CLASS_A), s(CLASS_B), t, &mut emit);
+            sweep_strips::<false, true>(r(CLASS_B), s(CLASS_A), t, &mut emit);
             // A×C / C×A: the C side's x-low comparison is implied.
-            scan_x(&r[CLASS_A], &s[CLASS_C], true, &mut tests, &y_full, &mut emit);
-            scan_x(&s[CLASS_A], &r[CLASS_C], false, &mut tests, &y_full, &mut emit);
+            scan_x::<true, true>(r(CLASS_A).0, s(CLASS_C), t, &mut emit);
+            scan_x::<true, true>(s(CLASS_A).0, r(CLASS_C), t, |b, a| emit(a, b));
             // A×D / D×A: both of the D side's low comparisons are implied.
-            scan_x(&r[CLASS_A], &s[CLASS_D], true, &mut tests, &y_rlow, &mut emit);
-            scan_x(&s[CLASS_A], &r[CLASS_D], false, &mut tests, &y_slow, &mut emit);
+            scan_x::<true, false>(r(CLASS_A).0, s(CLASS_D), t, &mut emit);
+            scan_x::<true, false>(s(CLASS_A).0, r(CLASS_D), t, |b, a| emit(a, b));
             // B×C / C×B: each side implies one of the other's comparisons.
-            scan_x(&r[CLASS_B], &s[CLASS_C], true, &mut tests, &y_slow, &mut emit);
-            scan_x(&s[CLASS_B], &r[CLASS_C], false, &mut tests, &y_rlow, &mut emit);
+            scan_x::<false, true>(r(CLASS_B).0, s(CLASS_C), t, &mut emit);
+            scan_x::<false, true>(s(CLASS_B).0, r(CLASS_C), t, |b, a| emit(a, b));
         }
     }
     let stats = &mut *ctx.stats;
@@ -1735,6 +1705,37 @@ mod tests {
         assert_eq!(got, brute(&r, &s));
         assert_eq!(stats.duplicates, 0);
         assert_eq!(stats.candidates, stats.results);
+    }
+
+    /// Emission order and the test count of the two-layer mini-joins, pinned
+    /// to what the record-at-a-time scans (the parent of the forward-scan
+    /// kernel) printed: one multi-partition fixture with many small tiles,
+    /// one stretched single-partition fixture whose four tiles hold hundreds
+    /// of records per class, so scans run through whole blocks as well as
+    /// remainders.
+    #[test]
+    fn two_layer_pair_sequence_is_pinned_to_the_scalar_scans() {
+        let (r, s) = tiger_pair(3000);
+        let (wide_r, wide_s) = (scale(&r, 4.0), scale(&s, 4.0));
+        for (r, s, mem_bytes, golden) in [
+            (&r, &s, 32 * 1024, (1_359, 15_410, 16_906_841_308_358_696_170_u64)),
+            (&wide_r, &wide_s, 8 << 20, (21_875, 264_334, 4_609_865_846_123_072_844)),
+        ] {
+            let cfg = PbsmConfig {
+                mem_bytes,
+                dedup: Dedup::TwoLayer,
+                threads: 1,
+                ..Default::default()
+            };
+            let disk = SimDisk::with_default_model();
+            let mut sequence = storage::Fnv1a::default();
+            let stats = pbsm_join(&disk, r, s, &cfg, &mut |a, b| {
+                sequence.update(&a.0.to_le_bytes());
+                sequence.update(&b.0.to_le_bytes());
+            });
+            let got = (stats.results, stats.join_counters.tests, sequence.finish());
+            assert_eq!(got, golden, "partitions {}", stats.partitions);
+        }
     }
 
     #[test]

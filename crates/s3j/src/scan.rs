@@ -1134,7 +1134,7 @@ fn heap_scan_pool(
             ],
         );
     }
-    run.settle()
+    run.settle("scan", elapsed)
 }
 
 /// Ablation baseline for §4.4.3: a separate merge scan per pair of level

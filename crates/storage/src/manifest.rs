@@ -771,13 +771,23 @@ impl RunControl {
             }
             at
         });
-        match self.cancel.check()? {
-            CancelCause::Cancelled => Some(JoinError::cancelled(phase)),
-            CancelCause::Deadline => Some(JoinError::deadline_exceeded(
-                phase,
-                at.unwrap_or_else(elapsed),
-                self.deadline.unwrap_or(0.0),
-            )),
+        let cause = self.cancel.check()?;
+        Some(self.interruption(cause, phase, || at.unwrap_or_else(elapsed)))
+    }
+
+    /// The typed error of a token tripped with `cause`; `at` (the run's
+    /// simulated seconds so far) is read only to report an expired deadline.
+    pub(crate) fn interruption(
+        &self,
+        cause: CancelCause,
+        phase: &'static str,
+        at: impl FnOnce() -> f64,
+    ) -> JoinError {
+        match cause {
+            CancelCause::Cancelled => JoinError::cancelled(phase),
+            CancelCause::Deadline => {
+                JoinError::deadline_exceeded(phase, at(), self.deadline.unwrap_or(0.0))
+            }
         }
     }
 }

@@ -407,10 +407,23 @@ impl<'a> UnitRun<'a> {
         self.err.is_some()
     }
 
-    /// The latched error, if any — what a pooled phase returns once its
-    /// workers have drained.
-    pub fn settle(&mut self) -> Result<(), JoinError> {
-        self.err.take().map_or(Ok(()), Err)
+    /// What a pooled phase returns once its workers have drained: the latched
+    /// error, if any — else the interruption of a token tripped from outside
+    /// the run (say by the output consumer, mid-delivery). The pool stops
+    /// claiming units at the trip and a sink that is handed nothing more
+    /// never polls again, so without this look a partial result would pass
+    /// for a complete one. The peek is non-counting and charges no deadline:
+    /// `cancel_after_checks` and deadline runs end where they always did.
+    pub fn settle(
+        &mut self,
+        phase: &'static str,
+        now: impl FnOnce() -> f64,
+    ) -> Result<(), JoinError> {
+        let tripped = || {
+            let cause = self.ctl.cancel.cause()?;
+            Some(self.ctl.interruption(cause, phase, now))
+        };
+        self.err.take().or_else(tripped).map_or(Ok(()), Err)
     }
 
     /// Publishes `Done` (dropping the manifest's input files; the journal,
@@ -687,7 +700,8 @@ mod tests {
         run.deliver(1, Ok(unit), &|| 0.0, &mut |_, _| got += 1);
         assert_eq!(got, 0);
         assert!(!run.is_committed(1));
-        assert!(run.settle().is_err());
+        // The latched failure wins over the trip it caused.
+        assert_eq!(run.settle("join", || 0.0), Err(failure()));
         drop(run);
 
         // Buffered form without a checkpoint: latched, token untouched.
@@ -700,8 +714,42 @@ mod tests {
         let mut run = UnitRun::begin(&ctl, &d);
         run.poll("join", || 2.0);
         assert!(matches!(
-            run.settle().unwrap_err().kind,
+            run.settle("join", || 2.0).unwrap_err().kind,
             JoinErrorKind::DeadlineExceeded { .. }
         ));
+    }
+
+    #[test]
+    fn a_token_tripped_from_outside_settles_as_interrupted() {
+        let d = disk(None);
+        let unit = |u: u32| FinishedUnit {
+            pairs: pairs(u),
+            counts: (4, 3, 1),
+            io: IoStats::default(),
+            first: None,
+            done: (0.0, IoStats::default()),
+        };
+        // The consumer cancels mid-delivery: nothing is latched (no poll
+        // follows — the pool hands the sink nothing more), yet the phase
+        // must not pass for complete.
+        let ctl = RunControl::none();
+        let mut run = UnitRun::begin(&ctl, &d);
+        run.deliver(0, Ok(unit(0)), &|| 0.0, &mut |_, _| ctl.cancel.cancel());
+        assert!(!run.failed());
+        assert_eq!(run.settle("join", || 0.0), Err(JoinError::cancelled("join")));
+
+        // A deadline trip by another holder of the token reports the run's
+        // own clock; an untripped token settles clean and counts no check.
+        let ctl = RunControl::none().with_deadline(1.0);
+        let mut run = UnitRun::begin(&ctl, &d);
+        ctl.cancel.cancel_after_checks(1);
+        run.deliver(0, Ok(unit(0)), &|| 0.0, &mut |_, _| {});
+        assert_eq!(run.settle("join", || 3.0), Ok(()));
+        assert!(!ctl.cancel.is_cancelled(), "settle must not count as a check");
+        ctl.cancel.cancel_deadline();
+        assert_eq!(
+            run.settle("scan", || 3.0),
+            Err(JoinError::deadline_exceeded("scan", 3.0, 1.0))
+        );
     }
 }

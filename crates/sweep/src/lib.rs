@@ -23,10 +23,12 @@
 
 mod list;
 mod nested;
+mod strip;
 mod trie;
 
 pub use list::PlaneSweepList;
 pub use nested::NestedLoops;
+pub use strip::{forward_scan, sweep_strips, Strip};
 pub use trie::PlaneSweepTrie;
 
 use geom::Kpe;

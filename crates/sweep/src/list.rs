@@ -1,5 +1,6 @@
 use geom::Kpe;
 
+use crate::strip::{sweep_strips, Strip};
 use crate::{InternalJoin, JoinCounters};
 
 /// The *Plane-Sweep Intersection-Test* of [BKS 93], PBSM's original internal
@@ -19,34 +20,15 @@ use crate::{InternalJoin, JoinCounters};
 #[derive(Debug, Default)]
 pub struct PlaneSweepList {
     counters: JoinCounters,
+    /// The `xl`-keyed columns of the two sorted inputs, refilled per join
+    /// (scratch: the allocations outlive the join, the contents do not).
+    r_strip: Strip,
+    s_strip: Strip,
 }
 
 impl PlaneSweepList {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Forward scan: `cur` (from one relation) against `other[from..]`,
-    /// reporting pairs in `(r, s)` orientation via `emit`.
-    #[inline]
-    fn forward_scan(
-        counters: &mut JoinCounters,
-        cur: &Kpe,
-        other: &[Kpe],
-        from: usize,
-        emit: &mut dyn FnMut(&Kpe, &Kpe),
-    ) {
-        for b in &other[from..] {
-            if b.rect.xl > cur.rect.xh {
-                break;
-            }
-            counters.tests += 1;
-            // x-overlap is implied: b.xl ∈ [cur.xl, cur.xh]; test y only.
-            if cur.rect.yl <= b.rect.yh && b.rect.yl <= cur.rect.yh {
-                counters.results += 1;
-                emit(cur, b);
-            }
-        }
     }
 }
 
@@ -54,18 +36,15 @@ impl InternalJoin for PlaneSweepList {
     fn join(&mut self, r: &mut [Kpe], s: &mut [Kpe], out: &mut dyn FnMut(&Kpe, &Kpe)) {
         r.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
         s.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < r.len() && j < s.len() {
-            if r[i].rect.xl <= s[j].rect.xl {
-                let cur = r[i];
-                Self::forward_scan(&mut self.counters, &cur, s, j, &mut |a, b| out(a, b));
-                i += 1;
-            } else {
-                let cur = s[j];
-                Self::forward_scan(&mut self.counters, &cur, r, i, &mut |a, b| out(b, a));
-                j += 1;
-            }
-        }
+        self.r_strip.fill(r, |k| k.rect.xl);
+        self.s_strip.fill(s, |k| k.rect.xl);
+        let JoinCounters { tests, results, .. } = &mut self.counters;
+        // x-overlap is implied by the scan (b.xl ∈ [cur.xl, cur.xh]), so the
+        // kernel tests y only — both comparisons.
+        sweep_strips::<true, true>((r, &self.r_strip), (s, &self.s_strip), tests, |a, b| {
+            *results += 1;
+            out(a, b);
+        });
     }
 
     fn counters(&self) -> JoinCounters {

@@ -202,6 +202,49 @@ fn cancellation_during_partition_phase_leaves_no_orphans_after_recovery() {
     );
 }
 
+/// A consumer that cancels from inside the output sink, after the `k`-th
+/// pair: the pooled executors stop claiming units at the trip and their sink
+/// may never be handed another unit to poll the token on, which used to end
+/// the run `Ok` with a fraction of the result. Whatever the interleaving,
+/// the outcome is `Cancelled` (resumable) or the full set — never `Ok` with
+/// fewer pairs. ~40 evenly spaced `k` per cell (every 7th takes minutes).
+#[test]
+fn cancel_from_the_output_sink_never_passes_a_partial_result_for_complete() {
+    let (r, s) = workload(3, 200);
+    for base in [
+        Algorithm::pbsm_rpm(MEM),
+        Algorithm::two_layer(MEM),
+        Algorithm::s3j_replicated(MEM),
+    ] {
+        let want = SpatialJoin::new(base.clone()).try_run_with(&r, &s, &mut |_, _| {});
+        let total = want.expect("uninterrupted run").results();
+        assert!(total > 1000, "{base:?}: workload too sparse to be meaningful");
+        for threads in [1usize, 2, 4] {
+            for k in (1..=total).step_by(total as usize / 40) {
+                let token = CancelToken::new();
+                let join = SpatialJoin::new(base.clone().with_threads(threads))
+                    .with_cancel(token.clone());
+                let mut emitted = 0u64;
+                let res = join.try_run_with(&r, &s, &mut |_, _| {
+                    emitted += 1;
+                    if emitted == k {
+                        token.cancel();
+                    }
+                });
+                let ctx = format!("{base:?} threads {threads} cancel after pair {k}");
+                match res {
+                    Ok(_) => assert_eq!(emitted, total, "{ctx}: Ok with a partial result"),
+                    Err(e) => {
+                        assert!(matches!(e.kind, JoinErrorKind::Cancelled), "{ctx}: got {e}");
+                        assert!(e.is_resumable(), "{ctx}");
+                        assert!((k..=total).contains(&emitted), "{ctx}: emitted {emitted}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
