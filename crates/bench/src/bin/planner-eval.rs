@@ -29,13 +29,13 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use bench::{cal_st, hisel_inputs, join_inputs, paper_mem, scale, skew_inputs};
+use bench::{cal_st, hisel_inputs, join_inputs, paper_mem, rounded, scale, skew_inputs};
 use spatialjoin::estimate::{
     fit_affine_relative, Coefficients, DatasetProfile, JointEstimate, PlanAlgo, PlanChoice,
     Planner,
 };
 use spatialjoin::{Algorithm, InternalAlgo, SpatialJoin};
-use storage::DiskModel;
+use storage::{DiskModel, Json};
 
 /// The pick may cost at most this factor of the best measured variant.
 const PICK_TOLERANCE: f64 = 0.10;
@@ -85,19 +85,17 @@ impl CellRow {
         self.picked_s <= self.best_s * (1.0 + PICK_TOLERANCE) + EPS
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"join\":\"{}\",\"paper_mb\":{},\"chosen\":\"{}\",\"predicted_s\":{:.6},\
-             \"picked_s\":{:.6},\"best\":\"{}\",\"best_s\":{:.6},\"ok\":{}}}",
-            self.join,
-            self.paper_mb,
-            self.chosen,
-            self.predicted_s,
-            self.picked_s,
-            self.best,
-            self.best_s,
-            self.ok(),
-        )
+    fn json(&self) -> Json {
+        Json::obj([
+            ("join", self.join.into()),
+            ("paper_mb", self.paper_mb.into()),
+            ("chosen", self.chosen.as_str().into()),
+            ("predicted_s", rounded(self.predicted_s, 6)),
+            ("picked_s", rounded(self.picked_s, 6)),
+            ("best", self.best.as_str().into()),
+            ("best_s", rounded(self.best_s, 6)),
+            ("ok", self.ok().into()),
+        ])
     }
 }
 
@@ -115,12 +113,13 @@ fn measure(choice: &PlanChoice, r: &[geom::Kpe], s: &[geom::Kpe]) -> Option<f64>
 
 fn eval(coeffs: &Coefficients) -> Result<(String, Vec<CellRow>), String> {
     let mut rows = Vec::new();
-    let mut out = format!(
-        "{{\"meta\":{{\"bench\":\"planner-eval\",\"scale\":{},\"pick_tolerance\":{PICK_TOLERANCE},\
-         \"coeffs_fitted\":{}}}}}\n",
-        scale(),
-        !coeffs.is_identity(),
-    );
+    let meta = Json::obj([
+        ("bench", "planner-eval".into()),
+        ("scale", scale().into()),
+        ("pick_tolerance", PICK_TOLERANCE.into()),
+        ("coeffs_fitted", (!coeffs.is_identity()).into()),
+    ]);
+    let mut out = format!("{}\n", Json::obj([("meta", meta)]));
     for join in ["J1", "J2", "J3", "J4", "J5"] {
         let (r, s) = inputs(join);
         let (pr, ps) = (DatasetProfile::build(&r), DatasetProfile::build(&s));
@@ -169,7 +168,7 @@ fn eval(coeffs: &Coefficients) -> Result<(String, Vec<CellRow>), String> {
                 row.best_s,
                 if row.ok() { "ok" } else { "MISS" },
             );
-            let _ = writeln!(out, "{}", row.to_json());
+            let _ = writeln!(out, "{}", row.json());
             rows.push(row);
         }
     }
@@ -177,27 +176,6 @@ fn eval(coeffs: &Coefficients) -> Result<(String, Vec<CellRow>), String> {
 }
 
 // --- calibration ----------------------------------------------------------
-
-/// `"key":<value>` extraction matching the regress writer (flat rows, no
-/// escapes in our field values).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .find(|(_, c)| *c == ',' || *c == '}')
-        .map(|(i, _)| i)?;
-    Some(rest[..end].trim_matches('"'))
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field(line, key)?.parse().ok()
-}
-
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    field(line, key)?.parse().ok()
-}
 
 /// The regress corpus runs `pbsm_rpm` / `s3j_replicated` / `two_layer` at
 /// their library defaults; the matching planner candidates are fixed.
@@ -228,9 +206,11 @@ fn corpus_mem(join: &str) -> usize {
 }
 
 fn fit(baseline: &str) -> Result<Coefficients, String> {
-    let mut lines = baseline.lines().filter(|l| !l.trim().is_empty());
-    let meta = lines.next().ok_or("baseline is empty")?;
-    let base_scale = field_f64(meta, "scale").ok_or("baseline meta line has no scale")?;
+    let (meta, rows) = bench::parse_report(baseline)?;
+    let base_scale = meta
+        .get("scale")
+        .and_then(Json::as_f64)
+        .ok_or("baseline meta line has no scale")?;
     if base_scale != scale() {
         return Err(format!(
             "baseline was recorded at SJ_SCALE={base_scale}, this run is at {}; \
@@ -242,14 +222,13 @@ fn fit(baseline: &str) -> Result<Coefficients, String> {
     // (family, metric) -> (raw predicted, measured) pairs.
     let mut points: Vec<(String, String, f64, f64)> = Vec::new();
     let mut cache: Vec<(String, DatasetProfile, DatasetProfile)> = Vec::new();
-    for line in lines {
+    for row in &rows {
+        let text = |name: &str| row.get(name).and_then(Json::as_str).unwrap_or("").to_owned();
+        let count = |name: &str| row.get(name).and_then(Json::as_u64);
         // One row per (join, algo): the meters are invariant across the
         // threads × channels grid, so the duplicates carry no information.
-        let (join, algo) = (
-            field(line, "join").unwrap_or("").to_owned(),
-            field(line, "algo").unwrap_or("").to_owned(),
-        );
-        if field_u64(line, "threads") != Some(1) || field_u64(line, "channels") != Some(1) {
+        let (join, algo) = (text("join"), text("algo"));
+        if count("threads") != Some(1) || count("channels") != Some(1) {
             continue;
         }
         let mem = corpus_mem(&join);
@@ -265,11 +244,13 @@ fn fit(baseline: &str) -> Result<Coefficients, String> {
         let joint = JointEstimate::build(pr, ps);
         let p = planner.predict(&choice, pr, ps, &joint);
         let fam = choice.algo.family().to_owned();
-        let cand = field_u64(line, "candidates").ok_or("row lacks candidates")? as f64;
-        let pages = (field_u64(line, "pages_read").ok_or("row lacks pages_read")?
-            + field_u64(line, "pages_written").ok_or("row lacks pages_written")?)
-            as f64;
-        let secs = field_f64(line, "total_s").ok_or("row lacks total_s")?;
+        let cand = count("candidates").ok_or("row lacks candidates")? as f64;
+        let pages = (count("pages_read").ok_or("row lacks pages_read")?
+            + count("pages_written").ok_or("row lacks pages_written")?) as f64;
+        let secs = row
+            .get("total_s")
+            .and_then(Json::as_f64)
+            .ok_or("row lacks total_s")?;
         eprintln!(
             "planner-eval: corpus {join}/{algo}: candidates raw {:.0} vs {cand:.0} ({:.2}x), \
              pages raw {:.0} vs {pages:.0}, seconds raw {:.3} vs {secs:.3}",

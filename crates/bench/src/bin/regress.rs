@@ -38,9 +38,9 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use bench::{cal_st, hisel_inputs, join_inputs, paper_mem, scale, skew_inputs};
+use bench::{cal_st, hisel_inputs, join_inputs, paper_mem, rounded, scale, skew_inputs};
 use spatialjoin::{Algorithm, SpatialJoin};
-use storage::DiskModel;
+use storage::{DiskModel, Json};
 
 const SCHEMA_VERSION: u32 = 3;
 const TIME_TOLERANCE: f64 = 0.05;
@@ -72,24 +72,21 @@ struct Row {
 }
 
 impl Row {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"join\":\"{}\",\"algo\":\"{}\",\"threads\":{},\"channels\":{},\"results\":{},\
-             \"duplicates\":{},\"candidates\":{},\"tests\":{},\"pages_read\":{},\
-             \"pages_written\":{},\"total_s\":{:.6},\"first_result_s\":{:.6}}}",
-            self.join,
-            self.algo,
-            self.threads,
-            self.channels,
-            self.results,
-            self.duplicates,
-            self.candidates,
-            self.tests,
-            self.pages_read,
-            self.pages_written,
-            self.total_s,
-            self.first_result_s,
-        )
+    fn json(&self) -> Json {
+        Json::obj([
+            ("join", self.join.into()),
+            ("algo", self.algo.into()),
+            ("threads", self.threads.into()),
+            ("channels", self.channels.into()),
+            ("results", self.results.into()),
+            ("duplicates", self.duplicates.into()),
+            ("candidates", self.candidates.into()),
+            ("tests", self.tests.into()),
+            ("pages_read", self.pages_read.into()),
+            ("pages_written", self.pages_written.into()),
+            ("total_s", rounded(self.total_s, 6)),
+            ("first_result_s", rounded(self.first_result_s, 6)),
+        ])
     }
 
     fn meters(&self) -> (u64, u64, u64, u64, u64, u64) {
@@ -240,51 +237,36 @@ fn produce() -> Result<(String, Vec<Row>), String> {
         rows.extend(two_rows);
     }
 
-    let mut out = format!(
-        "{{\"meta\":{{\"bench\":\"regress\",\"schema_version\":{SCHEMA_VERSION},\
-         \"scale\":{},\"time_tolerance\":{TIME_TOLERANCE}}}}}\n",
-        scale()
-    );
+    let meta = Json::obj([
+        ("bench", "regress".into()),
+        ("schema_version", SCHEMA_VERSION.into()),
+        ("scale", scale().into()),
+        ("time_tolerance", TIME_TOLERANCE.into()),
+    ]);
+    let mut out = format!("{}\n", Json::obj([("meta", meta)]));
     for row in &rows {
-        let _ = writeln!(out, "{}", row.to_json());
+        let _ = writeln!(out, "{}", row.json());
     }
     Ok((out, rows))
-}
-
-/// Extracts `"key":<value>` from a JSON line the way this binary writes it
-/// (no nested objects after the meta line, no escapes in our field values).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .find(|(_, c)| *c == ',' || *c == '}')
-        .map(|(i, _)| i)?;
-    Some(rest[..end].trim_matches('"'))
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field(line, key)?.parse().ok()
-}
-
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    field(line, key)?.parse().ok()
 }
 
 /// Diffs the freshly produced rows against a baseline file. Returns the
 /// list of human-readable failures (empty = gate passes).
 fn check(baseline: &str, rows: &[Row]) -> Result<Vec<String>, String> {
-    let mut lines = baseline.lines().filter(|l| !l.trim().is_empty());
-    let meta = lines.next().ok_or("baseline is empty")?;
-    let base_schema = field_u64(meta, "schema_version")
+    let (meta, base_rows) = bench::parse_report(baseline)?;
+    let base_schema = meta
+        .get("schema_version")
+        .and_then(Json::as_u64)
         .ok_or("baseline meta line has no schema_version")?;
     if base_schema != u64::from(SCHEMA_VERSION) {
         return Err(format!(
             "baseline schema_version {base_schema} != {SCHEMA_VERSION}; re-bless the baseline"
         ));
     }
-    let base_scale = field_f64(meta, "scale").ok_or("baseline meta line has no scale")?;
+    let base_scale = meta
+        .get("scale")
+        .and_then(Json::as_f64)
+        .ok_or("baseline meta line has no scale")?;
     if base_scale != scale() {
         return Err(format!(
             "baseline was recorded at SJ_SCALE={base_scale}, this run is at {}; \
@@ -295,12 +277,15 @@ fn check(baseline: &str, rows: &[Row]) -> Result<Vec<String>, String> {
 
     let mut failures = Vec::new();
     let mut matched = 0usize;
-    for line in lines {
+    for line in &base_rows {
+        let text = |name: &str| line.get(name).and_then(Json::as_str).unwrap_or("");
+        let count = |name: &str| line.get(name).and_then(Json::as_u64);
+        let seconds = |name: &str| line.get(name).and_then(Json::as_f64);
         let key = (
-            field(line, "join").unwrap_or(""),
-            field(line, "algo").unwrap_or(""),
-            field_u64(line, "threads").unwrap_or(0),
-            field_u64(line, "channels").unwrap_or(0),
+            text("join"),
+            text("algo"),
+            count("threads").unwrap_or(0),
+            count("channels").unwrap_or(0),
         );
         let Some(row) = rows.iter().find(|r| {
             (r.join, r.algo, r.threads as u64, r.channels as u64) == (key.0, key.1, key.2, key.3)
@@ -314,12 +299,12 @@ fn check(baseline: &str, rows: &[Row]) -> Result<Vec<String>, String> {
             row.join, row.algo, row.threads, row.channels
         );
         for (name, base, got) in [
-            ("results", field_u64(line, "results"), row.results),
-            ("duplicates", field_u64(line, "duplicates"), row.duplicates),
-            ("candidates", field_u64(line, "candidates"), row.candidates),
-            ("tests", field_u64(line, "tests"), row.tests),
-            ("pages_read", field_u64(line, "pages_read"), row.pages_read),
-            ("pages_written", field_u64(line, "pages_written"), row.pages_written),
+            ("results", count("results"), row.results),
+            ("duplicates", count("duplicates"), row.duplicates),
+            ("candidates", count("candidates"), row.candidates),
+            ("tests", count("tests"), row.tests),
+            ("pages_read", count("pages_read"), row.pages_read),
+            ("pages_written", count("pages_written"), row.pages_written),
         ] {
             match base {
                 Some(b) if b == got => {}
@@ -328,12 +313,8 @@ fn check(baseline: &str, rows: &[Row]) -> Result<Vec<String>, String> {
             }
         }
         for (name, base, got) in [
-            ("total_s", field_f64(line, "total_s"), row.total_s),
-            (
-                "first_result_s",
-                field_f64(line, "first_result_s"),
-                row.first_result_s,
-            ),
+            ("total_s", seconds("total_s"), row.total_s),
+            ("first_result_s", seconds("first_result_s"), row.first_result_s),
         ] {
             match base {
                 Some(b) => {

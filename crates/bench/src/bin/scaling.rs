@@ -25,10 +25,10 @@
 
 use std::time::Instant;
 
-use bench::{la_rr, la_st, paper_mem, pbsm_cfg, s3j_cfg, scale};
+use bench::{la_rr, la_st, paper_mem, pbsm_cfg, rounded, s3j_cfg, scale};
 use pbsm::{pbsm_join, Dedup};
 use s3j::s3j_join;
-use storage::{DiskModel, SimDisk};
+use storage::{DiskModel, Json, SimDisk};
 use sweep::InternalAlgo;
 
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
@@ -62,14 +62,19 @@ fn main() {
         s.len(),
         scale()
     );
-    println!(
-        "{{\"meta\":{{\"workload\":\"la_rr x la_st\",\"r\":{},\"s\":{},\"mem_bytes\":{mem},\
-         \"scale\":{},\"host_cores\":{cores},\
-         \"join_phase_s\":\"max-over-workers on-CPU compute of the join phase\"}}}}",
-        r.len(),
-        s.len(),
-        scale()
-    );
+    let meta = Json::obj([
+        ("workload", "la_rr x la_st".into()),
+        ("r", r.len().into()),
+        ("s", s.len().into()),
+        ("mem_bytes", mem.into()),
+        ("scale", scale().into()),
+        ("host_cores", cores.into()),
+        (
+            "join_phase_s",
+            "max-over-workers on-CPU compute of the join phase".into(),
+        ),
+    ]);
+    println!("{}", Json::obj([("meta", meta)]));
 
     for (algo, run) in [
         (
@@ -116,13 +121,18 @@ fn main() {
                     p.results, baseline.results,
                     "{algo} results drift at {threads} threads, {channels} channels"
                 );
-                println!(
-                    "{{\"algo\":\"{algo}\",\"threads\":{threads},\"channels\":{channels},\
-                     \"join_phase_s\":{:.4},\"join_phase_speedup\":{:.2},\
-                     \"total_model_s\":{:.2},\"total_model_speedup\":{:.2},\"wall_s\":{:.3},\
-                     \"results\":{}}}",
-                    p.join_phase_s, speedup, p.total_model_s, model_speedup, p.wall_s, p.results
-                );
+                let row = Json::obj([
+                    ("algo", algo.into()),
+                    ("threads", threads.into()),
+                    ("channels", channels.into()),
+                    ("join_phase_s", rounded(p.join_phase_s, 4)),
+                    ("join_phase_speedup", rounded(speedup, 2)),
+                    ("total_model_s", rounded(p.total_model_s, 2)),
+                    ("total_model_speedup", rounded(model_speedup, 2)),
+                    ("wall_s", rounded(p.wall_s, 3)),
+                    ("results", p.results.into()),
+                ]);
+                println!("{row}");
                 eprintln!(
                     "{algo:>5} threads={threads} channels={channels}: join phase {:.3}s \
                      ({speedup:.2}x), model total {:.2}s ({model_speedup:.2}x), wall {:.2}s",

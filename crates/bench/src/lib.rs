@@ -14,6 +14,7 @@ use std::sync::OnceLock;
 use geom::Kpe;
 use pbsm::{Dedup, PbsmConfig};
 use s3j::S3jConfig;
+use storage::Json;
 use sweep::InternalAlgo;
 
 /// Seed shared by every experiment (determinism across binaries).
@@ -134,6 +135,22 @@ pub fn banner(id: &str, what: &str, paper_expectation: &str) {
     println!("scale: {} (SJ_SCALE; 1.0 = paper cardinalities)", scale());
     println!("paper expectation: {paper_expectation}");
     println!();
+}
+
+/// `v` to `places` decimals, for a report row: a reader diffing two reports
+/// sees microseconds, not the last bits of an `f64`.
+pub fn rounded(v: f64, places: i32) -> Json {
+    let unit = 10f64.powi(places);
+    Json::Num((v * unit).round() / unit)
+}
+
+/// Splits a JSON-Lines report (`regress`'s; first line `{"meta":{...}}`)
+/// into the meta object and the rows.
+pub fn parse_report(text: &str) -> Result<(Json, Vec<Json>), String> {
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty()).map(Json::parse);
+    let first = lines.next().ok_or("baseline is empty")??;
+    let meta = first.get("meta").ok_or("baseline does not start with a meta line")?;
+    Ok((meta.clone(), lines.collect::<Result<_, _>>()?))
 }
 
 #[cfg(test)]

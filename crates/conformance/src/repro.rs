@@ -6,14 +6,13 @@
 //! `corpus` integration test against *all* algorithms, so a bug found in
 //! one algorithm permanently guards every other.
 //!
-//! The workspace has no serde; coordinates are serialised with Rust's
-//! `f64` `Display` (shortest representation that round-trips exactly) and
-//! parsed back with `str::parse`, so a repro file is bit-exact. The parser
-//! below covers exactly the subset the writer emits (one object; string
-//! and rect-array values) plus arbitrary whitespace.
+//! Files are written and read by `storage::json`: coordinates go out in the
+//! shortest form that parses back to the same `f64`, so a repro file is
+//! bit-exact, and the label survives quotes, backslashes and newlines.
 
 use crate::oracle::{self, AlgoId, Failure, RunConfig, Transform};
 use geom::{Kpe, Rect, RecordId};
+use spatialjoin::storage::Json;
 
 #[derive(Debug, Clone, PartialEq)]
 pub struct Repro {
@@ -31,84 +30,73 @@ pub struct Repro {
     pub s: Vec<Kpe>,
 }
 
-fn rects_json(data: &[Kpe], indent: &str) -> String {
-    let rows: Vec<String> = data
-        .iter()
-        .map(|k| {
-            format!(
-                "{indent}  [{}, {}, {}, {}]",
-                k.rect.xl, k.rect.yl, k.rect.xh, k.rect.yh
-            )
-        })
-        .collect();
-    if rows.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n{indent}]", rows.join(",\n"))
-    }
+fn rects(data: &[Kpe]) -> Json {
+    Json::arr(
+        data.iter()
+            .map(|k| Json::arr([k.rect.xl, k.rect.yl, k.rect.xh, k.rect.yh])),
+    )
 }
 
-fn kpes_from_rects(rects: Vec<[f64; 4]>) -> Vec<Kpe> {
-    rects
-        .into_iter()
+/// A relation from its rect array; ids are positional.
+fn kpes(key: &str, v: &Json) -> Result<Vec<Kpe>, String> {
+    let rows = v.as_arr().ok_or(format!("{key:?} must be an array of rects"))?;
+    rows.iter()
         .enumerate()
-        .map(|(i, c)| Kpe::new(RecordId(i as u64), Rect::new(c[0], c[1], c[2], c[3])))
+        .map(|(i, row)| match row.as_arr() {
+            Some(&[Json::Num(xl), Json::Num(yl), Json::Num(xh), Json::Num(yh)]) => {
+                Ok(Kpe::new(RecordId(i as u64), Rect::new(xl, yl, xh, yh)))
+            }
+            _ => Err(format!("{key:?}[{i}] is not a rect of four numbers")),
+        })
         .collect()
 }
 
 impl Repro {
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"label\": \"{}\",\n", self.label.replace('"', "'")));
+        let mut members = vec![("label", Json::from(self.label.as_str()))];
         if let Some(algo) = self.algo {
-            out.push_str(&format!("  \"algo\": \"{algo}\",\n"));
+            members.push(("algo", algo.to_string().into()));
         }
         if let Some(t) = self.transform {
-            out.push_str(&format!("  \"transform\": \"{t}\",\n"));
+            members.push(("transform", t.to_string().into()));
         }
         if let Some(mem) = self.mem {
-            out.push_str(&format!("  \"mem\": {mem},\n"));
+            members.push(("mem", mem.into()));
         }
-        out.push_str(&format!("  \"r\": {},\n", rects_json(&self.r, "  ")));
-        out.push_str(&format!("  \"s\": {}\n", rects_json(&self.s, "  ")));
-        out.push_str("}\n");
-        out
+        members.push(("r", rects(&self.r)));
+        members.push(("s", rects(&self.s)));
+        Json::obj(members).pretty()
     }
 
     pub fn from_json(text: &str) -> Result<Repro, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
-        p.expect(b'{')?;
+        let Json::Obj(members) = Json::parse(text)? else {
+            return Err("a repro is one JSON object".into());
+        };
         let mut label = String::new();
         let mut algo = None;
         let mut transform = None;
         let mut mem = None;
         let (mut r, mut s) = (None, None);
-        loop {
-            p.skip_ws();
-            if p.peek() == Some(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.expect(b':')?;
+        for (key, v) in &members {
+            let text = || v.as_str().ok_or(format!("{key:?} must be a string"));
             match key.as_str() {
-                "label" => label = p.string()?,
+                "label" => label = text()?.to_owned(),
                 "algo" => {
-                    let v = p.string()?;
-                    algo = Some(AlgoId::parse(&v).ok_or(format!("unknown algo {v:?}"))?);
+                    let v = text()?;
+                    algo = Some(AlgoId::parse(v).ok_or(format!("unknown algo {v:?}"))?);
                 }
                 "transform" => {
-                    let v = p.string()?;
+                    let v = text()?;
                     transform =
-                        Some(Transform::parse(&v).ok_or(format!("unknown transform {v:?}"))?);
+                        Some(Transform::parse(v).ok_or(format!("unknown transform {v:?}"))?);
                 }
-                "mem" => mem = Some(p.number()? as usize),
-                "r" => r = Some(kpes_from_rects(p.rect_array()?)),
-                "s" => s = Some(kpes_from_rects(p.rect_array()?)),
+                "mem" => {
+                    let bytes = v.as_u64().ok_or("\"mem\" must be a byte count")?;
+                    mem = Some(bytes as usize);
+                }
+                "r" => r = Some(kpes(key, v)?),
+                "s" => s = Some(kpes(key, v)?),
                 other => return Err(format!("unknown key {other:?}")),
-            }
-            p.skip_ws();
-            if p.peek() == Some(b',') {
-                p.i += 1;
             }
         }
         Ok(Repro {
@@ -184,113 +172,21 @@ impl Repro {
     }
 }
 
-/// Minimal recursive-descent parser for the repro JSON subset.
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while let Some(c) = self.peek() {
-            if c == b'"' {
-                let s = std::str::from_utf8(&self.b[start..self.i])
-                    .map_err(|e| e.to_string())?
-                    .to_string();
-                self.i += 1;
-                return Ok(s);
-            }
-            self.i += 1;
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn rect_array(&mut self) -> Result<Vec<[f64; 4]>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b'[') => {
-                    self.i += 1;
-                    let mut coords = [0.0f64; 4];
-                    for (k, c) in coords.iter_mut().enumerate() {
-                        if k > 0 {
-                            self.expect(b',')?;
-                        }
-                        *c = self.number()?;
-                    }
-                    self.expect(b']')?;
-                    out.push(coords);
-                }
-                other => {
-                    return Err(format!(
-                        "expected rect array at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn kpes_from_rects(rects: Vec<[f64; 4]>) -> Vec<Kpe> {
+        rects
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| Kpe::new(RecordId(i as u64), Rect::new(c[0], c[1], c[2], c[3])))
+            .collect()
+    }
+
     fn sample() -> Repro {
         Repro {
-            label: "shared edge under mem change".into(),
+            label: "shared \"edge\" under C:\\mem\nchange".into(),
             algo: Some(AlgoId::PbsmRpmList),
             transform: Some(Transform::Mem { bytes: 2048 }),
             mem: Some(1024),
@@ -304,6 +200,7 @@ mod tests {
         let r = sample();
         let back = Repro::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
+        assert!(back.label.contains('"') && back.label.contains('\\') && back.label.contains('\n'));
     }
 
     #[test]

@@ -42,6 +42,7 @@ use spatialjoin::{
     datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, InternalAlgo, JoinRun,
     JoinStats, Recorder, RetryPolicy, SimDisk, SpatialJoin,
 };
+use storage::Json;
 
 thread_local! {
     /// `sjoin`'s stdout — it prints from the main thread only — locked once
@@ -619,17 +620,18 @@ fn scrub_summary(dir: &std::path::Path) -> (String, bool) {
         })
         .unwrap_or_default();
     entries.sort();
-    let mut runs: Vec<String> = Vec::new();
+    let mut runs: Vec<Json> = Vec::new();
     let (mut ok, mut corrupt) = (0usize, 0usize);
     for path in entries {
         let id = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let entry = match std::fs::read(path.join("state.bin")) {
+        let mut run = vec![("id", Json::from(id))];
+        match std::fs::read(path.join("state.bin")) {
             Err(_) => {
                 corrupt += 1;
-                format!("{{\"id\":\"{id}\",\"status\":\"missing-state\"}}")
+                run.push(("status", "missing-state".into()));
             }
             Ok(bytes) => {
                 let disk = SimDisk::with_default_model();
@@ -638,37 +640,35 @@ fn scrub_summary(dir: &std::path::Path) -> (String, bool) {
                         ok += 1;
                         let files = disk.file_ids();
                         let spares = files.iter().filter(|&&f| disk.is_spare(f)).count();
-                        format!(
-                            "{{\"id\":\"{id}\",\"status\":\"ok\",\"bytes\":{},\"files\":{},\
-                             \"pages\":{},\"spare_files\":{}}}",
-                            bytes.len(),
-                            files.len(),
-                            disk.pages_in_use(),
-                            spares
-                        )
+                        run.extend([
+                            ("status", "ok".into()),
+                            ("bytes", bytes.len().into()),
+                            ("files", files.len().into()),
+                            ("pages", disk.pages_in_use().into()),
+                            ("spare_files", spares.into()),
+                        ]);
                     }
                     Err(e) => {
                         corrupt += 1;
-                        format!(
-                            "{{\"id\":\"{id}\",\"status\":\"corrupt\",\"bytes\":{},\
-                             \"error\":\"{}\"}}",
-                            bytes.len(),
-                            e.kind.describe()
-                        )
+                        run.extend([
+                            ("status", "corrupt".into()),
+                            ("bytes", bytes.len().into()),
+                            ("error", e.kind.describe().into()),
+                        ]);
                     }
                 }
             }
-        };
-        runs.push(entry);
+        }
+        runs.push(Json::obj(run));
     }
-    let summary = format!(
-        "{{\"run_dir\":{:?},\"scanned\":{},\"ok\":{},\"corrupt\":{},\"runs\":[{}]}}",
-        dir.display().to_string(),
-        runs.len(),
-        ok,
-        corrupt,
-        runs.join(",")
-    );
+    let summary = Json::obj([
+        ("run_dir", dir.display().to_string().into()),
+        ("scanned", runs.len().into()),
+        ("ok", ok.into()),
+        ("corrupt", corrupt.into()),
+        ("runs", Json::Arr(runs)),
+    ])
+    .to_string();
     (summary, corrupt == 0)
 }
 
@@ -998,9 +998,14 @@ mod tests {
 
     #[test]
     fn scrub_walks_run_dirs_and_flags_corruption() {
-        let base = std::env::temp_dir().join(format!("sjoin-scrub-test-{}", std::process::id()));
+        // Directory and run names that JSON must escape: the summary is read
+        // by machines.
+        let awkward = "a\"b\\é";
+        let base = std::env::temp_dir()
+            .join(format!("sjoin-scrub-test-{}", std::process::id()))
+            .join(awkward);
         let _ = std::fs::remove_dir_all(&base);
-        for id in ["41", "42", "43"] {
+        for id in ["41", "42", awkward] {
             std::fs::create_dir_all(base.join(id)).expect("test dir");
         }
         // 41: a sound snapshot with one spare file.
@@ -1010,21 +1015,26 @@ mod tests {
         let spare = disk.create_spare_like(f);
         disk.append(spare, &[8u8; 10]);
         std::fs::write(base.join("41").join("state.bin"), disk.export_files()).expect("write");
-        // 42: a truncated snapshot. 43: no state.bin at all.
+        // 42: a truncated snapshot. The awkward one: no state.bin at all.
         std::fs::write(base.join("42").join("state.bin"), b"SJDKgarbage").expect("write");
         let (summary, sound) = scrub_summary(&base);
         assert!(!sound, "{summary}");
-        assert!(summary.contains("\"scanned\":3"), "{summary}");
-        assert!(summary.contains("\"ok\":1"), "{summary}");
-        assert!(summary.contains("\"corrupt\":2"), "{summary}");
-        assert!(summary.contains("\"status\":\"missing-state\""), "{summary}");
-        assert!(summary.contains("\"spare_files\":1"), "{summary}");
+        let doc = Json::parse(&summary).expect("the summary is JSON");
+        let count = |key: &str| doc.get(key).and_then(Json::as_u64);
+        assert_eq!(doc.get("run_dir").and_then(Json::as_str), base.to_str(), "{summary}");
+        assert_eq!((count("scanned"), count("ok"), count("corrupt")), (Some(3), Some(1), Some(2)));
+        let runs = doc.get("runs").and_then(Json::as_arr).expect("runs");
+        let field = |run: usize, key: &str| runs[run].get(key).cloned();
+        assert_eq!(field(0, "spare_files"), Some(Json::Num(1.0)), "{summary}");
+        assert_eq!(field(1, "status"), Some("corrupt".into()), "{summary}");
+        assert_eq!(field(2, "id"), Some(awkward.into()), "{summary}");
+        assert_eq!(field(2, "status"), Some("missing-state".into()), "{summary}");
         // A sound-only dir scrubs clean.
         std::fs::remove_dir_all(base.join("42")).expect("rm");
-        std::fs::remove_dir_all(base.join("43")).expect("rm");
+        std::fs::remove_dir_all(base.join(awkward)).expect("rm");
         let (summary, sound) = scrub_summary(&base);
         assert!(sound, "{summary}");
-        std::fs::remove_dir_all(&base).expect("rm");
+        std::fs::remove_dir_all(base.parent().expect("the pid directory")).expect("rm");
     }
 
     #[test]

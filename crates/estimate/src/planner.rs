@@ -28,7 +28,7 @@
 //! `planner-eval` bench gate.
 
 use geom::{Kpe, Rect};
-use storage::DiskModel;
+use storage::{DiskModel, Json};
 use sweep::InternalAlgo;
 
 /// Grid resolution of the profile histogram (per axis).
@@ -303,8 +303,7 @@ fn bounding_box(data: &[Kpe]) -> Rect {
 
 /// Algorithm families the planner chooses between. Self-describing (no
 /// dependency on the algorithm crates' config types — those sit *above*
-/// this crate); `spatialjoin::Algorithm::from_choice` and
-/// `exec::JoinAlgorithm::from_choice` do the mapping.
+/// this crate); `spatialjoin::Algorithm::from_choice` does the mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanAlgo {
     /// PBSM with Reference Point dedup (the paper's improved PBSM).
@@ -615,37 +614,43 @@ impl Coefficients {
     /// Serialises to the versioned flat-JSON schema (documented in
     /// DESIGN.md "Plan selection & cost calibration").
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema_version\":{COEFFS_SCHEMA_VERSION},\"scale\":{}",
-            self.scale
-        );
         let mut sorted = self.entries.clone();
         sorted.sort_by(|x, y| (&x.0, &x.1).cmp(&(&y.0, &y.1)));
-        for (family, metric, a, b) in &sorted {
-            out.push_str(&format!(",\"{family}_{metric}\":[{a},{b}]"));
-        }
-        out.push_str("}\n");
-        out
+        let head = [
+            ("schema_version".to_owned(), COEFFS_SCHEMA_VERSION.into()),
+            ("scale".to_owned(), self.scale.into()),
+        ];
+        let pairs = sorted
+            .iter()
+            .map(|(family, metric, a, b)| (format!("{family}_{metric}"), Json::arr([*a, *b])));
+        format!("{}\n", Json::obj(head.into_iter().chain(pairs)))
     }
 
     /// Parses the flat-JSON schema written by [`Coefficients::to_json`].
     pub fn parse(text: &str) -> Result<Coefficients, String> {
-        let version = json_number(text, "schema_version")
+        let doc = Json::parse(text).map_err(|e| format!("coefficients file: {e}"))?;
+        let version = doc
+            .get("schema_version")
+            .and_then(Json::as_f64)
             .ok_or("coefficients file has no schema_version")?;
         if version as u32 != COEFFS_SCHEMA_VERSION {
             return Err(format!(
                 "coefficients schema_version {version} != {COEFFS_SCHEMA_VERSION}; refit"
             ));
         }
-        let scale = json_number(text, "scale").ok_or("coefficients file has no scale")?;
+        let scale = doc
+            .get("scale")
+            .and_then(Json::as_f64)
+            .ok_or("coefficients file has no scale")?;
         let mut c = Coefficients {
             scale,
             entries: Vec::new(),
         };
         for family in ["pbsm", "s3j", "sssj", "shj", "twolayer", "quadtree"] {
             for metric in ["candidates", "pages", "seconds"] {
-                if let Some((a, b)) = json_pair(text, &format!("{family}_{metric}")) {
-                    c.set(family, metric, a, b);
+                let pair = doc.get(&format!("{family}_{metric}")).and_then(Json::as_arr);
+                if let Some([Json::Num(a), Json::Num(b)]) = pair {
+                    c.set(family, metric, *a, *b);
                 }
             }
         }
@@ -660,28 +665,6 @@ impl Coefficients {
             Err(e) => Err(format!("cannot read {}: {e}", path.display())),
         }
     }
-}
-
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .char_indices()
-        .find(|(_, c)| *c == ',' || *c == '}')
-        .map(|(i, _)| i)?;
-    rest[..end].trim().parse().ok()
-}
-
-fn json_pair(text: &str, key: &str) -> Option<(f64, f64)> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest.find(']')?;
-    let mut it = rest[..end].split(',');
-    let a = it.next()?.trim().parse().ok()?;
-    let b = it.next()?.trim().parse().ok()?;
-    Some((a, b))
 }
 
 /// Ordinary least squares for `y ≈ a·x + b`. Degenerates gracefully: with

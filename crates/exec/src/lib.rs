@@ -196,49 +196,6 @@ impl OpStats {
 }
 
 impl JoinAlgorithm {
-    /// Materialises a planner-selected [`estimate::PlanChoice`] as a
-    /// streaming-operator configuration. Returns `None` for choices the
-    /// operator cannot stream (the SSSJ/SHJ baselines and the in-memory
-    /// quadtree) — callers that plan
-    /// for this operator should use
-    /// [`estimate::PlanSpace::Streamable`] so this never comes up.
-    pub fn from_choice(choice: &estimate::PlanChoice) -> Option<JoinAlgorithm> {
-        use estimate::PlanAlgo;
-        Some(match choice.algo {
-            PlanAlgo::PbsmRpm => JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                ..Default::default()
-            }),
-            PlanAlgo::PbsmSort => JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                dedup: pbsm::Dedup::SortPhase,
-                ..Default::default()
-            }),
-            PlanAlgo::S3jReplicated | PlanAlgo::S3jOriginal => JoinAlgorithm::S3j(S3jConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                level_buffer_pages: choice.buffer_pages,
-                replicate: choice.algo == PlanAlgo::S3jReplicated,
-                ..Default::default()
-            }),
-            PlanAlgo::TwoLayer => JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                dedup: pbsm::Dedup::TwoLayer,
-                ..Default::default()
-            }),
-            PlanAlgo::Sssj | PlanAlgo::Shj | PlanAlgo::Quadtree => return None,
-        })
-    }
-
     /// Sets the partition-join worker-thread knob of the wrapped config
     /// (`0` = all cores, `1` = sequential). The operator's output stream is
     /// identical for every value; only wall-clock changes.

@@ -91,6 +91,17 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The members every `join` request of a (left, right, algo, mem) cell has.
+fn join_request((l, r, a, m): (usize, usize, usize, usize)) -> Vec<(&'static str, Json)> {
+    vec![
+        ("cmd", "join".into()),
+        ("left", DATASETS[l].0.into()),
+        ("right", DATASETS[r].0.into()),
+        ("algo", ALGOS[a].into()),
+        ("mem_mb", MEM_MB[m].into()),
+    ]
+}
+
 fn dataset_seed(idx: usize, seed: u64) -> u64 {
     match idx {
         0 => seed,
@@ -183,10 +194,14 @@ fn main() -> ExitCode {
     let mut kpes: Vec<Vec<geom::Kpe>> = Vec::new();
     for (idx, (name, source)) in DATASETS.iter().enumerate() {
         let seed = dataset_seed(idx, args.seed);
-        let line = format!(
-            "{{\"cmd\":\"register\",\"name\":\"{name}\",\"source\":\"{source}\",\"scale\":{SCALE},\"seed\":{seed}}}"
-        );
-        match control.request(&line) {
+        let line = Json::obj([
+            ("cmd", "register".into()),
+            ("name", (*name).into()),
+            ("source", (*source).into()),
+            ("scale", SCALE.into()),
+            ("seed", seed.into()),
+        ]);
+        match control.request(&line.to_string()) {
             Ok(v) if v.get("ok").is_some() => {}
             other => {
                 eprintln!("soak: register {name} failed: {other:?}");
@@ -236,31 +251,28 @@ fn main() -> ExitCode {
                 // the exact clean result through the service.
                 let persistent = faults && rng.gen_bool(0.5);
 
-                let mut line = format!(
-                    "{{\"cmd\":\"join\",\"left\":\"{}\",\"right\":\"{}\",\"algo\":\"{}\",\"mem_mb\":{}",
-                    DATASETS[l].0, DATASETS[r].0, ALGOS[a], MEM_MB[m]
-                );
+                let mut request = join_request((l, r, a, m));
                 if crash {
-                    line.push_str(",\"crash\":\"mid-partition:0\"");
+                    request.push(("crash", "mid-partition:0".into()));
                 } else if panic_hook {
-                    line.push_str(",\"panic_after\":1");
+                    request.push(("panic_after", 1u64.into()));
                 } else {
                     if reuse {
-                        line.push_str(",\"reuse\":true");
+                        request.push(("reuse", true.into()));
                     } else if faults {
-                        line.push_str(&format!(",\"faults\":{}", seed.wrapping_add(req_idx as u64)));
+                        request.push(("faults", seed.wrapping_add(req_idx as u64).into()));
                         if persistent {
-                            line.push_str(",\"faults_persistent\":true");
+                            request.push(("faults_persistent", true.into()));
                         }
                     }
                     if deadline {
-                        line.push_str(",\"deadline\":1e-9");
+                        request.push(("deadline", 1e-9.into()));
                     }
                 }
                 if hold_ms > 0 {
-                    line.push_str(&format!(",\"hold_ms\":{hold_ms}"));
+                    request.push(("hold_ms", hold_ms.into()));
                 }
-                line.push('}');
+                let line = Json::obj(request).to_string();
 
                 let mut client = match Client::connect(addr) {
                     Ok(c) => c,
@@ -370,10 +382,9 @@ fn main() -> ExitCode {
             violations.lock().expect("violations lock").push(msg);
         };
         let chaos_cell = (0usize, 1usize, 0usize, 2usize);
-        let chaos_line = format!(
-            "{{\"cmd\":\"join\",\"left\":\"{}\",\"right\":\"{}\",\"algo\":\"{}\",\"mem_mb\":{},\"reuse\":true}}",
-            DATASETS[chaos_cell.0].0, DATASETS[chaos_cell.1].0, ALGOS[chaos_cell.2], MEM_MB[chaos_cell.3]
-        );
+        let mut chaos_request = join_request(chaos_cell);
+        chaos_request.push(("reuse", true.into()));
+        let chaos_line = Json::obj(chaos_request).to_string();
         let (chaos_pairs, chaos_results) = &baselines[&chaos_cell];
         let hits_before_probe = handle.cache_hits();
         let mut corrupted = 0usize;

@@ -22,17 +22,16 @@
 //! session, and a disconnecting client cancels only its own join. Shutdown
 //! drains: in-flight joins finish streaming, new ones are refused.
 //!
-//! Modules: [`json`] (hand-rolled parser/emitter), [`proto`] (wire
-//! protocol), [`cache`], [`server`], [`client`] (reference client used by
-//! the tests and the soak driver).
+//! Modules: [`json`] (the workspace's one JSON module, re-exported from
+//! `storage`), [`proto`] (wire protocol), [`cache`], [`server`], [`client`]
+//! (reference client used by the tests and the soak driver).
 
 pub mod cache;
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod server;
 
 pub use client::{Client, JoinResponse};
-pub use json::Json;
+pub use storage::json::{self, Json};
 pub use proto::JoinRequest;
 pub use server::{Server, ServerConfig, ServerHandle};

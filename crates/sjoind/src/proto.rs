@@ -25,7 +25,7 @@
 use spatialjoin::estimate::PlanChoice;
 use spatialjoin::{Algorithm, CrashPoint, InternalAlgo};
 
-use crate::json::{escape, Json};
+use crate::json::Json;
 
 /// Algorithms the service accepts (`exec`-streamable joins; the sweep-line
 /// baselines have no partition phase and no cancel support, so they stay
@@ -250,19 +250,16 @@ pub fn dataset(source: &str, scale: f64, seed: u64) -> Result<Vec<geom::Kpe>, St
     Ok(datagen::sized(&cfg, fraction).generate_dataset().kpes)
 }
 
-/// One-line error response. `extra` members are appended verbatim (already
-/// JSON-encoded values, e.g. `("retry_after", "0.05")`).
-pub fn error_line(kind: &str, message: &str, extra: &[(&str, String)]) -> String {
-    let mut line = format!(
-        "{{\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"",
-        escape(kind),
-        escape(message)
-    );
-    for (k, v) in extra {
-        line.push_str(&format!(",\"{}\":{v}", escape(k)));
-    }
-    line.push_str("}}");
-    line
+/// One-line success response to everything except `join`.
+pub fn ok_line(ok: Json) -> String {
+    Json::obj([("ok", ok)]).to_string()
+}
+
+/// One-line error response; `extra` members follow `kind` and `message`.
+pub fn error_line(kind: &str, message: &str, extra: &[(&str, Json)]) -> String {
+    let head = [("kind", kind.into()), ("message", message.into())];
+    let error = Json::obj(head.into_iter().chain(extra.iter().cloned()));
+    Json::obj([("error", error)]).to_string()
 }
 
 #[cfg(test)]
@@ -355,7 +352,7 @@ mod tests {
         let line = error_line(
             "overloaded",
             "memory budget \"exhausted\"",
-            &[("retry_after", "0.05".to_owned())],
+            &[("retry_after", 0.05.into())],
         );
         let v = Json::parse(&line).unwrap();
         let e = v.get("error").unwrap();

@@ -20,7 +20,7 @@
 //! worker stops at the next partition boundary and the lease is released.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,7 +36,7 @@ use spatialjoin::{
 use storage::{AdmissionError, MemoryArbiter};
 
 use crate::cache::{PartitionCache, Slot, Snapshot};
-use crate::json::{escape, Json};
+use crate::json::Json;
 use crate::proto::{self, JoinRequest};
 
 /// Server tuning knobs.
@@ -65,6 +65,12 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// Longest request line a session reads. Every request is one small object
+/// (`register` names a generator, it does not upload data), so the cap is a
+/// constant; without one a newline-less client grows the session's buffer
+/// without bound, outside the arbiter's budget.
+const MAX_LINE: usize = 64 * 1024;
 
 struct Inner {
     cfg: ServerConfig,
@@ -238,9 +244,28 @@ fn session(inner: Arc<Inner>, stream: TcpStream, id: u64) {
         return;
     };
     let mut out = stream;
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that fits.
+        let mut bounded = (&mut reader).take(MAX_LINE as u64 + 1);
+        match bounded.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_LINE && buf.last() != Some(&b'\n') {
+            // Hang up rather than read on to the newline: the rest of the
+            // line may never end. An explicit shutdown, because the accept
+            // loop's clone of the socket would keep a dropped one open.
+            let message = format!("request line exceeds {MAX_LINE} bytes");
+            let _ = send(&mut out, &proto::error_line("bad_request", &message, &[]));
+            let _ = out.shutdown(Shutdown::Both);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -325,13 +350,8 @@ fn handle_register(inner: &Inner, out: &mut TcpStream, req: &Json) -> bool {
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(name.clone(), Arc::new(kpes));
             inner.log(&format!("registered {name:?}: {records} records ({source})"));
-            send(
-                out,
-                &format!(
-                    "{{\"ok\":{{\"registered\":\"{}\",\"records\":{records}}}}}",
-                    escape(&name)
-                ),
-            )
+            let ok = Json::obj([("registered", name.into()), ("records", records.into())]);
+            send(out, &proto::ok_line(ok))
         }
         Err(e) => send(out, &proto::error_line("bad_request", &e, &[])),
     }
@@ -346,46 +366,45 @@ fn handle_list(inner: &Inner, out: &mut TcpStream) -> bool {
         .map(|(name, kpes)| (name.clone(), kpes.len()))
         .collect();
     entries.sort();
-    let body = entries
-        .iter()
-        .map(|(name, records)| format!("{{\"name\":\"{}\",\"records\":{records}}}", escape(name)))
-        .collect::<Vec<_>>()
-        .join(",");
-    send(out, &format!("{{\"ok\":{{\"datasets\":[{body}]}}}}"))
+    let datasets = entries
+        .into_iter()
+        .map(|(name, records)| Json::obj([("name", name.into()), ("records", records.into())]));
+    let ok = Json::obj([("datasets", Json::arr(datasets))]);
+    send(out, &proto::ok_line(ok))
 }
 
 fn metrics_line(inner: &Inner) -> String {
     let s = inner.arbiter.snapshot();
     let active = *inner.active.lock().unwrap_or_else(PoisonError::into_inner);
-    format!(
-        concat!(
-            "{{\"ok\":{{\"arbiter\":{{\"budget_bytes\":{},\"leased_bytes\":{},",
-            "\"active_leases\":{},\"queued\":{},\"admitted\":{},",
-            "\"rejected_overloaded\":{},\"rejected_too_large\":{},",
-            "\"peak_leased_bytes\":{}}},",
-            "\"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},",
-            "\"integrity_evictions\":{}}},",
-            "\"joins\":{{\"ok\":{},\"failed\":{},\"shed\":{},\"active\":{}}},",
-            "\"draining\":{}}}}}"
-        ),
-        s.budget_bytes,
-        s.leased_bytes,
-        s.active_leases,
-        s.queued,
-        s.admitted,
-        s.rejected_overloaded,
-        s.rejected_too_large,
-        s.peak_leased_bytes,
-        inner.cache.len(),
-        inner.cache.hits(),
-        inner.cache.misses(),
-        inner.cache.integrity_evictions(),
-        inner.joins_ok.load(Ordering::Relaxed),
-        inner.joins_failed.load(Ordering::Relaxed),
-        inner.joins_shed.load(Ordering::Relaxed),
-        active,
-        inner.draining.load(Ordering::Acquire),
-    )
+    let arbiter = Json::obj([
+        ("budget_bytes", s.budget_bytes.into()),
+        ("leased_bytes", s.leased_bytes.into()),
+        ("active_leases", s.active_leases.into()),
+        ("queued", s.queued.into()),
+        ("admitted", s.admitted.into()),
+        ("rejected_overloaded", s.rejected_overloaded.into()),
+        ("rejected_too_large", s.rejected_too_large.into()),
+        ("peak_leased_bytes", s.peak_leased_bytes.into()),
+    ]);
+    let cache = Json::obj([
+        ("entries", inner.cache.len().into()),
+        ("hits", inner.cache.hits().into()),
+        ("misses", inner.cache.misses().into()),
+        ("integrity_evictions", inner.cache.integrity_evictions().into()),
+    ]);
+    let joins = Json::obj([
+        ("ok", inner.joins_ok.load(Ordering::Relaxed).into()),
+        ("failed", inner.joins_failed.load(Ordering::Relaxed).into()),
+        ("shed", inner.joins_shed.load(Ordering::Relaxed).into()),
+        ("active", active.into()),
+    ]);
+    let ok = Json::obj([
+        ("arbiter", arbiter),
+        ("cache", cache),
+        ("joins", joins),
+        ("draining", inner.draining.load(Ordering::Acquire).into()),
+    ]);
+    proto::ok_line(ok)
 }
 
 /// How a join request ended, for the server-level counters.
@@ -589,6 +608,16 @@ impl<'a> Emitter<'a> {
     }
 }
 
+/// The configuration a validated request runs. A planner-selected choice
+/// carries knobs (tile count, buffer split) the algorithm name alone cannot,
+/// so it is materialised directly.
+fn algorithm_of(jr: &JoinRequest) -> Result<Algorithm, String> {
+    match &jr.chosen_choice {
+        Some(choice) => Ok(Algorithm::from_choice(choice).with_threads(jr.threads)),
+        None => proto::algorithm(&jr.algo, jr.mem_bytes, jr.threads),
+    }
+}
+
 /// Plain streaming join through [`exec::SpatialJoinOp`]: the operator
 /// leases from the arbiter before spawning its worker, pipelines first
 /// results, and contains worker panics.
@@ -599,34 +628,19 @@ fn run_streaming(
     left: &Arc<Vec<Kpe>>,
     right: &Arc<Vec<Kpe>>,
 ) -> Outcome {
-    // A planner-selected choice carries knobs (tile count, buffer split)
-    // the algorithm name alone cannot; materialise it directly.
-    let planned = jr
-        .chosen_choice
-        .as_ref()
-        .and_then(exec::JoinAlgorithm::from_choice)
-        .map(|a| a.with_threads(jr.threads));
-    let exec_algo = match planned {
-        Some(a) => a,
-        None => {
-            let algo = match proto::algorithm(&jr.algo, jr.mem_bytes, jr.threads) {
-                Ok(a) => a,
-                Err(e) => {
-                    let _ = send(out, &proto::error_line("bad_request", &e, &[]));
-                    return Outcome::Failed;
-                }
-            };
-            match algo {
-                Algorithm::Pbsm(cfg) => exec::JoinAlgorithm::Pbsm(cfg),
-                Algorithm::S3j(cfg) => exec::JoinAlgorithm::S3j(cfg),
-                _ => {
-                    let _ = send(
-                        out,
-                        &proto::error_line("unsupported", "algorithm cannot stream", &[]),
-                    );
-                    return Outcome::Failed;
-                }
-            }
+    let exec_algo = match algorithm_of(jr) {
+        Ok(Algorithm::Pbsm(cfg)) => exec::JoinAlgorithm::Pbsm(cfg),
+        Ok(Algorithm::S3j(cfg)) => exec::JoinAlgorithm::S3j(cfg),
+        Ok(_) => {
+            let _ = send(
+                out,
+                &proto::error_line("unsupported", "algorithm cannot stream", &[]),
+            );
+            return Outcome::Failed;
+        }
+        Err(e) => {
+            let _ = send(out, &proto::error_line("bad_request", &e, &[]));
+            return Outcome::Failed;
         }
     };
     let model = DiskModel {
@@ -838,11 +852,7 @@ fn run_special_join(
     token: &CancelToken,
     tx: &mpsc::SyncSender<Msg>,
 ) -> Result<(JoinStats, bool), JoinError> {
-    let algo = match &jr.chosen_choice {
-        Some(choice) => Algorithm::from_choice(choice).with_threads(jr.threads),
-        None => proto::algorithm(&jr.algo, jr.mem_bytes, jr.threads)
-            .map_err(|_| JoinError::new("setup", IoError::unsupported()))?,
-    };
+    let algo = algorithm_of(jr).map_err(|_| JoinError::new("setup", IoError::unsupported()))?;
     let mut join = SpatialJoin::new(algo)
         .with_disk_model(model)
         .with_cancel(token.clone());
@@ -948,7 +958,7 @@ fn admission_response(e: &AdmissionError) -> (String, Outcome) {
             proto::error_line(
                 "overloaded",
                 &e.to_string(),
-                &[("retry_after", format!("{retry_after:?}"))],
+                &[("retry_after", (*retry_after).into())],
             ),
             Outcome::Shed,
         ),
@@ -957,8 +967,8 @@ fn admission_response(e: &AdmissionError) -> (String, Outcome) {
                 "too_large",
                 &e.to_string(),
                 &[
-                    ("requested", requested.to_string()),
-                    ("budget", budget.to_string()),
+                    ("requested", (*requested).into()),
+                    ("budget", (*budget).into()),
                 ],
             ),
             Outcome::Shed,
@@ -983,18 +993,18 @@ fn op_error_response(e: &JoinOpError) -> (String, Outcome) {
 
 fn join_error_response(e: &JoinError) -> (String, Outcome) {
     let mut extra = vec![
-        ("resumable", e.is_resumable().to_string()),
-        ("phase", format!("\"{}\"", escape(e.phase))),
+        ("resumable", e.is_resumable().into()),
+        ("phase", e.phase.into()),
     ];
     let kind = match &e.kind {
         JoinErrorKind::DeadlineExceeded { elapsed, deadline } => {
-            extra.push(("elapsed", format!("{elapsed:?}")));
-            extra.push(("deadline", format!("{deadline:?}")));
+            extra.push(("elapsed", (*elapsed).into()));
+            extra.push(("deadline", (*deadline).into()));
             "deadline"
         }
         JoinErrorKind::Cancelled => "cancelled",
         JoinErrorKind::Crashed(p) => {
-            extra.push(("crash_point", format!("\"{}\"", escape(&p.spec()))));
+            extra.push(("crash_point", p.spec().into()));
             "crashed"
         }
         JoinErrorKind::Io(io) if io.kind == IoErrorKind::Unsupported => "unsupported",
@@ -1007,47 +1017,25 @@ fn join_error_response(e: &JoinError) -> (String, Outcome) {
 }
 
 fn done_line(stats: &JoinStats, jr: &JoinRequest, cache_hit: bool, pairs_sent: u64) -> String {
-    let mut line = format!(
-        concat!(
-            "{{\"done\":{{\"results\":{},\"duplicates\":{},\"candidates\":{},",
-            "\"total_seconds\":{:?},\"first_result_seconds\":{},",
-            "\"cache_hit\":{},\"pairs_sent\":{}"
-        ),
-        stats.results(),
-        stats.duplicates(),
-        stats
-            .candidates()
-            .map_or_else(|| "null".to_owned(), |c| c.to_string()),
-        stats.total_seconds(),
-        stats
-            .first_result_seconds()
-            .map_or_else(|| "null".to_owned(), |s| format!("{s:?}")),
-        cache_hit,
-        pairs_sent,
-    );
+    let mut done = vec![
+        ("results", stats.results().into()),
+        ("duplicates", stats.duplicates().into()),
+        ("candidates", stats.candidates().into()),
+        ("total_seconds", stats.total_seconds().into()),
+        ("first_result_seconds", stats.first_result_seconds().into()),
+        ("cache_hit", cache_hit.into()),
+        ("pairs_sent", pairs_sent.into()),
+    ];
     if let Some(choice) = &jr.chosen_choice {
-        line.push_str(&format!(",\"plan\":\"{}\"", escape(&choice.describe())));
+        done.push(("plan", choice.describe().into()));
     }
     if jr.metrics {
         let mut report = stats.metrics_report(&jr.algo, jr.threads);
         report.counters.partition_cache_hits = u64::from(cache_hit);
-        match report.reconcile() {
-            // The report's canonical form is pretty-printed; a protocol
-            // line must stay single-line, and stripping newlines keeps it
-            // valid JSON (the indentation collapses into spaces).
-            Ok(()) => {
-                let compact: String = report.to_json().replace('\n', " ");
-                line.push_str(",\"metrics\":");
-                line.push_str(&compact);
-            }
-            Err(e) => {
-                line.push_str(&format!(
-                    ",\"metrics_error\":\"{}\"",
-                    escape(&e.to_string())
-                ));
-            }
-        }
+        done.push(match report.reconcile() {
+            Ok(()) => ("metrics", report.json()),
+            Err(e) => ("metrics_error", e.to_string().into()),
+        });
     }
-    line.push_str("}}");
-    line
+    Json::obj([("done", Json::obj(done))]).to_string()
 }

@@ -53,6 +53,7 @@ mod checksum;
 mod disk;
 mod fault;
 mod file;
+pub mod json;
 mod manifest;
 pub mod metrics;
 mod pool;
@@ -76,6 +77,7 @@ pub use metrics::{
     METRICS_SCHEMA_VERSION,
 };
 pub use file::{FileReader, FileWriter};
+pub use json::Json;
 pub use pool::BufferPool;
 pub use record::{
     read_all, try_read_all, try_write_all, write_all, FixedRecord, IdPair, RecordReader,

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::disk::{DiskModel, IoStats};
+use crate::json::Json;
 
 /// Version stamped into every exported trace and metrics document. Bump on
 /// any backwards-incompatible change to the JSON shape.
@@ -128,44 +129,31 @@ impl Recorder {
         self.inner.lock().dropped_events
     }
 
-    /// Serialize the whole trace as a single JSON document (hand-rolled; the
-    /// workspace carries no serde). Events keep their recording order, which
-    /// for coordinator-side emission is the canonical partition order.
+    /// Serialize the whole trace as a single JSON document. Events keep
+    /// their recording order, which for coordinator-side emission is the
+    /// canonical partition order.
     pub fn to_json(&self) -> String {
         let g = self.inner.lock();
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {METRICS_SCHEMA_VERSION},\n  \"kind\": \"sjoin-trace\",\n  \"clock\": \"simulated-seconds\",\n"
-        ));
-        out.push_str("  \"spans\": [\n");
-        for (i, s) in g.spans.iter().enumerate() {
-            let sep = if i + 1 == g.spans.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"start_s\": {}, \"end_s\": {}}}{sep}\n",
-                json_escape(s.name),
-                json_f64(s.start_s),
-                json_f64(s.end_s)
-            ));
-        }
-        out.push_str("  ],\n  \"events\": [\n");
-        for (i, e) in g.events.iter().enumerate() {
-            let sep = if i + 1 == g.events.len() { "" } else { "," };
-            let mut attrs = String::new();
-            for (k, v) in &e.attrs {
-                attrs.push_str(&format!(", \"{}\": {v}", json_escape(k)));
-            }
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"t_s\": {}{attrs}}}{sep}\n",
-                json_escape(e.name),
-                json_f64(e.t_s)
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"dropped_events\": {}\n}}\n",
-            g.dropped_events
-        ));
-        out
+        let spans = g.spans.iter().map(|s| {
+            Json::obj([
+                ("name", s.name.into()),
+                ("start_s", s.start_s.into()),
+                ("end_s", s.end_s.into()),
+            ])
+        });
+        let events = g.events.iter().map(|e| {
+            let attrs = e.attrs.iter().map(|&(k, v)| (k, v.into()));
+            Json::obj([("name", e.name.into()), ("t_s", e.t_s.into())].into_iter().chain(attrs))
+        });
+        Json::obj([
+            ("schema_version", METRICS_SCHEMA_VERSION.into()),
+            ("kind", "sjoin-trace".into()),
+            ("clock", "simulated-seconds".into()),
+            ("spans", Json::arr(spans)),
+            ("events", Json::arr(events)),
+            ("dropped_events", g.dropped_events.into()),
+        ])
+        .pretty()
     }
 }
 
@@ -316,8 +304,8 @@ impl MetricsReport {
             return Err(ReconcileError {
                 what: format!(
                     "phase cpu sum {} != cpu_seconds {}",
-                    json_f64(cpu_sum),
-                    json_f64(self.cpu_seconds)
+                    cpu_sum,
+                    self.cpu_seconds
                 ),
             });
         }
@@ -326,8 +314,8 @@ impl MetricsReport {
             return Err(ReconcileError {
                 what: format!(
                     "scaled_cpu_seconds {} != model.scaled_cpu(cpu) {}",
-                    json_f64(self.scaled_cpu_seconds),
-                    json_f64(scaled)
+                    self.scaled_cpu_seconds,
+                    scaled
                 ),
             });
         }
@@ -336,8 +324,8 @@ impl MetricsReport {
             return Err(ReconcileError {
                 what: format!(
                     "io_seconds {} != model.seconds(io_total) {}",
-                    json_f64(self.io_seconds),
-                    json_f64(io_secs)
+                    self.io_seconds,
+                    io_secs
                 ),
             });
         }
@@ -348,8 +336,8 @@ impl MetricsReport {
             return Err(ReconcileError {
                 what: format!(
                     "io_parallel_seconds {} != shared + busiest channel {}",
-                    json_f64(self.io_parallel_seconds),
-                    json_f64(io_par)
+                    self.io_parallel_seconds,
+                    io_par
                 ),
             });
         }
@@ -360,8 +348,8 @@ impl MetricsReport {
             return Err(ReconcileError {
                 what: format!(
                     "prefetch_hidden_seconds {} != min(scaled_cpu, busiest channel) {}",
-                    json_f64(self.prefetch_hidden_seconds),
-                    json_f64(hidden)
+                    self.prefetch_hidden_seconds,
+                    hidden
                 ),
             });
         }
@@ -370,8 +358,8 @@ impl MetricsReport {
             return Err(ReconcileError {
                 what: format!(
                     "total_seconds {} != scaled_cpu + parallel io - hidden {}",
-                    json_f64(self.total_seconds),
-                    json_f64(total)
+                    self.total_seconds,
+                    total
                 ),
             });
         }
@@ -394,8 +382,8 @@ impl MetricsReport {
                 return Err(ReconcileError {
                     what: format!(
                         "first_result_io_seconds {} > io_seconds {}",
-                        json_f64(fio),
-                        json_f64(self.io_seconds)
+                        fio,
+                        self.io_seconds
                     ),
                 });
             }
@@ -404,8 +392,8 @@ impl MetricsReport {
                     return Err(ReconcileError {
                         what: format!(
                             "first_result_seconds {} < its own io leg {}",
-                            json_f64(first),
-                            json_f64(fio)
+                            first,
+                            fio
                         ),
                     });
                 }
@@ -414,118 +402,76 @@ impl MetricsReport {
         Ok(())
     }
 
-    /// Serialize as JSON. Call [`reconcile`](Self::reconcile) first; the
-    /// exporters in this workspace refuse to write an unreconciled report.
+    /// The report as a JSON document. Call [`reconcile`](Self::reconcile)
+    /// first; the exporters in this workspace refuse to write an
+    /// unreconciled report.
+    pub fn json(&self) -> Json {
+        let (m, c) = (&self.model, &self.counters);
+        let phases = self.phases.iter().map(|p| {
+            Json::obj([
+                ("name", p.name.into()),
+                ("cpu_seconds", p.cpu_seconds.into()),
+                ("io", io_json(&p.io)),
+            ])
+        });
+        Json::obj([
+            ("schema_version", self.schema_version.into()),
+            ("kind", "sjoin-metrics".into()),
+            ("algo", self.algo.as_str().into()),
+            ("threads", self.threads.into()),
+            (
+                "model",
+                Json::obj([
+                    ("page_size", m.page_size.into()),
+                    ("positioning_ratio", m.positioning_ratio.into()),
+                    ("transfer_secs_per_page", m.transfer_secs_per_page.into()),
+                    ("cpu_slowdown", m.cpu_slowdown.into()),
+                    ("channels", m.channels.into()),
+                ]),
+            ),
+            ("phases", Json::arr(phases)),
+            ("candidates", c.candidates.into()),
+            ("results", c.results.into()),
+            ("duplicates", c.duplicates.into()),
+            ("partitions", c.partitions.into()),
+            ("requeued_partitions", c.requeued_partitions.into()),
+            ("degraded_partitions", c.degraded_partitions.into()),
+            ("checkpoint_commits", c.checkpoint_commits.into()),
+            ("partition_cache_hits", c.partition_cache_hits.into()),
+            ("io_total", io_json(&self.io_total)),
+            ("channels", self.channels.into()),
+            ("io_shared", io_json(&self.io_shared)),
+            ("io_channels", Json::arr(self.io_channels.iter().map(io_json))),
+            ("cpu_seconds", self.cpu_seconds.into()),
+            ("scaled_cpu_seconds", self.scaled_cpu_seconds.into()),
+            ("io_seconds", self.io_seconds.into()),
+            ("io_parallel_seconds", self.io_parallel_seconds.into()),
+            ("prefetch_hidden_seconds", self.prefetch_hidden_seconds.into()),
+            ("total_seconds", self.total_seconds.into()),
+            ("first_result_seconds", self.first_result_seconds.into()),
+            ("first_result_io_seconds", self.first_result_io_seconds.into()),
+        ])
+    }
+
+    /// [`json`](Self::json) in the indented form, for a file.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {},\n  \"kind\": \"sjoin-metrics\",\n  \"algo\": \"{}\",\n  \"threads\": {},\n",
-            self.schema_version,
-            json_escape(&self.algo),
-            self.threads
-        ));
-        out.push_str(&format!(
-            "  \"model\": {{\"page_size\": {}, \"positioning_ratio\": {}, \"transfer_secs_per_page\": {}, \"cpu_slowdown\": {}, \"channels\": {}}},\n",
-            self.model.page_size,
-            json_f64(self.model.positioning_ratio),
-            json_f64(self.model.transfer_secs_per_page),
-            json_f64(self.model.cpu_slowdown),
-            self.model.channels
-        ));
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            let sep = if i + 1 == self.phases.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"cpu_seconds\": {}, \"io\": {}}}{sep}\n",
-                json_escape(p.name),
-                json_f64(p.cpu_seconds),
-                io_stats_json(&p.io)
-            ));
-        }
-        out.push_str("  ],\n");
-        let c = &self.counters;
-        match c.candidates {
-            Some(v) => out.push_str(&format!("  \"candidates\": {v},\n")),
-            None => out.push_str("  \"candidates\": null,\n"),
-        }
-        out.push_str(&format!(
-            "  \"results\": {},\n  \"duplicates\": {},\n  \"partitions\": {},\n  \"requeued_partitions\": {},\n  \"degraded_partitions\": {},\n  \"checkpoint_commits\": {},\n  \"partition_cache_hits\": {},\n",
-            c.results, c.duplicates, c.partitions, c.requeued_partitions, c.degraded_partitions, c.checkpoint_commits, c.partition_cache_hits
-        ));
-        out.push_str(&format!("  \"io_total\": {},\n", io_stats_json(&self.io_total)));
-        out.push_str(&format!("  \"channels\": {},\n", self.channels));
-        out.push_str(&format!("  \"io_shared\": {},\n", io_stats_json(&self.io_shared)));
-        out.push_str("  \"io_channels\": [\n");
-        for (i, c) in self.io_channels.iter().enumerate() {
-            let sep = if i + 1 == self.io_channels.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", io_stats_json(c)));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"cpu_seconds\": {},\n  \"scaled_cpu_seconds\": {},\n  \"io_seconds\": {},\n  \"io_parallel_seconds\": {},\n  \"prefetch_hidden_seconds\": {},\n  \"total_seconds\": {},\n",
-            json_f64(self.cpu_seconds),
-            json_f64(self.scaled_cpu_seconds),
-            json_f64(self.io_seconds),
-            json_f64(self.io_parallel_seconds),
-            json_f64(self.prefetch_hidden_seconds),
-            json_f64(self.total_seconds)
-        ));
-        match self.first_result_seconds {
-            Some(v) => out.push_str(&format!("  \"first_result_seconds\": {},\n", json_f64(v))),
-            None => out.push_str("  \"first_result_seconds\": null,\n"),
-        }
-        match self.first_result_io_seconds {
-            Some(v) => out.push_str(&format!("  \"first_result_io_seconds\": {}\n", json_f64(v))),
-            None => out.push_str("  \"first_result_io_seconds\": null\n"),
-        }
-        out.push_str("}\n");
-        out
+        self.json().pretty()
     }
 }
 
-/// Render an [`IoStats`] as a JSON object (single line).
-pub fn io_stats_json(s: &IoStats) -> String {
-    format!(
-        "{{\"read_requests\": {}, \"write_requests\": {}, \"pages_read\": {}, \"pages_written\": {}, \"bytes_read\": {}, \"bytes_written\": {}, \"faults_injected\": {}, \"read_retries\": {}, \"write_retries\": {}, \"backoff_units\": {}}}",
-        s.read_requests,
-        s.write_requests,
-        s.pages_read,
-        s.pages_written,
-        s.bytes_read,
-        s.bytes_written,
-        s.faults_injected,
-        s.read_retries,
-        s.write_retries,
-        s.backoff_units
-    )
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format an f64 as a JSON number. Rust's `Display` prints the shortest
-/// decimal that round-trips, so re-parsing recovers the exact bits; the
-/// non-finite values JSON cannot express become `null`.
-pub fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    format!("{v}")
+fn io_json(s: &IoStats) -> Json {
+    Json::obj([
+        ("read_requests", s.read_requests.into()),
+        ("write_requests", s.write_requests.into()),
+        ("pages_read", s.pages_read.into()),
+        ("pages_written", s.pages_written.into()),
+        ("bytes_read", s.bytes_read.into()),
+        ("bytes_written", s.bytes_written.into()),
+        ("faults_injected", s.faults_injected.into()),
+        ("read_retries", s.read_retries.into()),
+        ("write_retries", s.write_retries.into()),
+        ("backoff_units", s.backoff_units.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -680,8 +626,8 @@ mod tests {
         }
         assert_eq!(rec.events().len(), 2);
         assert_eq!(rec.dropped_events(), 3);
-        let json = rec.to_json();
-        assert!(json.contains("\"dropped_events\": 3"), "{json}");
+        let doc = Json::parse(&rec.to_json()).expect("trace parses");
+        assert_eq!(doc.get("dropped_events").and_then(Json::as_u64), Some(3));
     }
 
     #[test]
@@ -689,9 +635,13 @@ mod tests {
         let rec = Recorder::new();
         rec.span("partition", 0.0, 1.5);
         rec.event("partition-commit", 1.5, &[("partition", 0), ("results", 7)]);
-        let json = rec.to_json();
-        assert!(json.contains("\"schema_version\": 2"));
-        assert!(json.contains("\"name\": \"partition\""));
-        assert!(json.contains("\"results\": 7"));
+        let doc = Json::parse(&rec.to_json()).expect("trace parses");
+        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(2));
+        let span = &doc.get("spans").and_then(Json::as_arr).expect("spans")[0];
+        assert_eq!(span.get("name").and_then(Json::as_str), Some("partition"));
+        assert_eq!(span.get("end_s").and_then(Json::as_f64), Some(1.5));
+        let event = &doc.get("events").and_then(Json::as_arr).expect("events")[0];
+        assert_eq!(event.get("t_s").and_then(Json::as_f64), Some(1.5));
+        assert_eq!(event.get("results").and_then(Json::as_u64), Some(7));
     }
 }

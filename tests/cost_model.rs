@@ -135,16 +135,7 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
         Coefficients, DatasetProfile, JointEstimate, PlanAlgo, PlanChoice, Planner,
     };
     use spatial_join_suite::InternalAlgo;
-    use storage::DiskModel;
-
-    /// `"key":<value>` extraction matching the regress writer (flat rows).
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\":");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim_matches('"'))
-    }
+    use storage::{DiskModel, Json};
 
     const BOUND: f64 = 0.25;
     // The scale the corpus was recorded (and the coefficients fitted) at.
@@ -161,10 +152,13 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
     assert!(!coeffs.is_identity(), "committed coefficients must be fitted");
     assert_eq!(coeffs.scale, CORPUS_SCALE, "coefficients fitted at the corpus scale");
 
-    let mut lines = corpus.lines().filter(|l| !l.trim().is_empty());
-    let meta = lines.next().expect("corpus meta line");
+    let mut rows = corpus
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("corpus line {l}: {e}")));
+    let meta = rows.next().expect("corpus meta line");
     assert_eq!(
-        field(meta, "scale").and_then(|v| v.parse::<f64>().ok()),
+        meta.get("meta").and_then(|m| m.get("scale")).and_then(Json::as_f64),
         Some(CORPUS_SCALE),
         "corpus recorded at the expected scale"
     );
@@ -204,14 +198,16 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
 
     let mut profiles: Vec<(String, DatasetProfile, DatasetProfile)> = Vec::new();
     let mut checked = 0usize;
-    for line in lines {
+    for row in rows {
+        let text = |key: &str| row.get(key).and_then(Json::as_str);
+        let count = |key: &str| row.get(key).and_then(Json::as_u64);
         // One row per (join, algo): meters are invariant across the
         // threads × channels grid the corpus also sweeps.
-        if field(line, "threads") != Some("1") || field(line, "channels") != Some("1") {
+        if count("threads") != Some(1) || count("channels") != Some(1) {
             continue;
         }
-        let join = field(line, "join").expect("row join").to_owned();
-        let algo = field(line, "algo").expect("row algo");
+        let join = text("join").expect("row join").to_owned();
+        let algo = text("algo").expect("row algo");
         let mem = match join.as_str() {
             "J5" => paper_mem(8.0),
             "SKEW" | "HISEL" => paper_mem(0.5),
@@ -240,15 +236,12 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
         let joint = JointEstimate::build(pr, ps);
         let p = planner.predict(&choice, pr, ps, &joint);
 
-        let meas_u64 = |key: &str| -> f64 {
-            field(line, key).and_then(|v| v.parse::<u64>().ok()).unwrap_or_else(|| {
-                panic!("row lacks {key}: {line}")
-            }) as f64
-        };
+        let meas_u64 =
+            |key: &str| -> f64 { count(key).unwrap_or_else(|| panic!("row lacks {key}: {row}")) as f64 };
         let rel = |predicted: f64, measured: f64| (predicted - measured).abs() / measured;
         let cand = meas_u64("candidates");
         let pages = meas_u64("pages_read") + meas_u64("pages_written");
-        let secs: f64 = field(line, "total_s").and_then(|v| v.parse().ok()).expect("total_s");
+        let secs = row.get("total_s").and_then(Json::as_f64).expect("total_s");
         assert!(
             rel(p.candidates, cand) <= BOUND,
             "{join}/{algo} candidates: predicted {:.0} vs measured {cand:.0}",

@@ -1,0 +1,83 @@
+//! The committed JSON artifacts — bench corpus, planner coefficients,
+//! scaling rows, conformance repros — are read, unmodified, by the
+//! workspace's one parser (`storage::json`).
+
+use std::path::{Path, PathBuf};
+
+use conformance::Repro;
+use spatial_join_suite::estimate::Coefficients;
+use storage::Json;
+
+fn committed(path: &str) -> (PathBuf, String) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    (path, text)
+}
+
+#[test]
+fn json_lines_artifacts_parse_line_by_line() {
+    for (file, lines) in [("BENCH_pr10.json", 57), ("results/scaling.json", 17)] {
+        let (path, text) = committed(file);
+        let rows: Vec<Json> = text
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{}: {e}: {l}", path.display())))
+            .collect();
+        assert_eq!(rows.len(), lines, "{file}");
+        assert!(
+            rows[0].get("meta").is_some(),
+            "{file} starts with its meta line"
+        );
+        assert!(rows[1..]
+            .iter()
+            .all(|r| r.get("algo").and_then(Json::as_str).is_some()));
+    }
+}
+
+#[test]
+fn committed_coefficients_survive_a_read_and_a_write_byte_for_byte() {
+    let (path, text) = committed("planner-coeffs.json");
+    let coeffs = Coefficients::load(&path).expect("coefficients load");
+    assert_eq!(coeffs.scale, 0.2);
+    assert_eq!(
+        coeffs.get("s3j", "seconds"),
+        (1.4054503302420143, -1.0135127008338747)
+    );
+    assert_eq!(coeffs.to_json(), text);
+}
+
+#[test]
+fn corpus_repros_parse_and_round_trip() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&dir).expect("tests/corpus") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable");
+        assert!(Json::parse(&text).is_ok(), "{}", path.display());
+        let repro = Repro::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            Repro::from_json(&repro.to_json()).as_ref(),
+            Ok(&repro),
+            "{}",
+            path.display()
+        );
+        seen += 1;
+    }
+    assert_eq!(seen, 6, "the six committed repros");
+}
+
+/// Leaves `target/tmp/repro.json` behind: CI hands it to a parser that is
+/// not ours (the soak writes a repro only when it finds a failure).
+#[test]
+fn a_repro_with_an_awkward_label_is_written_for_an_independent_reader() {
+    let (_, text) = committed("tests/corpus/zero-area-touch.json");
+    let mut repro = Repro::from_json(&text).expect("corpus repro");
+    repro.label = "quote \" backslash \\ newline \n tab \t control \u{1} é 世".into();
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro.json");
+    std::fs::write(&path, repro.to_json()).expect("write");
+    let back = Repro::from_json(&std::fs::read_to_string(&path).expect("read")).expect("parse");
+    assert_eq!(back, repro);
+}

@@ -13,7 +13,7 @@ use geom::Kpe;
 use spatialjoin::{
     Algorithm, CrashPoint, FaultPlan, JoinErrorKind, JoinStats, RetryPolicy, SimDisk, SpatialJoin,
 };
-use storage::IoStats;
+use storage::{IoStats, Json};
 
 const MEM: usize = 8 * 1024;
 
@@ -183,17 +183,25 @@ fn exported_json_matches_the_stats_surface() {
     let (_, st) = SpatialJoin::new(Algorithm::pbsm_rpm(MEM).with_threads(2)).count(&r, &s);
     let report = st.metrics_report("PBSM (reference point)", 2);
     report.reconcile().expect("report must reconcile");
-    let json = report.to_json();
-    assert!(json.contains("\"schema_version\": 2"));
-    assert!(json.contains("\"algo\": \"PBSM (reference point)\""));
-    assert!(json.contains("\"threads\": 2"));
-    assert!(json.contains("\"channels\": 1"));
-    assert!(json.contains("\"io_shared\""));
-    assert!(json.contains("\"io_channels\""));
-    assert!(json.contains("\"io_parallel_seconds\""));
-    assert!(json.contains("\"prefetch_hidden_seconds\""));
-    assert!(json.contains(&format!("\"results\": {}", st.results())));
-    assert!(json.contains(&format!("\"duplicates\": {}", st.duplicates())));
+    let doc = Json::parse(&report.to_json()).expect("the exported report is JSON");
+    let count = |key: &str| doc.get(key).and_then(Json::as_u64);
+    let seconds = |key: &str| doc.get(key).and_then(Json::as_f64);
+    assert_eq!(count("schema_version"), Some(2));
+    assert_eq!(doc.get("algo").and_then(Json::as_str), Some("PBSM (reference point)"));
+    assert_eq!(count("threads"), Some(2));
+    assert_eq!(count("channels"), Some(1));
+    assert_eq!(count("results"), Some(st.results()));
+    assert_eq!(count("duplicates"), Some(st.duplicates()));
+    assert_eq!(count("candidates"), st.candidates());
+    // Seconds survive the text bit for bit.
+    assert_eq!(seconds("io_parallel_seconds"), Some(report.io_parallel_seconds));
+    assert_eq!(seconds("prefetch_hidden_seconds"), Some(report.prefetch_hidden_seconds));
+    assert_eq!(seconds("total_seconds"), Some(report.total_seconds));
+    let pages = |io: &Json| io.get("pages_read").and_then(Json::as_u64);
+    assert_eq!(doc.get("io_shared").and_then(pages), Some(report.io_shared.pages_read));
+    let channels = doc.get("io_channels").and_then(Json::as_arr).expect("io_channels");
+    assert_eq!(channels.len(), 1);
+    assert_eq!(pages(&channels[0]), Some(report.io_channels[0].pages_read));
 }
 
 /// The run driver logs one `partition-done` event per delivered unit, after

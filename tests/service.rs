@@ -7,7 +7,8 @@
 //! arbiter grants all-or-nothing, so co-tenancy shares the budget but never
 //! the configuration.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use sjoind::{Client, Json, JoinResponse, Server, ServerConfig, ServerHandle};
@@ -491,6 +492,63 @@ fn protocol_rejects_garbage_without_dying() {
         c.request("{\"cmd\":\"ping\"}").expect("ping").get("ok").and_then(Json::as_str),
         Some("pong")
     );
+    handle.request_drain();
+    handle.join();
+}
+
+#[test]
+fn hostile_nesting_is_refused_and_co_tenants_never_notice() {
+    // The parser recurses once per `[`; unbounded, this line overflowed the
+    // session thread's stack — an abort, which takes every tenant with it.
+    let handle = start(ServerConfig::default());
+    let addr = handle.addr();
+    let (left, right) = register_ab(addr);
+    let mut hostile = Client::connect(addr).expect("connect");
+    let resp = hostile.request(&"[".repeat(60_000)).expect("an answer, not a dead server");
+    let kind = resp.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+    assert_eq!(kind, Some("bad_request"), "{resp}");
+    // The hostile session itself is still served...
+    let pong = hostile.request("{\"cmd\":\"ping\"}").expect("ping");
+    assert_eq!(pong.get("ok").and_then(Json::as_str), Some("pong"));
+    // ...and so is everybody else.
+    let mut tenant = Client::connect(addr).expect("connect");
+    let pong = tenant.request("{\"cmd\":\"ping\"}").expect("ping");
+    assert_eq!(pong.get("ok").and_then(Json::as_str), Some("pong"));
+    let resp = tenant
+        .join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"mem_mb\":1}")
+        .expect("join");
+    let (pairs, results, _) = solo(&left, &right, MB as usize);
+    assert_eq!(resp.results(), Some(results));
+    assert_eq!(sorted_pairs(&resp), pairs);
+    handle.request_drain();
+    handle.join();
+}
+
+#[test]
+fn overlong_line_gets_one_error_and_a_closed_connection() {
+    // A request line is bounded: the session must not buffer a megabyte
+    // waiting for a newline that may never come.
+    let handle = start(ServerConfig::default());
+    let addr = handle.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let reader = stream.try_clone().expect("clone");
+    // The server hangs up mid-write, so the tail of the write may fail.
+    let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+    let mut replies = BufReader::new(reader).lines();
+    let first = replies.next().expect("one reply").expect("readable reply");
+    let reply = Json::parse(&first).expect("reply is JSON");
+    let error = reply.get("error").expect("typed error");
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("bad_request"), "{first}");
+    assert!(
+        error.get("message").and_then(Json::as_str).is_some_and(|m| m.contains("65536")),
+        "{first}"
+    );
+    // Nothing follows but the end of the stream (or its reset).
+    assert!(!matches!(replies.next(), Some(Ok(_))), "the connection stays open");
+    // The server itself is fine.
+    let mut c = Client::connect(addr).expect("connect");
+    let pong = c.request("{\"cmd\":\"ping\"}").expect("ping");
+    assert_eq!(pong.get("ok").and_then(Json::as_str), Some("pong"));
     handle.request_drain();
     handle.join();
 }
