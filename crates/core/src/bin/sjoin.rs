@@ -39,8 +39,8 @@ use std::io::Write;
 
 use spatialjoin::estimate::{Coefficients, DatasetProfile, PlanMode, Planner};
 use spatialjoin::{
-    datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, InternalAlgo, JoinRun,
-    JoinStats, Recorder, RetryPolicy, SimDisk, SpatialJoin,
+    datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, JoinRun, JoinStats, Recorder,
+    RetryPolicy, SimDisk, SpatialJoin,
 };
 use storage::Json;
 
@@ -311,7 +311,7 @@ const HELP: &str = "sjoin - index-free spatial joins (Dittrich & Seeger, ICDE 20
   --left/--right  la_rr | la_st | cal_st | uniform | clustered | self (right only)
   --algo          pbsm | pbsm-trie | pbsm-sort | twolayer | s3j | s3j-orig |
                   sssj | shj | quadtree
-  --mem-mb N      memory budget in MiB                  (default 5)
+  --mem-mb N      memory budget in MiB, at least one page (default 5)
   --scale F       dataset scale, 1.0 = paper size       (default 0.05)
   --p F           grow MBR edges by factor p            (default 1)
   --seed N        dataset seed                          (default 42)
@@ -444,44 +444,6 @@ fn degraded_line(stats: &JoinStats) -> Option<String> {
     } else {
         Some(parts.join(", "))
     }
-}
-
-fn dataset(name: &str, scale: f64, seed: u64) -> Result<datagen::LineDataset, String> {
-    let cfg = match name {
-        "la_rr" => datagen::la_rr_config(seed),
-        "la_st" => datagen::la_st_config(seed),
-        "cal_st" => datagen::cal_st_config(seed),
-        "uniform" | "clustered" => datagen::LineNetwork {
-            count: (50_000_f64 * scale).max(16.0) as usize,
-            coverage: 0.1,
-            segments_per_line: if name == "clustered" { 60 } else { 2 },
-            seed,
-        },
-        other => return Err(format!("unknown dataset {other}")),
-    };
-    Ok(datagen::sized(&cfg, if matches!(name, "uniform" | "clustered") { 1.0 } else { scale })
-        .generate_dataset())
-}
-
-fn algorithm(name: &str, mem: usize) -> Result<Algorithm, String> {
-    Ok(match name {
-        "pbsm" => Algorithm::pbsm_rpm(mem),
-        "pbsm-trie" => {
-            let Algorithm::Pbsm(mut cfg) = Algorithm::pbsm_rpm(mem) else {
-                unreachable!()
-            };
-            cfg.internal = InternalAlgo::PlaneSweepTrie;
-            Algorithm::Pbsm(cfg)
-        }
-        "pbsm-sort" => Algorithm::pbsm_original(mem),
-        "s3j" => Algorithm::s3j_replicated(mem),
-        "s3j-orig" => Algorithm::s3j_original(mem),
-        "sssj" => Algorithm::sssj(mem),
-        "shj" => Algorithm::shj(mem),
-        "twolayer" => Algorithm::two_layer(mem),
-        "quadtree" => Algorithm::quadtree(mem),
-        other => return Err(format!("unknown algorithm {other}")),
-    })
 }
 
 fn print_phase_stats(stats: &JoinStats) {
@@ -755,12 +717,13 @@ fn run() {
             exit(2);
         }
     };
-    let mem = (args.mem_mb * 1024.0 * 1024.0) as usize;
-    let left = dataset(&args.left, args.scale, args.seed).unwrap_or_else(die);
+    let mem = spatialjoin::mem_bytes_from_mb(args.mem_mb)
+        .unwrap_or_else(|e| die(format!("--mem-mb: {e}")));
+    let left = datagen::named(&args.left, args.scale, args.seed).unwrap_or_else(die);
     let right = if args.right == "self" {
         left.clone()
     } else {
-        dataset(&args.right, args.scale, args.seed ^ 0xFFFF).unwrap_or_else(die)
+        datagen::named(&args.right, args.scale, args.seed ^ 0xFFFF).unwrap_or_else(die)
     };
     let (left, right) = if args.p != 1.0 {
         (
@@ -771,7 +734,13 @@ fn run() {
         (left, right)
     };
     let algo = if args.plan == PlanMode::Off {
-        algorithm(&args.algo, mem).unwrap_or_else(die)
+        Algorithm::from_name(&args.algo, mem).unwrap_or_else(|| {
+            die(format!(
+                "unknown algorithm {} (expected one of {})",
+                args.algo,
+                Algorithm::NAMES.join("|")
+            ))
+        })
     } else {
         // Planner-selected configuration. Durable runs are refused: a
         // resume must replay the *same* configuration, and the planner's

@@ -47,10 +47,11 @@
 //! | [`shj`] | Spatial Hash Join baseline ([LR 96]) |
 //! | [`estimate`] | grid histograms, selectivity estimation, partition advice |
 //! | [`refine`] | refinement step: exact-geometry verification ([BKSS 94]) |
-//! | [`exec`] | open-next-close operator tree, streaming join operators |
+//!
+//! The open-next-close operator tree (`exec`) sits *above* this crate: its
+//! streaming join operator wraps a configured [`SpatialJoin`].
 
 pub use datagen;
-pub use exec;
 pub use refine;
 pub use rtree;
 pub use estimate;
@@ -216,6 +217,39 @@ impl Algorithm {
         })
     }
 
+    /// Every name [`Algorithm::from_name`] understands: the `sjoin --algo`
+    /// values, of which `sjoind` accepts the streamable ones.
+    pub const NAMES: [&'static str; 9] = [
+        "pbsm",
+        "pbsm-trie",
+        "pbsm-sort",
+        "twolayer",
+        "s3j",
+        "s3j-orig",
+        "sssj",
+        "shj",
+        "quadtree",
+    ];
+
+    /// The configuration a CLI/wire algorithm name stands for at memory
+    /// budget `mem_bytes`; `None` for a name outside [`Algorithm::NAMES`].
+    pub fn from_name(name: &str, mem_bytes: usize) -> Option<Algorithm> {
+        Some(match name {
+            "pbsm" => Algorithm::pbsm_rpm(mem_bytes),
+            "pbsm-trie" => {
+                Algorithm::pbsm_rpm(mem_bytes).with_internal(InternalAlgo::PlaneSweepTrie)
+            }
+            "pbsm-sort" => Algorithm::pbsm_original(mem_bytes),
+            "twolayer" => Algorithm::two_layer(mem_bytes),
+            "s3j" => Algorithm::s3j_replicated(mem_bytes),
+            "s3j-orig" => Algorithm::s3j_original(mem_bytes),
+            "sssj" => Algorithm::sssj(mem_bytes),
+            "shj" => Algorithm::shj(mem_bytes),
+            "quadtree" => Algorithm::quadtree(mem_bytes),
+            _ => return None,
+        })
+    }
+
     /// Materialises a planner-selected [`estimate::PlanChoice`] as a runnable
     /// configuration: the choice's algorithm family, internal sweep,
     /// tiles-per-partition, write-buffer split and memory budget, with every
@@ -368,6 +402,18 @@ impl Algorithm {
             Algorithm::Quadtree(_) => "MX-CIF quadtree (in-memory)",
         }
     }
+}
+
+/// Converts a memory budget given in MiB (`sjoin --mem-mb`, `sjoind`'s
+/// `"mem_mb"`) to bytes. A budget under one default-model page is refused:
+/// the cast truncates it towards 0 bytes, and formula (1) divides by it.
+pub fn mem_bytes_from_mb(mem_mb: f64) -> Result<usize, String> {
+    let bytes = (mem_mb * 1024.0 * 1024.0) as usize;
+    let page = DiskModel::default().page_size;
+    if bytes < page {
+        return Err(format!("memory budget of {mem_mb} MiB is under one {page}-byte page"));
+    }
+    Ok(bytes)
 }
 
 /// Statistics of a completed join, uniform across algorithms.
@@ -743,7 +789,14 @@ impl SpatialJoin {
         &self.algorithm
     }
 
-    fn control(&self) -> RunControl {
+    /// The run's control block. Only the partition-based joins (PBSM, S³J)
+    /// have fallible code paths and poll a cancel token, so a baseline asked
+    /// for either is refused here, before anything runs, rather than
+    /// panicking mid-join or silently ignoring a deadline.
+    fn control(&self) -> Result<RunControl, JoinError> {
+        if self.fault_plan.is_some() || self.cancel.is_some() || self.deadline.is_some() {
+            self.algo_tag()?;
+        }
         let mut ctl = RunControl::none();
         if let Some(t) = &self.cancel {
             ctl = ctl.with_cancel(t.clone());
@@ -754,11 +807,7 @@ impl SpatialJoin {
         if let Some(r) = &self.recorder {
             ctl = ctl.with_recorder(Arc::clone(r));
         }
-        ctl
-    }
-
-    fn interruptible(&self) -> bool {
-        self.cancel.is_some() || self.deadline.is_some()
+        Ok(ctl)
     }
 
     fn make_disk(&self) -> SimDisk {
@@ -769,50 +818,25 @@ impl SpatialJoin {
         }
     }
 
-    /// Runs the join, streaming results into `out`. A fresh simulated disk
-    /// is created per run, so statistics are independent across runs.
-    ///
-    /// A request that exhausts its retry budget and every degradation path
-    /// surfaces as a typed [`JoinError`]; without a fault plan this never
-    /// happens.
-    pub fn try_run_with(
+    /// The one place an [`Algorithm`] becomes a running join: every entry
+    /// point builds its disk and [`RunControl`] and ends here.
+    fn dispatch(
         &self,
+        disk: &SimDisk,
+        ctl: &RunControl,
         r: &[Kpe],
         s: &[Kpe],
         out: &mut dyn FnMut(RecordId, RecordId),
     ) -> Result<JoinStats, JoinError> {
         match &self.algorithm {
             Algorithm::Pbsm(cfg) => {
-                pbsm::try_pbsm_join_ctl(&self.make_disk(), r, s, cfg, &self.control(), out)
-                    .map(JoinStats::Pbsm)
+                pbsm::try_pbsm_join_ctl(disk, r, s, cfg, ctl, out).map(JoinStats::Pbsm)
             }
             Algorithm::S3j(cfg) => {
-                s3j::try_s3j_join_ctl(&self.make_disk(), r, s, cfg, &self.control(), out)
-                    .map(JoinStats::S3j)
+                s3j::try_s3j_join_ctl(disk, r, s, cfg, ctl, out).map(JoinStats::S3j)
             }
-            // The single-sweep baselines and the in-memory quadtree have no
-            // fallible code path and do not poll cancellation; refuse the
-            // combination up front rather than panicking mid-join or
-            // silently ignoring a deadline.
-            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_)
-                if self.fault_plan.is_some() || self.interruptible() =>
-            {
-                Err(JoinError::new("setup", IoError::unsupported()))
-            }
-            Algorithm::Sssj(cfg) => Ok(JoinStats::Sssj(sssj::sssj_join(
-                &self.make_disk(),
-                r,
-                s,
-                cfg,
-                out,
-            ))),
-            Algorithm::Shj(cfg) => Ok(JoinStats::Shj(shj::shj_join(
-                &self.make_disk(),
-                r,
-                s,
-                cfg,
-                out,
-            ))),
+            Algorithm::Sssj(cfg) => Ok(JoinStats::Sssj(sssj::sssj_join(disk, r, s, cfg, out))),
+            Algorithm::Shj(cfg) => Ok(JoinStats::Shj(shj::shj_join(disk, r, s, cfg, out))),
             // The quadtree variant holds both relations' trees in memory at
             // once; enforcing the budget honestly keeps it comparable to the
             // external algorithms (and keeps the planner from "winning" with
@@ -840,10 +864,26 @@ impl SpatialJoin {
                     nodes_s: ts.node_count() as u64,
                     cpu_build,
                     cpu_join,
-                    clock: RunClock::new(self.disk_model),
+                    clock: RunClock::new(disk.model()),
                 }))
             }
         }
+    }
+
+    /// Runs the join, streaming results into `out`. A fresh simulated disk
+    /// is created per run, so statistics are independent across runs.
+    ///
+    /// A request that exhausts its retry budget and every degradation path
+    /// surfaces as a typed [`JoinError`]; without a fault plan this never
+    /// happens.
+    pub fn try_run_with(
+        &self,
+        r: &[Kpe],
+        s: &[Kpe],
+        out: &mut dyn FnMut(RecordId, RecordId),
+    ) -> Result<JoinStats, JoinError> {
+        let ctl = self.control()?;
+        self.dispatch(&self.make_disk(), &ctl, r, s, out)
     }
 
     /// Infallible [`SpatialJoin::try_run_with`] for fault-free configurations.
@@ -883,13 +923,15 @@ impl SpatialJoin {
             .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
     }
 
-    /// Manifest algorithm tag of the checkpointable joins; `None` for the
-    /// single-sweep baselines (which cannot be checkpointed).
-    fn algo_tag(&self) -> Option<u8> {
+    /// Manifest algorithm tag of the partition-based joins; the typed
+    /// `Unsupported` refusal for the single-sweep baselines and the quadtree.
+    fn algo_tag(&self) -> Result<u8, JoinError> {
         match &self.algorithm {
-            Algorithm::Pbsm(_) => Some(1),
-            Algorithm::S3j(_) => Some(2),
-            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => None,
+            Algorithm::Pbsm(_) => Ok(1),
+            Algorithm::S3j(_) => Ok(2),
+            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => {
+                Err(JoinError::new("setup", IoError::unsupported()))
+            }
         }
     }
 
@@ -956,9 +998,8 @@ impl SpatialJoin {
         run_id: u64,
         out: &mut dyn FnMut(RecordId, RecordId),
     ) -> Result<JoinStats, JoinError> {
-        let Some(tag) = self.algo_tag() else {
-            return Err(JoinError::new("setup", IoError::unsupported()));
-        };
+        let tag = self.algo_tag()?;
+        let ctl = self.control()?;
         let fp = self.fingerprint(r, s);
         let sb = FileId::from_raw(0);
         let cp = if disk.exists(sb) {
@@ -971,19 +1012,7 @@ impl SpatialJoin {
             debug_assert_eq!(created.raw(), 0, "superblock must be the disk's first file");
             RunCheckpoint::start(disk, created, run_id, fp, tag)
         };
-        let ctl = self.control().with_checkpoint(cp);
-        match &self.algorithm {
-            Algorithm::Pbsm(cfg) => {
-                pbsm::try_pbsm_join_ctl(disk, r, s, cfg, &ctl, out).map(JoinStats::Pbsm)
-            }
-            Algorithm::S3j(cfg) => {
-                s3j::try_s3j_join_ctl(disk, r, s, cfg, &ctl, out).map(JoinStats::S3j)
-            }
-            // `algo_tag` returned above for the baselines and the quadtree.
-            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => {
-                Err(JoinError::new("setup", IoError::unsupported()))
-            }
-        }
+        self.dispatch(disk, &ctl.with_checkpoint(cp), r, s, out)
     }
 
     /// Filter step + refinement step in one pipelined pass: every candidate

@@ -212,6 +212,34 @@ pub fn cal_st_config(seed: u64) -> LineNetwork {
     }
 }
 
+/// The dataset names [`named`] understands (`sjoin --left/--right`,
+/// `sjoind`'s `register`).
+pub const SOURCES: [&str; 5] = ["la_rr", "la_st", "cal_st", "uniform", "clustered"];
+
+/// The dataset a CLI/wire source name stands for. The paper's datasets scale
+/// their full configuration by `scale`; the synthetic networks size by
+/// `scale` directly (50,000 lines at 1.0).
+pub fn named(source: &str, scale: f64, seed: u64) -> Result<LineDataset, String> {
+    let network = match source {
+        "la_rr" => sized(&la_rr_config(seed), scale),
+        "la_st" => sized(&la_st_config(seed), scale),
+        "cal_st" => sized(&cal_st_config(seed), scale),
+        "uniform" | "clustered" => LineNetwork {
+            count: (50_000_f64 * scale).max(16.0) as usize,
+            coverage: 0.1,
+            segments_per_line: if source == "clustered" { 60 } else { 2 },
+            seed,
+        },
+        other => {
+            return Err(format!(
+                "unknown source {other:?} (expected one of {})",
+                SOURCES.join("|")
+            ))
+        }
+    };
+    Ok(network.generate_dataset())
+}
+
 /// The paper's `(p)` scaling operator: grows both edges of every MBR by the
 /// factor `p` (coverage grows by `p²`). Used for `LA_RR(p)` / `LA_ST(p)` and
 /// joins J2–J4 and Figure 13.

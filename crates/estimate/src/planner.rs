@@ -833,9 +833,11 @@ impl Planner {
                 buffer_pages: buf,
                 mem_bytes: m,
             });
+            // S³J joins its cells with nested loops (`S3jConfig`'s default,
+            // what `--algo s3j` runs); the model prices no other choice.
             out.push(PlanChoice {
                 algo: PlanAlgo::S3jReplicated,
-                internal: InternalAlgo::PlaneSweepList,
+                internal: InternalAlgo::NestedLoops,
                 tiles_per_partition: 4,
                 buffer_pages: buf,
                 mem_bytes: m,
@@ -843,7 +845,7 @@ impl Planner {
         }
         out.push(PlanChoice {
             algo: PlanAlgo::S3jOriginal,
-            internal: InternalAlgo::PlaneSweepList,
+            internal: InternalAlgo::NestedLoops,
             tiles_per_partition: 4,
             buffer_pages: 1,
             mem_bytes: m,

@@ -22,12 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
-use geom::{Kpe, Rect, RecordId};
-use pbsm::{try_pbsm_join_ctl, PbsmConfig, PbsmStats};
-use s3j::{try_s3j_join_ctl, S3jConfig, S3jStats};
-use storage::{
-    AdmissionError, CancelToken, JoinError, MemoryArbiter, Recorder, RunControl, SimDisk,
-};
+use spatialjoin::{CancelToken, JoinError, JoinStats, Kpe, Rect, RecordId, SpatialJoin};
 
 /// Why a [`SpatialJoinOp`] stream terminated abnormally. Delivered as the
 /// final item of the stream — the operator never panics the consumer thread
@@ -39,10 +34,6 @@ pub enum JoinOpError {
     Join(JoinError),
     /// The worker thread panicked; the payload message is preserved.
     WorkerPanicked(String),
-    /// Admission was refused by the shared [`MemoryArbiter`]: the join never
-    /// started and performed no I/O. `Overloaded` carries the retry hint a
-    /// service should surface to its client.
-    Admission(AdmissionError),
 }
 
 impl std::fmt::Display for JoinOpError {
@@ -50,7 +41,6 @@ impl std::fmt::Display for JoinOpError {
         match self {
             JoinOpError::Join(e) => write!(f, "{e}"),
             JoinOpError::WorkerPanicked(msg) => write!(f, "join worker panicked: {msg}"),
-            JoinOpError::Admission(e) => write!(f, "join not admitted: {e}"),
         }
     }
 }
@@ -60,7 +50,6 @@ impl std::error::Error for JoinOpError {
         match self {
             JoinOpError::Join(e) => Some(e),
             JoinOpError::WorkerPanicked(_) => None,
-            JoinOpError::Admission(e) => Some(e),
         }
     }
 }
@@ -147,102 +136,34 @@ impl<I: Operator<Item = Kpe>> Operator for WindowFilter<I> {
     }
 }
 
-/// Which join algorithm a [`SpatialJoinOp`] runs.
-#[derive(Debug, Clone)]
-pub enum JoinAlgorithm {
-    Pbsm(PbsmConfig),
-    S3j(S3jConfig),
-}
-
-/// Statistics of a completed [`SpatialJoinOp`] run, kept instead of being
-/// discarded at the operator boundary — the operator tree is where
-/// per-phase accounting is otherwise easiest to lose.
-#[derive(Debug, Clone)]
-pub enum OpStats {
-    Pbsm(PbsmStats),
-    S3j(S3jStats),
-}
-
-impl OpStats {
-    /// The run's clock state and measured CPU seconds; the accessors below
-    /// are [`storage::RunClock`]'s formulae over them.
-    fn clock(&self) -> (&storage::RunClock, f64) {
-        match self {
-            OpStats::Pbsm(s) => (&s.clock, s.cpu_seconds()),
-            OpStats::S3j(s) => (&s.clock, s.cpu_seconds()),
-        }
-    }
-
-    /// The run's total simulated runtime under the multi-channel clock:
-    /// emulated CPU plus channel-parallel disk time, minus prefetch-hidden
-    /// time. The channel count comes from the [`SimDisk`] the operator was
-    /// built with; the tuple stream is identical for every value — only this
-    /// clock changes.
-    pub fn total_seconds(&self) -> f64 {
-        let (clock, cpu) = self.clock();
-        clock.total_seconds(cpu)
-    }
-
-    /// Channel-parallel disk time: shared lane plus the busiest data channel.
-    pub fn io_parallel_seconds(&self) -> f64 {
-        self.clock().0.io_parallel_seconds()
-    }
-
-    /// Disk time hidden behind computation by double-buffered prefetch.
-    pub fn prefetch_hidden_seconds(&self) -> f64 {
-        let (clock, cpu) = self.clock();
-        clock.prefetch_hidden_seconds(cpu)
-    }
-}
-
-impl JoinAlgorithm {
-    /// Sets the partition-join worker-thread knob of the wrapped config
-    /// (`0` = all cores, `1` = sequential). The operator's output stream is
-    /// identical for every value; only wall-clock changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        match &mut self {
-            JoinAlgorithm::Pbsm(c) => c.threads = threads,
-            JoinAlgorithm::S3j(c) => c.threads = threads,
-        }
-        self
-    }
-
-    /// The memory budget the wrapped config sizes itself from — the bytes a
-    /// budget-shared operator leases from the [`MemoryArbiter`] before it is
-    /// allowed to start.
-    pub fn mem_bytes(&self) -> u64 {
-        match self {
-            JoinAlgorithm::Pbsm(c) => c.mem_bytes as u64,
-            JoinAlgorithm::S3j(c) => c.mem_bytes as u64,
-        }
-    }
-}
-
 /// Binary streaming spatial-join operator.
 ///
 /// `open()` drains both children (the join consumes its inputs either way)
-/// and launches the join on a worker thread; results cross a bounded channel
-/// of `pipeline_depth` tuples, so `next()` delivers the first tuple as soon
-/// as the algorithm produces it. A blocking algorithm configuration (PBSM
-/// with [`pbsm::Dedup::SortPhase`]) therefore exhibits its full
+/// and runs the configured [`SpatialJoin`] on a worker thread; results cross
+/// a bounded channel of `pipeline_depth` tuples, so `next()` delivers the
+/// first tuple as soon as the algorithm produces it. A blocking algorithm
+/// configuration (PBSM with sort-phase dedup) therefore exhibits its full
 /// time-to-first-tuple latency through this operator, while the Reference
 /// Point Method variants stream.
 ///
-/// Items are `Result`: a join that fails with a typed I/O error (retry
-/// budget exhausted on an unrecoverable fault) or a panicking worker
-/// delivers one final `Err` item and ends the stream, so the consumer is
-/// never left blocked on the channel and never observes a panic directly.
+/// Everything about the run — algorithm, threads, disk model, faults,
+/// deadline, recorder — is the [`SpatialJoin`]'s. The operator always
+/// attaches its own cancel token (that is how `close()` stops the worker),
+/// so only the cancellable joins (PBSM, S³J) can run under it; a baseline
+/// delivers the join's typed `Unsupported` error item.
+///
+/// Items are `Result`: a join that fails with a typed error (retry budget
+/// exhausted on an unrecoverable fault, deadline, cancellation) or a
+/// panicking worker delivers one final `Err` item and ends the stream, so
+/// the consumer is never left blocked on the channel and never observes a
+/// panic directly.
 pub struct SpatialJoinOp<L, R> {
     left: L,
     right: R,
-    algorithm: JoinAlgorithm,
-    disk: SimDisk,
+    join: SpatialJoin,
     pipeline_depth: usize,
     cancel: CancelToken,
-    deadline: Option<f64>,
-    recorder: Option<Arc<Recorder>>,
-    admission: Option<MemoryArbiter>,
-    stats: Arc<Mutex<Option<OpStats>>>,
+    stats: Arc<Mutex<Option<JoinStats>>>,
     rx: Option<mpsc::Receiver<Result<(RecordId, RecordId), JoinOpError>>>,
     worker: Option<JoinHandle<()>>,
 }
@@ -252,17 +173,13 @@ where
     L: Operator<Item = Kpe>,
     R: Operator<Item = Kpe>,
 {
-    pub fn new(left: L, right: R, algorithm: JoinAlgorithm, disk: SimDisk) -> Self {
+    pub fn new(left: L, right: R, join: SpatialJoin) -> Self {
         SpatialJoinOp {
             left,
             right,
-            algorithm,
-            disk,
+            join,
             pipeline_depth: 1024,
             cancel: CancelToken::new(),
-            deadline: None,
-            recorder: None,
-            admission: None,
             stats: Arc::new(Mutex::new(None)),
             rx: None,
             worker: None,
@@ -285,52 +202,12 @@ where
         self
     }
 
-    /// Simulated-time deadline (seconds under the disk's cost model). The
-    /// join checks it at partition granularity; on expiry the stream ends
-    /// with a final `DeadlineExceeded` error item after the tuples emitted
-    /// so far.
-    pub fn with_deadline(mut self, seconds: f64) -> Self {
-        self.deadline = Some(seconds);
-        self
-    }
-
-    /// Worker threads for the join's partition phase. The join itself runs
-    /// on one producer thread either way; with `threads > 1` that producer
-    /// fans partition pairs out to a pool and streams the re-ordered
-    /// results into the same bounded channel.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.algorithm = self.algorithm.clone().with_threads(threads);
-        self
-    }
-
-    /// Attaches a shared trace recorder: the join records phase spans and
-    /// per-partition events on the simulated clock into it.
-    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Makes the operator budget-shared: `open()` leases the algorithm's
-    /// `mem_bytes` from `arbiter` before the join starts, queueing (FIFO,
-    /// cancellable via this operator's token) if the budget is currently
-    /// exhausted. Admission refusal — a full queue or a request larger than
-    /// the whole budget — never starts the worker: the stream delivers a
-    /// single [`JoinOpError::Admission`] item. The lease is released when
-    /// the worker finishes, errors, or panics.
-    pub fn with_admission(mut self, arbiter: MemoryArbiter) -> Self {
-        self.admission = Some(arbiter);
-        self
-    }
-
-    /// The completed run's statistics. `None` while the join is still
-    /// running, after an error, or before `open()`; populated once the
-    /// stream has ended normally (drain to the end or `close()` after the
-    /// final tuple).
-    pub fn stats(&self) -> Option<OpStats> {
-        self.stats
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+    /// The completed run's statistics, kept instead of being discarded at
+    /// the operator boundary. `None` while the join is still running, after
+    /// an error, or before `open()`; populated once the stream has ended
+    /// normally (drain to the end or `close()` after the final tuple).
+    pub fn stats(&self) -> Option<JoinStats> {
+        self.stats.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 }
 
@@ -356,69 +233,25 @@ where
         self.right.close();
 
         let (tx, rx) = mpsc::sync_channel(self.pipeline_depth);
-
-        // Budget-shared admission happens *before* the worker exists: a
-        // refused join must not spawn a thread, touch the disk, or count as
-        // started. Waiting in the arbiter queue honours this operator's
-        // cancel token, so an impatient consumer can abandon the wait.
-        let lease = match &self.admission {
-            None => None,
-            Some(arbiter) => {
-                match arbiter.lease(self.algorithm.mem_bytes(), Some(&self.cancel)) {
-                    Ok(lease) => Some(lease),
-                    Err(e) => {
-                        let _ = tx.send(Err(JoinOpError::Admission(e)));
-                        drop(tx); // hang up: the single error item ends the stream
-                        self.rx = Some(rx);
-                        return;
-                    }
-                }
-            }
-        };
-
-        let algorithm = self.algorithm.clone();
-        let disk = self.disk.clone();
-        let mut ctl = RunControl::none().with_cancel(self.cancel.clone());
-        if let Some(d) = self.deadline {
-            ctl = ctl.with_deadline(d);
-        }
-        if let Some(r) = &self.recorder {
-            ctl = ctl.with_recorder(Arc::clone(r));
-        }
+        let join = self.join.clone().with_cancel(self.cancel.clone());
         *self.stats.lock().unwrap_or_else(|p| p.into_inner()) = None;
         let stats_slot = Arc::clone(&self.stats);
         self.worker = Some(std::thread::spawn(move || {
-            // The lease lives on the worker thread for the whole join and is
-            // released by Drop on every exit path — completion, typed error,
-            // or panic (the unwind below is caught, so this frame always
-            // finishes and the Drop always runs).
-            let _lease = lease;
             // The whole join runs under `catch_unwind`: a panicking worker
             // must still hang up the channel with a final error item, or
             // the consumer would block forever on `recv()`.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut emit = |a: RecordId, b: RecordId| {
+                join.try_run_with(&lhs, &rhs, &mut |a, b| {
                     // A send error means the consumer closed early; results
                     // are discarded, which is the correct LIMIT-style
                     // behaviour.
                     let _ = tx.send(Ok((a, b)));
-                };
-                match algorithm {
-                    JoinAlgorithm::Pbsm(cfg) => {
-                        try_pbsm_join_ctl(&disk, &lhs, &rhs, &cfg, &ctl, &mut emit)
-                            .map(OpStats::Pbsm)
-                    }
-                    JoinAlgorithm::S3j(cfg) => {
-                        try_s3j_join_ctl(&disk, &lhs, &rhs, &cfg, &ctl, &mut emit)
-                            .map(OpStats::S3j)
-                    }
-                }
-                .map(|st| {
-                    *stats_slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(st);
                 })
             }));
             match outcome {
-                Ok(Ok(())) => {}
+                Ok(Ok(st)) => {
+                    *stats_slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(st);
+                }
                 Ok(Err(e)) => {
                     let _ = tx.send(Err(JoinOpError::Join(e)));
                 }
@@ -522,8 +355,10 @@ impl<T> Collected<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::LineNetwork;
-    use pbsm::Dedup;
+    use spatialjoin::datagen::LineNetwork;
+    use spatialjoin::pbsm::{Dedup, PbsmConfig};
+    use spatialjoin::s3j::S3jConfig;
+    use spatialjoin::{Algorithm, DiskModel, FaultPlan, IoErrorKind, JoinErrorKind};
 
     fn tiger(n: usize, seed: u64) -> Vec<Kpe> {
         LineNetwork {
@@ -546,6 +381,23 @@ mod tests {
         }
         v.sort_unstable();
         v
+    }
+
+    /// PBSM with the Reference Point Method in 32 KiB: many partitions.
+    fn pbsm() -> SpatialJoin {
+        SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024))
+    }
+
+    fn s3j() -> SpatialJoin {
+        SpatialJoin::new(Algorithm::S3j(S3jConfig {
+            mem_bytes: 32 * 1024,
+            max_level: 9,
+            ..Default::default()
+        }))
+    }
+
+    fn join_op(r: &[Kpe], s: &[Kpe], join: SpatialJoin) -> SpatialJoinOp<KpeScan, KpeScan> {
+        SpatialJoinOp::new(KpeScan::new(r.to_vec()), KpeScan::new(s.to_vec()), join)
     }
 
     /// Unwraps a drained join stream into sorted id pairs.
@@ -578,17 +430,7 @@ mod tests {
     fn streaming_pbsm_join_produces_full_result() {
         let r = tiger(1500, 2);
         let s = tiger(1500, 3);
-        let disk = SimDisk::with_default_model();
-        let cfg = PbsmConfig {
-            mem_bytes: 32 * 1024,
-            ..Default::default()
-        };
-        let mut op = SpatialJoinOp::new(
-            KpeScan::new(r.clone()),
-            KpeScan::new(s.clone()),
-            JoinAlgorithm::Pbsm(cfg),
-            disk,
-        );
+        let mut op = join_op(&r, &s, pbsm());
         let got = Collected::drain(&mut op);
         assert!(got.first_tuple_secs.unwrap() <= got.total_secs);
         assert_eq!(ok_pairs(got.items), brute(&r, &s));
@@ -598,18 +440,7 @@ mod tests {
     fn streaming_s3j_join_produces_full_result() {
         let r = tiger(1200, 4);
         let s = tiger(1200, 5);
-        let disk = SimDisk::with_default_model();
-        let cfg = S3jConfig {
-            mem_bytes: 32 * 1024,
-            max_level: 9,
-            ..Default::default()
-        };
-        let mut op = SpatialJoinOp::new(
-            KpeScan::new(r.clone()),
-            KpeScan::new(s.clone()),
-            JoinAlgorithm::S3j(cfg),
-            disk,
-        );
+        let mut op = join_op(&r, &s, s3j());
         let got = Collected::drain(&mut op);
         assert_eq!(ok_pairs(got.items), brute(&r, &s));
     }
@@ -618,19 +449,7 @@ mod tests {
     fn early_close_does_not_deadlock_or_panic() {
         // LIMIT-style consumption: take 5 tuples, then close. The worker
         // must unblock (its sends fail) and join cleanly.
-        let r = tiger(2000, 6);
-        let s = tiger(2000, 7);
-        let disk = SimDisk::with_default_model();
-        let mut op = SpatialJoinOp::new(
-            KpeScan::new(r),
-            KpeScan::new(s),
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024,
-                ..Default::default()
-            }),
-            disk,
-        )
-        .with_pipeline_depth(4);
+        let mut op = join_op(&tiger(2000, 6), &tiger(2000, 7), pbsm()).with_pipeline_depth(4);
         op.open();
         for _ in 0..5 {
             assert!(op.next().is_some());
@@ -643,12 +462,10 @@ mod tests {
         let r = tiger(800, 8);
         let s = tiger(800, 9);
         let window = Rect::new(0.0, 0.0, 0.5, 0.5);
-        let disk = SimDisk::with_default_model();
         let mut plan = SpatialJoinOp::new(
             WindowFilter::new(KpeScan::new(r.clone()), window),
             KpeScan::new(s.clone()),
-            JoinAlgorithm::Pbsm(PbsmConfig::default()),
-            disk,
+            SpatialJoin::new(Algorithm::Pbsm(PbsmConfig::default())),
         );
         let got = Collected::drain(&mut plan);
         let rf: Vec<Kpe> = r
@@ -689,19 +506,7 @@ mod tests {
 
     #[test]
     fn limit_stops_early_and_closes_cleanly() {
-        let r = tiger(1500, 20);
-        let s = tiger(1500, 21);
-        let disk = SimDisk::with_default_model();
-        let join = SpatialJoinOp::new(
-            KpeScan::new(r),
-            KpeScan::new(s),
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024,
-                ..Default::default()
-            }),
-            disk,
-        )
-        .with_pipeline_depth(8);
+        let join = join_op(&tiger(1500, 20), &tiger(1500, 21), pbsm()).with_pipeline_depth(8);
         let mut plan = Limit::new(join, 7);
         let got = Collected::drain(&mut plan);
         assert_eq!(got.items.len(), 7);
@@ -722,25 +527,10 @@ mod tests {
         // sees the exact sequential tuple order (canonical re-assembly).
         let r = tiger(1500, 12);
         let s = tiger(1500, 13);
-        for algorithm in [
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024,
-                ..Default::default()
-            }),
-            JoinAlgorithm::S3j(S3jConfig {
-                mem_bytes: 32 * 1024,
-                max_level: 9,
-                ..Default::default()
-            }),
-        ] {
+        for join in [pbsm(), s3j()] {
             let run = |threads: usize| {
-                let mut op = SpatialJoinOp::new(
-                    KpeScan::new(r.clone()),
-                    KpeScan::new(s.clone()),
-                    algorithm.clone(),
-                    SimDisk::with_default_model(),
-                )
-                .with_threads(threads);
+                let algo = join.algorithm().clone().with_threads(threads);
+                let mut op = join_op(&r, &s, SpatialJoin::new(algo));
                 Collected::drain(&mut op)
                     .items
                     .into_iter()
@@ -753,22 +543,19 @@ mod tests {
 
     #[test]
     fn channels_leave_stream_identical_but_reduce_operator_clock() {
-        use storage::DiskModel;
         let r = tiger(1500, 14);
         let s = tiger(1500, 15);
-        let run = |algorithm: JoinAlgorithm, channels: usize| {
+        let run = |join: SpatialJoin, channels: usize| {
             // `cpu_slowdown: 0` keeps the clock free of host-timing noise so
             // the strict-improvement assertion is deterministic.
-            let disk = SimDisk::new(DiskModel {
-                channels,
-                cpu_slowdown: 0.0,
-                ..Default::default()
-            });
-            let mut op = SpatialJoinOp::new(
-                KpeScan::new(r.clone()),
-                KpeScan::new(s.clone()),
-                algorithm,
-                disk,
+            let mut op = join_op(
+                &r,
+                &s,
+                join.with_disk_model(DiskModel {
+                    channels,
+                    cpu_slowdown: 0.0,
+                    ..Default::default()
+                }),
             );
             let items = Collected::drain(&mut op).items;
             let stats = op.stats().expect("stream ended normally");
@@ -779,19 +566,9 @@ mod tests {
                 .collect();
             (pairs, stats.total_seconds())
         };
-        for algorithm in [
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024,
-                ..Default::default()
-            }),
-            JoinAlgorithm::S3j(S3jConfig {
-                mem_bytes: 32 * 1024,
-                max_level: 9,
-                ..Default::default()
-            }),
-        ] {
-            let (p1, t1) = run(algorithm.clone(), 1);
-            let (p4, t4) = run(algorithm.clone(), 4);
+        for join in [pbsm(), s3j()] {
+            let (p1, t1) = run(join.clone(), 1);
+            let (p4, t4) = run(join, 4);
             assert_eq!(p1, p4, "tuple stream must not depend on channels");
             assert!(
                 t4 < t1,
@@ -809,18 +586,12 @@ mod tests {
         let r = tiger(4000, 10);
         let s = tiger(4000, 11);
         let run = |dedup: Dedup| {
-            let disk = SimDisk::with_default_model();
-            let mut op = SpatialJoinOp::new(
-                KpeScan::new(r.clone()),
-                KpeScan::new(s.clone()),
-                JoinAlgorithm::Pbsm(PbsmConfig {
-                    mem_bytes: 64 * 1024,
-                    dedup,
-                    ..Default::default()
-                }),
-                disk,
-            )
-            .with_pipeline_depth(1);
+            let join = SpatialJoin::new(Algorithm::Pbsm(PbsmConfig {
+                mem_bytes: 64 * 1024,
+                dedup,
+                ..Default::default()
+            }));
+            let mut op = join_op(&r, &s, join).with_pipeline_depth(1);
             op.open();
             let first = op.next();
             op.close();
@@ -833,28 +604,11 @@ mod tests {
 
     #[test]
     fn unrecoverable_fault_surfaces_as_error_item_not_hang() {
-        use storage::{FaultPlan, RetryPolicy};
         let r = tiger(600, 40);
         let s = tiger(600, 41);
-        for algorithm in [
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024,
-                ..Default::default()
-            }),
-            JoinAlgorithm::S3j(S3jConfig {
-                mem_bytes: 32 * 1024,
-                max_level: 9,
-                ..Default::default()
-            }),
-        ] {
-            let disk = SimDisk::with_default_model().with_faults(FaultPlan::unrecoverable(7), RetryPolicy::default());
-            let mut op = SpatialJoinOp::new(
-                KpeScan::new(r.clone()),
-                KpeScan::new(s.clone()),
-                algorithm,
-                disk,
-            )
-            .with_pipeline_depth(4);
+        for join in [pbsm(), s3j()] {
+            let mut op = join_op(&r, &s, join.with_faults(FaultPlan::unrecoverable(7)))
+                .with_pipeline_depth(4);
             let got = Collected::drain(&mut op); // must terminate, not hang
             let last = got.items.last().expect("stream delivers a final item");
             assert!(
@@ -865,22 +619,28 @@ mod tests {
     }
 
     #[test]
+    fn baseline_delivers_one_unsupported_error_item_and_close_returns() {
+        // The operator always attaches a cancel token, which the baselines
+        // refuse: one typed error item, then the stream ends — never a hang.
+        let join = SpatialJoin::new(Algorithm::sssj(32 * 1024));
+        let mut op = join_op(&tiger(300, 48), &tiger(300, 49), join);
+        op.open();
+        match op.next() {
+            Some(Err(JoinOpError::Join(e))) => {
+                assert_eq!(e.io().map(|io| io.kind), Some(IoErrorKind::Unsupported))
+            }
+            other => panic!("expected an Unsupported error item, got {other:?}"),
+        }
+        assert!(op.next().is_none(), "exactly one item");
+        op.close();
+        assert!(op.stats().is_none());
+    }
+
+    #[test]
     fn cancellation_ends_stream_with_typed_error_item() {
-        use storage::JoinErrorKind;
-        let r = tiger(1500, 44);
-        let s = tiger(1500, 45);
         let token = CancelToken::new();
         token.cancel_after_checks(3); // trip a few partitions into the run
-        let mut op = SpatialJoinOp::new(
-            KpeScan::new(r),
-            KpeScan::new(s),
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024,
-                ..Default::default()
-            }),
-            SimDisk::with_default_model(),
-        )
-        .with_cancel(token);
+        let mut op = join_op(&tiger(1500, 44), &tiger(1500, 45), pbsm()).with_cancel(token);
         let got = Collected::drain(&mut op); // must terminate, not hang
         let last = got.items.last().expect("stream delivers a final item");
         match last {
@@ -893,27 +653,11 @@ mod tests {
 
     #[test]
     fn deadline_expiry_ends_stream_with_typed_error_item() {
-        use storage::JoinErrorKind;
         let r = tiger(1200, 46);
         let s = tiger(1200, 47);
-        for algorithm in [
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024,
-                ..Default::default()
-            }),
-            JoinAlgorithm::S3j(S3jConfig {
-                mem_bytes: 32 * 1024,
-                max_level: 9,
-                ..Default::default()
-            }),
-        ] {
-            let mut op = SpatialJoinOp::new(
-                KpeScan::new(r.clone()),
-                KpeScan::new(s.clone()),
-                algorithm,
-                SimDisk::with_default_model(),
-            )
-            .with_deadline(1e-9); // expires at the first partition boundary
+        for join in [pbsm(), s3j()] {
+            // Expires at the first partition boundary.
+            let mut op = join_op(&r, &s, join.with_deadline(1e-9));
             let got = Collected::drain(&mut op);
             let last = got.items.last().expect("stream delivers a final item");
             match last {
@@ -927,116 +671,13 @@ mod tests {
     }
 
     #[test]
-    fn admission_refusal_delivers_single_error_item_and_no_io() {
-        use storage::{AdmissionError, MemoryArbiter};
-        let r = tiger(400, 50);
-        let s = tiger(400, 51);
-        let arbiter = MemoryArbiter::new(16 * 1024, 0);
-        let disk = SimDisk::with_default_model();
-        let mut op = SpatialJoinOp::new(
-            KpeScan::new(r),
-            KpeScan::new(s),
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024, // larger than the whole budget
-                ..Default::default()
-            }),
-            disk.clone(),
-        )
-        .with_admission(arbiter.clone());
-        let got = Collected::drain(&mut op);
-        assert_eq!(got.items.len(), 1, "exactly one (error) item");
-        match &got.items[0] {
-            Err(JoinOpError::Admission(AdmissionError::TooLarge { requested, budget })) => {
-                assert_eq!((*requested, *budget), (32 * 1024, 16 * 1024));
-            }
-            other => panic!("expected TooLarge admission error, got {other:?}"),
-        }
-        let io = disk.stats();
-        assert_eq!(io.read_requests + io.write_requests, 0, "no I/O performed");
-        assert!(arbiter.is_idle(), "refusal must not leak budget");
-    }
-
-    #[test]
-    fn overload_shedding_with_zero_queue_depth() {
-        use storage::{AdmissionError, MemoryArbiter};
-        let arbiter = MemoryArbiter::new(64 * 1024, 0);
-        // Hold most of the budget so the operator's request cannot fit.
-        let _hold = arbiter.lease(48 * 1024, None).expect("fits");
-        let mut op = SpatialJoinOp::new(
-            KpeScan::new(tiger(200, 52)),
-            KpeScan::new(tiger(200, 53)),
-            JoinAlgorithm::Pbsm(PbsmConfig {
-                mem_bytes: 32 * 1024,
-                ..Default::default()
-            }),
-            SimDisk::with_default_model(),
-        )
-        .with_admission(arbiter.clone());
-        let got = Collected::drain(&mut op);
-        match got.items.last() {
-            Some(Err(JoinOpError::Admission(AdmissionError::Overloaded { retry_after }))) => {
-                assert!(*retry_after > 0.0)
-            }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn admitted_joins_share_the_budget_and_release_leases() {
-        use storage::MemoryArbiter;
-        let r = tiger(800, 54);
-        let s = tiger(800, 55);
-        let want = brute(&r, &s);
-        // Budget fits one join at a time; the second queues and runs after
-        // the first releases. Both must produce the full solo result.
-        let arbiter = MemoryArbiter::new(40 * 1024, 8);
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let (r, s, arbiter) = (r.clone(), s.clone(), arbiter.clone());
-            handles.push(std::thread::spawn(move || {
-                let mut op = SpatialJoinOp::new(
-                    KpeScan::new(r),
-                    KpeScan::new(s),
-                    JoinAlgorithm::Pbsm(PbsmConfig {
-                        mem_bytes: 32 * 1024,
-                        ..Default::default()
-                    }),
-                    SimDisk::with_default_model(),
-                )
-                .with_admission(arbiter);
-                ok_pairs(Collected::drain(&mut op).items)
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().expect("no panic"), want);
-        }
-        assert!(arbiter.is_idle(), "all leases returned");
-        let snap = arbiter.snapshot();
-        assert_eq!(snap.admitted, 2);
-        assert!(snap.peak_leased_bytes <= snap.budget_bytes);
-    }
-
-    #[test]
     fn recoverable_faults_leave_the_stream_intact() {
-        use storage::{FaultPlan, RetryPolicy};
         let r = tiger(800, 42);
         let s = tiger(800, 43);
-        let run = |plan: Option<FaultPlan>| {
-            let mut disk = SimDisk::with_default_model();
-            if let Some(p) = plan {
-                disk = disk.with_faults(p, RetryPolicy::default());
-            }
-            let mut op = SpatialJoinOp::new(
-                KpeScan::new(r.clone()),
-                KpeScan::new(s.clone()),
-                JoinAlgorithm::Pbsm(PbsmConfig {
-                    mem_bytes: 32 * 1024,
-                    ..Default::default()
-                }),
-                disk,
-            );
-            ok_pairs(Collected::drain(&mut op).items)
-        };
-        assert_eq!(run(None), run(Some(FaultPlan::recoverable(99))));
+        let run = |join: SpatialJoin| ok_pairs(Collected::drain(&mut join_op(&r, &s, join)).items);
+        assert_eq!(
+            run(pbsm()),
+            run(pbsm().with_faults(FaultPlan::recoverable(99)))
+        );
     }
 }

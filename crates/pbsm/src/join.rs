@@ -302,9 +302,9 @@ struct Ctx<'a> {
 
 /// Runs PBSM on `r ⋈ s`, invoking `out` for every result pair.
 ///
-/// Infallible wrapper over [`try_pbsm_join`]; panics with the typed error's
-/// message if a request exhausts the disk's retry budget and every
-/// degradation path (impossible on a fault-free disk).
+/// Infallible wrapper over [`try_pbsm_join_ctl`] without run control; panics
+/// with the typed error's message if a request exhausts the disk's retry
+/// budget and every degradation path (impossible on a fault-free disk).
 pub fn pbsm_join(
     disk: &SimDisk,
     r: &[Kpe],
@@ -312,7 +312,7 @@ pub fn pbsm_join(
     cfg: &PbsmConfig,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> PbsmStats {
-    try_pbsm_join(disk, r, s, cfg, out)
+    try_pbsm_join_ctl(disk, r, s, cfg, &RunControl::none(), out)
         .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
 }
 
@@ -333,20 +333,11 @@ pub fn pbsm_join(
 /// discarded, so nothing is double-emitted. Only when all of that is
 /// exhausted does the typed [`JoinError`] surface. Failed attempts, retries
 /// and backoff stay charged to the disk meter either way.
-pub fn try_pbsm_join(
-    disk: &SimDisk,
-    r: &[Kpe],
-    s: &[Kpe],
-    cfg: &PbsmConfig,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<PbsmStats, JoinError> {
-    try_pbsm_join_ctl(disk, r, s, cfg, &RunControl::none(), out)
-}
-
-/// [`try_pbsm_join`] with run-control plumbing: cooperative cancellation, a
-/// simulated-time deadline (both checked at partition granularity), and —
-/// when [`RunControl::checkpoint`] is set — durable per-partition commits
-/// with exactly-once resume.
+///
+/// Run control (`ctl`): cooperative cancellation, a simulated-time deadline
+/// (both checked at partition granularity), and — when
+/// [`RunControl::checkpoint`] is set — durable per-partition commits with
+/// exactly-once resume; [`RunControl::none`] changes nothing.
 ///
 /// Checkpointing requires [`Dedup::ReferencePoint`] or [`Dedup::TwoLayer`]:
 /// both attribute every result pair to exactly one top-level partition (the
@@ -1913,7 +1904,7 @@ mod tests {
                 RetryPolicy::default(),
             );
             let mut got = Vec::new();
-            let stats = try_pbsm_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
+            let stats = try_pbsm_join_ctl(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| got.push((a.0, b.0)))
                 .expect("persistent damage must quarantine, not kill the join");
             got.sort_unstable();
             assert_eq!(got, clean, "seed {seed} diverged");
@@ -1943,7 +1934,7 @@ mod tests {
                 ..Default::default()
             };
             let mut got = Vec::new();
-            let stats = try_pbsm_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
+            let stats = try_pbsm_join_ctl(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| got.push((a.0, b.0)))
                 .expect("quarantine covers persistent damage");
             got.sort_unstable();
             (got, stats)
@@ -1975,7 +1966,7 @@ mod tests {
             RetryPolicy::default(),
         );
         let mut got = Vec::new();
-        let stats = try_pbsm_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
+        let stats = try_pbsm_join_ctl(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| got.push((a.0, b.0)))
             .expect("ENOSPC must degrade to the in-memory plan, not die");
         got.sort_unstable();
         assert_eq!(got, clean);
@@ -1988,7 +1979,7 @@ mod tests {
             FaultPlan::none(7).with_disk_budget(1 << 20),
             RetryPolicy::default(),
         );
-        let stats = try_pbsm_join(&disk, &r, &s, &cfg, &mut |_, _| {}).unwrap();
+        let stats = try_pbsm_join_ctl(&disk, &r, &s, &cfg, &RunControl::none(), &mut |_, _| {}).unwrap();
         assert_eq!(stats.enospc_fallbacks, 0);
         assert!(stats.partitions > 1);
     }

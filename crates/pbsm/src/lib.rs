@@ -26,4 +26,4 @@ mod grid;
 mod join;
 
 pub use grid::{PartitionMap, RegionChain, TileGrid, TileScheme};
-pub use join::{pbsm_join, try_pbsm_join, try_pbsm_join_ctl, Dedup, PbsmConfig, PbsmStats};
+pub use join::{pbsm_join, try_pbsm_join_ctl, Dedup, PbsmConfig, PbsmStats};

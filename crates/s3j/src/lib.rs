@@ -31,4 +31,4 @@ mod levels;
 mod scan;
 
 pub use levels::{rebuild_level_sorted, LevelFiles, LevelRecord};
-pub use scan::{s3j_join, try_s3j_join, try_s3j_join_ctl, S3jConfig, S3jStats, ScanMode};
+pub use scan::{s3j_join, try_s3j_join_ctl, S3jConfig, S3jStats, ScanMode};

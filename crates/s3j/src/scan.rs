@@ -478,9 +478,9 @@ impl<'a> JoinCtx<'a> {
 
 /// Runs S³J on `r ⋈ s`, invoking `out` for every result pair.
 ///
-/// Infallible wrapper over [`try_s3j_join`]; panics with the typed error's
-/// message if a request exhausts the disk's retry budget (impossible on a
-/// fault-free disk).
+/// Infallible wrapper over [`try_s3j_join_ctl`] without run control; panics
+/// with the typed error's message if a request exhausts the disk's retry
+/// budget (impossible on a fault-free disk).
 pub fn s3j_join(
     disk: &SimDisk,
     r: &[Kpe],
@@ -488,30 +488,8 @@ pub fn s3j_join(
     cfg: &S3jConfig,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> S3jStats {
-    try_s3j_join(disk, r, s, cfg, out)
-        .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-}
-
-/// Runs S³J on `r ⋈ s`, invoking `out` for every result pair.
-///
-/// Reading the inputs and delivering the output are free of charge (paper
-/// §2); level files, sort runs and the join scan are fully accounted on
-/// `disk`.
-///
-/// Failure semantics: every page request already retried under the disk's
-/// [`storage::RetryPolicy`]; an error reaching this layer is terminal and
-/// surfaces as a typed [`JoinError`] naming the phase (`"build"`, `"sort"`,
-/// `"scan"`), after all intermediate files have been deleted. The parallel
-/// scan's workers are pure CPU — the coordinator performs all discovery
-/// I/O — so errors arise only from build, sort, and the discovery scan.
-pub fn try_s3j_join(
-    disk: &SimDisk,
-    r: &[Kpe],
-    s: &[Kpe],
-    cfg: &S3jConfig,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<S3jStats, JoinError> {
     try_s3j_join_ctl(disk, r, s, cfg, &RunControl::none(), out)
+        .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
 }
 
 /// Level-file lists travel through the run manifest as flat [`FileId`]
@@ -563,11 +541,24 @@ fn rebuild_sorted_to_spare(
     res
 }
 
-/// [`try_s3j_join`] with run-control plumbing: cooperative cancellation, a
-/// simulated-time deadline (both checked per level file in the build/sort
-/// phases and per discovered partition in the scan), and — when
-/// [`RunControl::checkpoint`] is set — durable per-partition commits with
-/// exactly-once resume.
+/// Runs S³J on `r ⋈ s`, invoking `out` for every result pair.
+///
+/// Reading the inputs and delivering the output are free of charge (paper
+/// §2); level files, sort runs and the join scan are fully accounted on
+/// `disk`.
+///
+/// Failure semantics: every page request already retried under the disk's
+/// [`storage::RetryPolicy`]; an error reaching this layer is terminal and
+/// surfaces as a typed [`JoinError`] naming the phase (`"build"`, `"sort"`,
+/// `"scan"`), after all intermediate files have been deleted. The parallel
+/// scan's workers are pure CPU — the coordinator performs all discovery
+/// I/O — so errors arise only from build, sort, and the discovery scan.
+///
+/// Run control (`ctl`): cooperative cancellation, a simulated-time deadline
+/// (both checked per level file in the build/sort phases and per discovered
+/// partition in the scan), and — when [`RunControl::checkpoint`] is set —
+/// durable per-partition commits with exactly-once resume;
+/// [`RunControl::none`] changes nothing.
 ///
 /// The journal's work unit is the *discovered partition*: the synchronized
 /// scan pops partitions off the cursor heap in a deterministic pre-order,
@@ -1309,7 +1300,7 @@ mod tests {
                     RetryPolicy::default(),
                 );
                 let mut got = Vec::new();
-                let stats = try_s3j_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
+                let stats = try_s3j_join_ctl(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| got.push((a.0, b.0)))
                     .expect("persistent damage must quarantine, not kill the join");
                 got.sort_unstable();
                 assert_eq!(got, clean, "seed {seed} replicate {replicate} diverged");
@@ -1343,7 +1334,7 @@ mod tests {
                 ..Default::default()
             };
             let mut got = Vec::new();
-            let stats = try_s3j_join(&disk, &r, &s, &cfg, &mut |a, b| got.push((a.0, b.0)))
+            let stats = try_s3j_join_ctl(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| got.push((a.0, b.0)))
                 .expect("quarantine covers persistent damage");
             got.sort_unstable();
             (got, stats)
@@ -1387,7 +1378,7 @@ mod tests {
             FaultPlan::none(7).with_disk_budget(0),
             RetryPolicy::default(),
         );
-        let err = try_s3j_join(&disk, &r, &s, &S3jConfig::default(), &mut |_, _| {})
+        let err = try_s3j_join_ctl(&disk, &r, &s, &S3jConfig::default(), &RunControl::none(), &mut |_, _| {})
             .expect_err("a zero-page volume cannot hold level files");
         assert_eq!(err.phase, "build");
         assert_eq!(err.io().expect("io-layer error").kind, IoErrorKind::DiskFull);

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 
 use rand::prelude::*;
 use sjoind::{Client, Json, Server, ServerConfig};
-use spatialjoin::{Algorithm, InternalAlgo, SpatialJoin};
+use spatialjoin::{Algorithm, SpatialJoin};
 
 const DATASETS: [(&str, &str); 3] = [("a", "uniform"), ("b", "uniform"), ("c", "clustered")];
 const ALGOS: [&str; 4] = ["pbsm", "pbsm-trie", "twolayer", "s3j"];
@@ -110,21 +110,6 @@ fn dataset_seed(idx: usize, seed: u64) -> u64 {
     }
 }
 
-fn algorithm(idx: usize, mem_bytes: usize) -> Algorithm {
-    match ALGOS[idx] {
-        "pbsm" => Algorithm::pbsm_rpm(mem_bytes),
-        "pbsm-trie" => {
-            let Algorithm::Pbsm(mut cfg) = Algorithm::pbsm_rpm(mem_bytes) else {
-                unreachable!()
-            };
-            cfg.internal = InternalAlgo::PlaneSweepTrie;
-            Algorithm::Pbsm(cfg)
-        }
-        "twolayer" => Algorithm::two_layer(mem_bytes),
-        _ => Algorithm::s3j_replicated(mem_bytes),
-    }
-}
-
 /// Solo-run baselines for every (left, right, algo, mem) cell the request
 /// mix can produce — the bit-identity oracle.
 fn compute_baselines(seed: u64, kpes: &[Vec<geom::Kpe>; 3]) -> Baselines {
@@ -135,10 +120,11 @@ fn compute_baselines(seed: u64, kpes: &[Vec<geom::Kpe>; 3]) -> Baselines {
             if l == r {
                 continue;
             }
-            for a in 0..ALGOS.len() {
+            for (a, name) in ALGOS.into_iter().enumerate() {
                 for (m, mem_mb) in MEM_MB.iter().enumerate() {
                     let mem = (mem_mb * 1024.0 * 1024.0) as usize;
-                    let run = SpatialJoin::new(algorithm(a, mem))
+                    let algo = Algorithm::from_name(name, mem).expect("ALGOS are valid names");
+                    let run = SpatialJoin::new(algo)
                         .try_run(&kpes[l], &kpes[r])
                         .expect("baseline join cannot fail");
                     let mut pairs: Vec<(u64, u64)> = run

@@ -23,13 +23,13 @@
 //! | `draining`        | server is shutting down, not accepting joins       |
 
 use spatialjoin::estimate::PlanChoice;
-use spatialjoin::{Algorithm, CrashPoint, InternalAlgo};
+use spatialjoin::CrashPoint;
 
 use crate::json::Json;
 
-/// Algorithms the service accepts (`exec`-streamable joins; the sweep-line
-/// baselines have no partition phase and no cancel support, so they stay
-/// CLI-only).
+/// Algorithms the service accepts: those of [`spatialjoin::Algorithm::NAMES`]
+/// a session can cancel (the sweep-line baselines have no partition phase
+/// and no cancel support, so they stay CLI-only).
 pub const ALGOS: [&str; 6] = [
     "pbsm",
     "pbsm-trie",
@@ -40,14 +40,14 @@ pub const ALGOS: [&str; 6] = [
 ];
 
 /// Subset of [`ALGOS`] the durable-run machinery can checkpoint — the only
-/// algorithms `reuse`/`crash` requests can serve (PR 4: sort-phase dedup and
-/// the S³J ablation scan are refused by the checkpoint layer; the two-layer
-/// class scheme, like RPM, dedups online and checkpoints fine).
-pub const CHECKPOINTABLE: [&str; 4] = ["pbsm", "pbsm-trie", "twolayer", "s3j"];
+/// algorithms `reuse`/`crash` requests can serve (PR 4: sort-phase dedup is
+/// refused by the checkpoint layer; the two-layer class scheme, like RPM,
+/// dedups online and checkpoints fine, and so do both S³J variants).
+pub const CHECKPOINTABLE: [&str; 5] = ["pbsm", "pbsm-trie", "twolayer", "s3j", "s3j-orig"];
 
 /// Dataset generators the `register` command understands (same set and
 /// sizing rules as the `sjoin` CLI).
-pub const SOURCES: [&str; 5] = ["la_rr", "la_st", "cal_st", "uniform", "clustered"];
+pub const SOURCES: [&str; 5] = datagen::SOURCES;
 
 /// A validated `join` request.
 #[derive(Debug, Clone)]
@@ -122,7 +122,14 @@ impl JoinRequest {
                     .ok_or_else(|| format!("field {key:?} must be a finite number >= 0")),
             }
         };
-        let flag = |key: &str| v.get(key).and_then(Json::as_bool).unwrap_or(false);
+        let flag = |key: &str| -> Result<bool, String> {
+            match v.get(key) {
+                None | Some(Json::Null) => Ok(false),
+                Some(j) => j
+                    .as_bool()
+                    .ok_or_else(|| format!("field {key:?} must be a boolean")),
+            }
+        };
 
         let algo = match v.get("algo").and_then(Json::as_str) {
             None => "pbsm".to_owned(),
@@ -135,9 +142,11 @@ impl JoinRequest {
             }
         };
         let mem_mb = opt_f64("mem_mb")?.unwrap_or(1.0);
-        if mem_mb <= 0.0 || mem_mb > 16_384.0 {
-            return Err("mem_mb must be in (0, 16384]".to_owned());
+        if mem_mb > 16_384.0 {
+            return Err("mem_mb must be at most 16384".to_owned());
         }
+        let mem_bytes =
+            spatialjoin::mem_bytes_from_mb(mem_mb).map_err(|e| format!("mem_mb: {e}"))?;
         let plan = match v.get("plan") {
             None | Some(Json::Null) => false,
             Some(j) => match j.as_str() {
@@ -162,18 +171,18 @@ impl JoinRequest {
         let req = JoinRequest {
             left: field_str("left")?,
             right: field_str("right")?,
-            mem_bytes: (mem_mb * 1024.0 * 1024.0) as usize,
+            mem_bytes,
             threads: opt_u64("threads")?.unwrap_or(1).clamp(1, 64) as usize,
             channels: opt_u64("channels")?.unwrap_or(1).clamp(1, 64) as usize,
             deadline: opt_f64("deadline")?,
             limit: opt_u64("limit")?,
-            reuse: flag("reuse"),
+            reuse: flag("reuse")?,
             faults: opt_u64("faults")?,
-            faults_persistent: flag("faults_persistent"),
+            faults_persistent: flag("faults_persistent")?,
             crash,
             panic_after: opt_u64("panic_after")?,
             hold_ms: opt_u64("hold_ms")?,
-            metrics: flag("metrics"),
+            metrics: flag("metrics")?,
             plan,
             chosen_choice: None,
             algo,
@@ -201,53 +210,9 @@ impl JoinRequest {
     }
 }
 
-/// Builds the CLI-convention [`Algorithm`] for a validated name.
-pub fn algorithm(name: &str, mem: usize, threads: usize) -> Result<Algorithm, String> {
-    let algo = match name {
-        "pbsm" => Algorithm::pbsm_rpm(mem),
-        "pbsm-trie" => {
-            let Algorithm::Pbsm(mut cfg) = Algorithm::pbsm_rpm(mem) else {
-                unreachable!()
-            };
-            cfg.internal = InternalAlgo::PlaneSweepTrie;
-            Algorithm::Pbsm(cfg)
-        }
-        "pbsm-sort" => Algorithm::pbsm_original(mem),
-        "twolayer" => Algorithm::two_layer(mem),
-        "s3j" => Algorithm::s3j_replicated(mem),
-        "s3j-orig" => Algorithm::s3j_original(mem),
-        other => return Err(format!("unknown algorithm {other}")),
-    };
-    Ok(algo.with_threads(threads))
-}
-
-/// Generates a dataset's KPEs for `register` (sizing rules shared with the
-/// `sjoin` CLI: the synthetic networks size by `scale` directly, the paper's
-/// datasets scale their full configuration).
+/// Generates a dataset's KPEs for `register`.
 pub fn dataset(source: &str, scale: f64, seed: u64) -> Result<Vec<geom::Kpe>, String> {
-    let cfg = match source {
-        "la_rr" => datagen::la_rr_config(seed),
-        "la_st" => datagen::la_st_config(seed),
-        "cal_st" => datagen::cal_st_config(seed),
-        "uniform" | "clustered" => datagen::LineNetwork {
-            count: (50_000_f64 * scale).max(16.0) as usize,
-            coverage: 0.1,
-            segments_per_line: if source == "clustered" { 60 } else { 2 },
-            seed,
-        },
-        other => {
-            return Err(format!(
-                "unknown source {other:?} (expected one of {})",
-                SOURCES.join("|")
-            ))
-        }
-    };
-    let fraction = if matches!(source, "uniform" | "clustered") {
-        1.0
-    } else {
-        scale
-    };
-    Ok(datagen::sized(&cfg, fraction).generate_dataset().kpes)
+    datagen::named(source, scale, seed).map(|d| d.kpes)
 }
 
 /// One-line success response to everything except `join`.
@@ -301,13 +266,30 @@ mod tests {
         assert!(parse(r#"{"cmd":"join","left":"a"}"#).is_err()); // missing right
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","algo":"nope"}"#).is_err());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","mem_mb":0}"#).is_err());
+        // A budget that truncates to less than one page would divide by ~0.
+        let err = parse(r#"{"cmd":"join","left":"a","right":"b","mem_mb":1e-9}"#).unwrap_err();
+        assert!(err.contains("mem_mb"), "{err}");
+        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","mem_mb":0.0078125}"#).is_ok());
+        // Flags are type-checked like every other field, not read as false.
+        for (field, value) in [
+            ("reuse", "\"yes\""),
+            ("metrics", "1"),
+            ("faults_persistent", "[]"),
+        ] {
+            let err = parse(&format!(
+                r#"{{"cmd":"join","left":"a","right":"b","faults":1,"{field}":{value}}}"#
+            ))
+            .unwrap_err();
+            assert!(err.contains(field) && err.contains("boolean"), "{err}");
+        }
+        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","metrics":null}"#).is_ok());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","deadline":-1}"#).is_err());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-nothing"}"#).is_err());
         // Non-checkpointable algorithms cannot serve reuse or crash modes.
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","algo":"pbsm-sort","reuse":true}"#)
             .is_err());
         assert!(parse(
-            r#"{"cmd":"join","left":"a","right":"b","algo":"s3j-orig","crash":"mid-rename"}"#
+            r#"{"cmd":"join","left":"a","right":"b","algo":"pbsm-sort","crash":"mid-rename"}"#
         )
         .is_err());
         // reuse is exclusive with fault/crash injection.
@@ -362,10 +344,65 @@ mod tests {
 
     #[test]
     fn dataset_sources_generate() {
-        for source in ["uniform", "clustered"] {
+        for source in SOURCES {
             let kpes = dataset(source, 0.001, 42).unwrap();
             assert!(kpes.len() >= 16, "{source} too small");
         }
         assert!(dataset("mars_rr", 1.0, 1).is_err());
+    }
+
+    /// One name table: the wire names are `Algorithm`'s, the checkpointable
+    /// ones are exactly those a durable run accepts, and a planner choice
+    /// materialised by name or directly is the same kind of join.
+    #[test]
+    fn algorithm_names_agree_across_cli_wire_and_planner() {
+        use spatialjoin::estimate::{DatasetProfile, Planner};
+        use spatialjoin::{Algorithm, IoErrorKind, SimDisk, SpatialJoin};
+
+        let mem = 64 * 1024;
+        // Every name is a configuration, and no two names the same one.
+        let mut configs: Vec<String> = Algorithm::NAMES
+            .iter()
+            .map(|name| format!("{:?}", Algorithm::from_name(name, mem).expect(name)))
+            .collect();
+        configs.sort();
+        configs.dedup();
+        assert_eq!(configs.len(), Algorithm::NAMES.len());
+        assert!(Algorithm::from_name("nope", mem).is_none());
+        assert!(ALGOS.iter().all(|a| Algorithm::NAMES.contains(a)));
+
+        let r = dataset("uniform", 0.002, 1).unwrap();
+        let s = dataset("clustered", 0.002, 2).unwrap();
+        let durable: Vec<&str> = ALGOS
+            .into_iter()
+            .filter(|name| {
+                let join = SpatialJoin::new(Algorithm::from_name(name, mem).unwrap());
+                let disk = SimDisk::with_default_model();
+                match join.try_run_durable_with(&disk, &r, &s, 1, &mut |_, _| {}) {
+                    Ok(_) => true,
+                    Err(e) => {
+                        assert_eq!(e.io().map(|io| io.kind), Some(IoErrorKind::Unsupported));
+                        false
+                    }
+                }
+            })
+            .collect();
+        assert_eq!(durable, CHECKPOINTABLE);
+
+        // What `from_name` and `from_choice` must agree on; the tile count
+        // and buffer split are the choice's own.
+        let kind = |a: &Algorithm| match a {
+            Algorithm::Pbsm(c) => format!("pbsm {:?} {:?}", c.dedup, c.internal),
+            Algorithm::S3j(c) => format!("s3j {} {:?}", c.replicate, c.internal),
+            Algorithm::Sssj(_) => "sssj".to_owned(),
+            Algorithm::Shj(c) => format!("shj {:?}", c.internal),
+            Algorithm::Quadtree(_) => "quadtree".to_owned(),
+        };
+        let plan = Planner::new(mem).plan(&DatasetProfile::build(&r), &DatasetProfile::build(&s));
+        assert!(!plan.ranked.is_empty());
+        for cand in &plan.ranked {
+            let named = Algorithm::from_name(cand.choice.cli_name(), mem).unwrap();
+            assert_eq!(kind(&named), kind(&Algorithm::from_choice(&cand.choice)));
+        }
     }
 }

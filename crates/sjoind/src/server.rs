@@ -11,13 +11,14 @@
 //! solo run of the same request. Time stays *simulated* and per-request;
 //! only the memory budget and the partition-file cache are truly shared.
 //!
-//! Fault isolation: each request runs on its own worker thread behind
-//! `catch_unwind` (directly here for the durable/fault/reuse paths, inside
-//! [`exec::SpatialJoinOp`] for plain streaming). A panicking or crashing
-//! request delivers one typed terminal line to its own client, its memory
-//! lease is released by `Drop`, and co-tenant joins never observe it. A
-//! client that disconnects mid-stream trips the join's [`CancelToken`]; the
-//! worker stops at the next partition boundary and the lease is released.
+//! Fault isolation: every join request — plain, durable, cached or
+//! fault-injected — takes one path: the session leases, then confines the
+//! join to its own worker thread behind `catch_unwind`, zero-copy over the
+//! registered `Arc<Vec<Kpe>>`. A panicking or crashing request delivers one
+//! typed terminal line to its own client, its memory lease is released by
+//! `Drop`, and co-tenant joins never observe it. A client that disconnects
+//! mid-stream trips the join's [`CancelToken`]; the worker stops at the
+//! next partition boundary and the lease is released.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -28,7 +29,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use exec::{JoinOpError, KpeScan, Operator, SpatialJoinOp};
 use spatialjoin::{
     Algorithm, CancelToken, CrashPoint, DiskModel, FaultPlan, IoError, IoErrorKind, JoinError,
     JoinErrorKind, JoinStats, Kpe, RecordId, RetryPolicy, SimDisk, SpatialJoin,
@@ -65,6 +65,9 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// Result pairs in flight between a join's worker and its session.
+const CHANNEL_DEPTH: usize = 256;
 
 /// Longest request line a session reads. Every request is one small object
 /// (`register` names a generator, it does not upload data), so the cap is a
@@ -470,20 +473,7 @@ fn handle_join(inner: &Arc<Inner>, out: &mut TcpStream, parsed: &Json, sid: u64)
         "session {sid}: join {}x{} algo={} mem={}B reuse={} crash={:?}",
         jr.left, jr.right, jr.algo, jr.mem_bytes, jr.reuse, jr.crash
     ));
-    // The exec operator path covers plain streaming; anything touching
-    // durable runs, fault injection or the test hooks goes through a
-    // dedicated worker so its panics and its lease are contained here.
-    let special = jr.reuse
-        || jr.faults.is_some()
-        || jr.crash.is_some()
-        || jr.panic_after.is_some()
-        || jr.hold_ms.is_some();
-    let outcome = if special {
-        run_special(inner, out, &jr, &left, &right)
-    } else {
-        run_streaming(inner, out, &jr, &left, &right)
-    };
-    match outcome {
+    match run_join(inner, out, &jr, &left, &right) {
         Outcome::Ok => {
             inner.joins_ok.fetch_add(1, Ordering::Relaxed);
             true
@@ -611,115 +601,15 @@ impl<'a> Emitter<'a> {
 /// The configuration a validated request runs. A planner-selected choice
 /// carries knobs (tile count, buffer split) the algorithm name alone cannot,
 /// so it is materialised directly.
-fn algorithm_of(jr: &JoinRequest) -> Result<Algorithm, String> {
-    match &jr.chosen_choice {
-        Some(choice) => Ok(Algorithm::from_choice(choice).with_threads(jr.threads)),
-        None => proto::algorithm(&jr.algo, jr.mem_bytes, jr.threads),
-    }
-}
-
-/// Plain streaming join through [`exec::SpatialJoinOp`]: the operator
-/// leases from the arbiter before spawning its worker, pipelines first
-/// results, and contains worker panics.
-fn run_streaming(
-    inner: &Arc<Inner>,
-    out: &mut TcpStream,
-    jr: &JoinRequest,
-    left: &Arc<Vec<Kpe>>,
-    right: &Arc<Vec<Kpe>>,
-) -> Outcome {
-    let exec_algo = match algorithm_of(jr) {
-        Ok(Algorithm::Pbsm(cfg)) => exec::JoinAlgorithm::Pbsm(cfg),
-        Ok(Algorithm::S3j(cfg)) => exec::JoinAlgorithm::S3j(cfg),
-        Ok(_) => {
-            let _ = send(
-                out,
-                &proto::error_line("unsupported", "algorithm cannot stream", &[]),
-            );
-            return Outcome::Failed;
-        }
-        Err(e) => {
-            let _ = send(out, &proto::error_line("bad_request", &e, &[]));
-            return Outcome::Failed;
-        }
+fn algorithm_of(jr: &JoinRequest) -> Option<Algorithm> {
+    let algo = match &jr.chosen_choice {
+        Some(choice) => Algorithm::from_choice(choice),
+        None => Algorithm::from_name(&jr.algo, jr.mem_bytes)?,
     };
-    let model = DiskModel {
-        channels: jr.channels,
-        ..DiskModel::default()
-    };
-    let token = CancelToken::new();
-    let mut op = SpatialJoinOp::new(
-        KpeScan::new(left.as_ref().clone()),
-        KpeScan::new(right.as_ref().clone()),
-        exec_algo,
-        SimDisk::new(model),
-    )
-    .with_admission(inner.arbiter.clone())
-    .with_cancel(token.clone())
-    .with_pipeline_depth(inner.cfg.batch.max(64));
-    if let Some(d) = jr.deadline {
-        op = op.with_deadline(d);
-    }
-    op.open();
-
-    let mut emitter = Emitter::new(out, inner.cfg.batch, jr.limit);
-    let mut error: Option<JoinOpError> = None;
-    while let Some(item) = op.next() {
-        match item {
-            Ok((a, b)) => {
-                if !emitter.pair(a.0, b.0) {
-                    // Client went away: close() trips the token, drops the
-                    // channel and joins the worker; the lease drops with it.
-                    op.close();
-                    return Outcome::Disconnected;
-                }
-            }
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    op.close();
-    match error {
-        Some(e) => {
-            // Pairs already streamed before the error stay observable —
-            // same contract as an interrupted durable run.
-            let _ = emitter.flush();
-            let (line, outcome) = op_error_response(&e);
-            if send(out, &line) {
-                outcome
-            } else {
-                Outcome::Disconnected
-            }
-        }
-        None => {
-            if !emitter.flush() {
-                return Outcome::Disconnected;
-            }
-            let Some(stats) = op.stats().map(op_stats_to_join) else {
-                let _ = emitter
-                    .send_line(&proto::error_line("io", "join finished without statistics", &[]));
-                return Outcome::Failed;
-            };
-            let line = done_line(&stats, jr, false, emitter.sent);
-            if emitter.send_line(&line) {
-                Outcome::Ok
-            } else {
-                Outcome::Disconnected
-            }
-        }
-    }
+    Some(algo.with_threads(jr.threads))
 }
 
-fn op_stats_to_join(stats: exec::OpStats) -> JoinStats {
-    match stats {
-        exec::OpStats::Pbsm(s) => JoinStats::Pbsm(s),
-        exec::OpStats::S3j(s) => JoinStats::S3j(s),
-    }
-}
-
-/// Worker → session messages on the special (durable/fault/hook) path.
+/// Worker → session messages.
 enum Msg {
     Pair(u64, u64),
     Done(Box<JoinStats>, bool),
@@ -727,10 +617,10 @@ enum Msg {
     Panicked(String),
 }
 
-/// Durable, fault-injected, cached and test-hook joins: the session thread
-/// leases explicitly, then confines the join to a worker whose panics are
-/// caught and whose lease is released by `Drop` on every exit path.
-fn run_special(
+/// Every join: the session thread leases, then confines the join to a
+/// worker whose panics are caught and whose lease is released by `Drop` on
+/// every exit path.
+fn run_join(
     inner: &Arc<Inner>,
     out: &mut TcpStream,
     jr: &JoinRequest,
@@ -750,7 +640,7 @@ fn run_special(
         channels: jr.channels,
         ..DiskModel::default()
     };
-    let (tx, rx) = mpsc::sync_channel::<Msg>(inner.cfg.batch.clamp(16, 4096));
+    let (tx, rx) = mpsc::sync_channel::<Msg>(CHANNEL_DEPTH);
     let worker = {
         let inner = Arc::clone(inner);
         let jr = jr.clone();
@@ -766,7 +656,7 @@ fn run_special(
             }
             let tx = tx_final.clone();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_special_join(&inner, &jr, &left, &right, model, &token, &tx)
+                join_on_worker(&inner, &jr, &left, &right, model, &token, &tx)
             }));
             let terminal = match result {
                 Ok(Ok((stats, cache_hit))) => Msg::Done(Box::new(stats), cache_hit),
@@ -843,7 +733,7 @@ fn run_special(
     }
 }
 
-fn run_special_join(
+fn join_on_worker(
     inner: &Inner,
     jr: &JoinRequest,
     left: &[Kpe],
@@ -852,7 +742,8 @@ fn run_special_join(
     token: &CancelToken,
     tx: &mpsc::SyncSender<Msg>,
 ) -> Result<(JoinStats, bool), JoinError> {
-    let algo = algorithm_of(jr).map_err(|_| JoinError::new("setup", IoError::unsupported()))?;
+    let algo =
+        algorithm_of(jr).ok_or_else(|| JoinError::new("setup", IoError::unsupported()))?;
     let mut join = SpatialJoin::new(algo)
         .with_disk_model(model)
         .with_cancel(token.clone());
@@ -975,17 +866,6 @@ fn admission_response(e: &AdmissionError) -> (String, Outcome) {
         ),
         AdmissionError::Cancelled => (
             proto::error_line("cancelled", &e.to_string(), &[]),
-            Outcome::Failed,
-        ),
-    }
-}
-
-fn op_error_response(e: &JoinOpError) -> (String, Outcome) {
-    match e {
-        JoinOpError::Admission(a) => admission_response(a),
-        JoinOpError::Join(j) => join_error_response(j),
-        JoinOpError::WorkerPanicked(msg) => (
-            proto::error_line("panicked", &format!("worker panicked: {msg}"), &[]),
             Outcome::Failed,
         ),
     }

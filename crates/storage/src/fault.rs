@@ -244,10 +244,10 @@ pub enum JoinErrorKind {
 /// A join-level error: what happened plus where in the pipeline it escaped.
 ///
 /// This is the error type the fallible join entry points
-/// (`try_pbsm_join`, `try_s3j_join`, `SpatialJoin::try_run`) surface once a
-/// request has exhausted its retry budget and every degradation path — or
-/// once the run is interrupted by cancellation, deadline expiry, or an
-/// injected crash.
+/// (`SpatialJoin::try_run` and the `try_*_join_ctl` functions under it)
+/// surface once a request has exhausted its retry budget and every
+/// degradation path — or once the run is interrupted by cancellation,
+/// deadline expiry, or an injected crash.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinError {
     /// Pipeline phase the error escaped from (`"partition"`, `"join"`,

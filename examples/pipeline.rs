@@ -17,9 +17,8 @@
 //! cargo run --release --example pipeline
 //! ```
 
-use exec::{Collected, JoinAlgorithm, KpeScan, Operator, SpatialJoinOp, WindowFilter};
-use pbsm::{Dedup, PbsmConfig};
-use spatial_join_suite::{Algorithm, Rect, SimDisk, SpatialJoin};
+use exec::{Collected, KpeScan, Operator, SpatialJoinOp, WindowFilter};
+use spatial_join_suite::{Algorithm, Rect, SpatialJoin};
 
 fn main() {
     let roads = datagen::sized(&datagen::la_rr_config(3), 0.1).generate();
@@ -54,16 +53,10 @@ fn main() {
 
     // ---- A real operator tree with a streaming join ------------------------
     let window = Rect::new(0.2, 0.2, 0.8, 0.8); // optimizer-pushed selection
-    let disk = SimDisk::with_default_model();
     let mut plan = SpatialJoinOp::new(
         WindowFilter::new(KpeScan::new(roads.clone()), window),
         KpeScan::new(streets.clone()),
-        JoinAlgorithm::Pbsm(PbsmConfig {
-            mem_bytes: mem,
-            dedup: Dedup::ReferencePoint,
-            ..Default::default()
-        }),
-        disk,
+        SpatialJoin::new(Algorithm::pbsm_rpm(mem)),
     )
     .with_pipeline_depth(64);
 
@@ -84,15 +77,10 @@ fn main() {
     println!();
 
     // Full drain with wall-clock pipelining metrics.
-    let disk = SimDisk::with_default_model();
     let mut plan = SpatialJoinOp::new(
         WindowFilter::new(KpeScan::new(roads), window),
         KpeScan::new(streets),
-        JoinAlgorithm::Pbsm(PbsmConfig {
-            mem_bytes: mem,
-            ..Default::default()
-        }),
-        disk,
+        SpatialJoin::new(Algorithm::pbsm_rpm(mem)),
     );
     let collected = Collected::drain(&mut plan);
     println!(

@@ -13,7 +13,7 @@
 //! Set `FAULT_SEEDS=<n>` to sweep the first `n` recoverable seeds (the CI
 //! fault-soak job uses 16; the default keeps local runs quick).
 
-use exec::{Collected, JoinAlgorithm, JoinOpError, KpeScan, SpatialJoinOp};
+use exec::{Collected, JoinOpError, KpeScan, SpatialJoinOp};
 use geom::{Kpe, RecordId};
 use pbsm::{Dedup, PbsmConfig};
 use proptest::prelude::*;
@@ -56,7 +56,8 @@ fn pbsm_run(
 ) -> Result<(Pairs, pbsm::PbsmStats), storage::JoinError> {
     let disk = faulty_disk(plan);
     let mut got = Vec::new();
-    let stats = pbsm::try_pbsm_join(&disk, r, s, cfg, &mut |a: RecordId, b: RecordId| {
+    let ctl = storage::RunControl::none();
+    let stats = pbsm::try_pbsm_join_ctl(&disk, r, s, cfg, &ctl, &mut |a: RecordId, b: RecordId| {
         got.push((a.0, b.0))
     })?;
     Ok((got, stats))
@@ -70,7 +71,8 @@ fn s3j_run(
 ) -> Result<(Pairs, s3j::S3jStats), storage::JoinError> {
     let disk = faulty_disk(plan);
     let mut got = Vec::new();
-    let stats = s3j::try_s3j_join(&disk, r, s, cfg, &mut |a: RecordId, b: RecordId| {
+    let ctl = storage::RunControl::none();
+    let stats = s3j::try_s3j_join_ctl(&disk, r, s, cfg, &ctl, &mut |a: RecordId, b: RecordId| {
         got.push((a.0, b.0))
     })?;
     Ok((got, stats))
@@ -337,11 +339,7 @@ fn unrecoverable_faults_surface_typed_errors_everywhere() {
     let mut op = SpatialJoinOp::new(
         KpeScan::new(r.clone()),
         KpeScan::new(s.clone()),
-        JoinAlgorithm::Pbsm(PbsmConfig {
-            mem_bytes: 24 * 1024,
-            ..Default::default()
-        }),
-        faulty_disk(Some(plan)),
+        SpatialJoin::new(Algorithm::pbsm_rpm(24 * 1024)).with_faults(plan),
     );
     let got = Collected::drain(&mut op);
     assert!(matches!(

@@ -2,8 +2,8 @@
 //! first-result latency across duplicate-handling strategies, measured in
 //! simulated time, plus the streaming operator tree.
 
-use exec::{Collected, JoinAlgorithm, KpeScan, Operator, SpatialJoinOp};
-use spatial_join_suite::{Algorithm, SimDisk, SpatialJoin};
+use exec::{Collected, KpeScan, Operator, SpatialJoinOp};
+use spatial_join_suite::{Algorithm, SpatialJoin};
 
 fn datasets() -> (Vec<geom::Kpe>, Vec<geom::Kpe>) {
     (
@@ -60,15 +60,10 @@ fn sssj_first_tuple_waits_for_sorting() {
 #[test]
 fn streaming_operator_delivers_incrementally() {
     let (r, s) = datasets();
-    let disk = SimDisk::with_default_model();
     let mut op = SpatialJoinOp::new(
         KpeScan::new(r),
         KpeScan::new(s),
-        JoinAlgorithm::Pbsm(pbsm::PbsmConfig {
-            mem_bytes: 48 * 1024,
-            ..Default::default()
-        }),
-        disk,
+        SpatialJoin::new(Algorithm::pbsm_rpm(48 * 1024)),
     )
     .with_pipeline_depth(1);
     // With depth 1 the producer cannot run ahead: every next() observes a
@@ -89,17 +84,9 @@ fn streaming_operator_delivers_incrementally() {
 #[test]
 fn operator_drain_matches_direct_run() {
     let (r, s) = datasets();
-    let direct = SpatialJoin::new(Algorithm::pbsm_rpm(48 * 1024)).run(&r, &s);
-    let disk = SimDisk::with_default_model();
-    let mut op = SpatialJoinOp::new(
-        KpeScan::new(r),
-        KpeScan::new(s),
-        JoinAlgorithm::Pbsm(pbsm::PbsmConfig {
-            mem_bytes: 48 * 1024,
-            ..Default::default()
-        }),
-        disk,
-    );
+    let join = SpatialJoin::new(Algorithm::pbsm_rpm(48 * 1024));
+    let direct = join.run(&r, &s);
+    let mut op = SpatialJoinOp::new(KpeScan::new(r), KpeScan::new(s), join);
     let collected = Collected::drain(&mut op);
     assert_eq!(collected.items.len(), direct.pairs.len());
     let mut a: Vec<(u64, u64)> = collected

@@ -525,6 +525,37 @@ fn hostile_nesting_is_refused_and_co_tenants_never_notice() {
 }
 
 #[test]
+fn a_budget_under_one_page_is_refused_and_co_tenants_never_notice() {
+    // `mem_mb` this small truncates to 0 bytes; formula (1) then asked for
+    // u32::MAX partitions and the tile grid overflowed on top of that.
+    let handle = start(ServerConfig::default());
+    let addr = handle.addr();
+    let (left, right) = register_ab(addr);
+    let tenant = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).expect("connect");
+        c.join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"mem_mb\":1,\"hold_ms\":300}")
+            .expect("join")
+    });
+    // The hostile request arrives while the tenant's join holds its lease.
+    wait_until("the tenant's lease", || handle.arbiter().snapshot().active_leases == 1);
+    let mut hostile = Client::connect(addr).expect("connect");
+    let resp = hostile
+        .join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"mem_mb\":1e-9}")
+        .expect("one terminal line");
+    assert_eq!(resp.error_kind(), Some("bad_request"), "{:?}", resp.error);
+    assert!(resp.pairs.is_empty());
+
+    let resp = tenant.join().expect("tenant thread");
+    let (pairs, results, _) = solo(&left, &right, MB as usize);
+    assert_eq!(resp.results(), Some(results));
+    assert_eq!(sorted_pairs(&resp), pairs);
+    assert!(handle.arbiter().is_idle());
+    assert_eq!(handle.arbiter().snapshot().admitted, 1, "the refusal leased nothing");
+    handle.request_drain();
+    handle.join();
+}
+
+#[test]
 fn overlong_line_gets_one_error_and_a_closed_connection() {
     // A request line is bounded: the session must not buffer a megabyte
     // waiting for a newline that may never come.
