@@ -5,8 +5,8 @@
 use bench::{banner, join_inputs, paper_mem, pbsm_cfg, s3j_cfg};
 use geom::Kpe;
 use pbsm::{pbsm_join, Dedup};
-use s3j::s3j_join;
-use storage::SimDisk;
+use s3j::{s3j_join, LevelRecord};
+use storage::{FixedRecord, SimDisk};
 use sweep::InternalAlgo;
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
 
     let disk = SimDisk::with_default_model();
     let q = s3j_join(&disk, &r, &s, &s3j_cfg(mem, true), &mut |_, _| {});
-    let s3j_base = ((q.copies_r + q.copies_s) * 48) as f64; // LevelRecord
+    let s3j_base = ((q.copies_r + q.copies_s) * LevelRecord::SIZE as u64) as f64;
     println!();
     println!("S3J (passes over its level files, {:.1} MB):", s3j_base / 1048576.0);
     println!(

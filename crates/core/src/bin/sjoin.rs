@@ -37,6 +37,7 @@
 
 use std::io::Write;
 
+use spatialjoin::estimate::planner::edit_distance;
 use spatialjoin::estimate::{Coefficients, DatasetProfile, PlanMode, Planner};
 use spatialjoin::{
     datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, JoinRun, JoinStats, Recorder,
@@ -156,21 +157,6 @@ const VALID_FLAGS: &[&str] = &[
     "--plan-coeffs",
     "--help",
 ];
-
-/// Levenshtein edit distance, for "did you mean" on unknown flags.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.chars().enumerate() {
-        let mut cur = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur.push(sub.min(prev[j + 1] + 1).min(cur[j] + 1));
-        }
-        prev = cur;
-    }
-    prev[b.len()]
-}
 
 /// The closest valid flag within a small edit radius, if any.
 fn nearest_flag(unknown: &str) -> Option<&'static str> {

@@ -5,20 +5,16 @@
 //! generally difficult when the input relations do not refer to base
 //! relations of the underlying DBMS. Then, the DBMS has to provide
 //! statistics about the intermediate results of operators." This crate is
-//! that statistics provider:
+//! that statistics provider — [`planner`], the cost-based planner:
 //!
-//! * [`GridHistogram`] — an equi-width 2-d histogram of rectangle counts
-//!   and average extents, buildable from a full scan or a sample,
-//! * [`estimate_join_cardinality`] — the classical grid estimate of the
-//!   number of intersecting pairs,
-//! * [`recommended_partitions`] — formula (1) driven by estimated input
-//!   cardinalities instead of exact ones,
-//! * [`planner`] — the cost-based planner: dataset profiles, an
-//!   analytical per-algorithm cost model with fitted correction
+//! * [`DatasetProfile`] — one input condensed into statistics (cardinality,
+//!   coverage, an MBR-size histogram, a tile-occupancy sketch), buildable
+//!   from a full scan or a sample,
+//! * [`JointEstimate`] — what two profiles say about their join: result
+//!   pairs and the duplicates a tile grid or level assignment would add,
+//! * [`Planner`] — an analytical per-algorithm cost model (formula (1)
+//!   driven by estimated cardinalities included) with fitted correction
 //!   coefficients, and ranked [`Plan`]s behind `sjoin --plan auto`.
-
-use geom::Kpe;
-use rand::prelude::*;
 
 pub mod planner;
 pub use planner::{
@@ -27,249 +23,3 @@ pub use planner::{
     PlanChoice, PlanMode, PlanSpace, Planner, Prediction, COEFFS_SCHEMA_VERSION,
     PROFILE_GRID,
 };
-
-/// An equi-width grid histogram over the unit data space: per cell, the
-/// number of rectangle *centres* and their average width/height.
-#[derive(Debug, Clone)]
-pub struct GridHistogram {
-    pub grid: u32,
-    counts: Vec<f64>,
-    sum_w: Vec<f64>,
-    sum_h: Vec<f64>,
-    /// Total rectangles represented (scaled up when built from a sample).
-    pub cardinality: f64,
-}
-
-impl GridHistogram {
-    /// Builds from a full scan.
-    pub fn build(data: &[Kpe], grid: u32) -> GridHistogram {
-        Self::from_iter(data.iter().copied(), grid, 1.0)
-    }
-
-    /// Builds from a uniform sample of `sample_size` records, scaling all
-    /// counts back up to the population size — the cheap path for
-    /// intermediate results where only a reservoir sample is affordable.
-    pub fn build_sampled(data: &[Kpe], grid: u32, sample_size: usize, seed: u64) -> GridHistogram {
-        if sample_size >= data.len() {
-            return Self::build(data, grid);
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let factor = data.len() as f64 / sample_size as f64;
-        let sample = data.choose_multiple(&mut rng, sample_size).copied();
-        Self::from_iter(sample, grid, factor)
-    }
-
-    fn from_iter(data: impl Iterator<Item = Kpe>, grid: u32, weight: f64) -> GridHistogram {
-        let grid = grid.max(1);
-        let n = (grid * grid) as usize;
-        let mut h = GridHistogram {
-            grid,
-            counts: vec![0.0; n],
-            sum_w: vec![0.0; n],
-            sum_h: vec![0.0; n],
-            cardinality: 0.0,
-        };
-        for k in data {
-            let c = k.rect.center();
-            let ix = ((c.x.clamp(0.0, 1.0) * grid as f64) as u32).min(grid - 1);
-            let iy = ((c.y.clamp(0.0, 1.0) * grid as f64) as u32).min(grid - 1);
-            let cell = (iy * grid + ix) as usize;
-            h.counts[cell] += weight;
-            h.sum_w[cell] += weight * k.rect.width();
-            h.sum_h[cell] += weight * k.rect.height();
-            h.cardinality += weight;
-        }
-        h
-    }
-
-    /// Estimated records per cell.
-    pub fn count(&self, ix: u32, iy: u32) -> f64 {
-        self.counts[(iy * self.grid + ix) as usize]
-    }
-
-    /// Average rectangle extent in a cell (0 when empty).
-    pub fn avg_extent(&self, ix: u32, iy: u32) -> (f64, f64) {
-        let cell = (iy * self.grid + ix) as usize;
-        if self.counts[cell] <= 0.0 {
-            (0.0, 0.0)
-        } else {
-            (
-                self.sum_w[cell] / self.counts[cell],
-                self.sum_h[cell] / self.counts[cell],
-            )
-        }
-    }
-
-    /// Fraction of cells holding at least one record — a cheap clustering
-    /// indicator.
-    pub fn occupancy(&self) -> f64 {
-        let occupied = self.counts.iter().filter(|&&c| c > 0.0).count();
-        occupied as f64 / self.counts.len() as f64
-    }
-}
-
-/// Classical grid estimate of `|R ⋈ S|`: within each cell, centres are
-/// assumed uniform, so two rectangles intersect with probability
-/// `min(1, (w̄r + w̄s)(h̄r + h̄s) / cell_area)`.
-///
-/// Both histograms must use the same grid. Estimates are typically within a
-/// small factor of the truth for data whose extents are small relative to
-/// the cells (line MBRs qualify); clustered-inside-a-cell data degrades it
-/// — exactly the error profile real planners live with.
-pub fn estimate_join_cardinality(r: &GridHistogram, s: &GridHistogram) -> f64 {
-    assert_eq!(r.grid, s.grid, "histograms must share a grid");
-    let cell_side = 1.0 / r.grid as f64;
-    let cell_area = cell_side * cell_side;
-    let mut total = 0.0;
-    for iy in 0..r.grid {
-        for ix in 0..r.grid {
-            let nr = r.count(ix, iy);
-            let ns = s.count(ix, iy);
-            if nr <= 0.0 || ns <= 0.0 {
-                continue;
-            }
-            let (wr, hr) = r.avg_extent(ix, iy);
-            let (ws, hs) = s.avg_extent(ix, iy);
-            let p = (((wr + ws) * (hr + hs)) / cell_area).min(1.0);
-            total += nr * ns * p;
-        }
-    }
-    total
-}
-
-/// Formula (1) of the paper driven by histogram cardinalities: the number
-/// of PBSM partitions for inputs known only through statistics.
-pub fn recommended_partitions(
-    r: &GridHistogram,
-    s: &GridHistogram,
-    kpe_bytes: usize,
-    mem_bytes: usize,
-    safety_factor: f64,
-) -> u32 {
-    let input = (r.cardinality + s.cardinality) * kpe_bytes as f64;
-    ((safety_factor * input / mem_bytes as f64).ceil() as u32).max(1)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiger(n: usize, coverage: f64, seed: u64) -> Vec<Kpe> {
-        datagen::LineNetwork {
-            count: n,
-            coverage,
-            segments_per_line: 12,
-            seed,
-        }
-        .generate()
-    }
-
-    fn true_cardinality(r: &[Kpe], s: &[Kpe]) -> u64 {
-        let mut j = sweep::InternalAlgo::PlaneSweepList.create();
-        let mut n = 0u64;
-        j.join(&mut r.to_vec(), &mut s.to_vec(), &mut |_, _| n += 1);
-        n
-    }
-
-    #[test]
-    fn histogram_totals_match() {
-        let data = tiger(5000, 0.1, 1);
-        let h = GridHistogram::build(&data, 16);
-        assert!((h.cardinality - 5000.0).abs() < 1e-9);
-        let sum: f64 = (0..16)
-            .flat_map(|iy| (0..16).map(move |ix| (ix, iy)))
-            .map(|(ix, iy)| h.count(ix, iy))
-            .sum();
-        assert!((sum - 5000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn join_estimate_within_factor_two_on_line_data() {
-        let r = tiger(4000, 0.15, 2);
-        let s = tiger(4000, 0.05, 3);
-        let truth = true_cardinality(&r, &s) as f64;
-        let hr = GridHistogram::build(&r, 32);
-        let hs = GridHistogram::build(&s, 32);
-        let est = estimate_join_cardinality(&hr, &hs);
-        assert!(truth > 0.0);
-        let ratio = est / truth;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "estimate {est:.0} vs truth {truth:.0} (ratio {ratio:.2})"
-        );
-    }
-
-    #[test]
-    fn sampled_histogram_estimates_cardinality() {
-        let data = tiger(10_000, 0.1, 4);
-        let h = GridHistogram::build_sampled(&data, 16, 500, 5);
-        assert!((h.cardinality - 10_000.0).abs() < 1e-6);
-        // Sampled join estimate stays in the same ballpark as the full one.
-        let full = GridHistogram::build(&data, 16);
-        let est_s = estimate_join_cardinality(&h, &h);
-        let est_f = estimate_join_cardinality(&full, &full);
-        let ratio = est_s / est_f;
-        assert!(
-            (0.4..2.5).contains(&ratio),
-            "sampled {est_s:.0} vs full {est_f:.0}"
-        );
-    }
-
-    #[test]
-    fn estimate_scales_with_p_like_table2() {
-        // The J1→J4 trend: result counts grow roughly quadratically in p.
-        let r0 = tiger(3000, 0.15, 6);
-        let s0 = tiger(3000, 0.03, 7);
-        let est = |p: f64| {
-            let r = datagen::scale(&r0, p);
-            let s = datagen::scale(&s0, p);
-            estimate_join_cardinality(
-                &GridHistogram::build(&r, 32),
-                &GridHistogram::build(&s, 32),
-            )
-        };
-        let e1 = est(1.0);
-        let e3 = est(3.0);
-        assert!(e3 / e1 > 4.0, "growth {:.1} too small", e3 / e1);
-    }
-
-    #[test]
-    fn recommended_partitions_matches_formula() {
-        let r = tiger(1000, 0.1, 8);
-        let s = tiger(1000, 0.1, 9);
-        let hr = GridHistogram::build(&r, 8);
-        let hs = GridHistogram::build(&s, 8);
-        // 2000 records * 40 B = 80 KB; with M = 40 KB and t = 1.2 -> P = 3.
-        assert_eq!(recommended_partitions(&hr, &hs, 40, 40_000, 1.2), 3);
-        assert_eq!(recommended_partitions(&hr, &hs, 40, 1 << 30, 1.2), 1);
-    }
-
-    #[test]
-    fn occupancy_separates_clustered_from_uniform() {
-        let u = GridHistogram::build(&datagen::uniform(4000, 0.01, 10), 16);
-        let c = GridHistogram::build(&datagen::clustered(4000, 2, 0.01, 11), 16);
-        assert!(u.occupancy() > 2.0 * c.occupancy());
-    }
-
-    #[test]
-    fn disjoint_data_estimates_near_zero() {
-        use geom::{Rect, RecordId};
-        let r: Vec<Kpe> = (0..500)
-            .map(|i| {
-                let t = i as f64 / 1000.0;
-                Kpe::new(RecordId(i), Rect::new(t, 0.0, t + 0.0005, 0.001))
-            })
-            .collect();
-        let s: Vec<Kpe> = (0..500)
-            .map(|i| {
-                let t = i as f64 / 1000.0;
-                Kpe::new(RecordId(i), Rect::new(t, 0.9, t + 0.0005, 0.901))
-            })
-            .collect();
-        let est = estimate_join_cardinality(
-            &GridHistogram::build(&r, 16),
-            &GridHistogram::build(&s, 16),
-        );
-        assert_eq!(est, 0.0, "spatially disjoint strips cannot join");
-    }
-}

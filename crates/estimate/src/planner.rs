@@ -28,7 +28,7 @@
 //! `planner-eval` bench gate.
 
 use geom::{Kpe, Rect};
-use storage::{DiskModel, Json};
+use storage::{DiskModel, FixedRecord, IdPair, Json};
 use sweep::InternalAlgo;
 
 /// Grid resolution of the profile histogram (per axis).
@@ -48,8 +48,11 @@ pub const SIZE_BUCKETS: usize = 24;
 /// measured on the bench corpus (stable across 3–44 buckets).
 const SHJ_OVERLAP_FACTOR: f64 = 1.55;
 
-/// Mirrors `PbsmConfig::safety_factor` / `ShjConfig::safety_factor`.
-const SAFETY_FACTOR: f64 = 1.2;
+/// Formula (1)'s safety factor `t`, as PBSM runs it (`ShjConfig` sizes its
+/// buckets with the same default).
+fn safety_factor() -> f64 {
+    pbsm::PbsmConfig::default().safety_factor
+}
 
 /// Mirrors the `io_buffer_pages` default of the sequential-scan readers.
 const SCAN_BUFFER_PAGES: f64 = 4.0;
@@ -57,8 +60,8 @@ const SCAN_BUFFER_PAGES: f64 = 4.0;
 /// Mirrors `s3j::LevelRecord`'s encoded size.
 const LEVEL_RECORD_BYTES: f64 = 48.0;
 
-/// Mirrors the sort-phase dedup's candidate `IdPair` encoding.
-const ID_PAIR_BYTES: f64 = 16.0;
+/// The sort-phase dedup's candidate record.
+const ID_PAIR_BYTES: f64 = <IdPair as FixedRecord>::SIZE as f64;
 
 /// Mirrors `S3jConfig::level_shift` (coarsen size levels by one).
 const LEVEL_SHIFT: i32 = 1;
@@ -959,7 +962,7 @@ impl Planner {
         let (nr, ns) = (r.cardinality, s.cardinality);
         let input_bytes = (nr + ns) * Kpe::ENCODED_SIZE as f64;
         // Formula (1), exactly as pbsm::join computes it.
-        let p = ((SAFETY_FACTOR * input_bytes / choice.mem_bytes as f64).ceil() as u32).max(1);
+        let p = ((safety_factor() * input_bytes / choice.mem_bytes as f64).ceil() as u32).max(1);
         let grid = pbsm::TileGrid::for_partitions(p, choice.tiles_per_partition);
         let (gx, gy) = (grid.gx, grid.gy);
         let copies_r = straddle_copies(r, gx, gy);
@@ -1022,7 +1025,7 @@ impl Planner {
                         break;
                     }
                     let (big, other) = if br >= bs { (br, bs) } else { (bs, br) };
-                    let n_sub = ((SAFETY_FACTOR * 2.0 * big / m).ceil()).max(2.0);
+                    let n_sub = ((safety_factor() * 2.0 * big / m).ceil()).max(2.0);
                     let big_pages = big / self.page();
                     let other_pages = other / self.page();
                     // Copy: read big once, rewrite it (+ partial tail pages);
@@ -1276,7 +1279,7 @@ impl Planner {
         // b = 1 — SHJ is never an in-memory plan.
         let input_bytes = (nr + ns) * Kpe::ENCODED_SIZE as f64;
         let buckets =
-            ((SAFETY_FACTOR * input_bytes / self.mem_bytes as f64).ceil() as u32).max(1);
+            ((safety_factor() * input_bytes / self.mem_bytes as f64).ceil() as u32).max(1);
         // Probe replication: nearest-seed bucket extents grow to cover
         // their members and overlap each other heavily, so for b > 1 the
         // copy rate is dominated by extent overlap (~1.55 on the line-MBR

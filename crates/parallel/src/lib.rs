@@ -16,12 +16,15 @@
 //!    deterministic merge once all tasks finish.
 //!
 //! Scheduling is dynamic: workers claim the next unclaimed task index from
-//! a shared atomic counter, so a straggler partition does not idle the rest
-//! of the pool (the work-stealing effect without per-worker deques — there
-//! is a single global queue of indices and stealing is the common case).
+//! one shared queue, so a straggler partition does not idle the rest of the
+//! pool (the work-stealing effect without per-worker deques — there is a
+//! single global queue of indices and stealing is the common case). There
+//! is one pool body, [`run_ordered_prefetch_fallible_with`]; [`run_ordered`]
+//! is its plain-task shim.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -242,38 +245,17 @@ pub fn resolve_threads(threads: usize) -> usize {
 ///
 /// * `init(worker_idx)` builds one worker's private state on its thread.
 /// * `task(&mut state, task_idx)` runs one task; tasks are claimed from a
-///   shared counter, so assignment to workers is dynamic and non-
+///   shared queue, so assignment to workers is dynamic and non-
 ///   deterministic — outputs must not depend on which worker ran them.
 /// * `sink(task_idx, output)` observes outputs in order 0, 1, 2, ….
 ///
 /// Returns every worker's final state (indexed by worker), for the caller
-/// to merge deterministically. Panics in `task` propagate.
+/// to merge deterministically. Panics in `task` propagate. The one pool,
+/// [`run_ordered_prefetch_fallible_with`], with nothing to load, nothing to
+/// cancel and tasks that cannot fail.
 pub fn run_ordered<S, T, FInit, FTask, FSink>(
     threads: usize,
     n_tasks: usize,
-    init: FInit,
-    task: FTask,
-    sink: FSink,
-) -> Vec<S>
-where
-    S: Send,
-    T: Send,
-    FInit: Fn(usize) -> S + Sync,
-    FTask: Fn(&mut S, usize) -> T + Sync,
-    FSink: FnMut(usize, T),
-{
-    run_ordered_with(threads, n_tasks, None, init, task, sink)
-}
-
-/// [`run_ordered`] with cooperative cancellation: each worker polls `cancel`
-/// before claiming its next task and stops claiming once the token trips.
-/// Tasks are claimed in index order, so the sink observes exactly the
-/// contiguous prefix of tasks claimed before the trip — a cancelled run's
-/// partial output is a clean prefix, never a gapped subset.
-pub fn run_ordered_with<S, T, FInit, FTask, FSink>(
-    threads: usize,
-    n_tasks: usize,
-    cancel: Option<&CancelToken>,
     init: FInit,
     task: FTask,
     mut sink: FSink,
@@ -285,54 +267,20 @@ where
     FTask: Fn(&mut S, usize) -> T + Sync,
     FSink: FnMut(usize, T),
 {
-    let threads = threads.max(1).min(n_tasks.max(1));
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let tx = tx.clone();
-                let next = &next;
-                let init = &init;
-                let task = &task;
-                scope.spawn(move || {
-                    let mut state = init(w);
-                    loop {
-                        if cancel.is_some_and(|c| c.is_cancelled()) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tasks {
-                            break;
-                        }
-                        let out = task(&mut state, i);
-                        // The receiver outlives the scope; send cannot fail
-                        // unless the collector below panicked first.
-                        let _ = tx.send((i, out));
-                    }
-                    state
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // Canonical-order reassembly: buffer out-of-order completions,
-        // flush the contiguous prefix as it forms.
-        let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-        let mut emit_next = 0usize;
-        for (i, out) in rx {
-            pending.insert(i, out);
-            while let Some(out) = pending.remove(&emit_next) {
-                sink(emit_next, out);
-                emit_next += 1;
-            }
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    })
+    run_ordered_prefetch_fallible_with(
+        threads,
+        n_tasks,
+        0,
+        None,
+        init,
+        |_, _, _| (),
+        |state, i, _, ()| Ok::<T, Infallible>(task(state, i)),
+        |i, out| {
+            let Ok(out) = out;
+            sink(i, out)
+        },
+    )
+    .0
 }
 
 /// Scheduling state of [`run_ordered_prefetch_fallible_with`]: fresh task
@@ -410,8 +358,8 @@ fn claim_job(
     }
 }
 
-/// [`run_ordered_with`] for fallible tasks, with bounded requeueing and a
-/// split **load / compute** pipeline.
+/// The ordered pool: fallible tasks with bounded requeueing, a split
+/// **load / compute** pipeline and cooperative cancellation.
 ///
 /// A task that returns `Err` goes back into the shared queue up to
 /// `max_requeues` times before its final `Err` is delivered to the sink.
@@ -437,11 +385,13 @@ fn claim_job(
 ///   Both stages of one task run on the same worker (same forked meter), in
 ///   order, so per-task I/O deltas stay exact.
 ///
-/// Cancellation has the claim-before-poll contract of [`run_ordered_with`]:
-/// workers stop claiming (fresh indices *and* queued retries) once the
-/// token trips, and the sink observes a prefix of final results. A
-/// prefetched task was *claimed*, so it is computed even if the token trips
-/// before its turn, preserving the clean-prefix property.
+/// Cancellation: each worker polls `cancel` before claiming and stops
+/// claiming (fresh indices *and* queued retries) once the token trips.
+/// Fresh indices are claimed in order, so the sink observes exactly the
+/// contiguous prefix of tasks claimed before the trip — a cancelled run's
+/// partial output is a clean prefix of final results, never a gapped
+/// subset. A prefetched task was *claimed*, so it is computed even if the
+/// token trips before its turn.
 #[allow(clippy::too_many_arguments)] // the pool's knobs plus its four stages
 pub fn run_ordered_prefetch_fallible_with<S, L, T, E, FInit, FLoad, FTask, FSink>(
     threads: usize,
@@ -533,7 +483,8 @@ where
             .collect();
         drop(tx);
 
-        // Canonical-order reassembly, as in `run_ordered`.
+        // Canonical-order reassembly: buffer out-of-order completions,
+        // flush the contiguous prefix as it forms.
         let mut pending: BTreeMap<usize, Result<T, E>> = BTreeMap::new();
         let mut emit_next = 0usize;
         for (i, out) in rx {
@@ -886,23 +837,30 @@ mod tests {
         assert_eq!(t.check(), Some(CancelCause::Cancelled));
     }
 
+    /// The pool as a plain ordered pool — how `s3j`'s scan drives it: nothing
+    /// to load, tasks that cannot fail, no requeues.
     #[test]
     fn cancelled_ordered_pool_emits_a_clean_prefix() {
         for threads in [1, 4] {
             let token = CancelToken::new();
             let mut seen = Vec::new();
-            run_ordered_with(
+            run_ordered_prefetch_fallible_with(
                 threads,
                 100,
+                0,
                 Some(&token),
                 |_| (),
-                |_, i| {
+                |_, _i, _round| (),
+                |_, i, _round, ()| {
                     if i == 10 {
                         token.cancel();
                     }
-                    i
+                    Ok::<usize, Infallible>(i)
                 },
-                |i, out| seen.push((i, out)),
+                |i, out| {
+                    let Ok(out) = out;
+                    seen.push((i, out))
+                },
             );
             // Everything emitted is the contiguous prefix 0..k, and the trip
             // stopped the pool well short of the full run.

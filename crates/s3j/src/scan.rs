@@ -996,6 +996,7 @@ fn heap_scan_pool(
     run: &mut UnitRun<'_>,
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<(), JoinError> {
+    use std::convert::Infallible;
     use std::sync::Arc;
 
     let Scan { disk, cfg, ctl, elapsed, cpu_base, .. } = *scan;
@@ -1042,9 +1043,12 @@ fn heap_scan_pool(
             .map(|c| (c as u32, c * chunk..tasks.len().min((c + 1) * chunk)))
             .collect()
     };
-    let workers = parallel::run_ordered_with(
+    // The one pool, as a plain ordered one: scan workers do no I/O (nothing
+    // to load ahead) and cannot fail (nothing to requeue).
+    let (workers, _) = parallel::run_ordered_prefetch_fallible_with(
         threads,
         units.len(),
+        0,
         Some(&ctl.cancel),
         |_w| {
             (
@@ -1058,7 +1062,8 @@ fn heap_scan_pool(
                 (Vec::new(), Vec::new()),
             )
         },
-        |(ctx, cpu, work_clock, scratch), u| {
+        |_, _, _| (),
+        |(ctx, cpu, work_clock, scratch), u, _round, ()| {
             let c0 = work_clock.seconds();
             let (cand0, res0, dup0) = ctx.counts;
             let mut pairs = Vec::new();
@@ -1081,9 +1086,10 @@ fn heap_scan_pool(
             }
             *cpu += work_clock.seconds() - c0;
             let (cand, res, dup) = ctx.counts;
-            (pairs, (cand - cand0, res - res0, dup - dup0), first)
+            Ok::<_, Infallible>((pairs, (cand - cand0, res - res0, dup - dup0), first))
         },
-        |u, (pairs, counts, first)| {
+        |u, finished| {
+            let Ok((pairs, counts, first)) = finished;
             let (unit, range) = &units[u];
             // Deadline at unit granularity on the coordinator (workers do
             // no I/O, so `elapsed` sees the whole simulated-time story).

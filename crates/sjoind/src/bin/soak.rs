@@ -269,7 +269,7 @@ fn main() -> ExitCode {
                 };
                 if disconnect {
                     // Send the join and walk away after at most one line —
-                    // the server must cancel the worker and release the
+                    // the server must cancel the join and release the
                     // lease.
                     let _ = client.send(&line);
                     let _ = client.recv();

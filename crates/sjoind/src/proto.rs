@@ -16,7 +16,7 @@
 //! | `deadline`        | simulated-time deadline expired; resumable         |
 //! | `crashed`         | injected crash point fired; resumable              |
 //! | `io`              | retry budget exhausted on an unrecoverable fault   |
-//! | `panicked`        | worker panic, contained to this request            |
+//! | `panicked`        | the join panicked; contained to this request       |
 //! | `unsupported`     | algorithm can't serve the requested mode           |
 //! | `unknown_dataset` | join referenced an unregistered name               |
 //! | `bad_request`     | malformed JSON or missing/invalid fields           |
@@ -75,7 +75,7 @@ pub struct JoinRequest {
     pub faults_persistent: bool,
     /// Inject a crash point (spec string, e.g. `"mid-partition:1"`).
     pub crash: Option<CrashPoint>,
-    /// Test hook: panic the worker after emitting this many pairs.
+    /// Test hook: panic the join after emitting this many pairs.
     pub panic_after: Option<u64>,
     /// Test hook: hold the memory lease this many real milliseconds before
     /// joining, to make overload windows deterministic in tests.
@@ -103,32 +103,8 @@ impl JoinRequest {
                 .map(str::to_owned)
                 .ok_or_else(|| format!("join requires string field {key:?}"))
         };
-        let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("field {key:?} must be a non-negative integer")),
-            }
-        };
-        let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_f64()
-                    .filter(|x| x.is_finite() && *x >= 0.0)
-                    .map(Some)
-                    .ok_or_else(|| format!("field {key:?} must be a finite number >= 0")),
-            }
-        };
         let flag = |key: &str| -> Result<bool, String> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(false),
-                Some(j) => j
-                    .as_bool()
-                    .ok_or_else(|| format!("field {key:?} must be a boolean")),
-            }
+            Ok(opt(v, key, "a boolean", Json::as_bool)?.unwrap_or(false))
         };
 
         let algo = match v.get("algo").and_then(Json::as_str) {
@@ -141,7 +117,7 @@ impl JoinRequest {
                 ))
             }
         };
-        let mem_mb = opt_f64("mem_mb")?.unwrap_or(1.0);
+        let mem_mb = opt_f64(v, "mem_mb")?.unwrap_or(1.0);
         if mem_mb > 16_384.0 {
             return Err("mem_mb must be at most 16384".to_owned());
         }
@@ -172,16 +148,16 @@ impl JoinRequest {
             left: field_str("left")?,
             right: field_str("right")?,
             mem_bytes,
-            threads: opt_u64("threads")?.unwrap_or(1).clamp(1, 64) as usize,
-            channels: opt_u64("channels")?.unwrap_or(1).clamp(1, 64) as usize,
-            deadline: opt_f64("deadline")?,
-            limit: opt_u64("limit")?,
+            threads: opt_u64(v, "threads")?.unwrap_or(1).clamp(1, 64) as usize,
+            channels: opt_u64(v, "channels")?.unwrap_or(1).clamp(1, 64) as usize,
+            deadline: opt_f64(v, "deadline")?,
+            limit: opt_u64(v, "limit")?,
             reuse: flag("reuse")?,
-            faults: opt_u64("faults")?,
+            faults: opt_u64(v, "faults")?,
             faults_persistent: flag("faults_persistent")?,
             crash,
-            panic_after: opt_u64("panic_after")?,
-            hold_ms: opt_u64("hold_ms")?,
+            panic_after: opt_u64(v, "panic_after")?,
+            hold_ms: opt_u64(v, "hold_ms")?,
             metrics: flag("metrics")?,
             plan,
             chosen_choice: None,
@@ -208,6 +184,32 @@ impl JoinRequest {
         }
         Ok(req)
     }
+}
+
+/// An optional typed member of a request: absent or `null` is `None`, a
+/// value `read` refuses is an error naming the field — never a default.
+pub(crate) fn opt<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(j) => read(j)
+            .map(Some)
+            .ok_or_else(|| format!("field {key:?} must be {what}")),
+    }
+}
+
+fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    opt(v, key, "a non-negative integer", Json::as_u64)
+}
+
+fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, String> {
+    opt(v, key, "a finite number >= 0", |j| {
+        j.as_f64().filter(|x| x.is_finite() && *x >= 0.0)
+    })
 }
 
 /// Generates a dataset's KPEs for `register`.

@@ -11,21 +11,34 @@
 //! solo run of the same request. Time stays *simulated* and per-request;
 //! only the memory budget and the partition-file cache are truly shared.
 //!
-//! Fault isolation: every join request — plain, durable, cached or
-//! fault-injected — takes one path: the session leases, then confines the
-//! join to its own worker thread behind `catch_unwind`, zero-copy over the
-//! registered `Arc<Vec<Kpe>>`. A panicking or crashing request delivers one
-//! typed terminal line to its own client, its memory lease is released by
-//! `Drop`, and co-tenant joins never observe it. A client that disconnects
-//! mid-stream trips the join's [`CancelToken`]; the worker stops at the
-//! next partition boundary and the lease is released.
+//! One thread per request: every join — plain, durable, cached or
+//! fault-injected — runs on the session thread that owns the socket,
+//! zero-copy over the registered `Arc<Vec<Kpe>>`. The Reference Point Method
+//! hands pairs out as they are found, so a consumer that is *pushed* to
+//! needs nothing between itself and the join: the join's sink is the
+//! socket's batcher (`exec::SpatialJoinOp` keeps a worker and a channel
+//! because a pull interface needs one; a socket does not).
+//!
+//! Fault isolation: the session leases, then runs the join inside
+//! `catch_unwind`. A panicking or crashing request delivers one typed
+//! terminal line to its own client, its memory lease — a local of
+//! `run_join` — is released on every exit path, and co-tenant joins never
+//! observe it. A client that disconnects mid-stream fails the sink's next
+//! write, which trips the join's [`CancelToken`]; the join stops at the next
+//! partition boundary and the lease is released.
+//!
+//! Sessions are reaped as they end: the accept loop drops a finished
+//! session's handle and its clone of the socket on its next turn, so the
+//! daemon's descriptor count follows its *open* connections and a failed
+//! `accept` (say `EMFILE`) is logged and retried — only a drain ends the
+//! loop.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -65,9 +78,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// Result pairs in flight between a join's worker and its session.
-const CHANNEL_DEPTH: usize = 256;
 
 /// Longest request line a session reads. Every request is one small object
 /// (`register` names a generator, it does not upload data), so the cap is a
@@ -194,31 +204,34 @@ impl ServerHandle {
 
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
     let _ = listener.set_nonblocking(true);
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    let mut session_socks: Vec<TcpStream> = Vec::new();
+    // Live sessions, each with a clone of its socket for the drain to hang
+    // up on. The clone keeps the descriptor — and the client's view of the
+    // connection — open, so a finished session is reaped every turn.
+    let mut sessions: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     let mut next_id = 0u64;
-    loop {
-        if inner.draining.load(Ordering::Acquire) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
+    while !inner.draining.load(Ordering::Acquire) {
+        sessions.retain(|(handle, _)| !handle.is_finished());
+        // A session the drain could not hang up on would block it forever,
+        // so a socket that cannot be cloned is refused like a failed accept.
+        let accepted = listener
+            .accept()
+            .and_then(|(stream, peer)| Ok((stream.try_clone()?, stream, peer)));
+        match accepted {
+            Ok((clone, stream, peer)) => {
                 next_id += 1;
                 let id = next_id;
                 inner.log(&format!("session {id}: accepted {peer}"));
                 let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    session_socks.push(clone);
-                }
                 let inner2 = Arc::clone(&inner);
-                sessions.push(std::thread::spawn(move || session(inner2, stream, id)));
+                sessions.push((std::thread::spawn(move || session(inner2, stream, id)), clone));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Nothing to accept, or nothing to accept *with* (`EMFILE`): both
+            // pass, and one tenant's descriptor storm must not drain the rest.
             Err(e) => {
-                inner.log(&format!("accept error: {e}"));
-                break;
+                if e.kind() != io::ErrorKind::WouldBlock {
+                    inner.log(&format!("accept error: {e}"));
+                }
+                std::thread::sleep(Duration::from_millis(5));
             }
         }
     }
@@ -233,11 +246,11 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
             .unwrap_or_else(PoisonError::into_inner);
     }
     drop(active);
-    for s in &session_socks {
-        let _ = s.shutdown(Shutdown::Both);
+    for (_, sock) in &sessions {
+        let _ = sock.shutdown(Shutdown::Both);
     }
-    for h in sessions {
-        let _ = h.join();
+    for (handle, _) in sessions {
+        let _ = handle.join();
     }
     inner.log("drained; server stopped");
 }
@@ -260,7 +273,7 @@ fn session(inner: Arc<Inner>, stream: TcpStream, id: u64) {
         if buf.len() > MAX_LINE && buf.last() != Some(&b'\n') {
             // Hang up rather than read on to the newline: the rest of the
             // line may never end. An explicit shutdown, because the accept
-            // loop's clone of the socket would keep a dropped one open.
+            // loop's clone keeps a dropped socket open until it is reaped.
             let message = format!("request line exceeds {MAX_LINE} bytes");
             let _ = send(&mut out, &proto::error_line("bad_request", &message, &[]));
             let _ = out.shutdown(Shutdown::Both);
@@ -331,20 +344,17 @@ fn handle_register(inner: &Inner, out: &mut TcpStream, req: &Json) -> bool {
             )
         }
     };
-    let source = req
-        .get("source")
-        .and_then(Json::as_str)
-        .unwrap_or("uniform")
-        .to_owned();
-    let scale = req.get("scale").and_then(Json::as_f64).unwrap_or(0.01);
+    let (source, scale, seed) = match register_members(req) {
+        Ok(members) => members,
+        Err(e) => return send(out, &proto::error_line("bad_request", &e, &[])),
+    };
     if !(scale > 0.0 && scale <= 4.0 && scale.is_finite()) {
         return send(
             out,
             &proto::error_line("bad_request", "scale must be in (0, 4]", &[]),
         );
     }
-    let seed = req.get("seed").and_then(Json::as_u64).unwrap_or(42);
-    match proto::dataset(&source, scale, seed) {
+    match proto::dataset(source, scale, seed) {
         Ok(kpes) => {
             let records = kpes.len();
             inner
@@ -358,6 +368,16 @@ fn handle_register(inner: &Inner, out: &mut TcpStream, req: &Json) -> bool {
         }
         Err(e) => send(out, &proto::error_line("bad_request", &e, &[])),
     }
+}
+
+/// `register`'s optional members, typed like `join`'s: a value of the wrong
+/// type is refused by name, only an absent one takes its default.
+fn register_members(req: &Json) -> Result<(&str, f64, u64), String> {
+    Ok((
+        proto::opt(req, "source", "a string", Json::as_str)?.unwrap_or("uniform"),
+        proto::opt(req, "scale", "a number", Json::as_f64)?.unwrap_or(0.01),
+        proto::opt(req, "seed", "a non-negative integer", Json::as_u64)?.unwrap_or(42),
+    ))
 }
 
 fn handle_list(inner: &Inner, out: &mut TcpStream) -> bool {
@@ -418,7 +438,7 @@ enum Outcome {
     Disconnected,
 }
 
-fn handle_join(inner: &Arc<Inner>, out: &mut TcpStream, parsed: &Json, sid: u64) -> bool {
+fn handle_join(inner: &Inner, out: &mut TcpStream, parsed: &Json, sid: u64) -> bool {
     let mut jr = match JoinRequest::from_json(parsed) {
         Ok(jr) => jr,
         Err(e) => return send(out, &proto::error_line("bad_request", &e, &[])),
@@ -609,23 +629,18 @@ fn algorithm_of(jr: &JoinRequest) -> Option<Algorithm> {
     Some(algo.with_threads(jr.threads))
 }
 
-/// Worker → session messages.
-enum Msg {
-    Pair(u64, u64),
-    Done(Box<JoinStats>, bool),
-    Fail(Box<JoinError>),
-    Panicked(String),
-}
-
-/// Every join: the session thread leases, then confines the join to a
-/// worker whose panics are caught and whose lease is released by `Drop` on
-/// every exit path.
+/// Every join, on the session thread: lease, then run the join inside
+/// `catch_unwind` with the socket's batcher as its sink. Completion, typed
+/// error and panic all come back here as a value, so the lease is released
+/// before the one terminal line goes out (a client that has read it finds
+/// the arbiter settled); a hang-up is a failed write, which trips the
+/// join's token.
 fn run_join(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     out: &mut TcpStream,
     jr: &JoinRequest,
-    left: &Arc<Vec<Kpe>>,
-    right: &Arc<Vec<Kpe>>,
+    left: &[Kpe],
+    right: &[Kpe],
 ) -> Outcome {
     let token = CancelToken::new();
     let lease = match inner.arbiter.lease(jr.mem_bytes as u64, Some(&token)) {
@@ -636,114 +651,56 @@ fn run_join(
             return outcome;
         }
     };
-    let model = DiskModel {
-        channels: jr.channels,
-        ..DiskModel::default()
-    };
-    let (tx, rx) = mpsc::sync_channel::<Msg>(CHANNEL_DEPTH);
-    let worker = {
-        let inner = Arc::clone(inner);
-        let jr = jr.clone();
-        let (left, right) = (Arc::clone(left), Arc::clone(right));
-        let token = token.clone();
-        let tx_final = tx;
-        std::thread::spawn(move || {
-            // Held for the worker's whole life: completion, typed error and
-            // panic all release the grant via Drop.
-            let _lease = lease;
-            if let Some(ms) = jr.hold_ms {
-                std::thread::sleep(Duration::from_millis(ms.min(60_000)));
-            }
-            let tx = tx_final.clone();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                join_on_worker(&inner, &jr, &left, &right, model, &token, &tx)
-            }));
-            let terminal = match result {
-                Ok(Ok((stats, cache_hit))) => Msg::Done(Box::new(stats), cache_hit),
-                Ok(Err(e)) => Msg::Fail(Box::new(e)),
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "worker panicked".to_owned());
-                    Msg::Panicked(msg)
-                }
-            };
-            let _ = tx_final.send(terminal);
-        })
-    };
-
-    let mut emitter = Emitter::new(out, inner.cfg.batch, jr.limit);
-    let mut terminal = None;
-    for msg in rx.iter() {
-        match msg {
-            Msg::Pair(a, b) => {
-                if !emitter.pair(a, b) {
-                    token.cancel();
-                    break;
-                }
-            }
-            other => {
-                terminal = Some(other);
-                break;
-            }
-        }
+    if let Some(ms) = jr.hold_ms {
+        std::thread::sleep(Duration::from_millis(ms.min(60_000)));
     }
-    // Dropping the receiver unblocks a worker stuck on a full channel; the
-    // cancel token stops it at the next partition boundary.
-    drop(rx);
-    let _ = worker.join();
-    let Some(terminal) = terminal else {
-        return Outcome::Disconnected;
+    let mut emitter = Emitter::new(out, inner.cfg.batch, jr.limit);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        join_streaming(inner, jr, left, right, &token, &mut |a, b| {
+            if !emitter.pair(a, b) {
+                token.cancel();
+            }
+        })
+    }));
+    drop(lease);
+    let (line, outcome) = match result {
+        Ok(Ok((stats, cache_hit))) => {
+            (done_line(&stats, jr, cache_hit, emitter.sent), Outcome::Ok)
+        }
+        Ok(Err(e)) => join_error_response(&e),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_owned());
+            // "worker" is the wire's word from when a worker thread ran the join.
+            let message = format!("worker panicked: {msg}");
+            (proto::error_line("panicked", &message, &[]), Outcome::Failed)
+        }
     };
-    match terminal {
-        Msg::Done(stats, cache_hit) => {
-            if !emitter.flush() {
-                return Outcome::Disconnected;
-            }
-            let line = done_line(&stats, jr, cache_hit, emitter.sent);
-            if emitter.send_line(&line) {
-                Outcome::Ok
-            } else {
-                Outcome::Disconnected
-            }
-        }
-        Msg::Fail(e) => {
-            let _ = emitter.flush();
-            let (line, outcome) = join_error_response(&e);
-            if send(out, &line) {
-                outcome
-            } else {
-                Outcome::Disconnected
-            }
-        }
-        Msg::Panicked(msg) => {
-            let _ = emitter.flush();
-            if send(
-                out,
-                &proto::error_line("panicked", &format!("worker panicked: {msg}"), &[]),
-            ) {
-                Outcome::Failed
-            } else {
-                Outcome::Disconnected
-            }
-        }
-        Msg::Pair(..) => unreachable!("pairs are consumed in the loop"),
+    if emitter.flush() && emitter.send_line(&line) {
+        outcome
+    } else {
+        Outcome::Disconnected
     }
 }
 
-fn join_on_worker(
+/// Runs one validated request, pushing each result pair into `sink`.
+fn join_streaming(
     inner: &Inner,
     jr: &JoinRequest,
     left: &[Kpe],
     right: &[Kpe],
-    model: DiskModel,
     token: &CancelToken,
-    tx: &mpsc::SyncSender<Msg>,
+    sink: &mut dyn FnMut(u64, u64),
 ) -> Result<(JoinStats, bool), JoinError> {
     let algo =
         algorithm_of(jr).ok_or_else(|| JoinError::new("setup", IoError::unsupported()))?;
+    let model = DiskModel {
+        channels: jr.channels,
+        ..DiskModel::default()
+    };
     let mut join = SpatialJoin::new(algo)
         .with_disk_model(model)
         .with_cancel(token.clone());
@@ -758,9 +715,7 @@ fn join_on_worker(
         if Some(emitted) == panic_after {
             panic!("panic_after test hook fired at pair {emitted}");
         }
-        // A send to a hung-up session is fine: the token is already
-        // tripped and the join stops at its next cancellation check.
-        let _ = tx.send(Msg::Pair(a.0, b.0));
+        sink(a.0, b.0);
     };
 
     if let Some(point) = jr.crash {

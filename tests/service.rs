@@ -7,7 +7,7 @@
 //! arbiter grants all-or-nothing, so co-tenancy shares the budget but never
 //! the configuration.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -487,6 +487,20 @@ fn protocol_rejects_garbage_without_dying() {
             "unexpected kind {kind} for {bad:?}"
         );
     }
+    // `register` type-checks its members too: a wrong-typed value used to be
+    // read as the default (scale 0.01, seed 42, source "uniform").
+    for (field, value) in [("scale", "\"big\""), ("seed", "-1"), ("source", "7")] {
+        let resp = c
+            .request(&format!("{{\"cmd\":\"register\",\"name\":\"x\",\"{field}\":{value}}}"))
+            .expect("error response");
+        let err = resp.get("error").expect("typed error");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad_request"), "{resp}");
+        let message = err.get("message").and_then(Json::as_str).expect("message");
+        assert!(message.contains(field), "{message:?} does not name {field:?}");
+    }
+    let list = c.request("{\"cmd\":\"list\"}").expect("list");
+    let datasets = list.get("ok").and_then(|o| o.get("datasets")).and_then(Json::as_arr);
+    assert_eq!(datasets.map(<[Json]>::len), Some(0), "a refused register registered: {list}");
     // Session still alive after every rejection.
     assert_eq!(
         c.request("{\"cmd\":\"ping\"}").expect("ping").get("ok").and_then(Json::as_str),
@@ -580,6 +594,70 @@ fn overlong_line_gets_one_error_and_a_closed_connection() {
     let mut c = Client::connect(addr).expect("connect");
     let pong = c.request("{\"cmd\":\"ping\"}").expect("ping");
     assert_eq!(pong.get("ok").and_then(Json::as_str), Some("pong"));
+    handle.request_drain();
+    handle.join();
+}
+
+#[test]
+fn half_close_after_a_ping_reads_eof() {
+    // The accept loop keeps a clone of every session's socket for the drain
+    // to hang up on; held past the session's end, it kept the connection
+    // open and a client that had shut down its write side waited forever.
+    let handle = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(2))).expect("timeout");
+    stream.write_all(b"{\"cmd\":\"ping\"}\n").expect("send ping");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut rest = String::new();
+    stream.read_to_string(&mut rest).expect("EOF within the timeout");
+    assert_eq!(rest, "{\"ok\":\"pong\"}\n");
+    handle.request_drain();
+    handle.join();
+}
+
+/// Descriptors of this process that are sockets bound to `port` — the
+/// server's side of things: its listener plus every accepted connection,
+/// each `try_clone` counted. `/proc/self/fd` alone would also see whatever
+/// the tests running beside this one have open.
+#[cfg(target_os = "linux")]
+fn server_side_fds(port: u16) -> usize {
+    let tcp = std::fs::read_to_string("/proc/self/net/tcp").expect("/proc/self/net/tcp");
+    let suffix = format!(":{port:04X}");
+    let inodes: Vec<String> = tcp
+        .lines()
+        .skip(1)
+        .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        .filter(|cols| cols.len() > 9 && cols[1].ends_with(&suffix))
+        .map(|cols| format!("socket:[{}]", cols[9]))
+        .collect();
+    std::fs::read_dir("/proc/self/fd")
+        .expect("/proc/self/fd")
+        .flatten()
+        .filter_map(|entry| std::fs::read_link(entry.path()).ok())
+        .filter(|target| inodes.iter().any(|inode| target.as_os_str() == inode.as_str()))
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_sessions_give_their_descriptors_back() {
+    // Each finished session used to leave the accept loop's clone of its
+    // socket open until shutdown: 64 sessions, 64 descriptors, and `EMFILE`
+    // for every tenant at about a thousand.
+    let handle = start(ServerConfig::default());
+    let addr = handle.addr();
+    let session = || {
+        let mut c = Client::connect(addr).expect("connect");
+        let resp = c.request("{\"cmd\":\"ping\"}").expect("ping");
+        assert_eq!(resp.get("ok").and_then(Json::as_str), Some("pong"));
+    };
+    session();
+    wait_until("the first session to be reaped", || server_side_fds(addr.port()) == 1);
+    for _ in 0..64 {
+        session();
+    }
+    wait_until("64 finished sessions to be reaped", || server_side_fds(addr.port()) == 1);
+    session();
     handle.request_drain();
     handle.join();
 }
