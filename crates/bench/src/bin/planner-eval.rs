@@ -106,9 +106,9 @@ impl CellRow {
 fn measure(choice: &PlanChoice, r: &[geom::Kpe], s: &[geom::Kpe]) -> Option<f64> {
     SpatialJoin::new(Algorithm::from_choice(choice))
         .with_disk_model(model())
-        .try_count(r, s)
+        .try_run_with(r, s, &mut |_, _| {})
         .ok()
-        .map(|(_, st)| st.total_seconds())
+        .map(|st| st.total_seconds())
 }
 
 fn eval(coeffs: &Coefficients) -> Result<(String, Vec<CellRow>), String> {

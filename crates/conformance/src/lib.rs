@@ -16,7 +16,7 @@
 //!   changes, thread counts, fault plans, CPU-slowdown changes, I/O channel
 //!   counts) plus the
 //!   duplicate-accounting identity `candidates = results + suppressed`;
-//! * [`shrink`] bisects a failing workload down to a minimal KPE set;
+//! * [`shrink()`] bisects a failing workload down to a minimal KPE set;
 //! * [`repro`] emits/replays JSON repro files under `tests/corpus/` and
 //!   generates ready-to-paste regression tests.
 //!

@@ -23,7 +23,7 @@ use geom::{Kpe, Rect};
 use quadtree::MxCifQuadtree;
 use spatialjoin::{
     Algorithm, CrashPoint, DiskModel, FaultPlan, InternalAlgo, JoinErrorKind, JoinStats,
-    RetryPolicy, SimDisk, SpatialJoin,
+    SpatialJoin,
 };
 
 /// Finest quadtree level used for the in-memory MX-CIF reference join.
@@ -286,6 +286,18 @@ impl Default for RunConfig {
     }
 }
 
+impl RunConfig {
+    /// The disk model of the cell: the default with the cell's overrides.
+    fn model(&self) -> DiskModel {
+        let base = DiskModel::default();
+        DiskModel {
+            cpu_slowdown: self.cpu_slowdown.unwrap_or(base.cpu_slowdown),
+            channels: self.channels.unwrap_or(base.channels),
+            ..base
+        }
+    }
+}
+
 /// Outcome of one algorithm run: sorted pairs plus (for the external
 /// algorithms) the uniform statistics.
 pub struct RunOut {
@@ -358,17 +370,9 @@ fn run_configured(
     r: &[Kpe],
     s: &[Kpe],
 ) -> Result<RunOut, String> {
-    let mut join = SpatialJoin::new(base);
+    let mut join = SpatialJoin::new(base).with_disk_model(cfg.model());
     if let Some(seed) = cfg.fault_seed {
         join = join.with_faults(FaultPlan::recoverable(seed));
-    }
-    if cfg.cpu_slowdown.is_some() || cfg.channels.is_some() {
-        let base_model = DiskModel::default();
-        join = join.with_disk_model(DiskModel {
-            cpu_slowdown: cfg.cpu_slowdown.unwrap_or(base_model.cpu_slowdown),
-            channels: cfg.channels.unwrap_or(base_model.channels),
-            ..base_model
-        });
     }
     let run = join
         .try_run(r, s)
@@ -492,18 +496,11 @@ fn check_crash_legs(
     r: &[Kpe],
     s: &[Kpe],
 ) -> Option<String> {
-    let join = SpatialJoin::new(configured_algorithm(algo, cfg)?);
+    let join = SpatialJoin::new(configured_algorithm(algo, cfg)?)
+        .with_disk_model(cfg.model())
+        .with_faults(FaultPlan::crash_only(0, point));
     let run_id = 0xC0FFEE;
-    let base_model = DiskModel::default();
-    let model = DiskModel {
-        cpu_slowdown: cfg.cpu_slowdown.unwrap_or(base_model.cpu_slowdown),
-        channels: cfg.channels.unwrap_or(base_model.channels),
-        ..base_model
-    };
-    let disk = SimDisk::new(model).with_faults(
-        FaultPlan::crash_only(0, point),
-        RetryPolicy::default(),
-    );
+    let disk = join.disk();
     let mut first: Vec<(u64, u64)> = Vec::new();
     let crash_leg =
         join.try_run_durable_with(&disk, r, s, run_id, &mut |a, b| first.push((a.0, b.0)));
@@ -601,15 +598,9 @@ fn check_chaos(
     if let Some(pages) = budget {
         plan = plan.with_disk_budget(pages);
     }
-    let mut join = SpatialJoin::new(base_algo).with_faults(plan);
-    if cfg.cpu_slowdown.is_some() || cfg.channels.is_some() {
-        let base_model = DiskModel::default();
-        join = join.with_disk_model(DiskModel {
-            cpu_slowdown: cfg.cpu_slowdown.unwrap_or(base_model.cpu_slowdown),
-            channels: cfg.channels.unwrap_or(base_model.channels),
-            ..base_model
-        });
-    }
+    let join = SpatialJoin::new(base_algo)
+        .with_disk_model(cfg.model())
+        .with_faults(plan);
     let label = format!("{algo} [chaos {seed}]");
     match join.try_run(r, s) {
         Ok(run) => {

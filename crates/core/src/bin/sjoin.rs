@@ -31,7 +31,8 @@
 //! ```
 //!
 //! Exit codes: 0 success, 1 join error, 2 usage error, 3 resumable
-//! interruption of a durable run (crash point, deadline, cancellation).
+//! interruption of a durable run (crash point, deadline, cancellation) —
+//! `--limit` lists what that leg emitted, the `--resume` leg lists the rest.
 //! A reader that closes the pipe early (`sjoin … | head`) ends the run
 //! with 0: it has what it asked for.
 
@@ -39,9 +40,10 @@ use std::io::Write;
 
 use spatialjoin::estimate::planner::edit_distance;
 use spatialjoin::estimate::{Coefficients, DatasetProfile, PlanMode, Planner};
+use spatialjoin::sfc::Curve;
 use spatialjoin::{
-    datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, JoinRun, JoinStats, Recorder,
-    RetryPolicy, SimDisk, SpatialJoin,
+    datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, JoinError, JoinRun, JoinStats,
+    Kpe, RecordId, Recorder, RetryPolicy, SimDisk, SpatialJoin,
 };
 use storage::Json;
 
@@ -168,9 +170,9 @@ fn nearest_flag(unknown: &str) -> Option<&'static str> {
         .map(|(_, f)| f)
 }
 
-impl Args {
-    fn parse() -> Result<Args, String> {
-        let mut args = Args {
+impl Default for Args {
+    fn default() -> Args {
+        Args {
             left: "la_rr".into(),
             right: "la_st".into(),
             algo: "pbsm".into(),
@@ -200,7 +202,18 @@ impl Args {
             trace: None,
             plan: PlanMode::Off,
             plan_coeffs: None,
-        };
+        }
+    }
+}
+
+impl Args {
+    /// The id a durable run is checkpointed — and its snapshot kept — under.
+    fn run_id(&self) -> u64 {
+        self.resume.unwrap_or(self.seed)
+    }
+
+    fn parse() -> Result<Args, String> {
+        let mut args = Args::default();
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             let mut val = |name: &str| -> Result<String, String> {
@@ -326,13 +339,16 @@ const HELP: &str = "sjoin - index-free spatial joins (Dittrich & Seeger, ICDE 20
   --retry N       attempts per page request, incl. the first (default 4)
   --deadline S    simulated-time deadline in seconds; expiry exits 3 (resumable
                   when the run is durable)
-  --durable       checkpoint the run (manifest + journal); interruptions leave
+  --durable       checkpoint the run (manifest + journal); an interruption
+                  lists the pairs emitted so far (under --limit) and leaves
                   a resumable state snapshot under --run-dir
   --crash SPEC    durable run that dies at a crash point:
                   after-commit:N | mid-partition:N | mid-rename
   --run-dir DIR   where interrupted durable runs keep state.bin (default runs)
   --resume ID     resume an interrupted durable run (pass the SAME dataset,
-                  algorithm and memory flags; threads may differ)
+                  algorithm and memory flags; threads may differ): counters
+                  are the whole run's, the listing is the pairs the
+                  interrupted leg did not list
   --metrics-json P  write the reconciled metrics report (versioned JSON) to P;
                   refuses to write numbers that do not sum to the run totals
   --trace P       write the phase-span/partition-event trace (simulated-time
@@ -369,12 +385,14 @@ fn parse_degraded_channel(spec: &str) -> Result<(usize, f64), String> {
 /// Assembles the fault plan from the injection flags, or `None` when no
 /// fault flag was given. `--faults SEED` supplies the transient plan; the
 /// persistent taxa (`--persistent-rate`, `--disk-budget`,
-/// `--degraded-channel`) compose onto it, or onto an otherwise-clean plan
-/// keyed on the dataset seed when `--faults` is absent.
+/// `--degraded-channel`) and the `--crash` point (the checkpoint layer arms
+/// crash injection from the disk's own plan) compose onto it, or onto an
+/// otherwise-clean plan keyed on the dataset seed when `--faults` is absent.
 fn fault_plan(args: &Args) -> Option<FaultPlan> {
     let taxa = args.persistent_rate.is_some()
         || args.disk_budget.is_some()
-        || args.degraded_channel.is_some();
+        || args.degraded_channel.is_some()
+        || args.crash.is_some();
     if args.faults.is_none() && !taxa {
         return None;
     }
@@ -394,6 +412,7 @@ fn fault_plan(args: &Args) -> Option<FaultPlan> {
     if let Some((channel, factor)) = args.degraded_channel {
         plan = plan.with_degraded_channel(channel, factor);
     }
+    plan.crash = args.crash;
     Some(plan)
 }
 
@@ -620,70 +639,83 @@ fn scrub_summary(dir: &std::path::Path) -> (String, bool) {
     (summary, corrupt == 0)
 }
 
-/// Runs a durable (checkpointed) join: fresh on an empty disk, resumed from
-/// a state snapshot under `--run-dir` otherwise. A resumable interruption
-/// (crash point, deadline, cancellation) persists the disk image and exits
-/// 3 with a resume hint; success removes the snapshot.
-fn run_durable(args: &Args, join: &SpatialJoin, left: &[spatialjoin::Kpe], right: &[spatialjoin::Kpe]) -> JoinRun {
-    let run_id = args.resume.unwrap_or(args.seed);
-    let state = std::path::Path::new(&args.run_dir)
-        .join(run_id.to_string())
-        .join("state.bin");
-    let disk = SimDisk::new(DiskModel {
-        channels: args.channels,
-        ..Default::default()
-    });
+fn state_path(args: &Args) -> std::path::PathBuf {
+    std::path::Path::new(&args.run_dir)
+        .join(args.run_id().to_string())
+        .join("state.bin")
+}
+
+/// One leg of a durable (checkpointed) join on the join's own disk: fresh,
+/// or resumed from the state snapshot under `--run-dir`. The pairs it
+/// emitted come back beside the outcome — from an interrupted leg too: no
+/// resume re-emits a committed partition. A resumable interruption (crash
+/// point, deadline, cancellation) persists the disk image first.
+fn durable_leg(
+    args: &Args,
+    join: &SpatialJoin,
+    left: &[Kpe],
+    right: &[Kpe],
+) -> (Vec<(RecordId, RecordId)>, Result<JoinStats, JoinError>) {
+    let state = state_path(args);
+    let disk = join.disk();
     if let Some(id) = args.resume {
         let bytes = std::fs::read(&state).unwrap_or_else(|e| {
             die(format!("--resume {id}: cannot read {}: {e}", state.display()))
         });
         disk.restore_files(&bytes)
             .unwrap_or_else(|e| die(format!("--resume {id}: corrupt snapshot: {e}")));
-    } else if args.crash.is_some() || fault_plan(args).is_some() {
-        let mut plan = fault_plan(args).unwrap_or_else(|| FaultPlan::none(args.seed));
-        plan.crash = args.crash;
-        // Fault state lives on the disk for durable runs: the checkpoint
-        // layer arms crash injection from the disk's own plan.
-        let retry = args
-            .retry
-            .map(RetryPolicy::with_max_attempts)
-            .unwrap_or_default();
-        let faulty = disk.with_faults(plan, retry);
-        return finish_durable(join, left, right, run_id, &state, &faulty);
     }
-    finish_durable(join, left, right, run_id, &state, &disk)
+    let mut pairs = Vec::new();
+    let res =
+        join.try_run_durable_with(&disk, left, right, args.run_id(), &mut |a, b| pairs.push((a, b)));
+    if res.as_ref().is_err_and(JoinError::is_resumable) {
+        if let Some(dir) = state.parent() {
+            std::fs::create_dir_all(dir)
+                .unwrap_or_else(|err| die(format!("cannot create {}: {err}", dir.display())));
+        }
+        std::fs::write(&state, disk.export_files())
+            .unwrap_or_else(|err| die(format!("cannot write {}: {err}", state.display())));
+    }
+    (pairs, res)
 }
 
-fn finish_durable(
-    join: &SpatialJoin,
-    left: &[spatialjoin::Kpe],
-    right: &[spatialjoin::Kpe],
-    run_id: u64,
-    state: &std::path::Path,
-    disk: &SimDisk,
-) -> JoinRun {
-    match join.try_run_durable(disk, left, right, run_id) {
-        Ok(run) => {
-            let _ = std::fs::remove_file(state);
-            run
-        }
-        Err(e) if e.is_resumable() => {
-            if let Some(dir) = state.parent() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|err| die(format!("cannot create {}: {err}", dir.display())));
+/// A durable join to its end, or to a resumable interruption, which lists
+/// this leg's pairs and exits 3 with a resume hint.
+fn run_durable(args: &Args, join: &SpatialJoin, left: &[Kpe], right: &[Kpe]) -> JoinRun {
+    match durable_leg(args, join, left, right) {
+        (pairs, Ok(stats)) => JoinRun { pairs, stats },
+        (pairs, Err(e)) if e.is_resumable() => {
+            for (a, b) in pairs.iter().take(args.limit) {
+                outln!("  #{} x #{}", a.0, b.0);
             }
-            std::fs::write(state, disk.export_files())
-                .unwrap_or_else(|err| die(format!("cannot write {}: {err}", state.display())));
+            let run_id = args.run_id();
             errln!("error: {e}");
             errln!(
                 "run {run_id} is resumable: state saved to {}; \
                  rerun with the same flags plus --resume {run_id}",
-                state.display()
+                state_path(args).display()
             );
             exit(3);
         }
-        Err(e) => die_join(e),
+        (_, Err(e)) => die_join(e),
     }
+}
+
+fn join_of(args: &Args, algo: Algorithm) -> SpatialJoin {
+    let mut join = SpatialJoin::new(algo.with_threads(args.threads)).with_disk_model(DiskModel {
+        channels: args.channels,
+        ..Default::default()
+    });
+    if let Some(plan) = fault_plan(args) {
+        join = join.with_faults(plan);
+    }
+    if let Some(n) = args.retry {
+        join = join.with_retry(RetryPolicy::with_max_attempts(n));
+    }
+    if let Some(d) = args.deadline {
+        join = join.with_deadline(d);
+    }
+    join
 }
 
 fn main() {
@@ -760,19 +792,7 @@ fn run() {
         );
         Algorithm::from_choice(&chosen.choice)
     };
-    let mut join = SpatialJoin::new(algo.with_threads(args.threads)).with_disk_model(DiskModel {
-        channels: args.channels,
-        ..Default::default()
-    });
-    if let Some(plan) = fault_plan(&args) {
-        join = join.with_faults(plan);
-    }
-    if let Some(n) = args.retry {
-        join = join.with_retry(RetryPolicy::with_max_attempts(n));
-    }
-    if let Some(d) = args.deadline {
-        join = join.with_deadline(d);
-    }
+    let mut join = join_of(&args, algo);
     let recorder = args.trace.as_ref().map(|_| Recorder::shared());
     if let Some(r) = &recorder {
         join = join.with_recorder(std::sync::Arc::clone(r));
@@ -791,14 +811,26 @@ fn run() {
         args.mem_mb
     );
 
-    if let Some(eps) = args.distance {
-        let run = if args.raster_filter {
-            join.try_within_distance_raster(&left, &right, eps, spatialjoin::sfc::Curve::Hilbert)
-        } else {
-            join.try_within_distance(&left, &right, eps)
-        }
-        .unwrap_or_else(die_join);
-        outln!("pairs within eps={eps}: {}", run.pairs.len());
+    if args.refine || args.distance.is_some() {
+        let (r, s) = (&left.segments, &right.segments);
+        let (run, found, sep) = match args.distance {
+            Some(eps) => {
+                let raster = args.raster_filter.then_some(Curve::Hilbert);
+                let run = join.try_within_distance(&left, &right, eps, raster);
+                (run, format!("pairs within eps={eps}"), '~')
+            }
+            None => {
+                let run = if args.raster_filter {
+                    let raster = refine::RasterFilter::intersect(r, s, Curve::Hilbert);
+                    join.try_run_refined(&left.kpes, &right.kpes, raster)
+                } else {
+                    join.try_run_refined(&left.kpes, &right.kpes, refine::SegmentIntersect { r, s })
+                };
+                (run, "exact intersections".to_owned(), 'x')
+            }
+        };
+        let run = run.unwrap_or_else(die_join);
+        outln!("{found}: {}", run.pairs.len());
         outln!(
             "filter candidates {}, false-positive rate {:.1}%",
             run.refine.candidates,
@@ -807,36 +839,7 @@ fn run() {
         print_raster_line(&args, &run.refine);
         outln!("filter time {:.2}s simulated", run.filter.total_seconds());
         for (a, b) in run.pairs.iter().take(args.limit) {
-            outln!("  #{} ~ #{}", a.0, b.0);
-        }
-        export_observability(&args, &run.filter, join.algorithm().name(), recorder.as_deref());
-        return;
-    }
-
-    if args.refine {
-        let run = if args.raster_filter {
-            join.try_run_refined_raster(&left, &right, spatialjoin::sfc::Curve::Hilbert)
-        } else {
-            join.try_run_refined(
-                &left.kpes,
-                &right.kpes,
-                refine::SegmentIntersect {
-                    r: &left.segments,
-                    s: &right.segments,
-                },
-            )
-        }
-        .unwrap_or_else(die_join);
-        outln!("exact intersections: {}", run.pairs.len());
-        outln!(
-            "filter candidates {}, false-positive rate {:.1}%",
-            run.refine.candidates,
-            100.0 * run.refine.false_positive_rate()
-        );
-        print_raster_line(&args, &run.refine);
-        outln!("filter time {:.2}s simulated", run.filter.total_seconds());
-        for (a, b) in run.pairs.iter().take(args.limit) {
-            outln!("  #{} x #{}", a.0, b.0);
+            outln!("  #{} {sep} #{}", a.0, b.0);
         }
         export_observability(&args, &run.filter, join.algorithm().name(), recorder.as_deref());
         return;
@@ -872,6 +875,12 @@ fn run() {
     }
     for (a, b) in run.pairs.iter().take(args.limit) {
         outln!("  #{} x #{}", a.0, b.0);
+    }
+    if durable {
+        // The snapshot goes only once the listing is out: until then it is
+        // the one place the pairs of this leg can still be had from.
+        with_stdout(|out| out.flush());
+        let _ = std::fs::remove_file(state_path(&args));
     }
     export_observability(&args, &run.stats, join.algorithm().name(), recorder.as_deref());
 }
@@ -990,6 +999,57 @@ mod tests {
         let (summary, sound) = scrub_summary(&base);
         assert!(sound, "{summary}");
         std::fs::remove_dir_all(base.parent().expect("the pid directory")).expect("rm");
+    }
+
+    /// An interrupted durable run and its resume list every result pair
+    /// exactly once between them. The crash leg used to collect into a
+    /// buffer it dropped with the error, so its committed partitions were
+    /// listed by neither leg: 1,959 of 2,807 pairs at `after-commit:1`,
+    /// none at all at `after-commit:3`.
+    #[test]
+    fn durable_legs_list_every_pair_exactly_once() {
+        let base = std::env::temp_dir().join(format!("sjoin-durable-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let args_in = |dir: &str| Args {
+            mem_mb: 0.2,
+            run_dir: base.join(dir).to_string_lossy().into_owned(),
+            ..Args::default()
+        };
+        let solo = args_in("solo");
+        let left = datagen::named(&solo.left, solo.scale, solo.seed).expect("dataset");
+        let right = datagen::named(&solo.right, solo.scale, solo.seed ^ 0xFFFF).expect("dataset");
+        let algo = || {
+            Algorithm::from_name("pbsm", spatialjoin::mem_bytes_from_mb(0.2).expect("budget"))
+                .expect("algorithm")
+        };
+        let sorted = |mut pairs: Vec<(RecordId, RecordId)>| {
+            pairs.sort_unstable();
+            pairs
+        };
+        let want = sorted(join_of(&solo, algo()).run(&left.kpes, &right.kpes).pairs);
+        assert_eq!(want.len(), 2807);
+        for n in [1, 3] {
+            let dir = format!("after-commit-{n}");
+            let crash = Args { crash: Some(CrashPoint::AfterCommit(n)), ..args_in(&dir) };
+            let (first, res) = durable_leg(&crash, &join_of(&crash, algo()), &left.kpes, &right.kpes);
+            assert!(res.is_err_and(|e| e.is_resumable()), "after-commit:{n} must fire");
+            let resume = Args { resume: Some(crash.seed), ..args_in(&dir) };
+            assert!(state_path(&resume).exists(), "the interrupted leg saves its disk");
+            let (second, res) =
+                durable_leg(&resume, &join_of(&resume, algo()), &left.kpes, &right.kpes);
+            assert_eq!(res.expect("resume completes").results(), 2807);
+            // The snapshot outlives the leg: `run` removes it after listing.
+            assert!(state_path(&resume).exists());
+            let (first, second) = (sorted(first), sorted(second));
+            assert!(
+                first.iter().all(|p| second.binary_search(p).is_err()),
+                "after-commit:{n}: a pair listed by both legs"
+            );
+            assert!(!first.is_empty(), "after-commit:{n}: the crash leg lists what it emitted");
+            let union = sorted(first.into_iter().chain(second).collect());
+            assert_eq!(union, want, "after-commit:{n}");
+        }
+        std::fs::remove_dir_all(&base).expect("rm");
     }
 
     #[test]

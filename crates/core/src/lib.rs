@@ -30,6 +30,16 @@
 //! # assert!(run.pairs.len() > 0);
 //! ```
 //!
+//! ## Running a join
+//!
+//! Every pair is reported once, when it is found (§3.1), so one push-style
+//! call is the whole interface: [`SpatialJoin::try_run_with`] streams a run's
+//! pairs into a sink, [`SpatialJoin::try_run_durable_with`] does so as a
+//! checkpointed, resumable run on a [`SpatialJoin::disk`] the caller keeps.
+//! The rest are sinks for the first — [`SpatialJoin::run_with`], `try_run` /
+//! `run` (a [`JoinRun`]), `count` — and one entry per refinement predicate,
+//! [`SpatialJoin::try_run_refined`] and [`SpatialJoin::try_within_distance`].
+//!
 //! ## Crate map
 //!
 //! | module | contents |
@@ -256,56 +266,11 @@ impl Algorithm {
     /// other knob at its default. The planner's choices are self-describing
     /// precisely so this mapping stays total.
     pub fn from_choice(choice: &estimate::PlanChoice) -> Algorithm {
-        use estimate::PlanAlgo;
-        match choice.algo {
-            PlanAlgo::PbsmRpm => Algorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                ..Default::default()
-            }),
-            PlanAlgo::PbsmSort => Algorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                dedup: Dedup::SortPhase,
-                ..Default::default()
-            }),
-            PlanAlgo::S3jReplicated => Algorithm::S3j(S3jConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                level_buffer_pages: choice.buffer_pages,
-                replicate: true,
-                ..Default::default()
-            }),
-            PlanAlgo::S3jOriginal => Algorithm::S3j(S3jConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                level_buffer_pages: choice.buffer_pages,
-                replicate: false,
-                ..Default::default()
-            }),
-            PlanAlgo::Sssj => Algorithm::sssj(choice.mem_bytes),
-            PlanAlgo::Shj => Algorithm::Shj(ShjConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                ..Default::default()
-            }),
-            PlanAlgo::TwoLayer => Algorithm::Pbsm(PbsmConfig {
-                mem_bytes: choice.mem_bytes,
-                internal: choice.internal,
-                tiles_per_partition: choice.tiles_per_partition,
-                partition_buffer_pages: choice.buffer_pages,
-                dedup: Dedup::TwoLayer,
-                ..Default::default()
-            }),
-            PlanAlgo::Quadtree => Algorithm::Quadtree(QuadtreeConfig {
-                mem_bytes: choice.mem_bytes,
-                ..Default::default()
-            }),
-        }
+        Algorithm::from_name(choice.cli_name(), choice.mem_bytes)
+            .expect("every PlanChoice::cli_name is one of Algorithm::NAMES")
+            .with_internal(choice.internal)
+            .with_tiles_per_partition(choice.tiles_per_partition)
+            .with_buffer_pages(choice.buffer_pages)
     }
 
     /// Sets the partition-join worker-thread knob (`0` = all cores, `1` =
@@ -317,22 +282,6 @@ impl Algorithm {
             Algorithm::Pbsm(c) => c.threads = threads,
             Algorithm::S3j(c) => c.threads = threads,
             Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => {}
-        }
-        self
-    }
-
-    /// Overrides the memory budget `M` on any algorithm. This is the
-    /// partition-count lever of the conformance oracle: PBSM's partition
-    /// count follows formula (1) from `M`, SHJ's bucket count likewise, and
-    /// the sort-based algorithms size their runs from it — while the result
-    /// set must stay byte-identical for every value.
-    pub fn with_mem(mut self, mem_bytes: usize) -> Algorithm {
-        match &mut self {
-            Algorithm::Pbsm(c) => c.mem_bytes = mem_bytes,
-            Algorithm::S3j(c) => c.mem_bytes = mem_bytes,
-            Algorithm::Sssj(c) => c.mem_bytes = mem_bytes,
-            Algorithm::Shj(c) => c.mem_bytes = mem_bytes,
-            Algorithm::Quadtree(c) => c.mem_bytes = mem_bytes,
         }
         self
     }
@@ -367,6 +316,17 @@ impl Algorithm {
     pub fn with_tiles_per_partition(mut self, tiles: u32) -> Algorithm {
         if let Algorithm::Pbsm(c) = &mut self {
             c.tiles_per_partition = tiles;
+        }
+        self
+    }
+
+    /// Sets the write-buffer pages per partition file (PBSM) or level file
+    /// (S³J) — the planner's buffer-split lever; a no-op elsewhere.
+    pub fn with_buffer_pages(mut self, pages: usize) -> Algorithm {
+        match &mut self {
+            Algorithm::Pbsm(c) => c.partition_buffer_pages = pages,
+            Algorithm::S3j(c) => c.level_buffer_pages = pages,
+            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => {}
         }
         self
     }
@@ -789,28 +749,11 @@ impl SpatialJoin {
         &self.algorithm
     }
 
-    /// The run's control block. Only the partition-based joins (PBSM, S³J)
-    /// have fallible code paths and poll a cancel token, so a baseline asked
-    /// for either is refused here, before anything runs, rather than
-    /// panicking mid-join or silently ignoring a deadline.
-    fn control(&self) -> Result<RunControl, JoinError> {
-        if self.fault_plan.is_some() || self.cancel.is_some() || self.deadline.is_some() {
-            self.algo_tag()?;
-        }
-        let mut ctl = RunControl::none();
-        if let Some(t) = &self.cancel {
-            ctl = ctl.with_cancel(t.clone());
-        }
-        if let Some(d) = self.deadline {
-            ctl = ctl.with_deadline(d);
-        }
-        if let Some(r) = &self.recorder {
-            ctl = ctl.with_recorder(Arc::clone(r));
-        }
-        Ok(ctl)
-    }
-
-    fn make_disk(&self) -> SimDisk {
+    /// The simulated disk a run of this join works on: its [`DiskModel`],
+    /// with the fault plan and retry policy when one is attached.
+    /// [`SpatialJoin::try_run_with`] builds one per run; a durable caller
+    /// builds its own here and keeps it — it *is* the run's durable state.
+    pub fn disk(&self) -> SimDisk {
         let disk = SimDisk::new(self.disk_model);
         match self.fault_plan {
             Some(plan) => disk.with_faults(plan, self.retry),
@@ -818,8 +761,7 @@ impl SpatialJoin {
         }
     }
 
-    /// The one place an [`Algorithm`] becomes a running join: every entry
-    /// point builds its disk and [`RunControl`] and ends here.
+    /// The one place an [`Algorithm`] becomes a running join.
     fn dispatch(
         &self,
         disk: &SimDisk,
@@ -870,8 +812,55 @@ impl SpatialJoin {
         }
     }
 
+    /// Both run primitives: builds the [`RunControl`], opens (or recovers)
+    /// the checkpoint on `disk` for a durable run, and dispatches. Only the
+    /// partition-based joins (PBSM, S³J) have fallible code paths, poll a
+    /// cancel token and can be checkpointed, so a baseline asked for any of
+    /// that is refused before anything runs or touches the disk, rather than
+    /// panicking mid-join or silently ignoring a deadline.
+    fn run_on(
+        &self,
+        disk: &SimDisk,
+        run_id: Option<u64>,
+        r: &[Kpe],
+        s: &[Kpe],
+        out: &mut dyn FnMut(RecordId, RecordId),
+    ) -> Result<JoinStats, JoinError> {
+        if self.fault_plan.is_some() || self.cancel.is_some() || self.deadline.is_some() {
+            self.algo_tag()?;
+        }
+        let mut ctl = RunControl::none();
+        if let Some(t) = &self.cancel {
+            ctl = ctl.with_cancel(t.clone());
+        }
+        if let Some(d) = self.deadline {
+            ctl = ctl.with_deadline(d);
+        }
+        if let Some(rec) = &self.recorder {
+            ctl = ctl.with_recorder(Arc::clone(rec));
+        }
+        if let Some(run_id) = run_id {
+            let tag = self.algo_tag()?;
+            let fp = self.fingerprint(r, s);
+            let sb = FileId::from_raw(0);
+            let cp = if disk.exists(sb) {
+                match storage::recover(disk, sb, fp)? {
+                    Recovered::Resumed(cp) => cp,
+                    Recovered::Fresh => RunCheckpoint::start(disk, sb, run_id, fp, tag),
+                }
+            } else {
+                let created = disk.create();
+                debug_assert_eq!(created.raw(), 0, "superblock must be the disk's first file");
+                RunCheckpoint::start(disk, created, run_id, fp, tag)
+            };
+            ctl = ctl.with_checkpoint(cp);
+        }
+        self.dispatch(disk, &ctl, r, s, out)
+    }
+
     /// Runs the join, streaming results into `out`. A fresh simulated disk
-    /// is created per run, so statistics are independent across runs.
+    /// ([`SpatialJoin::disk`]) is created per run, so statistics are
+    /// independent across runs.
     ///
     /// A request that exhausts its retry budget and every degradation path
     /// surfaces as a typed [`JoinError`]; without a fault plan this never
@@ -882,8 +871,7 @@ impl SpatialJoin {
         s: &[Kpe],
         out: &mut dyn FnMut(RecordId, RecordId),
     ) -> Result<JoinStats, JoinError> {
-        let ctl = self.control()?;
-        self.dispatch(&self.make_disk(), &ctl, r, s, out)
+        self.run_on(&self.disk(), None, r, s, out)
     }
 
     /// Infallible [`SpatialJoin::try_run_with`] for fault-free configurations.
@@ -910,17 +898,11 @@ impl SpatialJoin {
             .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
     }
 
-    /// Runs the join, counting results without materialising them.
-    pub fn try_count(&self, r: &[Kpe], s: &[Kpe]) -> Result<(u64, JoinStats), JoinError> {
-        let mut n = 0u64;
-        let stats = self.try_run_with(r, s, &mut |_, _| n += 1)?;
-        Ok((n, stats))
-    }
-
-    /// Infallible [`SpatialJoin::try_count`] for fault-free configurations.
+    /// Runs a fault-free join, counting results without materialising them.
     pub fn count(&self, r: &[Kpe], s: &[Kpe]) -> (u64, JoinStats) {
-        self.try_count(r, s)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
+        let mut n = 0u64;
+        let stats = self.run_with(r, s, &mut |_, _| n += 1);
+        (n, stats)
     }
 
     /// Manifest algorithm tag of the partition-based joins; the typed
@@ -958,7 +940,10 @@ impl SpatialJoin {
     }
 
     /// Runs the join as a *durable, checkpointed* run on `disk` — the
-    /// crash-recovery entry point.
+    /// crash-recovery entry point. Build the disk with [`SpatialJoin::disk`],
+    /// so the join's disk model, fault plan (a [`CrashPoint`] rides on it)
+    /// and retry policy mean what they mean on [`SpatialJoin::try_run_with`];
+    /// keep it, or its [`SimDisk::export_files`] snapshot, to resume.
     ///
     /// On an empty disk this creates the superblock (by convention the
     /// disk's first file, raw id 0) and starts a fresh run under `run_id`.
@@ -969,27 +954,14 @@ impl SpatialJoin {
     /// partitions' pairs are emitted, so the interrupted leg plus this leg
     /// together produce the uninterrupted output exactly once.
     ///
+    /// Result pairs go to `out` as each partition commits, and pairs emitted
+    /// *before* an interruption stand — the resumed leg never re-emits a
+    /// committed partition — so a caller that wants the whole result keeps
+    /// what `out` received on an `Err` leg too.
+    ///
     /// Only the partition-based joins with online duplicate suppression
     /// can be checkpointed; baselines, PBSM sort-phase dedup and the S³J
     /// ablation scan are refused with [`IoErrorKind::Unsupported`].
-    pub fn try_run_durable(
-        &self,
-        disk: &SimDisk,
-        r: &[Kpe],
-        s: &[Kpe],
-        run_id: u64,
-    ) -> Result<JoinRun, JoinError> {
-        let mut pairs = Vec::new();
-        let stats =
-            self.try_run_durable_with(disk, r, s, run_id, &mut |a, b| pairs.push((a, b)))?;
-        Ok(JoinRun { pairs, stats })
-    }
-
-    /// Streaming form of [`SpatialJoin::try_run_durable`]: result pairs go to
-    /// `out` as each partition commits. Unlike the materialising wrapper,
-    /// pairs emitted *before* an interruption stay observable — exactly what
-    /// the crash-recovery oracle needs to check that the interrupted leg plus
-    /// the resumed leg reproduce the uninterrupted output with no overlap.
     pub fn try_run_durable_with(
         &self,
         disk: &SimDisk,
@@ -998,28 +970,17 @@ impl SpatialJoin {
         run_id: u64,
         out: &mut dyn FnMut(RecordId, RecordId),
     ) -> Result<JoinStats, JoinError> {
-        let tag = self.algo_tag()?;
-        let ctl = self.control()?;
-        let fp = self.fingerprint(r, s);
-        let sb = FileId::from_raw(0);
-        let cp = if disk.exists(sb) {
-            match storage::recover(disk, sb, fp)? {
-                Recovered::Resumed(cp) => cp,
-                Recovered::Fresh => RunCheckpoint::start(disk, sb, run_id, fp, tag),
-            }
-        } else {
-            let created = disk.create();
-            debug_assert_eq!(created.raw(), 0, "superblock must be the disk's first file");
-            RunCheckpoint::start(disk, created, run_id, fp, tag)
-        };
-        self.dispatch(disk, &ctl.with_checkpoint(cp), r, s, out)
+        self.run_on(disk, Some(run_id), r, s, out)
     }
 
     /// Filter step + refinement step in one pipelined pass: every candidate
     /// the filter emits is verified against exact geometry by `refiner`
     /// immediately ([BKSS 94]-style multi-step processing — possible online
     /// precisely because the Reference Point Method keeps the candidate
-    /// stream duplicate-free, §3.1).
+    /// stream duplicate-free, §3.1). Put a [`refine::RasterFilter`] in front
+    /// of the exact test by passing one as the `refiner`: results are
+    /// bit-identical, only the [`refine::RefineStats`] raster counters
+    /// differ.
     pub fn try_run_refined<R: refine::Refiner>(
         &self,
         r: &[Kpe],
@@ -1038,66 +999,18 @@ impl SpatialJoin {
         })
     }
 
-    /// Infallible [`SpatialJoin::try_run_refined`] for fault-free
-    /// configurations.
-    pub fn run_refined<R: refine::Refiner>(
-        &self,
-        r: &[Kpe],
-        s: &[Kpe],
-        refiner: R,
-    ) -> RefinedRun {
-        self.try_run_refined(r, s, refiner)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
-    /// Exact-intersection refinement with the raster-interval pre-filter
-    /// ([`refine::RasterFilter`]) in front of the exact geometry test.
-    /// Results are bit-identical to the unfiltered run; only the
-    /// [`refine::RefineStats`] raster counters differ.
-    pub fn try_run_refined_raster(
-        &self,
-        r: &datagen::LineDataset,
-        s: &datagen::LineDataset,
-        curve: sfc::Curve,
-    ) -> Result<RefinedRun, JoinError> {
-        self.try_run_refined(
-            &r.kpes,
-            &s.kpes,
-            refine::RasterFilter::intersect(&r.segments, &s.segments, curve),
-        )
-    }
-
     /// ε-distance join over exact line geometry (the similarity-join
     /// direction of the paper's future work, [KS 98]): the filter step runs
     /// this join over `ε/2`-expanded MBRs, the refinement step verifies
-    /// exact segment distance.
+    /// exact segment distance — behind the raster-interval pre-filter on
+    /// `raster`'s curve when one is given, so certain accepts/rejects skip
+    /// the exact distance test.
     pub fn try_within_distance(
         &self,
         r: &datagen::LineDataset,
         s: &datagen::LineDataset,
         eps: f64,
-    ) -> Result<RefinedRun, JoinError> {
-        self.within_distance_impl(r, s, eps, None)
-    }
-
-    /// [`SpatialJoin::try_within_distance`] with the raster-interval
-    /// pre-filter: certain accepts/rejects skip the exact distance test.
-    pub fn try_within_distance_raster(
-        &self,
-        r: &datagen::LineDataset,
-        s: &datagen::LineDataset,
-        eps: f64,
-        curve: sfc::Curve,
-    ) -> Result<RefinedRun, JoinError> {
-        self.within_distance_impl(r, s, eps, Some(curve))
-    }
-
-    fn within_distance_impl(
-        &self,
-        r: &datagen::LineDataset,
-        s: &datagen::LineDataset,
-        eps: f64,
-        curve: Option<sfc::Curve>,
+        raster: Option<sfc::Curve>,
     ) -> Result<RefinedRun, JoinError> {
         assert!(eps >= 0.0);
         let expand = |data: &[Kpe]| -> Vec<Kpe> {
@@ -1107,7 +1020,7 @@ impl SpatialJoin {
         };
         let re = expand(&r.kpes);
         let se = expand(&s.kpes);
-        match curve {
+        match raster {
             Some(c) => self.try_run_refined(
                 &re,
                 &se,
@@ -1123,18 +1036,6 @@ impl SpatialJoin {
                 },
             ),
         }
-    }
-
-    /// Infallible [`SpatialJoin::try_within_distance`] for fault-free
-    /// configurations.
-    pub fn within_distance(
-        &self,
-        r: &datagen::LineDataset,
-        s: &datagen::LineDataset,
-        eps: f64,
-    ) -> RefinedRun {
-        self.try_within_distance(r, s, eps)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
     }
 }
 
@@ -1187,7 +1088,6 @@ mod tests {
         }
     }
 
-
     /// The fingerprint is a persisted identity: a resume compares it with
     /// the one in a stored manifest, and `sjoind` keys its snapshot cache on
     /// it. These are the values byte-wise FNV-1a gave when the three copies
@@ -1206,6 +1106,60 @@ mod tests {
         let s3j = SpatialJoin::new(Algorithm::s3j_replicated(1 << 20));
         assert_eq!(pbsm.fingerprint(&r, &s), 0x3d74_cc9d_8cb6_d1b2);
         assert_eq!(s3j.fingerprint(&r, &s), 0x552d_6a17_6810_99d1);
+    }
+
+    /// `from_choice` goes through `from_name` and the `with_*` setters; what
+    /// it must produce is what the arm-per-family mapping it replaced did,
+    /// to the byte of the `Debug` form — the run fingerprint hashes that
+    /// string. One template per family, the choice's own fields in the
+    /// holes, every other knob at the default of that arm.
+    #[test]
+    fn from_choice_debug_forms_are_pinned_for_every_planner_candidate() {
+        use estimate::{PlanAlgo, PlanSpace, Planner};
+        let pbsm = |c: &estimate::PlanChoice, dedup: &str| {
+            format!(
+                "Pbsm(PbsmConfig {{ mem_bytes: 1048576, safety_factor: 1.2, \
+                 tiles_per_partition: {}, internal: {:?}, dedup: {dedup}, tile_scheme: Hash, \
+                 partition_buffer_pages: {}, io_buffer_pages: 4, seed: 24301, threads: 0, \
+                 max_partition_requeues: 1 }})",
+                c.tiles_per_partition, c.internal, c.buffer_pages
+            )
+        };
+        let s3j = |c: &estimate::PlanChoice, replicate: bool| {
+            format!(
+                "S3j(S3jConfig {{ mem_bytes: 1048576, max_level: 16, replicate: {replicate}, \
+                 level_shift: 1, curve: Peano, internal: {:?}, scan: HeapMerge, \
+                 level_buffer_pages: {}, io_buffer_pages: 2, threads: 0 }})",
+                c.internal, c.buffer_pages
+            )
+        };
+        let mut seen = 0;
+        for space in [PlanSpace::All, PlanSpace::Streamable] {
+            for c in Planner::new(1 << 20).with_space(space).candidates() {
+                let want = match c.algo {
+                    PlanAlgo::PbsmRpm => pbsm(&c, "ReferencePoint"),
+                    PlanAlgo::PbsmSort => pbsm(&c, "SortPhase"),
+                    PlanAlgo::TwoLayer => pbsm(&c, "TwoLayer"),
+                    PlanAlgo::S3jReplicated => s3j(&c, true),
+                    PlanAlgo::S3jOriginal => s3j(&c, false),
+                    PlanAlgo::Sssj => {
+                        "Sssj(SssjConfig { mem_bytes: 1048576, io_buffer_pages: 4 })".to_owned()
+                    }
+                    PlanAlgo::Shj => format!(
+                        "Shj(ShjConfig {{ mem_bytes: 1048576, safety_factor: 1.2, \
+                         samples_per_bucket: 8, internal: {:?}, bucket_buffer_pages: 1, \
+                         io_buffer_pages: 4, seed: 1592614637 }})",
+                        c.internal
+                    ),
+                    PlanAlgo::Quadtree => {
+                        "Quadtree(QuadtreeConfig { mem_bytes: 1048576, max_level: 12 })".to_owned()
+                    }
+                };
+                assert_eq!(format!("{:?}", Algorithm::from_choice(&c)), want, "{c:?}");
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, 26 + 23, "the candidate sets this was pinned against");
     }
 
     #[test]

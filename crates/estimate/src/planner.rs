@@ -739,7 +739,6 @@ pub struct Planner {
     model: DiskModel,
     coeffs: Coefficients,
     space: PlanSpace,
-    disk_budget_pages: Option<u64>,
 }
 
 impl Planner {
@@ -749,18 +748,7 @@ impl Planner {
             model: DiskModel::default(),
             coeffs: Coefficients::identity(),
             space: PlanSpace::All,
-            disk_budget_pages: None,
         }
-    }
-
-    /// Plans against a capacity-limited volume: candidates whose predicted
-    /// page footprint exceeds `pages` rank behind every fitting one, so a
-    /// disk-full run re-planned through here lands on an in-memory-eligible
-    /// (or at least smaller-footprint) configuration instead of hitting
-    /// ENOSPC again.
-    pub fn with_disk_budget_pages(mut self, pages: u64) -> Planner {
-        self.disk_budget_pages = Some(pages);
-        self
     }
 
     /// Predicts under a specific disk model (channel count, CPU slowdown).
@@ -794,19 +782,10 @@ impl Planner {
             .collect();
         // Deterministic ranking: predicted total, then the enumeration
         // order (already deterministic) as the tie-break via stable sort.
-        // With a disk budget, over-footprint candidates sort behind every
-        // fitting one regardless of predicted speed — a plan that cannot
-        // complete has no meaningful runtime.
-        let over = |p: &Prediction| {
-            self.disk_budget_pages
-                .is_some_and(|b| p.pages_written > b as f64)
-        };
         ranked.sort_by(|a, b| {
-            over(&a.predicted).cmp(&over(&b.predicted)).then(
-                a.predicted
-                    .total_seconds
-                    .total_cmp(&b.predicted.total_seconds),
-            )
+            a.predicted
+                .total_seconds
+                .total_cmp(&b.predicted.total_seconds)
         });
         Plan { ranked }
     }
@@ -1418,8 +1397,6 @@ fn level_copies(profile: &DatasetProfile) -> f64 {
 #[derive(Debug, Clone)]
 pub struct JointEstimate {
     grid: u32,
-    cell_w: f64,
-    cell_h: f64,
     /// Per cell: `(pairs, min_avg_w, min_avg_h)` — the pair mass and the
     /// extents of the pair *intersections* (bounded by the smaller rect).
     cells: Vec<(f64, f64, f64)>,
@@ -1481,8 +1458,6 @@ impl JointEstimate {
         }
         JointEstimate {
             grid: g,
-            cell_w,
-            cell_h,
             cells,
             results,
         }
@@ -1520,11 +1495,6 @@ impl JointEstimate {
             dup += pairs * (copies.min(4.0) - 1.0);
         }
         dup
-    }
-
-    /// Cell geometry, exposed for diagnostics.
-    pub fn cell_size(&self) -> (f64, f64) {
-        (self.cell_w, self.cell_h)
     }
 
     pub fn grid(&self) -> u32 {
@@ -1835,44 +1805,6 @@ mod tests {
             .candidates()
             .iter()
             .all(|c| c.streamable()));
-    }
-
-    #[test]
-    fn disk_budget_demotes_over_footprint_candidates() {
-        let r = DatasetProfile::build(&tiger(3000, 0.1, 9));
-        let s = DatasetProfile::build(&tiger(3000, 0.1, 10));
-        // Tight memory: every on-disk candidate predicts real page traffic.
-        let unbounded = Planner::new(32 * 1024).plan(&r, &s);
-        assert!(
-            unbounded.chosen().predicted.pages_written > 0.0,
-            "baseline must want disk"
-        );
-        // A one-page volume disqualifies every on-disk plan: the chosen
-        // candidate must be one that predicts a footprint within budget (if
-        // any exists) — and the demoted ones must all sit behind it.
-        let capped = Planner::new(32 * 1024)
-            .with_disk_budget_pages(1)
-            .plan(&r, &s);
-        let fits: Vec<bool> = capped
-            .ranked
-            .iter()
-            .map(|c| c.predicted.pages_written <= 1.0)
-            .collect();
-        if fits.contains(&true) {
-            assert!(fits[0], "an in-budget candidate must rank first");
-        }
-        let first_over = fits.iter().position(|f| !f);
-        if let Some(i) = first_over {
-            assert!(
-                fits[i..].iter().all(|f| !f),
-                "in-budget candidate ranked behind an over-budget one"
-            );
-        }
-        // With ample memory the in-memory single-partition plan fits a
-        // one-page volume and wins outright.
-        let roomy = Planner::new(1 << 30).with_disk_budget_pages(1).plan(&r, &s);
-        assert_eq!(roomy.chosen().predicted.partitions, 1);
-        assert_eq!(roomy.chosen().predicted.pages_written, 0.0);
     }
 
     #[test]

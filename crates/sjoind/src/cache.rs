@@ -8,7 +8,7 @@
 //! snapshot from which a durable run *resumes past the partition phase*.
 //!
 //! Warming trick: run the join once on a scratch disk with an injected
-//! [`storage::CrashPoint::MidPartition(0)`] crash. The "process" dies while
+//! [`MidPartition(0)`](storage::CrashPoint::MidPartition) crash. The "process" dies while
 //! appending the very first journal record, so zero partitions are committed
 //! but the manifest — which lists every partition file — is already
 //! published. Snapshotting that disk captures exactly "partitioning done,

@@ -179,6 +179,11 @@ impl JoinRequest {
         if req.reuse && (req.crash.is_some() || req.faults.is_some()) {
             return Err("reuse cannot be combined with crash/faults".to_owned());
         }
+        if req.crash.is_some() && req.faults.is_some() {
+            // The crash leg runs on a crash-only disk: a fault seed beside
+            // it would be read, validated and never applied.
+            return Err("crash cannot be combined with faults".to_owned());
+        }
         if req.faults_persistent && req.faults.is_none() {
             return Err("faults_persistent requires a faults seed".to_owned());
         }
@@ -296,6 +301,10 @@ mod tests {
         .is_err());
         // reuse is exclusive with fault/crash injection.
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","reuse":true,"faults":1}"#).is_err());
+        // ...and a crash leg takes no fault seed: it used to be read and dropped.
+        let err = parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-rename","faults":7}"#)
+            .unwrap_err();
+        assert!(err.contains("crash") && err.contains("faults"), "{err}");
         // the persistent escalation needs a seed to escalate.
         assert!(
             parse(r#"{"cmd":"join","left":"a","right":"b","faults_persistent":true}"#).is_err()

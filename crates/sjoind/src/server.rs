@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use spatialjoin::{
     Algorithm, CancelToken, CrashPoint, DiskModel, FaultPlan, IoError, IoErrorKind, JoinError,
-    JoinErrorKind, JoinStats, Kpe, RecordId, RetryPolicy, SimDisk, SpatialJoin,
+    JoinErrorKind, JoinStats, Kpe, RecordId, SpatialJoin,
 };
 use storage::{AdmissionError, MemoryArbiter};
 
@@ -697,12 +697,11 @@ fn join_streaming(
 ) -> Result<(JoinStats, bool), JoinError> {
     let algo =
         algorithm_of(jr).ok_or_else(|| JoinError::new("setup", IoError::unsupported()))?;
-    let model = DiskModel {
-        channels: jr.channels,
-        ..DiskModel::default()
-    };
     let mut join = SpatialJoin::new(algo)
-        .with_disk_model(model)
+        .with_disk_model(DiskModel {
+            channels: jr.channels,
+            ..DiskModel::default()
+        })
         .with_cancel(token.clone());
     if let Some(d) = jr.deadline {
         join = join.with_deadline(d);
@@ -722,16 +721,13 @@ fn join_streaming(
         // A durable run on a scratch disk with the requested crash point
         // armed — the service-level equivalent of `sjoin --crash`.
         let fp = join.fingerprint(left, right);
-        let disk = SimDisk::new(model).with_faults(
-            FaultPlan::crash_only(fp, point),
-            RetryPolicy::default(),
-        );
+        let join = join.with_faults(FaultPlan::crash_only(fp, point));
         return join
-            .try_run_durable_with(&disk, left, right, fp, &mut emit)
+            .try_run_durable_with(&join.disk(), left, right, fp, &mut emit)
             .map(|s| (s, false));
     }
     if jr.reuse {
-        return run_cached(inner, &join, left, right, model, &mut emit);
+        return run_cached(inner, &join, left, right, &mut emit);
     }
     if let Some(seed) = jr.faults {
         // Persistent damage exercises the quarantine-recompute paths end to
@@ -753,7 +749,6 @@ fn run_cached(
     join: &SpatialJoin,
     left: &[Kpe],
     right: &[Kpe],
-    model: DiskModel,
     emit: &mut dyn FnMut(RecordId, RecordId),
 ) -> Result<(JoinStats, bool), JoinError> {
     let fp = join.fingerprint(left, right);
@@ -763,16 +758,16 @@ fn run_cached(
             return join.try_run_with(left, right, emit).map(|s| (s, false));
         }
         None => {
-            let warm = SimDisk::new(model).with_faults(
-                FaultPlan::crash_only(fp, CrashPoint::MidPartition(0)),
-                RetryPolicy::default(),
-            );
             // The warm leg dies by design, and a pooled executor answers the
             // injected crash by tripping its run's cancel token (the workers
             // of a dead process claim nothing more). That must stay the warm
             // leg's own token: on the session's, the serving leg below would
             // start cancelled, claim no partition and report an empty result.
-            let warm_join = join.clone().with_cancel(CancelToken::new());
+            let warm_join = join
+                .clone()
+                .with_cancel(CancelToken::new())
+                .with_faults(FaultPlan::crash_only(fp, CrashPoint::MidPartition(0)));
+            let warm = warm_join.disk();
             match warm_join.try_run_durable_with(&warm, left, right, fp, &mut |_, _| {}) {
                 Err(e) if matches!(e.kind, JoinErrorKind::Crashed(_)) => {
                     let snap = Snapshot::new(warm.export_files());
@@ -791,7 +786,7 @@ fn run_cached(
             }
         }
     };
-    let disk = SimDisk::new(model);
+    let disk = join.disk();
     disk.restore_files(snapshot.bytes())
         .map_err(|io| JoinError::new("setup", io))?;
     join.try_run_durable_with(&disk, left, right, fp, emit)

@@ -411,11 +411,6 @@ impl SimDisk {
         self.faults.plan
     }
 
-    /// The retry policy in effect (default when no faults attached).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.faults.policy
-    }
-
     /// A handle onto the **same** file store with a **fresh, private** I/O
     /// meter. Work done through the fork is invisible to this handle's
     /// counters until the caller folds the fork's [`SimDisk::stats`] back in

@@ -522,12 +522,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds a crash point to an existing plan (faults *and* a crash).
-    pub fn with_crash(mut self, point: CrashPoint) -> Self {
-        self.crash = Some(point);
-        self
-    }
-
     /// Sets the persistent bad-sector rate on an existing plan.
     pub fn with_persistent_rate(mut self, rate: f64) -> Self {
         self.persistent_rate = rate;
@@ -544,12 +538,6 @@ impl FaultPlan {
     pub fn with_degraded_channel(mut self, channel: usize, factor: f64) -> Self {
         self.degraded_channel = Some((channel, factor.max(1.0)));
         self
-    }
-
-    /// `true` when any taxon of this plan requires graceful-degradation
-    /// machinery (as opposed to plain retries).
-    pub fn has_persistent_taxa(&self) -> bool {
-        self.persistent_rate > 0.0 || self.disk_budget_pages.is_some()
     }
 
     /// Whether the page at index `page` of a file tagged with channel
@@ -577,7 +565,7 @@ impl FaultPlan {
 
     /// The fate of an identity: `None` if it never fails, otherwise
     /// `(fail_count, kind)` where the first `fail_count` attempts fail
-    /// ([`PERMANENT`] means all of them do).
+    /// (`u32::MAX` means all of them do).
     pub fn fate(&self, op: IoOp, offset: u64, len: u64) -> Option<(u32, IoErrorKind)> {
         if self.fault_rate <= 0.0 || (self.reads_only && op == IoOp::Write) {
             return None;
@@ -764,9 +752,6 @@ mod tests {
             assert_eq!(p.fate(IoOp::Read, i * 4096, 4096), None);
             assert_eq!(p.fate(IoOp::Write, i * 4096, 4096), None);
         }
-        assert!(p.has_persistent_taxa());
-        assert!(!FaultPlan::recoverable(5).has_persistent_taxa());
-        assert!(FaultPlan::none(5).with_disk_budget(16).has_persistent_taxa());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! remain as thin wrappers (they still succeed under recoverable plans,
 //! because retries happen at the page-request level underneath them).
 //!
-//! Durability model (PR 4): the [`mod@manifest`] layer adds checkpointed
+//! Durability model (PR 4): the `manifest` layer adds checkpointed
 //! runs — an atomic-publish [`Manifest`], an append-only per-partition
 //! completion journal with checksummed records, and a recovery scan
 //! ([`recover`]) that truncates torn tails and sweeps orphan files — plus

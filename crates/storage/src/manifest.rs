@@ -65,6 +65,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use geom::RecordId;
 use parallel::{CancelCause, CancelToken};
 use parking_lot::Mutex;
 
@@ -438,10 +439,6 @@ impl RunCheckpoint {
         self.committed.values()
     }
 
-    pub fn committed_count(&self) -> u32 {
-        self.committed.len() as u32
-    }
-
     /// Writes `manifest` to a fresh file and publishes it via the
     /// superblock. The pointer append is the atomic publish point.
     fn publish(&mut self) -> Result<(), JoinError> {
@@ -511,14 +508,14 @@ impl RunCheckpoint {
     }
 
     /// Durably flushes one partition's result pairs (commit-protocol step 2).
-    pub fn append_results(&mut self, pairs: &[IdPair]) -> Result<(), JoinError> {
+    pub fn append_results(&mut self, pairs: &[(RecordId, RecordId)]) -> Result<(), JoinError> {
         if pairs.is_empty() {
             return Ok(());
         }
         let file = self.results_file()?;
         let mut buf = vec![0u8; pairs.len() * IdPair::SIZE];
-        for (p, chunk) in pairs.iter().zip(buf.chunks_mut(IdPair::SIZE)) {
-            p.encode(chunk);
+        for (&(r, s), chunk) in pairs.iter().zip(buf.chunks_mut(IdPair::SIZE)) {
+            IdPair { r: r.0, s: s.0 }.encode(chunk);
         }
         self.disk
             .try_append(file, &buf)
@@ -752,10 +749,6 @@ impl RunControl {
         self.recorder.is_some()
     }
 
-    pub fn is_checkpointing(&self) -> bool {
-        self.checkpoint.is_some()
-    }
-
     /// Charges the run's simulated seconds so far against the deadline and
     /// polls the cancel token (counting toward the deterministic
     /// `cancel_after_checks` hook). Returns the typed interruption error if
@@ -813,6 +806,11 @@ mod tests {
         range.map(|i| IdPair { r: i, s: i * 10 }).collect()
     }
 
+    /// [`pairs`] as the join hands them to [`RunCheckpoint::append_results`].
+    fn ids(range: std::ops::Range<u64>) -> Vec<(RecordId, RecordId)> {
+        range.map(|i| (RecordId(i), RecordId(i * 10))).collect()
+    }
+
     /// Runs a 3-partition join to completion under the commit protocol.
     fn run_to_done(d: &SimDisk) -> (FileId, RunCheckpoint) {
         let sb = d.create();
@@ -824,7 +822,7 @@ mod tests {
         }
         cp.commit_join_phase(3, &fr, &fs).unwrap();
         for p in 0..3u32 {
-            let out = pairs(p as u64 * 5..p as u64 * 5 + 5);
+            let out = ids(p as u64 * 5..p as u64 * 5 + 5);
             cp.append_results(&out).unwrap();
             cp.commit_partition(p, 8, 5, 3).unwrap();
         }
@@ -915,7 +913,7 @@ mod tests {
             panic!("expected a resumed checkpoint")
         };
         assert_eq!(cp.phase(), RunPhase::Done);
-        assert_eq!(cp.committed_count(), 3);
+        assert_eq!(cp.committed().count(), 3);
         assert_eq!(cp.read_results().unwrap(), pairs(0..15));
         // Partition files were deleted at finish; journal/results remain.
         let total: u64 = cp.committed().map(|e| e.results).sum();
@@ -953,11 +951,11 @@ mod tests {
         let fr = vec![d.create()];
         let fs = vec![d.create()];
         cp.commit_join_phase(2, &fr, &fs).unwrap();
-        cp.append_results(&pairs(0..4)).unwrap();
+        cp.append_results(&ids(0..4)).unwrap();
         cp.commit_partition(0, 4, 4, 0).unwrap();
         // Partition 1 flushed pairs and tore its journal record: simulate
         // by appending results then garbage where the record would go.
-        cp.append_results(&pairs(4..9)).unwrap();
+        cp.append_results(&ids(4..9)).unwrap();
         let journal = cp.manifest.journal.unwrap();
         d.append(journal, &[0xABu8; JOURNAL_RECORD / 2]);
 
@@ -966,7 +964,7 @@ mod tests {
             panic!("expected resume")
         };
         assert_eq!(rcp.phase(), RunPhase::Join);
-        assert_eq!(rcp.committed_count(), 1);
+        assert_eq!(rcp.committed().count(), 1);
         assert!(rcp.is_committed(0) && !rcp.is_committed(1));
         // The torn tail is gone and the journal re-parses cleanly.
         assert_eq!(d.len(journal) as usize, JOURNAL_RECORD);
@@ -984,9 +982,9 @@ mod tests {
         let sb = d.create();
         let mut cp = RunCheckpoint::start(&d, sb, 1, 5, 1);
         cp.commit_join_phase(3, &[], &[]).unwrap();
-        cp.append_results(&pairs(0..2)).unwrap();
+        cp.append_results(&ids(0..2)).unwrap();
         cp.commit_partition(0, 2, 2, 0).unwrap();
-        cp.append_results(&pairs(2..4)).unwrap();
+        cp.append_results(&ids(2..4)).unwrap();
         let err = cp.commit_partition(1, 2, 2, 0).unwrap_err();
         assert!(
             matches!(
@@ -1000,7 +998,7 @@ mod tests {
         let Recovered::Resumed(rcp) = got else {
             panic!("expected resume")
         };
-        assert_eq!(rcp.committed_count(), 2);
+        assert_eq!(rcp.committed().count(), 2);
         assert_eq!(rcp.read_results().unwrap(), pairs(0..4));
     }
 
@@ -1013,9 +1011,9 @@ mod tests {
         let sb = d.create();
         let mut cp = RunCheckpoint::start(&d, sb, 1, 5, 1);
         cp.commit_join_phase(3, &[], &[]).unwrap();
-        cp.append_results(&pairs(0..2)).unwrap();
+        cp.append_results(&ids(0..2)).unwrap();
         cp.commit_partition(0, 2, 2, 0).unwrap();
-        cp.append_results(&pairs(2..4)).unwrap();
+        cp.append_results(&ids(2..4)).unwrap();
         let err = cp.commit_partition(1, 2, 2, 0).unwrap_err();
         assert!(matches!(
             err.kind,
@@ -1028,7 +1026,7 @@ mod tests {
         let Recovered::Resumed(rcp) = got else {
             panic!("expected resume")
         };
-        assert_eq!(rcp.committed_count(), 1);
+        assert_eq!(rcp.committed().count(), 1);
         assert_eq!(d.len(journal) as usize, JOURNAL_RECORD);
         // Partition 1's flushed-but-uncommitted pairs rolled back.
         assert_eq!(rcp.read_results().unwrap(), pairs(0..2));
@@ -1045,7 +1043,7 @@ mod tests {
         let fr = vec![d.create()];
         let fs = vec![d.create()];
         cp.commit_join_phase(1, &fr, &fs).unwrap();
-        cp.append_results(&pairs(0..3)).unwrap();
+        cp.append_results(&ids(0..3)).unwrap();
         cp.commit_partition(0, 3, 3, 0).unwrap();
         let err = cp.finish().unwrap_err();
         assert!(matches!(
@@ -1063,7 +1061,7 @@ mod tests {
         // The unpublished Done manifest was an orphan; the Join manifest
         // with its fully-committed journal is current.
         assert_eq!(rcp.phase(), RunPhase::Join);
-        assert_eq!(rcp.committed_count(), 1);
+        assert_eq!(rcp.committed().count(), 1);
         assert!(d.file_ids().len() < files_before);
         // Resume completes: crash injection is disabled on recovery.
         rcp.finish().unwrap();

@@ -92,16 +92,6 @@ impl BufferPool {
         self.map.insert(key, slot);
         &self.slots[slot].data
     }
-
-    /// Hit fraction so far (0 when nothing was requested).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

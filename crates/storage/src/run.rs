@@ -24,7 +24,6 @@ use parking_lot::MutexGuard;
 use crate::disk::{DiskModel, FileId, IoStats, SimDisk};
 use crate::fault::JoinError;
 use crate::manifest::{RunCheckpoint, RunControl, RunPhase};
-use crate::record::IdPair;
 
 /// `(candidates, results, duplicates)` of one unit — its journal record.
 pub type Counts = (u64, u64, u64);
@@ -231,12 +230,8 @@ impl<'a> UnitRun<'a> {
         (candidates, results, duplicates): Counts,
         out: &mut dyn FnMut(RecordId, RecordId),
     ) -> Result<(), JoinError> {
-        let encoded: Vec<IdPair> = pairs
-            .iter()
-            .map(|&(a, b)| IdPair { r: a.0, s: b.0 })
-            .collect();
         let res = self.publish(|cp| {
-            cp.append_results(&encoded)?;
+            cp.append_results(pairs)?;
             cp.commit_partition(unit, candidates, results, duplicates)
         });
         // The durable journal record — not the process's last instruction —

@@ -39,7 +39,7 @@ impl Strip {
 /// `key < bound`. `LO` keeps the comparison `cur_yl <= yh[i]`, `HI` keeps
 /// `yl[i] <= cur_yh`; a class border that implies one of them drops it.
 ///
-/// Blocks of [`BLOCK`] records are taken whole while the block's **last** key
+/// Blocks of `BLOCK` (8) records are taken whole while the block's **last** key
 /// is inside the bound — the strip is sorted, so the other seven are too —
 /// and their y comparisons are evaluated branch-free into a bitmask. The
 /// check is written positively (`<=` / `>=`), so a NaN last key or bound

@@ -19,14 +19,13 @@ fn main() {
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(512 * 1024));
 
     // --- Intersection join with refinement ---------------------------------
-    let run = join.run_refined(
-        &roads.kpes,
-        &streets.kpes,
-        SegmentIntersect {
-            r: &roads.segments,
-            s: &streets.segments,
-        },
-    );
+    let crossing = SegmentIntersect {
+        r: &roads.segments,
+        s: &streets.segments,
+    };
+    let run = join
+        .try_run_refined(&roads.kpes, &streets.kpes, crossing)
+        .expect("no fault plan is attached");
     println!(
         "{} railway/river segments x {} street segments",
         roads.len(),
@@ -49,7 +48,9 @@ fn main() {
     // --- ε-distance join ----------------------------------------------------
     // The unit square is the LA region, roughly 100 km across, so 50 m ≈ 5e-4.
     let eps = 5e-4;
-    let near = join.within_distance(&roads, &streets, eps);
+    let near = join
+        .try_within_distance(&roads, &streets, eps, None)
+        .expect("no fault plan is attached");
     println!();
     println!(
         "street segments within ~50m of a railway/river: {} pairs",

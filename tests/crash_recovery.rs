@@ -1,7 +1,7 @@
 #![recursion_limit = "512"] // the proptest block below overflows the default while expanding
 
 //! Crash recovery, cancellation and deadline propagation through the
-//! public durable-run API (`SpatialJoin::try_run_durable`).
+//! public durable-run API (`SpatialJoin::try_run_durable_with`).
 //!
 //! The invariant under test everywhere: the interrupted leg's emissions
 //! plus the resumed leg's emissions equal the uninterrupted result set with
@@ -15,7 +15,7 @@ use datagen::Adversarial;
 use geom::Kpe;
 use proptest::prelude::*;
 use spatialjoin::{
-    Algorithm, CancelToken, CrashPoint, FaultPlan, JoinErrorKind, RetryPolicy, SimDisk,
+    Algorithm, CancelToken, CrashPoint, DiskModel, FaultPlan, JoinErrorKind, RetryPolicy, SimDisk,
     SpatialJoin,
 };
 
@@ -243,6 +243,32 @@ fn cancel_from_the_output_sink_never_passes_a_partial_result_for_complete() {
             }
         }
     }
+}
+
+/// `with_disk_model`, `with_faults` and `with_retry` mean on a durable run
+/// what they mean on a plain one: the run's disk comes from the join. The
+/// durable entry used to take whatever disk the caller built by hand and
+/// ignore all three.
+#[test]
+fn the_durable_path_honours_the_joins_own_disk() {
+    let (r, s) = workload(17, 150);
+    let model = DiskModel { channels: 4, ..DiskModel::default() };
+    let join = SpatialJoin::new(Algorithm::pbsm_rpm(MEM))
+        .with_disk_model(model)
+        .with_faults(FaultPlan::recoverable(7));
+    let mut want: Vec<(u64, u64)> = join
+        .try_run(&r, &s)
+        .expect("recoverable faults are cured by retries")
+        .pairs
+        .iter()
+        .map(|(a, b)| (a.0, b.0))
+        .collect();
+    want.sort_unstable();
+    let (got, res) = durable_leg(&join, &join.disk(), &r, &s);
+    let stats = res.expect("durable run under recoverable faults");
+    assert_eq!(stats.model().channels, 4);
+    assert!(stats.io_total().faults_injected > 0, "the join's fault plan never fired");
+    assert_eq!(got, want);
 }
 
 proptest! {

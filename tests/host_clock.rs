@@ -12,7 +12,7 @@ fn a_run_without_a_deadline_reads_its_clocks_a_constant_number_of_times() {
     let s = datagen::sized(&datagen::la_st_config(7), 0.05).generate();
     let reads_of = |join: &SpatialJoin| {
         let before = parallel::thread_clock_reads();
-        let (results, _) = join.try_count(&r, &s).expect("fault-free run");
+        let (results, _) = join.count(&r, &s);
         (results, parallel::thread_clock_reads() - before)
     };
 

@@ -221,9 +221,9 @@ fn partition_events_are_thread_invariant() {
             .with_disk_model(model)
             .with_recorder(recorder.clone());
         let res = if durable {
-            join.try_run_durable(&SimDisk::new(model), &r, &s, 5)
+            join.try_run_durable_with(&join.disk(), &r, &s, 5, &mut |_, _| {})
         } else {
-            join.try_run(&r, &s)
+            join.try_run_with(&r, &s, &mut |_, _| {})
         };
         res.unwrap_or_else(|e| panic!("{} threads={threads}: {e}", algo.name()));
         let mut done = recorder.events();

@@ -1,7 +1,8 @@
 //! Integration tests of the refinement step and the ε-distance join through
 //! the public API, cross-validated against exact-geometry brute force.
 
-use spatial_join_suite::{refine::SegmentIntersect, sfc::Curve, Algorithm, SpatialJoin};
+use spatial_join_suite::refine::{RasterFilter, SegmentIntersect};
+use spatial_join_suite::{sfc::Curve, Algorithm, SpatialJoin};
 
 fn gen(seed: u64, n: usize) -> datagen::LineDataset {
     datagen::LineNetwork {
@@ -11,6 +12,13 @@ fn gen(seed: u64, n: usize) -> datagen::LineDataset {
         seed,
     }
     .generate_dataset()
+}
+
+fn exact<'a>(r: &'a datagen::LineDataset, s: &'a datagen::LineDataset) -> SegmentIntersect<'a> {
+    SegmentIntersect {
+        r: &r.segments,
+        s: &s.segments,
+    }
 }
 
 fn brute_exact(r: &datagen::LineDataset, s: &datagen::LineDataset) -> Vec<(u64, u64)> {
@@ -38,14 +46,9 @@ fn refined_join_is_algorithm_independent() {
         Algorithm::sssj(32 * 1024),
     ] {
         let name = algo.name();
-        let run = SpatialJoin::new(algo).run_refined(
-            &r.kpes,
-            &s.kpes,
-            SegmentIntersect {
-                r: &r.segments,
-                s: &s.segments,
-            },
-        );
+        let run = SpatialJoin::new(algo)
+            .try_run_refined(&r.kpes, &s.kpes, exact(&r, &s))
+            .expect("fault-free run");
         let mut got: Vec<(u64, u64)> = run.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
         got.sort_unstable();
         assert_eq!(got, want, "{name}");
@@ -60,7 +63,7 @@ fn distance_join_matches_exact_brute_force() {
     let s = gen(4, 500);
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
     for eps in [0.0, 0.001, 0.01] {
-        let run = join.within_distance(&r, &s, eps);
+        let run = join.try_within_distance(&r, &s, eps, None).expect("fault-free run");
         let mut got: Vec<(u64, u64)> = run.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
         got.sort_unstable();
         let mut want = Vec::new();
@@ -83,7 +86,7 @@ fn distance_join_is_monotone_in_eps() {
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
     let mut last = 0usize;
     for eps in [0.0, 0.0005, 0.002, 0.008] {
-        let run = join.within_distance(&r, &s, eps);
+        let run = join.try_within_distance(&r, &s, eps, None).expect("fault-free run");
         assert!(
             run.pairs.len() >= last,
             "result count dropped when eps grew to {eps}"
@@ -97,17 +100,12 @@ fn eps_zero_distance_join_equals_intersection_refinement() {
     let r = gen(7, 700);
     let s = gen(8, 700);
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
-    let d0 = join.within_distance(&r, &s, 0.0);
-    let exact = join.run_refined(
-        &r.kpes,
-        &s.kpes,
-        SegmentIntersect {
-            r: &r.segments,
-            s: &s.segments,
-        },
-    );
+    let d0 = join.try_within_distance(&r, &s, 0.0, None).expect("fault-free run");
+    let crossing = join
+        .try_run_refined(&r.kpes, &s.kpes, exact(&r, &s))
+        .expect("fault-free run");
     let mut a: Vec<(u64, u64)> = d0.pairs.iter().map(|(x, y)| (x.0, y.0)).collect();
-    let mut b: Vec<(u64, u64)> = exact.pairs.iter().map(|(x, y)| (x.0, y.0)).collect();
+    let mut b: Vec<(u64, u64)> = crossing.pairs.iter().map(|(x, y)| (x.0, y.0)).collect();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b);
@@ -124,17 +122,13 @@ fn raster_filter_is_metamorphic_no_op_for_intersection() {
     for algo in [Algorithm::pbsm_rpm(32 * 1024), Algorithm::two_layer(32 * 1024)] {
         let name = algo.name();
         let join = SpatialJoin::new(algo);
-        let plain = join.run_refined(
-            &r.kpes,
-            &s.kpes,
-            SegmentIntersect {
-                r: &r.segments,
-                s: &s.segments,
-            },
-        );
+        let plain = join
+            .try_run_refined(&r.kpes, &s.kpes, exact(&r, &s))
+            .expect("fault-free run");
         for curve in [Curve::Peano, Curve::Hilbert] {
+            let raster = RasterFilter::intersect(&r.segments, &s.segments, curve);
             let filtered = join
-                .try_run_refined_raster(&r, &s, curve)
+                .try_run_refined(&r.kpes, &s.kpes, raster)
                 .expect("fault-free run");
             assert_eq!(filtered.pairs, plain.pairs, "{name} {curve:?}");
             assert_eq!(filtered.refine.candidates, plain.refine.candidates, "{name}");
@@ -157,9 +151,9 @@ fn raster_filter_is_metamorphic_no_op_for_distance() {
     let s = gen(14, 700);
     let join = SpatialJoin::new(Algorithm::pbsm_rpm(32 * 1024));
     for eps in [0.001, 0.02] {
-        let plain = join.within_distance(&r, &s, eps);
+        let plain = join.try_within_distance(&r, &s, eps, None).expect("fault-free run");
         let filtered = join
-            .try_within_distance_raster(&r, &s, eps, Curve::Hilbert)
+            .try_within_distance(&r, &s, eps, Some(Curve::Hilbert))
             .expect("fault-free run");
         assert_eq!(filtered.pairs, plain.pairs, "eps = {eps}");
         assert_eq!(filtered.refine.candidates, plain.refine.candidates);

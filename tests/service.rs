@@ -501,6 +501,15 @@ fn protocol_rejects_garbage_without_dying() {
     let list = c.request("{\"cmd\":\"list\"}").expect("list");
     let datasets = list.get("ok").and_then(|o| o.get("datasets")).and_then(Json::as_arr);
     assert_eq!(datasets.map(<[Json]>::len), Some(0), "a refused register registered: {list}");
+    // A crash leg runs on a crash-only disk; a fault seed beside it used to
+    // be validated and silently dropped.
+    let resp = c
+        .request("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"crash\":\"mid-rename\",\"faults\":7}")
+        .expect("error response");
+    let err = resp.get("error").expect("typed error");
+    assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad_request"), "{resp}");
+    let message = err.get("message").and_then(Json::as_str).expect("message");
+    assert!(message.contains("crash") && message.contains("faults"), "{message:?}");
     // Session still alive after every rejection.
     assert_eq!(
         c.request("{\"cmd\":\"ping\"}").expect("ping").get("ok").and_then(Json::as_str),
