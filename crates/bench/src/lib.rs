@@ -1,4 +1,6 @@
-//! Shared plumbing for the experiment binaries (one per paper table/figure).
+//! Shared plumbing for the four experiment binaries: `repro` (every paper
+//! table, figure, ablation and extension, with the claims about them),
+//! `regress`, `planner-eval` and `scaling`.
 //!
 //! Datasets are generated once per process and cached; the overall scale is
 //! controlled by the `SJ_SCALE` environment variable (`1.0` = the paper's
@@ -106,7 +108,7 @@ pub fn s3j_cfg(mem: usize, replicate: bool) -> S3jConfig {
 }
 
 /// Number of repetitions for noisy wall-clock measurements (`SJ_REPEAT`,
-/// default 1). Experiment binaries that measure CPU-heavy sweeps run each
+/// default 1). `repro`'s experiments that measure CPU-heavy sweeps run each
 /// configuration this many times and report the median total time.
 pub fn repeats() -> usize {
     std::env::var("SJ_REPEAT")
@@ -127,14 +129,6 @@ where
     runs.sort_by(|a, b| key(a).total_cmp(&key(b)));
     let mid = runs.len() / 2;
     runs.swap_remove(mid)
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, what: &str, paper_expectation: &str) {
-    println!("=== {id}: {what} ===");
-    println!("scale: {} (SJ_SCALE; 1.0 = paper cardinalities)", scale());
-    println!("paper expectation: {paper_expectation}");
-    println!();
 }
 
 /// `v` to `places` decimals, for a report row: a reader diffing two reports

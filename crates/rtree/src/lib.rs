@@ -16,9 +16,6 @@
 
 use geom::{Kpe, Rect, RecordId};
 
-mod paged;
-pub use paged::{paged_rtree_join, PagedRTree};
-
 /// Maximum entries per node (fanout). The paper-era value for 8 KiB pages
 /// and ~40-byte entries.
 pub const DEFAULT_FANOUT: usize = 64;

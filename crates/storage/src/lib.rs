@@ -56,7 +56,6 @@ mod file;
 pub mod json;
 mod manifest;
 pub mod metrics;
-mod pool;
 mod record;
 mod retry;
 mod run;
@@ -78,7 +77,6 @@ pub use metrics::{
 };
 pub use file::{FileReader, FileWriter};
 pub use json::Json;
-pub use pool::BufferPool;
 pub use record::{
     read_all, try_read_all, try_write_all, write_all, FixedRecord, IdPair, RecordReader,
     RecordWriter,
