@@ -19,9 +19,9 @@
 //! Besides J1–J5, the grid carries a skewed (`SKEW`) and a
 //! high-selectivity (`HISEL`) workload where the two-layer class scheme is
 //! required to beat PBSM+RPM on the deterministic simulated total (I/O
-//! plus `tests` priced at `TEST_COST`) — the produce step enforces this
-//! inline on every run, so the gate fails the moment the two-layer fast
-//! paths regress.
+//! plus `tests` priced on the default model's CPU clock) — the produce step
+//! enforces this inline on every run, so the gate fails the moment the
+//! two-layer fast paths regress.
 //!
 //! ```text
 //! # produce / bless a baseline (records the dataset scale inside)
@@ -40,21 +40,10 @@ use std::process::ExitCode;
 
 use bench::{cal_st, hisel_inputs, join_inputs, paper_mem, rounded, scale, skew_inputs};
 use spatialjoin::{Algorithm, SpatialJoin};
-use storage::{DiskModel, Json};
+use storage::{DiskModel, Json, Work};
 
 const SCHEMA_VERSION: u32 = 3;
 const TIME_TOLERANCE: f64 = 0.05;
-/// Deterministic seconds per rectangle comparison, used to fold the `tests`
-/// meter into a simulated total for the two-layer beat gate (the measured
-/// clock pins `cpu_slowdown = 0`, so CPU work must be priced from the
-/// deterministic counters to stay bit-reproducible across hosts). The price
-/// is the measured cost of one test in the list sweep's forward-scan kernel,
-/// which both sides of the gate run: `sweep.list_ns_per_test`, 0.7–1.2 ns
-/// across the four workloads of EXPERIMENTS.md "Real hardware" (3 ns for the
-/// record-at-a-time scan it replaced; an assumed 20 ns before there was a
-/// host-clock row to point at). The gate's verdicts do not depend on it: the
-/// two sides do identical I/O, so fewer tests win at any positive price.
-const TEST_COST: f64 = 1.0e-9;
 
 struct Row {
     join: &'static str,
@@ -101,11 +90,16 @@ impl Row {
     }
 
     /// Deterministic "total time" with CPU work priced in: simulated I/O
-    /// plus `tests` rectangle comparisons at [`TEST_COST`] each. This is
-    /// what the two-layer beat gate compares — at `cpu_slowdown = 0` the
-    /// measured clock alone cannot see CPU savings.
+    /// plus `tests` rectangle comparisons on the default model's CPU clock.
+    /// This is what the two-layer beat gate compares — the rows' own clock
+    /// pins `cpu_slowdown = 0`, so it cannot see CPU savings. Both sides do
+    /// identical I/O, so fewer tests win at any positive price.
     fn sim_total(&self) -> f64 {
-        self.total_s + self.tests as f64 * TEST_COST
+        let tests = Work {
+            tests: self.tests,
+            ..Work::default()
+        };
+        self.total_s + DiskModel::default().priced_cpu(&tests)
     }
 }
 
@@ -197,7 +191,7 @@ fn produce() -> Result<(String, Vec<Row>), String> {
 
     // PR 10's tentpole gate: on the skewed and high-selectivity workloads
     // the two-layer class scheme must beat PBSM+RPM on the deterministic
-    // simulated total (I/O plus `tests` priced at TEST_COST) — same
+    // simulated total (I/O plus `tests` priced) — same
     // partitioning I/O, so the win has to come from the skipped
     // intersection and duplicate tests.
     for (join, (r, s)) in [("SKEW", skew_inputs()), ("HISEL", hisel_inputs())] {

@@ -8,15 +8,13 @@ use crate::table::Table;
 
 /// How far a claim is trusted.
 pub enum Status {
-    /// Reads deterministic columns only; fails the process when false at
-    /// `SJ_SCALE` ≥ the scale given (the smallest it is recorded to hold from).
+    /// Fails the process when false at `SJ_SCALE` ≥ the scale given (the
+    /// smallest it is recorded to hold from).
     Gate(f64),
-    /// Reads host-derived columns: printed with its measured value, never failing.
-    Host,
     /// Measured not to hold here; the EXPERIMENTS.md section given says why.
     NotReproduced(&'static str),
 }
-use Status::{Gate, Host, NotReproduced};
+use Status::{Gate, NotReproduced};
 
 /// What the tables say about a claim: does it hold, and the value measured.
 type Check = fn(&[Table]) -> (bool, String);
@@ -36,7 +34,7 @@ pub enum Verdict {
     Skipped,
     /// A gate that is false: `repro` exits 1.
     Failed,
-    /// A `host` or `not reproduced` claim: its measured value, never a failure.
+    /// A `not reproduced` claim: its measured value, never a failure.
     Reported,
 }
 
@@ -51,7 +49,6 @@ impl Claim {
             }
             Gate(_) if holds => (Verdict::Held, "gate ok", found),
             Gate(_) => (Verdict::Failed, "GATE FAILED", found),
-            Host => (Verdict::Reported, "host", found),
             NotReproduced(why) => {
                 (Verdict::Reported, "not reproduced", format!("{found} (EXPERIMENTS.md \"{why}\")"))
             }
@@ -131,22 +128,22 @@ pub fn claims() -> Vec<Claim> {
         }),
         claim("fig11.fewer-tests", Gate(0.01), "replicated S3J performs fewer tests than the original at every M",
             |t| every("orig/repl tests", &ratio(&t[0], "orig tests", "repl tests"), |r| r > 1.0)),
-        claim("fig11.cpu-10x", Host, "replication cuts CPU time by an order of magnitude",
+        claim("fig11.cpu-10x", NotReproduced("Figure 11"), "replication cuts CPU time by an order of magnitude",
             |t| every("orig/repl CPU", &t[0].nums("cpu ratio"), |r| r >= 10.0)),
-        claim("fig11.total-2.5x", Host, "replication cuts total runtime by a factor 2.5-4",
+        claim("fig11.total-2.5x", NotReproduced("Figure 11"), "replication cuts total runtime by a factor 2.5-4",
             |t| every("orig/repl total", &t[0].nums("tot ratio"), |r| r >= 2.5)),
         claim("fig11m.replication-pays", Gate(0.01), "on grid-aligned data replication cuts tests ≥ 10x at a rate ≤ 4", |t| {
             let (tests, rate) = (t[0].nums("tests"), t[0].nums("repl rate")[1]);
             let saved = tests[0] / tests[1];
             (saved >= 10.0 && rate <= 4.0, format!("tests {saved:.1}x fewer, replication rate {rate:.2}"))
         }),
-        claim("fig11m.cpu-10x", Host, "and wins the paper's order of magnitude on join CPU", |t| {
+        claim("fig11m.cpu-10x", NotReproduced("Figure 11"), "and wins the paper's order of magnitude on join CPU", |t| {
             let cpu = t[0].nums("join cpu s");
             (cpu[0] / cpu[1] >= 10.0, format!("orig/repl join CPU {:.1}", cpu[0] / cpu[1]))
         }),
         claim("fig12.sweep-fewer-tests", Gate(0.01), "in S3J the list sweep tests no more pairs than nested loops",
             |t| every("nested/sweep tests", &ratio(&t[0], "nested tests", "sweep tests"), |r| r >= 1.0)),
-        claim("fig12.trie-far-slower", Host, "the trie is far slower than nested loops and the list sweep",
+        claim("fig12.trie-far-slower", NotReproduced("Figure 12"), "the trie is far slower than nested loops and the list sweep",
             |t| every("trie/nested total", &ratio(&t[0], "trie s", "nested s"), |r| r >= 1.5)),
         claim("fig13.results-agree", Gate(0.01), "S3J, PBSM(list) and PBSM(trie) agree on results for p = 1..10", |t| {
             let n = t[0].nums("results");
@@ -156,7 +153,7 @@ pub fn claims() -> Vec<Claim> {
             let r = t[0].nums("PBSM repl");
             (chain(&r, |a, b| a <= b) && r[9] <= 1.1, format!("rate {}", span(&r)))
         }),
-        claim("fig13.s3j-catches-list", Host, "at large p S3J catches PBSM(list)",
+        claim("fig13.s3j-catches-list", NotReproduced("Figure 13"), "at large p S3J catches PBSM(list)",
             |t| every("S3J/PBSM(list) total at p = 10", &ratio(&t[0], "S3J tot s", "PBSM-L tot")[9..], |r| r <= 1.1)),
         claim("fig14.list-tests-grow", Gate(0.01), "PBSM(list) tests never fall as M grows; PBSM(trie) needs fewer", |t| {
             let (l, saved) = (t[0].nums("PBSM-L tests"), ratio(&t[0], "PBSM-L tests", "PBSM-T tests"));
@@ -196,7 +193,7 @@ pub fn claims() -> Vec<Claim> {
             let (a, b) = (t[0].nums("results"), t[1].nums("results"));
             (chain(&a, |a, b| a == b) && chain(&b, |a, b| a == b), format!("{} and {} results", a[0], b[0]))
         }),
-        claim("ext_skew.sssj-similar-on-real", Host, "on real data SSSJ performs similarly to PBSM", |t| {
+        claim("ext_skew.sssj-similar-on-real", NotReproduced("Beyond the paper"), "on real data SSSJ performs similarly to PBSM", |t| {
             let tot = t[0].nums("total s"); // PBSM(list), PBSM(trie), S3J, SSSJ
             every("SSSJ/PBSM(list) total", &[tot[3] / tot[0]], |r| r <= 1.25)
         }),

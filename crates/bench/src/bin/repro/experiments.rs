@@ -1,16 +1,14 @@
 //! The fifteen experiments: each paper figure, table, ablation and extension
 //! is one function that runs its joins and returns its rows.
 
-use std::time::Instant;
-
-use bench::{cal_st, join_inputs, la_rr, la_st, median_run, paper_mem, pbsm_cfg, s3j_cfg, scale};
+use bench::{cal_st, join_inputs, la_rr, la_st, paper_mem, pbsm_cfg, s3j_cfg, scale};
 use geom::{dataset_stats, Kpe};
 use pbsm::{pbsm_join, Dedup::{self, ReferencePoint as RP}, PbsmConfig, PbsmStats, TileScheme};
 use s3j::{s3j_join, LevelRecord, S3jConfig, S3jStats, ScanMode};
 use sfc::Curve;
 use spatialjoin::{Algorithm, SpatialJoin};
 use sssj::{sssj_join, SssjConfig, SssjStats};
-use storage::{DiskModel, FixedRecord, IoStats, SimDisk};
+use storage::{DiskModel, FixedRecord, IoStats, SimDisk, Work};
 use sweep::InternalAlgo::{self, NestedLoops as NESTED, PlaneSweepList as LIST, PlaneSweepTrie as TRIE};
 
 use crate::table::{row, Table};
@@ -42,14 +40,9 @@ fn sssj(r: &[Kpe], s: &[Kpe], mem: usize) -> SssjStats {
     sssj_join(&SimDisk::with_default_model(), r, s, &cfg, &mut |_, _| {})
 }
 
-/// PBSM on J5 (the `CAL_ST` self join): of `SJ_REPEAT` runs, the median by total time.
-fn pbsm_j5(cfg: PbsmConfig) -> PbsmStats {
-    median_run(|| pbsm(cal_st(), cal_st(), cfg), |st| st.total_seconds())
-}
-
-/// S³J on J5 likewise.
-fn s3j_j5(cfg: S3jConfig) -> S3jStats {
-    median_run(|| s3j(cal_st(), cal_st(), cfg), |st| st.total_seconds())
+/// Seconds `work` costs on the default model's emulated machine.
+fn priced(work: &Work) -> f64 {
+    DiskModel::default().priced_cpu(work)
 }
 
 /// Figure 3: PBSM duplicate removal — original sort phase (PD) vs the
@@ -59,7 +52,7 @@ fn s3j_j5(cfg: S3jConfig) -> S3jStats {
 ///     partition/join I/O, growing with the result size.
 /// 3b: total runtime, PD vs RP.
 fn fig3() -> Vec<Table> {
-    let cols = "join, results, |base io u:0, PD dedup u:0, RP dedup u:0, |~PD tot s:1, ~RP tot s:1";
+    let cols = "join, results, |base io u:0, PD dedup u:0, RP dedup u:0, |PD tot s:1, RP tot s:1";
     let rows = (1..=4).map(|p| {
         let ((r, s), mem) = (join_inputs(p), paper_mem(2.5));
         let pd = pbsm(&r, &s, pbsm_cfg(mem, LIST, Dedup::SortPhase));
@@ -77,14 +70,15 @@ fn fig3() -> Vec<Table> {
 /// memory — list ([BKS 93]) vs interval trie (this paper), J1–J4 and J5.
 ///
 /// Pure CPU experiment: no partitioning, the entire datasets are joined in
-/// memory. Reported in emulated-machine seconds (measured CPU × slowdown).
+/// memory. Reported in emulated-machine seconds (the sweep's counted work,
+/// priced).
 fn fig4() -> Vec<Table> {
-    let mut t = Table::new("", "join, results, |~list s:1, ~trie s:1, ~ratio:2, |list tests, trie tests", []);
+    let mut t = Table::new("", "join, results, |list s:1, trie s:1, ratio:2, |list tests, trie tests", []);
     let sweep = |algo: InternalAlgo, r: &[Kpe], s: &[Kpe]| {
         let (mut join, mut r, mut s) = (algo.create(), r.to_vec(), s.to_vec());
-        let (start, mut n) = (Instant::now(), 0u64);
-        join.join(&mut r, &mut s, &mut |_, _| n += 1);
-        (DiskModel::default().scaled_cpu(start.elapsed().as_secs_f64()), n, join.counters().tests)
+        join.join(&mut r, &mut s, &mut |_, _| {});
+        let c = join.counters();
+        (priced(&algo.work(&c)), c.results, c.tests)
     };
     let mut push = |label: String, r: &[Kpe], s: &[Kpe]| {
         let ((tl, nl, kl), (tt, nt, kt)) = (sweep(LIST, r, s), sweep(TRIE, r, s));
@@ -106,10 +100,10 @@ fn fig4() -> Vec<Table> {
 /// Figure 5: PBSM total runtime on J5 as a function of available memory,
 /// sweep-line status as a list vs as an interval trie.
 fn fig5() -> Vec<Table> {
-    let cols = "paper-M MB, P, |~list tot s:1, ~trie tot s:1, |~list cpu s:1, ~trie cpu s:1, \
+    let cols = "paper-M MB, P, |list tot s:1, trie tot s:1, |list cpu s:1, trie cpu s:1, \
                 |list io s:1, trie io s:1";
     let rows = MEMS[1..].iter().map(|&mb| {
-        let run = |internal| pbsm_j5(pbsm_cfg(paper_mem(mb), internal, RP));
+        let run = |internal| pbsm(cal_st(), cal_st(), pbsm_cfg(paper_mem(mb), internal, RP));
         let (l, t) = (run(LIST), run(TRIE));
         assert_eq!(l.results, t.results);
         let (tot, cpu) = ([l.total_seconds(), t.total_seconds()], [l.scaled_cpu_seconds(), t.scaled_cpu_seconds()]);
@@ -123,19 +117,20 @@ fn fig5() -> Vec<Table> {
 fn fig6() -> Vec<Table> {
     let rows = MEMS.map(|mb| {
         let st = pbsm(cal_st(), cal_st(), pbsm_cfg(paper_mem(mb), LIST, RP));
-        let repart_secs = st.clock.model.scaled_cpu(st.cpu_repart) + st.clock.model.seconds(&st.io_repart);
+        let repart_secs = st.clock.model.at(&st.work_repart, &st.io_repart);
         row![mb, st.partitions, st.repartitioned_pairs, repart_secs, 100.0 * st.repart_fraction()]
     });
-    vec![Table::new("", "paper-M MB, P, |repart pairs, ~repart s:1, ~fraction %:1", rows)]
+    vec![Table::new("", "paper-M MB, P, |repart pairs, repart s:1, fraction %:1", rows)]
 }
 
 /// Figure 11: S³J original vs S³J with replication on J5 — CPU time (left)
 /// and total runtime (right) as functions of available memory.
 fn fig11() -> Vec<Table> {
-    let cols = "paper-M MB, |~orig cpu s:1, ~repl cpu s:1, ~cpu ratio:1, |~orig tot s:1, ~repl tot s:1, \
-                ~tot ratio:1, |orig tests, repl tests";
+    let cols = "paper-M MB, |orig cpu s:1, repl cpu s:1, cpu ratio:1, |orig tot s:1, repl tot s:1, \
+                tot ratio:1, |orig tests, repl tests";
     let rows = MEMS[1..].iter().map(|&mb| {
-        let (orig, repl) = (s3j_j5(s3j_cfg(paper_mem(mb), false)), s3j_j5(s3j_cfg(paper_mem(mb), true)));
+        let run = |replicate| s3j(cal_st(), cal_st(), s3j_cfg(paper_mem(mb), replicate));
+        let (orig, repl) = (run(false), run(true));
         assert_eq!(orig.results, repl.results);
         let cpu = [orig.scaled_cpu_seconds(), repl.scaled_cpu_seconds()];
         let tot = [orig.total_seconds(), repl.total_seconds()];
@@ -155,11 +150,11 @@ fn fig11() -> Vec<Table> {
 /// covering-cell assignment then drops nearly all records into coarse
 /// levels, and replication pays off by the paper's full margin.
 fn fig11m() -> Vec<Table> {
-    let cols = "variant, |~join cpu s:1, ~total s:1, tests, |repl rate:2, |copies in levels 0-5, of records";
+    let cols = "variant, |join cpu s:1, total s:1, tests, |repl rate:2, |copies in levels 0-5, of records";
     let data = datagen::manhattan(((400_000.0 * scale()) as usize).max(1000), 32, 5);
     let rows = [("original", false), ("replicated", true)].map(|(variant, replicate)| {
         let st = s3j(&data, &data, s3j_cfg(20 << 20, replicate));
-        let (join_cpu, rate) = (st.clock.model.scaled_cpu(st.cpu_join), st.replication_rate(2 * data.len()));
+        let (join_cpu, rate) = (st.clock.model.priced_cpu(&st.work_join), st.replication_rate(2 * data.len()));
         let coarse: u64 = st.histogram_r[0..6].iter().sum();
         row![variant, join_cpu, st.total_seconds(), st.join_counters.tests, rate, coarse, data.len()]
     });
@@ -170,9 +165,9 @@ fn fig11m() -> Vec<Table> {
 /// nested loops vs list plane sweep (and the trie, which the paper dropped
 /// from the plot for being far worse).
 fn fig12() -> Vec<Table> {
-    let cols = "paper-M MB, |~nested s:1, ~sweep s:1, ~trie s:1, |nested tests, sweep tests, trie tests";
+    let cols = "paper-M MB, |nested s:1, sweep s:1, trie s:1, |nested tests, sweep tests, trie tests";
     let rows = MEMS[1..].iter().map(|&mb| {
-        let run = |internal| s3j_j5(S3jConfig { internal, ..s3j_cfg(paper_mem(mb), true) });
+        let run = |internal| s3j(cal_st(), cal_st(), S3jConfig { internal, ..s3j_cfg(paper_mem(mb), true) });
         let st = [NESTED, LIST, TRIE].map(run);
         assert!(st[0].results == st[1].results && st[0].results == st[2].results);
         let (tot, tests) = (st.each_ref().map(S3jStats::total_seconds), st.each_ref().map(|st| st.join_counters.tests));
@@ -185,7 +180,7 @@ fn fig12() -> Vec<Table> {
 /// p = 1..10, at the paper's M = 2.5 MB. Coverage (and with it PBSM's
 /// replication and everyone's result size) grows with p².
 fn fig13() -> Vec<Table> {
-    let cols = "p, results, PBSM-L res, PBSM-T res, |~S3J tot s:1, ~PBSM-L tot:1, ~PBSM-T tot:1, |PBSM repl:2";
+    let cols = "p, results, PBSM-L res, PBSM-T res, |S3J tot s:1, PBSM-L tot:1, PBSM-T tot:1, |PBSM repl:2";
     let rows = (1..=10).map(|p| {
         let ((r, s), mem) = (join_inputs(p), paper_mem(2.5));
         let s3 = s3j(&r, &s, s3j_cfg(mem, true));
@@ -200,10 +195,11 @@ fn fig13() -> Vec<Table> {
 /// Figure 14: the headline comparison — S³J vs PBSM(list) vs PBSM(trie) on
 /// J5 as a function of available memory.
 fn fig14() -> Vec<Table> {
-    let cols = "paper-M MB, |~S3J tot s:1, ~PBSM-L tot:1, ~PBSM-T tot:1, |S3J tests, PBSM-L tests, PBSM-T tests";
+    let cols = "paper-M MB, |S3J tot s:1, PBSM-L tot:1, PBSM-T tot:1, |S3J tests, PBSM-L tests, PBSM-T tests";
     let rows = MEMS.map(|mb| {
-        let (mem, run) = (paper_mem(mb), |internal| pbsm_j5(pbsm_cfg(paper_mem(mb), internal, RP)));
-        let (s3, list, trie) = (s3j_j5(s3j_cfg(mem, true)), run(LIST), run(TRIE));
+        let mem = paper_mem(mb);
+        let run = |internal| pbsm(cal_st(), cal_st(), pbsm_cfg(mem, internal, RP));
+        let (s3, list, trie) = (s3j(cal_st(), cal_st(), s3j_cfg(mem, true)), run(LIST), run(TRIE));
         assert_eq!(s3.results, list.results);
         let tests = [s3.join_counters.tests, list.join_counters.tests, trie.join_counters.tests];
         row![mb, s3.total_seconds(), list.total_seconds(), trie.total_seconds(), tests[0], tests[1], tests[2]]
@@ -293,12 +289,12 @@ fn ablations() -> Vec<Table> {
     let (pcfg, scfg) = (pbsm_cfg(mem, LIST, RP), s3j_cfg(mem, true));
     let (cr, cs) = (datagen::clustered(r.len(), 3, 0.001, 77), datagen::clustered(s.len(), 3, 0.001, 78));
     let heading = "PBSM safety factor t (formula (1)): avoids the '1.99 -> P=2' trap";
-    let safety = Table::new(heading, "t, P, repart pairs, ~total s:1", [1.0, 1.1, 1.2, 1.5, 2.0].map(|t| {
+    let safety = Table::new(heading, "t, P, repart pairs, total s:1", [1.0, 1.1, 1.2, 1.5, 2.0].map(|t| {
         let st = pbsm(&r, &s, PbsmConfig { safety_factor: t, ..pcfg });
         row![t, st.partitions, st.repartitioned_pairs, st.total_seconds()]
     }));
     let heading = "PBSM tiles per partition (NT = P*k): replication vs balance";
-    let tiles = Table::new(heading, "k, tiles, repl rate:3, ~total s:1", [1u32, 2, 4, 8, 16, 32].map(|k| {
+    let tiles = Table::new(heading, "k, tiles, repl rate:3, total s:1", [1u32, 2, 4, 8, 16, 32].map(|k| {
         let st = pbsm(&r, &s, PbsmConfig { tiles_per_partition: k, ..pcfg });
         row![k, st.grid.gx as u64 * st.grid.gy as u64, st.replication_rate(n), st.total_seconds()]
     }));
@@ -307,20 +303,20 @@ fn ablations() -> Vec<Table> {
         let st = pbsm(&cr, &cs, PbsmConfig { tile_scheme, ..pcfg });
         row![format!("{tile_scheme:?}"), st.repartitioned_pairs, st.repart_depth, st.total_seconds()]
     });
-    let scheme = Table::new(heading, "scheme, repart pairs, max depth, ~total s:1", schemes);
+    let scheme = Table::new(heading, "scheme, repart pairs, max depth, total s:1", schemes);
     let heading = "S3J level shift: replication rate vs intersection tests";
-    let shift = Table::new(heading, "shift, repl rate:3, tests, ~total s:1", [0u8, 1, 2, 3].map(|level_shift| {
+    let shift = Table::new(heading, "shift, repl rate:3, tests, total s:1", [0u8, 1, 2, 3].map(|level_shift| {
         let st = s3j(&r, &s, S3jConfig { level_shift, ..scfg });
         row![level_shift as u32, st.replication_rate(n), st.join_counters.tests, st.total_seconds()]
     }));
     let heading = "S3J curve (§4.4.2): same I/O, same tests, only code cost differs";
-    let curves = Table::new(heading, "curve, io units:0, tests, ~part cpu s:2", [Curve::Peano, Curve::Hilbert].map(|curve| {
+    let curves = Table::new(heading, "curve, io units:0, tests, part cpu s:2", [Curve::Peano, Curve::Hilbert].map(|curve| {
         let st = s3j(&r, &s, S3jConfig { curve, ..scfg });
-        let (io, part_cpu) = (st.clock.model.units(&st.io_total()), st.clock.model.scaled_cpu(st.cpu_partition));
+        let (io, part_cpu) = (st.clock.model.units(&st.io_total()), st.clock.model.priced_cpu(&st.work_partition));
         row![format!("{curve:?}"), io, st.join_counters.tests, part_cpu]
     }));
     let heading = "S3J scan mode (§4.4.3): heap merge vs naive level-pair scan";
-    let scan = Table::new(heading, "mode, join io u:0, ~total s:1", [ScanMode::HeapMerge, ScanMode::LevelPairs].map(|scan| {
+    let scan = Table::new(heading, "mode, join io u:0, total s:1", [ScanMode::HeapMerge, ScanMode::LevelPairs].map(|scan| {
         let st = s3j(&r, &s, S3jConfig { scan, ..scfg });
         row![format!("{scan:?}"), st.clock.model.units(&st.io_join), st.total_seconds()]
     }));
@@ -334,16 +330,22 @@ fn ablations() -> Vec<Table> {
 /// indices pre-exist, are free and sit in memory — no I/O is charged to it),
 /// SSSJ ([APR+ 98]), SHJ and the improved PBSM/S³J of the paper. R-tree
 /// *construction* CPU is reported separately — the no-index algorithms do
-/// not pay it.
+/// not pay it. Both R-tree rows are priced from counted work: STR sorts
+/// every level twice (by x-centre, then each slice by y-centre), and the
+/// synchronized traversal counts its node visits and tests.
 fn ext_baselines() -> Vec<Table> {
-    let ((r, s), mem, model) = (join_inputs(1), paper_mem(2.5), DiskModel::default());
-    let mut t = Table::new("", "method, results, ~total s:1", []);
-    let start = Instant::now();
-    let (tr, ts) = (rtree::RTree::bulk(&r, 64), rtree::RTree::bulk(&s, 64));
-    let build_secs = model.scaled_cpu(start.elapsed().as_secs_f64());
-    let (start, mut n) = (Instant::now(), 0u64);
-    rtree::rtree_join(&tr, &ts, &mut |_, _| n += 1);
-    t.push(row!["R-tree join (in memory)", n, model.scaled_cpu(start.elapsed().as_secs_f64())]);
+    let ((r, s), mem) = (join_inputs(1), paper_mem(2.5));
+    let mut t = Table::new("", "method, results, total s:1", []);
+    let fanout = rtree::DEFAULT_FANOUT;
+    // Entries STR sorts while packing `n` records: each level twice.
+    let levels = |n: usize| std::iter::successors(Some(n), |&n| (n > fanout).then(|| n.div_ceil(fanout)));
+    let str_sorted = |n: usize| levels(n).map(|n| 2 * n as u64).sum::<u64>();
+    let build_secs = priced(&Work { swept: str_sorted(r.len()) + str_sorted(s.len()), ..Work::default() });
+    let (tr, ts) = (rtree::RTree::bulk(&r, fanout), rtree::RTree::bulk(&s, fanout));
+    let mut n = 0u64;
+    let join = rtree::rtree_join(&tr, &ts, &mut |_, _| n += 1);
+    let work = Work { tests: join.tests, node_visits: join.node_visits, candidates: n, ..Work::default() };
+    t.push(row!["R-tree join (in memory)", n, priced(&work)]);
     let st = pbsm(&r, &s, pbsm_cfg(mem, TRIE, RP));
     t.push(row!["PBSM (trie, RPM)", st.results, st.total_seconds()]);
     let st = s3j(&r, &s, s3j_cfg(mem, true));
@@ -377,7 +379,7 @@ fn ext_skew() -> Vec<Table> {
             row!["SSSJ", sw.results, sw.scaled_cpu_seconds(), sw.total_seconds()],
         ];
         let heading = format!("{label}: {} x {} MBRs", r.len(), s.len());
-        Table::new(heading, "method, results, ~cpu s:1, ~total s:1", rows)
+        Table::new(heading, "method, results, cpu s:1, total s:1", rows)
     };
     let (r, s) = join_inputs(1);
     let (dr, ds) = (datagen::diagonal(r.len(), 0.002, 0.0015, 91), datagen::diagonal(s.len(), 0.002, 0.0015, 92));

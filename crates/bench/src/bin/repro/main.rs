@@ -4,8 +4,8 @@
 //! `results/<id>.txt` holds (see `run_experiments.sh`): the banner, the
 //! experiment's tables, and one line per claim of [`claims::claims`] about it.
 //! A `gate` claim that is false at this `SJ_SCALE` exits 1. `SJ_SCALE` shrinks
-//! every dataset (and the memory axis with it); `SJ_REPEAT` makes the noisy J5
-//! figures (5, 11, 12, 14) report the median of that many runs.
+//! every dataset (and the memory axis with it). Every column is a counter or
+//! a simulated time priced from counters, so two runs print the same file.
 
 mod claims;
 mod experiments;
@@ -18,8 +18,7 @@ use table::Table;
 /// The banner and the tables of one experiment, as `results/<id>.txt` holds them.
 fn render(e: &Experiment, scale: f64, tables: &[Table]) -> String {
     let banner = format!(
-        "=== {} ===\nscale: {scale} (SJ_SCALE; 1.0 = paper cardinalities)\npaper expectation: {}\n\
-         columns: ~ heads one derived from host CPU time (differs run to run); all others are deterministic\n",
+        "=== {} ===\nscale: {scale} (SJ_SCALE; 1.0 = paper cardinalities)\npaper expectation: {}\n",
         e.title, e.expectation
     );
     tables.iter().fold(banner, |out, t| out + "\n" + &t.render())
@@ -47,7 +46,7 @@ fn main() {
     let [held, skipped, failed, reported] = tally;
     println!(
         "repro: {held} gate claims hold, {failed} failed, {skipped} skipped below their scale; \
-         {reported} host / not-reproduced claims reported"
+         {reported} not-reproduced claims reported"
     );
     std::process::exit((failed > 0) as i32);
 }
@@ -68,16 +67,8 @@ mod tests {
         claims().into_iter().find(|c| c.id == id).expect("known claim")
     }
 
-    /// Heading and every deterministic cell of `tables`.
-    fn deterministic(tables: &[Table]) -> Vec<(String, Vec<Vec<Json>>)> {
-        let keep = |t: &Table, row: &Vec<Json>| -> Vec<Json> {
-            t.cols.iter().zip(row).filter(|(c, _)| !c.host).map(|(_, cell)| cell.clone()).collect()
-        };
-        tables.iter().map(|t| (t.heading.clone(), t.rows.iter().map(|r| keep(t, r)).collect())).collect()
-    }
-
     #[test]
-    fn every_experiment_runs_renders_and_repeats_its_deterministic_columns() {
+    fn every_experiment_runs_renders_and_repeats_itself() {
         for e in &EXPERIMENTS {
             let (first, second) = (run(e.id), run(e.id));
             assert!(!first.is_empty(), "{} returned no table", e.id);
@@ -85,10 +76,10 @@ mod tests {
                 assert!(!t.rows.is_empty(), "{}: empty table {:?}", e.id, t.heading);
                 assert!(t.rows.iter().all(|r| r.len() == t.cols.len()), "{}: ragged row", e.id);
             }
-            // One header and one line per row, under the four banner lines.
+            // One header and one line per row, under the three banner lines.
             let lines = render(e, 0.01, &first).lines().count();
-            assert!(lines >= 4 + first.iter().map(|t| 2 + t.rows.len()).sum::<usize>(), "{}", e.id);
-            assert_eq!(deterministic(&first), deterministic(&second), "{}", e.id);
+            assert!(lines >= 3 + first.iter().map(|t| 2 + t.rows.len()).sum::<usize>(), "{}", e.id);
+            assert_eq!(render(e, 0.01, &first), render(e, 0.01, &second), "{}", e.id);
             // Every claim about it evaluates (no missing column, no short table) and names itself.
             for c in claims().iter().filter(|c| c.id.starts_with(&format!("{}.", e.id))) {
                 assert!(c.evaluate(0.01, &first).1.contains(c.id));
@@ -112,7 +103,7 @@ mod tests {
 
     #[test]
     fn renderer_golden() {
-        let mut t = Table::new("three rows", "join, results, |io u:0, |~tot s:1, note", [
+        let mut t = Table::new("three rows", "join, results, |io u:0, |tot s:1, note", [
             row!["J1", 57657u64, 12162.4, 29.44, "first"],
             row!["J2", 230175u64, 12218.0, 32.6, ""],
             row!["J10", 7u64, 0.5, 107.05, "≤ 1 pass"],
@@ -120,10 +111,10 @@ mod tests {
         t.note = "(a note)".into();
         let expected = "\
 -- three rows
-join results |  io u | ~tot s note
-J1     57657 | 12162 |   29.4 first
-J2    230175 | 12218 |   32.6
-J10        7 |     0 |  107.0 ≤ 1 pass
+join results |  io u | tot s note
+J1     57657 | 12162 |  29.4 first
+J2    230175 | 12218 |  32.6
+J10        7 |     0 | 107.0 ≤ 1 pass
 
 (a note)
 ";
@@ -159,7 +150,7 @@ J10        7 |     0 |  107.0 ≤ 1 pass
         assert_eq!(verdict, Verdict::Skipped);
         assert!(line.contains("gate skipped") && line.contains("0.2"), "{line}");
         assert_eq!(gate.evaluate(0.2, &fig3).0, Verdict::Failed, "the same rows at its own scale");
-        // A host or not-reproduced claim never fails, whatever it measures.
+        // A not-reproduced claim never fails, whatever it measures.
         let fig4 = run("fig4");
         assert_eq!(claim("fig4.trie-beats-list").evaluate(1.0, &fig4).0, Verdict::Reported);
     }

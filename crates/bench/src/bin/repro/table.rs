@@ -5,9 +5,6 @@ use storage::Json;
 /// One column of a [`Table`].
 pub struct Col {
     pub name: &'static str,
-    /// Derived from measured host CPU time — differs run to run. Every other
-    /// column is deterministic: a counter, or simulated I/O under the cost model.
-    pub host: bool,
     /// Draw a group bar before the column.
     bar: bool,
     /// Decimals a number is printed with; `None` prints the shortest form.
@@ -15,15 +12,14 @@ pub struct Col {
 }
 
 impl Col {
-    /// Parses `[|][~]name[:places]`: `|` = group bar, `~` = host-derived.
+    /// Parses `[|]name[:places]`: `|` = group bar.
     fn parse(spec: &'static str) -> Col {
         let (bar, spec) = spec.strip_prefix('|').map_or((false, spec), |s| (true, s));
-        let (host, spec) = spec.strip_prefix('~').map_or((false, spec), |s| (true, s));
         let (name, places) = match spec.rsplit_once(':') {
             Some((name, p)) => (name, Some(p.parse().expect("column places"))),
             None => (spec, None),
         };
-        Col { name, host, bar, places }
+        Col { name, bar, places }
     }
 
     fn show(&self, cell: &Json) -> String {
@@ -71,10 +67,9 @@ impl Table {
     }
 
     /// Aligned text: a column of strings flush left, a column of numbers flush
-    /// right, each as wide as its widest cell; `~` heads a host-derived column.
+    /// right, each as wide as its widest cell.
     pub fn render(&self) -> String {
-        let header = self.cols.iter().map(|c| format!("{}{}", if c.host { "~" } else { "" }, c.name));
-        let mut lines: Vec<Vec<String>> = vec![header.collect()];
+        let mut lines: Vec<Vec<String>> = vec![self.cols.iter().map(|c| c.name.to_string()).collect()];
         for row in &self.rows {
             lines.push(self.cols.iter().zip(row).map(|(c, cell)| c.show(cell)).collect());
         }

@@ -1,10 +1,11 @@
 //! Parallel scaling: PBSM and S³J at 1/2/4/8 worker threads × 1/4 simulated
 //! I/O channels on the synthetic LA_RR ⋈ LA_ST workload.
 //!
-//! Threads cut the *measured compute* of the join phase; channels cut the
-//! *simulated disk time* (partition/level files overlap across channels
-//! while shared files stay serial), so `total_model_s` responds to both
-//! axes while the result counters stay bit-identical everywhere.
+//! Threads cut the *priced compute* of the join phase (the pool's claim
+//! rule replayed over the units' counted work); channels cut the *simulated
+//! disk time* (partition/level files overlap across channels while shared
+//! files stay serial), so `total_model_s` responds to both axes while the
+//! result counters stay bit-identical everywhere.
 //!
 //! Emits one JSON row per (algorithm, threads, channels) point on stdout
 //! (JSON Lines, first row is run metadata), so the output can be captured
@@ -14,16 +15,11 @@
 //! cargo run --release --bin scaling > results/scaling.json
 //! ```
 //!
-//! Human-readable context goes to stderr. `join_phase_s` is the measured
-//! compute time of the join phase — on the parallel path that is the
-//! max-over-workers on-CPU time (plus, for S³J, the coordinator's discovery
-//! scan), i.e. what the phase costs on dedicated cores; on an unloaded
-//! multicore host the pool barrier realises the same number as wall time.
-//! `wall_s` is the raw end-to-end wall clock of the whole call on *this*
-//! host, which cannot drop below the sequential time when the host has
-//! fewer cores than workers.
-
-use std::time::Instant;
+//! Human-readable context goes to stderr. `join_phase_s` is the priced CPU
+//! of the join phase — on the parallel path the most-loaded worker of the
+//! replayed pool (plus, for S³J, the coordinator's discovery scan), i.e.
+//! what the phase costs on dedicated cores. Every number is simulated, so
+//! the output is the same on every host and every run.
 
 use bench::{la_rr, la_st, paper_mem, pbsm_cfg, rounded, s3j_cfg, scale};
 use pbsm::{pbsm_join, Dedup};
@@ -44,7 +40,6 @@ fn disk(channels: usize) -> SimDisk {
 struct Point {
     join_phase_s: f64,
     total_model_s: f64,
-    wall_s: f64,
     results: u64,
 }
 
@@ -55,9 +50,8 @@ fn main() {
     // partitions (~13 at full scale) to keep 8 workers busy — with 2-3
     // partitions the speedup curve would just measure the task count.
     let mem = paper_mem(0.5);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     eprintln!(
-        "scaling: LA_RR ({}) ⋈ LA_ST ({}), M = {mem} bytes, scale {}, host cores {cores}",
+        "scaling: LA_RR ({}) ⋈ LA_ST ({}), M = {mem} bytes, scale {}",
         r.len(),
         s.len(),
         scale()
@@ -68,10 +62,9 @@ fn main() {
         ("s", s.len().into()),
         ("mem_bytes", mem.into()),
         ("scale", scale().into()),
-        ("host_cores", cores.into()),
         (
             "join_phase_s",
-            "max-over-workers on-CPU compute of the join phase".into(),
+            "priced CPU of the join phase on the replayed pool".into(),
         ),
     ]);
     println!("{}", Json::obj([("meta", meta)]));
@@ -82,13 +75,10 @@ fn main() {
             Box::new(|threads: usize, channels: usize| {
                 let mut cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint);
                 cfg.threads = threads;
-                let disk = disk(channels);
-                let t0 = Instant::now();
-                let st = pbsm_join(&disk, r, s, &cfg, &mut |_, _| {});
+                let st = pbsm_join(&disk(channels), r, s, &cfg, &mut |_, _| {});
                 Point {
-                    join_phase_s: st.cpu_join,
+                    join_phase_s: st.clock.model.priced_cpu(&(st.work_join + st.work_repart)),
                     total_model_s: st.total_seconds(),
-                    wall_s: t0.elapsed().as_secs_f64(),
                     results: st.results,
                 }
             }) as Box<dyn Fn(usize, usize) -> Point>,
@@ -98,13 +88,10 @@ fn main() {
             Box::new(|threads: usize, channels: usize| {
                 let mut cfg = s3j_cfg(mem, true);
                 cfg.threads = threads;
-                let disk = disk(channels);
-                let t0 = Instant::now();
-                let st = s3j_join(&disk, r, s, &cfg, &mut |_, _| {});
+                let st = s3j_join(&disk(channels), r, s, &cfg, &mut |_, _| {});
                 Point {
-                    join_phase_s: st.cpu_join,
+                    join_phase_s: st.clock.model.priced_cpu(&st.work_join),
                     total_model_s: st.total_seconds(),
-                    wall_s: t0.elapsed().as_secs_f64(),
                     results: st.results,
                 }
             }),
@@ -129,14 +116,13 @@ fn main() {
                     ("join_phase_speedup", rounded(speedup, 2)),
                     ("total_model_s", rounded(p.total_model_s, 2)),
                     ("total_model_speedup", rounded(model_speedup, 2)),
-                    ("wall_s", rounded(p.wall_s, 3)),
                     ("results", p.results.into()),
                 ]);
                 println!("{row}");
                 eprintln!(
                     "{algo:>5} threads={threads} channels={channels}: join phase {:.3}s \
-                     ({speedup:.2}x), model total {:.2}s ({model_speedup:.2}x), wall {:.2}s",
-                    p.join_phase_s, p.total_model_s, p.wall_s
+                     ({speedup:.2}x), model total {:.2}s ({model_speedup:.2}x)",
+                    p.join_phase_s, p.total_model_s
                 );
                 if base.is_none() {
                     base = Some(p);

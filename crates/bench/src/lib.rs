@@ -88,47 +88,27 @@ pub fn paper_mem(paper_mb: f64) -> usize {
     ((paper_mb * 2.0 * 1024.0 * 1024.0) * scale()).max(4096.0) as usize
 }
 
-/// PBSM configuration shorthand.
+/// PBSM configuration shorthand, on one worker thread: the paper's testbed
+/// had one CPU, and a fixed count keeps the priced timeline of a pooled
+/// phase the same on every host.
 pub fn pbsm_cfg(mem: usize, internal: InternalAlgo, dedup: Dedup) -> PbsmConfig {
     PbsmConfig {
         mem_bytes: mem,
         internal,
         dedup,
+        threads: 1,
         ..Default::default()
     }
 }
 
-/// S³J configuration shorthand.
+/// S³J configuration shorthand, on one worker thread like [`pbsm_cfg`].
 pub fn s3j_cfg(mem: usize, replicate: bool) -> S3jConfig {
     S3jConfig {
         mem_bytes: mem,
         replicate,
+        threads: 1,
         ..Default::default()
     }
-}
-
-/// Number of repetitions for noisy wall-clock measurements (`SJ_REPEAT`,
-/// default 1). `repro`'s experiments that measure CPU-heavy sweeps run each
-/// configuration this many times and report the median total time.
-pub fn repeats() -> usize {
-    std::env::var("SJ_REPEAT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Runs `f` [`repeats`] times and returns the run with the median
-/// total-seconds value according to `key`.
-pub fn median_run<T, F, K>(mut f: F, key: K) -> T
-where
-    F: FnMut() -> T,
-    K: Fn(&T) -> f64,
-{
-    let mut runs: Vec<T> = (0..repeats()).map(|_| f()).collect();
-    runs.sort_by(|a, b| key(a).total_cmp(&key(b)));
-    let mid = runs.len() / 2;
-    runs.swap_remove(mid)
 }
 
 /// `v` to `places` decimals, for a report row: a reader diffing two reports
@@ -160,15 +140,6 @@ mod tests {
         let a1: f64 = r1.iter().map(|k| k.rect.area()).sum();
         let a2: f64 = r2.iter().map(|k| k.rect.area()).sum();
         assert!((a2 / a1 - 4.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn median_run_picks_the_middle() {
-        std::env::set_var("SJ_REPEAT", "3");
-        let mut vals = [30.0, 10.0, 20.0].into_iter();
-        let got = median_run(|| vals.next().unwrap(), |v| *v);
-        assert_eq!(got, 20.0);
-        std::env::remove_var("SJ_REPEAT");
     }
 
     #[test]

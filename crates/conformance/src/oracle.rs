@@ -114,8 +114,10 @@ pub enum Transform {
     /// Seeded recoverable fault plan: retries must cure every fault without
     /// changing the result set.
     Faults { seed: u64 },
-    /// Different CPU-slowdown factor in the disk model: results *and* I/O
-    /// totals must be invariant (time scaling must not leak into logic).
+    /// Different CPU-slowdown factor in the disk model: results, I/O totals
+    /// and counted CPU work must be invariant (time scaling must not leak
+    /// into logic), and the priced CPU leg must scale by exactly the ratio of
+    /// the two factors.
     CpuSlowdown { factor: f64 },
     /// Different number of simulated I/O channels in the disk model: file
     /// layout and request streams are identical for any channel count, so
@@ -809,6 +811,15 @@ pub fn check_one(
                     b.results(),
                     b.duplicates()
                 ));
+            }
+            // A slowdown is a pure change of price: the same counted work, so
+            // the priced CPU leg scales by exactly `factor / base slowdown`.
+            if let Transform::CpuSlowdown { factor } = transform {
+                let model = DiskModel { cpu_slowdown: factor, ..a.model() };
+                if a.work() != b.work() || b.scaled_cpu_seconds() != model.priced_cpu(&a.work()) {
+                    let cpu = b.scaled_cpu_seconds();
+                    return Some(format!("{algo} [{transform}]: priced CPU {cpu} is not the base's work repriced"));
+                }
             }
         }
     }

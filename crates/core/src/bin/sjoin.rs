@@ -545,9 +545,9 @@ fn print_fault_stats(stats: &JoinStats) {
             s.faults_injected, s.read_retries, s.write_retries, s.backoff_units
         );
     };
-    for (phase, s) in stats.io_phases() {
-        if s.faults_injected > 0 {
-            line(phase, &s);
+    for p in stats.phases() {
+        if p.io.faults_injected > 0 {
+            line(p.name, &p.io);
         }
     }
     line("total", &io);

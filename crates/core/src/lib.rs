@@ -85,7 +85,7 @@ pub use sweep::InternalAlgo;
 
 use std::sync::Arc;
 use std::time::Instant;
-use storage::{FileId, Recovered, RunCheckpoint, RunClock, RunControl};
+use storage::{FileId, Recovered, RunCheckpoint, RunClock, RunControl, Work};
 
 use pbsm::{Dedup, PbsmConfig, PbsmStats};
 use s3j::{S3jConfig, S3jStats};
@@ -126,14 +126,21 @@ pub struct QuadtreeStats {
     /// Nodes in the R/S trees after bulk-loading.
     pub nodes_r: u64,
     pub nodes_s: u64,
+    /// Counted CPU work: every record inserted, then the traversal's tests.
+    pub work: Work,
     pub cpu_build: f64,
     pub cpu_join: f64,
     pub clock: RunClock,
 }
 
 impl QuadtreeStats {
+    /// Host CPU seconds (the host clock).
     pub fn cpu_seconds(&self) -> f64 {
         self.cpu_build + self.cpu_join
+    }
+
+    pub fn io_total(&self) -> IoStats {
+        IoStats::default()
     }
 }
 
@@ -386,16 +393,23 @@ pub enum JoinStats {
     Quadtree(QuadtreeStats),
 }
 
+/// `$body` over whichever algorithm's stats `$stats` holds, bound to `$s`.
+macro_rules! each {
+    ($stats:expr, $s:ident => $body:expr) => {
+        match $stats {
+            JoinStats::Pbsm($s) => $body,
+            JoinStats::S3j($s) => $body,
+            JoinStats::Sssj($s) => $body,
+            JoinStats::Shj($s) => $body,
+            JoinStats::Quadtree($s) => $body,
+        }
+    };
+}
+
 impl JoinStats {
     /// Number of (duplicate-free) result pairs.
     pub fn results(&self) -> u64 {
-        match self {
-            JoinStats::Pbsm(s) => s.results,
-            JoinStats::S3j(s) => s.results,
-            JoinStats::Sssj(s) => s.results,
-            JoinStats::Shj(s) => s.results,
-            JoinStats::Quadtree(s) => s.results,
-        }
+        each!(self, s => s.results)
     }
 
     /// Duplicates suppressed online or removed by sorting.
@@ -411,42 +425,36 @@ impl JoinStats {
 
     /// The run-level clock state every algorithm's stats embed; all the
     /// time accessors below are [`RunClock`]'s formulae over it,
-    /// [`cpu_seconds`](Self::cpu_seconds) and [`io_total`](Self::io_total).
+    /// [`work`](Self::work) and [`io_total`](Self::io_total).
     pub fn clock(&self) -> &RunClock {
-        match self {
-            JoinStats::Pbsm(s) => &s.clock,
-            JoinStats::S3j(s) => &s.clock,
-            JoinStats::Sssj(s) => &s.clock,
-            JoinStats::Shj(s) => &s.clock,
-            JoinStats::Quadtree(s) => &s.clock,
-        }
+        each!(self, s => &s.clock)
     }
 
-    /// Measured CPU seconds.
+    /// Host CPU seconds, as the coordinator timed the phases (the host clock).
     pub fn cpu_seconds(&self) -> f64 {
+        each!(self, s => s.cpu_seconds())
+    }
+
+    /// Counted CPU work on the run's critical path: what the simulated
+    /// clock's CPU leg prices.
+    pub fn work(&self) -> Work {
         match self {
-            JoinStats::Pbsm(s) => s.cpu_seconds(),
-            JoinStats::S3j(s) => s.cpu_seconds(),
-            JoinStats::Sssj(s) => s.cpu_seconds(),
-            JoinStats::Shj(s) => s.cpu_seconds(),
-            JoinStats::Quadtree(s) => s.cpu_seconds(),
+            JoinStats::Pbsm(s) => s.work(),
+            JoinStats::S3j(s) => s.work(),
+            JoinStats::Sssj(s) => s.work,
+            JoinStats::Shj(s) => s.work,
+            JoinStats::Quadtree(s) => s.work,
         }
     }
 
     /// Total I/O counters across all phases.
     pub fn io_total(&self) -> IoStats {
-        match self {
-            JoinStats::Pbsm(s) => s.io_total(),
-            JoinStats::S3j(s) => s.io_total(),
-            JoinStats::Sssj(s) => s.io_total(),
-            JoinStats::Shj(s) => s.io_total(),
-            JoinStats::Quadtree(_) => IoStats::default(),
-        }
+        each!(self, s => s.io_total())
     }
 
-    /// CPU seconds stretched to the emulated 1999 machine.
+    /// Priced CPU seconds on the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.model().scaled_cpu(self.cpu_seconds())
+        self.model().priced_cpu(&self.work())
     }
 
     /// Simulated disk seconds under the configured [`DiskModel`].
@@ -454,35 +462,37 @@ impl JoinStats {
         self.model().seconds(&self.io_total())
     }
 
-    /// Named per-phase I/O buckets. The buckets are disjoint — each disk
+    /// Named phases: each one's I/O bucket and the host CPU seconds the
+    /// coordinator timed for it. The I/O buckets are disjoint — each disk
     /// request (including its retries and backoff) is charged to exactly one
-    /// phase — so they sum to [`JoinStats::io_total`]; reporting per-phase
-    /// and total counters therefore never counts a retry twice.
-    pub fn io_phases(&self) -> Vec<(&'static str, IoStats)> {
+    /// phase — so they sum to [`JoinStats::io_total`], and the CPU seconds
+    /// fold in the order of the stats struct's `cpu_seconds()`; the
+    /// checkpoint phase carries its I/O with zero CPU (commit work is
+    /// I/O-dominated and not separately timed).
+    pub fn phases(&self) -> Vec<PhaseMetric> {
+        let phase = |name, io, cpu_seconds| PhaseMetric { name, io, cpu_seconds };
+        let none = IoStats::default();
         match self {
             JoinStats::Pbsm(s) => vec![
-                ("partition", s.io_partition),
-                ("repartition", s.io_repart),
-                ("join", s.io_join),
-                ("dedup", s.io_dedup),
-                ("checkpoint", s.io_checkpoint),
+                phase("partition", s.io_partition, s.cpu_partition),
+                phase("repartition", s.io_repart, s.cpu_repart),
+                phase("join", s.io_join, s.cpu_join),
+                phase("dedup", s.io_dedup, s.cpu_dedup),
+                phase("checkpoint", s.io_checkpoint, 0.0),
             ],
             JoinStats::S3j(s) => vec![
-                ("partition", s.io_partition),
-                ("sort", s.io_sort),
-                ("join", s.io_join),
-                ("checkpoint", s.io_checkpoint),
+                phase("partition", s.io_partition, s.cpu_partition),
+                phase("sort", s.io_sort, s.cpu_sort),
+                phase("join", s.io_join, s.cpu_join),
+                phase("checkpoint", s.io_checkpoint, 0.0),
             ],
-            JoinStats::Sssj(s) => vec![("sort", s.io_sort), ("join", s.io_join)],
+            JoinStats::Sssj(s) => vec![phase("sort", s.io_sort, s.cpu_sort), phase("join", s.io_join, s.cpu_join)],
             JoinStats::Shj(s) => vec![
-                ("build", s.io_build),
-                ("probe", s.io_probe),
-                ("join", s.io_join),
+                phase("build", s.io_build, s.cpu_build),
+                phase("probe", s.io_probe, s.cpu_probe),
+                phase("join", s.io_join, s.cpu_join),
             ],
-            JoinStats::Quadtree(_) => vec![
-                ("build", IoStats::default()),
-                ("join", IoStats::default()),
-            ],
+            JoinStats::Quadtree(s) => vec![phase("build", none, s.cpu_build), phase("join", none, s.cpu_join)],
         }
     }
 
@@ -508,15 +518,15 @@ impl JoinStats {
     /// Disk time hidden behind computation by double-buffered prefetch
     /// (zero with one channel, and zero under `cpu_slowdown = 0`).
     pub fn prefetch_hidden_seconds(&self) -> f64 {
-        self.clock().prefetch_hidden_seconds(self.cpu_seconds())
+        self.clock().prefetch_hidden_seconds(&self.work())
     }
 
-    /// The paper's "total runtime": emulated CPU + channel-parallel disk
+    /// The paper's "total runtime": priced CPU + channel-parallel disk
     /// time, minus disk time hidden behind computation by prefetch. With one
     /// channel this reduces bit-exactly to
     /// `scaled_cpu_seconds() + io_seconds()`, the pre-channel serial clock.
     pub fn total_seconds(&self) -> f64 {
-        self.clock().total_seconds(self.cpu_seconds())
+        self.clock().total_seconds(&self.work())
     }
 
     /// Simulated position of the first emitted result (pipelining metric).
@@ -524,11 +534,8 @@ impl JoinStats {
         self.clock().first_result_seconds()
     }
 
-    /// The I/O-only leg of the first-result position: pure simulated time,
-    /// never past `io_seconds()`. The probe minimizes the *combined*
-    /// position over emitting tasks, so under `cpu_slowdown = 0` this is
-    /// bit-identical at every thread count; with live CPU costing the
-    /// minimizing task can shift with the host measurement.
+    /// The I/O-only leg of the first-result position, never past
+    /// `io_seconds()`.
     pub fn first_result_io_seconds(&self) -> Option<f64> {
         self.clock().first_result_io_seconds()
     }
@@ -562,81 +569,25 @@ impl JoinStats {
         self.clock().model
     }
 
-    /// Builds the versioned, reconciled metrics document for this run.
-    ///
-    /// Phase CPU rows use the *same* field order as each stats struct's
-    /// `cpu_seconds()` fold, so [`MetricsReport::reconcile`] can demand
-    /// bit-exact agreement between the phase sum and the total; the
-    /// checkpoint phase carries its I/O bucket with zero CPU (commit work is
-    /// I/O-dominated and not separately timed).
+    /// Builds the versioned, reconciled metrics document for this run:
+    /// every number simulated, priced from the run's counters, except the
+    /// host clock's `cpu_seconds` ([`JoinStats::phases`]).
     pub fn metrics_report(&self, algo: &str, threads: usize) -> MetricsReport {
-        let cpu_phases: Vec<(&'static str, f64)> = match self {
-            JoinStats::Pbsm(s) => vec![
-                ("partition", s.cpu_partition),
-                ("repartition", s.cpu_repart),
-                ("join", s.cpu_join),
-                ("dedup", s.cpu_dedup),
-                ("checkpoint", 0.0),
-            ],
-            JoinStats::S3j(s) => vec![
-                ("partition", s.cpu_partition),
-                ("sort", s.cpu_sort),
-                ("join", s.cpu_join),
-                ("checkpoint", 0.0),
-            ],
-            JoinStats::Sssj(s) => vec![("sort", s.cpu_sort), ("join", s.cpu_join)],
-            JoinStats::Shj(s) => vec![
-                ("build", s.cpu_build),
-                ("probe", s.cpu_probe),
-                ("join", s.cpu_join),
-            ],
-            JoinStats::Quadtree(s) => vec![("build", s.cpu_build), ("join", s.cpu_join)],
+        let phases = self.phases();
+        let mut counters = RunCounters {
+            candidates: self.candidates(),
+            results: self.results(),
+            duplicates: self.duplicates(),
+            ..RunCounters::default()
         };
-        let io_phases = self.io_phases();
-        debug_assert_eq!(io_phases.len(), cpu_phases.len());
-        let phases = io_phases
-            .iter()
-            .zip(&cpu_phases)
-            .map(|((name, io), (cpu_name, cpu))| {
-                debug_assert_eq!(name, cpu_name);
-                PhaseMetric {
-                    name,
-                    io: *io,
-                    cpu_seconds: *cpu,
-                }
-            })
-            .collect();
-        let counters = match self {
-            JoinStats::Pbsm(s) => RunCounters {
-                candidates: Some(s.candidates),
-                results: s.results,
-                duplicates: s.duplicates,
-                partitions: u64::from(s.partitions),
-                requeued_partitions: u64::from(s.requeued_partitions),
-                degraded_partitions: u64::from(s.degraded_partitions),
-                checkpoint_commits: s.checkpoint_commits,
-                partition_cache_hits: 0,
-            },
-            JoinStats::S3j(s) => RunCounters {
-                candidates: Some(s.candidates),
-                results: s.results,
-                duplicates: s.duplicates,
-                checkpoint_commits: s.checkpoint_commits,
-                ..RunCounters::default()
-            },
-            JoinStats::Sssj(s) => RunCounters {
-                results: s.results,
-                ..RunCounters::default()
-            },
-            JoinStats::Shj(s) => RunCounters {
-                results: s.results,
-                ..RunCounters::default()
-            },
-            JoinStats::Quadtree(s) => RunCounters {
-                results: s.results,
-                ..RunCounters::default()
-            },
-        };
+        if let JoinStats::Pbsm(s) = self {
+            counters.partitions = u64::from(s.partitions);
+            counters.requeued_partitions = u64::from(s.requeued_partitions);
+            counters.degraded_partitions = u64::from(s.degraded_partitions);
+            counters.checkpoint_commits = s.checkpoint_commits;
+        } else if let JoinStats::S3j(s) = self {
+            counters.checkpoint_commits = s.checkpoint_commits;
+        }
         MetricsReport {
             schema_version: METRICS_SCHEMA_VERSION,
             algo: algo.to_string(),
@@ -726,8 +677,9 @@ impl SpatialJoin {
     }
 
     /// Simulated-time deadline in seconds (disk time under the cost model
-    /// plus emulated CPU time). Checked at partition granularity; expiry
-    /// surfaces as a typed `DeadlineExceeded` error after the tuples
+    /// plus priced CPU time). Checked at partition granularity and at the
+    /// run's end: a run completes only if its total is within the deadline.
+    /// Expiry surfaces as a typed `DeadlineExceeded` error after the tuples
     /// emitted so far. Baselines are refused as with
     /// [`SpatialJoin::with_cancel`].
     pub fn with_deadline(mut self, seconds: f64) -> Self {
@@ -804,6 +756,12 @@ impl SpatialJoin {
                     tests,
                     nodes_r: tr.node_count() as u64,
                     nodes_s: ts.node_count() as u64,
+                    work: Work {
+                        assigned: (r.len() + s.len()) as u64,
+                        tests,
+                        candidates: results,
+                        ..Work::default()
+                    },
                     cpu_build,
                     cpu_join,
                     clock: RunClock::new(disk.model()),

@@ -27,7 +27,6 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// Why a [`CancelToken`] tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,81 +143,6 @@ impl CancelToken {
 
     pub fn is_cancelled(&self) -> bool {
         self.cause().is_some()
-    }
-}
-
-static CLOCK_READS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of [`WorkClock`] readings ([`WorkClock::start`] and
-/// [`WorkClock::seconds`]). A statistic only: tests use it to show that a run
-/// without a deadline reads its clocks O(1) times, not once per partition.
-pub fn thread_clock_reads() -> u64 {
-    CLOCK_READS.load(Ordering::Relaxed)
-}
-
-/// Cumulative on-CPU nanoseconds of the thread that opened `stat` (its
-/// `/proc/thread-self/schedstat`: first field, decimal). One positioned read
-/// into a stack buffer — no open, no allocation.
-#[cfg(unix)]
-fn thread_cpu_ns(stat: &std::fs::File) -> Option<u64> {
-    use std::os::unix::fs::FileExt;
-    // Three decimal u64 fields and separators fit in 63 bytes, so the first
-    // field is always complete.
-    let mut buf = [0u8; 64];
-    let n = stat.read_at(&mut buf, 0).ok()?;
-    let digits = buf[..n].iter().take_while(|b| b.is_ascii_digit()).count();
-    if digits == 0 {
-        return None;
-    }
-    buf[..digits].iter().try_fold(0u64, |ns, b| {
-        ns.checked_mul(10)?.checked_add(u64::from(b - b'0'))
-    })
-}
-
-#[cfg(not(unix))]
-fn thread_cpu_ns(_stat: &std::fs::File) -> Option<u64> {
-    None
-}
-
-/// Per-worker compute clock. Measures on-CPU thread time when the platform
-/// exposes it (Linux: `/proc/thread-self/schedstat`, nanosecond
-/// granularity), wall time otherwise.
-///
-/// The distinction matters for the max-over-workers CPU reduction: a worker
-/// descheduled by an oversubscribed host still *consumes* no CPU, so on-CPU
-/// time reports what the fan-out costs on dedicated cores — the quantity the
-/// cost model wants — while wall time would silently double-count
-/// timeslicing. The scheduler-statistics file is opened once, by
-/// [`WorkClock::start`], and names the opening thread: the clock must be
-/// read on the thread that created it.
-pub struct WorkClock {
-    wall: Instant,
-    /// The owning thread's schedstat handle and its reading at the start.
-    cpu: Option<(std::fs::File, u64)>,
-}
-
-impl WorkClock {
-    pub fn start() -> WorkClock {
-        CLOCK_READS.fetch_add(1, Ordering::Relaxed);
-        let cpu = std::fs::File::open("/proc/thread-self/schedstat")
-            .ok()
-            .and_then(|stat| {
-                let ns0 = thread_cpu_ns(&stat)?;
-                Some((stat, ns0))
-            });
-        WorkClock {
-            wall: Instant::now(),
-            cpu,
-        }
-    }
-
-    /// Seconds of compute since [`WorkClock::start`].
-    pub fn seconds(&self) -> f64 {
-        CLOCK_READS.fetch_add(1, Ordering::Relaxed);
-        self.cpu
-            .as_ref()
-            .and_then(|(stat, ns0)| Some(thread_cpu_ns(stat)?.saturating_sub(*ns0) as f64 * 1e-9))
-            .unwrap_or_else(|| self.wall.elapsed().as_secs_f64())
     }
 }
 
@@ -568,64 +492,6 @@ mod tests {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(0), available_threads());
-    }
-
-    /// The two clock tests share the process-wide read counter and the
-    /// process's descriptor table; they take turns.
-    static CLOCK_TESTS: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn work_clock_is_monotonic_and_tracks_compute() {
-        let _turn = CLOCK_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let clock = WorkClock::start();
-        let t0 = clock.seconds();
-        // Burn a little CPU so the clock has something to count.
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        assert!(acc != 1); // keep the loop alive
-        let t1 = clock.seconds();
-        assert!(t0 >= 0.0);
-        assert!(t1 >= t0, "clock went backwards: {t0} -> {t1}");
-    }
-
-    /// Descriptors of this process that name a scheduler-statistics file.
-    fn open_schedstat_handles() -> usize {
-        std::fs::read_dir("/proc/self/fd")
-            .map(|dir| {
-                dir.flatten()
-                    .filter_map(|e| std::fs::read_link(e.path()).ok())
-                    .filter(|target| target.ends_with("schedstat"))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn work_clock_opens_its_handle_once_and_counts_every_reading() {
-        let _turn = CLOCK_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let handles0 = open_schedstat_handles();
-        let reads0 = thread_clock_reads();
-        let clock = WorkClock::start();
-        let held = open_schedstat_handles() - handles0;
-        // One handle where the platform has the file, none where the clock
-        // falls back to wall time.
-        assert_eq!(held, usize::from(clock.cpu.is_some()));
-        let mut last = 0.0;
-        for _ in 0..1_000 {
-            let now = clock.seconds();
-            assert!(now >= last);
-            last = now;
-        }
-        assert_eq!(thread_clock_reads() - reads0, 1_001, "start + 1,000 readings");
-        assert_eq!(
-            open_schedstat_handles() - handles0,
-            held,
-            "a reading must not open the file again"
-        );
-        drop(clock);
-        assert_eq!(open_schedstat_handles(), handles0, "the handle closes with the clock");
     }
 
     #[test]

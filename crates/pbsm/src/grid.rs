@@ -4,7 +4,7 @@ use geom::{Point, Rect};
 /// the unit data space. Finer grids used during repartitioning are always
 /// power-of-two refinements of this base, so tile indices at any refinement
 /// map to coarser levels by exact integer shifts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileGrid {
     pub gx: u32,
     pub gy: u32,

@@ -1,10 +1,11 @@
+use std::cell::Cell;
 use std::time::Instant;
 
 use geom::{reference_point, Kpe, RecordId, Rect};
 use storage::{
     try_external_sort, try_read_all, Counts, DiskModel, FileId, FinishedUnit, IdPair, IoError,
-    IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk,
-    SortStats, UnitRun,
+    IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, Schedule,
+    SimDisk, SortStats, UnitRun, Work,
 };
 use sweep::{forward_scan, sweep_strips, InternalAlgo, InternalJoin, JoinCounters, Strip};
 
@@ -91,7 +92,7 @@ impl Default for PbsmConfig {
 }
 
 /// Everything PBSM measured while running.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PbsmStats {
     pub partitions: u32,
     pub grid: TileGrid,
@@ -136,6 +137,16 @@ pub struct PbsmStats {
     /// I/O spent on durability (manifest publishes, journal commits, result
     /// flushes) when the run is checkpointed; zero otherwise.
     pub io_checkpoint: IoStats,
+    /// Counted CPU work per phase, the simulated clock's CPU leg. On the
+    /// parallel path joining and repartitioning are the shares of the
+    /// replayed pool's most-loaded worker ([`storage::Schedule`]).
+    pub work_partition: Work,
+    pub work_repart: Work,
+    pub work_join: Work,
+    pub work_dedup: Work,
+    /// Host CPU seconds per phase, timed by the coordinator (the host
+    /// clock). Repartitioning runs inside the join phase's units, so its
+    /// host time is in `cpu_join` and `cpu_repart` stays zero.
     pub cpu_partition: f64,
     pub cpu_repart: f64,
     pub cpu_join: f64,
@@ -144,8 +155,8 @@ pub struct PbsmStats {
     /// Model, channel decomposition (partition files ride channel
     /// `pid mod D`, repartition sub-files their top-level partition's
     /// channel; the dedup scratch disk rides the shared lane) and the
-    /// first-result position: the join-phase base plus the emitting task's
-    /// own CPU and I/O (its reads, repartition writes and — when
+    /// first-result position: the emitting unit's start on the priced clock
+    /// plus its own I/O (its reads, repartition writes and — when
     /// checkpointed — commit I/O) up to its first pair.
     pub clock: RunClock,
 }
@@ -153,33 +164,9 @@ pub struct PbsmStats {
 impl PbsmStats {
     fn new(model: DiskModel) -> Self {
         PbsmStats {
-            partitions: 0,
             grid: TileGrid { gx: 1, gy: 1 },
-            copies_r: 0,
-            copies_s: 0,
-            repart_copies: 0,
-            repartitioned_pairs: 0,
-            repart_depth: 0,
-            candidates: 0,
-            results: 0,
-            duplicates: 0,
-            requeued_partitions: 0,
-            degraded_partitions: 0,
-            quarantined_partitions: 0,
-            enospc_fallbacks: 0,
-            checkpoint_commits: 0,
-            join_counters: JoinCounters::default(),
-            io_partition: IoStats::default(),
-            io_repart: IoStats::default(),
-            io_join: IoStats::default(),
-            io_dedup: IoStats::default(),
-            io_checkpoint: IoStats::default(),
-            cpu_partition: 0.0,
-            cpu_repart: 0.0,
-            cpu_join: 0.0,
-            cpu_dedup: 0.0,
-            sort: None,
             clock: RunClock::new(model),
+            ..PbsmStats::default()
         }
     }
 
@@ -191,28 +178,34 @@ impl PbsmStats {
             .plus(&self.io_checkpoint)
     }
 
+    /// Host CPU seconds (the host clock).
     pub fn cpu_seconds(&self) -> f64 {
         self.cpu_partition + self.cpu_repart + self.cpu_join + self.cpu_dedup
+    }
+
+    /// Counted CPU work on the run's critical path.
+    pub fn work(&self) -> Work {
+        self.work_partition + self.work_repart + self.work_join + self.work_dedup
     }
 
     pub fn io_seconds(&self) -> f64 {
         self.clock.model.seconds(&self.io_total())
     }
 
-    /// CPU seconds stretched to the emulated 1999 machine.
+    /// Priced CPU seconds on the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.clock.model.scaled_cpu(self.cpu_seconds())
+        self.clock.model.priced_cpu(&self.work())
     }
 
     /// The paper's "total runtime" on the multi-channel clock
     /// ([`RunClock::total_seconds`]).
     pub fn total_seconds(&self) -> f64 {
-        self.clock.total_seconds(self.cpu_seconds())
+        self.clock.total_seconds(&self.work())
     }
 
     /// Fraction of the total runtime spent repartitioning (Figure 6).
     pub fn repart_fraction(&self) -> f64 {
-        let repart = self.clock.model.at(self.cpu_repart, &self.io_repart);
+        let repart = self.clock.model.at(&self.work_repart, &self.io_repart);
         if self.total_seconds() > 0.0 {
             repart / self.total_seconds()
         } else {
@@ -227,13 +220,12 @@ impl PbsmStats {
 
     /// Folds a per-worker partial into this stats struct — the deterministic
     /// reduction of the parallel executor. Work counts and I/O counters are
-    /// pure sums (independent of worker interleaving); CPU phase times take
-    /// the **max over workers**, because workers run concurrently and a
-    /// phase costs as much wall-clock as its slowest worker; the recursion
-    /// depth takes the max. Run-level fields (`partitions`, `grid`, `sort`
-    /// and the `clock`, which the coordinator closes from the disk's
-    /// per-channel meters after all forks fold back) belong to the
-    /// coordinating run and are kept from `self`.
+    /// pure sums (independent of worker interleaving); the recursion depth
+    /// takes the max. Run-level fields (`partitions`, `grid`, `sort`, both
+    /// phase clocks — the coordinator times the phase and replays the pool
+    /// — and the `clock`, which it closes from the disk's per-channel meters
+    /// after all forks fold back) belong to the coordinating run and are
+    /// kept from `self`.
     pub fn merge(&mut self, other: &PbsmStats) {
         self.copies_r += other.copies_r;
         self.copies_s += other.copies_s;
@@ -254,10 +246,6 @@ impl PbsmStats {
         self.io_join = self.io_join.plus(&other.io_join);
         self.io_dedup = self.io_dedup.plus(&other.io_dedup);
         self.io_checkpoint = self.io_checkpoint.plus(&other.io_checkpoint);
-        self.cpu_partition = self.cpu_partition.max(other.cpu_partition);
-        self.cpu_repart = self.cpu_repart.max(other.cpu_repart);
-        self.cpu_join = self.cpu_join.max(other.cpu_join);
-        self.cpu_dedup = self.cpu_dedup.max(other.cpu_dedup);
     }
 
     fn counts(&self) -> Counts {
@@ -268,6 +256,11 @@ impl PbsmStats {
         self.candidates += candidates;
         self.results += results;
         self.duplicates += duplicates;
+    }
+
+    /// The join phase's work so far: what a unit adds is its own.
+    fn unit_work(&self) -> Work {
+        self.work_join + self.work_repart
     }
 }
 
@@ -288,11 +281,6 @@ struct Ctx<'a> {
     /// tile allocates columns of its own.
     strips: &'a mut TileStrips,
     stats: &'a mut PbsmStats,
-    /// Compute clock for the `cpu_join`/`cpu_repart` phase accounting: wall
-    /// time on the sequential path, a per-worker [`parallel::WorkClock`] on
-    /// the parallel path (so the max-over-workers reduction reports the
-    /// phase cost on dedicated cores, not host timeslicing).
-    clock: &'a dyn Fn() -> f64,
     /// The source relations, kept around so a partition file lost to
     /// *persistent* media damage can be quarantined and its pair recomputed
     /// in memory (source reads are free of charge per the paper's cost
@@ -335,9 +323,10 @@ pub fn pbsm_join(
 /// and backoff stay charged to the disk meter either way.
 ///
 /// Run control (`ctl`): cooperative cancellation, a simulated-time deadline
-/// (both checked at partition granularity), and — when
-/// [`RunControl::checkpoint`] is set — durable per-partition commits with
-/// exactly-once resume; [`RunControl::none`] changes nothing.
+/// (both checked at partition granularity, and the deadline once more at
+/// the run's last position), and — when [`RunControl::checkpoint`] is set —
+/// durable per-partition commits with exactly-once resume;
+/// [`RunControl::none`] changes nothing.
 ///
 /// Checkpointing requires [`Dedup::ReferencePoint`] or [`Dedup::TwoLayer`]:
 /// both attribute every result pair to exactly one top-level partition (the
@@ -405,22 +394,19 @@ pub fn try_pbsm_join_ctl(
         let (fr, fs) = run.files();
         (fr.to_vec(), fs.to_vec())
     } else {
-        let mut poll = |record: u64| {
-            // The whole phase is one sequential pass, so interruption checks
-            // happen every 64 input records instead of per partition.
-            if !record.is_multiple_of(64) {
-                return None;
-            }
-            ctl.charge("partition", || {
-                disk.io_seconds() + model.scaled_cpu(t0.elapsed().as_secs_f64())
-            })
-        };
+        // The whole phase is one sequential pass, so interruption checks
+        // happen every 64 input records instead of per partition, at the
+        // phase's work so far (`done`).
+        let mut poll =
+            |done: &Work| ctl.charge("partition", || disk.io_seconds() + model.priced_cpu(done));
         let run_both = |g: TileGrid,
                         m: PartitionMap,
-                        poll: &mut dyn FnMut(u64) -> Option<JoinError>|
+                        work: &mut Work,
+                        poll: &mut dyn FnMut(&Work) -> Option<JoinError>|
          -> Result<(Partitioned, Partitioned), JoinError> {
-            let fr = partition_relation(disk, r, g, m, cfg.partition_buffer_pages, poll)?;
-            match partition_relation(disk, s, g, m, cfg.partition_buffer_pages, poll) {
+            let pages = cfg.partition_buffer_pages;
+            let fr = partition_relation(disk, r, g, m, pages, work, poll)?;
+            match partition_relation(disk, s, g, m, pages, work, poll) {
                 Ok(fs) => Ok((fr, fs)),
                 Err(e) => {
                     for &f in &fr.0 {
@@ -433,20 +419,22 @@ pub fn try_pbsm_join_ctl(
         let is_enospc = |e: &JoinError| {
             e.io().is_some_and(|io| io.kind == storage::IoErrorKind::DiskFull)
         };
-        let mut res = run_both(grid, map, &mut poll);
+        let mut work = Work::default();
+        let mut res = run_both(grid, map, &mut work, &mut poll);
         // ENOSPC fallback ladder, fresh (non-checkpointed) runs only — the
         // resume fingerprint pins a checkpointed run's partition geometry,
         // so those surface the typed error for the caller to re-plan.
         // Rung 1: coarser tiling (fewer tiles ⇒ less replication ⇒ fewer
         // pages). Rung 2: the in-memory single-partition plan, which
         // touches no disk at all. `partition_relation` deleted its files on
-        // the way out, so each rung starts from the freed budget.
+        // the way out, so each rung starts from the freed budget; the work a
+        // failed rung did stays on the clock.
         if !checkpointing {
             if res.as_ref().err().is_some_and(is_enospc) && cfg.tiles_per_partition > 1 {
                 stats.enospc_fallbacks += 1;
                 grid = TileGrid::for_partitions(p, 1);
                 stats.grid = grid;
-                res = run_both(grid, map, &mut poll);
+                res = run_both(grid, map, &mut work, &mut poll);
             }
             if res.as_ref().err().is_some_and(is_enospc) {
                 stats.enospc_fallbacks += 1;
@@ -459,6 +447,7 @@ pub fn try_pbsm_join_ctl(
                 res = Ok(((Vec::new(), r.len() as u64), (Vec::new(), s.len() as u64)));
             }
         }
+        stats.work_partition = work;
         let ((files_r, copies_r), (files_s, copies_s)) = res?;
         stats.copies_r = copies_r;
         stats.copies_s = copies_s;
@@ -468,8 +457,8 @@ pub fn try_pbsm_join_ctl(
     stats.cpu_partition = t0.elapsed().as_secs_f64();
     ctl.span(
         "partition",
-        model.at(0.0, &io0),
-        model.at(stats.cpu_partition, &disk.stats()),
+        model.at(&Work::default(), &io0),
+        model.at(&stats.work_partition, &disk.stats()),
     );
 
     // Publish the `Join` manifest (journal + results files + partition file
@@ -490,26 +479,16 @@ pub fn try_pbsm_join_ctl(
         .as_ref()
         .map(|d| RecordWriter::<IdPair>::create(d, cfg.io_buffer_pages));
     // The first-result probe (the pipelining metric of §3.1/§5) runs on the
-    // *pipelined* clock: this join-phase base plus the emitting task's own
-    // CPU/I/O up to its first pair. Task-own deltas are scheduling-
-    // independent, so threads=1 and threads=N report the same position. The
-    // base is this run's I/O at join-phase entry (relative to `io0`, so a
-    // reused disk's earlier charges never leak into the probe).
+    // *pipelined* clock: a unit's first pair sits at the unit's start on the
+    // priced clock (its joins' work is counted when they return) plus the
+    // unit's own I/O up to the pair. The I/O leg is task-own and so the
+    // same at every thread count. The base is this run's I/O at join-phase
+    // entry (relative to `io0`, so a reused disk's earlier charges never
+    // leak into the probe).
+    let t1 = Instant::now();
     let base_io = disk.stats().delta(&io0);
-    let cpu_base = stats.cpu_partition;
+    let cpu_base = stats.work_partition;
     let threads = parallel::resolve_threads(cfg.threads);
-    // On-CPU compute clock (wall fallback) so sequential and parallel
-    // join-phase measurements share a basis — see `Ctx::clock`.
-    let coord_clock = parallel::WorkClock::start();
-    // Simulated time so far — what the deadline is charged against at every
-    // partition boundary: the disk's own seconds (which stretch a degraded
-    // channel) on the sequential path. Pool workers meter on forks that fold
-    // back only when the pool drains, so there it is the coordinator's meter
-    // plus `ahead`, the forked deltas of the tasks delivered so far.
-    let sim_now = |ahead: &IoStats| {
-        model.at(cpu_base + coord_clock.seconds(), &disk.stats().plus(ahead))
-    };
-    let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + coord_clock.seconds());
     // Join-phase work units still to do: a resumed run skips every
     // journal-committed partition.
     let todo: Vec<u32> = (0..p).filter(|i| !run.is_committed(*i)).collect();
@@ -521,7 +500,10 @@ pub fn try_pbsm_join_ctl(
         // resume needs, and `finish`/the recovery scan reclaim them.
         let mut internal = cfg.internal.create();
         let mut strips = TileStrips::default();
-        let wall_clock = || coord_clock.seconds();
+        // The priced clock between units, and the time the deadline is
+        // charged with (the disk's seconds stretch a degraded channel).
+        let clock = Cell::new(cpu_base);
+        let elapsed_now = || disk.io_seconds() + model.priced_cpu(&clock.get());
         let mut first_err: Option<JoinError> = None;
         for &i in &todo {
             if first_err.is_none() {
@@ -529,11 +511,8 @@ pub fn try_pbsm_join_ctl(
             }
             if first_err.is_none() {
                 let chain = RegionChain::top(grid, map, i);
-                let (cpu0, io0s) = (coord_clock.seconds(), disk.stats());
-                let position = || {
-                    let own_cpu = coord_clock.seconds() - cpu0;
-                    (cpu_base + own_cpu, base_io.plus(&disk.stats().delta(&io0s)))
-                };
+                let io0s = disk.stats();
+                let position = || (clock.get(), base_io.plus(&disk.stats().delta(&io0s)));
                 let body = |emit: &mut dyn FnMut(RecordId, RecordId)| {
                     let (c0, r0, d0) = stats.counts();
                     let mut ctx = Ctx {
@@ -542,7 +521,6 @@ pub fn try_pbsm_join_ctl(
                         internal: &mut *internal,
                         strips: &mut strips,
                         stats: &mut stats,
-                        clock: &wall_clock,
                         sources: (r, s),
                     };
                     let mut cand = |pair: IdPair| {
@@ -557,6 +535,7 @@ pub fn try_pbsm_join_ctl(
                         let (fr, fs) = (files_r[i as usize], files_s[i as usize]);
                         join_pair(&mut ctx, fr, fs, &chain, 0, (false, false), i, None, emit, &mut cand)?;
                     }
+                    clock.set(cpu_base + stats.unit_work());
                     let (c, r, d) = stats.counts();
                     Ok((c - c0, r - r0, d - d0))
                 };
@@ -577,17 +556,20 @@ pub fn try_pbsm_join_ctl(
         // counters; task outputs are re-assembled in partition order, so
         // the emitted stream — and, for the sort phase, the candidate file
         // — is byte-identical to the sequential path. Checkpoint commits
-        // happen only here on the coordinator, in that same canonical order.
-        /// Load-stage handoff of the software pipeline: the preload outcome
-        /// plus what it cost. The compute stage folds `io`/`cpu` into the
-        /// attempt's join-phase buckets, so the phase decomposition is
-        /// identical whether the load ran early or inline.
-        struct Prefetch {
-            outcome: Option<Loaded>,
-            io: IoStats,
-            cpu: f64,
-        }
+        // happen only here on the coordinator, in that same canonical order,
+        // and so does the priced clock: the sink replays the pool's claim
+        // rule over the units' work ([`Schedule`]), so a unit's start, the
+        // deadline and the phase's end are the same on every run.
         let mut ahead = IoStats::default();
+        let mut schedule = Schedule::new(threads);
+        // The repartitioning share of each replayed worker's load.
+        let mut repart_of = vec![Work::default(); threads];
+        // The time so far: the replayed span, and the coordinator's meter
+        // plus `ahead`, the delivered units' forked I/O (forks fold back
+        // only when the pool drains).
+        let sim_now = |ahead: &IoStats, schedule: &Schedule| {
+            model.at(&(cpu_base + schedule.span().1), &disk.stats().plus(ahead))
+        };
         let todo_ref = &todo;
         let (workers, pool) = parallel::run_ordered_prefetch_fallible_with(
             threads,
@@ -600,7 +582,6 @@ pub fn try_pbsm_join_ctl(
                     cfg.internal.create(),
                     TileStrips::default(),
                     PbsmStats::new(model),
-                    parallel::WorkClock::start(),
                 )
             },
             // Load stage: pull the next claimed pair into memory while the
@@ -608,10 +589,12 @@ pub fn try_pbsm_join_ctl(
             // multi-channel clock credits as hidden I/O. It runs on the
             // same worker and forked meter as the compute stage, in claim
             // order, so per-task deltas and the fault-attempt sequence are
-            // exactly the sequential path's.
-            |(fork, _internal, _strips, _partial, work_clock), idx, _round| {
+            // exactly the sequential path's. It hands over the preload
+            // outcome and the I/O it cost, which the compute stage folds into
+            // the attempt's join-phase bucket: the phase decomposition is the
+            // same whether the load ran early or inline.
+            |(fork, _internal, _strips, _partial), idx, _round| {
                 let i = todo_ref[idx];
-                let c0 = work_clock.seconds();
                 let io0 = fork.stats();
                 let fork_ref: &SimDisk = fork;
                 let outcome = (|| {
@@ -627,13 +610,9 @@ pub fn try_pbsm_join_ctl(
                     let (fr, fs) = (files_r[i as usize], files_s[i as usize]);
                     Some(load_pair(fork_ref, fr, fs, cfg.io_buffer_pages))
                 })();
-                Prefetch {
-                    outcome,
-                    io: fork_ref.stats().delta(&io0),
-                    cpu: work_clock.seconds() - c0,
-                }
+                (outcome, fork_ref.stats().delta(&io0))
             },
-            |(fork, internal, strips, partial, work_clock), idx, round, pre| {
+            |(fork, internal, strips, partial), idx, round, (preloaded, pre_io)| {
                 let i = todo_ref[idx];
                 if round > 0 {
                     partial.requeued_partitions += 1;
@@ -644,34 +623,27 @@ pub fn try_pbsm_join_ctl(
                 // I/O meter is deliberately *not* rolled back — failed
                 // attempts and their retries are real simulated disk time.
                 let snapshot = partial.clone();
-                // The load stage's work is join-phase work that ran early;
+                // The load stage's I/O is join-phase I/O that ran early;
                 // folding it here (after the snapshot) keeps the rollback
                 // semantics of a failed attempt: its load I/O stays charged,
                 // and the requeued round re-loads with a fresh budget.
-                partial.io_join = partial.io_join.plus(&pre.io);
-                partial.cpu_join += pre.cpu;
+                partial.io_join = partial.io_join.plus(&pre_io);
                 let io_before = fork.stats();
-                let cpu_before = work_clock.seconds();
                 let chain = RegionChain::top(grid, map, i);
                 let mut pairs = Vec::new();
                 let mut cand = Vec::new();
                 let mut first = None;
                 let fork_ref: &SimDisk = fork;
-                let clock = || work_clock.seconds();
-                // The task's own work so far. It includes the prefetched
+                // The task's own I/O so far. It includes the prefetched
                 // load: on the pipelined clock the pair's work starts at its
                 // load, wherever it was scheduled.
-                let own = || {
-                    let cpu = pre.cpu + (work_clock.seconds() - cpu_before);
-                    (cpu, pre.io.plus(&fork_ref.stats().delta(&io_before)))
-                };
+                let own_io = || pre_io.plus(&fork_ref.stats().delta(&io_before));
                 let mut ctx = Ctx {
                     disk: fork_ref,
                     cfg,
                     internal: &mut **internal,
                     strips,
                     stats: partial,
-                    clock: &clock,
                     sources: (r, s),
                 };
                 let res = join_pair(
@@ -682,11 +654,10 @@ pub fn try_pbsm_join_ctl(
                     0,
                     (false, false),
                     i,
-                    pre.outcome,
+                    preloaded,
                     &mut |a, b| {
                         if first.is_none() {
-                            let (cpu, io) = own();
-                            first = Some((cpu_base + cpu, base_io.plus(&io)));
+                            first = Some((Work::default(), base_io.plus(&own_io())));
                         }
                         pairs.push((a, b));
                     },
@@ -697,8 +668,11 @@ pub fn try_pbsm_join_ctl(
                 );
                 match res {
                     Ok(()) => {
-                        let (cpu, io) = own();
                         let (c, r, d) = partial.counts();
+                        // The unit's work, and of that its repartitioning;
+                        // the sink places both on the replayed pool.
+                        let work = partial.unit_work() - snapshot.unit_work();
+                        let repart = partial.work_repart - snapshot.work_repart;
                         let unit = FinishedUnit {
                             pairs,
                             counts: (
@@ -706,26 +680,24 @@ pub fn try_pbsm_join_ctl(
                                 r - snapshot.results,
                                 d - snapshot.duplicates,
                             ),
-                            io,
+                            io: own_io(),
                             first,
-                            done: (cpu_base + cpu, base_io.plus(&io)),
+                            done: (work, base_io.plus(&own_io())),
                         };
-                        Ok((unit, cand))
+                        Ok((unit, cand, repart))
                     }
                     Err(e) => {
                         // Roll back the logical counters only (the requeued
                         // attempt recounts them from scratch); keep the I/O
-                        // and CPU buckets. Restoring those too dropped the
-                        // failed attempt's reads and retries from the join
-                        // bucket while the fork's meter kept them, so the
-                        // per-phase retry breakdown disagreed with the
-                        // disk's total meter.
+                        // buckets. Restoring those too dropped the failed
+                        // attempt's reads and retries from the join bucket
+                        // while the fork's meter kept them, so the per-phase
+                        // retry breakdown disagreed with the disk's total
+                        // meter.
                         let attempted = partial.clone();
                         *partial = snapshot;
                         partial.io_join = attempted.io_join;
                         partial.io_repart = attempted.io_repart;
-                        partial.cpu_join = attempted.cpu_join;
-                        partial.cpu_repart = attempted.cpu_repart;
                         // A failure in the last allowed round is terminal —
                         // the pool will not requeue past the cap — so name
                         // the partition, the attempt count and the last I/O
@@ -745,14 +717,21 @@ pub fn try_pbsm_join_ctl(
             },
             |idx, result| {
                 let i = todo_ref[idx];
-                run.poll("join", || sim_now(&ahead));
+                run.poll("join", || sim_now(&ahead, &schedule));
                 let mut cand = Vec::new();
-                let unit = result.map(|(unit, c)| {
+                let unit = result.map(|(mut unit, c, repart)| {
+                    // The unit's place on the replayed pool: every position
+                    // it reported is relative to its start.
+                    let (w, start) = schedule.place(unit.done.0);
+                    repart_of[w] += repart;
+                    let start = cpu_base + start;
+                    unit.first = unit.first.map(|(work, io)| (start + work, io));
+                    unit.done.0 = start + unit.done.0;
                     ahead = ahead.plus(&unit.io);
                     cand = c;
                     unit
                 });
-                run.deliver(i, unit, &|| sim_now(&ahead), out);
+                run.deliver(i, unit, &|| sim_now(&ahead, &schedule), out);
                 if let (false, Some(w)) = (run.failed(), candidates.as_mut()) {
                     if let Err(e) = w.try_push_all(&cand) {
                         run.fail(JoinError::new("dedup", e));
@@ -764,7 +743,7 @@ pub fn try_pbsm_join_ctl(
                 }
             },
         );
-        for (fork, internal, _strips, mut partial, _clock) in workers {
+        for (fork, internal, _strips, mut partial) in workers {
             partial.join_counters.merge(&internal.counters());
             // Per-worker duplicate accounting, checked before the merge can
             // hide an interleaving bug: under RPM (and the raw diagnostic)
@@ -793,6 +772,10 @@ pub fn try_pbsm_join_ctl(
             // same totals as a sequential run.
             disk.add_channel_stats(&fork.channel_stats());
         }
+        // The phase's priced work is the replayed pool's critical path.
+        let (w, span) = schedule.span();
+        stats.work_repart = repart_of[w];
+        stats.work_join = span - repart_of[w];
         // Cross-check the scheduler's own requeue count against the
         // per-worker accounting (they can only diverge when a cancellation
         // leaves a queued retry unclaimed).
@@ -803,6 +786,7 @@ pub fn try_pbsm_join_ctl(
                 "scheduler requeue count disagrees with per-worker accounting"
             );
         }
+        let elapsed_now = || disk.io_seconds() + model.priced_cpu(&(cpu_base + span));
         if ctl.observed() {
             ctl.event(
                 "pool-drained",
@@ -816,24 +800,30 @@ pub fn try_pbsm_join_ctl(
         }
         run.settle("join", elapsed_now)?;
     }
+    stats.cpu_join = t1.elapsed().as_secs_f64();
 
-    let cpu_pre = stats.cpu_partition + stats.cpu_repart + stats.cpu_join;
+    let cpu_pre = cpu_base + stats.unit_work();
     ctl.span(
         "join",
-        model.at(cpu_base, &base_io),
-        model.at(cpu_pre, &disk.stats()),
+        model.at(&cpu_base, &base_io),
+        model.at(&cpu_pre, &disk.stats()),
     );
 
     // --- Phase 4 (SortPhase only): sort candidates, drop duplicates --------
     if let (Some(ddisk), Some(writer)) = (dedup_disk, candidates) {
         let t3 = Instant::now();
-        let dd_start = model.at(cpu_pre, &disk.stats().plus(&ddisk.stats()));
+        let dd_start = model.at(&cpu_pre, &disk.stats().plus(&ddisk.stats()));
         let cand_file = writer
             .try_finish()
             .map_err(|e| JoinError::new("dedup", e))?;
         let (sorted, sort_stats) = try_external_sort::<IdPair>(&ddisk, cand_file, cfg.mem_bytes)
             .map_err(|e| JoinError::new("dedup", e))?;
         ddisk.delete(cand_file);
+        // All of the phase's work is the sort, ahead of the first pair.
+        stats.work_dedup = Work {
+            sorted: stats.candidates,
+            ..Work::default()
+        };
         let mut prev: Option<IdPair> = None;
         let mut reader = RecordReader::<IdPair>::new(&ddisk, sorted, cfg.io_buffer_pages);
         loop {
@@ -852,7 +842,7 @@ pub fn try_pbsm_join_ctl(
                     // only appear after every candidate is sorted, so its
                     // position is the cumulative clock at this scan step.
                     run.probe((
-                        cpu_pre + t3.elapsed().as_secs_f64(),
+                        cpu_pre + stats.work_dedup,
                         disk.stats().delta(&io0).plus(&ddisk.stats()),
                     ));
                 }
@@ -869,10 +859,15 @@ pub fn try_pbsm_join_ctl(
         ctl.span(
             "dedup",
             dd_start,
-            model.at(cpu_pre + stats.cpu_dedup, &disk.stats().plus(&ddisk.stats())),
+            model.at(&(cpu_pre + stats.work_dedup), &disk.stats().plus(&ddisk.stats())),
         );
     }
 
+    let last = if stats.sort.is_some() { "dedup" } else { "join" };
+    let io_dedup = stats.io_dedup;
+    ctl.charge_total(last, || {
+        disk.io_seconds() + model.seconds(&io_dedup) + model.priced_cpu(&stats.work())
+    })?;
     stats.clock = run.close(&mut stats.io_checkpoint, &mut stats.checkpoint_commits)?;
     // The dedup scratch disk's files are untagged, so its time serializes on
     // the shared lane like any shared file's.
@@ -880,22 +875,24 @@ pub fn try_pbsm_join_ctl(
     Ok(stats)
 }
 
-/// Phase 1 for one relation: replicate each KPE into the partition of every
-/// tile it overlaps. Returns the partition files and the number of copies.
-/// `poll` is consulted with each input record's ordinal so cancellation and
-/// deadline expiry can interrupt the pass; on any error — I/O or
-/// interruption — every file this call created is deleted before returning,
-/// so an interrupted partition phase leaves no orphan files behind.
 /// One relation's partition files plus the KPE copies written into them.
 type Partitioned = (Vec<FileId>, u64);
 
+/// Phase 1 for one relation: replicate each KPE into the partition of every
+/// tile it overlaps. Returns the partition files and the number of copies,
+/// and counts the records assigned and copies written into `work`. `poll`
+/// is consulted with `work` every 64 input records so cancellation and
+/// deadline expiry can interrupt the pass; on any error — I/O or
+/// interruption — every file this call created is deleted before returning,
+/// so an interrupted partition phase leaves no orphan files behind.
 fn partition_relation(
     disk: &SimDisk,
     data: &[Kpe],
     grid: TileGrid,
     map: PartitionMap,
     buffer_pages: usize,
-    poll: &mut dyn FnMut(u64) -> Option<JoinError>,
+    work: &mut Work,
+    poll: &mut dyn FnMut(&Work) -> Option<JoinError>,
 ) -> Result<Partitioned, JoinError> {
     let io_err = |e: IoError| JoinError::new("partition", e);
     let p = map.partitions;
@@ -908,12 +905,13 @@ fn partition_relation(
     let mut copies = 0u64;
     let mut targets: Vec<u32> = Vec::with_capacity(8);
     for (n, k) in data.iter().enumerate() {
-        if let Some(e) = poll(n as u64) {
+        if let Some(e) = n.is_multiple_of(64).then(|| poll(work)).flatten() {
             for w in &writers {
                 disk.delete(w.file());
             }
             return Err(e);
         }
+        work.assigned += 1;
         targets.clear();
         let (xs, ys) = grid.tile_range(&k.rect, 1);
         for iy in ys {
@@ -932,6 +930,7 @@ fn partition_relation(
                 return Err(io_err(e));
             }
             copies += 1;
+            work.copies += 1;
         }
     }
     let mut files = Vec::with_capacity(p as usize);
@@ -983,6 +982,7 @@ fn join_loaded(
     // write failure is latched here and surfaced once the sweep finishes;
     // further candidate writes are skipped (the error is terminal).
     let mut io_err: Option<IoError> = None;
+    let counted = cfg.internal.work(&internal.counters());
     internal.join(rv, sv, &mut |a, b| {
         local_candidates += 1;
         match cfg.dedup {
@@ -1010,6 +1010,7 @@ fn join_loaded(
         }
     });
     ctx.stats.candidates += local_candidates;
+    ctx.stats.work_join += ctx.cfg.internal.work(&ctx.internal.counters()) - counted;
     match io_err {
         Some(e) => Err(e),
         None => Ok(()),
@@ -1025,11 +1026,8 @@ fn join_whole(
     out: &mut dyn FnMut(RecordId, RecordId),
     cand: &mut dyn FnMut(IdPair) -> Result<(), IoError>,
 ) -> Result<(), JoinError> {
-    let c0 = (ctx.clock)();
     let (mut rv, mut sv) = (ctx.sources.0.to_vec(), ctx.sources.1.to_vec());
-    let joined = join_loaded(ctx, &mut rv, &mut sv, chain, out, cand);
-    ctx.stats.cpu_join += (ctx.clock)() - c0;
-    joined.map_err(|e| JoinError::new("dedup", e))
+    join_loaded(ctx, &mut rv, &mut sv, chain, out, cand).map_err(|e| JoinError::new("dedup", e))
 }
 
 /// Class of a record within one tile it overlaps (two-layer space-oriented
@@ -1124,6 +1122,7 @@ fn two_layer_join(
     // the same flags where the sweeps pass swapped ones.
     let mut tests = 0u64;
     let mut pairs = 0u64;
+    let mut swept = 0u64;
     {
         let mut emit = |a: &Kpe, b: &Kpe| {
             pairs += 1;
@@ -1132,6 +1131,7 @@ fn two_layer_join(
         let TileStrips { r: r_cols, s: s_cols } = &mut *ctx.strips;
         for (r, s) in tiles.values_mut() {
             for (buckets, cols) in [(&mut *r, &mut *r_cols), (&mut *s, &mut *s_cols)] {
+                swept += buckets.iter().map(|b| b.len() as u64).sum::<u64>();
                 for class in [CLASS_A, CLASS_B] {
                     buckets[class].sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
                     cols[class].fill(&buckets[class], |k| k.rect.xl);
@@ -1165,11 +1165,15 @@ fn two_layer_join(
     let stats = &mut *ctx.stats;
     stats.candidates += pairs;
     stats.results += pairs;
-    stats.join_counters.merge(&JoinCounters {
+    let counters = JoinCounters {
         tests,
         results: pairs,
         node_visits: 0,
-    });
+        swept,
+    };
+    stats.join_counters.merge(&counters);
+    // The mini-joins run the list sweep's kernel, and are priced as its work.
+    stats.work_join += InternalAlgo::PlaneSweepList.work(&counters);
 }
 
 /// Both sides of a partition pair in memory, or the error that exhausted the
@@ -1214,7 +1218,6 @@ fn quarantine_join(
     out: &mut dyn FnMut(RecordId, RecordId),
     cand: &mut dyn FnMut(IdPair) -> Result<(), IoError>,
 ) -> Result<(), JoinError> {
-    let c0 = (ctx.clock)();
     let f = chain.max_f();
     let members = |data: &[Kpe]| -> Vec<Kpe> {
         data.iter()
@@ -1230,9 +1233,8 @@ fn quarantine_join(
     let mut rv = members(r);
     let mut sv = members(s);
     ctx.stats.quarantined_partitions += 1;
-    let joined = join_loaded(ctx, &mut rv, &mut sv, chain, out, cand);
-    ctx.stats.cpu_join += (ctx.clock)() - c0;
-    joined.map_err(|e| JoinError::in_partition("dedup", top, e))
+    join_loaded(ctx, &mut rv, &mut sv, chain, out, cand)
+        .map_err(|e| JoinError::in_partition("dedup", top, e))
 }
 
 /// Phases 2+3 for one partition pair: join it if it fits, else repartition
@@ -1282,7 +1284,6 @@ fn join_pair(
     let mut forced_split: Option<bool> = None;
     if fits || refinement_exhausted {
         // --- Join phase ---
-        let c0 = (ctx.clock)();
         let io0 = disk.stats();
         // A prefetched outcome substitutes for the load 1:1 — its I/O (and
         // any failed attempts) was charged when the load stage ran, so this
@@ -1293,12 +1294,10 @@ fn join_pair(
             Ok((mut rv, mut sv)) => {
                 let joined = join_loaded(ctx, &mut rv, &mut sv, chain, out, cand);
                 ctx.stats.io_join = ctx.stats.io_join.plus(&disk.stats().delta(&io0));
-                ctx.stats.cpu_join += (ctx.clock)() - c0;
                 return joined.map_err(|e| JoinError::in_partition("dedup", top, e));
             }
             Err((e, failed_r)) => {
                 ctx.stats.io_join = ctx.stats.io_join.plus(&disk.stats().delta(&io0));
-                ctx.stats.cpu_join += (ctx.clock)() - c0;
                 if e.kind.is_persistent() {
                     // Persistent damage: re-reads fail identically, and the
                     // repartitioning fallback would read the same damaged
@@ -1315,7 +1314,6 @@ fn join_pair(
     }
 
     // --- Repartitioning phase ---
-    let c0 = (ctx.clock)();
     let io0 = disk.stats();
     ctx.stats.repartitioned_pairs += 1;
     ctx.stats.repart_depth = ctx.stats.repart_depth.max(depth + 1);
@@ -1356,11 +1354,15 @@ fn join_pair(
         let mut writers: Vec<RecordWriter<Kpe>> = (0..n_sub)
             .map(|_| RecordWriter::create_on(disk, u64::from(top), ctx.cfg.partition_buffer_pages))
             .collect();
+        // Every round's records count, failed rounds' too: their work was
+        // done.
+        let work = &mut ctx.stats.work_repart;
         let copied: Result<u64, IoError> = (|| {
             let mut copies = 0u64;
             let mut targets: Vec<u32> = Vec::with_capacity(8);
             let mut reader = RecordReader::<Kpe>::new(disk, big, io_pages);
             while let Some(k) = reader.try_next()? {
+                work.assigned += 1;
                 targets.clear();
                 let (xs, ys) = chain.base.tile_range(&k.rect, f_new);
                 for iy in ys {
@@ -1377,6 +1379,7 @@ fn join_pair(
                 for &pid in &targets {
                     writers[pid as usize].try_push(&k)?;
                     copies += 1;
+                    work.copies += 1;
                 }
             }
             Ok(copies)
@@ -1419,7 +1422,6 @@ fn join_pair(
         }
     }
     ctx.stats.io_repart = ctx.stats.io_repart.plus(&disk.stats().delta(&io0));
-    ctx.stats.cpu_repart += (ctx.clock)() - c0;
     if let Some(e) = copy_err {
         if e.kind.is_persistent() {
             // The copy pass hit persistent damage (a bad sector in the file

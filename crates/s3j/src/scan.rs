@@ -5,8 +5,9 @@ use std::time::Instant;
 use geom::{reference_point, Kpe, RecordId};
 use sfc::{Cell, Curve, MAX_LEVEL};
 use storage::{
-    try_external_sort_by, ClockPos, Counts, DiskModel, FileId, FinishedUnit, IoError, IoStats,
-    JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk, UnitRun,
+    try_external_sort_by, ClockPos, Counts, DiskModel, FileId, FinishedUnit, FixedRecord, IoError,
+    IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, Schedule,
+    SimDisk, UnitRun, Work,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -79,7 +80,7 @@ impl Default for S3jConfig {
 }
 
 /// Everything S³J measured while running.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct S3jStats {
     pub copies_r: u64,
     pub copies_s: u64,
@@ -99,6 +100,12 @@ pub struct S3jStats {
     /// Checkpoint-layer I/O of a durable run (manifest publishes, journal
     /// and results-file appends); zero without a checkpoint.
     pub io_checkpoint: IoStats,
+    /// Counted CPU work per phase, the simulated clock's CPU leg (the pooled
+    /// scan's is discovery plus the replayed pool's critical path).
+    pub work_partition: Work,
+    pub work_sort: Work,
+    pub work_join: Work,
+    /// Host CPU seconds per phase, timed by the coordinator (the host clock).
     pub cpu_partition: f64,
     pub cpu_sort: f64,
     pub cpu_join: f64,
@@ -116,8 +123,9 @@ pub struct S3jStats {
     /// Model, channel decomposition (level `l`'s file and its sort runs ride
     /// channel `l mod D` for both relations; all S³J I/O happens on the
     /// coordinator, scan workers are pure CPU) and the first-result
-    /// position: the discovery I/O up to the emitting partition, plus its
-    /// commit I/O when checkpointed.
+    /// position: the emitting unit's start on the priced clock, and the
+    /// discovery I/O up to the emitting partition plus its commit I/O when
+    /// checkpointed.
     pub clock: RunClock,
 }
 
@@ -129,17 +137,23 @@ impl S3jStats {
             .plus(&self.io_checkpoint)
     }
 
+    /// Host CPU seconds (the host clock).
     pub fn cpu_seconds(&self) -> f64 {
         self.cpu_partition + self.cpu_sort + self.cpu_join
+    }
+
+    /// Counted CPU work on the run's critical path.
+    pub fn work(&self) -> Work {
+        self.work_partition + self.work_sort + self.work_join
     }
 
     pub fn io_seconds(&self) -> f64 {
         self.clock.model.seconds(&self.io_total())
     }
 
-    /// CPU seconds stretched to the emulated 1999 machine.
+    /// Priced CPU seconds on the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.clock.model.scaled_cpu(self.cpu_seconds())
+        self.clock.model.priced_cpu(&self.work())
     }
 
     /// The paper's "total runtime" on the multi-channel clock
@@ -148,7 +162,7 @@ impl S3jStats {
     /// performs all I/O while workers join in-memory partitions, so
     /// discovery reads on spare channels overlap compute.
     pub fn total_seconds(&self) -> f64 {
-        self.clock.total_seconds(self.cpu_seconds())
+        self.clock.total_seconds(&self.work())
     }
 
     pub fn replication_rate(&self, input_len: usize) -> f64 {
@@ -157,28 +171,8 @@ impl S3jStats {
 
     fn new(model: DiskModel) -> S3jStats {
         S3jStats {
-            copies_r: 0,
-            copies_s: 0,
-            histogram_r: Vec::new(),
-            histogram_s: Vec::new(),
-            code_computations: 0,
-            candidates: 0,
-            results: 0,
-            duplicates: 0,
-            join_counters: JoinCounters::default(),
-            sort_runs: 0,
-            sort_passes_max: 0,
-            io_partition: IoStats::default(),
-            io_sort: IoStats::default(),
-            io_join: IoStats::default(),
-            io_checkpoint: IoStats::default(),
-            cpu_partition: 0.0,
-            cpu_sort: 0.0,
-            cpu_join: 0.0,
-            peak_partition_bytes: 0,
-            checkpoint_commits: 0,
-            quarantined_levels: 0,
             clock: RunClock::new(model),
+            ..S3jStats::default()
         }
     }
 
@@ -460,10 +454,14 @@ impl<'a> JoinCtx<'a> {
         self.counts.2 += duplicates;
     }
 
+    /// The counted work of this context's joins so far.
+    fn work(&self) -> Work {
+        self.cfg.internal.work(&self.internal.counters())
+    }
+
     /// Folds this (per-scan or per-worker) context into the run's stats:
-    /// counts are pure sums, the join phase costs as much CPU as its slowest
-    /// worker.
-    fn fold_into(self, stats: &mut S3jStats, cpu_join: f64) {
+    /// counts are pure sums.
+    fn fold_into(self, stats: &mut S3jStats) {
         let (candidates, results, duplicates) = self.counts;
         // Every candidate was either reported or suppressed by the modified
         // reference-point test (duplicates are 0 in the unreplicated
@@ -472,7 +470,6 @@ impl<'a> JoinCtx<'a> {
         debug_assert_eq!(candidates, results + duplicates, "S3J accounting broken");
         stats.add_counts(self.counts);
         stats.join_counters.merge(&self.internal.counters());
-        stats.cpu_join = stats.cpu_join.max(cpu_join);
     }
 }
 
@@ -617,8 +614,9 @@ pub fn try_s3j_join_ctl(
         // build, redo the sort.
         manifest_levels.clone().unwrap_or_default()
     } else {
-        let elapsed = || disk.io_seconds() + model.scaled_cpu(t0.elapsed().as_secs_f64());
-        if let Some(e) = ctl.charge("build", elapsed) {
+        let charge =
+            |done: &Work| ctl.charge("build", || disk.io_seconds() + model.priced_cpu(done));
+        if let Some(e) = charge(&Work::default()) {
             return Err(e);
         }
         let build = |data: &[Kpe]| {
@@ -626,13 +624,22 @@ pub fn try_s3j_join_ctl(
             LevelFiles::try_build(disk, data, cfg.max_level, cfg.curve, cfg.replicate, shift, pages)
                 .map_err(|e| JoinError::new("build", e))
         };
+        // Each record is assigned its level(s); each copy is coded, written.
+        let work = |data: &[Kpe], lf: &LevelFiles| Work {
+            assigned: data.len() as u64,
+            copies: lf.copies,
+            codes: lf.code_computations,
+            ..Work::default()
+        };
         let lf_r = build(r)?;
-        if let Some(e) = ctl.charge("build", elapsed) {
+        stats.work_partition = work(r, &lf_r);
+        if let Some(e) = charge(&stats.work_partition) {
             lf_r.delete(disk);
             return Err(e);
         }
         let lf_s = build(s).inspect_err(|_| lf_r.delete(disk))?;
-        if let Some(e) = ctl.charge("build", elapsed) {
+        stats.work_partition += work(s, &lf_s);
+        if let Some(e) = charge(&stats.work_partition) {
             lf_r.delete(disk);
             lf_s.delete(disk);
             return Err(e);
@@ -646,7 +653,11 @@ pub fn try_s3j_join_ctl(
     };
     stats.io_partition = disk.stats().delta(&io0);
     stats.cpu_partition = t0.elapsed().as_secs_f64();
-    ctl.span("build", model.at(0.0, &io0), model.at(stats.cpu_partition, &disk.stats()));
+    ctl.span(
+        "build",
+        model.at(&Work::default(), &io0),
+        model.at(&stats.work_partition, &disk.stats()),
+    );
     // Durable build: after this publish, a crash or deadline during the
     // sort phase resumes from the intact unsorted level files instead of
     // re-partitioning.
@@ -659,6 +670,8 @@ pub fn try_s3j_join_ctl(
     // --- Phase 2: sort every level file by locational code ------------------
     let t1 = Instant::now();
     let io1 = disk.stats();
+    // The priced clock: every level record goes through a sort.
+    let clock = std::cell::Cell::new(stats.work_partition);
     let (sorted_r, sorted_s) = if resume_join {
         manifest_levels.unwrap_or_default()
     } else {
@@ -668,9 +681,7 @@ pub fn try_s3j_join_ctl(
         // deleted as soon as it is consumed; a durable run keeps them until
         // the `Join` manifest — which references the sorted files instead —
         // is published, so an interrupted sort phase stays resumable.
-        let cpu_base = stats.cpu_partition;
-        let elapsed =
-            || disk.io_seconds() + model.scaled_cpu(cpu_base + t1.elapsed().as_secs_f64());
+        let elapsed = || disk.io_seconds() + model.priced_cpu(&clock.get());
         let mut sort_err: Option<JoinError> = None;
         let sort_levels = |lf: &[Option<FileId>],
                            src: LevelSource<'_>,
@@ -690,6 +701,8 @@ pub fn try_s3j_join_ctl(
                             }
                             return None;
                         }
+                        let sorted = disk.try_len(f).unwrap_or(0) / LevelRecord::SIZE as u64;
+                        clock.set(clock.get() + Work { sorted, ..Work::default() });
                         match try_external_sort_by::<LevelRecord, _, _>(
                             disk,
                             f,
@@ -761,6 +774,7 @@ pub fn try_s3j_join_ctl(
         );
         stats.io_sort = disk.stats().delta(&io1);
         stats.cpu_sort = t1.elapsed().as_secs_f64();
+        stats.work_sort = clock.get() - stats.work_partition;
         if let Some(e) = sort_err {
             // Half-done sorted files are orphans either way; under a
             // checkpoint the unsorted files stay (the `Partition` manifest
@@ -783,8 +797,8 @@ pub fn try_s3j_join_ctl(
     };
     ctl.span(
         "sort",
-        model.at(stats.cpu_partition, &io1),
-        model.at(stats.cpu_partition + stats.cpu_sort, &disk.stats()),
+        model.at(&stats.work_partition, &io1),
+        model.at(&clock.get(), &disk.stats()),
     );
 
     // A resumed join phase folds the journaled counters in, so its reported
@@ -795,18 +809,15 @@ pub fn try_s3j_join_ctl(
     }
 
     // --- Phase 3: synchronized scan ------------------------------------------
-    // On-CPU compute clock (wall fallback): keeps the sequential and
-    // parallel join-phase measurements on the same basis, so speedup ratios
-    // are meaningful even on an oversubscribed host.
-    let t2 = parallel::WorkClock::start();
+    let t2 = Instant::now();
     let io2 = disk.stats();
     let ckpt2 = run.io_checkpoint();
     let threads = parallel::resolve_threads(cfg.threads);
-    let cpu_base = stats.cpu_partition + stats.cpu_sort;
+    let cpu_base = clock.get();
     // Simulated time so far — what the deadline is charged against at every
     // discovered partition (S³J scan workers do no I/O, so the
     // coordinator's meter is the whole story).
-    let elapsed_now = || disk.io_seconds() + model.scaled_cpu(cpu_base + t2.seconds());
+    let elapsed_now = || disk.io_seconds() + model.priced_cpu(&clock.get());
     let scan = Scan {
         disk,
         cfg,
@@ -815,8 +826,7 @@ pub fn try_s3j_join_ctl(
         ctl,
         elapsed: &elapsed_now,
         io0,
-        cpu_base,
-        clock: &t2,
+        clock: &clock,
     };
     let scan_res = if !matches!(cfg.scan, ScanMode::HeapMerge) {
         pair_scan(&scan, &mut stats, &mut run, out)
@@ -825,6 +835,8 @@ pub fn try_s3j_join_ctl(
     } else {
         heap_scan(&scan, &mut stats, &mut run, out)
     };
+    stats.work_join = clock.get() - cpu_base;
+    stats.cpu_join = t2.elapsed().as_secs_f64();
     // Join-phase I/O excludes what the checkpoint layer did mid-scan (those
     // commits are accounted under `io_checkpoint`).
     stats.io_join = disk
@@ -833,8 +845,8 @@ pub fn try_s3j_join_ctl(
         .delta(&run.io_checkpoint().delta(&ckpt2));
     ctl.span(
         "scan",
-        model.at(cpu_base, &io2),
-        model.at(cpu_base + stats.cpu_join, &disk.stats()),
+        model.at(&cpu_base, &io2),
+        model.at(&clock.get(), &disk.stats()),
     );
 
     // An interrupted durable run must keep the sorted level files — the
@@ -846,12 +858,16 @@ pub fn try_s3j_join_ctl(
         }
     }
     scan_res?;
+    ctl.charge_total("scan", elapsed_now)?;
     stats.clock = run.close(&mut stats.io_checkpoint, &mut stats.checkpoint_commits)?;
     Ok(stats)
 }
 
+/// One discovered partition, on the priced clock.
+const PARTITION: Work = Work { partitions: 1, ..Work::ZERO };
+
 /// What every scan strategy works from: the sorted level files, the sources
-/// a quarantined level is recomputed from, and the run's clock at scan entry.
+/// a quarantined level is recomputed from, and the run's clock.
 struct Scan<'a> {
     disk: &'a SimDisk,
     cfg: &'a S3jConfig,
@@ -863,21 +879,24 @@ struct Scan<'a> {
     /// The disk meter at run start: first-result positions are run-relative,
     /// so a reused disk's earlier charges never leak into the probe.
     io0: IoStats,
-    /// CPU seconds of the build and sort phases.
-    cpu_base: f64,
-    /// Compute clock of the scan phase.
-    clock: &'a parallel::WorkClock,
+    /// The priced clock: build, sort and the scan's work so far.
+    clock: &'a std::cell::Cell<Work>,
 }
 
 impl<'a> Scan<'a> {
-    /// Where a sequential scan stands on the run's clock. It emits in
+    /// Where a sequential scan stands on the run's clock: the priced work
+    /// before the unit being joined, and the meter now. It emits in
     /// discovery order against a monotone meter, so its first delivery is
-    /// already the minimum; reading the live clocks at that moment matches
-    /// the pool's probe exactly on the I/O axis (discovery I/O through the
+    /// already the minimum; reading the meter at that moment matches the
+    /// pool's probe exactly on the I/O axis (discovery I/O through the
     /// emitting partition, plus its commit when checkpointed).
     fn position(&self) -> ClockPos {
-        let cpu = self.cpu_base + self.clock.seconds();
-        (cpu, self.disk.stats().delta(&self.io0))
+        (self.clock.get(), self.disk.stats().delta(&self.io0))
+    }
+
+    /// Advances the priced clock by `work`.
+    fn tick(&self, work: Work) {
+        self.clock.set(self.clock.get() + work);
     }
 
     /// §4.4.3, the discovery traversal shared by the sequential scan and the
@@ -925,6 +944,7 @@ impl<'a> Scan<'a> {
             let part = cursors[ci]
                 .take_partition(self.cfg.curve, max_level)
                 .map_err(to_err)?;
+            self.tick(PARTITION);
             if let Some((st, lv, rl)) = cursors[ci].peek_key(max_level) {
                 heap.push(Reverse((st, lv, rl, ci)));
             }
@@ -965,10 +985,11 @@ fn heap_scan(
     let res = scan.discover(stats, |d, mut part: Part, others: &mut [Part]| {
         if !others.is_empty() && !run.is_committed(d) {
             let body = |emit: &mut dyn FnMut(RecordId, RecordId)| {
-                let (c0, r0, d0) = ctx.counts;
+                let ((c0, r0, d0), w0) = (ctx.counts, ctx.work());
                 for q in others.iter_mut() {
                     ctx.join_parts(&mut part, q, emit);
                 }
+                scan.tick(ctx.work() - w0);
                 let (c, r, d) = ctx.counts;
                 Ok((c - c0, r - r0, d - d0))
             };
@@ -976,7 +997,7 @@ fn heap_scan(
         }
         Ok(part)
     });
-    ctx.fold_into(stats, scan.clock.seconds());
+    ctx.fold_into(stats);
     res
 }
 
@@ -988,7 +1009,8 @@ fn heap_scan(
 /// result pairs; the pool re-assembles chunk outputs in discovery order, so
 /// the emitted stream is identical to the sequential scan, and the modified
 /// RPM (§4.3) keeps the union of task outputs duplicate-free no matter how
-/// tasks interleave.
+/// tasks interleave. On the priced clock discovery comes first, then the
+/// units on the replayed pool ([`Schedule`]).
 fn heap_scan_pool(
     scan: &Scan<'_>,
     threads: usize,
@@ -999,9 +1021,8 @@ fn heap_scan_pool(
     use std::convert::Infallible;
     use std::sync::Arc;
 
-    let Scan { disk, cfg, ctl, elapsed, cpu_base, .. } = *scan;
+    let Scan { disk, cfg, ctl, .. } = *scan;
     let model = disk.model();
-    let t_discover = parallel::WorkClock::start();
     let mut tasks: Vec<(Arc<Part>, Arc<Part>)> = Vec::new();
     // Per task: the run-relative I/O meter right after its partition's
     // discovery read — exactly the sequential scan's meter position when it
@@ -1024,7 +1045,7 @@ fn heap_scan_pool(
         }
         Ok(part)
     })?;
-    let discover_secs = t_discover.seconds();
+    let discovered_work = scan.clock.get();
     // The coordinator's only I/O from here on is the units' commits, so the
     // live meter less this reading is the scan's commit I/O so far.
     let discovered = disk.stats();
@@ -1043,6 +1064,11 @@ fn heap_scan_pool(
             .map(|c| (c as u32, c * chunk..tasks.len().min((c + 1) * chunk)))
             .collect()
     };
+    let mut schedule = Schedule::new(threads);
+    // Where the phase stands, for the delivery events.
+    let now = |schedule: &Schedule, io: &IoStats| {
+        model.at(&(discovered_work + schedule.span().1), &scan.io0.plus(io))
+    };
     // The one pool, as a plain ordered one: scan workers do no I/O (nothing
     // to load ahead) and cannot fail (nothing to requeue).
     let (workers, _) = parallel::run_ordered_prefetch_fallible_with(
@@ -1053,8 +1079,6 @@ fn heap_scan_pool(
         |_w| {
             (
                 JoinCtx::new(cfg),
-                0f64,
-                parallel::WorkClock::start(),
                 // Scratch rect buffers, reused across tasks: internal joins
                 // reorder rects in place, so each task needs private copies,
                 // but per-task Vec allocations would serialise the pool on
@@ -1063,67 +1087,58 @@ fn heap_scan_pool(
             )
         },
         |_, _, _| (),
-        |(ctx, cpu, work_clock, scratch), u, _round, ()| {
-            let c0 = work_clock.seconds();
-            let (cand0, res0, dup0) = ctx.counts;
+        |(ctx, scratch), u, _round, ()| {
+            let ((cand0, res0, dup0), w0) = (ctx.counts, ctx.work());
             let mut pairs = Vec::new();
-            // (global task index, own on-CPU seconds) at this unit's first
-            // produced pair — the unit's contribution to the pipelined
-            // first-result probe.
-            let mut first: Option<(usize, f64)> = None;
+            // The global task index of this unit's first produced pair.
+            let mut first: Option<usize> = None;
             let range = units[u].1.clone();
             for (i, (deeper, other)) in tasks[range.clone()].iter().enumerate() {
                 let mut deeper = deeper.copy_into(std::mem::take(&mut scratch.0));
                 let mut other = other.copy_into(std::mem::take(&mut scratch.1));
                 ctx.join_parts(&mut deeper, &mut other, &mut |a, b| {
-                    if first.is_none() {
-                        first = Some((range.start + i, work_clock.seconds() - c0));
-                    }
+                    first.get_or_insert(range.start + i);
                     pairs.push((a, b));
                 });
                 scratch.0 = deeper.rects;
                 scratch.1 = other.rects;
             }
-            *cpu += work_clock.seconds() - c0;
             let (cand, res, dup) = ctx.counts;
-            Ok::<_, Infallible>((pairs, (cand - cand0, res - res0, dup - dup0), first))
+            Ok::<_, Infallible>((pairs, (cand - cand0, res - res0, dup - dup0), first, ctx.work() - w0))
         },
         |u, finished| {
-            let Ok((pairs, counts, first)) = finished;
+            let Ok((pairs, counts, first, work)) = finished;
             let (unit, range) = &units[u];
             // Deadline at unit granularity on the coordinator (workers do
-            // no I/O, so `elapsed` sees the whole simulated-time story).
-            run.poll("scan", elapsed);
+            // no I/O, so its meter is the whole simulated-time story).
+            run.poll("scan", || {
+                disk.io_seconds() + model.priced_cpu(&(discovered_work + schedule.span().1))
+            });
             // Where a sequential scan's run-relative meter stands once it
             // has joined this unit: discovery through its last partition
             // plus the scan's commits so far.
             let seq_io = || snaps[range.end - 1].plus(&disk.stats().delta(&discovered));
-            let cpu = cpu_base + discover_secs + first.map_or(0.0, |(_, own)| own);
+            let start = discovered_work + schedule.place(work).1;
             let finished = FinishedUnit {
                 pairs,
                 counts,
                 io: IoStats::default(),
-                first: first.map(|(task, _)| (cpu, snaps[task])),
-                done: (cpu, seq_io()),
+                first: first.map(|task| (start, snaps[task])),
+                done: (start + work, seq_io()),
             };
-            let now = || model.at(cpu_base + scan.clock.seconds(), &scan.io0.plus(&seq_io()));
-            run.deliver(*unit, Ok(finished), &now, out);
+            run.deliver(*unit, Ok(finished), &|| now(&schedule, &seq_io()), out);
         },
     );
-    for (ctx, cpu, _clock, _scratch) in workers {
-        ctx.fold_into(stats, cpu);
+    for (ctx, _scratch) in workers {
+        ctx.fold_into(stats);
     }
-    // Coordinator discovery (the phase's only non-checkpoint I/O and heap
-    // work) happens before the workers start; it adds to whichever worker
-    // was slowest — the phase cost on dedicated cores, which the pool
-    // barrier realises as wall time on an unloaded multicore host. Without
-    // a checkpoint nothing below discovery can fail: the worker tasks are
-    // pure CPU over in-memory partitions.
-    stats.cpu_join += discover_secs;
+    // Discovery came first, the replayed pool after it. Without a checkpoint
+    // nothing below discovery can fail: the tasks are pure CPU.
+    scan.tick(schedule.span().1);
     if ctl.observed() {
         ctl.event(
             "pool-drained",
-            elapsed(),
+            (scan.elapsed)(),
             &[
                 ("units", units.len() as u64),
                 ("tasks", tasks.len() as u64),
@@ -1131,7 +1146,7 @@ fn heap_scan_pool(
             ],
         );
     }
-    run.settle("scan", elapsed)
+    run.settle("scan", scan.elapsed)
 }
 
 /// Ablation baseline for §4.4.3: a separate merge scan per pair of level
@@ -1147,14 +1162,16 @@ fn pair_scan(
     let Scan { disk, cfg, sources: (r, s), sorted: (sorted_r, sorted_s), .. } = *scan;
     let to_err = |e: IoError| JoinError::new("scan", e);
     // The next whole partition of `c`, or `None` at end of file.
-    fn next_part(c: &mut Cursor<'_>, curve: Curve, max_level: u8) -> Result<Option<Part>, IoError> {
-        if c.pending.is_some() {
-            Ok(Some(c.take_partition(curve, max_level)?))
-        } else {
-            Ok(None)
+    let next_part = |c: &mut Cursor<'_>| -> Result<Option<Part>, IoError> {
+        if c.pending.is_none() {
+            return Ok(None);
         }
-    }
+        let part = c.take_partition(cfg.curve, cfg.max_level)?;
+        scan.tick(PARTITION);
+        Ok(Some(part))
+    };
     let mut ctx = JoinCtx::new(cfg);
+    let position = scan.position();
     let body = |out: &mut dyn FnMut(RecordId, RecordId)| {
         for (lr, fr) in sorted_r.iter().enumerate() {
             let Some(fr) = fr else { continue };
@@ -1174,20 +1191,22 @@ fn pair_scan(
                     .map_err(to_err)?;
                 // Merge: `a` is the coarser-or-equal side, `b` the deeper side.
                 let (mut a, mut b) = if lr <= ls { (cr, cs) } else { (cs, cr) };
-                let mut pa = next_part(&mut a, cfg.curve, cfg.max_level).map_err(to_err)?;
-                let mut pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
+                let mut pa = next_part(&mut a).map_err(to_err)?;
+                let mut pb = next_part(&mut b).map_err(to_err)?;
                 while let (Some(ca), Some(cb)) = (&mut pa, &mut pb) {
                     if ca.start <= cb.start && cb.start < ca.end {
                         // `ca` covers `cb`: join (cb is the deeper partition).
                         stats.peak_partition_bytes = stats.peak_partition_bytes.max(
                             (ca.rects.len() + cb.rects.len()) * Kpe::ENCODED_SIZE,
                         );
+                        let w0 = ctx.work();
                         ctx.join_parts(cb, ca, out);
-                        pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
+                        scan.tick(ctx.work() - w0);
+                        pb = next_part(&mut b).map_err(to_err)?;
                     } else if ca.end <= cb.start {
-                        pa = next_part(&mut a, cfg.curve, cfg.max_level).map_err(to_err)?;
+                        pa = next_part(&mut a).map_err(to_err)?;
                     } else {
-                        pb = next_part(&mut b, cfg.curve, cfg.max_level).map_err(to_err)?;
+                        pb = next_part(&mut b).map_err(to_err)?;
                     }
                 }
                 // The ablation re-reads each level file once per opposite
@@ -1199,8 +1218,15 @@ fn pair_scan(
         }
         Ok(ctx.counts)
     };
-    let res = run.stream(0, Some(&|| scan.position()), scan.elapsed, body, out);
-    ctx.fold_into(stats, scan.clock.seconds());
+    // One unit, starting where the sort ended.
+    let res = run.stream(
+        0,
+        Some(&|| (position.0, scan.disk.stats().delta(&scan.io0))),
+        scan.elapsed,
+        body,
+        out,
+    );
+    ctx.fold_into(stats);
     res
 }
 

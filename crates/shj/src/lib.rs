@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use geom::{Kpe, Rect, RecordId};
 use rand::prelude::*;
-use storage::{FileId, IoStats, RecordReader, RecordWriter, RunClock, SimDisk};
+use storage::{FileId, IoStats, RecordReader, RecordWriter, RunClock, SimDisk, Work};
 use sweep::{InternalAlgo, JoinCounters};
 
 /// SHJ tuning knobs.
@@ -69,7 +69,7 @@ impl Default for ShjConfig {
 }
 
 /// Measurements of one SHJ run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShjStats {
     pub buckets: u32,
     /// Probe-side copies written (≥ the number of surviving S records).
@@ -84,6 +84,10 @@ pub struct ShjStats {
     pub io_build: IoStats,
     pub io_probe: IoStats,
     pub io_join: IoStats,
+    /// Counted CPU work, the simulated clock's CPU leg: each build record
+    /// is tested against every seed and each probe record against every
+    /// bucket extent, then the bucket pairs are joined.
+    pub work: Work,
     pub cpu_build: f64,
     pub cpu_probe: f64,
     pub cpu_join: f64,
@@ -99,12 +103,13 @@ impl ShjStats {
         self.io_build.plus(&self.io_probe).plus(&self.io_join)
     }
 
+    /// Host CPU seconds (the host clock).
     pub fn cpu_seconds(&self) -> f64 {
         self.cpu_build + self.cpu_probe + self.cpu_join
     }
 
     pub fn total_seconds(&self) -> f64 {
-        self.clock.total_seconds(self.cpu_seconds())
+        self.clock.total_seconds(&self.work)
     }
 
     /// Probe-side replication rate.
@@ -124,19 +129,8 @@ pub fn shj_join(
     out: &mut dyn FnMut(RecordId, RecordId),
 ) -> ShjStats {
     let mut stats = ShjStats {
-        buckets: 0,
-        probe_copies: 0,
-        probe_filtered: 0,
-        overflowed_pairs: 0,
-        results: 0,
-        join_counters: JoinCounters::default(),
-        io_build: IoStats::default(),
-        io_probe: IoStats::default(),
-        io_join: IoStats::default(),
-        cpu_build: 0.0,
-        cpu_probe: 0.0,
-        cpu_join: 0.0,
         clock: RunClock::new(disk.model()),
+        ..ShjStats::default()
     };
     if r.is_empty() || s.is_empty() {
         return stats;
@@ -232,6 +226,14 @@ pub fn shj_join(
         disk.delete(*fp);
     }
     stats.join_counters = internal.counters();
+    let inputs = (r.len() + s.len()) as u64;
+    stats.work = cfg.internal.work(&stats.join_counters)
+        + Work {
+            assigned: inputs,
+            copies: r.len() as u64 + stats.probe_copies,
+            tests: inputs * u64::from(b),
+            ..Work::default()
+        };
     stats.io_join = disk.stats().delta(&io2);
     stats.cpu_join = t2.elapsed().as_secs_f64();
     // All bucket files are untagged: the whole run rides the shared lane.

@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use geom::{Kpe, RecordId};
-use storage::{external_sort_slice, IoStats, RecordReader, RunClock, SimDisk, SortStats};
+use storage::{external_sort_slice, IoStats, RecordReader, RunClock, SimDisk, SortStats, Work};
 use sweep::JoinCounters;
 
 /// SSSJ tuning knobs.
@@ -48,6 +48,9 @@ pub struct SssjStats {
     pub sort_s: SortStats,
     pub io_sort: IoStats,
     pub io_join: IoStats,
+    /// Counted CPU work, the simulated clock's CPU leg: both inputs sorted,
+    /// then the sweep's tests against its active lists.
+    pub work: Work,
     pub cpu_sort: f64,
     pub cpu_join: f64,
     /// Peak rectangles resident in the sweep-line status.
@@ -56,7 +59,7 @@ pub struct SssjStats {
     /// sequentially — no partition structure to spread), so the shared lane
     /// carries [`io_total`](Self::io_total) and the data channels nothing:
     /// extra channels cannot speed SSSJ up. The first-result position is
-    /// the run's cumulative clock at the first emitted pair.
+    /// the sorted inputs' work and the meter at the first emitted pair.
     pub clock: RunClock,
 }
 
@@ -65,17 +68,18 @@ impl SssjStats {
         self.io_sort.plus(&self.io_join)
     }
 
+    /// Host CPU seconds (the host clock, beside the priced `work`).
     pub fn cpu_seconds(&self) -> f64 {
         self.cpu_sort + self.cpu_join
     }
 
-    /// CPU seconds stretched to the emulated 1999 machine.
+    /// Priced CPU seconds on the emulated 1999 machine.
     pub fn scaled_cpu_seconds(&self) -> f64 {
-        self.clock.model.scaled_cpu(self.cpu_seconds())
+        self.clock.model.priced_cpu(&self.work)
     }
 
     pub fn total_seconds(&self) -> f64 {
-        self.clock.total_seconds(self.cpu_seconds())
+        self.clock.total_seconds(&self.work)
     }
 }
 
@@ -120,6 +124,10 @@ pub fn sssj_join(
     };
     let io_sort = disk.stats().delta(&io0);
     let cpu_sort = run_start.elapsed().as_secs_f64();
+    let work_sort = Work {
+        sorted: (r.len() + s.len()) as u64,
+        ..Work::default()
+    };
 
     // --- Sweep phase ----------------------------------------------------------
     let t1 = Instant::now();
@@ -130,7 +138,7 @@ pub fn sssj_join(
     {
         let mut emit = |a: RecordId, b: RecordId| {
             if clock.first_result.is_none() {
-                clock.first_result = Some((run_start.elapsed().as_secs_f64(), disk.stats()));
+                clock.first_result = Some((work_sort, disk.stats()));
             }
             out(a, b);
         };
@@ -168,6 +176,11 @@ pub fn sssj_join(
         sort_s,
         io_sort,
         io_join,
+        work: Work {
+            status_tests: counters.tests,
+            candidates: counters.results,
+            ..work_sort
+        },
         cpu_sort,
         cpu_join: t1.elapsed().as_secs_f64(),
         peak_status,

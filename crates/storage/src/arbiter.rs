@@ -42,6 +42,8 @@ use std::time::Instant;
 
 use parallel::CancelToken;
 
+use crate::lock;
+
 /// Why a lease request was refused. All variants are *typed shedding*: the
 /// caller is expected to surface them to its client rather than retry
 /// blindly.
@@ -124,7 +126,7 @@ impl ArbInner {
     }
 
     fn release(&self, bytes: u64, held_secs: f64) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.state);
         assert!(
             s.leased >= bytes && s.active >= 1,
             "memory arbiter release underflow: releasing {} of {} leased bytes ({} active)",
@@ -241,11 +243,7 @@ impl MemoryArbiter {
     /// if it would have to wait, an error if it must be shed.
     pub fn try_lease(&self, bytes: u64) -> Result<Option<MemoryLease>, AdmissionError> {
         let bytes = bytes.max(1);
-        let mut s = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.inner.state);
         if bytes > self.inner.budget {
             s.rejected_too_large += 1;
             return Err(AdmissionError::TooLarge {
@@ -269,11 +267,7 @@ impl MemoryArbiter {
         cancel: Option<&CancelToken>,
     ) -> Result<MemoryLease, AdmissionError> {
         let bytes = bytes.max(1);
-        let mut s = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock(&self.inner.state);
         if bytes > self.inner.budget {
             s.rejected_too_large += 1;
             return Err(AdmissionError::TooLarge {
@@ -339,11 +333,7 @@ impl MemoryArbiter {
 
     /// Current ledger state (consistent snapshot under the arbiter lock).
     pub fn snapshot(&self) -> ArbiterSnapshot {
-        let s = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let s = lock(&self.inner.state);
         ArbiterSnapshot {
             budget_bytes: self.inner.budget,
             leased_bytes: s.leased,

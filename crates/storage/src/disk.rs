@@ -1,11 +1,12 @@
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 
 use crate::checksum::checksum64;
 use crate::fault::{FaultPlan, IoError, IoErrorKind, IoOp, PERMANENT};
+use crate::lock;
 use crate::retry::RetryPolicy;
+use crate::work::Work;
 
 /// Disk parameters of the cost model.
 ///
@@ -24,12 +25,12 @@ pub struct DiskModel {
     pub positioning_ratio: f64,
     /// Seconds of simulated time per page-transfer unit.
     pub transfer_secs_per_page: f64,
-    /// Factor by which measured CPU seconds are stretched when combined with
-    /// the simulated disk time. The paper's testbed is a ~75 MHz
-    /// SuperSPARC-II; a modern core is two to three orders of magnitude
-    /// faster, and without this factor every CPU-side effect the paper
-    /// reports (trie vs list sweeps, replication CPU savings) would vanish
-    /// behind 1999-era disk time. Set to 1.0 to disable.
+    /// Factor by which priced CPU work ([`Work`]) is stretched to the
+    /// emulated machine. The paper's testbed is a ~75 MHz SuperSPARC-II; a
+    /// modern core is two to three orders of magnitude faster, and without
+    /// this factor every CPU-side effect the paper reports (trie vs list
+    /// sweeps, replication CPU savings) would vanish behind 1999-era disk
+    /// time. `0` leaves the clock I/O only.
     pub cpu_slowdown: f64,
     /// Number of independent I/O channels (`D`). Files carry an optional
     /// channel tag set at creation; a tagged file's requests are metered on
@@ -76,17 +77,17 @@ impl DiskModel {
         self.units(s) * self.transfer_secs_per_page
     }
 
-    /// Measured CPU seconds stretched to the emulated machine.
-    pub fn scaled_cpu(&self, raw_secs: f64) -> f64 {
-        raw_secs * self.cpu_slowdown
+    /// The CPU leg of the simulated clock: `work` at the price table's host
+    /// nanoseconds, stretched by `cpu_slowdown` to the emulated machine.
+    pub fn priced_cpu(&self, work: &Work) -> f64 {
+        work.host_nanos() * 1e-9 * self.cpu_slowdown
     }
 
-    /// Position on the simulated timeline of a point `cpu_secs` of measured
-    /// CPU and `io` of metered requests into a run: disk seconds plus scaled
-    /// CPU. Phase spans, events and the first-result probe are all stamped
-    /// with this, never with wall time.
-    pub fn at(&self, cpu_secs: f64, io: &IoStats) -> f64 {
-        self.scaled_cpu(cpu_secs) + self.seconds(io)
+    /// Position on the simulated timeline of a point `cpu` of counted work
+    /// and `io` of metered requests into a run. Spans, events, deadlines and
+    /// the first-result probe are all stamped with this, never wall time.
+    pub fn at(&self, cpu: &Work, io: &IoStats) -> f64 {
+        self.priced_cpu(cpu) + self.seconds(io)
     }
 
     /// The number of data channels, clamped to at least one.
@@ -109,23 +110,24 @@ impl DiskModel {
 
     /// Simulated seconds hidden by double-buffered prefetch: with more than
     /// one channel, loading partition `k+1` overlaps the join computation on
-    /// partition `k`, so up to `min(scaled CPU, busiest data channel)` of
+    /// partition `k`, so up to `min(priced CPU, busiest data channel)` of
     /// I/O time disappears behind the CPU. A single channel has no idle lane
     /// to prefetch on, and hides nothing.
-    pub fn prefetch_hidden_seconds(&self, scaled_cpu_secs: f64, data: &[IoStats]) -> f64 {
+    pub fn prefetch_hidden_seconds(&self, cpu_secs: f64, data: &[IoStats]) -> f64 {
         if self.data_channels() <= 1 {
             return 0.0;
         }
         let busiest = self.max_channel_units(data) * self.transfer_secs_per_page;
-        scaled_cpu_secs.min(busiest)
+        cpu_secs.min(busiest)
     }
 
     /// Wall-clock simulated seconds of a run under the channel model:
-    /// `scaled_cpu + parallel_io − prefetch_hidden`. With `channels = 1`
-    /// this is exactly the historic `scaled_cpu + seconds(io_total)`.
-    pub fn total_seconds(&self, scaled_cpu_secs: f64, shared: &IoStats, data: &[IoStats]) -> f64 {
-        scaled_cpu_secs + self.parallel_io_seconds(shared, data)
-            - self.prefetch_hidden_seconds(scaled_cpu_secs, data)
+    /// `priced_cpu + parallel_io − prefetch_hidden`, with `cpu_secs` the
+    /// priced CPU. With `channels = 1` this is exactly
+    /// `priced_cpu + seconds(io_total)`.
+    pub fn total_seconds(&self, cpu_secs: f64, shared: &IoStats, data: &[IoStats]) -> f64 {
+        cpu_secs + self.parallel_io_seconds(shared, data)
+            - self.prefetch_hidden_seconds(cpu_secs, data)
     }
 
     /// Transfer-time multiplier of data channel `c`: 1.0 for healthy
@@ -175,36 +177,30 @@ pub struct IoStats {
 }
 
 impl IoStats {
+    /// Combines these counters with `other`, field by field.
+    fn zip(&self, other: &IoStats, f: impl Fn(u64, u64) -> u64) -> IoStats {
+        IoStats {
+            read_requests: f(self.read_requests, other.read_requests),
+            write_requests: f(self.write_requests, other.write_requests),
+            pages_read: f(self.pages_read, other.pages_read),
+            pages_written: f(self.pages_written, other.pages_written),
+            bytes_read: f(self.bytes_read, other.bytes_read),
+            bytes_written: f(self.bytes_written, other.bytes_written),
+            faults_injected: f(self.faults_injected, other.faults_injected),
+            read_retries: f(self.read_retries, other.read_retries),
+            write_retries: f(self.write_retries, other.write_retries),
+            backoff_units: f(self.backoff_units, other.backoff_units),
+        }
+    }
+
     /// Counters accumulated since the snapshot `since`.
     pub fn delta(&self, since: &IoStats) -> IoStats {
-        IoStats {
-            read_requests: self.read_requests - since.read_requests,
-            write_requests: self.write_requests - since.write_requests,
-            pages_read: self.pages_read - since.pages_read,
-            pages_written: self.pages_written - since.pages_written,
-            bytes_read: self.bytes_read - since.bytes_read,
-            bytes_written: self.bytes_written - since.bytes_written,
-            faults_injected: self.faults_injected - since.faults_injected,
-            read_retries: self.read_retries - since.read_retries,
-            write_retries: self.write_retries - since.write_retries,
-            backoff_units: self.backoff_units - since.backoff_units,
-        }
+        self.zip(since, |a, b| a - b)
     }
 
     /// Element-wise sum.
     pub fn plus(&self, other: &IoStats) -> IoStats {
-        IoStats {
-            read_requests: self.read_requests + other.read_requests,
-            write_requests: self.write_requests + other.write_requests,
-            pages_read: self.pages_read + other.pages_read,
-            pages_written: self.pages_written + other.pages_written,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            faults_injected: self.faults_injected + other.faults_injected,
-            read_retries: self.read_retries + other.read_retries,
-            write_retries: self.write_retries + other.write_retries,
-            backoff_units: self.backoff_units + other.backoff_units,
-        }
+        self.zip(other, |a, b| a + b)
     }
 
     /// In-place element-wise sum: folds another counter (e.g. a worker's
@@ -331,7 +327,7 @@ impl FaultState {
             IoOp::Read => 0u8,
             IoOp::Write => 1u8,
         };
-        let mut g = self.attempts.lock();
+        let mut g = lock(&self.attempts);
         let e = g.entry((tag, offset, len)).or_insert(0);
         let idx = *e;
         if fail_count != PERMANENT {
@@ -352,7 +348,7 @@ impl FaultState {
 /// file store and the I/O meter. [`SimDisk::fork_counters`] instead shares
 /// only the file store and gives the fork a fresh meter — parallel join
 /// workers each run on a fork, so their per-worker counters can be merged
-/// back deterministically (via [`SimDisk::add_stats`]) regardless of how the
+/// back deterministically (via [`SimDisk::add_channel_stats`]) regardless of how the
 /// scheduler interleaved their requests. Lock contention is irrelevant —
 /// the simulation itself is not a benchmark target, the *counters* are.
 ///
@@ -414,7 +410,7 @@ impl SimDisk {
     /// A handle onto the **same** file store with a **fresh, private** I/O
     /// meter. Work done through the fork is invisible to this handle's
     /// counters until the caller folds the fork's [`SimDisk::stats`] back in
-    /// with [`SimDisk::add_stats`] — the per-worker counter protocol of the
+    /// with [`SimDisk::add_channel_stats`] — the per-worker counter protocol of the
     /// parallel join executors. The fault state (plan, policy, attempt
     /// counters) is shared, so forks draw failures from one pool.
     pub fn fork_counters(&self) -> SimDisk {
@@ -450,21 +446,13 @@ impl SimDisk {
         }
     }
 
-    /// Folds externally accumulated counters (a fork's meter) into this
-    /// handle's meter. Counters folded this way land on the shared lane —
-    /// use [`SimDisk::add_channel_stats`] to preserve a fork's per-channel
-    /// decomposition.
-    pub fn add_stats(&self, s: &IoStats) {
-        self.stats.lock()[0].merge(s);
-    }
-
     /// Folds a fork's full per-bucket meter (from
     /// [`SimDisk::channel_stats`]) into this handle's, bucket by bucket, so
     /// the channel decomposition survives the merge. Buckets past this
     /// disk's own (a fork built under a different model) fold into the
     /// shared lane rather than vanish.
     pub fn add_channel_stats(&self, buckets: &[IoStats]) {
-        let mut g = self.stats.lock();
+        let mut g = lock(&self.stats);
         for (i, b) in buckets.iter().enumerate() {
             if i < g.len() {
                 g[i].merge(b);
@@ -484,7 +472,7 @@ impl SimDisk {
 
     /// Creates an empty file on the serial shared lane.
     pub fn create(&self) -> FileId {
-        let mut g = self.files.lock();
+        let mut g = lock(&self.files);
         g.push(Some(StoredFile::new(None)));
         FileId((g.len() - 1) as u32)
     }
@@ -494,7 +482,7 @@ impl SimDisk {
     /// index) — *not* a channel index — so the same file lands on the same
     /// channel however many channels the model has.
     pub fn create_on(&self, tag: u64) -> FileId {
-        let mut g = self.files.lock();
+        let mut g = lock(&self.files);
         g.push(Some(StoredFile::new(Some(tag))));
         FileId((g.len() - 1) as u32)
     }
@@ -503,7 +491,7 @@ impl SimDisk {
     /// files, deleted files and stale ids). Derived files (sort runs, merge
     /// outputs) inherit their input's tag through this.
     pub fn file_channel(&self, f: FileId) -> Option<u64> {
-        let g = self.files.lock();
+        let g = lock(&self.files);
         g.get(f.0 as usize).and_then(|s| s.as_ref()).and_then(|file| file.channel)
     }
 
@@ -524,7 +512,7 @@ impl SimDisk {
     /// spares so a rebuilt file cannot land on the very sectors that
     /// poisoned the original.
     pub fn create_spare_on(&self, tag: u64) -> FileId {
-        let mut g = self.files.lock();
+        let mut g = lock(&self.files);
         let mut file = StoredFile::new(Some(tag));
         file.spare = true;
         g.push(Some(file));
@@ -543,7 +531,7 @@ impl SimDisk {
 
     /// `true` iff the file was created through a spare-sector constructor.
     pub fn is_spare(&self, f: FileId) -> bool {
-        let g = self.files.lock();
+        let g = lock(&self.files);
         g.get(f.0 as usize)
             .and_then(|s| s.as_ref())
             .is_some_and(|file| file.spare)
@@ -554,7 +542,7 @@ impl SimDisk {
     /// volumes with their own (identical) budget.
     pub fn pages_in_use(&self) -> u64 {
         let ps = self.model.page_size;
-        let g = self.files.lock();
+        let g = lock(&self.files);
         g.iter()
             .flatten()
             .map(|file| file.data.len().div_ceil(ps) as u64)
@@ -563,7 +551,7 @@ impl SimDisk {
 
     /// Deletes a file, releasing its space. Idempotent.
     pub fn delete(&self, f: FileId) {
-        let mut g = self.files.lock();
+        let mut g = lock(&self.files);
         if let Some(slot) = g.get_mut(f.0 as usize) {
             *slot = None;
         }
@@ -571,7 +559,7 @@ impl SimDisk {
 
     /// `true` iff the file exists (was created and not deleted).
     pub fn exists(&self, f: FileId) -> bool {
-        let g = self.files.lock();
+        let g = lock(&self.files);
         matches!(g.get(f.0 as usize), Some(Some(_)))
     }
 
@@ -579,7 +567,7 @@ impl SimDisk {
     /// recovery scan to find orphans — files a crashed run created that no
     /// committed manifest references.
     pub fn file_ids(&self) -> Vec<FileId> {
-        let g = self.files.lock();
+        let g = lock(&self.files);
         g.iter()
             .enumerate()
             .filter(|(_, slot)| slot.is_some())
@@ -592,7 +580,7 @@ impl SimDisk {
     /// Recovery uses this to drop a torn journal tail and to roll the
     /// results file back to the last committed watermark.
     pub fn try_truncate(&self, f: FileId, len: u64) -> Result<(), IoError> {
-        let mut g = self.files.lock();
+        let mut g = lock(&self.files);
         let Some(file) = g.get_mut(f.0 as usize).and_then(|s| s.as_mut()) else {
             return Err(IoError {
                 kind: IoErrorKind::FileDeleted,
@@ -624,7 +612,7 @@ impl SimDisk {
     /// filesystem surviving the crash; it is not a disk request and charges
     /// nothing to the meter.
     pub fn export_files(&self) -> Vec<u8> {
-        let g = self.files.lock();
+        let g = lock(&self.files);
         let mut out = Vec::new();
         out.extend_from_slice(b"SJDK");
         // Version 2 added the per-file channel tag so a resumed run bins its
@@ -738,7 +726,7 @@ impl SimDisk {
         if pos != rest.len() {
             return Err(bad());
         }
-        *self.files.lock() = table;
+        *lock(&self.files) = table;
         Ok(())
     }
 
@@ -755,7 +743,7 @@ impl SimDisk {
 
     /// Length of a file in bytes. A metadata lookup — free and fault-exempt.
     pub fn try_len(&self, f: FileId) -> Result<u64, IoError> {
-        let g = self.files.lock();
+        let g = lock(&self.files);
         match g.get(f.0 as usize).and_then(|s| s.as_ref()) {
             Some(file) => Ok(file.data.len() as u64),
             None => Err(IoError {
@@ -798,7 +786,7 @@ impl SimDisk {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let mut files = self.files.lock();
+            let mut files = lock(&self.files);
             // ENOSPC: the allocator rejects the append before any transfer
             // when the store's live pages would exceed the plan's capacity.
             // Retrying cannot free space, so the error surfaces immediately
@@ -821,7 +809,7 @@ impl SimDisk {
                             let offset = len_now as u64;
                             let bucket = self.bucket_of(file.channel);
                             drop(files);
-                            self.stats.lock()[bucket].faults_injected += 1;
+                            lock(&self.stats)[bucket].faults_injected += 1;
                             return Err(IoError {
                                 kind,
                                 file: f,
@@ -845,7 +833,7 @@ impl SimDisk {
             let offset = file.data.len() as u64;
             let bucket = self.bucket_of(file.channel);
             {
-                let s = &mut self.stats.lock()[bucket];
+                let s = &mut lock(&self.stats)[bucket];
                 s.write_requests += 1;
                 s.pages_written += pages;
                 s.bytes_written += data.len() as u64;
@@ -857,7 +845,7 @@ impl SimDisk {
                 }
                 Some((kind, global_idx, salt)) => {
                     drop(files); // nothing persisted: atomic rollback
-                    let s = &mut self.stats.lock()[bucket];
+                    let s = &mut lock(&self.stats)[bucket];
                     s.faults_injected += 1;
                     if attempt < max_attempts {
                         s.write_retries += 1;
@@ -903,7 +891,7 @@ impl SimDisk {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let files = self.files.lock();
+            let files = lock(&self.files);
             let Some(file) = files.get(f.0 as usize).and_then(|s| s.as_ref()) else {
                 return Err(IoError {
                     kind: IoErrorKind::FileDeleted,
@@ -924,7 +912,7 @@ impl SimDisk {
             }
             let bucket = self.bucket_of(file.channel);
             {
-                let s = &mut self.stats.lock()[bucket];
+                let s = &mut lock(&self.stats)[bucket];
                 s.read_requests += 1;
                 s.pages_read += pages;
                 s.bytes_read += out.len() as u64;
@@ -941,7 +929,7 @@ impl SimDisk {
                     let kind = IoErrorKind::PersistentCorruption;
                     debug_assert!(!self.faults.policy.should_retry(kind));
                     drop(files);
-                    self.stats.lock()[bucket].faults_injected += 1;
+                    lock(&self.stats)[bucket].faults_injected += 1;
                     return Err(IoError {
                         kind,
                         file: f,
@@ -976,7 +964,7 @@ impl SimDisk {
                 Some((kind, idx, salt)) => (kind, Some((idx, salt))),
             };
             drop(files);
-            let s = &mut self.stats.lock()[bucket];
+            let s = &mut lock(&self.stats)[bucket];
             match salt_and_idx {
                 Some((global_idx, salt)) => {
                     s.faults_injected += 1;
@@ -1020,7 +1008,7 @@ impl SimDisk {
     /// Snapshot of the cumulative counters: the sum over every meter
     /// bucket, i.e. the historic single-meter view.
     pub fn stats(&self) -> IoStats {
-        let g = self.stats.lock();
+        let g = lock(&self.stats);
         let mut total = IoStats::default();
         for b in g.iter() {
             total.merge(b);
@@ -1032,12 +1020,12 @@ impl SimDisk {
     /// lane, indexes `1..=D` the data channels. The buckets sum to
     /// [`SimDisk::stats`] by construction.
     pub fn channel_stats(&self) -> Vec<IoStats> {
-        self.stats.lock().clone()
+        lock(&self.stats).clone()
     }
 
     /// Resets all counters to zero (file contents are kept).
     pub fn reset_stats(&self) {
-        let mut g = self.stats.lock();
+        let mut g = lock(&self.stats);
         for b in g.iter_mut() {
             *b = IoStats::default();
         }
@@ -1174,7 +1162,7 @@ mod tests {
         // ...but the bytes land in the shared store.
         assert_eq!(d.len(f), 48);
         // Merging the fork back restores the single-meter view.
-        d.add_stats(&fork.stats());
+        d.add_channel_stats(&fork.channel_stats());
         assert_eq!(d.stats().pages_written, 3);
         assert_eq!(d.stats().write_requests, 2);
         // Deletion through either handle is visible to both.
@@ -1371,7 +1359,7 @@ mod tests {
         assert_eq!(multi.prefetch_hidden_seconds(5.0, &data), 5.0); // CPU-bound
         assert_eq!(multi.prefetch_hidden_seconds(99.0, &data), 14.0); // IO-bound
         let shared = IoStats::default();
-        // total = scaled_cpu + (shared + max) − hidden
+        // total = priced cpu + (shared + max) − hidden
         assert_eq!(multi.total_seconds(5.0, &shared, &data), 14.0);
         assert_eq!(multi.total_seconds(99.0, &shared, &data), 99.0);
         assert_eq!(single.total_seconds(5.0, &shared, &data), 19.0);
@@ -1603,7 +1591,7 @@ mod fault_tests {
         let run = |threads: usize| -> IoStats {
             let d = disk_with(plan, RetryPolicy::default());
             let files: Vec<FileId> = (0..threads).map(|_| d.create()).collect();
-            let handles: Vec<std::thread::JoinHandle<IoStats>> = files
+            let handles: Vec<std::thread::JoinHandle<Vec<IoStats>>> = files
                 .iter()
                 .map(|&f| {
                     let fork = d.fork_counters();
@@ -1615,12 +1603,12 @@ mod fault_tests {
                         for i in 0..50u64 {
                             fork.try_read(f, i * 24, &mut out).unwrap();
                         }
-                        fork.stats()
+                        fork.channel_stats()
                     })
                 })
                 .collect();
             for h in handles {
-                d.add_stats(&h.join().unwrap());
+                d.add_channel_stats(&h.join().unwrap());
             }
             d.stats()
         };

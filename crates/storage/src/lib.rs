@@ -46,7 +46,8 @@
 //! Run lifecycle (PR 13): [`UnitRun`] drives the join units of a checkpointed
 //! or plain run — skip, join, commit, emit, probe, log — once for every
 //! partitioned join, and [`RunClock`] holds the clock formulae once for every
-//! stats struct (see `run.rs`).
+//! stats struct (see `run.rs`); [`Work`] and [`Schedule`] are its CPU leg,
+//! counted work priced per operation (see `work.rs`).
 
 mod arbiter;
 mod checksum;
@@ -60,6 +61,7 @@ mod record;
 mod retry;
 mod run;
 mod sort;
+mod work;
 
 pub use arbiter::{AdmissionError, ArbiterSnapshot, MemoryArbiter, MemoryLease};
 pub use checksum::{checksum64, fnv1a, Fnv1a};
@@ -87,3 +89,13 @@ pub use sort::{
     external_sort, external_sort_by, external_sort_slice, try_external_sort,
     try_external_sort_by, try_external_sort_slice, SortStats,
 };
+pub use work::{Schedule, Work};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, past a panicked holder's poison: every update behind a storage
+/// lock is one push, bump or swap that a panic cannot leave half-applied,
+/// and one worker's panic must not turn every later request into another.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -63,11 +63,10 @@
 //! global sort), which is why checkpointing requires RPM.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use geom::RecordId;
 use parallel::{CancelCause, CancelToken};
-use parking_lot::Mutex;
 
 use crate::checksum::fnv1a;
 use crate::fault::{CrashPoint, JoinError};
@@ -752,20 +751,28 @@ impl RunControl {
     /// Charges the run's simulated seconds so far against the deadline and
     /// polls the cancel token (counting toward the deterministic
     /// `cancel_after_checks` hook). Returns the typed interruption error if
-    /// the run should stop. Called at partition granularity — thousands of
-    /// times per run — so `elapsed`, which reads the disk meter and the run's
-    /// CPU clock, is evaluated only when there is a deadline to compare it
-    /// with (or an expiry to report); the token is polled on every call.
+    /// the run should stop: once its clock is *past* the deadline. Called
+    /// at partition granularity — thousands of times per run — so
+    /// `elapsed`, which prices the run's work and I/O so far, is evaluated
+    /// only when there is a deadline to compare it with (or an expiry to
+    /// report); the token is polled on every call.
     pub fn charge(&self, phase: &'static str, elapsed: impl Fn() -> f64) -> Option<JoinError> {
         let at = self.deadline.map(|d| {
             let at = elapsed();
-            if at >= d {
+            if at > d {
                 self.cancel.cancel_deadline();
             }
             at
         });
         let cause = self.cancel.check()?;
         Some(self.interruption(cause, phase, || at.unwrap_or_else(elapsed)))
+    }
+
+    /// The run's last deadline check, at its `total` simulated seconds: a
+    /// run that ends past its deadline fails. Without a deadline it prices
+    /// nothing and polls no token (`cancel_after_checks` counts as before).
+    pub fn charge_total(&self, phase: &'static str, total: impl Fn() -> f64) -> Result<(), JoinError> {
+        self.deadline.and_then(|_| self.charge(phase, total)).map_or(Ok(()), Err)
     }
 
     /// The typed error of a token tripped with `cause`; `at` (the run's
@@ -1077,6 +1084,7 @@ mod tests {
     fn run_control_charges_deadline_and_latches_cause() {
         let ctl = RunControl::none().with_deadline(10.0);
         assert!(ctl.charge("join", || 9.9).is_none());
+        assert!(ctl.charge("join", || 10.0).is_none(), "a run may end on its deadline");
         let err = ctl.charge("join", || 10.5).unwrap();
         assert!(matches!(
             err.kind,
@@ -1093,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn charge_reads_the_clock_only_under_a_deadline_but_always_polls_the_token() {
+    fn charge_prices_the_run_only_under_a_deadline_but_always_polls_the_token() {
         use std::cell::Cell;
         let reads = Cell::new(0u32);
         let clock = || {
@@ -1101,7 +1109,7 @@ mod tests {
             1.0
         };
 
-        // No deadline: the clock is never read, yet every call counts as a
+        // No deadline: no position is computed, yet every call counts as a
         // cancel check — the armed hook trips on exactly the third one.
         let ctl = RunControl::none();
         ctl.cancel.cancel_after_checks(3);
@@ -1109,7 +1117,7 @@ mod tests {
         assert!(ctl.charge("scan", clock).is_none());
         let err = ctl.charge("scan", clock).unwrap();
         assert!(matches!(err.kind, crate::JoinErrorKind::Cancelled));
-        assert_eq!(reads.get(), 0, "no deadline, no clock read");
+        assert_eq!(reads.get(), 0, "no deadline, no position");
 
         // With a deadline: one read per call, and the same check counting.
         let ctl = RunControl::none().with_deadline(5.0);

@@ -2,12 +2,12 @@
 //!
 //! The recorder captures phase spans and per-partition events whose
 //! timestamps are positions on the cost-model clock (DiskModel seconds for
-//! I/O plus scaled CPU seconds), *not* wall time. Because every simulated
-//! quantity in this workspace is deterministic for a fixed seed and
-//! thread-count-invariant by construction (fault identity excludes workers,
-//! CPU phases merge max-over-workers), a trace taken at `--threads 4` tells
-//! the same story as one taken at `--threads 1` — which is what makes traces
-//! diffable in CI.
+//! I/O plus priced CPU work), *not* wall time. Every simulated quantity in
+//! this workspace is a function of a run's counters: deterministic for a
+//! fixed seed, and for a pooled phase a replay of the pool's claim rule at
+//! the run's thread count ([`crate::Schedule`]). Two runs of one
+//! configuration write the same trace byte for byte, which is what makes
+//! traces diffable in CI.
 //!
 //! The second half of this module is the reconciled metrics report: a
 //! versioned, machine-readable summary whose exporter *refuses to emit*
@@ -15,12 +15,12 @@
 //! guard against the accounting bug class found in PR 4 (per-phase I/O
 //! buckets double-counting the checkpoint writes).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 
 use crate::disk::{DiskModel, IoStats};
 use crate::json::Json;
+use crate::lock;
 
 /// Version stamped into every exported trace and metrics document. Bump on
 /// any backwards-incompatible change to the JSON shape.
@@ -96,7 +96,7 @@ impl Recorder {
     /// Record a completed phase interval `[start_s, end_s]` in simulated
     /// seconds. Spans are few (one per phase) and never dropped.
     pub fn span(&self, name: &'static str, start_s: f64, end_s: f64) {
-        self.inner.lock().spans.push(TraceSpan {
+        lock(&self.inner).spans.push(TraceSpan {
             name,
             start_s,
             end_s,
@@ -105,7 +105,7 @@ impl Recorder {
 
     /// Record a point event with counter attributes at simulated time `t_s`.
     pub fn event(&self, name: &'static str, t_s: f64, attrs: &[(&'static str, u64)]) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         if g.events.len() >= self.max_events {
             g.dropped_events += 1;
             return;
@@ -118,22 +118,22 @@ impl Recorder {
     }
 
     pub fn spans(&self) -> Vec<TraceSpan> {
-        self.inner.lock().spans.clone()
+        lock(&self.inner).spans.clone()
     }
 
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.clone()
+        lock(&self.inner).events.clone()
     }
 
     pub fn dropped_events(&self) -> u64 {
-        self.inner.lock().dropped_events
+        lock(&self.inner).dropped_events
     }
 
     /// Serialize the whole trace as a single JSON document. Events keep
     /// their recording order, which for coordinator-side emission is the
     /// canonical partition order.
     pub fn to_json(&self) -> String {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         let spans = g.spans.iter().map(|s| {
             Json::obj([
                 ("name", s.name.into()),
@@ -157,8 +157,8 @@ impl Recorder {
     }
 }
 
-/// One phase row of a [`MetricsReport`]: disjoint I/O bucket + raw (unscaled)
-/// CPU seconds attributed to the phase.
+/// One phase row of a [`MetricsReport`]: disjoint I/O bucket + the host CPU
+/// seconds the coordinator timed for the phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseMetric {
     pub name: &'static str,
@@ -208,8 +208,11 @@ pub struct MetricsReport {
     pub io_shared: IoStats,
     /// Per-data-channel I/O, one bucket per channel.
     pub io_channels: Vec<IoStats>,
-    /// Total raw CPU seconds as reported by the stats struct.
+    /// Total host CPU seconds as reported by the stats struct: the host
+    /// clock, the one field of the report that differs run to run.
     pub cpu_seconds: f64,
+    /// The run's priced CPU work on the emulated machine
+    /// ([`DiskModel::priced_cpu`]) — the CPU leg of every simulated time.
     pub scaled_cpu_seconds: f64,
     /// Serial-equivalent disk time: `model.seconds(io_total)`, i.e. every
     /// unit on one spindle. Kept for cross-version comparability.
@@ -220,16 +223,10 @@ pub struct MetricsReport {
     /// (zero with one channel).
     pub prefetch_hidden_seconds: f64,
     pub total_seconds: f64,
-    /// Pipelined first-result position (§3.1/§5). Its CPU leg is measured
-    /// on the host's compute clock, so the combined value is reproducible
-    /// only in aggregate; the deterministic part is
-    /// [`first_result_io_seconds`](Self::first_result_io_seconds).
+    /// Pipelined first-result position (§3.1/§5).
     pub first_result_seconds: Option<f64>,
-    /// The I/O-only leg of the first-result position — pure simulated
-    /// time, never past `io_seconds`. Under `cpu_slowdown = 0` the whole
-    /// position is I/O-derived and bit-identical at every thread count;
-    /// with live CPU costing the minimizing task can shift with the host
-    /// measurement, moving this leg slightly.
+    /// The I/O-only leg of the first-result position — never past
+    /// `io_seconds`.
     pub first_result_io_seconds: Option<f64>,
 }
 
@@ -249,154 +246,80 @@ impl std::error::Error for ReconcileError {}
 
 impl MetricsReport {
     /// Check every exported number against the run totals. The phase I/O
-    /// buckets must sum **field-for-field exactly** to `io_total`; CPU and
-    /// seconds identities are checked bit-exactly too, because both sides
-    /// are computed by summing the same f64s in the same order.
+    /// buckets must sum **field-for-field exactly** to `io_total`; host CPU
+    /// and seconds identities are checked bit-exactly too, because both
+    /// sides are computed by summing the same f64s in the same order.
     pub fn reconcile(&self) -> Result<(), ReconcileError> {
-        let mut io_sum = IoStats::default();
-        let mut cpu_sum = 0.0f64;
-        for p in &self.phases {
-            io_sum = io_sum.plus(&p.io);
-            cpu_sum += p.cpu_seconds;
-        }
-        if io_sum != self.io_total {
-            return Err(ReconcileError {
-                what: format!(
-                    "phase IoStats sum != io_total (sum {:?}, total {:?})",
-                    io_sum, self.io_total
-                ),
-            });
-        }
+        let check = |holds: bool, what: &dyn Fn() -> String| {
+            if holds {
+                Ok(())
+            } else {
+                Err(ReconcileError { what: what() })
+            }
+        };
+        let (m, total) = (&self.model, self.io_total);
+        let io_sum = self.phases.iter().fold(IoStats::default(), |sum, p| sum.plus(&p.io));
+        check(io_sum == total, &|| {
+            format!("phase IoStats sum != io_total (sum {io_sum:?}, total {total:?})")
+        })?;
         // The channel decomposition is a second, independent partition of
         // the same total: shared lane + every data channel must also sum
         // field-for-field to io_total.
-        if self.channels != self.model.data_channels() {
-            return Err(ReconcileError {
-                what: format!(
-                    "channels {} != model.data_channels() {}",
-                    self.channels,
-                    self.model.data_channels()
-                ),
-            });
-        }
-        if self.io_channels.len() != self.channels {
-            return Err(ReconcileError {
-                what: format!(
-                    "io_channels has {} buckets, expected {}",
-                    self.io_channels.len(),
-                    self.channels
-                ),
-            });
-        }
-        let mut chan_sum = self.io_shared;
-        for c in &self.io_channels {
-            chan_sum = chan_sum.plus(c);
-        }
-        if chan_sum != self.io_total {
-            return Err(ReconcileError {
-                what: format!(
-                    "io_shared + channel IoStats sum != io_total (sum {:?}, total {:?})",
-                    chan_sum, self.io_total
-                ),
-            });
-        }
-        if cpu_sum != self.cpu_seconds {
-            return Err(ReconcileError {
-                what: format!(
-                    "phase cpu sum {} != cpu_seconds {}",
-                    cpu_sum,
-                    self.cpu_seconds
-                ),
-            });
-        }
-        let scaled = self.model.scaled_cpu(self.cpu_seconds);
-        if scaled != self.scaled_cpu_seconds {
-            return Err(ReconcileError {
-                what: format!(
-                    "scaled_cpu_seconds {} != model.scaled_cpu(cpu) {}",
-                    self.scaled_cpu_seconds,
-                    scaled
-                ),
-            });
-        }
-        let io_secs = self.model.seconds(&self.io_total);
-        if io_secs != self.io_seconds {
-            return Err(ReconcileError {
-                what: format!(
-                    "io_seconds {} != model.seconds(io_total) {}",
-                    self.io_seconds,
-                    io_secs
-                ),
-            });
-        }
-        let io_par = self
-            .model
-            .parallel_io_seconds(&self.io_shared, &self.io_channels);
-        if io_par != self.io_parallel_seconds {
-            return Err(ReconcileError {
-                what: format!(
-                    "io_parallel_seconds {} != shared + busiest channel {}",
-                    self.io_parallel_seconds,
-                    io_par
-                ),
-            });
-        }
-        let hidden = self
-            .model
-            .prefetch_hidden_seconds(self.scaled_cpu_seconds, &self.io_channels);
-        if hidden != self.prefetch_hidden_seconds {
-            return Err(ReconcileError {
-                what: format!(
-                    "prefetch_hidden_seconds {} != min(scaled_cpu, busiest channel) {}",
-                    self.prefetch_hidden_seconds,
-                    hidden
-                ),
-            });
-        }
-        let total = self.scaled_cpu_seconds + self.io_parallel_seconds - self.prefetch_hidden_seconds;
-        if total != self.total_seconds {
-            return Err(ReconcileError {
-                what: format!(
-                    "total_seconds {} != scaled_cpu + parallel io - hidden {}",
-                    self.total_seconds,
-                    total
-                ),
-            });
-        }
+        let channels = m.data_channels();
+        check(self.channels == channels, &|| {
+            format!("channels {} != model.data_channels() {channels}", self.channels)
+        })?;
+        check(self.io_channels.len() == channels, &|| {
+            format!("io_channels has {} buckets, expected {channels}", self.io_channels.len())
+        })?;
+        let chan_sum = self.io_channels.iter().fold(self.io_shared, |sum, c| sum.plus(c));
+        check(chan_sum == total, &|| {
+            format!("io_shared + channel IoStats sum != io_total (sum {chan_sum:?}, total {total:?})")
+        })?;
+        let cpu_sum = self.phases.iter().fold(0.0, |sum, p| sum + p.cpu_seconds);
+        check(cpu_sum == self.cpu_seconds, &|| {
+            format!("phase cpu sum {cpu_sum} != cpu_seconds {}", self.cpu_seconds)
+        })?;
+        let io_secs = m.seconds(&total);
+        check(io_secs == self.io_seconds, &|| {
+            format!("io_seconds {} != model.seconds(io_total) {io_secs}", self.io_seconds)
+        })?;
+        let io_par = m.parallel_io_seconds(&self.io_shared, &self.io_channels);
+        check(io_par == self.io_parallel_seconds, &|| {
+            format!(
+                "io_parallel_seconds {} != shared + busiest channel {io_par}",
+                self.io_parallel_seconds
+            )
+        })?;
+        let hidden = m.prefetch_hidden_seconds(self.scaled_cpu_seconds, &self.io_channels);
+        check(hidden == self.prefetch_hidden_seconds, &|| {
+            format!(
+                "prefetch_hidden_seconds {} != min(priced cpu, busiest channel) {hidden}",
+                self.prefetch_hidden_seconds
+            )
+        })?;
+        let secs = self.scaled_cpu_seconds + self.io_parallel_seconds - self.prefetch_hidden_seconds;
+        check(secs == self.total_seconds, &|| {
+            format!("total_seconds {} != priced cpu + parallel io - hidden {secs}", self.total_seconds)
+        })?;
         if let Some(c) = self.counters.candidates {
             let rd = self.counters.results + self.counters.duplicates;
-            if c != rd {
-                return Err(ReconcileError {
-                    what: format!("candidates {c} != results + duplicates {rd}"),
-                });
-            }
+            check(c == rd, &|| format!("candidates {c} != results + duplicates {rd}"))?;
         }
-        // The combined first-result position mixes in a wall-derived CPU
-        // leg whose measurement windows differ from the phase timers, so it
-        // cannot be soundly bounded against `total_seconds` on a loaded
-        // host. The I/O leg is pure simulated time and *is* bounded: the
-        // first pair cannot land after the run's last I/O.
+        // The I/O leg of the first-result position is bounded by the run's
+        // serial I/O: the first pair cannot land after the run's last
+        // request. (The combined position is not bounded by `total_seconds`:
+        // with several channels the total overlaps I/O the position counts
+        // serially.)
         if let Some(fio) = self.first_result_io_seconds {
             let slack = 1e-9 * self.io_seconds.abs().max(1.0);
-            if fio > self.io_seconds + slack {
-                return Err(ReconcileError {
-                    what: format!(
-                        "first_result_io_seconds {} > io_seconds {}",
-                        fio,
-                        self.io_seconds
-                    ),
-                });
-            }
+            check(fio <= self.io_seconds + slack, &|| {
+                format!("first_result_io_seconds {fio} > io_seconds {}", self.io_seconds)
+            })?;
             if let Some(first) = self.first_result_seconds {
-                if first < fio - slack {
-                    return Err(ReconcileError {
-                        what: format!(
-                            "first_result_seconds {} < its own io leg {}",
-                            first,
-                            fio
-                        ),
-                    });
-                }
+                check(first >= fio - slack, &|| {
+                    format!("first_result_seconds {first} < its own io leg {fio}")
+                })?;
             }
         }
         Ok(())
@@ -510,7 +433,11 @@ mod tests {
         // on the shared lane.
         let io_shared = io_b;
         let io_channels = vec![io_a];
-        let scaled = model.scaled_cpu(cpu);
+        let work = crate::Work {
+            tests: 1_000_000,
+            ..crate::Work::default()
+        };
+        let scaled = model.priced_cpu(&work);
         let io_par = model.parallel_io_seconds(&io_shared, &io_channels);
         let hidden = model.prefetch_hidden_seconds(scaled, &io_channels);
         MetricsReport {

@@ -18,24 +18,27 @@
 //!   decomposition, first-result position) and the formulae over it, so the
 //!   per-algorithm stats structs keep only their phase buckets.
 
+use std::sync::MutexGuard;
+
 use geom::RecordId;
-use parking_lot::MutexGuard;
 
 use crate::disk::{DiskModel, FileId, IoStats, SimDisk};
 use crate::fault::JoinError;
+use crate::lock;
 use crate::manifest::{RunCheckpoint, RunControl, RunPhase};
+use crate::work::Work;
 
 /// `(candidates, results, duplicates)` of one unit — its journal record.
 pub type Counts = (u64, u64, u64);
 
-/// A position on the pipelined clock: CPU seconds and the run-relative I/O
-/// meter. Ordered by [`DiskModel::at`].
-pub type ClockPos = (f64, IoStats);
+/// A position on the pipelined clock: counted CPU work and the run-relative
+/// I/O meter. Ordered by [`DiskModel::at`].
+pub type ClockPos = (Work, IoStats);
 
 /// Run-level clock state of a finished join and the one copy of the clock
-/// formulae. CPU arguments are *measured* seconds (the sum of the caller's
-/// phase buckets); scaling to the emulated machine happens here.
-#[derive(Debug, Clone)]
+/// formulae. CPU arguments are counted [`Work`] (the sum of the caller's
+/// phase buckets); pricing it happens here.
+#[derive(Debug, Clone, Default)]
 pub struct RunClock {
     pub model: DiskModel,
     /// Shared-lane I/O: untagged files (manifest, journal, results, scratch)
@@ -47,10 +50,10 @@ pub struct RunClock {
     /// one channel the split is trivial and every time below is
     /// bit-identical to the serial model.
     pub io_channels: Vec<IoStats>,
-    /// The earliest result on the pipelined clock: base plus the emitting
-    /// unit's own CPU and I/O up to its first pair, minimized over units —
-    /// when the first result *could* reach the consumer on dedicated cores,
-    /// and therefore the same at every thread count.
+    /// The earliest result on the pipelined clock, minimized over units: the
+    /// emitting unit's start on the priced clock (on a pool, its worker's
+    /// load on the replayed claim rule, [`crate::Schedule`]) and its own I/O
+    /// up to its first pair, which is the same at every thread count.
     pub first_result: Option<ClockPos>,
 }
 
@@ -75,17 +78,18 @@ impl RunClock {
     /// I/O time hidden behind computation (double-buffered prefetch, or a
     /// coordinator reading ahead of pure-CPU workers) — zero with a single
     /// channel: nowhere to overlap.
-    pub fn prefetch_hidden_seconds(&self, cpu: f64) -> f64 {
+    pub fn prefetch_hidden_seconds(&self, cpu: &Work) -> f64 {
         self.model
-            .prefetch_hidden_seconds(self.model.scaled_cpu(cpu), &self.io_channels)
+            .prefetch_hidden_seconds(self.model.priced_cpu(cpu), &self.io_channels)
     }
 
-    /// The paper's "total runtime": emulated CPU plus channel-parallel disk
+    /// The paper's "total runtime": priced CPU plus channel-parallel disk
     /// time, minus the overlap. With one channel this reduces bit-exactly to
-    /// `scaled_cpu + io_seconds`.
-    pub fn total_seconds(&self, cpu: f64) -> f64 {
+    /// `priced_cpu + io_seconds` — the position [`DiskModel::at`] gives the
+    /// run's last instant, which is what a deadline is last charged with.
+    pub fn total_seconds(&self, cpu: &Work) -> f64 {
         self.model.total_seconds(
-            self.model.scaled_cpu(cpu),
+            self.model.priced_cpu(cpu),
             &self.io_shared,
             &self.io_channels,
         )
@@ -94,11 +98,10 @@ impl RunClock {
     /// Simulated time at which the first result appeared (`None` if empty).
     pub fn first_result_seconds(&self) -> Option<f64> {
         let (cpu, io) = self.first_result.as_ref()?;
-        Some(self.model.at(*cpu, io))
+        Some(self.model.at(cpu, io))
     }
 
-    /// The I/O-only leg of the first-result position: pure simulated time,
-    /// bit-identical at every thread count under `cpu_slowdown = 0`.
+    /// The I/O-only leg of the first-result position.
     pub fn first_result_io_seconds(&self) -> Option<f64> {
         Some(self.model.seconds(&self.first_result.as_ref()?.1))
     }
@@ -142,7 +145,7 @@ impl<'a> UnitRun<'a> {
         UnitRun {
             ctl,
             disk,
-            cp: ctl.checkpoint.as_ref().map(|m| m.lock()),
+            cp: ctl.checkpoint.as_ref().map(lock),
             ch0: disk.channel_stats(),
             io_checkpoint: IoStats::default(),
             commits: 0,
@@ -251,7 +254,7 @@ impl<'a> UnitRun<'a> {
 
     /// `true` once some unit has emitted. Later units of one sequential
     /// pass can only sit later on the clock, so such a caller stops passing
-    /// a `position` to [`UnitRun::stream`] and saves the clock readings.
+    /// a `position` to [`UnitRun::stream`].
     pub fn probed(&self) -> bool {
         self.first.is_some()
     }
@@ -260,7 +263,7 @@ impl<'a> UnitRun<'a> {
     /// probe: the earliest on the pipelined clock wins.
     pub fn probe(&mut self, at: ClockPos) {
         let model = self.disk.model();
-        let secs = |p: &ClockPos| model.at(p.0, &p.1);
+        let secs = |p: &ClockPos| model.at(&p.0, &p.1);
         if self.first.as_ref().is_none_or(|cur| secs(&at) < secs(cur)) {
             self.first = Some(at);
         }
@@ -578,7 +581,7 @@ mod tests {
     fn the_probe_keeps_the_earliest_position_whatever_the_delivery_order() {
         let at = |pages: u64| {
             (
-                0.0,
+                Work::default(),
                 IoStats {
                     pages_read: pages,
                     ..IoStats::default()
@@ -690,7 +693,7 @@ mod tests {
             counts: (4, 3, 1),
             io: IoStats::default(),
             first: None,
-            done: (0.0, IoStats::default()),
+            done: (Work::default(), IoStats::default()),
         };
         run.deliver(1, Ok(unit), &|| 0.0, &mut |_, _| got += 1);
         assert_eq!(got, 0);
@@ -722,7 +725,7 @@ mod tests {
             counts: (4, 3, 1),
             io: IoStats::default(),
             first: None,
-            done: (0.0, IoStats::default()),
+            done: (Work::default(), IoStats::default()),
         };
         // The consumer cancels mid-delivery: nothing is latched (no poll
         // follows — the pool hands the sink nothing more), yet the phase

@@ -32,6 +32,7 @@ pub use strip::{forward_scan, sweep_strips, Strip};
 pub use trie::PlaneSweepTrie;
 
 use geom::Kpe;
+use storage::Work;
 
 /// CPU-side work counters of an internal join run. These are what the
 /// paper's CPU-time plots measure indirectly.
@@ -43,20 +44,20 @@ pub struct JoinCounters {
     pub results: u64,
     /// Status-structure node visits (trie only; 0 otherwise).
     pub node_visits: u64,
+    /// Records sorted into sweep order (the sweeps only; nested loops sort
+    /// nothing).
+    pub swept: u64,
 }
 
 impl JoinCounters {
-    pub fn add(&mut self, other: &JoinCounters) {
-        self.tests += other.tests;
-        self.results += other.results;
-        self.node_visits += other.node_visits;
-    }
-
     /// Folds another counter into this one — the deterministic reduction
     /// the parallel join executors apply to per-worker counters (counts are
     /// pure sums, so the merge is independent of worker interleaving).
     pub fn merge(&mut self, other: &JoinCounters) {
-        self.add(other);
+        self.tests += other.tests;
+        self.results += other.results;
+        self.node_visits += other.node_visits;
+        self.swept += other.swept;
     }
 }
 
@@ -97,6 +98,22 @@ impl InternalAlgo {
             InternalAlgo::NestedLoops => Box::new(NestedLoops::new()),
             InternalAlgo::PlaneSweepList => Box::new(PlaneSweepList::new()),
             InternalAlgo::PlaneSweepTrie => Box::new(PlaneSweepTrie::new()),
+        }
+    }
+
+    /// Counters `c` of a join of this algorithm as priced work: nested loops
+    /// test pairwise, the list sweep in blocks, the trie node entry by entry.
+    pub fn work(self, c: &JoinCounters) -> Work {
+        let tests = Work {
+            swept: c.swept,
+            node_visits: c.node_visits,
+            candidates: c.results,
+            ..Work::default()
+        };
+        match self {
+            InternalAlgo::NestedLoops => Work { tests: c.tests, ..tests },
+            InternalAlgo::PlaneSweepList => Work { scan_tests: c.tests, ..tests },
+            InternalAlgo::PlaneSweepTrie => Work { status_tests: c.tests, ..tests },
         }
     }
 

@@ -34,6 +34,7 @@ impl PlaneSweepList {
 
 impl InternalJoin for PlaneSweepList {
     fn join(&mut self, r: &mut [Kpe], s: &mut [Kpe], out: &mut dyn FnMut(&Kpe, &Kpe)) {
+        self.counters.swept += (r.len() + s.len()) as u64;
         r.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
         s.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
         self.r_strip.fill(r, |k| k.rect.xl);

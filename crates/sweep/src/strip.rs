@@ -165,6 +165,7 @@ mod tests {
         s: &mut [Kpe],
         out: &mut dyn FnMut(&Kpe, &Kpe),
     ) {
+        counters.swept += (r.len() + s.len()) as u64;
         r.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
         s.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
         let (mut i, mut j) = (0usize, 0usize);

@@ -170,6 +170,7 @@ impl InternalJoin for PlaneSweepTrie {
         if r.is_empty() || s.is_empty() {
             return;
         }
+        self.counters.swept += (r.len() + s.len()) as u64;
         r.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
         s.sort_unstable_by(|a, b| a.rect.xl.total_cmp(&b.rect.xl));
 

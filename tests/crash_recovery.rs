@@ -158,6 +158,54 @@ fn deadline_expiry_mid_join_leaves_resumable_run_completing_exactly_once() {
         }
     }
     assert!(exercised, "no deadline on the ladder expired mid-join");
+
+    // A deadline nothing reaches changes nothing, at either thread count
+    // and through either family's scan or partition loop.
+    for base in [Algorithm::pbsm_rpm(MEM), Algorithm::s3j_replicated(MEM)] {
+        for threads in [1usize, 2] {
+            let join = SpatialJoin::new(base.clone().with_threads(threads)).with_deadline(1e15);
+            let (got, res) = durable_leg(&join, &SimDisk::with_default_model(), &r, &s);
+            res.unwrap_or_else(|e| panic!("{base:?} threads {threads}: {e}"));
+            assert_eq!(got, want, "{base:?} threads {threads}: an unreachable deadline moved the result");
+        }
+    }
+}
+
+/// The deadline is held against the priced clock, a function of the run's
+/// counters, once more at the run's last position: a deadline equal to an
+/// uninterrupted run's total completes it; the next-lower `f64` stops it
+/// with `DeadlineExceeded`, in the same phase and after the same pairs on
+/// every run.
+#[test]
+fn a_deadline_at_the_priced_total_completes_and_one_ulp_less_stops_alike_twice() {
+    let (r, s) = workload(9, 140);
+    for base in [Algorithm::pbsm_rpm(MEM), Algorithm::s3j_replicated(MEM)] {
+        for threads in [1usize, 4] {
+            let ctx = format!("{base:?} threads {threads}");
+            let join = SpatialJoin::new(base.clone().with_threads(threads));
+            let run = |deadline: f64| {
+                let mut pairs = Vec::new();
+                let res = join
+                    .clone()
+                    .with_deadline(deadline)
+                    .try_run_with(&r, &s, &mut |a, b| pairs.push((a.0, b.0)));
+                (pairs, res)
+            };
+            let (all, res) = run(f64::INFINITY);
+            let total = res.unwrap_or_else(|e| panic!("{ctx}: {e}")).total_seconds();
+            let (on_time, res) = run(total);
+            assert!(res.is_ok(), "{ctx}: a deadline equal to the total must complete: {res:?}");
+            assert_eq!(on_time, all, "{ctx}");
+
+            let just_short = f64::from_bits(total.to_bits() - 1);
+            let (first, a) = run(just_short);
+            let (second, b) = run(just_short);
+            let a = a.expect_err("one ulp short of the total must stop the run");
+            assert!(matches!(a.kind, JoinErrorKind::DeadlineExceeded { .. }), "{ctx}: {a}");
+            assert_eq!(Err::<(), _>(a), b.map(|_| ()), "{ctx}: the two runs stopped differently");
+            assert_eq!(first, second, "{ctx}: the two runs emitted different pairs");
+        }
+    }
 }
 
 /// Cancellation during the partition phase aborts before anything commits;

@@ -1,7 +1,7 @@
 //! Reproducibility guarantees: every experiment binary's claim to be
 //! regenerable rests on these.
 
-use spatial_join_suite::{Algorithm, JoinStats, SpatialJoin};
+use spatial_join_suite::{Algorithm, JoinStats, Recorder, SpatialJoin};
 
 #[test]
 fn same_seed_same_dataset() {
@@ -13,7 +13,7 @@ fn same_seed_same_dataset() {
 }
 
 /// Deterministic work counters: reruns agree not just on results but on
-/// every I/O and comparison count (wall-clock CPU timings are the only
+/// every I/O and comparison count (the host clock's CPU timings are the only
 /// nondeterministic stats).
 #[test]
 fn reruns_have_identical_counters() {
@@ -70,7 +70,7 @@ fn rerun_pairs_identical() {
 }
 
 /// The simulated clock is deterministic: identical runs report identical
-/// io_seconds (cpu_seconds may differ — that is measured wall time).
+/// io_seconds (cpu_seconds may differ — that is the host clock).
 #[test]
 fn io_seconds_deterministic() {
     let r = datagen::sized(&datagen::la_rr_config(9), 0.006).generate();
@@ -79,4 +79,47 @@ fn io_seconds_deterministic() {
     let (_, st1) = join.count(&r, &s);
     let (_, st2) = join.count(&r, &s);
     assert_eq!(st1.io_seconds().to_bits(), st2.io_seconds().to_bits());
+}
+
+/// The simulated clock is a function of the counters alone: CPU is counted
+/// work priced by one table, and a pooled phase replays the pool's claim
+/// rule. So at the default model — live CPU costing — two runs of each of
+/// the five families give bit-identical times, the same reconciled metrics
+/// document (less the host clock's `cpu_seconds` fields) and the same span
+/// file, at every thread count; and more threads do not make the partitioned
+/// joins slower.
+#[test]
+fn the_priced_timeline_is_bit_identical_on_rerun_at_every_thread_count() {
+    let r = datagen::sized(&datagen::la_rr_config(5), 0.01).generate();
+    let s = datagen::sized(&datagen::la_st_config(5), 0.01).generate();
+    let mem = 24 * 1024;
+    for algo in [
+        Algorithm::pbsm_rpm(mem),
+        Algorithm::s3j_replicated(mem),
+        Algorithm::sssj(mem),
+        Algorithm::shj(mem),
+        Algorithm::quadtree(1 << 20),
+    ] {
+        let name = algo.name();
+        let mut totals = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let run = || {
+                let recorder = Recorder::shared();
+                let join = SpatialJoin::new(algo.clone().with_threads(threads))
+                    .with_recorder(recorder.clone());
+                let (_, st) = join.count(&r, &s);
+                let mut report = st.metrics_report(name, threads);
+                report.reconcile().expect("reconciles");
+                report.cpu_seconds = 0.0;
+                report.phases.iter_mut().for_each(|p| p.cpu_seconds = 0.0);
+                let times = [Some(st.total_seconds()), st.first_result_seconds()];
+                (times.map(|t| t.map(f64::to_bits)), report.to_json(), recorder.to_json())
+            };
+            let first = run();
+            assert_eq!(first, run(), "{name} threads {threads}: a rerun moved the clock");
+            assert!(first.0[0].is_some_and(|t| f64::from_bits(t) > 0.0), "{name}");
+            totals.push(f64::from_bits(first.0[0].unwrap_or(0)));
+        }
+        assert!(totals[2] <= totals[0], "{name}: 4 threads slower than 1: {totals:?}");
+    }
 }

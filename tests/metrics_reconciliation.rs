@@ -23,9 +23,9 @@ fn workload(seed: u64, count: usize) -> (Vec<Kpe>, Vec<Kpe>) {
 
 /// Field-for-field sum of every exported phase meter.
 fn phase_sum(st: &JoinStats) -> IoStats {
-    st.io_phases()
+    st.phases()
         .iter()
-        .fold(IoStats::default(), |acc, (_, io)| acc.plus(io))
+        .fold(IoStats::default(), |acc, p| acc.plus(&p.io))
 }
 
 /// The full reconciliation contract for one completed run.
