@@ -1,7 +1,8 @@
-//! Parallel scaling: PBSM and S³J at 1/2/4/8 worker threads × 1/4 simulated
-//! I/O channels on the synthetic LA_RR ⋈ LA_ST workload.
+//! Parallel scaling: PBSM at 1/2/4/8 worker threads and S³J (whose scan runs
+//! on one thread) × 1/4 simulated I/O channels on the synthetic LA_RR ⋈
+//! LA_ST workload.
 //!
-//! Threads cut the *priced compute* of the join phase (the pool's claim
+//! Threads cut PBSM's *priced compute* of the join phase (the pool's claim
 //! rule replayed over the units' counted work); channels cut the *simulated
 //! disk time* (partition/level files overlap across channels while shared
 //! files stay serial), so `total_model_s` responds to both axes while the
@@ -16,10 +17,9 @@
 //! ```
 //!
 //! Human-readable context goes to stderr. `join_phase_s` is the priced CPU
-//! of the join phase — on the parallel path the most-loaded worker of the
-//! replayed pool (plus, for S³J, the coordinator's discovery scan), i.e.
-//! what the phase costs on dedicated cores. Every number is simulated, so
-//! the output is the same on every host and every run.
+//! of the join phase — on PBSM's parallel path the most-loaded worker of the
+//! replayed pool, i.e. what the phase costs on dedicated cores. Every number
+//! is simulated, so the output is the same on every host and every run.
 
 use bench::{la_rr, la_st, paper_mem, pbsm_cfg, rounded, s3j_cfg, scale};
 use pbsm::{pbsm_join, Dedup};
@@ -69,9 +69,10 @@ fn main() {
     ]);
     println!("{}", Json::obj([("meta", meta)]));
 
-    for (algo, run) in [
+    for (algo, thread_points, run) in [
         (
             "pbsm",
+            &THREAD_POINTS[..],
             Box::new(|threads: usize, channels: usize| {
                 let mut cfg = pbsm_cfg(mem, InternalAlgo::PlaneSweepList, Dedup::ReferencePoint);
                 cfg.threads = threads;
@@ -85,10 +86,9 @@ fn main() {
         ),
         (
             "s3j",
-            Box::new(|threads: usize, channels: usize| {
-                let mut cfg = s3j_cfg(mem, true);
-                cfg.threads = threads;
-                let st = s3j_join(&disk(channels), r, s, &cfg, &mut |_, _| {});
+            &[1],
+            Box::new(|_threads: usize, channels: usize| {
+                let st = s3j_join(&disk(channels), r, s, &s3j_cfg(mem, true), &mut |_, _| {});
                 Point {
                     join_phase_s: st.clock.model.priced_cpu(&st.work_join),
                     total_model_s: st.total_seconds(),
@@ -99,7 +99,7 @@ fn main() {
     ] {
         let mut base: Option<Point> = None;
         for channels in CHANNEL_POINTS {
-            for threads in THREAD_POINTS {
+            for &threads in thread_points {
                 let p = run(threads, channels);
                 let baseline = base.as_ref().unwrap_or(&p);
                 let speedup = baseline.join_phase_s / p.join_phase_s.max(1e-12);

@@ -101,12 +101,11 @@ pub fn pbsm_cfg(mem: usize, internal: InternalAlgo, dedup: Dedup) -> PbsmConfig 
     }
 }
 
-/// S³J configuration shorthand, on one worker thread like [`pbsm_cfg`].
+/// S³J configuration shorthand (its scan always runs on one thread).
 pub fn s3j_cfg(mem: usize, replicate: bool) -> S3jConfig {
     S3jConfig {
         mem_bytes: mem,
         replicate,
-        threads: 1,
         ..Default::default()
     }
 }

@@ -314,7 +314,8 @@ const HELP: &str = "sjoin - index-free spatial joins (Dittrich & Seeger, ICDE 20
   --scale F       dataset scale, 1.0 = paper size       (default 0.05)
   --p F           grow MBR edges by factor p            (default 1)
   --seed N        dataset seed                          (default 42)
-  --threads N     worker threads for the join phase, 0 = all cores (default 1)
+  --threads N     PBSM's worker threads for the join phase, 0 = all cores
+                  (default 1); S3J and the other algorithms run on one thread
   --channels D    independent simulated I/O channels (default 1); partition and
                   level files overlap across channels, shared files (manifest,
                   journal, results) stay serial — results are identical, only

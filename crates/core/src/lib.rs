@@ -281,14 +281,14 @@ impl Algorithm {
     }
 
     /// Sets the partition-join worker-thread knob (`0` = all cores, `1` =
-    /// sequential) on algorithms that support parallel partition execution
-    /// (PBSM and S³J); a no-op for the single-sweep baselines. Results and
-    /// deterministic counters are identical for every value.
+    /// sequential) on PBSM, the one algorithm with parallel partition
+    /// execution; a no-op elsewhere. S³J's synchronized scan stays on one
+    /// thread: its cells hold a couple of records each, too little work to
+    /// hand to another thread. Results and deterministic counters are
+    /// identical for every value.
     pub fn with_threads(mut self, threads: usize) -> Algorithm {
-        match &mut self {
-            Algorithm::Pbsm(c) => c.threads = threads,
-            Algorithm::S3j(c) => c.threads = threads,
-            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => {}
+        if let Algorithm::Pbsm(c) = &mut self {
+            c.threads = threads;
         }
         self
     }
@@ -343,8 +343,7 @@ impl Algorithm {
     pub fn threads(&self) -> Option<usize> {
         match self {
             Algorithm::Pbsm(c) => Some(c.threads),
-            Algorithm::S3j(c) => Some(c.threads),
-            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => None,
+            _ => None,
         }
     }
 
@@ -1063,7 +1062,8 @@ mod tests {
         let pbsm = SpatialJoin::new(Algorithm::pbsm_rpm(1 << 20).with_threads(4));
         let s3j = SpatialJoin::new(Algorithm::s3j_replicated(1 << 20));
         assert_eq!(pbsm.fingerprint(&r, &s), 0x3d74_cc9d_8cb6_d1b2);
-        assert_eq!(s3j.fingerprint(&r, &s), 0x552d_6a17_6810_99d1);
+        // Moved when `S3jConfig` lost its `threads` field.
+        assert_eq!(s3j.fingerprint(&r, &s), 0xc7af_9181_5545_1c0b);
     }
 
     /// `from_choice` goes through `from_name` and the `with_*` setters; what
@@ -1087,7 +1087,7 @@ mod tests {
             format!(
                 "S3j(S3jConfig {{ mem_bytes: 1048576, max_level: 16, replicate: {replicate}, \
                  level_shift: 1, curve: Peano, internal: {:?}, scan: HeapMerge, \
-                 level_buffer_pages: {}, io_buffer_pages: 2, threads: 0 }})",
+                 level_buffer_pages: {}, io_buffer_pages: 2 }})",
                 c.internal, c.buffer_pages
             )
         };

@@ -1,9 +1,9 @@
 //! A minimal ordered fan-out pool for partition-level join parallelism.
 //!
-//! Both PBSM and S³J reduce the external join to a sequence of *independent*
-//! in-memory joins on pairs of partitions. This crate runs those pairs
-//! across worker threads while preserving two properties the rest of the
-//! workspace depends on:
+//! PBSM reduces the external join to a sequence of *independent* in-memory
+//! joins on pairs of partitions. This crate runs those pairs across worker
+//! threads while preserving two properties the rest of the workspace
+//! depends on:
 //!
 //! 1. **Deterministic output order.** Every task is tagged with its index
 //!    and the collector re-assembles completions into canonical order
@@ -21,6 +21,9 @@
 //! single global queue of indices and stealing is the common case). There
 //! is one pool body, [`run_ordered_prefetch_fallible_with`]; [`run_ordered`]
 //! is its plain-task shim.
+//!
+//! S³J's synchronized scan does not use the pool: one of its cells holds a
+//! couple of records, less work than handing the cell to a worker costs.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;

@@ -3,7 +3,7 @@ use std::time::Instant;
 
 use geom::{reference_point, Kpe, RecordId, Rect};
 use storage::{
-    try_external_sort, try_read_all, Counts, DiskModel, FileId, FinishedUnit, IdPair, IoError,
+    try_external_sort_by, try_read_all, Counts, DiskModel, FileId, FinishedUnit, IdPair, IoError,
     IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, Schedule,
     SimDisk, SortStats, UnitRun, Work,
 };
@@ -816,8 +816,9 @@ pub fn try_pbsm_join_ctl(
         let cand_file = writer
             .try_finish()
             .map_err(|e| JoinError::new("dedup", e))?;
-        let (sorted, sort_stats) = try_external_sort::<IdPair>(&ddisk, cand_file, cfg.mem_bytes)
-            .map_err(|e| JoinError::new("dedup", e))?;
+        let (sorted, sort_stats) =
+            try_external_sort_by(&ddisk, cand_file, cfg.mem_bytes, IdPair::sort_key)
+                .map_err(|e| JoinError::new("dedup", e))?;
         ddisk.delete(cand_file);
         // All of the phase's work is the sort, ahead of the first pair.
         stats.work_dedup = Work {

@@ -1,6 +1,6 @@
 use geom::Kpe;
 use sfc::{cells_overlapping, mxcif_cell, size_level, Curve};
-use storage::{FileId, FixedRecord, IoError, RecordWriter, SimDisk};
+use storage::{radix_sorted, FileId, FixedRecord, IoError, RecordWriter, SimDisk};
 
 /// A record of a level file: a KPE tagged with its locational code. The
 /// level itself is implicit in which file the record lives in; the code uses
@@ -194,11 +194,11 @@ impl LevelFiles {
 /// — the quarantine-recompute path for a level file on persistently damaged
 /// media. The per-KPE assignment is a pure function of the rectangle and the
 /// build parameters, so replaying [`LevelFiles::try_build`]'s rule filtered
-/// to `level` reproduces exactly the records the damaged file holds, and the
-/// stable by-code sort reproduces the sorted file's partition structure
-/// (records within one code may permute relative to the external sort's
-/// merge order; partitions are joined as unordered sets, so results are
-/// unaffected). Reading the source relation is free of charge (paper §2).
+/// to `level` reproduces exactly the records the damaged file holds, in the
+/// order the build wrote them. Both this sort and the external sort are
+/// stable sorts on the same integer key, so the replay *is* the sorted
+/// file, record for record. Reading the source relation is free of charge
+/// (paper §2).
 pub fn rebuild_level_sorted(
     data: &[Kpe],
     level: u8,
@@ -227,8 +227,7 @@ pub fn rebuild_level_sorted(
             recs.push(LevelRecord { code, kpe: *k });
         }
     }
-    recs.sort_by_key(|r| r.code);
-    recs
+    radix_sorted(&recs, |r| r.code)
 }
 
 #[cfg(test)]

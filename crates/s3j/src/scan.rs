@@ -5,9 +5,8 @@ use std::time::Instant;
 use geom::{reference_point, Kpe, RecordId};
 use sfc::{Cell, Curve, MAX_LEVEL};
 use storage::{
-    try_external_sort_by, ClockPos, Counts, DiskModel, FileId, FinishedUnit, FixedRecord, IoError,
-    IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, Schedule,
-    SimDisk, UnitRun, Work,
+    try_external_sort_by, ClockPos, Counts, DiskModel, FileId, FixedRecord, IoError, IoStats,
+    JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk, UnitRun, Work,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters};
 
@@ -54,12 +53,6 @@ pub struct S3jConfig {
     pub level_buffer_pages: usize,
     /// Read-buffer pages per cursor during the join scan.
     pub io_buffer_pages: usize,
-    /// Worker threads for the partition-pair joins of the synchronized scan
-    /// ([`ScanMode::HeapMerge`] only; the ablation scan stays sequential).
-    /// `0` means "all available cores"; `1` runs the sequential code path.
-    /// The result stream and all deterministic counters are identical for
-    /// every value.
-    pub threads: usize,
 }
 
 impl Default for S3jConfig {
@@ -74,7 +67,6 @@ impl Default for S3jConfig {
             scan: ScanMode::HeapMerge,
             level_buffer_pages: 1,
             io_buffer_pages: 2,
-            threads: 0,
         }
     }
 }
@@ -100,12 +92,11 @@ pub struct S3jStats {
     /// Checkpoint-layer I/O of a durable run (manifest publishes, journal
     /// and results-file appends); zero without a checkpoint.
     pub io_checkpoint: IoStats,
-    /// Counted CPU work per phase, the simulated clock's CPU leg (the pooled
-    /// scan's is discovery plus the replayed pool's critical path).
+    /// Counted CPU work per phase, the simulated clock's CPU leg.
     pub work_partition: Work,
     pub work_sort: Work,
     pub work_join: Work,
-    /// Host CPU seconds per phase, timed by the coordinator (the host clock).
+    /// Host CPU seconds per phase (the host clock).
     pub cpu_partition: f64,
     pub cpu_sort: f64,
     pub cpu_join: f64,
@@ -121,11 +112,9 @@ pub struct S3jStats {
     /// result set either way; this only marks that it ran degraded.
     pub quarantined_levels: u32,
     /// Model, channel decomposition (level `l`'s file and its sort runs ride
-    /// channel `l mod D` for both relations; all S³J I/O happens on the
-    /// coordinator, scan workers are pure CPU) and the first-result
-    /// position: the emitting unit's start on the priced clock, and the
-    /// discovery I/O up to the emitting partition plus its commit I/O when
-    /// checkpointed.
+    /// channel `l mod D` for both relations) and the first-result position:
+    /// the emitting unit's start on the priced clock, and the discovery I/O
+    /// up to the emitting partition plus its commit I/O when checkpointed.
     pub clock: RunClock,
 }
 
@@ -158,8 +147,8 @@ impl S3jStats {
 
     /// The paper's "total runtime" on the multi-channel clock
     /// ([`RunClock::total_seconds`]). S³J needs no explicit prefetch stage
-    /// for the overlap it credits: the coordinator's synchronized scan
-    /// performs all I/O while workers join in-memory partitions, so
+    /// for the overlap it credits: the synchronized scan reads level files
+    /// on several channels while it joins in-memory partitions, so
     /// discovery reads on spare channels overlap compute.
     pub fn total_seconds(&self) -> f64 {
         self.clock.total_seconds(&self.work())
@@ -183,10 +172,7 @@ impl S3jStats {
     }
 }
 
-/// A loaded partition: one cell's rectangles from one relation. Cloned by
-/// parallel workers (internal joins reorder rects in place, so every task
-/// works on a pristine private copy).
-#[derive(Clone)]
+/// A loaded partition: one cell's rectangles from one relation.
 struct Part {
     rel: usize, // 0 = R, 1 = S
     level: u8,
@@ -195,24 +181,6 @@ struct Part {
     end: u64,
     cell: Cell,
     rects: Vec<Kpe>,
-}
-
-impl Part {
-    /// A private copy of this partition whose rects live in `buf` (cleared
-    /// first) — lets parallel workers recycle scratch buffers instead of
-    /// allocating per task.
-    fn copy_into(&self, mut buf: Vec<Kpe>) -> Part {
-        buf.clear();
-        buf.extend_from_slice(&self.rects);
-        Part {
-            rel: self.rel,
-            level: self.level,
-            start: self.start,
-            end: self.end,
-            cell: self.cell,
-            rects: buf,
-        }
-    }
 }
 
 /// What a level-file cursor falls back to when its sorted file turns out to
@@ -459,14 +427,12 @@ impl<'a> JoinCtx<'a> {
         self.cfg.internal.work(&self.internal.counters())
     }
 
-    /// Folds this (per-scan or per-worker) context into the run's stats:
-    /// counts are pure sums.
+    /// Folds the scan's context into the run's stats.
     fn fold_into(self, stats: &mut S3jStats) {
         let (candidates, results, duplicates) = self.counts;
         // Every candidate was either reported or suppressed by the modified
         // reference-point test (duplicates are 0 in the unreplicated
-        // original), regardless of how chunks were interleaved across
-        // workers.
+        // original).
         debug_assert_eq!(candidates, results + duplicates, "S3J accounting broken");
         stats.add_counts(self.counts);
         stats.join_counters.merge(&self.internal.counters());
@@ -547,9 +513,11 @@ fn rebuild_sorted_to_spare(
 /// Failure semantics: every page request already retried under the disk's
 /// [`storage::RetryPolicy`]; an error reaching this layer is terminal and
 /// surfaces as a typed [`JoinError`] naming the phase (`"build"`, `"sort"`,
-/// `"scan"`), after all intermediate files have been deleted. The parallel
-/// scan's workers are pure CPU — the coordinator performs all discovery
-/// I/O — so errors arise only from build, sort, and the discovery scan.
+/// `"scan"`), after all intermediate files have been deleted.
+///
+/// The scan runs on the calling thread at every thread count: an S³J cell
+/// holds a couple of records, far too little work to pay for handing a
+/// partition pair to another thread.
 ///
 /// Run control (`ctl`): cooperative cancellation, a simulated-time deadline
 /// (both checked per level file in the build/sort phases and per discovered
@@ -559,12 +527,12 @@ fn rebuild_sorted_to_spare(
 ///
 /// The journal's work unit is the *discovered partition*: the synchronized
 /// scan pops partitions off the cursor heap in a deterministic pre-order,
-/// so numbering them in discovery order is stable across runs and thread
-/// counts. Each candidate pair arises in exactly one discovery event (the
-/// deeper partition joining the other relation's root path), and the
-/// modified RPM (§4.3) reports a pair only in its reference-point cell, so
-/// skipping journal-committed partitions on resume is duplicate-free — for
-/// the original unreplicated S³J trivially so, since no pair is ever seen
+/// so numbering them in discovery order is stable across runs. Each
+/// candidate pair arises in exactly one discovery event (the deeper
+/// partition joining the other relation's root path), and the modified RPM
+/// (§4.3) reports a pair only in its reference-point cell, so skipping
+/// journal-committed partitions on resume is duplicate-free — for the
+/// original unreplicated S³J trivially so, since no pair is ever seen
 /// twice. The ablation [`ScanMode::LevelPairs`] re-reads level files
 /// pair-by-pair and has no such unit; checkpointing it is refused with a
 /// typed `Unsupported` error.
@@ -812,11 +780,9 @@ pub fn try_s3j_join_ctl(
     let t2 = Instant::now();
     let io2 = disk.stats();
     let ckpt2 = run.io_checkpoint();
-    let threads = parallel::resolve_threads(cfg.threads);
     let cpu_base = clock.get();
     // Simulated time so far — what the deadline is charged against at every
-    // discovered partition (S³J scan workers do no I/O, so the
-    // coordinator's meter is the whole story).
+    // discovered partition.
     let elapsed_now = || disk.io_seconds() + model.priced_cpu(&clock.get());
     let scan = Scan {
         disk,
@@ -828,12 +794,9 @@ pub fn try_s3j_join_ctl(
         io0,
         clock: &clock,
     };
-    let scan_res = if !matches!(cfg.scan, ScanMode::HeapMerge) {
-        pair_scan(&scan, &mut stats, &mut run, out)
-    } else if threads > 1 {
-        heap_scan_pool(&scan, threads, &mut stats, &mut run, out)
-    } else {
-        heap_scan(&scan, &mut stats, &mut run, out)
+    let scan_res = match cfg.scan {
+        ScanMode::HeapMerge => heap_scan(&scan, &mut stats, &mut run, out),
+        ScanMode::LevelPairs => pair_scan(&scan, &mut stats, &mut run, out),
     };
     stats.work_join = clock.get() - cpu_base;
     stats.cpu_join = t2.elapsed().as_secs_f64();
@@ -884,12 +847,11 @@ struct Scan<'a> {
 }
 
 impl<'a> Scan<'a> {
-    /// Where a sequential scan stands on the run's clock: the priced work
-    /// before the unit being joined, and the meter now. It emits in
-    /// discovery order against a monotone meter, so its first delivery is
-    /// already the minimum; reading the meter at that moment matches the
-    /// pool's probe exactly on the I/O axis (discovery I/O through the
-    /// emitting partition, plus its commit when checkpointed).
+    /// Where the scan stands on the run's clock: the priced work before the
+    /// unit being joined, and the meter now — discovery I/O through the
+    /// emitting partition, plus its commit when checkpointed. The scan
+    /// emits in discovery order against a monotone meter, so its first
+    /// delivery is already the minimum.
     fn position(&self) -> ClockPos {
         (self.clock.get(), self.disk.stats().delta(&self.io0))
     }
@@ -899,19 +861,19 @@ impl<'a> Scan<'a> {
         self.clock.set(self.clock.get() + work);
     }
 
-    /// §4.4.3, the discovery traversal shared by the sequential scan and the
-    /// pool: one pass over all level files, merged by a heap of cursors in
-    /// pre-order; per relation a stack of the partitions on the current
-    /// root path. `visit` gets each new partition with its discovery index
-    /// — stable across runs and thread counts, hence the journal's work
-    /// unit — and the other relation's stack: its cell's ancestors-or-equal,
-    /// so the new partition is always the deeper side of every pair. It
-    /// returns what goes on the partition's own stack; a resumed run's
-    /// committed partitions are not joined but still feed the stacks.
-    fn discover<P: std::borrow::Borrow<Part>>(
+    /// §4.4.3, the discovery traversal of the synchronized scan: one pass
+    /// over all level files, merged by a heap of cursors in pre-order; per
+    /// relation a stack of the partitions on the current root path. `visit`
+    /// gets each new partition with its discovery index — stable across
+    /// runs, hence the journal's work unit — and the other relation's stack:
+    /// its cell's ancestors-or-equal, so the new partition is always the
+    /// deeper side of every pair. It returns the partition for its own
+    /// stack; a resumed run's committed partitions are not joined but still
+    /// feed the stacks.
+    fn discover(
         &self,
         stats: &mut S3jStats,
-        mut visit: impl FnMut(u32, Part, &mut [P]) -> Result<P, JoinError>,
+        mut visit: impl FnMut(u32, Part, &mut [Part]) -> Result<Part, JoinError>,
     ) -> Result<(), JoinError> {
         let to_err = |e: IoError| JoinError::new("scan", e);
         let (cfg, max_level) = (self.cfg, self.cfg.max_level);
@@ -932,7 +894,7 @@ impl<'a> Scan<'a> {
                 heap.push(Reverse((start, level, rel, i)));
             }
         }
-        let mut stacks: [Vec<P>; 2] = [Vec::new(), Vec::new()];
+        let mut stacks: [Vec<Part>; 2] = [Vec::new(), Vec::new()];
         let mut resident = 0usize;
         let mut d: u32 = 0; // discovery index
         while let Some(Reverse((_, _, _, ci))) = heap.pop() {
@@ -950,7 +912,7 @@ impl<'a> Scan<'a> {
             }
             // Unwind both stacks to the root path of the new cell.
             for stack in stacks.iter_mut() {
-                while let Some(top) = stack.last().map(|p| p.borrow()) {
+                while let Some(top) = stack.last() {
                     if top.start <= part.start && part.start < top.end {
                         break; // ancestor (or equal): keep
                     }
@@ -970,10 +932,10 @@ impl<'a> Scan<'a> {
     }
 }
 
-/// The sequential synchronized scan: every discovered partition with
-/// something on the other relation's root path is one unit, joined inline
-/// against that path and streamed through the run driver. Partitions with
-/// nothing to join against do no work and are never journaled.
+/// The synchronized scan: every discovered partition with something on the
+/// other relation's root path is one unit, joined inline against that path
+/// and streamed through the run driver. Partitions with nothing to join
+/// against do no work and are never journaled.
 fn heap_scan(
     scan: &Scan<'_>,
     stats: &mut S3jStats,
@@ -999,154 +961,6 @@ fn heap_scan(
     });
     ctx.fold_into(stats);
     res
-}
-
-/// Parallel variant of [`heap_scan`]: the discovery traversal runs unchanged
-/// on the coordinator — it is the only I/O — but instead of joining inline,
-/// every (new partition, stack entry) pair is queued over `Arc`-shared
-/// partitions and workers claim contiguous chunks of the queue. Workers join
-/// pristine clones (internal joins reorder rects in place) and buffer their
-/// result pairs; the pool re-assembles chunk outputs in discovery order, so
-/// the emitted stream is identical to the sequential scan, and the modified
-/// RPM (§4.3) keeps the union of task outputs duplicate-free no matter how
-/// tasks interleave. On the priced clock discovery comes first, then the
-/// units on the replayed pool ([`Schedule`]).
-fn heap_scan_pool(
-    scan: &Scan<'_>,
-    threads: usize,
-    stats: &mut S3jStats,
-    run: &mut UnitRun<'_>,
-    out: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(), JoinError> {
-    use std::convert::Infallible;
-    use std::sync::Arc;
-
-    let Scan { disk, cfg, ctl, .. } = *scan;
-    let model = disk.model();
-    let mut tasks: Vec<(Arc<Part>, Arc<Part>)> = Vec::new();
-    // Per task: the run-relative I/O meter right after its partition's
-    // discovery read — exactly the sequential scan's meter position when it
-    // would join that partition (scan workers do no I/O). Feeds the
-    // pipelined first-result probe; kept aligned with `tasks`.
-    let mut snaps: Vec<IoStats> = Vec::new();
-    // The task ranges of the uncommitted discovered partitions.
-    let mut partitions: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
-    scan.discover(stats, |d, part, others: &mut [Arc<Part>]| {
-        let part = Arc::new(part);
-        // A resumed run skips committed partitions: the crashed process
-        // already emitted their pairs after the commit.
-        if !others.is_empty() && !run.is_committed(d) {
-            let snap = disk.stats().delta(&scan.io0);
-            partitions.push((d, tasks.len()..tasks.len() + others.len()));
-            for q in others.iter() {
-                tasks.push((Arc::clone(&part), Arc::clone(q)));
-                snaps.push(snap);
-            }
-        }
-        Ok(part)
-    })?;
-    let discovered_work = scan.clock.get();
-    // The coordinator's only I/O from here on is the units' commits, so the
-    // live meter less this reading is the scan's commit I/O so far.
-    let discovered = disk.stats();
-
-    // S³J partition pairs are tiny (often a handful of rects), so a task
-    // per pair would drown in per-task overhead. Workers instead claim
-    // contiguous *chunks* of the discovery-ordered pair list; chunk outputs
-    // re-assemble in chunk order, which is discovery order. Under a
-    // checkpoint the unit is one discovered partition's pair range instead
-    // — the span a journal record covers — so commits align with units.
-    let units: Vec<(u32, std::ops::Range<usize>)> = if run.checkpointing() {
-        partitions
-    } else {
-        let chunk = tasks.len().div_ceil(threads * 16).max(1);
-        (0..tasks.len().div_ceil(chunk))
-            .map(|c| (c as u32, c * chunk..tasks.len().min((c + 1) * chunk)))
-            .collect()
-    };
-    let mut schedule = Schedule::new(threads);
-    // Where the phase stands, for the delivery events.
-    let now = |schedule: &Schedule, io: &IoStats| {
-        model.at(&(discovered_work + schedule.span().1), &scan.io0.plus(io))
-    };
-    // The one pool, as a plain ordered one: scan workers do no I/O (nothing
-    // to load ahead) and cannot fail (nothing to requeue).
-    let (workers, _) = parallel::run_ordered_prefetch_fallible_with(
-        threads,
-        units.len(),
-        0,
-        Some(&ctl.cancel),
-        |_w| {
-            (
-                JoinCtx::new(cfg),
-                // Scratch rect buffers, reused across tasks: internal joins
-                // reorder rects in place, so each task needs private copies,
-                // but per-task Vec allocations would serialise the pool on
-                // the allocator lock.
-                (Vec::new(), Vec::new()),
-            )
-        },
-        |_, _, _| (),
-        |(ctx, scratch), u, _round, ()| {
-            let ((cand0, res0, dup0), w0) = (ctx.counts, ctx.work());
-            let mut pairs = Vec::new();
-            // The global task index of this unit's first produced pair.
-            let mut first: Option<usize> = None;
-            let range = units[u].1.clone();
-            for (i, (deeper, other)) in tasks[range.clone()].iter().enumerate() {
-                let mut deeper = deeper.copy_into(std::mem::take(&mut scratch.0));
-                let mut other = other.copy_into(std::mem::take(&mut scratch.1));
-                ctx.join_parts(&mut deeper, &mut other, &mut |a, b| {
-                    first.get_or_insert(range.start + i);
-                    pairs.push((a, b));
-                });
-                scratch.0 = deeper.rects;
-                scratch.1 = other.rects;
-            }
-            let (cand, res, dup) = ctx.counts;
-            Ok::<_, Infallible>((pairs, (cand - cand0, res - res0, dup - dup0), first, ctx.work() - w0))
-        },
-        |u, finished| {
-            let Ok((pairs, counts, first, work)) = finished;
-            let (unit, range) = &units[u];
-            // Deadline at unit granularity on the coordinator (workers do
-            // no I/O, so its meter is the whole simulated-time story).
-            run.poll("scan", || {
-                disk.io_seconds() + model.priced_cpu(&(discovered_work + schedule.span().1))
-            });
-            // Where a sequential scan's run-relative meter stands once it
-            // has joined this unit: discovery through its last partition
-            // plus the scan's commits so far.
-            let seq_io = || snaps[range.end - 1].plus(&disk.stats().delta(&discovered));
-            let start = discovered_work + schedule.place(work).1;
-            let finished = FinishedUnit {
-                pairs,
-                counts,
-                io: IoStats::default(),
-                first: first.map(|task| (start, snaps[task])),
-                done: (start + work, seq_io()),
-            };
-            run.deliver(*unit, Ok(finished), &|| now(&schedule, &seq_io()), out);
-        },
-    );
-    for (ctx, _scratch) in workers {
-        ctx.fold_into(stats);
-    }
-    // Discovery came first, the replayed pool after it. Without a checkpoint
-    // nothing below discovery can fail: the tasks are pure CPU.
-    scan.tick(schedule.span().1);
-    if ctl.observed() {
-        ctl.event(
-            "pool-drained",
-            (scan.elapsed)(),
-            &[
-                ("units", units.len() as u64),
-                ("tasks", tasks.len() as u64),
-                ("threads", threads as u64),
-            ],
-        );
-    }
-    run.settle("scan", scan.elapsed)
 }
 
 /// Ablation baseline for §4.4.3: a separate merge scan per pair of level
@@ -1178,8 +992,8 @@ fn pair_scan(
             for (ls, fs) in sorted_s.iter().enumerate() {
                 let Some(fs) = fs else { continue };
                 // Interruption check once per level-file pair: the ablation
-                // scan has no partition-discovery loop on the coordinator to
-                // hook into, so cancellation is coarser here.
+                // scan has no partition-discovery loop to hook into, so
+                // cancellation is coarser here.
                 if let Some(e) = scan.ctl.charge("scan", scan.elapsed) {
                     return Err(e);
                 }
@@ -1346,40 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn level_quarantine_is_thread_invariant() {
-        use storage::{FaultPlan, RetryPolicy};
-        let (r0, s0) = tiger_pair(1200);
-        let (r, s) = (scale(&r0, 3.0), scale(&s0, 3.0));
-        // Damage keys on (seed, channel, page) — not on who reads — and the
-        // discovery scan is coordinator-only at every thread count, so the
-        // sequential and parallel scans quarantine the same levels and emit
-        // the same results.
-        let run_t = |threads: usize, seed: u64| {
-            let disk = SimDisk::with_default_model().with_faults(
-                FaultPlan::persistent(seed).with_persistent_rate(0.05),
-                RetryPolicy::default(),
-            );
-            let cfg = S3jConfig {
-                mem_bytes: 48 * 1024,
-                max_level: 9,
-                threads,
-                ..Default::default()
-            };
-            let mut got = Vec::new();
-            let stats = try_s3j_join_ctl(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| got.push((a.0, b.0)))
-                .expect("quarantine covers persistent damage");
-            got.sort_unstable();
-            (got, stats)
-        };
-        for seed in [3u64, 11, 29] {
-            let (got1, st1) = run_t(1, seed);
-            let (got4, st4) = run_t(4, seed);
-            assert_eq!(got1, got4, "seed {seed}");
-            assert_eq!(st1.quarantined_levels, st4.quarantined_levels, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn rebuilt_level_matches_what_the_build_wrote() {
         use crate::levels::rebuild_level_sorted;
         use storage::read_all;
@@ -1389,9 +1169,12 @@ mod tests {
             let disk = SimDisk::with_default_model();
             let lf = LevelFiles::build(&disk, &r, 9, Curve::Peano, replicate, shift, 1);
             for level in lf.occupied_levels() {
-                let mut on_disk: Vec<LevelRecord> =
-                    read_all(&disk, lf.files[level as usize].unwrap(), 1);
-                on_disk.sort_by_key(|rec| rec.code);
+                // A small budget: several runs and a merge, as in a real scan.
+                let unsorted = lf.files[level as usize].unwrap();
+                let (sorted, _) =
+                    try_external_sort_by(&disk, unsorted, 48 * 1024, |rec: &LevelRecord| rec.code)
+                        .unwrap();
+                let on_disk: Vec<LevelRecord> = read_all(&disk, sorted, 1);
                 let rebuilt =
                     rebuild_level_sorted(&r, level, 9, Curve::Peano, replicate, shift);
                 assert_eq!(
@@ -1548,7 +1331,7 @@ mod tests {
     fn channels_decompose_io_and_buy_simulated_time() {
         let (r, s) = tiger_pair(1000);
         // cpu_slowdown 0 isolates the deterministic I/O clock.
-        let run_ch = |channels: usize, threads: usize| {
+        let run_ch = |channels: usize| {
             let disk = SimDisk::new(DiskModel {
                 channels,
                 cpu_slowdown: 0.0,
@@ -1557,7 +1340,6 @@ mod tests {
             let cfg = S3jConfig {
                 mem_bytes: 48 * 1024,
                 max_level: 9,
-                threads,
                 ..Default::default()
             };
             let mut got = Vec::new();
@@ -1565,18 +1347,15 @@ mod tests {
             got.sort_unstable();
             (got, stats)
         };
-        let (res1, st1) = run_ch(1, 1);
-        let (res4, st4) = run_ch(4, 1);
-        let (res4t, st4t) = run_ch(4, 4);
-        // Results and counters are channel- and thread-invariant.
+        let (res1, st1) = run_ch(1);
+        let (res4, st4) = run_ch(4);
+        // Results and counters are channel-invariant.
         assert_eq!(res1, res4);
-        assert_eq!(res4, res4t);
         assert_eq!(st1.io_total(), st4.io_total());
-        assert_eq!(st4.io_total(), st4t.io_total());
         // The channel meters are an exact decomposition of the total.
         assert_eq!(st1.clock.io_channels.len(), 1);
         assert_eq!(st4.clock.io_channels.len(), 4);
-        for st in [&st1, &st4, &st4t] {
+        for st in [&st1, &st4] {
             let mut sum = st.clock.io_shared;
             for c in &st.clock.io_channels {
                 sum = sum.plus(c);
@@ -1596,7 +1375,6 @@ mod tests {
             st4.total_seconds(),
             st1.total_seconds()
         );
-        assert_eq!(st4.total_seconds(), st4t.total_seconds());
     }
 }
 

@@ -58,6 +58,8 @@ pub struct JoinRequest {
     /// Memory budget the join sizes itself from *and* leases from the
     /// arbiter, in bytes.
     pub mem_bytes: usize,
+    /// PBSM's partition-join worker threads (1–64, default 1); every other
+    /// algorithm, S³J included, runs on the session thread alone.
     pub threads: usize,
     pub channels: usize,
     /// Simulated-seconds deadline propagated into the join.

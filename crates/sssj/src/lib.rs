@@ -18,7 +18,9 @@
 use std::time::Instant;
 
 use geom::{Kpe, RecordId};
-use storage::{external_sort_slice, IoStats, RecordReader, RunClock, SimDisk, SortStats, Work};
+use storage::{
+    external_sort_slice, radix_sorted, IoStats, RecordReader, RunClock, SimDisk, SortStats, Work,
+};
 use sweep::JoinCounters;
 
 /// SSSJ tuning knobs.
@@ -103,13 +105,9 @@ pub fn sssj_join(
         Disk(storage::FileId),
     }
     let (sorted_r, sorted_s, sort_r, sort_s) = if in_memory {
-        let mut rv = r.to_vec();
-        let mut sv = s.to_vec();
-        rv.sort_by_key(key);
-        sv.sort_by_key(key);
         (
-            Sorted::Mem(rv),
-            Sorted::Mem(sv),
+            Sorted::Mem(radix_sorted(r, key)),
+            Sorted::Mem(radix_sorted(s, key)),
             SortStats { runs: 1, merge_passes: 0 },
             SortStats { runs: 1, merge_passes: 0 },
         )

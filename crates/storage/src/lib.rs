@@ -22,9 +22,10 @@
 //!   ([`FixedRecord`]),
 //! * [`checksum64`] / [`fnv1a`] — the in-memory page checksum and the
 //!   format-bearing record checksum (see `checksum.rs` for which is which),
-//! * [`external_sort`] — memory-budgeted run formation + multiway merge,
-//!   the building block of PBSM's original duplicate-removal phase and of
-//!   S³J's level-file sorting phase.
+//! * [`external_sort_by`] — memory-budgeted run formation + multiway merge
+//!   on an integer key, the building block of PBSM's original
+//!   duplicate-removal phase, of S³J's level-file sorting phase and of
+//!   SSSJ's sort; [`radix_sorted`] is its in-memory run formation.
 
 //!
 //! Failure model (PR 2): [`SimDisk::with_faults`] attaches a seeded
@@ -86,8 +87,8 @@ pub use record::{
 pub use retry::RetryPolicy;
 pub use run::{ClockPos, Counts, FinishedUnit, RunClock, UnitRun};
 pub use sort::{
-    external_sort, external_sort_by, external_sort_slice, try_external_sort,
-    try_external_sort_by, try_external_sort_slice, SortStats,
+    external_sort_by, external_sort_slice, radix_sorted, try_external_sort_by,
+    try_external_sort_slice, SortStats,
 };
 pub use work::{Schedule, Work};
 

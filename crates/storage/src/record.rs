@@ -35,6 +35,13 @@ pub struct IdPair {
     pub s: u64,
 }
 
+impl IdPair {
+    /// The integer sort key `(r << 64) | s`: ordered as `(r, s)`.
+    pub fn sort_key(&self) -> u128 {
+        (u128::from(self.r) << 64) | u128::from(self.s)
+    }
+}
+
 impl FixedRecord for IdPair {
     const SIZE: usize = 16;
 

@@ -49,12 +49,96 @@ impl BufferPlan {
     }
 }
 
-/// Sorts a record file with at most `mem_bytes` of working memory:
-/// memory-bounded run formation followed by multiway merging with a
-/// memory-bounded fan-in (classic external merge sort, [Knu 70] / [Gra 93]).
+/// Bits per radix digit: 2,048 counters fit in L1 next to the data.
+const DIGIT_BITS: usize = 11;
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// `data` stably sorted by an integer key: one LSD radix pass per 11-bit
+/// digit in which the keys differ (a digit every key shares is skipped), so
+/// the order is exactly that of a stable comparison sort on the key. S³J's
+/// locational codes differ in at most `2·level` bits (about two passes);
+/// PBSM's `(r << 64) | s` pairs only in the bits the ids use. Keys that all
+/// fit in 64 bits are sorted as `u64`, at half the memory traffic.
+pub fn radix_sorted<R: Copy, K: Into<u128>>(data: &[R], key: impl Fn(&R) -> K) -> Vec<R> {
+    assert!(
+        u32::try_from(data.len()).is_ok(),
+        "radix sort of more than 2^32 records"
+    );
+    let wide = |r: &R| -> u128 { key(r).into() };
+    let Some(k0) = data.first().map(wide) else {
+        return Vec::new();
+    };
+    let (differ, high) = data
+        .iter()
+        .map(wide)
+        .fold((0, 0), |(d, h), k| (d | (k ^ k0), h | (k >> 64)));
+    let shifts: Vec<usize> = (0..128)
+        .step_by(DIGIT_BITS)
+        .filter(|&s| (differ >> s) % BUCKETS as u128 != 0)
+        .collect();
+    if high == 0 {
+        lsd(
+            data,
+            data.iter().map(|r| wide(r) as u64).zip(0..).collect(),
+            &shifts,
+        )
+    } else {
+        lsd(data, data.iter().map(wide).zip(0..).collect(), &shifts)
+    }
+}
+
+/// A radix-sort key word.
+trait Word: Copy + Default {
+    /// The 11-bit digit at bit `shift`.
+    fn digit(self, shift: usize) -> usize;
+}
+
+impl Word for u64 {
+    fn digit(self, shift: usize) -> usize {
+        (self >> shift) as usize % BUCKETS
+    }
+}
+
+impl Word for u128 {
+    fn digit(self, shift: usize) -> usize {
+        (self >> shift) as usize % BUCKETS
+    }
+}
+
+/// One stable counting-sort pass per digit in `shifts`, lowest first, over
+/// `(key, index into data)` items (every digit's histogram comes from one
+/// read of the keys); returns `data` in the final items' order.
+fn lsd<R: Copy, W: Word>(data: &[R], mut items: Vec<(W, u32)>, shifts: &[usize]) -> Vec<R> {
+    let mut offsets = vec![[0u32; BUCKETS]; shifts.len()];
+    for &(k, _) in &items {
+        for (counts, &shift) in offsets.iter_mut().zip(shifts) {
+            counts[k.digit(shift)] += 1;
+        }
+    }
+    let mut scratch = vec![(W::default(), 0); items.len()];
+    for (next, &shift) in offsets.iter_mut().zip(shifts) {
+        let mut at = 0;
+        for slot in next.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        for &item in &items {
+            let slot = &mut next[item.0.digit(shift)];
+            scratch[*slot as usize] = item;
+            *slot += 1;
+        }
+        std::mem::swap(&mut items, &mut scratch);
+    }
+    items.iter().map(|&(_, i)| data[i as usize]).collect()
+}
+
+/// Sorts a record file by an integer key with at most `mem_bytes` of
+/// working memory: memory-bounded run formation ([`radix_sorted`]) followed
+/// by multiway merging with a memory-bounded fan-in (classic external merge
+/// sort, [Knu 70] / [Gra 93]). The sort is stable: records with equal keys
+/// keep their input order.
 ///
 /// The input file is left untouched; the sorted output is a fresh file.
-/// `key` must be cheap — it is evaluated once per comparison-heap insertion.
+/// `key` must be cheap — it is evaluated once per record per pass.
 ///
 /// An error surfaces when a page request exhausts the disk's retry budget;
 /// intermediate run files are deleted before returning it.
@@ -66,7 +150,7 @@ pub fn try_external_sort_by<R, K, F>(
 ) -> Result<(FileId, SortStats), IoError>
 where
     R: FixedRecord,
-    K: Ord,
+    K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
     let ps = disk.model().page_size;
@@ -90,9 +174,8 @@ where
             if chunk.is_empty() {
                 return Ok(());
             }
-            chunk.sort_by_key(|a| key(a));
             let mut w = RecordWriter::<R>::new(disk, runs_file, plan.out_pages);
-            w.try_push_all(&chunk)?;
+            w.try_push_all(&radix_sorted(&chunk, key))?;
             let bytes = (chunk.len() * R::SIZE) as u64;
             w.try_finish()?;
             runs.push((offset, offset + bytes));
@@ -106,7 +189,7 @@ where
         return Err(e);
     }
 
-    let out = try_merge_runs::<R, K, F>(disk, runs_file, runs, mem_bytes, key, &mut stats)?;
+    let out = try_merge_runs(disk, runs_file, runs, mem_bytes, key, &mut stats)?;
     Ok((out, stats))
 }
 
@@ -120,7 +203,7 @@ pub fn external_sort_by<R, K, F>(
 ) -> (FileId, SortStats)
 where
     R: FixedRecord,
-    K: Ord,
+    K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
     try_external_sort_by(disk, input, mem_bytes, key)
@@ -140,7 +223,7 @@ pub fn try_external_sort_slice<R, K, F>(
 ) -> Result<(FileId, SortStats), IoError>
 where
     R: FixedRecord,
-    K: Ord,
+    K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
     let ps = disk.model().page_size;
@@ -152,8 +235,7 @@ where
     let mut runs: Vec<(u64, u64)> = Vec::new();
     let mut offset = 0u64;
     for chunk in data.chunks(run_records) {
-        let mut sorted: Vec<R> = chunk.to_vec();
-        sorted.sort_by_key(|a| key(a));
+        let sorted = radix_sorted(chunk, key);
         let mut w = RecordWriter::<R>::new(disk, runs_file, plan.out_pages);
         if let Err(e) = w.try_push_all(&sorted).and_then(|()| w.try_finish()) {
             disk.delete(runs_file);
@@ -164,7 +246,7 @@ where
         offset += bytes;
         stats.runs += 1;
     }
-    let out = try_merge_runs::<R, K, F>(disk, runs_file, runs, mem_bytes, key, &mut stats)?;
+    let out = try_merge_runs(disk, runs_file, runs, mem_bytes, key, &mut stats)?;
     Ok((out, stats))
 }
 
@@ -177,7 +259,7 @@ pub fn external_sort_slice<R, K, F>(
 ) -> (FileId, SortStats)
 where
     R: FixedRecord,
-    K: Ord,
+    K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
     try_external_sort_slice(disk, data, mem_bytes, key)
@@ -196,7 +278,7 @@ fn try_merge_runs<R, K, F>(
 ) -> Result<FileId, IoError>
 where
     R: FixedRecord,
-    K: Ord,
+    K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
     let ps = disk.model().page_size;
@@ -214,7 +296,7 @@ where
         let mut out_offset = 0u64;
         for group in current_runs.chunks(fan_in) {
             let bytes: u64 = group.iter().map(|(s, e)| e - s).sum();
-            if let Err(e) = try_merge_group::<R, K, F>(disk, current_file, group, next_file, key, plan) {
+            if let Err(e) = try_merge_group(disk, current_file, group, next_file, key, plan) {
                 disk.delete(current_file);
                 disk.delete(next_file);
                 return Err(e);
@@ -230,6 +312,9 @@ where
 }
 
 /// Merges the given runs of `src` and appends the merged output to `dst`.
+/// The heap orders `(key, run)`: each run holds one pending record at a
+/// time and yields its records in order, so ties leave in run order — the
+/// merge is stable.
 fn try_merge_group<R, K, F>(
     disk: &SimDisk,
     src: FileId,
@@ -240,92 +325,35 @@ fn try_merge_group<R, K, F>(
 ) -> Result<(), IoError>
 where
     R: FixedRecord,
-    K: Ord,
+    K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
-    struct Entry<K> {
-        key: K,
-        run: usize,
-        seq: u64,
-    }
-    impl<K: Ord> PartialEq for Entry<K> {
-        fn eq(&self, o: &Self) -> bool {
-            self.cmp(o) == std::cmp::Ordering::Equal
-        }
-    }
-    impl<K: Ord> Eq for Entry<K> {}
-    impl<K: Ord> PartialOrd for Entry<K> {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    impl<K: Ord> Ord for Entry<K> {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            // Tie-break on (run, seq) to make the merge stable.
-            self.key
-                .cmp(&o.key)
-                .then(self.run.cmp(&o.run))
-                .then(self.seq.cmp(&o.seq))
-        }
-    }
-
     let mut readers: Vec<RecordReader<R>> = runs
         .iter()
         .map(|&(s, e)| RecordReader::with_range(disk, src, s, e, plan.run_pages))
         .collect();
     let mut pending: Vec<Option<R>> = Vec::with_capacity(readers.len());
-    let mut heap: BinaryHeap<Reverse<Entry<K>>> = BinaryHeap::with_capacity(readers.len());
-    let mut seq = 0u64;
-    for (i, r) in readers.iter_mut().enumerate() {
+    let mut heap: BinaryHeap<Reverse<(u128, usize)>> = BinaryHeap::with_capacity(readers.len());
+    for (run, r) in readers.iter_mut().enumerate() {
         let first = r.try_next()?;
         if let Some(ref rec) = first {
-            heap.push(Reverse(Entry {
-                key: key(rec),
-                run: i,
-                seq,
-            }));
-            seq += 1;
+            heap.push(Reverse((key(rec).into(), run)));
         }
         pending.push(first);
     }
     let mut w = RecordWriter::<R>::new(disk, dst, plan.out_pages);
-    while let Some(Reverse(top)) = heap.pop() {
+    while let Some(Reverse((_, run))) = heap.pop() {
         // Invariant: every heap entry was inserted together with its record
         // in `pending[run]`, and entries per run alternate push/pop.
-        let rec = pending[top.run].take().expect("heap/pending out of sync");
+        let rec = pending[run].take().expect("heap/pending out of sync");
         w.try_push(&rec)?;
-        if let Some(next) = readers[top.run].try_next()? {
-            heap.push(Reverse(Entry {
-                key: key(&next),
-                run: top.run,
-                seq,
-            }));
-            seq += 1;
-            pending[top.run] = Some(next);
+        if let Some(next) = readers[run].try_next()? {
+            heap.push(Reverse((key(&next).into(), run)));
+            pending[run] = Some(next);
         }
     }
     w.try_finish()?;
     Ok(())
-}
-
-/// [`try_external_sort_by`] for records that are themselves `Ord`.
-pub fn try_external_sort<R>(
-    disk: &SimDisk,
-    input: FileId,
-    mem_bytes: usize,
-) -> Result<(FileId, SortStats), IoError>
-where
-    R: FixedRecord + Ord,
-{
-    try_external_sort_by(disk, input, mem_bytes, |r: &R| *r)
-}
-
-/// [`external_sort_by`] for records that are themselves `Ord`.
-pub fn external_sort<R>(disk: &SimDisk, input: FileId, mem_bytes: usize) -> (FileId, SortStats)
-where
-    R: FixedRecord + Ord,
-{
-    external_sort_by(disk, input, mem_bytes, |r: &R| *r)
 }
 
 #[cfg(test)]
@@ -353,11 +381,15 @@ mod tests {
         v
     }
 
+    fn sort_pairs(d: &SimDisk, f: FileId, mem: usize) -> (FileId, SortStats) {
+        external_sort_by(d, f, mem, IdPair::sort_key)
+    }
+
     #[test]
     fn sorts_empty_input() {
         let d = disk();
         let f = write_all::<IdPair>(&d, &[], 1);
-        let (out, stats) = external_sort::<IdPair>(&d, f, 1024);
+        let (out, stats) = sort_pairs(&d, f, 1024);
         assert!(read_all::<IdPair>(&d, out, 1).is_empty());
         assert_eq!(stats.runs, 0);
     }
@@ -367,7 +399,7 @@ mod tests {
         let d = disk();
         let v = shuffled_pairs(50, 1);
         let f = write_all(&d, &v, 2);
-        let (out, stats) = external_sort::<IdPair>(&d, f, 1 << 20);
+        let (out, stats) = sort_pairs(&d, f, 1 << 20);
         assert_eq!(stats.runs, 1);
         assert_eq!(stats.merge_passes, 0);
         let got = read_all::<IdPair>(&d, out, 2);
@@ -383,7 +415,7 @@ mod tests {
         let f = write_all(&d, &v, 4);
         // Tiny memory: forces many runs and (with fan-in limits) maybe
         // multiple merge passes.
-        let (out, stats) = external_sort::<IdPair>(&d, f, 1024);
+        let (out, stats) = sort_pairs(&d, f, 1024);
         assert!(stats.runs > 1, "expected multiple runs, got {stats:?}");
         assert!(stats.merge_passes >= 1);
         let got = read_all::<IdPair>(&d, out, 4);
@@ -397,7 +429,7 @@ mod tests {
         let d = disk();
         let v = shuffled_pairs(200, 3);
         let f = write_all(&d, &v, 2);
-        let (out, _) = external_sort_by::<IdPair, _, _>(&d, f, 2048, |p| std::cmp::Reverse(p.r));
+        let (out, _) = external_sort_by::<IdPair, _, _>(&d, f, 2048, |p| !p.r);
         let got = read_all::<IdPair>(&d, out, 2);
         let mut want = v;
         want.sort_by_key(|p| std::cmp::Reverse(p.r));
@@ -417,16 +449,36 @@ mod tests {
     }
 
     #[test]
+    fn radix_sort_skips_no_digit_it_needs() {
+        // Keys that differ only in the top bits, only in the lowest, and
+        // across the 64-bit seam.
+        let keys: Vec<u128> = vec![
+            1 << 127,
+            3,
+            1 << 64,
+            2,
+            (1 << 64) - 1,
+            1 << 127,
+            0,
+            1 << 100,
+        ];
+        let mut want = keys.clone();
+        want.sort_unstable();
+        assert_eq!(radix_sorted(&keys, |&k| k), want);
+        assert!(radix_sorted(&[] as &[u64], |&k| k).is_empty());
+    }
+
+    #[test]
     fn smaller_memory_means_more_io() {
         let d = disk();
         let v = shuffled_pairs(2000, 4);
         let f = write_all(&d, &v, 8);
         d.reset_stats();
-        let (out1, _) = external_sort::<IdPair>(&d, f, 1 << 20);
+        let (out1, _) = sort_pairs(&d, f, 1 << 20);
         let big_mem_units = d.model().units(&d.stats());
         d.delete(out1);
         d.reset_stats();
-        let (_, _) = external_sort::<IdPair>(&d, f, 1024);
+        let (_, _) = sort_pairs(&d, f, 1024);
         let small_mem_units = d.model().units(&d.stats());
         assert!(
             small_mem_units > big_mem_units,
@@ -443,6 +495,52 @@ mod proptests {
     use crate::{DiskModel, IdPair};
     use proptest::prelude::*;
 
+    /// A record with a two-word key and a payload the key does not see, so
+    /// that reordering equal keys is visible.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Tagged {
+        hi: u64,
+        lo: u64,
+        tag: u64,
+    }
+
+    impl FixedRecord for Tagged {
+        const SIZE: usize = 24;
+
+        fn encode(&self, buf: &mut [u8]) {
+            for (word, v) in buf.chunks_mut(8).zip([self.hi, self.lo, self.tag]) {
+                word.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+
+        fn decode(buf: &[u8]) -> Self {
+            let word = |i: usize| u64::from_le_bytes(buf[8 * i..8 * i + 8].try_into().unwrap());
+            Tagged {
+                hi: word(0),
+                lo: word(1),
+                tag: word(2),
+            }
+        }
+    }
+
+    /// A handful of key words spread over all 64 bits: many equal keys, and
+    /// digits that differ at both ends of the word.
+    fn word(i: u64) -> u64 {
+        i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(i as u32 * 7)
+    }
+
+    fn disk(page_size: usize) -> SimDisk {
+        SimDisk::new(DiskModel {
+            page_size,
+            positioning_ratio: 3.0,
+            transfer_secs_per_page: 1.0,
+            cpu_slowdown: 1.0,
+            channels: 1,
+            degraded_channel: None,
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -454,21 +552,44 @@ mod proptests {
             mem in 256usize..8192,
             page in 32usize..512,
         ) {
-            let disk = SimDisk::new(DiskModel {
-                page_size: page,
-                positioning_ratio: 3.0,
-                transfer_secs_per_page: 1.0,
-                cpu_slowdown: 1.0,
-                channels: 1,
-                degraded_channel: None,
-            });
+            let disk = disk(page);
             let records: Vec<IdPair> = values.iter().map(|&(r, s)| IdPair { r, s }).collect();
             let f = write_all(&disk, &records, 2);
-            let (out, _) = external_sort::<IdPair>(&disk, f, mem);
+            let (out, _) = external_sort_by(&disk, f, mem, IdPair::sort_key);
             let got = read_all::<IdPair>(&disk, out, 2);
             let mut want = records.clone();
             want.sort();
             prop_assert_eq!(got, want);
+        }
+
+        /// The sort is stable across run formation and every merge pass:
+        /// with few distinct keys (one word, or two as `(hi << 64) | lo`)
+        /// and budgets and pages that force at least two merge passes, the
+        /// sorted file is exactly what a stable comparison sort gives.
+        #[test]
+        fn prop_external_sort_is_stable(
+            keys in prop::collection::vec((0u64..5, 0u64..4), 300..600),
+            mem in 256usize..1025,
+            page in 128usize..257,
+        ) {
+            let disk = disk(page);
+            let records: Vec<Tagged> = keys
+                .iter()
+                .zip(0..)
+                .map(|(&(hi, lo), tag)| Tagged { hi: word(hi), lo: word(lo), tag })
+                .collect();
+            let f = write_all(&disk, &records, 2);
+            let one_word = |t: &Tagged| t.hi;
+            let two_words = |t: &Tagged| (u128::from(t.hi) << 64) | u128::from(t.lo);
+            let (a, sa) = external_sort_by(&disk, f, mem, one_word);
+            let (b, sb) = external_sort_by(&disk, f, mem, two_words);
+            prop_assert!(sa.merge_passes >= 2 && sb.merge_passes >= 2, "{:?} {:?}", sa, sb);
+            let mut want = records.clone();
+            want.sort_by_key(one_word);
+            prop_assert_eq!(read_all::<Tagged>(&disk, a, 2), want);
+            let mut want = records;
+            want.sort_by_key(two_words);
+            prop_assert_eq!(read_all::<Tagged>(&disk, b, 2), want);
         }
 
         /// The slice front-end agrees with the file front-end.
@@ -477,14 +598,7 @@ mod proptests {
             values in prop::collection::vec(0u64..100_000, 0..300),
             mem in 256usize..4096,
         ) {
-            let disk = SimDisk::new(DiskModel {
-                page_size: 64,
-                positioning_ratio: 1.0,
-                transfer_secs_per_page: 1.0,
-                cpu_slowdown: 1.0,
-                channels: 1,
-                degraded_channel: None,
-            });
+            let disk = disk(64);
             let records: Vec<IdPair> = values.iter().map(|&v| IdPair { r: v, s: !v }).collect();
             let f = write_all(&disk, &records, 2);
             let (a, _) = external_sort_by::<IdPair, _, _>(&disk, f, mem, |p| p.r);

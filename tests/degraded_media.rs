@@ -54,8 +54,8 @@ fn pbsm(threads: usize) -> Algorithm {
     Algorithm::pbsm_rpm(4 * 1024).with_threads(threads)
 }
 
-fn s3j(threads: usize) -> Algorithm {
-    Algorithm::s3j_replicated(4 * 1024).with_threads(threads)
+fn s3j() -> Algorithm {
+    Algorithm::s3j_replicated(4 * 1024)
 }
 
 /// Sweeps persistent seeds until quarantine fires, asserting exactness on
@@ -135,23 +135,18 @@ fn pbsm_quarantine_recompute_is_exact_and_cheaper_than_cold_rerun() {
 
 #[test]
 fn s3j_level_quarantine_recompute_is_exact_and_cheaper_than_cold_rerun() {
-    for threads in [1usize, 4] {
-        for channels in [1usize, 4] {
-            let clean = run(s3j(threads), channels, None).unwrap();
-            let fired = sweep(
-                &|| s3j(threads),
-                channels,
-                &clean,
-                &|st| match st {
-                    JoinStats::S3j(st) => st.quarantined_levels,
-                    _ => 0,
-                },
-            );
-            assert!(
-                fired > 0,
-                "threads {threads} channels {channels}: no seed in 0..48 forced level quarantine"
-            );
-        }
+    for channels in [1usize, 4] {
+        let clean = run(s3j(), channels, None).unwrap();
+        let fired = sweep(
+            &s3j,
+            channels,
+            &clean,
+            &|st| match st {
+                JoinStats::S3j(st) => st.quarantined_levels,
+                _ => 0,
+            },
+        );
+        assert!(fired > 0, "channels {channels}: no seed in 0..48 forced level quarantine");
     }
 }
 

@@ -127,36 +127,31 @@ fn pbsm_recoverable_faults_are_invisible_in_the_output() {
     }
 }
 
-/// Recoverable plan, S³J: replicated and original assignments, both thread
-/// counts.
+/// Recoverable plan, S³J: replicated and original assignments.
 #[test]
 fn s3j_recoverable_faults_are_invisible_in_the_output() {
     let (r, s) = workload();
     for replicate in [true, false] {
-        for threads in [1usize, 4] {
-            let cfg = S3jConfig {
-                mem_bytes: 24 * 1024,
-                max_level: 9,
-                replicate,
-                threads,
-                ..Default::default()
-            };
-            let (clean, clean_st) = s3j_run(&r, &s, &cfg, None).unwrap();
-            let mut faults_seen = 0u64;
-            for seed in 0..fault_seed_count() {
-                let plan = FaultPlan::recoverable(seed);
-                let (got, st) = s3j_run(&r, &s, &cfg, Some(plan)).unwrap_or_else(|e| {
-                    panic!("seed {seed} (replicate={replicate}, t={threads}): {e}")
-                });
-                assert_eq!(got, clean, "seed {seed} (replicate={replicate}, t={threads})");
-                assert_eq!(st.results, clean_st.results);
-                assert_eq!(st.duplicates, clean_st.duplicates);
-                let io = st.io_total();
-                assert_eq!(io.faults_injected, io.read_retries + io.write_retries);
-                faults_seen += io.faults_injected;
-            }
-            assert!(faults_seen > 0, "no swept seed ever fired");
+        let cfg = S3jConfig {
+            mem_bytes: 24 * 1024,
+            max_level: 9,
+            replicate,
+            ..Default::default()
+        };
+        let (clean, clean_st) = s3j_run(&r, &s, &cfg, None).unwrap();
+        let mut faults_seen = 0u64;
+        for seed in 0..fault_seed_count() {
+            let plan = FaultPlan::recoverable(seed);
+            let (got, st) = s3j_run(&r, &s, &cfg, Some(plan))
+                .unwrap_or_else(|e| panic!("seed {seed} (replicate={replicate}): {e}"));
+            assert_eq!(got, clean, "seed {seed} (replicate={replicate})");
+            assert_eq!(st.results, clean_st.results);
+            assert_eq!(st.duplicates, clean_st.duplicates);
+            let io = st.io_total();
+            assert_eq!(io.faults_injected, io.read_retries + io.write_retries);
+            faults_seen += io.faults_injected;
         }
+        assert!(faults_seen > 0, "no swept seed ever fired");
     }
 }
 
@@ -268,7 +263,6 @@ fn persistent_corruption_is_quarantined_or_typed_never_silent() {
         mem_bytes: 24 * 1024,
         max_level: 9,
         replicate: true,
-        threads: 1,
         ..Default::default()
     };
     let (mut pbsm_clean, _) = pbsm_run(&r, &s, &pbsm_cfg, None).unwrap();
@@ -320,15 +314,14 @@ fn unrecoverable_faults_surface_typed_errors_everywhere() {
         };
         let err = pbsm_run(&r, &s, &cfg, Some(plan)).expect_err("PBSM must fail");
         assert!(!err.phase.is_empty());
-        let cfg = S3jConfig {
-            mem_bytes: 24 * 1024,
-            max_level: 9,
-            threads,
-            ..Default::default()
-        };
-        let err = s3j_run(&r, &s, &cfg, Some(plan)).expect_err("S3J must fail");
-        assert!(!err.phase.is_empty());
     }
+    let cfg = S3jConfig {
+        mem_bytes: 24 * 1024,
+        max_level: 9,
+        ..Default::default()
+    };
+    let err = s3j_run(&r, &s, &cfg, Some(plan)).expect_err("S3J must fail");
+    assert!(!err.phase.is_empty());
     // High-level API.
     let err = SpatialJoin::new(Algorithm::pbsm_rpm(24 * 1024))
         .with_faults(plan)

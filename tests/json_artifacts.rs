@@ -16,7 +16,7 @@ fn committed(path: &str) -> (PathBuf, String) {
 
 #[test]
 fn json_lines_artifacts_parse_line_by_line() {
-    for (file, lines) in [("BENCH_pr10.json", 57), ("results/scaling.json", 17)] {
+    for (file, lines) in [("BENCH_pr10.json", 57), ("results/scaling.json", 11)] {
         let (path, text) = committed(file);
         let rows: Vec<Json> = text
             .lines()

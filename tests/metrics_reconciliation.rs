@@ -64,13 +64,13 @@ fn phase_meters_sum_exactly_under_faults_and_threads() {
     for base in algos {
         let threads: &[usize] = match base.threads() {
             Some(_) => &[1, 2, 4],
-            None => &[1], // single-sweep baselines have no thread knob
+            None => &[1], // only PBSM has a thread knob
         };
         // Only the partition-based joins have fallible code paths; a fault
         // plan on a baseline is a typed `Unsupported` configuration error.
-        let plans: &[Option<FaultPlan>] = match base.threads() {
-            Some(_) => &[None, Some(FaultPlan::recoverable(9))],
-            None => &[None],
+        let plans: &[Option<FaultPlan>] = match base {
+            Algorithm::Pbsm(_) | Algorithm::S3j(_) => &[None, Some(FaultPlan::recoverable(9))],
+            _ => &[None],
         };
         for &t in threads {
             for &plan in plans {

@@ -1,7 +1,7 @@
-//! The parallel executor's contract: for every algorithm × duplicate-
-//! handling mode, running with `threads = 4` produces the *same result
-//! stream, in the same order*, as the sequential `threads = 1` path — and
-//! the deterministic counters (work counts, I/O totals) are identical too.
+//! The parallel executor's contract: for every PBSM duplicate-handling
+//! mode, running with `threads = 4` produces the *same result stream, in the
+//! same order*, as the sequential `threads = 1` path — and the deterministic
+//! counters (work counts, I/O totals) are identical too.
 //!
 //! A proptest closes the loop on the paper's claim that makes this safe at
 //! all: the Reference Point Method is a purely local test, so each result
@@ -94,37 +94,14 @@ fn pbsm_threads4_matches_threads1_per_dedup_mode() {
     }
 }
 
-/// S³J, both dedup modes (replicated + modified RPM, and the original
-/// covering-cell assignment): identical emission order and counters.
-#[test]
-fn s3j_threads4_matches_threads1_per_dedup_mode() {
-    let (r, s) = workload();
-    for replicate in [true, false] {
-        let cfg = |threads| S3jConfig {
-            mem_bytes: 48 * 1024,
-            max_level: 9,
-            replicate,
-            threads,
-            ..Default::default()
-        };
-        let (seq, st1) = run_s3j(&r, &s, &cfg(1));
-        let (par, st4) = run_s3j(&r, &s, &cfg(4));
-        assert_eq!(seq, par, "emission order diverges (replicate={replicate})");
-        assert_eq!(st1.candidates, st4.candidates);
-        assert_eq!(st1.results, st4.results);
-        assert_eq!(st1.duplicates, st4.duplicates);
-        assert_eq!(st1.join_counters.tests, st4.join_counters.tests);
-        assert_eq!(st1.io_total(), st4.io_total(), "I/O accounting diverges");
-    }
-}
-
 /// Duplicate accounting stays exact under the parallel executor: the
 /// identity `candidates = results + suppressed` holds after the merge for
 /// threads ∈ {1, 2, 4} on an adversarial workload (grid-aligned edges,
-/// zero-area rects, coordinate duplicates, hot tiles). The per-worker half
-/// of the same identity is debug-asserted at the merge sites in
-/// `pbsm/src/join.rs` and `s3j/src/scan.rs`, so a debug-profile run of this
-/// test exercises each worker's partial stats too.
+/// zero-area rects, coordinate duplicates, hot tiles), and for S³J's scan on
+/// the same inputs. The per-worker half of the same identity is
+/// debug-asserted at the merge site in `pbsm/src/join.rs`, so a
+/// debug-profile run of this test exercises each worker's partial stats
+/// too.
 #[test]
 fn duplicate_accounting_exact_after_parallel_merge() {
     let (r, s) = datagen::Adversarial {
@@ -148,21 +125,15 @@ fn duplicate_accounting_exact_after_parallel_merge() {
             "pbsm accounting (threads={threads})"
         );
         assert_eq!(st.results as usize, want.len());
-
-        let cfg = S3jConfig {
-            mem_bytes: 4 * 1024,
-            threads,
-            ..Default::default()
-        };
-        let (mut got, st) = run_s3j(&r, &s, &cfg);
-        got.sort_unstable();
-        assert_eq!(got, want, "s3j result set (threads={threads})");
-        assert_eq!(
-            st.candidates,
-            st.results + st.duplicates,
-            "s3j accounting (threads={threads})"
-        );
     }
+    let cfg = S3jConfig {
+        mem_bytes: 4 * 1024,
+        ..Default::default()
+    };
+    let (mut got, st) = run_s3j(&r, &s, &cfg);
+    got.sort_unstable();
+    assert_eq!(got, want, "s3j result set");
+    assert_eq!(st.candidates, st.results + st.duplicates, "s3j accounting");
 }
 
 fn arb_kpes(max_n: usize) -> impl Strategy<Value = Vec<Kpe>> {
