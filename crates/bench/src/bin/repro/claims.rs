@@ -2,7 +2,7 @@
 //! rows, checked every time `repro` runs that experiment.
 
 use bench::rounded;
-use storage::Json;
+use storage::{DiskModel, Json, Work};
 
 use crate::table::Table;
 
@@ -81,6 +81,20 @@ fn chain(v: &[f64], ok: fn(f64, f64) -> bool) -> bool {
 /// Column `a` over column `b` of `t`, row by row.
 fn ratio(t: &Table, a: &str, b: &str) -> Vec<f64> {
     t.nums(a).iter().zip(t.nums(b)).map(|(a, b)| a / b).collect()
+}
+
+/// The regression grid's counters.
+const METERS: [&str; 6] = ["results", "duplicates", "candidates", "tests", "pages_read", "pages_written"];
+
+/// The results and the simulated total with the `tests` priced on the default
+/// model of `join`/`algo`'s first regression row (threads = 1, channels = 1).
+/// The rows' own clock is I/O only, so it cannot see a CPU saving; with the
+/// same I/O on both sides, fewer tests win at any positive price.
+fn priced_total(regress: &Table, join: &str, algo: &str) -> (f64, f64) {
+    let mut keys = regress.cells("join").zip(regress.cells("algo"));
+    let i = keys.position(|(j, a)| j.as_str() == Some(join) && a.as_str() == Some(algo)).expect("a regress row");
+    let tests = Work { tests: regress.nums("tests")[i] as u64, ..Work::default() };
+    (regress.nums("results")[i], regress.nums("total_s")[i] + DiskModel::default().priced_cpu(&tests))
 }
 
 /// Every claim, grouped by experiment.
@@ -200,6 +214,44 @@ pub fn claims() -> Vec<Claim> {
         claim("ext_skew.sssj-ahead", NotReproduced("Beyond the paper"), "on the diagonal dataset SSSJ pulls ahead", |t| {
             let tot = t[1].nums("total s");
             (tot[3] < tot[0].min(tot[1]), format!("SSSJ/best PBSM total {:.2}", tot[3] / tot[0].min(tot[1])))
+        }),
+        claim("regress.twolayer-beats-pbsm", Gate(0.01),
+            "on SKEW and HISEL two-layer matches PBSM-RPM's results and beats its I/O plus priced tests", |t| {
+            let pairs = ["SKEW", "HISEL"].map(|j| (j, priced_total(&t[0], j, "twolayer"), priced_total(&t[0], j, "pbsm")));
+            let ok = pairs.iter().all(|(_, (n2, s2), (n1, s1))| n2 == n1 && s2 < s1);
+            let shown: Vec<String> = pairs.iter().map(|(j, (_, s2), (_, s1))| format!("{j} {s2:.4} vs {s1:.4} s")).collect();
+            (ok, shown.join(", "))
+        }),
+        claim("regress.channels-faster", Gate(0.01),
+            "on every point four channels are strictly faster than one, with identical meters", |t| {
+            let tot = t[0].nums("total_s"); // per point: (channels, threads) = (1, 1), (1, 4), (4, 1), (4, 4)
+            let same = METERS.iter().all(|m| t[0].nums(m).chunks(4).all(|c| c[..2] == c[2..]));
+            let ok = same && tot.chunks(4).all(|c| c[2] < c[0] && c[3] < c[1]);
+            (ok, format!("one/four channels total {}", span(&tot.chunks(4).map(|c| c[0] / c[2]).collect::<Vec<_>>())))
+        }),
+        claim("regress.thread-invariant", Gate(0.01), "threads 1 and 4 give the same meters and times", |t| {
+            let cols = METERS.iter().chain(&["total_s", "first_result_s"]);
+            let moved: Vec<&str> = cols.filter(|c| t[0].nums(c).chunks(2).any(|w| w[0] != w[1])).copied().collect();
+            (moved.is_empty(), if moved.is_empty() { "no column moves".into() } else { format!("{} move", moved.join(", ")) })
+        }),
+        claim("planner.pick-within-10pct", Gate(0.2), "the pick costs at most 110 % of the measured best in every cell", |t| {
+            let ok = t[0].cells("ok").filter(|&c| *c == Json::Bool(true)).count();
+            (ok == t[0].rows.len(), format!("{ok} of {} cells", t[0].rows.len()))
+        }),
+        claim("scaling.results-agree", Gate(0.01), "every thread and channel count returns the same results", |t| {
+            let n = t[0].nums("results");
+            (chain(&n, |a, b| a == b), format!("{} results", n[0]))
+        }),
+        claim("scaling.threads-cut-join-cpu", Gate(0.01),
+            "more threads never raise PBSM's priced join phase, and four at least halve it", |t| {
+            let cpu = t[0].nums("join_phase_s"); // PBSM at 1, 2, 4, 8 threads on one channel, then on four
+            let ok = cpu[..8].chunks(4).all(|c| chain(c, |a, b| a >= b) && 2.0 * c[2] <= c[0]);
+            (ok, format!("four threads cut it {:.2}x", cpu[0] / cpu[2]))
+        }),
+        claim("scaling.channels-cut-total", Gate(0.01), "four channels cut the simulated total at every thread count", |t| {
+            let tot = t[0].nums("total_model_s"); // PBSM: four rows on one channel, four on four; then S3J: one, one
+            let cut: Vec<f64> = (0..4).map(|i| tot[i] / tot[i + 4]).chain([tot[8] / tot[9]]).collect();
+            every("one/four channels total", &cut, |r| r > 1.0)
         }),
     ]
 }

@@ -1,11 +1,15 @@
-//! The fifteen experiments: each paper figure, table, ablation and extension
-//! is one function that runs its joins and returns its rows.
+//! The experiments: each paper figure, table, ablation and extension, the
+//! regression grid, the planner evaluation and the scaling sweep is one
+//! function that runs its joins and returns its rows.
 
-use bench::{cal_st, join_inputs, la_rr, la_st, paper_mem, pbsm_cfg, s3j_cfg, scale};
+use std::path::Path;
+
+use bench::{cal_st, hisel_inputs, join_inputs, la_rr, la_st, paper_mem, pbsm_cfg, rounded, s3j_cfg, scale, skew_inputs};
 use geom::{dataset_stats, Kpe};
 use pbsm::{pbsm_join, Dedup::{self, ReferencePoint as RP}, PbsmConfig, PbsmStats, TileScheme};
 use s3j::{s3j_join, LevelRecord, S3jConfig, S3jStats, ScanMode};
 use sfc::Curve;
+use spatialjoin::estimate::{fit_affine_relative, Coefficients, DatasetProfile, JointEstimate, PlanAlgo, PlanChoice, Planner};
 use spatialjoin::{Algorithm, SpatialJoin};
 use sssj::{sssj_join, SssjConfig, SssjStats};
 use storage::{DiskModel, FixedRecord, IoStats, SimDisk, Work};
@@ -386,12 +390,196 @@ fn ext_skew() -> Vec<Table> {
     vec![run_all("TIGER-like (J1)", &r, &s), run_all("diagonal (skewed)", &dr, &ds)]
 }
 
+/// The regression grid's joins, the paper megabytes each runs at and the two
+/// algorithms it compares. The budgets are tighter than the paper's usual
+/// ones, so every run takes its external-partitioning path (an in-memory run
+/// has all-zero I/O meters and guards nothing). SKEW (clustered) and HISEL
+/// (high selectivity) are where the two-layer class scheme should beat
+/// PBSM-RPM most.
+const REGRESS: [(&str, f64, [PlanAlgo; 2]); 7] = {
+    use PlanAlgo::{PbsmRpm as P, S3jReplicated as S, TwoLayer as T};
+    let (j, big) = ([P, S], 2.0);
+    [("J1", big, j), ("J2", big, j), ("J3", big, j), ("J4", big, j), ("J5", 8.0, j), ("SKEW", 0.5, [P, T]), ("HISEL", 0.5, [P, T])]
+};
+
+/// The planner candidate a regression run is: `algo` at its library defaults.
+fn regress_choice(algo: PlanAlgo, mem_bytes: usize) -> PlanChoice {
+    PlanChoice { algo, internal: LIST, tiles_per_partition: 4, buffer_pages: 1, mem_bytes }
+}
+
+/// The inputs of a regression or planner join.
+fn inputs(join: &str) -> (Vec<Kpe>, Vec<Kpe>) {
+    match join {
+        "J5" => (cal_st().to_vec(), cal_st().to_vec()),
+        "SKEW" => skew_inputs(),
+        "HISEL" => hisel_inputs(),
+        _ => join_inputs(join[1..].parse().expect("J1-J4")),
+    }
+}
+
+/// The model of the regression grid and the planner evaluation: at
+/// `cpu_slowdown = 0` a total is simulated I/O alone.
+fn io_model(channels: usize) -> DiskModel {
+    DiskModel { channels, cpu_slowdown: 0.0, ..Default::default() }
+}
+
+/// Regression grid (beyond the paper): [`REGRESS`] over channels {1, 4} ×
+/// threads {1, 4} on [`io_model`]. Every run's metrics report must reconcile,
+/// the per-channel leg included. The threads = 1, channels = 1 rows are what
+/// `repro --fit` calibrates the planner on.
+fn regress() -> Vec<Table> {
+    let cols = "join, algo, threads, channels, |results, duplicates, candidates, tests, |pages_read, pages_written, \
+                |total_s:6, first_result_s:6";
+    let mut t = Table::new("", cols, []);
+    for (join, mb, algos) in REGRESS {
+        let ((r, s), mem) = (inputs(join), paper_mem(mb));
+        for algo in algos.map(|a| regress_choice(a, mem).cli_name()) {
+            for (channels, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+                let base = Algorithm::from_name(algo, mem).expect("a regress algorithm");
+                let (_, st) = SpatialJoin::new(base.with_threads(threads)).with_disk_model(io_model(channels)).count(&r, &s);
+                if let Err(e) = st.metrics_report(algo, threads).reconcile() {
+                    panic!("{join}/{algo} threads={threads} channels={channels}: reconciliation failed: {e}");
+                }
+                let (io, first) = (st.io_total(), st.first_result_seconds().unwrap_or(-1.0));
+                t.push(row![join, algo, threads, channels, st.results(), st.duplicates(), st.candidates().unwrap_or(0),
+                            st.tests(), io.pages_read, io.pages_written, rounded(st.total_seconds(), 6), rounded(first, 6)]);
+            }
+        }
+    }
+    vec![t]
+}
+
+/// Where `planner` reads the planner's coefficients and `repro --fit` writes them.
+pub const COEFFS: &str = "planner-coeffs.json";
+
+/// Runs the regression grid and least-squares fits the planner's per-family
+/// corrections to its threads = 1, channels = 1 rows (its meters are the
+/// same across the grid): each row's candidates, pages and seconds against
+/// the raw model's prediction for the same configuration. Prints each fit's
+/// worst residual.
+pub fn fit() -> Coefficients {
+    let grid = &regress()[0];
+    let [candidates, read, written, total] = ["candidates", "pages_read", "pages_written", "total_s"].map(|c| grid.nums(c));
+    // Each join and algorithm has four rows; its threads = 1, channels = 1 run is the first.
+    let mut first = (0..grid.rows.len()).step_by(4);
+    let mut points: Vec<(&str, &str, f64, f64)> = Vec::new();
+    for (join, mb, algos) in REGRESS {
+        let (r, s) = inputs(join);
+        let (pr, ps) = (DatasetProfile::build(&r), DatasetProfile::build(&s));
+        let (mem, joint) = (paper_mem(mb), JointEstimate::build(&pr, &ps));
+        for choice in algos.map(|a| regress_choice(a, mem)) {
+            let i = first.next().expect("four regress rows per join and algorithm");
+            let p = Planner::new(mem).with_disk_model(io_model(1)).predict(&choice, &pr, &ps, &joint);
+            let family = choice.algo.family();
+            points.push((family, "candidates", p.candidates, candidates[i]));
+            points.push((family, "pages", p.pages_read + p.pages_written, read[i] + written[i]));
+            points.push((family, "seconds", p.io_seconds, total[i]));
+        }
+    }
+    let mut coeffs = Coefficients::identity();
+    coeffs.scale = scale();
+    for family in ["pbsm", "s3j", "twolayer"] {
+        for metric in ["candidates", "pages", "seconds"] {
+            let pts: Vec<(f64, f64)> = points.iter().filter(|p| (p.0, p.1) == (family, metric)).map(|p| (p.2, p.3)).collect();
+            let (a, b) = fit_affine_relative(&pts);
+            coeffs.set(family, metric, a, b);
+            let worst = pts.iter().map(|&(x, y)| ((a * x + b) - y).abs() / y.abs().max(1e-12)).fold(0.0, f64::max);
+            println!("fit {family}/{metric}: a={a:.4} b={b:.1}, worst residual {:.1} % over {} points", 100.0 * worst, pts.len());
+        }
+    }
+    coeffs
+}
+
+/// Planner evaluation (beyond the paper): plans J1–J5 at the paper's 2 and
+/// 8 MB, runs every I/O-distinct candidate of the ranked plan on
+/// [`io_model`] (where the internal sweep cannot move the clock) and sets
+/// the pick's total beside the best one's. Plans with the coefficients in
+/// [`COEFFS`] when they were fitted at this `SJ_SCALE`, uncalibrated otherwise.
+fn planner() -> Vec<Table> {
+    let fitted = Coefficients::load(Path::new(COEFFS)).unwrap_or_else(|e| panic!("{COEFFS}: {e}"));
+    let calibrated = !fitted.is_identity() && fitted.scale == scale();
+    let coeffs = if calibrated { fitted } else { Coefficients::identity() };
+    let same_io = |a: &PlanChoice, b: &PlanChoice| {
+        (a.algo, a.tiles_per_partition, a.buffer_pages) == (b.algo, b.tiles_per_partition, b.buffer_pages)
+    };
+    let mut t = Table::new("", "join, paper_mb, |chosen, predicted_s:4, picked_s:4, |best, best_s:4, ok", []);
+    for join in ["J1", "J2", "J3", "J4", "J5"] {
+        let (r, s) = inputs(join);
+        let (pr, ps) = (DatasetProfile::build(&r), DatasetProfile::build(&s));
+        for paper_mb in [2.0, 8.0] {
+            let planner = Planner::new(paper_mem(paper_mb)).with_disk_model(io_model(1));
+            let plan = planner.with_coefficients(coeffs.clone()).plan(&pr, &ps);
+            // A candidate that refuses the budget (the in-memory quadtree over
+            // it) is predicted at infinite cost, so it is never the pick.
+            let mut measured: Vec<(&PlanChoice, f64)> = Vec::new();
+            for cand in plan.ranked.iter().map(|c| &c.choice) {
+                if measured.iter().any(|m| same_io(m.0, cand)) {
+                    continue;
+                }
+                let run = SpatialJoin::new(Algorithm::from_choice(cand)).with_disk_model(io_model(1));
+                measured.extend(run.try_run_with(&r, &s, &mut |_, _| {}).ok().map(|st| (cand, st.total_seconds())));
+            }
+            let chosen = &plan.ranked[0];
+            let picked = measured.iter().find(|m| same_io(m.0, &chosen.choice)).expect("the pick ran").1;
+            let (best, best_s) = *measured.iter().min_by(|a, b| a.1.total_cmp(&b.1)).expect("a candidate ran");
+            let ok = picked <= best_s * 1.1 + 1e-9;
+            let predicted = rounded(chosen.predicted.total_seconds, 6);
+            t.push(row![join, paper_mb, chosen.choice.describe(), predicted, rounded(picked, 6), best.describe(), rounded(best_s, 6), ok]);
+        }
+    }
+    t.note = if calibrated {
+        format!("(planned with {COEFFS}, fitted at this SJ_SCALE)")
+    } else {
+        format!("(planned uncalibrated: {COEFFS} holds no coefficients fitted at this SJ_SCALE)")
+    };
+    vec![t]
+}
+
+/// Parallel scaling (beyond the paper): LA_RR ⋈ LA_ST at the paper's 0.5 MB
+/// (enough partitions, ~13 at full scale, to keep eight workers busy), PBSM
+/// at 1/2/4/8 threads and S³J (whose scan runs on one thread) × 1/4 channels.
+/// Threads cut PBSM's priced join phase — the pool's claim rule replayed over
+/// the units' counted work, what the phase costs on dedicated cores; channels
+/// cut the simulated disk time.
+fn scaling() -> Vec<Table> {
+    let (r, s, mem) = (la_rr(), la_st(), paper_mem(0.5));
+    let disk = |channels: usize| SimDisk::new(DiskModel { channels, ..Default::default() });
+    // The join phase's priced CPU, the total and the results of one point.
+    let point = |algo: &str, threads: usize, channels: usize| {
+        if algo == "pbsm" {
+            let st = pbsm_join(&disk(channels), r, s, &PbsmConfig { threads, ..pbsm_cfg(mem, LIST, RP) }, &mut |_, _| {});
+            (st.clock.model.priced_cpu(&(st.work_join + st.work_repart)), st.total_seconds(), st.results)
+        } else {
+            let st = s3j_join(&disk(channels), r, s, &s3j_cfg(mem, true), &mut |_, _| {});
+            (st.clock.model.priced_cpu(&st.work_join), st.total_seconds(), st.results)
+        }
+    };
+    let heading = format!("LA_RR ({}) ⋈ LA_ST ({}), M = {mem} bytes", r.len(), s.len());
+    let cols = "algo, threads, channels, |join_phase_s:4, join_phase_speedup:2, |total_model_s:2, total_model_speedup:2, \
+                |results";
+    let mut t = Table::new(heading, cols, []);
+    for (algo, thread_points) in [("pbsm", &[1, 2, 4, 8][..]), ("s3j", &[1])] {
+        let mut base = None;
+        for channels in [1, 4] {
+            for &threads in thread_points {
+                let (join_s, total_s, results) = point(algo, threads, channels);
+                let (join_1, total_1) = *base.get_or_insert((join_s, total_s));
+                let speedups = [join_1 / join_s.max(1e-12), total_1 / total_s.max(1e-12)];
+                t.push(row![algo, threads, channels, rounded(join_s, 4), rounded(speedups[0], 2), rounded(total_s, 2),
+                            rounded(speedups[1], 2), results]);
+            }
+        }
+    }
+    t.note = "(join_phase_s: the join phase's priced CPU on the replayed pool; speedups against the algorithm's first row)".into();
+    vec![t]
+}
+
 const fn exp(id: &'static str, title: &'static str, expectation: &'static str, run: fn() -> Vec<Table>) -> Experiment {
     Experiment { id, title, expectation, run }
 }
 
 /// Every experiment `repro` knows, in the order `repro` with no id runs them.
-pub static EXPERIMENTS: [Experiment; 15] = [
+pub static EXPERIMENTS: [Experiment; 18] = [
     exp("table1", "Table 1: datasets used in the experiments",
         "LA_RR: 128,971 MBRs cov 0.22 | LA_ST: 131,461 cov 0.03 | LA_RR(p)/LA_ST(p): coverage × p² | \
          CAL_ST: 1,888,012 cov 0.12", table1),
@@ -434,4 +622,12 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     exp("ext_skew", "Extension: skew: real-like vs artificial highly-skewed (diagonal) data",
         "(§1) on real data SSSJ performs similarly to PBSM; it is generally superior only on artificial, highly \
          skewed data — what the diagonal dataset shows here: see the claims", ext_skew),
+    exp("regress", "Regression grid: J1-J5, SKEW and HISEL over channels {1,4} x threads {1,4}, I/O-only clock",
+        "(beyond the paper) channels and threads move no meter; four channels are strictly faster than one; \
+         two-layer beats PBSM-RPM on SKEW and HISEL once its tests are priced", regress),
+    exp("planner", "Planner: the pick against every I/O-distinct candidate run, J1-J5 x M = {2, 8} MB, I/O-only clock",
+        "(beyond the paper) the planner's pick costs at most 110 % of the best candidate's measured total", planner),
+    exp("scaling", "Scaling: LA_RR x LA_ST, M = 0.5 MB, PBSM at 1/2/4/8 threads and S3J, x 1/4 channels",
+        "(beyond the paper) threads cut PBSM's priced join phase, channels cut the simulated total, the results \
+         never move", scaling),
 ];

@@ -48,7 +48,8 @@ pub(crate) use row;
 impl Table {
     /// A table of `rows`; `cols` lists the column specs ([`Col::parse`]), `, `-separated.
     pub fn new(heading: impl Into<String>, cols: &'static str, rows: impl IntoIterator<Item = Vec<Json>>) -> Table {
-        let cols = cols.split(", ").map(Col::parse).collect();
+        let cols: Vec<Col> = cols.split(", ").map(Col::parse).collect();
+        assert!(cols.iter().enumerate().all(|(i, c)| cols[..i].iter().all(|d| d.name != c.name)), "one name per column");
         let mut table = Table { heading: heading.into(), cols, rows: Vec::new(), note: String::new() };
         rows.into_iter().for_each(|row| table.push(row));
         table
@@ -59,11 +60,26 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Column `name`, top to bottom, as numbers.
-    pub fn nums(&self, name: &str) -> Vec<f64> {
+    /// Column `name`, top to bottom.
+    pub fn cells(&self, name: &str) -> impl Iterator<Item = &Json> {
         let found = self.cols.iter().position(|c| c.name == name);
         let c = found.unwrap_or_else(|| panic!("no column {name:?}"));
-        self.rows.iter().map(|r| r[c].as_f64().expect("numeric column")).collect()
+        self.rows.iter().map(move |r| &r[c])
+    }
+
+    /// Column `name`, top to bottom, as numbers.
+    pub fn nums(&self, name: &str) -> Vec<f64> {
+        self.cells(name).map(|cell| cell.as_f64().expect("numeric column")).collect()
+    }
+
+    /// Each row as one line of a `repro --out` snapshot, this being table
+    /// `index` of `experiment`: `{"experiment":…,"table":…,<column>:<cell>,…}`.
+    pub fn snapshot(&self, experiment: &str, index: usize) -> impl Iterator<Item = Json> + '_ {
+        let tags = [("experiment", Json::from(experiment)), ("table", index.into())];
+        self.rows.iter().map(move |row| {
+            let cells = self.cols.iter().zip(row).map(|(c, cell)| (c.name, cell.clone()));
+            Json::obj(tags.iter().cloned().chain(cells))
+        })
     }
 
     /// Aligned text: a column of strings flush left, a column of numbers flush

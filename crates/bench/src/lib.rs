@@ -1,6 +1,6 @@
-//! Shared plumbing for the four experiment binaries: `repro` (every paper
-//! table, figure, ablation and extension, with the claims about them),
-//! `regress`, `planner-eval` and `scaling`.
+//! Shared plumbing for the one experiment binary, `repro`: every paper
+//! table, figure, ablation and extension, the regression grid, the planner
+//! evaluation and the scaling sweep, with the claims about them.
 //!
 //! Datasets are generated once per process and cached; the overall scale is
 //! controlled by the `SJ_SCALE` environment variable (`1.0` = the paper's
@@ -22,12 +22,25 @@ use sweep::InternalAlgo;
 /// Seed shared by every experiment (determinism across binaries).
 pub const SEED: u64 = 2026;
 
-/// Global dataset scale factor (`SJ_SCALE`, default 1.0 = paper scale).
+/// A value of `SJ_SCALE` (`None` = unset = 1.0): a finite number > 0, or an
+/// error naming what was given.
+pub fn parse_scale(v: Option<&str>) -> Result<f64, String> {
+    let Some(v) = v else { return Ok(1.0) };
+    let parsed = v.parse::<f64>().ok().filter(|s| s.is_finite() && *s > 0.0);
+    parsed.ok_or_else(|| format!("SJ_SCALE={v:?} is not a finite number > 0"))
+}
+
+/// Global dataset scale factor (`SJ_SCALE`, default 1.0 = paper scale),
+/// read once. A value [`parse_scale`] refuses ends the process with exit 2.
 pub fn scale() -> f64 {
-    std::env::var("SJ_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0)
+    static SCALE: OnceLock<f64> = OnceLock::new();
+    *SCALE.get_or_init(|| {
+        let v = std::env::var_os("SJ_SCALE").map(|v| v.to_string_lossy().into_owned());
+        parse_scale(v.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    })
 }
 
 fn cached(cell: &'static OnceLock<Vec<Kpe>>, cfg: datagen::LineNetwork) -> &'static [Kpe] {
@@ -110,20 +123,11 @@ pub fn s3j_cfg(mem: usize, replicate: bool) -> S3jConfig {
     }
 }
 
-/// `v` to `places` decimals, for a report row: a reader diffing two reports
-/// sees microseconds, not the last bits of an `f64`.
+/// `v` to `places` decimals, for a table cell: a reader diffing two
+/// snapshots sees microseconds, not the last bits of an `f64`.
 pub fn rounded(v: f64, places: i32) -> Json {
     let unit = 10f64.powi(places);
     Json::Num((v * unit).round() / unit)
-}
-
-/// Splits a JSON-Lines report (`regress`'s; first line `{"meta":{...}}`)
-/// into the meta object and the rows.
-pub fn parse_report(text: &str) -> Result<(Json, Vec<Json>), String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty()).map(Json::parse);
-    let first = lines.next().ok_or("baseline is empty")??;
-    let meta = first.get("meta").ok_or("baseline does not start with a meta line")?;
-    Ok((meta.clone(), lines.collect::<Result<_, _>>()?))
 }
 
 #[cfg(test)]
@@ -145,5 +149,15 @@ mod tests {
     fn paper_mem_scales() {
         std::env::set_var("SJ_SCALE", "0.01");
         assert!(paper_mem(2.5) < 2 * 1024 * 1024);
+    }
+
+    #[test]
+    fn a_scale_that_is_not_a_finite_positive_number_is_refused_by_name() {
+        assert_eq!(parse_scale(None), Ok(1.0));
+        assert_eq!(parse_scale(Some("0.2")), Ok(0.2));
+        for bad in ["0,2", "0", "-1", "NaN", "inf", ""] {
+            let err = parse_scale(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

@@ -360,7 +360,7 @@ const HELP: &str = "sjoin - index-free spatial joins (Dittrich & Seeger, ICDE 20
                   table (predicted vs chosen) before running the winner
   --plan-coeffs P fitted correction coefficients for the planner's cost model
                   (default planner-coeffs.json if present; refit with
-                  `cargo run -p bench --bin planner-eval -- --fit BENCH_pr10.json`)
+                  `SJ_SCALE=0.2 cargo run --release -p bench --bin repro -- --fit`)
 
   sjoin scrub [--run-dir DIR]   offline integrity walk over the interrupted
                   durable runs under DIR (default runs): validates each

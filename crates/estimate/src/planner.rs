@@ -19,13 +19,14 @@
 //!    48-byte level records and sort passes, the sort-phase dedup's
 //!    16-byte candidate pairs, and the paper's `PT + n` request costing.
 //! 3. An optional correction layer — per-family affine coefficients fitted
-//!    by least squares on recorded reconciled bench rows (`BENCH_pr10.json`
-//!    replay) and persisted as a versioned JSON file — absorbs the
-//!    systematic error of the closed forms without touching their shape.
+//!    by least squares on reconciled bench rows (`repro --fit`, from the
+//!    `regress` experiment's grid) and persisted as a versioned JSON file —
+//!    absorbs the systematic error of the closed forms without touching
+//!    their shape.
 //!
 //! The ranked [`Plan`] is consumed by `sjoin --plan auto|explain`, the
-//! `sjoind` `plan` request field, `exec::SpatialJoinOp` and the
-//! `planner-eval` bench gate.
+//! `sjoind` `plan` request field, `exec::SpatialJoinOp` and `repro`'s
+//! `planner` experiment and its gate.
 
 use geom::{Kpe, Rect};
 use storage::{DiskModel, FixedRecord, IdPair, Json};

@@ -125,10 +125,11 @@ fn total_time_identity() {
 }
 
 /// The planner's corrected predictions stay within 25 % of the committed
-/// bench corpus (`BENCH_pr10.json` + `planner-coeffs.json`) on candidates
-/// and the I/O meters — the bound `planner-eval --fit` achieved when the
-/// coefficients were committed, pinned here so silent model drift (or a
-/// stale coefficients file) fails the suite instead of degrading picks.
+/// bench corpus (the `regress` rows of `BENCH_pr28.json` +
+/// `planner-coeffs.json`) on candidates and the I/O meters — the bound
+/// `repro --fit` achieved when the coefficients were committed, pinned here
+/// so silent model drift (or a stale coefficients file) fails the suite
+/// instead of degrading picks.
 #[test]
 fn planner_predictions_within_25pct_of_committed_corpus() {
     use spatial_join_suite::estimate::{
@@ -147,7 +148,7 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
         |mb: f64| -> usize { ((mb * 2.0 * 1024.0 * 1024.0) * CORPUS_SCALE).max(4096.0) as usize };
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let corpus = std::fs::read_to_string(root.join("BENCH_pr10.json")).expect("corpus");
+    let corpus = std::fs::read_to_string(root.join("BENCH_pr28.json")).expect("corpus");
     let coeffs = Coefficients::load(&root.join("planner-coeffs.json")).expect("coefficients");
     assert!(!coeffs.is_identity(), "committed coefficients must be fitted");
     assert_eq!(coeffs.scale, CORPUS_SCALE, "coefficients fitted at the corpus scale");
@@ -203,7 +204,10 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
         let count = |key: &str| row.get(key).and_then(Json::as_u64);
         // One row per (join, algo): meters are invariant across the
         // threads × channels grid the corpus also sweeps.
-        if count("threads") != Some(1) || count("channels") != Some(1) {
+        if text("experiment") != Some("regress")
+            || count("threads") != Some(1)
+            || count("channels") != Some(1)
+        {
             continue;
         }
         let join = text("join").expect("row join").to_owned();

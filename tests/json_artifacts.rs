@@ -1,5 +1,5 @@
-//! The committed JSON artifacts — bench corpus, planner coefficients,
-//! scaling rows, conformance repros — are read, unmodified, by the
+//! The committed JSON artifacts — the `repro` snapshot, planner
+//! coefficients, conformance repros — are read, unmodified, by the
 //! workspace's one parser (`storage::json`).
 
 use std::path::{Path, PathBuf};
@@ -16,22 +16,29 @@ fn committed(path: &str) -> (PathBuf, String) {
 
 #[test]
 fn json_lines_artifacts_parse_line_by_line() {
-    for (file, lines) in [("BENCH_pr10.json", 57), ("results/scaling.json", 11)] {
-        let (path, text) = committed(file);
-        let rows: Vec<Json> = text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{}: {e}: {l}", path.display())))
-            .collect();
-        assert_eq!(rows.len(), lines, "{file}");
+    let (path, text) = committed("BENCH_pr28.json");
+    let rows: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{}: {e}: {l}", path.display())))
+        .collect();
+    assert_eq!(rows.len(), 189, "a meta line and 188 table rows");
+    let scale = rows[0].get("meta").and_then(|m| m.get("scale"));
+    assert_eq!(
+        scale.and_then(Json::as_f64),
+        Some(0.2),
+        "the meta line comes first"
+    );
+    for row in &rows[1..] {
         assert!(
-            rows[0].get("meta").is_some(),
-            "{file} starts with its meta line"
+            row.get("experiment").and_then(Json::as_str).is_some(),
+            "{row}"
         );
-        assert!(rows[1..]
-            .iter()
-            .all(|r| r.get("algo").and_then(Json::as_str).is_some()));
+        assert!(row.get("table").and_then(Json::as_u64).is_some(), "{row}");
     }
+    let regress = rows[1..]
+        .iter()
+        .filter(|r| r.get("experiment").and_then(Json::as_str) == Some("regress"));
+    assert_eq!(regress.count(), 56, "the regression grid's rows");
 }
 
 #[test]

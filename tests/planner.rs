@@ -5,7 +5,7 @@
 //!
 //! Measurements run under `cpu_slowdown = 0`, so "measured" means the
 //! simulated I/O clock alone — bit-reproducible across hosts, like the
-//! `planner-eval` bench gate this suite miniaturises.
+//! `repro` experiment `planner` this suite miniaturises.
 
 use geom::Kpe;
 use proptest::prelude::*;
@@ -60,7 +60,7 @@ fn measure(choice: &PlanChoice, r: &[Kpe], s: &[Kpe]) -> Option<f64> {
         .map(|st| st.total_seconds())
 }
 
-/// The planner-eval acceptance criterion, miniaturised: on every
+/// The `planner.pick-within-10pct` claim, miniaturised: on every
 /// J1–J5 × memory × scale cell the raw (uncalibrated) model's pick costs at
 /// most 110 % of the best I/O-distinct variant's simulated total.
 #[test]
