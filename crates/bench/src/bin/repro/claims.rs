@@ -238,6 +238,11 @@ pub fn claims() -> Vec<Claim> {
             let ok = t[0].cells("ok").filter(|&c| *c == Json::Bool(true)).count();
             (ok == t[0].rows.len(), format!("{ok} of {} cells", t[0].rows.len()))
         }),
+        claim("planner.priced-pick-within-25pct", Gate(0.2),
+            "on the priced clock the pick costs at most 125 % of the best candidate's total in every cell", |t| {
+            let ok = t[1].cells("ok").filter(|&c| *c == Json::Bool(true)).count();
+            (ok == t[1].rows.len(), format!("{ok} of {} cells", t[1].rows.len()))
+        }),
         claim("scaling.results-agree", Gate(0.01), "every thread and channel count returns the same results", |t| {
             let n = t[0].nums("results");
             (chain(&n, |a, b| a == b), format!("{} results", n[0]))

@@ -752,6 +752,8 @@ fn run() {
     } else {
         (left, right)
     };
+    // The explained plan's predicted CPU, set beside the run's priced CPU.
+    let mut predicted_cpu = None;
     let algo = if args.plan == PlanMode::Off {
         Algorithm::from_name(&args.algo, mem).unwrap_or_else(|| {
             die(format!(
@@ -781,10 +783,11 @@ fn run() {
             &DatasetProfile::build(&left.kpes),
             &DatasetProfile::build(&right.kpes),
         );
+        let chosen = plan.chosen();
         if args.plan == PlanMode::Explain {
             out!("{}", plan.render_table());
+            predicted_cpu = Some(chosen.predicted.cpu_seconds);
         }
-        let chosen = plan.chosen();
         outln!(
             "plan chosen      : {} (predicted {:.2} s total, {:.0} candidates)",
             chosen.choice.describe(),
@@ -869,6 +872,9 @@ fn run() {
     }
     if let Some(degraded) = degraded_line(&run.stats) {
         outln!("degraded         : {degraded}");
+    }
+    if let Some(predicted) = predicted_cpu {
+        outln!("cpu predicted {predicted:.2} s, priced {:.2} s", run.stats.scaled_cpu_seconds());
     }
     if args.stats {
         print_phase_stats(&run.stats);

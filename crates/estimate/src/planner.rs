@@ -18,6 +18,10 @@
 //!    with its `P = 1` in-memory shortcut, 40-byte KPE copies, S³J's
 //!    48-byte level records and sort passes, the sort-phase dedup's
 //!    16-byte candidate pairs, and the paper's `PT + n` request costing.
+//!    Its CPU leg predicts the [`Work`] the run counts — records assigned,
+//!    copied and sorted, the tests of each sweep kernel, trie node visits,
+//!    candidates, S³J's codes and partitions — and prices it with the run's
+//!    own table ([`DiskModel::priced_cpu`]).
 //! 3. An optional correction layer — per-family affine coefficients fitted
 //!    by least squares on reconciled bench rows (`repro --fit`, from the
 //!    `regress` experiment's grid) and persisted as a versioned JSON file —
@@ -28,8 +32,10 @@
 //! `sjoind` `plan` request field, `exec::SpatialJoinOp` and `repro`'s
 //! `planner` experiment and its gate.
 
+use std::sync::OnceLock;
+
 use geom::{Kpe, Rect};
-use storage::{DiskModel, FixedRecord, IdPair, Json};
+use storage::{DiskModel, FixedRecord, IdPair, Json, Work};
 use sweep::InternalAlgo;
 
 /// Grid resolution of the profile histogram (per axis).
@@ -251,15 +257,15 @@ type SketchFn = fn(Vec<u32>, &[f64], f64) -> Sketch;
 /// [`DatasetProfile::clump`] and [`DatasetProfile::fine`] from the fine cell
 /// of every record's centre and the weighted per-cell `counts`.
 ///
-/// The cells are sorted and run-length counted, so the work and the memory
-/// follow the record count, not the `(PROFILE_GRID·FINE_FACTOR)²` cells of
-/// the sketch grid. A run's `m_f(m_f−1)` is an integer-valued `f64` and so is
-/// every partial sum, which makes the per-cell total independent of the
-/// order of the runs.
-fn occupancy_sketch(mut fine_cells: Vec<u32>, counts: &[f64], weight: f64) -> Sketch {
+/// The cells are radix-sorted (two 11-bit passes over the 22-bit indices) and
+/// run-length counted, so the work and the memory follow the record count,
+/// not the `(PROFILE_GRID·FINE_FACTOR)²` cells of the sketch grid. A run's
+/// `m_f(m_f−1)` is an integer-valued `f64` and so is every partial sum, which
+/// makes the per-cell total independent of the order of the runs.
+fn occupancy_sketch(fine_cells: Vec<u32>, counts: &[f64], weight: f64) -> Sketch {
     let g = PROFILE_GRID;
     let fine_g = g * FINE_FACTOR;
-    fine_cells.sort_unstable();
+    let fine_cells = storage::radix_sorted(&fine_cells, |&c| c);
     let mut collisions = vec![0.0f64; counts.len()];
     let mut fine = Vec::new();
     for run in fine_cells.chunk_by(|a, b| a == b) {
@@ -428,7 +434,7 @@ impl PlanChoice {
 // ---------------------------------------------------------------------------
 
 /// What the cost model predicts for one candidate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Prediction {
     /// Duplicate-free result pairs.
     pub results: f64,
@@ -444,7 +450,10 @@ pub struct Prediction {
     pub requests: f64,
     /// Simulated disk seconds under the configured model.
     pub io_seconds: f64,
-    /// Emulated (slowed-down) CPU seconds.
+    /// The counted work the run is predicted to do.
+    pub work: Work,
+    /// `work` priced as the run prices it (infinite for a configuration the
+    /// run refuses).
     pub cpu_seconds: f64,
     /// `cpu + io` — the ranking key.
     pub total_seconds: f64,
@@ -564,7 +573,7 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 /// Affine corrections `y ≈ a·x + b` per (family, metric), fitted by least
 /// squares on the bench corpus and persisted as a flat versioned JSON file.
 /// Identity (`a = 1, b = 0`) when no calibration exists for a family.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Coefficients {
     /// Dataset scale the fit was recorded at (0.0 = unfitted identity).
     pub scale: f64,
@@ -573,15 +582,6 @@ pub struct Coefficients {
 }
 
 pub const COEFFS_SCHEMA_VERSION: u32 = 1;
-
-impl Default for Coefficients {
-    fn default() -> Self {
-        Coefficients {
-            scale: 0.0,
-            entries: Vec::new(),
-        }
-    }
-}
 
 impl Coefficients {
     /// The identity correction (raw model output).
@@ -671,9 +671,6 @@ impl Coefficients {
     }
 }
 
-/// Ordinary least squares for `y ≈ a·x + b`. Degenerates gracefully: with
-/// fewer than two distinct x values the slope falls back to the ratio of
-/// means (and identity when even that is undefined).
 /// Weighted least squares for `y ≈ a·x + b` minimising *relative* error
 /// (weights `1/y²`): the right objective for calibration data whose points
 /// span orders of magnitude — plain OLS would sacrifice the small joins to
@@ -700,6 +697,9 @@ pub fn fit_affine_relative(points: &[(f64, f64)]) -> (f64, f64) {
     (a, b)
 }
 
+/// Ordinary least squares for `y ≈ a·x + b`. Degenerates gracefully: with
+/// fewer than two distinct x values the slope falls back to the ratio of
+/// means (and identity when even that is undefined).
 pub fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
     let n = points.len() as f64;
     if points.is_empty() {
@@ -793,88 +793,44 @@ impl Planner {
 
     /// The candidate configurations for the active [`PlanSpace`].
     pub fn candidates(&self) -> Vec<PlanChoice> {
-        let m = self.mem_bytes;
+        use InternalAlgo::{NestedLoops, PlaneSweepList as List, PlaneSweepTrie as Trie};
         let mut out = Vec::new();
-        for internal in [InternalAlgo::PlaneSweepList, InternalAlgo::PlaneSweepTrie] {
-            for tiles in [1u32, 4, 16] {
-                for buf in [1usize, 4] {
-                    out.push(PlanChoice {
-                        algo: PlanAlgo::PbsmRpm,
-                        internal,
-                        tiles_per_partition: tiles,
-                        buffer_pages: buf,
-                        mem_bytes: m,
-                    });
-                }
+        let mut push = |algo, internal, tiles_per_partition, buffer_pages| {
+            let mem_bytes = self.mem_bytes;
+            out.push(PlanChoice { algo, internal, tiles_per_partition, buffer_pages, mem_bytes });
+        };
+        let all = self.space == PlanSpace::All;
+        for internal in [List, Trie] {
+            for tiles in [1, 4, 16] {
+                push(PlanAlgo::PbsmRpm, internal, tiles, 1);
+                push(PlanAlgo::PbsmRpm, internal, tiles, 4);
             }
         }
-        for buf in [1usize, 4] {
-            out.push(PlanChoice {
-                algo: PlanAlgo::PbsmSort,
-                internal: InternalAlgo::PlaneSweepList,
-                tiles_per_partition: 4,
-                buffer_pages: buf,
-                mem_bytes: m,
-            });
+        for buf in [1, 4] {
+            push(PlanAlgo::PbsmSort, List, 4, buf);
             // S³J joins its cells with nested loops (`S3jConfig`'s default,
             // what `--algo s3j` runs); the model prices no other choice.
-            out.push(PlanChoice {
-                algo: PlanAlgo::S3jReplicated,
-                internal: InternalAlgo::NestedLoops,
-                tiles_per_partition: 4,
-                buffer_pages: buf,
-                mem_bytes: m,
-            });
+            push(PlanAlgo::S3jReplicated, NestedLoops, 4, buf);
         }
-        out.push(PlanChoice {
-            algo: PlanAlgo::S3jOriginal,
-            internal: InternalAlgo::NestedLoops,
-            tiles_per_partition: 4,
-            buffer_pages: 1,
-            mem_bytes: m,
-        });
-        if self.space == PlanSpace::All {
-            out.push(PlanChoice {
-                algo: PlanAlgo::Sssj,
-                internal: InternalAlgo::PlaneSweepList,
-                tiles_per_partition: 4,
-                buffer_pages: 1,
-                mem_bytes: m,
-            });
-            out.push(PlanChoice {
-                algo: PlanAlgo::Shj,
-                internal: InternalAlgo::PlaneSweepList,
-                tiles_per_partition: 4,
-                buffer_pages: 1,
-                mem_bytes: m,
-            });
+        push(PlanAlgo::S3jOriginal, NestedLoops, 4, 1);
+        if all {
+            push(PlanAlgo::Sssj, List, 4, 1);
+            push(PlanAlgo::Shj, List, 4, 1);
         }
         // New candidates append after the historical ones so enumeration-
         // order tie-breaks (stable sort) keep their pre-extension winners.
-        for tiles in [1u32, 4, 16] {
-            for buf in [1usize, 4] {
-                out.push(PlanChoice {
-                    algo: PlanAlgo::TwoLayer,
-                    internal: InternalAlgo::PlaneSweepList,
-                    tiles_per_partition: tiles,
-                    buffer_pages: buf,
-                    mem_bytes: m,
-                });
-            }
+        for tiles in [1, 4, 16] {
+            push(PlanAlgo::TwoLayer, List, tiles, 1);
+            push(PlanAlgo::TwoLayer, List, tiles, 4);
         }
-        if self.space == PlanSpace::All {
-            out.push(PlanChoice {
-                algo: PlanAlgo::Quadtree,
-                internal: InternalAlgo::PlaneSweepList,
-                tiles_per_partition: 4,
-                buffer_pages: 1,
-                mem_bytes: m,
-            });
+        if all {
+            push(PlanAlgo::Quadtree, List, 4, 1);
         }
         out
     }
 
-    /// Predicts one candidate's cost.
+    /// Predicts one candidate's cost: its I/O, and its counted work priced
+    /// by the table the run's own clock prices with.
     pub fn predict(
         &self,
         choice: &PlanChoice,
@@ -882,14 +838,14 @@ impl Planner {
         s: &DatasetProfile,
         joint: &JointEstimate,
     ) -> Prediction {
-        let raw = match choice.algo {
-            PlanAlgo::PbsmRpm | PlanAlgo::PbsmSort => self.predict_pbsm(choice, r, s, joint),
+        let mut raw = match choice.algo {
+            PlanAlgo::PbsmRpm | PlanAlgo::PbsmSort | PlanAlgo::TwoLayer => self.predict_pbsm(choice, r, s, joint),
             PlanAlgo::S3jReplicated | PlanAlgo::S3jOriginal => self.predict_s3j(choice, r, s, joint),
             PlanAlgo::Sssj => self.predict_sssj(r, s, joint),
             PlanAlgo::Shj => self.predict_shj(r, s, joint),
-            PlanAlgo::TwoLayer => self.predict_twolayer(choice, r, s, joint),
             PlanAlgo::Quadtree => self.predict_quadtree(r, s, joint),
         };
+        raw.cpu_seconds += self.model.priced_cpu(&raw.work);
         self.correct(choice.algo.family(), raw)
     }
 
@@ -918,16 +874,6 @@ impl Planner {
         units * self.model.transfer_secs_per_page / self.model.channels.max(1) as f64
     }
 
-    fn cpu_secs(&self, records: f64, tests: f64) -> f64 {
-        // Host-CPU constants (seconds per record pass / per intersection
-        // test on a modern core), stretched by the model's slowdown exactly
-        // like measured CPU is. Calibration defaults — the fitted seconds
-        // coefficients absorb residual error.
-        const PER_RECORD: f64 = 60e-9;
-        const PER_TEST: f64 = 15e-9;
-        (records * PER_RECORD + tests * PER_TEST) * self.model.cpu_slowdown
-    }
-
     fn page(&self) -> f64 {
         self.model.page_size as f64
     }
@@ -948,13 +894,22 @@ impl Planner {
         let copies_r = straddle_copies(r, gx, gy);
         let copies_s = straddle_copies(s, gx, gy);
         let copies = copies_r + copies_s;
-        let dup = joint.duplicate_pairs(gx, gy);
+        let two_layer = choice.algo == PlanAlgo::TwoLayer;
         let results = joint.results;
-        let candidates = results + dup;
+        // The two-layer classes surface every pair exactly once.
+        let candidates = if two_layer { results } else { results + joint.duplicate_pairs(gx, gy) };
         let replication = if nr + ns > 0.0 { copies / (nr + ns) } else { 1.0 };
+        let map = pbsm::PartitionMap::new(
+            p,
+            pbsm::TileScheme::default(),
+            pbsm::PbsmConfig::default().seed,
+        );
 
         let (mut pages_w, mut pages_r, mut requests) = (0.0, 0.0, 0.0);
         let mut io = 0.0;
+        // Records the repartitioning copies reassign, and the surplus its
+        // sub-joins sweep (the other side once per extra sub-pair).
+        let (mut reassigned, mut resweep) = (0.0, 0.0);
         if p > 1 {
             // Partition phase: the replicated input written once, one
             // partial page flushed per partition file (one file per side).
@@ -976,11 +931,6 @@ impl Planner {
             // rewrite the big side, then read the untouched other side once
             // per sub-partition. This term is what separates `tiles=1` from
             // `tiles=16` — without it they look identical.
-            let map = pbsm::PartitionMap::new(
-                p,
-                pbsm::TileScheme::default(),
-                pbsm::PbsmConfig::default().seed,
-            );
             let loads_r = tile_loads(r, gx, gy);
             let loads_s = tile_loads(s, gx, gy);
             let mut bytes_r = vec![0.0f64; p as usize];
@@ -1021,6 +971,9 @@ impl Planner {
                     requests += mult * (w_reqs + r_reqs);
                     io += mult
                         * (self.io_secs(w_reqs, w_pages) + self.io_secs(r_reqs, r_pages));
+                    let rec = Kpe::ENCODED_SIZE as f64;
+                    reassigned += mult * big / rec;
+                    resweep += mult * (n_sub - 1.0) * other / rec;
                     if br >= bs {
                         br = big / n_sub;
                     } else {
@@ -1042,44 +995,25 @@ impl Planner {
             requests += sort_reqs;
             io += self.io_secs(sort_reqs, sort_pages);
         }
-        let tests = candidates * 2.0 + (nr + ns) * 1.5;
-        let cpu = self.cpu_secs(nr + ns + copies, tests)
-            * if choice.internal == InternalAlgo::PlaneSweepTrie { 0.8 } else { 1.0 };
+        // One sweep per partition — per tile under the two-layer classes — over
+        // its record copies; a single partition sweeps the inputs as they are.
+        let (tiles, swept) = if p > 1 || two_layer { ((gx, gy), copies + resweep) } else { ((1, 1), nr + ns) };
+        let buckets = if two_layer { gx * gy } else { p };
+        let sweeps = joint.sweep_work(choice.internal, candidates, tiles, buckets as usize, |x, y| {
+            if two_layer { y * gx + x } else { map.partition_of(x, y, gx) }
+        });
+        let paged = if p > 1 { 1.0 } else { 0.0 };
+        let work = Work {
+            assigned: count(paged * (nr + ns) + reassigned),
+            copies: count(paged * copies + reassigned),
+            swept: count(swept),
+            sorted: count(if choice.algo == PlanAlgo::PbsmSort { candidates } else { 0.0 }),
+            ..sweeps
+        };
         Prediction {
-            results,
-            candidates,
-            replication,
-            partitions: p,
-            pages_written: pages_w,
-            pages_read: pages_r,
-            requests,
-            io_seconds: io,
-            cpu_seconds: cpu,
-            total_seconds: cpu + io,
+            results, candidates, replication, partitions: p, pages_written: pages_w, pages_read: pages_r,
+            requests, io_seconds: io, work, ..Default::default()
         }
-    }
-
-    fn predict_twolayer(
-        &self,
-        choice: &PlanChoice,
-        r: &DatasetProfile,
-        s: &DatasetProfile,
-        joint: &JointEstimate,
-    ) -> Prediction {
-        // Identical partition/repartition I/O arithmetic to PBSM — the
-        // primary layer *is* PBSM's grid — but the secondary class layer
-        // changes the CPU profile: every pair surfaces exactly once
-        // (candidates = results, no duplicate mass, no per-candidate
-        // reference-point containment test) and most class sub-joins imply
-        // one or both axis comparisons structurally instead of testing.
-        let mut p = self.predict_pbsm(choice, r, s, joint);
-        let (nr, ns) = (r.cardinality, s.cardinality);
-        let copies = p.replication * (nr + ns);
-        p.candidates = p.results;
-        let tests = p.results * 1.2 + (nr + ns) * 1.5;
-        p.cpu_seconds = self.cpu_secs(nr + ns + copies, tests);
-        p.total_seconds = p.cpu_seconds + p.io_seconds;
-        p
     }
 
     fn predict_quadtree(
@@ -1091,38 +1025,16 @@ impl Planner {
         let (nr, ns) = (r.cardinality, s.cardinality);
         let results = joint.results;
         let input_bytes = (nr + ns) * Kpe::ENCODED_SIZE as f64;
-        // Average MX-CIF settling depth from the size histograms: bucket
-        // `i` holds records whose max extent is ~2^-i of the bbox side, so
-        // they stop at level ~i (clamped by the tree's max level, 12).
-        let mut depth = 0.0;
-        for (i, (hr, hs)) in r.size_hist.iter().zip(&s.size_hist).enumerate() {
-            depth += (hr + hs) * i.min(12) as f64;
-        }
-        let avg_depth = if nr + ns > 0.0 { depth / (nr + ns) } else { 0.0 };
-        // Join work: records bucketed on ancestor cells are compared
-        // against everything on the path below them (the original-S³J
-        // ancestor-scan shape), plus the per-node traversal itself.
-        let tests = results * 4.0 + (nr + ns) * avg_depth;
+        // Records settle at their MX-CIF cells and every node's list is
+        // tested against the other tree's lists on its root path: the
+        // original S³J's nested-cell tests.
+        let (tests, candidates) = (count(joint.level_work(false).0), count(results));
+        let work = Work { assigned: count(nr + ns), tests, candidates, ..Work::ZERO };
         // Both trees live in memory at once; the runtime refuses the
         // configuration when the inputs exceed the budget, so an
         // infeasible candidate must rank behind every runnable one.
-        let cpu = if input_bytes > self.mem_bytes as f64 {
-            f64::INFINITY
-        } else {
-            self.cpu_secs((nr + ns) * (1.0 + avg_depth), tests)
-        };
-        Prediction {
-            results,
-            candidates: results,
-            replication: 1.0,
-            partitions: 1,
-            pages_written: 0.0,
-            pages_read: 0.0,
-            requests: 0.0,
-            io_seconds: 0.0,
-            cpu_seconds: cpu,
-            total_seconds: cpu,
-        }
+        let cpu_seconds = if input_bytes > self.mem_bytes as f64 { f64::INFINITY } else { 0.0 };
+        Prediction { results, candidates: results, replication: 1.0, partitions: 1, work, cpu_seconds, ..Default::default() }
     }
 
     fn predict_s3j(
@@ -1162,24 +1074,19 @@ impl Planner {
         let io = self.io_secs(part_reqs, level_pages)
             + self.io_secs(sort_reqs, 2.0 * level_pages)
             + self.io_secs(join_reqs, level_pages);
-        // The original's ancestor scans multiply the intersection tests —
-        // the CPU half of Figure 11.
-        let test_factor = if replicate { 2.0 } else { 8.0 };
-        let cpu = self.cpu_secs(
-            (nr + ns + copies) * 2.0,
-            candidates * test_factor + (nr + ns) * 2.0,
-        );
+        // Every copy is coded, written and sorted; the scan joins every pair
+        // of nested cells by nested loops — the original's ancestor scans
+        // are the CPU half of Figure 11.
+        let (tests, cells) = joint.level_work(replicate);
+        let (assigned, copied) = (count(nr + ns), count(copies));
+        let work = Work {
+            assigned, copies: copied, codes: copied, sorted: copied, partitions: count(cells), tests: count(tests),
+            candidates: count(candidates), ..Work::ZERO
+        };
+        let replication = if nr + ns > 0.0 { copies / (nr + ns) } else { 1.0 };
         Prediction {
-            results,
-            candidates,
-            replication: if nr + ns > 0.0 { copies / (nr + ns) } else { 1.0 },
-            partitions: 1,
-            pages_written: pages_w,
-            pages_read: pages_r,
-            requests,
-            io_seconds: io,
-            cpu_seconds: cpu,
-            total_seconds: cpu + io,
+            results, candidates, replication, partitions: 1, pages_written: pages_w, pages_read: pages_r,
+            requests, io_seconds: io, work, ..Default::default()
         }
     }
 
@@ -1232,18 +1139,14 @@ impl Planner {
             }
         }
         let results = joint.results;
-        let cpu = self.cpu_secs((nr + ns) * 2.0, results * 3.0 + (nr + ns) * 2.0);
+        // One sweep over both sorted inputs: its lazily pruned lists test
+        // every x-overlapping pair.
+        let Work { scan_tests: status_tests, candidates, .. } =
+            joint.sweep_work(InternalAlgo::PlaneSweepList, results, (1, 1), 1, |_, _| 0);
+        let work = Work { sorted: count(nr + ns), status_tests, candidates, ..Work::ZERO };
         Prediction {
-            results,
-            candidates: results,
-            replication: 1.0,
-            partitions: 1,
-            pages_written: pages_w,
-            pages_read: pages_r,
-            requests,
-            io_seconds: io,
-            cpu_seconds: cpu,
-            total_seconds: cpu + io,
+            results, candidates: results, replication: 1.0, partitions: 1, pages_written: pages_w, pages_read: pages_r,
+            requests, io_seconds: io, work, ..Default::default()
         }
     }
 
@@ -1282,18 +1185,15 @@ impl Planner {
         let requests = write_reqs + read_reqs;
         let io = self.io_secs(write_reqs, pages) + self.io_secs(read_reqs, pages);
         let results = joint.results;
-        let cpu = self.cpu_secs(nr + ns + copies_s, results * 2.5 + (nr + ns) * 1.5);
+        // Every record is tested against every bucket's seed and extent,
+        // then each bucket pair is swept (its buckets taken as a g × g grid).
+        let sweeps = joint.sweep_work(InternalAlgo::PlaneSweepList, results, (g, g), (g * g) as usize, |x, y| y * g + x);
+        let (assigned, copies) = (count(nr + ns), count(nr + copies_s));
+        let work = Work { assigned, copies, swept: copies, tests: count((nr + ns) * buckets as f64), ..sweeps };
+        let replication = if nr + ns > 0.0 { (nr + copies_s) / (nr + ns) } else { 1.0 };
         Prediction {
-            results,
-            candidates: results,
-            replication: if nr + ns > 0.0 { (nr + copies_s) / (nr + ns) } else { 1.0 },
-            partitions: buckets,
-            pages_written: pages,
-            pages_read: pages,
-            requests,
-            io_seconds: io,
-            cpu_seconds: cpu,
-            total_seconds: cpu + io,
+            results, candidates: results, replication, partitions: buckets, pages_written: pages, pages_read: pages,
+            requests, io_seconds: io, work, ..Default::default()
         }
     }
 }
@@ -1343,6 +1243,11 @@ fn tile_loads(profile: &DatasetProfile, gx: u32, gy: u32) -> Vec<f64> {
         }
     }
     loads
+}
+
+/// A predicted count as a [`Work`] counter.
+fn count(x: f64) -> u64 {
+    x.round() as u64
 }
 
 /// Expected KPE copies when `profile`'s rectangles are assigned to every
@@ -1398,6 +1303,11 @@ fn level_copies(profile: &DatasetProfile) -> f64 {
 #[derive(Debug, Clone)]
 pub struct JointEstimate {
     grid: u32,
+    /// The union bounding box, and both profiles resampled onto it.
+    frame: Rect,
+    sides: [Vec<(f64, f64, f64, f64)>; 2],
+    /// [`JointEstimate::level_work`] of the original and the replicated S³J.
+    level_work: [OnceLock<(f64, f64)>; 2],
     /// Per cell: `(pairs, min_avg_w, min_avg_h)` — the pair mass and the
     /// extents of the pair *intersections* (bounded by the smaller rect).
     cells: Vec<(f64, f64, f64)>,
@@ -1459,6 +1369,9 @@ impl JointEstimate {
         }
         JointEstimate {
             grid: g,
+            frame: union,
+            sides: [rr, ss],
+            level_work: Default::default(),
             cells,
             results,
         }
@@ -1498,13 +1411,147 @@ impl JointEstimate {
         dup
     }
 
+    /// The work of in-memory sweeps by `internal` reporting `candidates` in
+    /// all, one over the copies of each bucket: `bucket` of the tile of a
+    /// `gx × gy` unit-square grid a cell's centre lies in, the cell's count
+    /// grown by its straddle copies on that grid.
+    ///
+    /// A forward scan tests every pair whose x-intervals overlap. A trie
+    /// stores a record of height `h` at level `d` (nodes of height
+    /// `S = Y/2^d`) with the chance `min(1, 2h/S)` that it spans a midpoint
+    /// of levels ≤ `d`; a query visits, per level, the `1 + h/S` nodes it
+    /// overlaps while one of its `A` x-overlapping entries sits that deep,
+    /// and tests the entries of those nodes: their mean height `S̄` where a
+    /// result needs `2h`.
+    fn sweep_work(
+        &self,
+        internal: InternalAlgo,
+        candidates: f64,
+        (gx, gy): (u32, u32),
+        buckets: usize,
+        bucket: impl Fn(u32, u32) -> u32,
+    ) -> Work {
+        let g = self.grid as usize;
+        let Rect { xl, yl, xh, yh } = self.frame;
+        let (cell_w, cell_h) = ((xh - xl) / g as f64, (yh - yl) / g as f64);
+        let tile = |c: usize, lo: f64, len: f64, n: u32| {
+            (((lo + (c as f64 + 0.5) * len).clamp(0.0, 1.0) * f64::from(n)) as u32).min(n - 1)
+        };
+        let (tx, ty): (Vec<u32>, Vec<u32>) = (0..g).map(|c| (tile(c, xl, cell_w, gx), tile(c, yl, cell_h, gy))).unzip();
+        let bucket_of: Vec<usize> = (0..gx * gy).map(|t| bucket(t % gx, t / gx) as usize * g).collect();
+        // Per bucket column: each side's copies and their summed widths, and
+        // the sum of its cells' squared copies.
+        let mut cols = vec![[0.0f64; 5]; buckets * g];
+        let (mut height, mut n) = (0.0, 0.0);
+        for (i, (r, s)) in self.sides[0].iter().zip(&self.sides[1]).enumerate().filter(|(_, (r, s))| r.0 + s.0 > 0.0) {
+            let col = &mut cols[bucket_of[(ty[i / g] * gx + tx[i % g]) as usize] + i % g];
+            let mut copies = 0.0;
+            for (side, &(c, w, h, _)) in [r, s].into_iter().enumerate() {
+                let k = c * ((1.0 + w * f64::from(gx)) * (1.0 + h * f64::from(gy))).min(f64::from(gx * gy));
+                col[2 * side] += k;
+                col[2 * side + 1] += k * w;
+                (height, n, copies) = (height + c * h, n + c, copies + k);
+            }
+            col[4] += copies * copies;
+        }
+        // Per bucket column: the x-overlapping pairs it holds an end of (half
+        // a pair per end), from the other side's copies `k` columns away.
+        // Centres spread uniformly over their columns lie `k + u` columns
+        // apart, `u` triangular on (−1, 1); a pair overlaps when that is at
+        // most its mean half-widths' sum `reach`.
+        let tri = |t: f64| if t <= 0.0 { (1.0 + t).max(0.0).powi(2) / 2.0 } else { 1.0 - (1.0 - t).max(0.0).powi(2) / 2.0 };
+        // Each column's sides' mean half-widths, in columns.
+        let half = |sum: f64, n: f64| if n > 0.0 { sum / n / (2.0 * cell_w.max(f64::MIN_POSITIVE)) } else { 0.0 };
+        let halves: Vec<[f64; 2]> = cols.iter().map(|c| [half(c[1], c[0]), half(c[3], c[2])]).collect();
+        let span = (2.0 * halves.iter().flatten().fold(0.0, |m: f64, &w| m.max(w))).ceil().min(g as f64) as usize + 1;
+        let mut x_pairs = vec![0.0f64; cols.len()];
+        for (i, a) in cols.iter().enumerate().filter(|(_, a)| a[0] + a[2] > 0.0) {
+            let (c, row) = (i % g, i - i % g);
+            for j in row + c.saturating_sub(span)..row + (c + span + 1).min(g) {
+                let (b, k) = (&cols[j], c.abs_diff(j % g) as f64);
+                let overlap = |reach: f64| tri(reach - k) - tri(-reach - k);
+                x_pairs[i] += (a[0] * b[2] * overlap(halves[i][0] + halves[j][1])
+                    + a[2] * b[0] * overlap(halves[i][1] + halves[j][0]))
+                    / 2.0;
+            }
+        }
+        let scan_tests: f64 = x_pairs.iter().sum();
+        if internal != InternalAlgo::PlaneSweepTrie {
+            return Work { scan_tests: count(scan_tests), candidates: count(candidates), ..Work::ZERO };
+        }
+        let h = if n > 0.0 { height / n } else { 0.0 };
+        // Per level: the nodes' height and the share of entries stored above.
+        let level = |d: i32| ((yh - yl) / 2f64.powi(d), (h * 2f64.powi(d) / (yh - yl)).min(1.0));
+        let levels: Vec<(f64, f64)> = (0..=24).map(level).take_while(|&(_, above)| above < 1.0).collect();
+        let node_height: f64 = (0..=24).map(|d| (if d < 24 { level(d + 1).1 } else { 1.0 } - level(d).1) * level(d).0).sum();
+        // A query in a cell holding `share` of its column's copies (their
+        // copy-weighted mean) finds that share of the column's entries per
+        // cell height around it.
+        let visits = |a: f64, share: f64| -> f64 {
+            let live = |&(size, above): &(f64, f64)| {
+                let near = (size / (yh - yl)).max(share * (size / cell_h).min(1.0));
+                (1.0 + h / size) * (1.0 - (-a * (1.0 - above) * near).exp())
+            };
+            levels.iter().map(live).sum()
+        };
+        let queries = cols.iter().zip(&x_pairs).map(|(c, x)| (c[0] + c[2], x, c[4])).filter(|q| q.0 > 0.0);
+        let node_visits: f64 = queries.map(|(q, x, squares)| q * visits(x / q, squares / (q * q))).sum();
+        let status_tests = (candidates * (node_height + h) / (2.0 * h).max(f64::MIN_POSITIVE)).min(scan_tests);
+        let (status_tests, node_visits, candidates) = (count(status_tests), count(node_visits), count(candidates));
+        Work { status_tests, node_visits, candidates, ..Work::ZERO }
+    }
+
+    /// S³J's scan: `(tests, partitions)`. Per cell and side, the copies at
+    /// each level `l` (cells of area `4^-l`): a replicated record's at its
+    /// shifted size level, an original one's at the finest level whose grid
+    /// lines it does not cross. Nested loops test the pairs of copies one of
+    /// whose cells holds the other's — a cell's density times the coarser
+    /// cell's area — and a level's copies occupy `m·(1 − e^(−copies/m))` of
+    /// the `m` level cells a profile cell spans. Computed once per mode.
+    fn level_work(&self, replicate: bool) -> (f64, f64) {
+        *self.level_work[usize::from(replicate)].get_or_init(|| {
+            const LEVELS: usize = 17; // S3jConfig::max_level + 1
+            let (g, Rect { xl, yl, xh, yh }) = (self.grid as f64, self.frame);
+            let area = ((xh - xl) / g * (yh - yl) / g).max(f64::MIN_POSITIVE);
+            let level_area: [f64; LEVELS] =
+                std::array::from_fn(|l| 0.25f64.powi(l as i32).min((xh - xl) * (yh - yl)).max(area / 1e12));
+            let side: [f64; LEVELS + 1] = std::array::from_fn(|l| 0.5f64.powi(l as i32));
+            let (mut tests, mut parts) = (0.0, 0.0);
+            for (r, s) in self.sides[0].iter().zip(&self.sides[1]).filter(|(r, s)| r.0 + s.0 > 0.0) {
+                let [at_r, at_s] = [r, s].map(|&(c, w, h, _)| {
+                    let mut at = [0.0; LEVELS];
+                    if replicate {
+                        let e = w.max(h);
+                        let l = if e > 0.0 { ((-e.log2()).floor() as i32 - LEVEL_SHIFT).clamp(0, 16) as usize } else { 16 };
+                        at[l] = c * (1.0 + (w / side[l]).min(1.0)) * (1.0 + (h / side[l]).min(1.0));
+                    } else {
+                        let mut above = 0.0;
+                        for (l, at) in at.iter_mut().enumerate() {
+                            let crossed = 1.0 - (1.0 - (w / side[l + 1]).min(1.0)) * (1.0 - (h / side[l + 1]).min(1.0));
+                            let upto = if l + 1 < LEVELS { crossed } else { 1.0 };
+                            (*at, above) = (c * (upto - above), upto);
+                        }
+                    }
+                    at
+                });
+                let (mut deeper_r, mut deeper_s) = (0.0, 0.0);
+                let used = || (0..LEVELS).filter(|&l| at_r[l] + at_s[l] > 0.0);
+                for l in (used().next().unwrap_or(0)..=used().next_back().unwrap_or(0)).rev() {
+                    tests += level_area[l] / area * (at_r[l] * (at_s[l] + deeper_s) + at_s[l] * deeper_r);
+                    (deeper_r, deeper_s) = (deeper_r + at_r[l], deeper_s + at_s[l]);
+                    let m = area / level_area[l];
+                    parts += [at_r[l], at_s[l]].map(|c| m * (1.0 - (-c / m).exp())).iter().sum::<f64>();
+                }
+            }
+            (tests, parts)
+        })
+    }
+
     pub fn grid(&self) -> u32 {
         self.grid
     }
 }
 
-/// Maps a profile's histogram onto a `g × g` grid over `frame` by
-/// area-overlap resampling, returning per-cell `(count, avg_w, avg_h)`.
 /// Self-join pair estimate over the sparse fine sketch.
 ///
 /// The sketch is first aggregated to the finest level whose cell still
@@ -1534,8 +1581,9 @@ fn self_pairs_at_sketch_resolution(p: &DatasetProfile) -> f64 {
     let sy = shift_for(bh / fine_g as f64, 2.0 * ah);
     let cell_area = (bw / fine_g as f64 * f64::from(1u32 << sx))
         * (bh / fine_g as f64 * f64::from(1u32 << sy));
-    // Deterministic aggregation: bucket keys sorted, then summed in order.
-    let mut buckets: Vec<(u64, u32, f64)> = p
+    // Deterministic aggregation: bucket keys stably radix-sorted, then summed
+    // in order.
+    let buckets: Vec<(u64, u32, f64)> = p
         .fine
         .iter()
         .map(|&(idx, c)| {
@@ -1545,7 +1593,7 @@ fn self_pairs_at_sketch_resolution(p: &DatasetProfile) -> f64 {
             (key, coarse, c)
         })
         .collect();
-    buckets.sort_by_key(|&(key, _, _)| key);
+    let buckets = storage::radix_sorted(&buckets, |&(key, _, _)| key);
     let mut results = 0.0;
     let mut i = 0;
     while i < buckets.len() {
@@ -1566,6 +1614,9 @@ fn self_pairs_at_sketch_resolution(p: &DatasetProfile) -> f64 {
     results
 }
 
+/// Maps a profile's histogram onto a `g × g` grid over `frame` by
+/// area-overlap resampling, returning per-cell `(count, avg_w, avg_h,
+/// avg_clump)` — the last the count-weighted mean clump factor.
 fn resample(p: &DatasetProfile, frame: &Rect, g: u32) -> Vec<(f64, f64, f64, f64)> {
     let src_g = PROFILE_GRID;
     let sbw = (p.bbox.xh - p.bbox.xl).max(f64::MIN_POSITIVE);
@@ -1684,11 +1735,49 @@ mod tests {
         (clump, fine)
     }
 
+    /// [`self_pairs_at_sketch_resolution`] as it aggregated before its
+    /// buckets were radix-sorted: a stable comparison sort on the same key.
+    fn self_pairs_by_comparison_sort(p: &DatasetProfile) -> f64 {
+        let (g, fine_g) = (PROFILE_GRID, PROFILE_GRID * FINE_FACTOR);
+        let bw = (p.bbox.xh - p.bbox.xl).max(f64::MIN_POSITIVE);
+        let bh = (p.bbox.yh - p.bbox.yl).max(f64::MIN_POSITIVE);
+        let (aw, ah) = p.avg_extent();
+        let shift_for = |cell: f64, target: f64| {
+            (0..FINE_FACTOR.trailing_zeros()).find(|&s| cell * f64::from(1u32 << s) >= target).unwrap_or(FINE_FACTOR.trailing_zeros())
+        };
+        let (sx, sy) = (shift_for(bw / fine_g as f64, 2.0 * aw), shift_for(bh / fine_g as f64, 2.0 * ah));
+        let cell_area = (bw / fine_g as f64 * f64::from(1u32 << sx)) * (bh / fine_g as f64 * f64::from(1u32 << sy));
+        let mut buckets: Vec<(u64, u32, f64)> = p
+            .fine
+            .iter()
+            .map(|&(idx, c)| {
+                let (fx, fy) = (idx % fine_g, idx / fine_g);
+                (u64::from(fy >> sy) * u64::from(fine_g) + u64::from(fx >> sx), (fy / FINE_FACTOR) * g + fx / FINE_FACTOR, c)
+            })
+            .collect();
+        buckets.sort_by_key(|&(key, _, _)| key);
+        let mut results = 0.0;
+        for run in buckets.chunk_by(|a, b| a.0 == b.0) {
+            let (coarse, c) = (run[0].1 as usize, run.iter().fold(0.0, |c, b| c + b.2));
+            let cc = p.counts[coarse];
+            if cc > 0.0 {
+                let (w, h) = (p.sum_w[coarse] / cc, p.sum_h[coarse] / cc);
+                results += c * c * ((2.0 * w) * (2.0 * h) / cell_area).min(1.0);
+            }
+        }
+        results
+    }
+
     /// Bit-for-bit equality of the full and the sampled profile with their
-    /// dense-sketch builds.
+    /// dense-sketch builds, and of the self-join estimate with its
+    /// comparison-sorted aggregation.
     fn assert_matches_dense_build(data: &[Kpe], sample_size: usize, seed: u64) {
         let same = |got: DatasetProfile, want: DatasetProfile| {
             assert_eq!(got.invariant_key(), want.invariant_key());
+            assert_eq!(
+                self_pairs_at_sketch_resolution(&got).to_bits(),
+                self_pairs_by_comparison_sort(&got).to_bits()
+            );
             assert_eq!(got.fine, want.fine);
             let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got.clump), bits(&want.clump));
@@ -1724,6 +1813,16 @@ mod tests {
         assert_matches_dense_build(&one_cell, 50, 2);
         // Real shape: clustered line networks, full and sampled.
         assert_matches_dense_build(&tiger(6000, 0.1, 9), 700, 11);
+    }
+
+    #[test]
+    fn self_join_estimate_matches_its_comparison_sorted_aggregation() {
+        for (n, coverage, seed) in [(6000, 0.1, 9), (20_000, 0.3, 4)] {
+            let p = DatasetProfile::build(&tiger(n, coverage, seed));
+            let want = self_pairs_by_comparison_sort(&p);
+            assert!(want > 0.0);
+            assert_eq!(self_pairs_at_sketch_resolution(&p).to_bits(), want.to_bits());
+        }
     }
 
     mod sketch_proptests {

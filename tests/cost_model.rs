@@ -125,7 +125,7 @@ fn total_time_identity() {
 }
 
 /// The planner's corrected predictions stay within 25 % of the committed
-/// bench corpus (the `regress` rows of `BENCH_pr28.json` +
+/// bench corpus (the `regress` rows of `BENCH_pr29.json` +
 /// `planner-coeffs.json`) on candidates and the I/O meters — the bound
 /// `repro --fit` achieved when the coefficients were committed, pinned here
 /// so silent model drift (or a stale coefficients file) fails the suite
@@ -148,7 +148,7 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
         |mb: f64| -> usize { ((mb * 2.0 * 1024.0 * 1024.0) * CORPUS_SCALE).max(4096.0) as usize };
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let corpus = std::fs::read_to_string(root.join("BENCH_pr28.json")).expect("corpus");
+    let corpus = std::fs::read_to_string(root.join("BENCH_pr29.json")).expect("corpus");
     let coeffs = Coefficients::load(&root.join("planner-coeffs.json")).expect("coefficients");
     assert!(!coeffs.is_identity(), "committed coefficients must be fitted");
     assert_eq!(coeffs.scale, CORPUS_SCALE, "coefficients fitted at the corpus scale");

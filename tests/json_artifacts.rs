@@ -16,12 +16,12 @@ fn committed(path: &str) -> (PathBuf, String) {
 
 #[test]
 fn json_lines_artifacts_parse_line_by_line() {
-    let (path, text) = committed("BENCH_pr28.json");
+    let (path, text) = committed("BENCH_pr29.json");
     let rows: Vec<Json> = text
         .lines()
         .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{}: {e}: {l}", path.display())))
         .collect();
-    assert_eq!(rows.len(), 189, "a meta line and 188 table rows");
+    assert_eq!(rows.len(), 199, "a meta line and 198 table rows");
     let scale = rows[0].get("meta").and_then(|m| m.get("scale"));
     assert_eq!(
         scale.and_then(Json::as_f64),
@@ -39,6 +39,10 @@ fn json_lines_artifacts_parse_line_by_line() {
         .iter()
         .filter(|r| r.get("experiment").and_then(Json::as_str) == Some("regress"));
     assert_eq!(regress.count(), 56, "the regression grid's rows");
+    let priced_planner = rows[1..].iter().filter(|r| {
+        r.get("experiment").and_then(Json::as_str) == Some("planner") && r.get("table").and_then(Json::as_u64) == Some(1)
+    });
+    assert_eq!(priced_planner.count(), 10, "the planner's priced-clock rows");
 }
 
 #[test]
