@@ -2,14 +2,12 @@
 //! regression grid, the planner evaluation and the scaling sweep is one
 //! function that runs its joins and returns its rows.
 
-use std::path::Path;
-
 use bench::{cal_st, hisel_inputs, join_inputs, la_rr, la_st, paper_mem, pbsm_cfg, rounded, s3j_cfg, scale, skew_inputs};
 use geom::{dataset_stats, Kpe};
 use pbsm::{pbsm_join, Dedup::{self, ReferencePoint as RP}, PbsmConfig, PbsmStats, TileScheme};
 use s3j::{s3j_join, LevelRecord, S3jConfig, S3jStats, ScanMode};
 use sfc::Curve;
-use spatialjoin::estimate::{fit_affine_relative, Coefficients, DatasetProfile, JointEstimate, PlanAlgo, PlanChoice, Planner};
+use spatialjoin::estimate::{DatasetProfile, PlanAlgo, PlanChoice, Planner};
 use spatialjoin::{Algorithm, JoinStats, SpatialJoin};
 use sssj::{sssj_join, SssjConfig, SssjStats};
 use storage::{DiskModel, FixedRecord, IoStats, SimDisk, Work};
@@ -425,8 +423,8 @@ fn io_model(channels: usize) -> DiskModel {
 
 /// Regression grid (beyond the paper): [`REGRESS`] over channels {1, 4} ×
 /// threads {1, 4} on [`io_model`]. Every run's metrics report must reconcile,
-/// the per-channel leg included. The threads = 1, channels = 1 rows are what
-/// `repro --fit` calibrates the planner on.
+/// the per-channel leg included. `tests/cost_model.rs` holds the planner's
+/// predictions to the threads = 1, channels = 1 rows.
 fn regress() -> Vec<Table> {
     let cols = "join, algo, threads, channels, |results, duplicates, candidates, tests, |pages_read, pages_written, \
                 |total_s:6, first_result_s:6";
@@ -449,47 +447,6 @@ fn regress() -> Vec<Table> {
     vec![t]
 }
 
-/// Where `planner` reads the planner's coefficients and `repro --fit` writes them.
-pub const COEFFS: &str = "planner-coeffs.json";
-
-/// Runs the regression grid and least-squares fits the planner's per-family
-/// corrections to its threads = 1, channels = 1 rows (its meters are the
-/// same across the grid): each row's candidates, pages and seconds against
-/// the raw model's prediction for the same configuration. Prints each fit's
-/// worst residual.
-pub fn fit() -> Coefficients {
-    let grid = &regress()[0];
-    let [candidates, read, written, total] = ["candidates", "pages_read", "pages_written", "total_s"].map(|c| grid.nums(c));
-    // Each join and algorithm has four rows; its threads = 1, channels = 1 run is the first.
-    let mut first = (0..grid.rows.len()).step_by(4);
-    let mut points: Vec<(&str, &str, f64, f64)> = Vec::new();
-    for (join, mb, algos) in REGRESS {
-        let (r, s) = inputs(join);
-        let (pr, ps) = (DatasetProfile::build(&r), DatasetProfile::build(&s));
-        let (mem, joint) = (paper_mem(mb), JointEstimate::build(&pr, &ps));
-        for choice in algos.map(|a| regress_choice(a, mem)) {
-            let i = first.next().expect("four regress rows per join and algorithm");
-            let p = Planner::new(mem).with_disk_model(io_model(1)).predict(&choice, &pr, &ps, &joint);
-            let family = choice.algo.family();
-            points.push((family, "candidates", p.candidates, candidates[i]));
-            points.push((family, "pages", p.pages_read + p.pages_written, read[i] + written[i]));
-            points.push((family, "seconds", p.io_seconds, total[i]));
-        }
-    }
-    let mut coeffs = Coefficients::identity();
-    coeffs.scale = scale();
-    for family in ["pbsm", "s3j", "twolayer"] {
-        for metric in ["candidates", "pages", "seconds"] {
-            let pts: Vec<(f64, f64)> = points.iter().filter(|p| (p.0, p.1) == (family, metric)).map(|p| (p.2, p.3)).collect();
-            let (a, b) = fit_affine_relative(&pts);
-            coeffs.set(family, metric, a, b);
-            let worst = pts.iter().map(|&(x, y)| ((a * x + b) - y).abs() / y.abs().max(1e-12)).fold(0.0, f64::max);
-            println!("fit {family}/{metric}: a={a:.4} b={b:.1}, worst residual {:.1} % over {} points", 100.0 * worst, pts.len());
-        }
-    }
-    coeffs
-}
-
 /// Planner evaluation (beyond the paper): plans J1–J5 at the paper's 2 and
 /// 8 MB and runs every candidate of the ranked plan once, on the default
 /// model and one worker thread. The first table plans on [`io_model`] (where
@@ -497,12 +454,7 @@ pub fn fit() -> Coefficients {
 /// I/O beside the best I/O-distinct candidate's; the second plans on the
 /// default model, where CPU is counted work priced, and sets the pick's
 /// predicted and priced CPU and its total beside the best candidate's total.
-/// Plans with the coefficients in [`COEFFS`] when they were fitted at this
-/// `SJ_SCALE`, uncalibrated otherwise.
 fn planner() -> Vec<Table> {
-    let fitted = Coefficients::load(Path::new(COEFFS)).unwrap_or_else(|e| panic!("{COEFFS}: {e}"));
-    let calibrated = !fitted.is_identity() && fitted.scale == scale();
-    let coeffs = if calibrated { fitted } else { Coefficients::identity() };
     let same_io = |a: &PlanChoice, b: &PlanChoice| {
         (a.algo, a.tiles_per_partition, a.buffer_pages) == (b.algo, b.tiles_per_partition, b.buffer_pages)
     };
@@ -513,7 +465,7 @@ fn planner() -> Vec<Table> {
         let (r, s) = inputs(join);
         let (pr, ps) = (DatasetProfile::build(&r), DatasetProfile::build(&s));
         for paper_mb in [2.0, 8.0] {
-            let planner = Planner::new(paper_mem(paper_mb)).with_coefficients(coeffs.clone());
+            let planner = Planner::new(paper_mem(paper_mb));
             let priced_plan = planner.plan(&pr, &ps);
             let plan = planner.with_disk_model(io_model(1)).plan(&pr, &ps);
             // A candidate that refuses the budget (the in-memory quadtree over
@@ -551,11 +503,6 @@ fn planner() -> Vec<Table> {
             priced.push(row![join, paper_mb, chosen.choice.describe(), predicted, cpu, total, best.describe(), rounded(best_s, 6), ok]);
         }
     }
-    t.note = if calibrated {
-        format!("(planned with {COEFFS}, fitted at this SJ_SCALE)")
-    } else {
-        format!("(planned uncalibrated: {COEFFS} holds no coefficients fitted at this SJ_SCALE)")
-    };
     vec![t, priced]
 }
 

@@ -15,15 +15,13 @@
 //! * `--check FILE` compares every cell produced with such a snapshot, for
 //!   exact equality: a difference exits 1, naming experiment, table, row and
 //!   column. A snapshot recorded at another `SJ_SCALE` is refused (exit 2).
-//! * `repro --fit` runs `regress` and writes the planner coefficients fitted
-//!   to it to `planner-coeffs.json`.
 
 mod claims;
 mod experiments;
 mod table;
 
 use claims::claims;
-use experiments::{Experiment, COEFFS, EXPERIMENTS};
+use experiments::{Experiment, EXPERIMENTS};
 use storage::Json;
 use table::Table;
 
@@ -39,7 +37,7 @@ fn render(e: &Experiment, scale: f64, tables: &[Table]) -> String {
 /// Prints `why` and the usage, and exits 2.
 fn usage(why: &str) -> ! {
     let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-    eprintln!("repro: {why}\nusage: repro [--out FILE] [--check FILE] [<id>…] | repro --fit   ids: {}", known.join(" "));
+    eprintln!("repro: {why}\nusage: repro [--out FILE] [--check FILE] [<id>…]   ids: {}", known.join(" "));
     std::process::exit(2)
 }
 
@@ -108,7 +106,7 @@ fn check(id: &str, tables: &[Table], snapshot: &[Json]) -> Vec<String> {
 }
 
 fn main() {
-    let (mut out, mut check_path, mut fit, mut ids) = (None, None, false, Vec::new());
+    let (mut out, mut check_path, mut ids) = (None, None, Vec::new());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -116,20 +114,11 @@ fn main() {
                 let file = args.next().unwrap_or_else(|| usage(&format!("{arg} needs a file")));
                 *(if arg == "--out" { &mut out } else { &mut check_path }) = Some(file);
             }
-            "--fit" => fit = true,
             id if EXPERIMENTS.iter().any(|e| e.id == id) => ids.push(arg),
             bad => usage(&format!("unknown experiment {bad:?}")),
         }
     }
     let scale = bench::scale();
-    if fit {
-        if out.is_some() || check_path.is_some() || !ids.is_empty() {
-            usage("--fit takes no other argument");
-        }
-        std::fs::write(COEFFS, experiments::fit().to_json()).unwrap_or_else(|e| refuse(COEFFS, e));
-        println!("repro: {COEFFS} written, fitted at SJ_SCALE={scale}");
-        return;
-    }
     let recorded = check_path.map(|path| {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| refuse(&path, e));
         let rows = snapshot_rows(&text, scale).unwrap_or_else(|e| refuse(&path, e));

@@ -764,8 +764,8 @@ pub fn check_one(
         }
         Transform::PlanAuto => {
             use spatialjoin::estimate::{DatasetProfile, Planner};
-            // Identity coefficients: the oracle gates correctness of the
-            // *selected execution*, not accuracy of the calibration.
+            // The oracle gates correctness of the *selected execution*, not
+            // accuracy of the cost model.
             let plan = Planner::new(cfg.mem)
                 .plan(&DatasetProfile::build(r), &DatasetProfile::build(s));
             let choice = plan.chosen().choice;

@@ -12,7 +12,7 @@
 //!       [--degraded-channel <c:factor>]
 //!       [--durable] [--crash <spec>] [--run-dir <dir>] [--resume <id>]
 //!       [--metrics-json <path>] [--trace <path>]
-//!       [--plan off|auto|explain] [--plan-coeffs <path>]
+//!       [--plan off|auto|explain]
 //! sjoin scrub [--run-dir <dir>]
 //! ```
 //!
@@ -39,7 +39,7 @@
 use std::io::Write;
 
 use spatialjoin::estimate::planner::edit_distance;
-use spatialjoin::estimate::{Coefficients, DatasetProfile, PlanMode, Planner};
+use spatialjoin::estimate::{DatasetProfile, PlanMode, Planner};
 use spatialjoin::sfc::Curve;
 use spatialjoin::{
     datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, JoinError, JoinRun, JoinStats,
@@ -121,7 +121,6 @@ struct Args {
     metrics_json: Option<String>,
     trace: Option<String>,
     plan: PlanMode,
-    plan_coeffs: Option<String>,
 }
 
 /// Every flag the parser accepts, kept next to the `match` below so the
@@ -156,7 +155,6 @@ const VALID_FLAGS: &[&str] = &[
     "--metrics-json",
     "--trace",
     "--plan",
-    "--plan-coeffs",
     "--help",
 ];
 
@@ -201,7 +199,6 @@ impl Default for Args {
             metrics_json: None,
             trace: None,
             plan: PlanMode::Off,
-            plan_coeffs: None,
         }
     }
 }
@@ -223,9 +220,9 @@ impl Args {
                 "--left" => args.left = val("--left")?,
                 "--right" => args.right = val("--right")?,
                 "--algo" => args.algo = val("--algo")?,
-                "--mem-mb" => args.mem_mb = parse_num(&val("--mem-mb")?)?,
-                "--scale" => args.scale = parse_num(&val("--scale")?)?,
-                "--p" => args.p = parse_num(&val("--p")?)?,
+                "--mem-mb" => args.mem_mb = parse_num("--mem-mb", &val("--mem-mb")?, POSITIVE)?,
+                "--scale" => args.scale = parse_num("--scale", &val("--scale")?, POSITIVE)?,
+                "--p" => args.p = parse_num("--p", &val("--p")?, POSITIVE)?,
                 "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
                 "--threads" => {
                     args.threads =
@@ -240,7 +237,7 @@ impl Args {
                 }
                 "--limit" => args.limit = val("--limit")?.parse().map_err(|e| format!("--limit: {e}"))?,
                 "--refine" => args.refine = true,
-                "--distance" => args.distance = Some(parse_num(&val("--distance")?)?),
+                "--distance" => args.distance = Some(parse_num("--distance", &val("--distance")?, NON_NEGATIVE)?),
                 "--raster-filter" => {
                     args.raster_filter = true;
                     args.refine = true; // a pre-filter for the refinement step
@@ -250,9 +247,10 @@ impl Args {
                     args.faults =
                         Some(val("--faults")?.parse().map_err(|e| format!("--faults: {e}"))?)
                 }
-                "--fault-rate" => args.fault_rate = Some(parse_num(&val("--fault-rate")?)?),
+                "--fault-rate" => args.fault_rate = Some(parse_num("--fault-rate", &val("--fault-rate")?, FRACTION)?),
                 "--persistent-rate" => {
-                    args.persistent_rate = Some(parse_num(&val("--persistent-rate")?)?)
+                    args.persistent_rate =
+                        Some(parse_num("--persistent-rate", &val("--persistent-rate")?, FRACTION)?)
                 }
                 "--disk-budget" => {
                     args.disk_budget = Some(
@@ -268,7 +266,7 @@ impl Args {
                     args.retry =
                         Some(val("--retry")?.parse().map_err(|e| format!("--retry: {e}"))?)
                 }
-                "--deadline" => args.deadline = Some(parse_num(&val("--deadline")?)?),
+                "--deadline" => args.deadline = Some(parse_num("--deadline", &val("--deadline")?, NON_NEGATIVE)?),
                 "--crash" => {
                     let spec = val("--crash")?;
                     args.crash = Some(CrashPoint::from_spec(&spec).ok_or_else(|| {
@@ -287,7 +285,6 @@ impl Args {
                 "--metrics-json" => args.metrics_json = Some(val("--metrics-json")?),
                 "--trace" => args.trace = Some(val("--trace")?),
                 "--plan" => args.plan = PlanMode::parse(&val("--plan")?).map_err(|e| format!("--plan: {e}"))?,
-                "--plan-coeffs" => args.plan_coeffs = Some(val("--plan-coeffs")?),
                 "--help" | "-h" => {
                     outln!("{}", HELP);
                     exit(0);
@@ -358,17 +355,27 @@ const HELP: &str = "sjoin - index-free spatial joins (Dittrich & Seeger, ICDE 20
                   planner pick the algorithm, tiles, sweep and buffer split for
                   the memory budget; explain also prints the ranked candidate
                   table (predicted vs chosen) before running the winner
-  --plan-coeffs P fitted correction coefficients for the planner's cost model
-                  (default planner-coeffs.json if present; refit with
-                  `SJ_SCALE=0.2 cargo run --release -p bench --bin repro -- --fit`)
 
   sjoin scrub [--run-dir DIR]   offline integrity walk over the interrupted
                   durable runs under DIR (default runs): validates each
                   state.bin snapshot and prints a machine-readable JSON
                   summary; exit 0 when every snapshot is sound, 1 otherwise";
 
-fn parse_num(v: &str) -> Result<f64, String> {
-    v.parse().map_err(|e| format!("bad number {v}: {e}"))
+/// A numeric flag's valid values, and how a usage error names them.
+struct Valid(fn(f64) -> bool, &'static str);
+
+const POSITIVE: Valid = Valid(|x| x.is_finite() && x > 0.0, "a finite number > 0");
+const NON_NEGATIVE: Valid = Valid(|x| x.is_finite() && x >= 0.0, "a finite number >= 0");
+const FRACTION: Valid = Valid(|x| (0.0..=1.0).contains(&x), "a number in [0, 1]");
+
+/// `v` as the value of `flag`, which must be a number `valid` takes.
+fn parse_num(flag: &str, v: &str, Valid(ok, what): Valid) -> Result<f64, String> {
+    let x: f64 = v.parse().map_err(|e| format!("{flag}: bad number {v}: {e}"))?;
+    if ok(x) {
+        Ok(x)
+    } else {
+        Err(format!("{flag}: want {what}, got {v}"))
+    }
 }
 
 /// Parses a `--degraded-channel` spec: `CHANNEL:FACTOR`, factor ≥ 1.
@@ -402,10 +409,10 @@ fn fault_plan(args: &Args) -> Option<FaultPlan> {
         None => FaultPlan::none(args.seed),
     };
     if let Some(rate) = args.fault_rate {
-        plan.fault_rate = rate.clamp(0.0, 1.0);
+        plan.fault_rate = rate;
     }
     if let Some(rate) = args.persistent_rate {
-        plan = plan.with_persistent_rate(rate.clamp(0.0, 1.0));
+        plan = plan.with_persistent_rate(rate);
     }
     if let Some(pages) = args.disk_budget {
         plan = plan.with_disk_budget(pages);
@@ -771,14 +778,10 @@ fn run() {
                 "--plan auto|explain and durable runs don't mix; pick --algo explicitly".into(),
             );
         }
-        let coeffs_path = args.plan_coeffs.clone().unwrap_or_else(|| "planner-coeffs.json".into());
-        let coeffs = Coefficients::load(std::path::Path::new(&coeffs_path)).unwrap_or_else(die);
-        let planner = Planner::new(mem)
-            .with_disk_model(DiskModel {
-                channels: args.channels,
-                ..Default::default()
-            })
-            .with_coefficients(coeffs);
+        let planner = Planner::new(mem).with_disk_model(DiskModel {
+            channels: args.channels,
+            ..Default::default()
+        });
         let plan = planner.plan(
             &DatasetProfile::build(&left.kpes),
             &DatasetProfile::build(&right.kpes),

@@ -23,6 +23,27 @@ fn a_closed_stdout_reader_ends_the_run_quietly() {
     assert!(stderr.is_empty(), "sjoin complained about the closed pipe: {stderr}");
 }
 
+/// A numeric flag outside its range is a usage error naming the flag, before
+/// any dataset is built: NaN and the infinities are outside every range.
+#[test]
+fn an_out_of_range_number_is_a_usage_error_naming_its_flag() {
+    let cases: &[(&str, &[&str])] = &[
+        ("--scale", &["inf", "NaN", "-1", "0"]),
+        ("--p", &["NaN", "0", "-2", "inf"]),
+        ("--deadline", &["NaN", "-1", "inf"]),
+        ("--fault-rate", &["2", "NaN", "-0.1"]),
+        ("--persistent-rate", &["1.5", "NaN", "-1"]),
+    ];
+    for &(flag, values) in cases {
+        for value in values {
+            let out = Command::new(env!("CARGO_BIN_EXE_sjoin")).args([flag, value]).output().expect("spawn sjoin");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {value}: stderr {stderr}");
+            assert!(stderr.contains(flag), "{flag} {value}: the error does not name the flag: {stderr}");
+        }
+    }
+}
+
 /// `--durable --deadline D --limit`, then `--resume`: the deadline is held
 /// against the priced clock, so the first leg stops after the same pairs on
 /// every run, and the resume lists exactly the rest.

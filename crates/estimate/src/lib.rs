@@ -13,13 +13,11 @@
 //! * [`JointEstimate`] — what two profiles say about their join: result
 //!   pairs and the duplicates a tile grid or level assignment would add,
 //! * [`Planner`] — an analytical per-algorithm cost model (formula (1)
-//!   driven by estimated cardinalities included) with fitted correction
-//!   coefficients, and ranked [`Plan`]s behind `sjoin --plan auto`.
+//!   driven by estimated cardinalities included), and ranked [`Plan`]s
+//!   behind `sjoin --plan auto`.
 
 pub mod planner;
 pub use planner::{
-    fit_affine, fit_affine_relative, Coefficients, DatasetProfile, JointEstimate, Plan,
-    PlanAlgo, PlanCandidate,
-    PlanChoice, PlanMode, PlanSpace, Planner, Prediction, COEFFS_SCHEMA_VERSION,
-    PROFILE_GRID,
+    DatasetProfile, JointEstimate, Plan, PlanAlgo, PlanCandidate, PlanChoice, PlanMode, PlanSpace,
+    Planner, Prediction, PROFILE_GRID,
 };

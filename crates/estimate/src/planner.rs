@@ -16,26 +16,23 @@
 //!    the candidate pairs, replication factor and simulated I/O by
 //!    mirroring each algorithm's actual arithmetic: PBSM's formula (1)
 //!    with its `P = 1` in-memory shortcut, 40-byte KPE copies, S³J's
-//!    48-byte level records and sort passes, the sort-phase dedup's
-//!    16-byte candidate pairs, and the paper's `PT + n` request costing.
+//!    48-byte level records, the sort-phase dedup's 16-byte candidate pairs,
+//!    and the paper's `PT + n` request costing. S³J's level files and
+//!    SSSJ's inputs go through the external sort's own plan
+//!    ([`SortPlan::cost`]): its runs, merge passes, requests and pages.
 //!    Its CPU leg predicts the [`Work`] the run counts — records assigned,
 //!    copied and sorted, the tests of each sweep kernel, trie node visits,
 //!    candidates, S³J's codes and partitions — and prices it with the run's
 //!    own table ([`DiskModel::priced_cpu`]).
-//! 3. An optional correction layer — per-family affine coefficients fitted
-//!    by least squares on reconciled bench rows (`repro --fit`, from the
-//!    `regress` experiment's grid) and persisted as a versioned JSON file —
-//!    absorbs the systematic error of the closed forms without touching
-//!    their shape.
 //!
 //! The ranked [`Plan`] is consumed by `sjoin --plan auto|explain`, the
-//! `sjoind` `plan` request field, `exec::SpatialJoinOp` and `repro`'s
-//! `planner` experiment and its gate.
+//! `sjoind` `plan` request field and `repro`'s `planner` experiment and its
+//! gates.
 
 use std::sync::OnceLock;
 
 use geom::{Kpe, Rect};
-use storage::{DiskModel, FixedRecord, IdPair, Json, Work};
+use storage::{DiskModel, FixedRecord, IdPair, IoStats, SortPlan, Work};
 use sweep::InternalAlgo;
 
 /// Grid resolution of the profile histogram (per axis).
@@ -65,7 +62,10 @@ fn safety_factor() -> f64 {
 const SCAN_BUFFER_PAGES: f64 = 4.0;
 
 /// Mirrors `s3j::LevelRecord`'s encoded size.
-const LEVEL_RECORD_BYTES: f64 = 48.0;
+const LEVEL_RECORD_BYTES: usize = 48;
+
+/// S³J's levels, 0 through `S3jConfig::max_level`.
+const LEVELS: usize = 17;
 
 /// The sort-phase dedup's candidate record.
 const ID_PAIR_BYTES: f64 = <IdPair as FixedRecord>::SIZE as f64;
@@ -96,8 +96,8 @@ pub struct DatasetProfile {
     /// within `[2^-(i+1), 2^-i)` of the bbox's max side (bucket 0 = huge,
     /// last bucket also collects degenerate/point rectangles).
     pub size_hist: [f64; SIZE_BUCKETS],
-    /// Skew of the tile-occupancy sketch: coefficient of variation of the
-    /// per-cell counts (0 = perfectly uniform).
+    /// Skew of the tile-occupancy sketch: the standard deviation of the
+    /// per-cell counts over their mean (0 = perfectly uniform).
     pub skew: f64,
     /// Fraction of occupied histogram cells.
     pub occupancy: f64,
@@ -348,22 +348,6 @@ impl PlanAlgo {
         PlanAlgo::TwoLayer,
         PlanAlgo::Quadtree,
     ];
-
-    /// The correction-coefficient family this algorithm calibrates with.
-    /// The sort-phase ablation shares PBSM's partition arithmetic, the
-    /// original S³J shares the level-file arithmetic. Two-layer shares
-    /// PBSM's I/O arithmetic but not its CPU profile, so it calibrates on
-    /// its own.
-    pub fn family(self) -> &'static str {
-        match self {
-            PlanAlgo::PbsmRpm | PlanAlgo::PbsmSort => "pbsm",
-            PlanAlgo::S3jReplicated | PlanAlgo::S3jOriginal => "s3j",
-            PlanAlgo::Sssj => "sssj",
-            PlanAlgo::Shj => "shj",
-            PlanAlgo::TwoLayer => "twolayer",
-            PlanAlgo::Quadtree => "quadtree",
-        }
-    }
 }
 
 /// One fully specified configuration the planner can recommend.
@@ -399,8 +383,8 @@ impl PlanChoice {
         }
     }
 
-    /// Whether `exec::SpatialJoinOp` (and therefore `sjoind`) can stream
-    /// this choice.
+    /// Whether this choice is in [`PlanSpace::Streamable`], the space
+    /// `sjoind` plans in.
     pub fn streamable(&self) -> bool {
         matches!(
             self.algo,
@@ -567,158 +551,6 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Correction coefficients
-// ---------------------------------------------------------------------------
-
-/// Affine corrections `y ≈ a·x + b` per (family, metric), fitted by least
-/// squares on the bench corpus and persisted as a flat versioned JSON file.
-/// Identity (`a = 1, b = 0`) when no calibration exists for a family.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Coefficients {
-    /// Dataset scale the fit was recorded at (0.0 = unfitted identity).
-    pub scale: f64,
-    /// `(family, metric) -> (a, b)`; metric ∈ {candidates, pages, seconds}.
-    entries: Vec<(String, String, f64, f64)>,
-}
-
-pub const COEFFS_SCHEMA_VERSION: u32 = 1;
-
-impl Coefficients {
-    /// The identity correction (raw model output).
-    pub fn identity() -> Coefficients {
-        Coefficients::default()
-    }
-
-    pub fn is_identity(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Records a fitted pair for `(family, metric)`.
-    pub fn set(&mut self, family: &str, metric: &str, a: f64, b: f64) {
-        self.entries
-            .retain(|(f, m, _, _)| !(f == family && m == metric));
-        self.entries
-            .push((family.to_owned(), metric.to_owned(), a, b));
-    }
-
-    /// The correction for `(family, metric)`, identity if unfitted.
-    pub fn get(&self, family: &str, metric: &str) -> (f64, f64) {
-        self.entries
-            .iter()
-            .find(|(f, m, _, _)| f == family && m == metric)
-            .map(|&(_, _, a, b)| (a, b))
-            .unwrap_or((1.0, 0.0))
-    }
-
-    fn apply(&self, family: &str, metric: &str, x: f64) -> f64 {
-        let (a, b) = self.get(family, metric);
-        (a * x + b).max(0.0)
-    }
-
-    /// Serialises to the versioned flat-JSON schema (documented in
-    /// DESIGN.md "Plan selection & cost calibration").
-    pub fn to_json(&self) -> String {
-        let mut sorted = self.entries.clone();
-        sorted.sort_by(|x, y| (&x.0, &x.1).cmp(&(&y.0, &y.1)));
-        let head = [
-            ("schema_version".to_owned(), COEFFS_SCHEMA_VERSION.into()),
-            ("scale".to_owned(), self.scale.into()),
-        ];
-        let pairs = sorted
-            .iter()
-            .map(|(family, metric, a, b)| (format!("{family}_{metric}"), Json::arr([*a, *b])));
-        format!("{}\n", Json::obj(head.into_iter().chain(pairs)))
-    }
-
-    /// Parses the flat-JSON schema written by [`Coefficients::to_json`].
-    pub fn parse(text: &str) -> Result<Coefficients, String> {
-        let doc = Json::parse(text).map_err(|e| format!("coefficients file: {e}"))?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_f64)
-            .ok_or("coefficients file has no schema_version")?;
-        if version as u32 != COEFFS_SCHEMA_VERSION {
-            return Err(format!(
-                "coefficients schema_version {version} != {COEFFS_SCHEMA_VERSION}; refit"
-            ));
-        }
-        let scale = doc
-            .get("scale")
-            .and_then(Json::as_f64)
-            .ok_or("coefficients file has no scale")?;
-        let mut c = Coefficients {
-            scale,
-            entries: Vec::new(),
-        };
-        for family in ["pbsm", "s3j", "sssj", "shj", "twolayer", "quadtree"] {
-            for metric in ["candidates", "pages", "seconds"] {
-                let pair = doc.get(&format!("{family}_{metric}")).and_then(Json::as_arr);
-                if let Some([Json::Num(a), Json::Num(b)]) = pair {
-                    c.set(family, metric, *a, *b);
-                }
-            }
-        }
-        Ok(c)
-    }
-
-    /// Loads from a file; a missing file yields the identity correction.
-    pub fn load(path: &std::path::Path) -> Result<Coefficients, String> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Self::parse(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Coefficients::identity()),
-            Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-        }
-    }
-}
-
-/// Weighted least squares for `y ≈ a·x + b` minimising *relative* error
-/// (weights `1/y²`): the right objective for calibration data whose points
-/// span orders of magnitude — plain OLS would sacrifice the small joins to
-/// the big ones. Falls back to [`fit_affine`] when any `y` is ~zero.
-pub fn fit_affine_relative(points: &[(f64, f64)]) -> (f64, f64) {
-    if points.is_empty() || points.iter().any(|p| p.1.abs() < 1e-12) {
-        return fit_affine(points);
-    }
-    let (mut sw, mut swx, mut swy, mut swxx, mut swxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for &(x, y) in points {
-        let w = 1.0 / (y * y);
-        sw += w;
-        swx += w * x;
-        swy += w * y;
-        swxx += w * x * x;
-        swxy += w * x * y;
-    }
-    let det = sw * swxx - swx * swx;
-    if det.abs() < 1e-12 * swxx.max(1.0) {
-        return fit_affine(points);
-    }
-    let a = (sw * swxy - swx * swy) / det;
-    let b = (swy - a * swx) / sw;
-    (a, b)
-}
-
-/// Ordinary least squares for `y ≈ a·x + b`. Degenerates gracefully: with
-/// fewer than two distinct x values the slope falls back to the ratio of
-/// means (and identity when even that is undefined).
-pub fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
-    let n = points.len() as f64;
-    if points.is_empty() {
-        return (1.0, 0.0);
-    }
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let det = n * sxx - sx * sx;
-    if det.abs() < 1e-12 * sxx.max(1.0) {
-        return if sx.abs() > 1e-12 { (sy / sx, 0.0) } else { (1.0, 0.0) };
-    }
-    let a = (n * sxy - sx * sy) / det;
-    let b = (sy - a * sx) / n;
-    (a, b)
-}
-
-// ---------------------------------------------------------------------------
 // The planner
 // ---------------------------------------------------------------------------
 
@@ -727,18 +559,18 @@ pub fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
 pub enum PlanSpace {
     /// Every algorithm the CLI can run.
     All,
-    /// Only `exec`-streamable joins (PBSM and S³J) — the `sjoind` space.
+    /// The partitioned joins, PBSM (both dedup schemes), two-layer and S³J:
+    /// no baseline and no in-memory tree.
     Streamable,
 }
 
 /// The cost-based planner. Construct with the memory budget, optionally
-/// attach a [`DiskModel`] and fitted [`Coefficients`], then call
-/// [`Planner::plan`] with two [`DatasetProfile`]s.
+/// attach a [`DiskModel`], then call [`Planner::plan`] with two
+/// [`DatasetProfile`]s.
 #[derive(Debug, Clone)]
 pub struct Planner {
     mem_bytes: usize,
     model: DiskModel,
-    coeffs: Coefficients,
     space: PlanSpace,
 }
 
@@ -747,7 +579,6 @@ impl Planner {
         Planner {
             mem_bytes,
             model: DiskModel::default(),
-            coeffs: Coefficients::identity(),
             space: PlanSpace::All,
         }
     }
@@ -755,12 +586,6 @@ impl Planner {
     /// Predicts under a specific disk model (channel count, CPU slowdown).
     pub fn with_disk_model(mut self, model: DiskModel) -> Planner {
         self.model = model;
-        self
-    }
-
-    /// Attaches fitted correction coefficients.
-    pub fn with_coefficients(mut self, coeffs: Coefficients) -> Planner {
-        self.coeffs = coeffs;
         self
     }
 
@@ -838,29 +663,14 @@ impl Planner {
         s: &DatasetProfile,
         joint: &JointEstimate,
     ) -> Prediction {
-        let mut raw = match choice.algo {
+        let mut p = match choice.algo {
             PlanAlgo::PbsmRpm | PlanAlgo::PbsmSort | PlanAlgo::TwoLayer => self.predict_pbsm(choice, r, s, joint),
             PlanAlgo::S3jReplicated | PlanAlgo::S3jOriginal => self.predict_s3j(choice, r, s, joint),
             PlanAlgo::Sssj => self.predict_sssj(r, s, joint),
             PlanAlgo::Shj => self.predict_shj(r, s, joint),
             PlanAlgo::Quadtree => self.predict_quadtree(r, s, joint),
         };
-        raw.cpu_seconds += self.model.priced_cpu(&raw.work);
-        self.correct(choice.algo.family(), raw)
-    }
-
-    /// Applies the fitted affine corrections to a raw prediction.
-    fn correct(&self, family: &str, mut p: Prediction) -> Prediction {
-        p.candidates = self.coeffs.apply(family, "candidates", p.candidates);
-        let pages = p.pages_read + p.pages_written;
-        if pages > 0.0 {
-            let corrected = self.coeffs.apply(family, "pages", pages);
-            let f = corrected / pages;
-            p.pages_read *= f;
-            p.pages_written *= f;
-            p.requests *= f;
-        }
-        p.io_seconds = self.coeffs.apply(family, "seconds", p.io_seconds);
+        p.cpu_seconds += self.model.priced_cpu(&p.work);
         p.total_seconds = p.cpu_seconds + p.io_seconds;
         p
     }
@@ -872,6 +682,11 @@ impl Planner {
     fn io_secs(&self, requests: f64, pages: f64) -> f64 {
         let units = requests * self.model.positioning_ratio + pages;
         units * self.model.transfer_secs_per_page / self.model.channels.max(1) as f64
+    }
+
+    /// [`Planner::io_secs`] of metered requests and pages.
+    fn metered_secs(&self, io: &IoStats) -> f64 {
+        self.io_secs((io.read_requests + io.write_requests) as f64, (io.pages_read + io.pages_written) as f64)
     }
 
     fn page(&self) -> f64 {
@@ -1046,12 +861,8 @@ impl Planner {
     ) -> Prediction {
         let (nr, ns) = (r.cardinality, s.cardinality);
         let replicate = choice.algo == PlanAlgo::S3jReplicated;
-        let (copies_r, copies_s) = if replicate {
-            (level_copies(r), level_copies(s))
-        } else {
-            (nr, ns)
-        };
-        let copies = copies_r + copies_s;
+        let levels = [r, s].map(|p| level_copies(p, replicate));
+        let copies: f64 = levels.iter().flatten().sum();
         let results = joint.results;
         // Replicated mode re-discovers straddler pairs once per shared
         // cell; the shifted size level keeps the per-axis straddle below
@@ -1061,19 +872,19 @@ impl Planner {
         // cells, inflating the candidate checks instead of the copies.
         let candidates = if replicate { results + dup } else { results };
 
-        let level_bytes = copies * LEVEL_RECORD_BYTES;
+        let level_bytes = copies * LEVEL_RECORD_BYTES as f64;
         let level_pages = level_bytes / self.page() + 12.0; // ~one partial page per occupied level
-        // Partition: write the level files once. Sort: read + write them.
-        // Join: one synchronized scan over the sorted files.
+        // Partition: write the level files once. Sort: every level file as the
+        // external sort plans it, so one over the budget pays its merge
+        // passes. Join: one synchronized scan over the sorted files.
         let part_reqs = level_pages / choice.buffer_pages as f64;
-        let sort_reqs = 2.0 * level_pages / SCAN_BUFFER_PAGES;
         let join_reqs = level_pages / SCAN_BUFFER_PAGES;
-        let pages_w = 2.0 * level_pages;
-        let pages_r = 2.0 * level_pages;
-        let requests = part_reqs + sort_reqs + join_reqs;
-        let io = self.io_secs(part_reqs, level_pages)
-            + self.io_secs(sort_reqs, 2.0 * level_pages)
-            + self.io_secs(join_reqs, level_pages);
+        let plan = SortPlan::new(choice.mem_bytes, self.model.page_size, LEVEL_RECORD_BYTES);
+        let sort = levels.iter().flatten().fold(IoStats::default(), |io, &n| io.plus(&plan.cost(count(n), true).1));
+        let pages_w = level_pages + sort.pages_written as f64;
+        let pages_r = level_pages + sort.pages_read as f64;
+        let requests = part_reqs + join_reqs + (sort.read_requests + sort.write_requests) as f64;
+        let io = self.io_secs(part_reqs, level_pages) + self.metered_secs(&sort) + self.io_secs(join_reqs, level_pages);
         // Every copy is coded, written and sorted; the scan joins every pair
         // of nested cells by nested loops — the original's ancestor scans
         // are the CPU half of Figure 11.
@@ -1097,45 +908,22 @@ impl Planner {
         joint: &JointEstimate,
     ) -> Prediction {
         let (nr, ns) = (r.cardinality, s.cardinality);
-        let m = self.mem_bytes as f64;
-        let rec = Kpe::ENCODED_SIZE as f64;
+        let rec = Kpe::ENCODED_SIZE;
         let (mut pages_w, mut pages_r, mut requests, mut io) = (0.0, 0.0, 0.0, 0.0);
         // The join goes external only when BOTH sorted inputs cannot be held
-        // at once; each side then external-sorts under half the budget.
-        if (nr + ns) * rec > m {
-            let half = (m / 2.0).max(self.page());
-            // Buffer sizing mirrors storage's BufferPlan::for_budget: tiny
-            // budgets shrink the run/output buffers rather than the runs.
-            let budget_pages = (half / self.page()).floor().max(2.0);
-            let out_pages = (budget_pages / 8.0).floor().clamp(1.0, 4.0);
-            let run_pages = (budget_pages / 16.0).floor().clamp(1.0, 2.0);
-            let run_bytes = (half - 2.0 * out_pages * self.page()).max(half / 2.0).max(rec);
-            let fan_in = ((budget_pages - out_pages) / run_pages).floor().max(2.0);
+        // at once; each side then sorts under half the budget, its input
+        // read for free (`external_sort_slice`), and the sweep scans the
+        // sorted file once.
+        if (nr + ns) * rec as f64 > self.mem_bytes as f64 {
+            let plan = SortPlan::new(self.mem_bytes / 2, self.model.page_size, rec);
             for n in [nr, ns] {
-                let bytes = n * rec;
-                let pages = bytes / self.page();
-                // Run formation: sorted chunks stream out through the
-                // output buffer, one partial flush per run.
-                let runs = (bytes / run_bytes).ceil().max(1.0);
-                let w_reqs = pages / out_pages + runs;
-                let mut reqs = w_reqs;
-                let (mut p_w, mut p_r) = (pages, 0.0);
-                // Merge passes: every pass reads all pages through per-run
-                // buffers and rewrites them through the output buffer.
-                let mut live = runs;
-                while live > 1.0 {
-                    live = (live / fan_in).ceil();
-                    reqs += pages / run_pages + pages / out_pages;
-                    p_r += pages;
-                    p_w += pages;
-                }
-                // The sweep scans the final sorted file once.
-                p_r += pages;
-                reqs += pages / SCAN_BUFFER_PAGES;
-                pages_w += p_w;
-                pages_r += p_r;
-                requests += reqs;
-                io += self.io_secs(reqs, p_w + p_r);
+                let (_, sort) = plan.cost(count(n), false);
+                let pages = n * rec as f64 / self.page();
+                let scan_reqs = pages / SCAN_BUFFER_PAGES;
+                pages_w += sort.pages_written as f64;
+                pages_r += sort.pages_read as f64 + pages;
+                requests += (sort.read_requests + sort.write_requests) as f64 + scan_reqs;
+                io += self.metered_secs(&sort) + self.io_secs(scan_reqs, pages);
             }
         }
         let results = joint.results;
@@ -1268,30 +1056,37 @@ fn straddle_copies(profile: &DatasetProfile, gx: u32, gy: u32) -> f64 {
     copies
 }
 
-/// Expected copies under S³J's shifted size-level assignment: each
-/// rectangle lands on the level whose cells are at least twice its max
-/// extent, straddling at most 4 of them.
-fn level_copies(profile: &DatasetProfile) -> f64 {
-    let mut copies = 0.0;
-    for i in 0..profile.counts.len() {
-        let c = profile.counts[i];
-        if c <= 0.0 {
-            continue;
-        }
-        let w = profile.sum_w[i] / c;
-        let h = profile.sum_h[i] / c;
+/// Where S³J puts `c` records of mean extents `w × h`: their copies per
+/// level `l` (cells of side `2^-l`). A replicated record goes to its shifted
+/// size level, into the ≤ 4 cells of that level it straddles; an original one,
+/// uncopied, to the finest level whose grid lines it does not cross.
+fn level_spread(c: f64, w: f64, h: f64, replicate: bool) -> [f64; LEVELS] {
+    let cells = |l: usize| f64::from(1u32 << l); // per axis
+    let mut at = [0.0; LEVELS];
+    if replicate {
         let e = w.max(h);
-        if e <= 0.0 {
-            copies += c;
-            continue;
+        let l = if e > 0.0 { ((-e.log2()).floor() as i32 - LEVEL_SHIFT).clamp(0, 16) as usize } else { 16 };
+        at[l] = c * (1.0 + (w * cells(l)).min(1.0)) * (1.0 + (h * cells(l)).min(1.0));
+    } else {
+        let mut above = 0.0;
+        for (l, at) in at.iter_mut().enumerate() {
+            let crossed = 1.0 - (1.0 - (w * cells(l + 1)).min(1.0)) * (1.0 - (h * cells(l + 1)).min(1.0));
+            let upto = if l + 1 < LEVELS { crossed } else { 1.0 };
+            (*at, above) = (c * (upto - above), upto);
         }
-        // size_level: the finest level whose cell size covers the extent,
-        // coarsened by LEVEL_SHIFT (the §4.3 replication-rate design choice).
-        let level = ((-e.log2()).floor() as i32 - LEVEL_SHIFT).max(0);
-        let cell = (2.0f64).powi(-level);
-        copies += c * (1.0 + (w / cell).min(1.0)) * (1.0 + (h / cell).min(1.0));
     }
-    copies
+    at
+}
+
+/// The records of each of `profile`'s S³J level files: [`level_spread`] over
+/// its histogram cells.
+fn level_copies(profile: &DatasetProfile, replicate: bool) -> [f64; LEVELS] {
+    let mut at = [0.0; LEVELS];
+    for (i, &c) in profile.counts.iter().enumerate().filter(|(_, &c)| c > 0.0) {
+        let spread = level_spread(c, profile.sum_w[i] / c, profile.sum_h[i] / c, replicate);
+        at.iter_mut().zip(spread).for_each(|(at, copies)| *at += copies);
+    }
+    at
 }
 
 // ---------------------------------------------------------------------------
@@ -1502,38 +1297,20 @@ impl JointEstimate {
     }
 
     /// S³J's scan: `(tests, partitions)`. Per cell and side, the copies at
-    /// each level `l` (cells of area `4^-l`): a replicated record's at its
-    /// shifted size level, an original one's at the finest level whose grid
-    /// lines it does not cross. Nested loops test the pairs of copies one of
+    /// each level `l` (cells of area `4^-l`) by [`level_spread`]. Nested
+    /// loops test the pairs of copies one of
     /// whose cells holds the other's — a cell's density times the coarser
     /// cell's area — and a level's copies occupy `m·(1 − e^(−copies/m))` of
     /// the `m` level cells a profile cell spans. Computed once per mode.
     fn level_work(&self, replicate: bool) -> (f64, f64) {
         *self.level_work[usize::from(replicate)].get_or_init(|| {
-            const LEVELS: usize = 17; // S3jConfig::max_level + 1
             let (g, Rect { xl, yl, xh, yh }) = (self.grid as f64, self.frame);
             let area = ((xh - xl) / g * (yh - yl) / g).max(f64::MIN_POSITIVE);
             let level_area: [f64; LEVELS] =
                 std::array::from_fn(|l| 0.25f64.powi(l as i32).min((xh - xl) * (yh - yl)).max(area / 1e12));
-            let side: [f64; LEVELS + 1] = std::array::from_fn(|l| 0.5f64.powi(l as i32));
             let (mut tests, mut parts) = (0.0, 0.0);
             for (r, s) in self.sides[0].iter().zip(&self.sides[1]).filter(|(r, s)| r.0 + s.0 > 0.0) {
-                let [at_r, at_s] = [r, s].map(|&(c, w, h, _)| {
-                    let mut at = [0.0; LEVELS];
-                    if replicate {
-                        let e = w.max(h);
-                        let l = if e > 0.0 { ((-e.log2()).floor() as i32 - LEVEL_SHIFT).clamp(0, 16) as usize } else { 16 };
-                        at[l] = c * (1.0 + (w / side[l]).min(1.0)) * (1.0 + (h / side[l]).min(1.0));
-                    } else {
-                        let mut above = 0.0;
-                        for (l, at) in at.iter_mut().enumerate() {
-                            let crossed = 1.0 - (1.0 - (w / side[l + 1]).min(1.0)) * (1.0 - (h / side[l + 1]).min(1.0));
-                            let upto = if l + 1 < LEVELS { crossed } else { 1.0 };
-                            (*at, above) = (c * (upto - above), upto);
-                        }
-                    }
-                    at
-                });
+                let [at_r, at_s] = [r, s].map(|&(c, w, h, _)| level_spread(c, w, h, replicate));
                 let (mut deeper_r, mut deeper_s) = (0.0, 0.0);
                 let used = || (0..LEVELS).filter(|&l| at_r[l] + at_s[l] > 0.0);
                 for l in (used().next().unwrap_or(0)..=used().next_back().unwrap_or(0)).rev() {
@@ -1917,26 +1694,6 @@ mod tests {
         let err = PlanMode::parse("explian").unwrap_err();
         assert!(err.contains("\"explain\""), "{err}");
         assert!(PlanMode::parse("zzzzzzzz").is_err());
-    }
-
-    #[test]
-    fn coefficients_round_trip() {
-        let mut c = Coefficients::identity();
-        c.scale = 0.2;
-        c.set("pbsm", "candidates", 1.25, -10.0);
-        c.set("s3j", "pages", 0.9, 4.5);
-        let text = c.to_json();
-        let back = Coefficients::parse(&text).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.get("pbsm", "candidates"), (1.25, -10.0));
-        assert_eq!(back.get("shj", "seconds"), (1.0, 0.0)); // unfitted
-    }
-
-    #[test]
-    fn fit_affine_recovers_a_line() {
-        let pts: Vec<(f64, f64)> = (1..6).map(|i| (i as f64, 3.0 * i as f64 + 2.0)).collect();
-        let (a, b) = fit_affine(&pts);
-        assert!((a - 3.0).abs() < 1e-9 && (b - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! The workspace is offline (no serde), and everything a run can be checked
 //! against is JSON — the `sjoind` wire, the reconciled metrics report, the
-//! trace, the bench corpus, the planner coefficients, the conformance
-//! repros. Every one of them is built as a [`Json`] value and spelled by
+//! trace, the bench corpus, the conformance repros. Every one of them is built as a [`Json`] value and spelled by
 //! [`Display`](fmt::Display) (one line: protocol and JSON-Lines rows) or
 //! [`Json::pretty`] (indented: files people read), and read back by
 //! [`Json::parse`]. Numbers are `f64`: integers stay exact up to 2^53, far

@@ -25,7 +25,8 @@
 //! * [`external_sort_by`] — memory-budgeted run formation + multiway merge
 //!   on an integer key, the building block of PBSM's original
 //!   duplicate-removal phase, of S³J's level-file sorting phase and of
-//!   SSSJ's sort; [`radix_sorted`] is its in-memory run formation.
+//!   SSSJ's sort; [`radix_sorted`] is its in-memory run formation, and
+//!   [`SortPlan`] its buffer split, run length and fan-in, and their cost.
 
 //!
 //! Failure model (PR 2): [`SimDisk::with_faults`] attaches a seeded
@@ -88,7 +89,7 @@ pub use retry::RetryPolicy;
 pub use run::{ClockPos, Counts, FinishedUnit, RunClock, UnitRun};
 pub use sort::{
     external_sort_by, external_sort_slice, radix_sorted, try_external_sort_by,
-    try_external_sort_slice, SortStats,
+    try_external_sort_slice, SortPlan, SortStats,
 };
 pub use work::{Schedule, Work};
 

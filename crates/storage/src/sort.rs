@@ -1,7 +1,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{FileId, FixedRecord, IoError, RecordReader, RecordWriter, SimDisk};
+use crate::{FileId, FixedRecord, IoError, IoStats, RecordReader, RecordWriter, SimDisk};
 
 /// Outcome counters of an [`external_sort_by`] invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -12,40 +12,107 @@ pub struct SortStats {
     pub merge_passes: usize,
 }
 
-/// Buffer sizing for a given memory budget: buffers must scale *down* with
-/// tiny budgets or they would swallow the whole run-formation memory (with
-/// 8 KiB pages and a 64 KiB budget, fixed 4-page buffers would leave room
-/// for one-record runs and an explosion of merge passes).
-#[derive(Clone, Copy)]
-struct BufferPlan {
-    /// Reader buffer while scanning unsorted input.
+/// How the external sort spends a memory budget on records of one size:
+/// its buffers, run length and merge fan-in, and — [`SortPlan::cost`] — what
+/// a sort under them costs. [`try_external_sort_by`] and
+/// [`try_external_sort_slice`] run this plan; the planner prices it.
+///
+/// Buffers scale *down* with tiny budgets or they would swallow the whole
+/// run-formation memory (with 8 KiB pages and a 64 KiB budget, fixed 4-page
+/// buffers would leave room for one-record runs and an explosion of merge
+/// passes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SortPlan {
+    page_size: usize,
+    record: usize,
+    /// Reader buffer pages while scanning unsorted input.
     in_pages: usize,
-    /// Writer buffer for runs and merge output.
+    /// Writer buffer pages for runs and merge output.
     out_pages: usize,
-    /// Reader buffer per run during merging.
+    /// Reader buffer pages per run during merging.
     run_pages: usize,
+    /// Records per sorted run after reserving the scan/output buffers; at
+    /// least half the budget always goes to run formation.
+    run_records: usize,
+    /// Runs merged at once.
+    fan_in: usize,
 }
 
-impl BufferPlan {
-    fn for_budget(mem_bytes: usize, page_size: usize) -> BufferPlan {
+impl SortPlan {
+    /// The plan for `record`-byte records under `mem_bytes` on `page_size`-byte pages.
+    pub fn new(mem_bytes: usize, page_size: usize, record: usize) -> SortPlan {
         let budget_pages = (mem_bytes / page_size).max(2);
-        BufferPlan {
-            in_pages: (budget_pages / 8).clamp(1, 4),
-            out_pages: (budget_pages / 8).clamp(1, 4),
-            run_pages: (budget_pages / 16).clamp(1, 2),
+        let (in_pages, out_pages) = ((budget_pages / 8).clamp(1, 4), (budget_pages / 8).clamp(1, 4));
+        let run_pages = (budget_pages / 16).clamp(1, 2);
+        let reserved = (in_pages + out_pages) * page_size;
+        SortPlan {
+            page_size,
+            record,
+            in_pages,
+            out_pages,
+            run_pages,
+            run_records: mem_bytes.saturating_sub(reserved).max(mem_bytes / 2).max(record) / record,
+            fan_in: ((mem_bytes / page_size).saturating_sub(out_pages) / run_pages).max(2),
         }
     }
 
-    /// Records per sorted run after reserving the scan/output buffers; at
-    /// least half the budget always goes to run formation.
-    fn run_records(&self, mem_bytes: usize, page_size: usize, record: usize) -> usize {
-        let reserved = (self.in_pages + self.out_pages) * page_size;
-        (mem_bytes.saturating_sub(reserved).max(mem_bytes / 2).max(record)) / record
+    /// Sorting `n` records under this plan: its runs and merge passes, and
+    /// the requests, pages and bytes they meter on a fault-free disk —
+    /// reading the input too when `read_input` ([`external_sort_by`]; the
+    /// slice form's input is already in memory), writing every run, and
+    /// reading and rewriting everything once per merge pass.
+    pub fn cost(&self, n: u64, read_input: bool) -> (SortStats, IoStats) {
+        let mut io = IoStats::default();
+        if read_input {
+            self.meter_read(&mut io, 0, n * self.record as u64, self.in_pages);
+        }
+        let run = self.run_records as u64;
+        let mut runs: Vec<u64> = (0..n.div_ceil(run)).map(|i| (n - i * run).min(run) * self.record as u64).collect();
+        let mut stats = SortStats { runs: runs.len(), merge_passes: 0 };
+        runs.iter().for_each(|&len| self.meter_write(&mut io, len));
+        while runs.len() > 1 {
+            stats.merge_passes += 1;
+            let mut start = 0;
+            runs = runs
+                .chunks(self.fan_in)
+                .map(|group| {
+                    for &len in group {
+                        self.meter_read(&mut io, start, len, self.run_pages);
+                        start += len;
+                    }
+                    let len = group.iter().sum();
+                    self.meter_write(&mut io, len);
+                    len
+                })
+                .collect();
+        }
+        (stats, io)
     }
 
-    /// Merge fan-in under the budget.
-    fn fan_in(&self, mem_bytes: usize, page_size: usize) -> usize {
-        ((mem_bytes / page_size).saturating_sub(self.out_pages) / self.run_pages).max(2)
+    /// Meters reading bytes `[start, start + len)` through a `pages`-page
+    /// buffer: one request per refill, each charged the pages its byte range
+    /// touches — a refill that starts inside a page touches one more.
+    fn meter_read(&self, io: &mut IoStats, start: u64, len: u64, pages: usize) {
+        let page = self.page_size as u64;
+        let buffer = pages as u64 * page;
+        let (full, tail) = (len / buffer, len % buffer);
+        io.read_requests += full + u64::from(tail > 0);
+        io.pages_read += full * (pages as u64 + u64::from(!start.is_multiple_of(page)));
+        if tail > 0 {
+            let at = start + full * buffer;
+            io.pages_read += (at + tail - 1) / page - at / page + 1;
+        }
+        io.bytes_read += len;
+    }
+
+    /// Meters one writer's `len` bytes through the output buffer: a request
+    /// per full buffer, then one for the partial tail.
+    fn meter_write(&self, io: &mut IoStats, len: u64) {
+        let page = self.page_size as u64;
+        let buffer = self.out_pages as u64 * page;
+        io.write_requests += len.div_ceil(buffer);
+        io.pages_written += len / buffer * self.out_pages as u64 + (len % buffer).div_ceil(page);
+        io.bytes_written += len;
     }
 }
 
@@ -153,9 +220,7 @@ where
     K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
-    let ps = disk.model().page_size;
-    let plan = BufferPlan::for_budget(mem_bytes, ps);
-    let run_records = plan.run_records(mem_bytes, ps, R::SIZE);
+    let plan = SortPlan::new(mem_bytes, disk.model().page_size, R::SIZE);
 
     // --- Run formation -----------------------------------------------------
     let mut stats = SortStats::default();
@@ -166,11 +231,11 @@ where
     let runs_file = disk.create_like(input);
     let mut runs: Vec<(u64, u64)> = Vec::new(); // byte ranges
     let mut offset = 0u64;
-    let mut chunk: Vec<R> = Vec::with_capacity(run_records.min(1 << 20));
+    let mut chunk: Vec<R> = Vec::with_capacity(plan.run_records.min(1 << 20));
     let formed = (|| -> Result<(), IoError> {
         loop {
             chunk.clear();
-            reader.try_read_into(&mut chunk, run_records)?;
+            reader.try_read_into(&mut chunk, plan.run_records)?;
             if chunk.is_empty() {
                 return Ok(());
             }
@@ -189,7 +254,7 @@ where
         return Err(e);
     }
 
-    let out = try_merge_runs(disk, runs_file, runs, mem_bytes, key, &mut stats)?;
+    let out = try_merge_runs(disk, runs_file, runs, plan, key, &mut stats)?;
     Ok((out, stats))
 }
 
@@ -226,15 +291,12 @@ where
     K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
-    let ps = disk.model().page_size;
-    let plan = BufferPlan::for_budget(mem_bytes, ps);
-    let run_records = plan.run_records(mem_bytes, ps, R::SIZE);
-
+    let plan = SortPlan::new(mem_bytes, disk.model().page_size, R::SIZE);
     let mut stats = SortStats::default();
     let runs_file = disk.create();
     let mut runs: Vec<(u64, u64)> = Vec::new();
     let mut offset = 0u64;
-    for chunk in data.chunks(run_records) {
+    for chunk in data.chunks(plan.run_records) {
         let sorted = radix_sorted(chunk, key);
         let mut w = RecordWriter::<R>::new(disk, runs_file, plan.out_pages);
         if let Err(e) = w.try_push_all(&sorted).and_then(|()| w.try_finish()) {
@@ -246,7 +308,7 @@ where
         offset += bytes;
         stats.runs += 1;
     }
-    let out = try_merge_runs(disk, runs_file, runs, mem_bytes, key, &mut stats)?;
+    let out = try_merge_runs(disk, runs_file, runs, plan, key, &mut stats)?;
     Ok((out, stats))
 }
 
@@ -272,7 +334,7 @@ fn try_merge_runs<R, K, F>(
     disk: &SimDisk,
     runs_file: FileId,
     runs: Vec<(u64, u64)>,
-    mem_bytes: usize,
+    plan: SortPlan,
     key: F,
     stats: &mut SortStats,
 ) -> Result<FileId, IoError>
@@ -281,12 +343,6 @@ where
     K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
-    let ps = disk.model().page_size;
-    if runs.len() <= 1 {
-        return Ok(runs_file);
-    }
-    let plan = BufferPlan::for_budget(mem_bytes, ps);
-    let fan_in = plan.fan_in(mem_bytes, ps);
     let mut current_file = runs_file;
     let mut current_runs = runs;
     while current_runs.len() > 1 {
@@ -294,7 +350,7 @@ where
         let next_file = disk.create_like(current_file);
         let mut next_runs: Vec<(u64, u64)> = Vec::new();
         let mut out_offset = 0u64;
-        for group in current_runs.chunks(fan_in) {
+        for group in current_runs.chunks(plan.fan_in) {
             let bytes: u64 = group.iter().map(|(s, e)| e - s).sum();
             if let Err(e) = try_merge_group(disk, current_file, group, next_file, key, plan) {
                 disk.delete(current_file);
@@ -321,7 +377,7 @@ fn try_merge_group<R, K, F>(
     runs: &[(u64, u64)],
     dst: FileId,
     key: F,
-    plan: BufferPlan,
+    plan: SortPlan,
 ) -> Result<(), IoError>
 where
     R: FixedRecord,
@@ -466,6 +522,62 @@ mod tests {
         want.sort_unstable();
         assert_eq!(radix_sorted(&keys, |&k| k), want);
         assert!(radix_sorted(&[] as &[u64], |&k| k).is_empty());
+    }
+
+    /// A record of `N` bytes whose first eight are its key.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Padded<const N: usize>(u64);
+
+    impl<const N: usize> FixedRecord for Padded<N> {
+        const SIZE: usize = N;
+
+        fn encode(&self, buf: &mut [u8]) {
+            buf[..8].copy_from_slice(&self.0.to_le_bytes());
+            buf[8..N].fill(0);
+        }
+
+        fn decode(buf: &[u8]) -> Self {
+            Padded(u64::from_le_bytes(buf[..8].try_into().unwrap()))
+        }
+    }
+
+    /// [`SortPlan::cost`] is what both sorts do: the same runs and merge
+    /// passes, and the same requests and pages on the disk's meter, for
+    /// records that pack 64-byte pages (16) and that straddle them (40, 48),
+    /// budgets from two pages to forty (one not a whole number of pages), and
+    /// inputs from empty to three merge passes.
+    fn plan_is_the_sort<const N: usize>() {
+        for mem in [128, 192, 160, 320, 1024, 2560] {
+            let plan = SortPlan::new(mem, 64, N);
+            let (run, fan_in) = (plan.run_records as u64, plan.fan_in as u64);
+            let mut passes = 0;
+            for n in [0, 1, run, run + 1, run * fan_in + 1, run * fan_in * fan_in + 1] {
+                let records: Vec<Padded<N>> = (0..n).map(|i| Padded(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect();
+                let d = disk();
+                let f = write_all(&d, &records, 3);
+                for read_input in [true, false] {
+                    let before = d.stats();
+                    let (_, stats) = if read_input {
+                        external_sort_by(&d, f, mem, |r: &Padded<N>| r.0)
+                    } else {
+                        external_sort_slice(&d, &records, mem, |r: &Padded<N>| r.0)
+                    };
+                    let (want, io) = plan.cost(n, read_input);
+                    let case = format!("{N}-byte records, mem {mem}, n {n}, input read {read_input}");
+                    assert_eq!(stats, want, "{case}");
+                    assert_eq!(d.stats().delta(&before), io, "{case}");
+                    passes = passes.max(stats.merge_passes);
+                }
+            }
+            assert!(passes >= 3, "mem {mem}: {passes} merge passes at most");
+        }
+    }
+
+    #[test]
+    fn the_sort_plan_is_the_sort() {
+        plan_is_the_sort::<16>();
+        plan_is_the_sort::<40>();
+        plan_is_the_sort::<48>();
     }
 
     #[test]

@@ -124,22 +124,18 @@ fn total_time_identity() {
     assert!(st.scaled_cpu_seconds() > st.cpu_seconds());
 }
 
-/// The planner's corrected predictions stay within 25 % of the committed
-/// bench corpus (the `regress` rows of `BENCH_pr29.json` +
-/// `planner-coeffs.json`) on candidates and the I/O meters — the bound
-/// `repro --fit` achieved when the coefficients were committed, pinned here
-/// so silent model drift (or a stale coefficients file) fails the suite
-/// instead of degrading picks.
+/// The planner's raw predictions stay within 25 % of the committed bench
+/// corpus (the `regress` rows of `BENCH_pr30.json`) on candidates, pages and
+/// I/O seconds, so silent model drift fails the suite instead of degrading
+/// picks.
 #[test]
 fn planner_predictions_within_25pct_of_committed_corpus() {
-    use spatial_join_suite::estimate::{
-        Coefficients, DatasetProfile, JointEstimate, PlanAlgo, PlanChoice, Planner,
-    };
+    use spatial_join_suite::estimate::{DatasetProfile, JointEstimate, PlanAlgo, PlanChoice, Planner};
     use spatial_join_suite::InternalAlgo;
     use storage::{DiskModel, Json};
 
     const BOUND: f64 = 0.25;
-    // The scale the corpus was recorded (and the coefficients fitted) at.
+    // The scale the corpus was recorded at.
     const CORPUS_SCALE: f64 = 0.2;
     // bench::SEED / bench::paper_mem, replicated so this test does not need
     // the bench crate or the SJ_SCALE environment variable.
@@ -148,10 +144,7 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
         |mb: f64| -> usize { ((mb * 2.0 * 1024.0 * 1024.0) * CORPUS_SCALE).max(4096.0) as usize };
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let corpus = std::fs::read_to_string(root.join("BENCH_pr29.json")).expect("corpus");
-    let coeffs = Coefficients::load(&root.join("planner-coeffs.json")).expect("coefficients");
-    assert!(!coeffs.is_identity(), "committed coefficients must be fitted");
-    assert_eq!(coeffs.scale, CORPUS_SCALE, "coefficients fitted at the corpus scale");
+    let corpus = std::fs::read_to_string(root.join("BENCH_pr30.json")).expect("corpus");
 
     let mut rows = corpus
         .lines()
@@ -234,9 +227,7 @@ fn planner_predictions_within_25pct_of_committed_corpus() {
             profiles.push((join.clone(), DatasetProfile::build(&r), DatasetProfile::build(&s)));
         }
         let (_, pr, ps) = profiles.iter().find(|(j, _, _)| *j == join).unwrap();
-        let planner = Planner::new(mem)
-            .with_disk_model(model)
-            .with_coefficients(coeffs.clone());
+        let planner = Planner::new(mem).with_disk_model(model);
         let joint = JointEstimate::build(pr, ps);
         let p = planner.predict(&choice, pr, ps, &joint);
 

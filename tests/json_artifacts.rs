@@ -1,11 +1,10 @@
-//! The committed JSON artifacts — the `repro` snapshot, planner
-//! coefficients, conformance repros — are read, unmodified, by the
-//! workspace's one parser (`storage::json`).
+//! The committed JSON artifacts — the `repro` snapshot and the conformance
+//! repros — are read, unmodified, by the workspace's one parser
+//! (`storage::json`).
 
 use std::path::{Path, PathBuf};
 
 use conformance::Repro;
-use spatial_join_suite::estimate::Coefficients;
 use storage::Json;
 
 fn committed(path: &str) -> (PathBuf, String) {
@@ -16,7 +15,7 @@ fn committed(path: &str) -> (PathBuf, String) {
 
 #[test]
 fn json_lines_artifacts_parse_line_by_line() {
-    let (path, text) = committed("BENCH_pr29.json");
+    let (path, text) = committed("BENCH_pr30.json");
     let rows: Vec<Json> = text
         .lines()
         .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{}: {e}: {l}", path.display())))
@@ -43,18 +42,6 @@ fn json_lines_artifacts_parse_line_by_line() {
         r.get("experiment").and_then(Json::as_str) == Some("planner") && r.get("table").and_then(Json::as_u64) == Some(1)
     });
     assert_eq!(priced_planner.count(), 10, "the planner's priced-clock rows");
-}
-
-#[test]
-fn committed_coefficients_survive_a_read_and_a_write_byte_for_byte() {
-    let (path, text) = committed("planner-coeffs.json");
-    let coeffs = Coefficients::load(&path).expect("coefficients load");
-    assert_eq!(coeffs.scale, 0.2);
-    assert_eq!(
-        coeffs.get("s3j", "seconds"),
-        (1.4054503302420143, -1.0135127008338747)
-    );
-    assert_eq!(coeffs.to_json(), text);
 }
 
 #[test]

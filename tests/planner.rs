@@ -62,8 +62,8 @@ fn measure(choice: &PlanChoice, r: &[Kpe], s: &[Kpe]) -> Option<f64> {
 }
 
 /// The `planner.pick-within-10pct` claim, miniaturised: on every
-/// J1–J5 × memory × scale cell the raw (uncalibrated) model's pick costs at
-/// most 110 % of the best I/O-distinct variant's simulated total.
+/// J1–J5 × memory × scale cell the model's pick costs at most 110 % of the
+/// best I/O-distinct variant's simulated total.
 #[test]
 fn pick_within_10pct_of_best_across_grid() {
     for scale in [0.005, 0.01] {
@@ -117,7 +117,7 @@ fn priced_run(choice: &PlanChoice, r: &[Kpe], s: &[Kpe]) -> Option<JoinStats> {
     SpatialJoin::new(algo).try_run_with(r, s, &mut |_, _| {}).ok()
 }
 
-/// On the priced clock the uncalibrated pick costs at most 125 % of the best
+/// On the priced clock the pick costs at most 125 % of the best
 /// candidate's total on every workload shape.
 #[test]
 fn priced_pick_within_25pct_of_best() {
@@ -150,8 +150,8 @@ const PRICED: [&str; 4] = ["pbsm", "pbsm-trie", "twolayer", "s3j"];
 /// assign and the copies they write within 5 % where neither the run nor the
 /// model repartitions. Repartitioned work inherits the I/O model's overflow
 /// estimate, and S³J's copies its level-copy estimate (11 % over the counted
-/// copies on J4 and J5); both are what the I/O leg predicts, calibrated by
-/// `planner-coeffs.json`, so S³J's copies are held to 12 %.
+/// copies on J4 and J5); both are what the I/O leg predicts, so S³J's copies
+/// are held to 12 %.
 #[test]
 fn predicted_work_matches_the_run() {
     let mut checked = 0;

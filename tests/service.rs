@@ -423,8 +423,8 @@ fn plan_auto_reports_its_choice_and_stays_bit_identical() {
     let addr = handle.addr();
     let (left, right) = register_ab(addr);
 
-    // Re-derive the pick the server must make: streamable space, identity
-    // coefficients, single channel — then its answer is an oracle for both
+    // Re-derive the pick the server must make: streamable space, default
+    // model, single channel — then its answer is an oracle for both
     // the done-line annotation and the pair stream.
     let plan = Planner::new(MB as usize)
         .with_space(PlanSpace::Streamable)
