@@ -1046,11 +1046,11 @@ mod tests {
     }
 
     /// The fingerprint is a persisted identity: a resume compares it with
-    /// the one in a stored manifest, and `sjoind` keys its snapshot cache on
-    /// it. These are the values byte-wise FNV-1a gave when the three copies
-    /// of that loop were folded into `storage::fnv1a`; they move only if the
-    /// hash, the field order or an algorithm's `Debug` form does — each of
-    /// which orphans every run directory written before.
+    /// the one in a stored manifest. These are the values byte-wise FNV-1a
+    /// gave when the three copies of that loop were folded into
+    /// `storage::fnv1a`; they move only if the hash, the field order or an
+    /// algorithm's `Debug` form does — each of which orphans every run
+    /// directory written before.
     #[test]
     fn fingerprint_is_pinned_to_its_persisted_values() {
         use geom::{Rect, RecordId};

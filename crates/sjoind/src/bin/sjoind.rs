@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sjoind [--addr A] [--budget-mb F] [--max-queue N] [--batch N]
-//!        [--cache N] [--log PATH]
+//!        [--log PATH]
 //! ```
 //!
 //! Speaks newline-delimited JSON; one object per line, `"cmd"` selects:
@@ -31,7 +31,6 @@ OPTIONS:
   --budget-mb F   total memory budget the arbiter leases out (default 64)
   --max-queue N   joins allowed to queue for memory; more are shed (default 16)
   --batch N       result pairs per streamed protocol line (default 256)
-  --cache N       partition-snapshot cache capacity (default 16)
   --log PATH      append a line-oriented server log to PATH
   --help          print this help";
 
@@ -64,10 +63,6 @@ fn main() -> ExitCode {
             }),
             "--batch" => value("--batch").and_then(|v| {
                 cfg.batch = v.parse().map_err(|e| format!("bad --batch: {e}"))?;
-                Ok(())
-            }),
-            "--cache" => value("--cache").and_then(|v| {
-                cfg.cache_capacity = v.parse().map_err(|e| format!("bad --cache: {e}"))?;
                 Ok(())
             }),
             "--log" => value("--log").map(|v| cfg.log_path = Some(v.into())),

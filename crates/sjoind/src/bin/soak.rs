@@ -7,15 +7,12 @@
 //! ```
 //!
 //! K client threads replay a seed-derived request mix — random dataset
-//! pairs, algorithms and memory sizes, cache reuse, seeded fault injection
-//! (half of the fault legs escalated to *persistent* media damage, which the
+//! pairs, algorithms and memory sizes, seeded fault injection (half of the
+//! fault legs escalated to *persistent* media damage, which the
 //! quarantine-recompute paths must absorb bit-identically), tiny deadlines,
 //! mid-stream disconnects, one injected crash point and one worker panic —
 //! against a deliberately small memory budget so admission queueing and
-//! overload shedding both fire. A cache-rot chaos leg then corrupts every
-//! cached partition snapshot in place and replays a reuse join: the
-//! integrity gate must evict and re-warm, never resume from rotten state.
-//! Afterwards the driver asserts:
+//! overload shedding both fire. Afterwards the soak asserts:
 //!
 //! * every completed join is **bit-identical to its solo run** (sorted pair
 //!   set and result count against a library-computed baseline);
@@ -89,17 +86,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("--clients and --requests must be positive".to_owned());
     }
     Ok(args)
-}
-
-/// The members every `join` request of a (left, right, algo, mem) cell has.
-fn join_request((l, r, a, m): (usize, usize, usize, usize)) -> Vec<(&'static str, Json)> {
-    vec![
-        ("cmd", "join".into()),
-        ("left", DATASETS[l].0.into()),
-        ("right", DATASETS[r].0.into()),
-        ("algo", ALGOS[a].into()),
-        ("mem_mb", MEM_MB[m].into()),
-    ]
 }
 
 fn dataset_seed(idx: usize, seed: u64) -> u64 {
@@ -222,7 +208,6 @@ fn main() -> ExitCode {
                 let r = (l + 1 + rng.gen_range(0..2usize)) % 3;
                 let a = rng.gen_range(0..ALGOS.len());
                 let m = rng.gen_range(0..MEM_MB.len());
-                let reuse = rng.gen_bool(0.3);
                 let hold_ms = if rng.gen_bool(0.4) { rng.gen_range(1..25u64) } else { 0 };
                 let deadline = rng.gen_bool(0.1);
                 let disconnect = rng.gen_bool(0.15);
@@ -237,15 +222,19 @@ fn main() -> ExitCode {
                 // the exact clean result through the service.
                 let persistent = faults && rng.gen_bool(0.5);
 
-                let mut request = join_request((l, r, a, m));
+                let mut request: Vec<(&str, Json)> = vec![
+                    ("cmd", "join".into()),
+                    ("left", DATASETS[l].0.into()),
+                    ("right", DATASETS[r].0.into()),
+                    ("algo", ALGOS[a].into()),
+                    ("mem_mb", MEM_MB[m].into()),
+                ];
                 if crash {
                     request.push(("crash", "mid-partition:0".into()));
                 } else if panic_hook {
                     request.push(("panic_after", 1u64.into()));
                 } else {
-                    if reuse {
-                        request.push(("reuse", true.into()));
-                    } else if faults {
+                    if faults {
                         request.push(("faults", seed.wrapping_add(req_idx as u64).into()));
                         if persistent {
                             request.push(("faults_persistent", true.into()));
@@ -358,47 +347,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // Cache-rot chaos leg: warm one cell's snapshot, probe it (a second
-    // reuse join bumps the hit counter iff the slot is Ready rather than
-    // Uncacheable), rot every cached snapshot in place, and replay the
-    // identical join. The integrity gate must evict the rotten snapshot and
-    // re-warm — same bits, one more warm pass — never resume from it.
-    {
-        let complain = |msg: String| {
-            violations.lock().expect("violations lock").push(msg);
-        };
-        let chaos_cell = (0usize, 1usize, 0usize, 2usize);
-        let mut chaos_request = join_request(chaos_cell);
-        chaos_request.push(("reuse", true.into()));
-        let chaos_line = Json::obj(chaos_request).to_string();
-        let (chaos_pairs, chaos_results) = &baselines[&chaos_cell];
-        let hits_before_probe = handle.cache_hits();
-        let mut corrupted = 0usize;
-        for stage in ["warm", "probe", "rotten"] {
-            if stage == "rotten" {
-                corrupted = handle.corrupt_cache();
-            }
-            match control.join(&chaos_line) {
-                Ok(resp) if resp.error_kind().is_none() => {
-                    let mut got = resp.pairs.clone();
-                    got.sort_unstable();
-                    if got != *chaos_pairs || resp.results() != Some(*chaos_results) {
-                        complain(format!(
-                            "cache-rot {stage} leg diverged from the solo run ({chaos_line})"
-                        ));
-                    }
-                }
-                other => complain(format!("cache-rot {stage} leg failed: {other:?}")),
-            }
-        }
-        let slot_was_ready = handle.cache_hits() > hits_before_probe;
-        if slot_was_ready && corrupted > 0 && handle.cache_integrity_evictions() == 0 {
-            complain(
-                "rotten snapshots were looked up without a single integrity eviction".to_owned(),
-            );
-        }
-    }
-
     // Post-load invariants: nothing leaked, nothing orphaned.
     let snap = handle.arbiter().snapshot();
     let mut violations = Arc::try_unwrap(violations)
@@ -436,8 +384,6 @@ fn main() -> ExitCode {
         Ok(v) if v.get("ok").is_some() => {}
         other => violations.push(format!("shutdown not acknowledged: {other:?}")),
     }
-    let cache_hits = handle.cache_hits();
-    let integrity_evictions = handle.cache_integrity_evictions();
     handle.join(); // must return: drain leaves no stuck sessions
 
     let tallies = tallies.lock().expect("tallies lock");
@@ -445,13 +391,8 @@ fn main() -> ExitCode {
     summary.sort();
     println!("soak: {}", summary.join(" "));
     println!(
-        "soak: peak leased {} / {} bytes, {} admitted, {} shed, cache hits {}, integrity evictions {}",
-        snap.peak_leased_bytes,
-        snap.budget_bytes,
-        snap.admitted,
-        snap.rejected_overloaded,
-        cache_hits,
-        integrity_evictions
+        "soak: peak leased {} / {} bytes, {} admitted, {} shed",
+        snap.peak_leased_bytes, snap.budget_bytes, snap.admitted, snap.rejected_overloaded
     );
     if violations.is_empty() {
         println!("soak: all invariants held");

@@ -1,12 +1,12 @@
 //! Wire protocol: newline-delimited JSON requests and responses.
 //!
 //! Every request is one JSON object on one line with a `"cmd"` member
-//! (`ping` | `register` | `list` | `metrics` | `join` | `shutdown`). Every
-//! response is one line too, except `join`, which streams zero or more
-//! `{"pairs":[[r,s],...]}` batches followed by exactly one terminal line:
-//! `{"done":{...}}` on success or `{"error":{"kind":...,...}}` on refusal,
-//! interruption or failure. Error kinds are stable strings clients can
-//! dispatch on:
+//! (`ping` | `register` | `list` | `metrics` | `join` | `shutdown`); a
+//! member the command does not read is ignored. Every response is one line
+//! too, except `join`, which streams zero or more `{"pairs":[[r,s],...]}`
+//! batches followed by exactly one terminal line: `{"done":{...}}` on
+//! success or `{"error":{"kind":...,...}}` on refusal, interruption or
+//! failure. Error kinds are stable strings clients can dispatch on:
 //!
 //! | kind              | meaning                                            |
 //! |-------------------|----------------------------------------------------|
@@ -40,9 +40,9 @@ pub const ALGOS: [&str; 6] = [
 ];
 
 /// Subset of [`ALGOS`] the durable-run machinery can checkpoint — the only
-/// algorithms `reuse`/`crash` requests can serve (PR 4: sort-phase dedup is
-/// refused by the checkpoint layer; the two-layer class scheme, like RPM,
-/// dedups online and checkpoints fine, and so do both S³J variants).
+/// algorithms `crash` requests can serve (sort-phase dedup is refused by the
+/// checkpoint layer; the two-layer class scheme, like RPM, dedups online and
+/// checkpoints fine, and so do both S³J variants).
 pub const CHECKPOINTABLE: [&str; 5] = ["pbsm", "pbsm-trie", "twolayer", "s3j", "s3j-orig"];
 
 /// Dataset generators the `register` command understands (same set and
@@ -61,14 +61,13 @@ pub struct JoinRequest {
     /// PBSM's partition-join worker threads (1–64, default 1); every other
     /// algorithm, S³J included, runs on the session thread alone.
     pub threads: usize,
+    /// Simulated disk channels (1–64, default 1).
     pub channels: usize,
     /// Simulated-seconds deadline propagated into the join.
     pub deadline: Option<f64>,
     /// Stop *sending* pairs after this many; the join still completes and
     /// the terminal `done` line carries the full deterministic totals.
     pub limit: Option<u64>,
-    /// Serve from the partition-file cache (warming it on first use).
-    pub reuse: bool,
     /// Run under seeded recoverable fault injection.
     pub faults: Option<u64>,
     /// Escalate `faults` to the persistent-damage plan: re-reads of a bad
@@ -107,6 +106,14 @@ impl JoinRequest {
         };
         let flag = |key: &str| -> Result<bool, String> {
             Ok(opt(v, key, "a boolean", Json::as_bool)?.unwrap_or(false))
+        };
+        // A count outside 1..=64 is refused, not clamped: `sjoin` reads
+        // `--threads 0` as every core and refuses `--channels 0`.
+        let count = |key: &str| -> Result<usize, String> {
+            match opt_u64(v, key)?.unwrap_or(1) {
+                n @ 1..=64 => Ok(n as usize),
+                n => Err(format!("field {key:?} must be in 1..=64, got {n}")),
+            }
         };
 
         let algo = match v.get("algo").and_then(Json::as_str) {
@@ -150,11 +157,10 @@ impl JoinRequest {
             left: field_str("left")?,
             right: field_str("right")?,
             mem_bytes,
-            threads: opt_u64(v, "threads")?.unwrap_or(1).clamp(1, 64) as usize,
-            channels: opt_u64(v, "channels")?.unwrap_or(1).clamp(1, 64) as usize,
+            threads: count("threads")?,
+            channels: count("channels")?,
             deadline: opt_f64(v, "deadline")?,
             limit: opt_u64(v, "limit")?,
-            reuse: flag("reuse")?,
             faults: opt_u64(v, "faults")?,
             faults_persistent: flag("faults_persistent")?,
             crash,
@@ -165,21 +171,17 @@ impl JoinRequest {
             chosen_choice: None,
             algo,
         };
-        if req.plan && (req.reuse || req.crash.is_some()) {
-            // The reuse cache and crash/resume machinery key on a *fixed*
-            // configuration fingerprint; a data-dependent planner pick
-            // would silently miss the cache or refuse the resume.
-            return Err("plan cannot be combined with reuse/crash".to_owned());
+        if req.plan && req.crash.is_some() {
+            // Crash/resume keys on a *fixed* configuration fingerprint; a
+            // data-dependent planner pick would refuse the resume.
+            return Err("plan cannot be combined with crash".to_owned());
         }
-        if (req.reuse || req.crash.is_some()) && !CHECKPOINTABLE.contains(&req.algo.as_str()) {
+        if req.crash.is_some() && !CHECKPOINTABLE.contains(&req.algo.as_str()) {
             return Err(format!(
-                "algorithm {:?} cannot serve reuse/crash requests (not checkpointable; use {})",
+                "algorithm {:?} cannot serve crash requests (not checkpointable; use {})",
                 req.algo,
                 CHECKPOINTABLE.join("|")
             ));
-        }
-        if req.reuse && (req.crash.is_some() || req.faults.is_some()) {
-            return Err("reuse cannot be combined with crash/faults".to_owned());
         }
         if req.crash.is_some() && req.faults.is_some() {
             // The crash leg runs on a crash-only disk: a fault seed beside
@@ -250,7 +252,7 @@ mod tests {
         assert_eq!(r.algo, "pbsm");
         assert_eq!(r.mem_bytes, 1024 * 1024);
         assert_eq!((r.threads, r.channels), (1, 1));
-        assert!(!r.reuse && r.crash.is_none() && r.deadline.is_none());
+        assert!(r.crash.is_none() && r.deadline.is_none());
     }
 
     #[test]
@@ -280,11 +282,7 @@ mod tests {
         assert!(err.contains("mem_mb"), "{err}");
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","mem_mb":0.0078125}"#).is_ok());
         // Flags are type-checked like every other field, not read as false.
-        for (field, value) in [
-            ("reuse", "\"yes\""),
-            ("metrics", "1"),
-            ("faults_persistent", "[]"),
-        ] {
+        for (field, value) in [("metrics", "1"), ("faults_persistent", "[]")] {
             let err = parse(&format!(
                 r#"{{"cmd":"join","left":"a","right":"b","faults":1,"{field}":{value}}}"#
             ))
@@ -294,16 +292,12 @@ mod tests {
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","metrics":null}"#).is_ok());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","deadline":-1}"#).is_err());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-nothing"}"#).is_err());
-        // Non-checkpointable algorithms cannot serve reuse or crash modes.
-        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","algo":"pbsm-sort","reuse":true}"#)
-            .is_err());
+        // Non-checkpointable algorithms cannot serve crash legs.
         assert!(parse(
             r#"{"cmd":"join","left":"a","right":"b","algo":"pbsm-sort","crash":"mid-rename"}"#
         )
         .is_err());
-        // reuse is exclusive with fault/crash injection.
-        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","reuse":true,"faults":1}"#).is_err());
-        // ...and a crash leg takes no fault seed: it used to be read and dropped.
+        // A crash leg takes no fault seed: it used to be read and dropped.
         let err = parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-rename","faults":7}"#)
             .unwrap_err();
         assert!(err.contains("crash") && err.contains("faults"), "{err}");
@@ -325,9 +319,8 @@ mod tests {
         // Only the literal "auto" is accepted on the wire.
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","plan":"explain"}"#).is_err());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","plan":true}"#).is_err());
-        // Planner picks are data-dependent; fingerprint-keyed modes refuse them.
-        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","plan":"auto","reuse":true}"#)
-            .is_err());
+        // Planner picks are data-dependent; a fingerprint-keyed crash leg
+        // refuses them.
         assert!(parse(
             r#"{"cmd":"join","left":"a","right":"b","plan":"auto","crash":"mid-rename"}"#
         )

@@ -9,9 +9,9 @@
 //! never scaled down — a join admitted under load runs with exactly the
 //! configuration it asked for, so its result stream is bit-identical to a
 //! solo run of the same request. Time stays *simulated* and per-request;
-//! only the memory budget and the partition-file cache are truly shared.
+//! only the memory budget is truly shared.
 //!
-//! One thread per request: every join — plain, durable, cached or
+//! One thread per request: every join — plain, crash-injected or
 //! fault-injected — runs on the session thread that owns the socket,
 //! zero-copy over the registered `Arc<Vec<Kpe>>`. The Reference Point Method
 //! hands pairs out as they are found, so a consumer that is *pushed* to
@@ -43,12 +43,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use spatialjoin::{
-    Algorithm, CancelToken, CrashPoint, DiskModel, FaultPlan, IoError, IoErrorKind, JoinError,
-    JoinErrorKind, JoinStats, Kpe, RecordId, SpatialJoin,
+    Algorithm, CancelToken, DiskModel, FaultPlan, IoError, IoErrorKind, JoinError, JoinErrorKind,
+    JoinStats, Kpe, RecordId, SpatialJoin,
 };
 use storage::{AdmissionError, MemoryArbiter};
 
-use crate::cache::{PartitionCache, Slot, Snapshot};
 use crate::json::Json;
 use crate::proto::{self, JoinRequest};
 
@@ -61,8 +60,6 @@ pub struct ServerConfig {
     pub max_queue: usize,
     /// Result pairs per streamed `{"pairs":[...]}` line.
     pub batch: usize,
-    /// Partition-snapshot cache capacity (distinct config+input keys).
-    pub cache_capacity: usize,
     /// Append a line-oriented server log here (soak artifact).
     pub log_path: Option<std::path::PathBuf>,
 }
@@ -73,7 +70,6 @@ impl Default for ServerConfig {
             budget_bytes: 64 << 20,
             max_queue: 16,
             batch: 256,
-            cache_capacity: 16,
             log_path: None,
         }
     }
@@ -89,7 +85,6 @@ struct Inner {
     cfg: ServerConfig,
     arbiter: MemoryArbiter,
     datasets: Mutex<HashMap<String, Arc<Vec<Kpe>>>>,
-    cache: PartitionCache,
     draining: AtomicBool,
     /// In-flight join count; the drain gate waits for it to reach zero.
     active: Mutex<u32>,
@@ -130,7 +125,6 @@ impl Server {
             .and_then(|p| std::fs::File::create(p).ok());
         let inner = Inner {
             arbiter: MemoryArbiter::new(cfg.budget_bytes, cfg.max_queue),
-            cache: PartitionCache::new(cfg.cache_capacity),
             datasets: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             active: Mutex::new(0),
@@ -170,22 +164,6 @@ impl ServerHandle {
     /// The shared arbiter — lets tests assert lease accounting directly.
     pub fn arbiter(&self) -> &MemoryArbiter {
         &self.inner.arbiter
-    }
-
-    pub fn cache_hits(&self) -> u64 {
-        self.inner.cache.hits()
-    }
-
-    /// Snapshots the integrity gate evicted because their bytes rotted.
-    pub fn cache_integrity_evictions(&self) -> u64 {
-        self.inner.cache.integrity_evictions()
-    }
-
-    /// Chaos hook: corrupts every cached partition snapshot in place (the
-    /// checksums are left stale, so the next lookup must catch it). Returns
-    /// how many snapshots were corrupted.
-    pub fn corrupt_cache(&self) -> usize {
-        self.inner.cache.corrupt_all()
     }
 
     /// Waits for the server to drain and stop (a client must have sent
@@ -280,7 +258,11 @@ fn session(inner: Arc<Inner>, stream: TcpStream, id: u64) {
             break;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            break;
+            let message = "request line is not UTF-8";
+            if !send(&mut out, &proto::error_line("bad_request", message, &[])) {
+                break;
+            }
+            continue;
         };
         let line = line.trim();
         if line.is_empty() {
@@ -409,12 +391,9 @@ fn metrics_line(inner: &Inner) -> String {
         ("rejected_too_large", s.rejected_too_large.into()),
         ("peak_leased_bytes", s.peak_leased_bytes.into()),
     ]);
-    let cache = Json::obj([
-        ("entries", inner.cache.len().into()),
-        ("hits", inner.cache.hits().into()),
-        ("misses", inner.cache.misses().into()),
-        ("integrity_evictions", inner.cache.integrity_evictions().into()),
-    ]);
+    // A shim: there is no cache, but the frozen host-clock benchmark reads
+    // `cache.hits` from a traced `serve` run. It goes with that reader.
+    let cache = Json::obj([("hits", 0u64.into())]);
     let joins = Json::obj([
         ("ok", inner.joins_ok.load(Ordering::Relaxed).into()),
         ("failed", inner.joins_failed.load(Ordering::Relaxed).into()),
@@ -490,8 +469,8 @@ fn handle_join(inner: &Inner, out: &mut TcpStream, parsed: &Json, sid: u64) -> b
     }
     let jr = jr;
     inner.log(&format!(
-        "session {sid}: join {}x{} algo={} mem={}B reuse={} crash={:?}",
-        jr.left, jr.right, jr.algo, jr.mem_bytes, jr.reuse, jr.crash
+        "session {sid}: join {}x{} algo={} mem={}B crash={:?}",
+        jr.left, jr.right, jr.algo, jr.mem_bytes, jr.crash
     ));
     match run_join(inner, out, &jr, &left, &right) {
         Outcome::Ok => {
@@ -656,7 +635,7 @@ fn run_join(
     }
     let mut emitter = Emitter::new(out, inner.cfg.batch, jr.limit);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        join_streaming(inner, jr, left, right, &token, &mut |a, b| {
+        join_streaming(jr, left, right, &token, &mut |a, b| {
             if !emitter.pair(a, b) {
                 token.cancel();
             }
@@ -664,9 +643,7 @@ fn run_join(
     }));
     drop(lease);
     let (line, outcome) = match result {
-        Ok(Ok((stats, cache_hit))) => {
-            (done_line(&stats, jr, cache_hit, emitter.sent), Outcome::Ok)
-        }
+        Ok(Ok(stats)) => (done_line(&stats, jr, emitter.sent), Outcome::Ok),
         Ok(Err(e)) => join_error_response(&e),
         Err(payload) => {
             let msg = payload
@@ -688,13 +665,12 @@ fn run_join(
 
 /// Runs one validated request, pushing each result pair into `sink`.
 fn join_streaming(
-    inner: &Inner,
     jr: &JoinRequest,
     left: &[Kpe],
     right: &[Kpe],
     token: &CancelToken,
     sink: &mut dyn FnMut(u64, u64),
-) -> Result<(JoinStats, bool), JoinError> {
+) -> Result<JoinStats, JoinError> {
     let algo =
         algorithm_of(jr).ok_or_else(|| JoinError::new("setup", IoError::unsupported()))?;
     let mut join = SpatialJoin::new(algo)
@@ -722,12 +698,7 @@ fn join_streaming(
         // armed — the service-level equivalent of `sjoin --crash`.
         let fp = join.fingerprint(left, right);
         let join = join.with_faults(FaultPlan::crash_only(fp, point));
-        return join
-            .try_run_durable_with(&join.disk(), left, right, fp, &mut emit)
-            .map(|s| (s, false));
-    }
-    if jr.reuse {
-        return run_cached(inner, &join, left, right, &mut emit);
+        return join.try_run_durable_with(&join.disk(), left, right, fp, &mut emit);
     }
     if let Some(seed) = jr.faults {
         // Persistent damage exercises the quarantine-recompute paths end to
@@ -738,59 +709,7 @@ fn join_streaming(
             FaultPlan::recoverable(seed)
         });
     }
-    join.try_run_with(left, right, &mut emit).map(|s| (s, false))
-}
-
-/// Serves a `reuse` join from the partition-file cache (warming it on the
-/// first miss). See [`crate::cache`] for why the snapshot is taken at an
-/// injected `mid-partition:0` crash and served by resuming past it.
-fn run_cached(
-    inner: &Inner,
-    join: &SpatialJoin,
-    left: &[Kpe],
-    right: &[Kpe],
-    emit: &mut dyn FnMut(RecordId, RecordId),
-) -> Result<(JoinStats, bool), JoinError> {
-    let fp = join.fingerprint(left, right);
-    let (snapshot, cache_hit) = match inner.cache.get(fp) {
-        Some(Slot::Ready(snap)) => (snap, true),
-        Some(Slot::Uncacheable) => {
-            return join.try_run_with(left, right, emit).map(|s| (s, false));
-        }
-        None => {
-            // The warm leg dies by design, and a pooled executor answers the
-            // injected crash by tripping its run's cancel token (the workers
-            // of a dead process claim nothing more). That must stay the warm
-            // leg's own token: on the session's, the serving leg below would
-            // start cancelled, claim no partition and report an empty result.
-            let warm_join = join
-                .clone()
-                .with_cancel(CancelToken::new())
-                .with_faults(FaultPlan::crash_only(fp, CrashPoint::MidPartition(0)));
-            let warm = warm_join.disk();
-            match warm_join.try_run_durable_with(&warm, left, right, fp, &mut |_, _| {}) {
-                Err(e) if matches!(e.kind, JoinErrorKind::Crashed(_)) => {
-                    let snap = Snapshot::new(warm.export_files());
-                    inner.cache.insert(fp, Slot::Ready(snap.clone()));
-                    (snap, false)
-                }
-                Ok(_) => {
-                    // The join finished before its first checkpoint (too
-                    // small for the crash to fire): there is no partitioned-
-                    // but-unjoined state to snapshot. Remember that and
-                    // serve plainly.
-                    inner.cache.insert(fp, Slot::Uncacheable);
-                    return join.try_run_with(left, right, emit).map(|s| (s, false));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    };
-    let disk = join.disk();
-    disk.restore_files(snapshot.bytes())
-        .map_err(|io| JoinError::new("setup", io))?;
-    join.try_run_durable_with(&disk, left, right, fp, emit)
-        .map(|s| (s, cache_hit))
+    join.try_run_with(left, right, &mut emit)
 }
 
 fn admission_response(e: &AdmissionError) -> (String, Outcome) {
@@ -846,22 +765,20 @@ fn join_error_response(e: &JoinError) -> (String, Outcome) {
     )
 }
 
-fn done_line(stats: &JoinStats, jr: &JoinRequest, cache_hit: bool, pairs_sent: u64) -> String {
+fn done_line(stats: &JoinStats, jr: &JoinRequest, pairs_sent: u64) -> String {
     let mut done = vec![
         ("results", stats.results().into()),
         ("duplicates", stats.duplicates().into()),
         ("candidates", stats.candidates().into()),
         ("total_seconds", stats.total_seconds().into()),
         ("first_result_seconds", stats.first_result_seconds().into()),
-        ("cache_hit", cache_hit.into()),
         ("pairs_sent", pairs_sent.into()),
     ];
     if let Some(choice) = &jr.chosen_choice {
         done.push(("plan", choice.describe().into()));
     }
     if jr.metrics {
-        let mut report = stats.metrics_report(&jr.algo, jr.threads);
-        report.counters.partition_cache_hits = u64::from(cache_hit);
+        let report = stats.metrics_report(&jr.algo, jr.threads);
         done.push(match report.reconcile() {
             Ok(()) => ("metrics", report.json()),
             Err(e) => ("metrics_error", e.to_string().into()),

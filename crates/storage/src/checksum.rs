@@ -6,8 +6,8 @@
 //!   values and may never change.
 //! * [`checksum64`] guards bytes that only ever live in this process — the
 //!   per-page sums of the simulated page format (recomputed on snapshot
-//!   restore, never exported) and `sjoind`'s snapshot-cache integrity check.
-//!   Nothing stores it, so it is free to be as fast as the host allows.
+//!   restore, never exported). Nothing stores it, so it is free to be as
+//!   fast as the host allows.
 
 /// FNV-1a, 64-bit, byte at a time, of one contiguous buffer.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

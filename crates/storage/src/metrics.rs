@@ -179,10 +179,6 @@ pub struct RunCounters {
     pub requeued_partitions: u64,
     pub degraded_partitions: u64,
     pub checkpoint_commits: u64,
-    /// Partition phases skipped because the service reused cached partition
-    /// files for the same config+input fingerprint (PR 7). Zero for one-shot
-    /// runs. Additive to schema v2: absent readers ignore it.
-    pub partition_cache_hits: u64,
 }
 
 /// Reconciled, versioned summary of one join run.
@@ -360,7 +356,6 @@ impl MetricsReport {
             ("requeued_partitions", c.requeued_partitions.into()),
             ("degraded_partitions", c.degraded_partitions.into()),
             ("checkpoint_commits", c.checkpoint_commits.into()),
-            ("partition_cache_hits", c.partition_cache_hits.into()),
             ("io_total", io_json(&self.io_total)),
             ("channels", self.channels.into()),
             ("io_shared", io_json(&self.io_shared)),

@@ -1,6 +1,6 @@
 //! Integration tests for the `sjoind` join service (PR 7): concurrent
 //! clients over loopback, admission control and overload shedding, fault
-//! isolation, deadline propagation and partition-file reuse.
+//! isolation and deadline propagation.
 //!
 //! The load-bearing property everywhere: a join admitted under concurrent
 //! load is **bit-identical to a solo run** of the same request — the memory
@@ -228,56 +228,67 @@ fn deadline_expiry_returns_typed_resumable_error() {
     assert!(handle.arbiter().is_idle(), "deadline expiry leaked its lease");
 }
 
+/// Joins `case` with and without `"reuse":true` and holds the two answers
+/// equal: pair for pair and down to the simulated second. Returns the
+/// `reuse` join's sorted pairs and its `done` line.
+fn assert_reuse_changes_nothing(c: &mut Client, case: &str) -> (Vec<(u64, u64)>, Json) {
+    let [plain, reused] = ["", ",\"reuse\":true"].map(|extra| {
+        let resp = c
+            .join(&format!("{{\"cmd\":\"join\",{case}{extra}}}"))
+            .expect("join stream");
+        assert_eq!(resp.error, None, "{case}{extra}: {:?}", resp.error);
+        resp
+    });
+    assert!(!plain.pairs.is_empty(), "{case}: the join has results");
+    let pairs = sorted_pairs(&reused);
+    assert_eq!(pairs, sorted_pairs(&plain), "{case}");
+    let (plain, reused) = (plain.done.expect("done"), reused.done.expect("done"));
+    for member in ["results", "duplicates", "total_seconds", "plan"] {
+        assert_eq!(reused.get(member), plain.get(member), "{case}: {member}");
+    }
+    assert!(reused.get("cache_hit").is_none(), "{case}: {reused}");
+    (pairs, reused)
+}
+
+/// There is no partition cache: `reuse` is not a member of the protocol, and
+/// a request that carries it is the same request without it — every
+/// algorithm at one and two threads and a planned join. The solo oracle
+/// still holds, and the `metrics` verb reports `cache.hits == 0`.
 #[test]
 fn partition_reuse_is_bit_identical_and_reports_cache_hits() {
     let handle = start(ServerConfig::default());
     let addr = handle.addr();
     let (left, right) = register_ab(addr);
     let (want_pairs, want_results, _) = solo(&left, &right, MB as usize);
-
     let mut c = Client::connect(addr).expect("connect");
-    let line =
-        "{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"mem_mb\":1.0,\"reuse\":true,\"metrics\":true}";
-    let cold = c.join(line).expect("cold reuse join");
-    assert_eq!(cold.error, None, "{:?}", cold.error);
-    let cold_done = cold.done.clone().expect("done");
-    assert_eq!(cold_done.get("cache_hit").and_then(Json::as_bool), Some(false));
-    assert_eq!(sorted_pairs(&cold), want_pairs);
 
-    let warm = c.join(line).expect("warm reuse join");
-    assert_eq!(warm.error, None, "{:?}", warm.error);
-    let warm_done = warm.done.clone().expect("done");
-    assert_eq!(
-        warm_done.get("cache_hit").and_then(Json::as_bool),
-        Some(true),
-        "second identical reuse join must hit the cache"
-    );
-    assert_eq!(
-        warm_done.get("results").and_then(Json::as_u64),
-        Some(want_results)
-    );
-    assert_eq!(sorted_pairs(&warm), want_pairs, "cached serve differs from solo");
+    let pinned = "\"left\":\"a\",\"right\":\"b\",\"mem_mb\":1.0";
+    let (pairs, done) = assert_reuse_changes_nothing(&mut c, pinned);
+    assert_eq!(pairs, want_pairs, "reuse join differs from solo");
+    assert_eq!(done.get("results").and_then(Json::as_u64), Some(want_results));
 
-    // The hit is visible in the request's reconciled metrics report…
-    let report = warm_done.get("metrics").expect("metrics attached");
-    assert_eq!(
-        report.get("partition_cache_hits").and_then(Json::as_u64),
-        Some(1),
-        "metrics report must count the partition cache hit"
-    );
-    // …and in the server-wide metrics command.
+    let mut cases: Vec<String> = sjoind::proto::ALGOS
+        .iter()
+        .flat_map(|algo| {
+            [1, 2].map(|threads| {
+                format!("\"left\":\"a\",\"right\":\"b\",\"algo\":\"{algo}\",\"threads\":{threads}")
+            })
+        })
+        .collect();
+    cases.push("\"left\":\"a\",\"right\":\"b\",\"plan\":\"auto\"".to_owned());
+    for case in &cases {
+        assert_reuse_changes_nothing(&mut c, case);
+    }
     let metrics = c.request("{\"cmd\":\"metrics\"}").expect("metrics cmd");
-    let cache = metrics.get("ok").and_then(|o| o.get("cache")).expect("cache block");
-    assert!(cache.get("hits").and_then(Json::as_u64).unwrap_or(0) >= 1);
-    assert_eq!(handle.cache_hits(), 1);
+    let hits = metrics.get("ok").and_then(|o| o.get("cache")).and_then(|c| c.get("hits"));
+    assert_eq!(hits.and_then(Json::as_u64), Some(0), "{metrics}");
     assert!(handle.arbiter().is_idle());
 }
 
-/// A `reuse` join that *misses* the cache warms it with an injected
-/// `mid-partition:0` crash. With `threads:2` the pooled executor answers that
-/// crash by tripping the run's cancel token — which used to be the session's
-/// own, so the serving leg that followed found it tripped, claimed no
-/// partition and answered `done` with `results:0`.
+/// The `cal_st` self join at two threads with `"reuse":true` serves the full
+/// result. A cache miss once warmed the cache with an injected crash that
+/// tripped the session's cancel token, and the serving leg that followed
+/// answered `done` with `results:0`.
 #[test]
 fn reuse_miss_with_two_threads_serves_the_full_result() {
     let handle = start(ServerConfig::default());
@@ -287,27 +298,10 @@ fn reuse_miss_with_two_threads_serves_the_full_result() {
         .expect("register");
     assert!(resp.get("ok").is_some(), "register failed: {resp}");
 
-    let join = |reuse: bool| {
-        format!(
-            "{{\"cmd\":\"join\",\"left\":\"r\",\"right\":\"r\",\"algo\":\"pbsm\",\"mem_mb\":2.0,\"threads\":2,\"reuse\":{reuse}}}"
-        )
-    };
-    let plain = c.join(&join(false)).expect("plain join");
-    assert_eq!(plain.error, None, "{:?}", plain.error);
-    let want = sorted_pairs(&plain);
-    assert!(!want.is_empty(), "the self-join has results");
-
-    for hit in [false, true] {
-        let resp = c.join(&join(true)).expect("reuse join");
-        assert_eq!(resp.error, None, "{:?}", resp.error);
-        let done = resp.done.clone().expect("done");
-        assert_eq!(done.get("cache_hit").and_then(Json::as_bool), Some(hit));
-        assert_eq!(
-            done.get("results").and_then(Json::as_u64),
-            Some(want.len() as u64),
-            "cache_hit={hit}"
-        );
-        assert_eq!(sorted_pairs(&resp), want, "cache_hit={hit}: differs from reuse:false");
+    let case = "\"left\":\"r\",\"right\":\"r\",\"algo\":\"pbsm\",\"mem_mb\":2.0,\"threads\":2";
+    for _ in 0..2 {
+        let (pairs, done) = assert_reuse_changes_nothing(&mut c, case);
+        assert_eq!(done.get("results").and_then(Json::as_u64), Some(pairs.len() as u64));
     }
     assert!(handle.arbiter().is_idle());
 }
@@ -453,13 +447,6 @@ fn plan_auto_reports_its_choice_and_stays_bit_identical() {
     );
     assert_eq!(sorted_pairs(&resp), want_pairs, "planned join differs from oracle");
 
-    // Planning composes with neither reuse nor crash/resume: both key on a
-    // fixed configuration fingerprint.
-    let refused = c
-        .join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"plan\":\"auto\",\"reuse\":true}")
-        .expect("plan+reuse stream");
-    assert_eq!(refused.error_kind(), Some("bad_request"), "{:?}", refused.error);
-
     // An unplanned join's done line carries no plan field.
     let plain = c
         .join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"mem_mb\":1.0}")
@@ -510,11 +497,49 @@ fn protocol_rejects_garbage_without_dying() {
     assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad_request"), "{resp}");
     let message = err.get("message").and_then(Json::as_str).expect("message");
     assert!(message.contains("crash") && message.contains("faults"), "{message:?}");
+    // A thread or channel count outside 1..=64 is refused by name; it used
+    // to be clamped, so `threads:0` ran on one thread and not every core.
+    register_ab(addr);
+    for (field, value) in [("threads", 0), ("threads", 65), ("channels", 0), ("channels", 65)] {
+        let resp = c
+            .request(&format!(
+                "{{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"{field}\":{value}}}"
+            ))
+            .expect("error response");
+        let err = resp.get("error").expect("typed error");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad_request"), "{resp}");
+        let message = err.get("message").and_then(Json::as_str).expect("message");
+        assert!(message.contains(field), "{message:?} does not name {field:?}");
+    }
+    let resp = c
+        .join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"threads\":64,\"channels\":64}")
+        .expect("join stream");
+    assert_eq!(resp.error, None, "64 threads and channels are in range");
     // Session still alive after every rejection.
     assert_eq!(
         c.request("{\"cmd\":\"ping\"}").expect("ping").get("ok").and_then(Json::as_str),
         Some("pong")
     );
+    handle.request_drain();
+    handle.join();
+}
+
+#[test]
+fn a_line_that_is_not_utf8_is_refused_and_the_session_lives_on() {
+    // Such a line used to close the session without a word, while
+    // malformed JSON got a `bad_request` and the session went on.
+    let handle = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    stream.write_all(b"{\"cmd\":\"ping\",\"x\":\"\xff\"}\n").expect("send");
+    stream.write_all(b"{\"cmd\":\"ping\"}\n").expect("send ping");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone")).lines();
+    let first = replies.next().expect("a reply").expect("readable reply");
+    let reply = Json::parse(&first).expect("reply is JSON");
+    let error = reply.get("error").expect("typed error");
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("bad_request"), "{first}");
+    let second = replies.next().expect("a second reply").expect("readable reply");
+    assert_eq!(second, "{\"ok\":\"pong\"}");
     handle.request_drain();
     handle.join();
 }
