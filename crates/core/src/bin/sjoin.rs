@@ -30,6 +30,14 @@
 //! sjoin --plan explain                        # ranked candidate table, then run
 //! ```
 //!
+//! The flags that configure the join (`--algo`, `--plan`, `--mem-mb`, the
+//! thread, channel, deadline and fault flags, `--crash`) are the fields of
+//! [`JoinSpec`], read and checked as `sjoind` reads its join members:
+//! `--mem-mb` takes one 8 KiB page to 16384 MiB, `--threads` 0..=64 (0 =
+//! every core), `--channels` 1..=64. A durable run (`--durable`, `--crash`,
+//! `--resume`) takes an algorithm of `Algorithm::CHECKPOINTABLE` and no
+//! `--plan`; every refusal exits 2 before any dataset is built.
+//!
 //! Exit codes: 0 success, 1 join error, 2 usage error, 3 resumable
 //! interruption of a durable run (crash point, deadline, cancellation) —
 //! `--limit` lists what that leg emitted, the `--resume` leg lists the rest.
@@ -37,13 +45,14 @@
 //! with 0: it has what it asked for.
 
 use std::io::Write;
+use std::ops::RangeInclusive;
 
 use spatialjoin::estimate::planner::edit_distance;
-use spatialjoin::estimate::{DatasetProfile, PlanMode, Planner};
+use spatialjoin::estimate::{PlanMode, PlanSpace};
 use spatialjoin::sfc::Curve;
 use spatialjoin::{
-    datagen, refine, Algorithm, CrashPoint, DiskModel, FaultPlan, JoinError, JoinRun, JoinStats,
-    Kpe, RecordId, Recorder, RetryPolicy, SimDisk, SpatialJoin,
+    datagen, refine, JoinError, JoinRun, JoinSpec, JoinStats, Kpe, RecordId, Recorder, Raw,
+    SimDisk, SpatialJoin,
 };
 use storage::Json;
 
@@ -92,79 +101,60 @@ fn exit(code: i32) -> ! {
     std::process::exit(code)
 }
 
+/// `sjoin`'s own flags; the join's configuration is the [`JoinSpec`].
 struct Args {
     left: String,
     right: String,
-    algo: String,
-    mem_mb: f64,
     scale: f64,
     p: f64,
     seed: u64,
-    threads: usize,
-    channels: usize,
     limit: usize,
     refine: bool,
     distance: Option<f64>,
     raster_filter: bool,
     stats: bool,
-    faults: Option<u64>,
-    fault_rate: Option<f64>,
-    persistent_rate: Option<f64>,
-    disk_budget: Option<u64>,
-    degraded_channel: Option<(usize, f64)>,
-    retry: Option<u32>,
-    deadline: Option<f64>,
-    crash: Option<CrashPoint>,
     durable: bool,
     run_dir: String,
     resume: Option<u64>,
     metrics_json: Option<String>,
     trace: Option<String>,
-    plan: PlanMode,
+    spec: JoinSpec,
 }
 
-/// Every flag the parser accepts, kept next to the `match` below so the
-/// usage test can diff it against `HELP` — the drift this guards against is
-/// exactly what PR 5 had to fix.
-const VALID_FLAGS: &[&str] = &[
+/// The flags the parser takes itself, kept next to the `match` below so the
+/// usage test can diff them against `HELP`. The rest are the [`JoinSpec`]
+/// fields'.
+const OWN_FLAGS: &[&str] = &[
     "--left",
     "--right",
-    "--algo",
-    "--mem-mb",
     "--scale",
     "--p",
     "--seed",
-    "--threads",
-    "--channels",
     "--limit",
     "--refine",
     "--distance",
     "--raster-filter",
     "--stats",
-    "--faults",
-    "--fault-rate",
-    "--persistent-rate",
-    "--disk-budget",
-    "--degraded-channel",
-    "--retry",
-    "--deadline",
-    "--crash",
     "--durable",
     "--run-dir",
     "--resume",
     "--metrics-json",
     "--trace",
-    "--plan",
     "--help",
 ];
 
+/// Every flag `sjoin` accepts: its own and the spec fields'.
+fn valid_flags() -> impl Iterator<Item = String> {
+    let own = OWN_FLAGS.iter().map(|&f| f.to_owned());
+    own.chain(JoinSpec::fields().map(JoinSpec::flag))
+}
+
 /// The closest valid flag within a small edit radius, if any.
-fn nearest_flag(unknown: &str) -> Option<&'static str> {
-    VALID_FLAGS
-        .iter()
-        .map(|&f| (edit_distance(unknown, f), f))
+fn nearest_flag(unknown: &str) -> Option<String> {
+    valid_flags()
+        .map(|f| (edit_distance(unknown, &f), f))
         .min()
-        .filter(|&(d, _)| d <= 3)
+        .filter(|(d, _)| *d <= 3)
         .map(|(_, f)| f)
 }
 
@@ -173,32 +163,20 @@ impl Default for Args {
         Args {
             left: "la_rr".into(),
             right: "la_st".into(),
-            algo: "pbsm".into(),
-            mem_mb: 5.0,
             scale: 0.05,
             p: 1.0,
             seed: 42,
-            threads: 1,
-            channels: 1,
             limit: 0,
             refine: false,
             distance: None,
             raster_filter: false,
             stats: false,
-            faults: None,
-            fault_rate: None,
-            persistent_rate: None,
-            disk_budget: None,
-            degraded_channel: None,
-            retry: None,
-            deadline: None,
-            crash: None,
             durable: false,
             run_dir: "runs".into(),
             resume: None,
             metrics_json: None,
             trace: None,
-            plan: PlanMode::Off,
+            spec: JoinSpec::default(),
         }
     }
 }
@@ -219,22 +197,9 @@ impl Args {
             match flag.as_str() {
                 "--left" => args.left = val("--left")?,
                 "--right" => args.right = val("--right")?,
-                "--algo" => args.algo = val("--algo")?,
-                "--mem-mb" => args.mem_mb = parse_num("--mem-mb", &val("--mem-mb")?, POSITIVE)?,
                 "--scale" => args.scale = parse_num("--scale", &val("--scale")?, POSITIVE)?,
                 "--p" => args.p = parse_num("--p", &val("--p")?, POSITIVE)?,
                 "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--threads" => {
-                    args.threads =
-                        val("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-                }
-                "--channels" => {
-                    args.channels =
-                        val("--channels")?.parse().map_err(|e| format!("--channels: {e}"))?;
-                    if args.channels == 0 {
-                        return Err("--channels: need at least one I/O channel".into());
-                    }
-                }
                 "--limit" => args.limit = val("--limit")?.parse().map_err(|e| format!("--limit: {e}"))?,
                 "--refine" => args.refine = true,
                 "--distance" => args.distance = Some(parse_num("--distance", &val("--distance")?, NON_NEGATIVE)?),
@@ -243,39 +208,6 @@ impl Args {
                     args.refine = true; // a pre-filter for the refinement step
                 }
                 "--stats" => args.stats = true,
-                "--faults" => {
-                    args.faults =
-                        Some(val("--faults")?.parse().map_err(|e| format!("--faults: {e}"))?)
-                }
-                "--fault-rate" => args.fault_rate = Some(parse_num("--fault-rate", &val("--fault-rate")?, FRACTION)?),
-                "--persistent-rate" => {
-                    args.persistent_rate =
-                        Some(parse_num("--persistent-rate", &val("--persistent-rate")?, FRACTION)?)
-                }
-                "--disk-budget" => {
-                    args.disk_budget = Some(
-                        val("--disk-budget")?
-                            .parse()
-                            .map_err(|e| format!("--disk-budget: {e}"))?,
-                    )
-                }
-                "--degraded-channel" => {
-                    args.degraded_channel = Some(parse_degraded_channel(&val("--degraded-channel")?)?)
-                }
-                "--retry" => {
-                    args.retry =
-                        Some(val("--retry")?.parse().map_err(|e| format!("--retry: {e}"))?)
-                }
-                "--deadline" => args.deadline = Some(parse_num("--deadline", &val("--deadline")?, NON_NEGATIVE)?),
-                "--crash" => {
-                    let spec = val("--crash")?;
-                    args.crash = Some(CrashPoint::from_spec(&spec).ok_or_else(|| {
-                        format!(
-                            "--crash: bad spec {spec} \
-                             (after-commit:N | mid-partition:N | mid-rename)"
-                        )
-                    })?)
-                }
                 "--durable" => args.durable = true,
                 "--run-dir" => args.run_dir = val("--run-dir")?,
                 "--resume" => {
@@ -284,22 +216,33 @@ impl Args {
                 }
                 "--metrics-json" => args.metrics_json = Some(val("--metrics-json")?),
                 "--trace" => args.trace = Some(val("--trace")?),
-                "--plan" => args.plan = PlanMode::parse(&val("--plan")?).map_err(|e| format!("--plan: {e}"))?,
                 "--help" | "-h" => {
                     outln!("{}", HELP);
                     exit(0);
                 }
-                other => {
-                    return Err(match nearest_flag(other) {
-                        Some(near) => {
-                            format!("unknown flag {other} (did you mean {near}? try --help)")
-                        }
-                        None => format!("unknown flag {other} (try --help)"),
-                    })
-                }
+                other => match JoinSpec::field_of_flag(other) {
+                    Some(field) => args.spec.read(field, Raw::Flag(&val(other)?))?,
+                    None => {
+                        return Err(match nearest_flag(other) {
+                            Some(near) => {
+                                format!("unknown flag {other} (did you mean {near}? try --help)")
+                            }
+                            None => format!("unknown flag {other} (try --help)"),
+                        })
+                    }
+                },
             }
         }
+        args.spec.validate(args.durable())?;
+        if args.durable() && (args.refine || args.distance.is_some()) {
+            return Err("durable runs checkpoint the filter step only; drop --refine/--distance".into());
+        }
         Ok(args)
+    }
+
+    /// Whether the run is checkpointed: asked for, resumed, or crashed.
+    fn durable(&self) -> bool {
+        self.durable || self.spec.crash.is_some() || self.resume.is_some()
     }
 }
 
@@ -307,16 +250,17 @@ const HELP: &str = "sjoin - index-free spatial joins (Dittrich & Seeger, ICDE 20
   --left/--right  la_rr | la_st | cal_st | uniform | clustered | self (right only)
   --algo          pbsm | pbsm-trie | pbsm-sort | twolayer | s3j | s3j-orig |
                   sssj | shj | quadtree
-  --mem-mb N      memory budget in MiB, at least one page (default 5)
+  --mem-mb N      memory budget in MiB, one 8 KiB page to 16384 (default 5)
   --scale F       dataset scale, 1.0 = paper size       (default 0.05)
   --p F           grow MBR edges by factor p            (default 1)
   --seed N        dataset seed                          (default 42)
-  --threads N     PBSM's worker threads for the join phase, 0 = all cores
-                  (default 1); S3J and the other algorithms run on one thread
-  --channels D    independent simulated I/O channels (default 1); partition and
-                  level files overlap across channels, shared files (manifest,
-                  journal, results) stay serial — results are identical, only
-                  the simulated clock improves
+  --threads N     PBSM's worker threads for the join phase, 0..=64, 0 = all
+                  cores (default 1); S3J and the other algorithms run on one
+                  thread
+  --channels D    independent simulated I/O channels, 1..=64 (default 1);
+                  partition and level files overlap across channels, shared
+                  files (manifest, journal, results) stay serial — results
+                  are identical, only the simulated clock improves
   --limit N       print the first N result pairs
   --refine        verify candidates against exact segment geometry
   --distance EPS  eps-distance join instead of intersection (implies --refine)
@@ -361,67 +305,17 @@ const HELP: &str = "sjoin - index-free spatial joins (Dittrich & Seeger, ICDE 20
                   state.bin snapshot and prints a machine-readable JSON
                   summary; exit 0 when every snapshot is sound, 1 otherwise";
 
-/// A numeric flag's valid values, and how a usage error names them.
-struct Valid(fn(f64) -> bool, &'static str);
+/// A numeric flag's valid values, and how a usage error names them. The
+/// finite numbers > 0 start at the least positive `f64`.
+type Valid = (RangeInclusive<f64>, &'static str);
 
-const POSITIVE: Valid = Valid(|x| x.is_finite() && x > 0.0, "a finite number > 0");
-const NON_NEGATIVE: Valid = Valid(|x| x.is_finite() && x >= 0.0, "a finite number >= 0");
-const FRACTION: Valid = Valid(|x| (0.0..=1.0).contains(&x), "a number in [0, 1]");
+const POSITIVE: Valid = (f64::from_bits(1)..=f64::MAX, "a finite number > 0");
+const NON_NEGATIVE: Valid = (0.0..=f64::MAX, "a finite number >= 0");
 
-/// `v` as the value of `flag`, which must be a number `valid` takes.
-fn parse_num(flag: &str, v: &str, Valid(ok, what): Valid) -> Result<f64, String> {
-    let x: f64 = v.parse().map_err(|e| format!("{flag}: bad number {v}: {e}"))?;
-    if ok(x) {
-        Ok(x)
-    } else {
-        Err(format!("{flag}: want {what}, got {v}"))
-    }
-}
-
-/// Parses a `--degraded-channel` spec: `CHANNEL:FACTOR`, factor ≥ 1.
-fn parse_degraded_channel(spec: &str) -> Result<(usize, f64), String> {
-    let err = || format!("--degraded-channel: bad spec {spec} (want CHANNEL:FACTOR, e.g. 0:4)");
-    let (c, f) = spec.split_once(':').ok_or_else(err)?;
-    let channel: usize = c.parse().map_err(|_| err())?;
-    let factor: f64 = f.parse().map_err(|_| err())?;
-    if !factor.is_finite() || factor < 1.0 {
-        return Err(format!("--degraded-channel: factor must be >= 1, got {factor}"));
-    }
-    Ok((channel, factor))
-}
-
-/// Assembles the fault plan from the injection flags, or `None` when no
-/// fault flag was given. `--faults SEED` supplies the transient plan; the
-/// persistent taxa (`--persistent-rate`, `--disk-budget`,
-/// `--degraded-channel`) and the `--crash` point (the checkpoint layer arms
-/// crash injection from the disk's own plan) compose onto it, or onto an
-/// otherwise-clean plan keyed on the dataset seed when `--faults` is absent.
-fn fault_plan(args: &Args) -> Option<FaultPlan> {
-    let taxa = args.persistent_rate.is_some()
-        || args.disk_budget.is_some()
-        || args.degraded_channel.is_some()
-        || args.crash.is_some();
-    if args.faults.is_none() && !taxa {
-        return None;
-    }
-    let mut plan = match args.faults {
-        Some(seed) => FaultPlan::recoverable(seed),
-        None => FaultPlan::none(args.seed),
-    };
-    if let Some(rate) = args.fault_rate {
-        plan.fault_rate = rate;
-    }
-    if let Some(rate) = args.persistent_rate {
-        plan = plan.with_persistent_rate(rate);
-    }
-    if let Some(pages) = args.disk_budget {
-        plan = plan.with_disk_budget(pages);
-    }
-    if let Some((channel, factor)) = args.degraded_channel {
-        plan = plan.with_degraded_channel(channel, factor);
-    }
-    plan.crash = args.crash;
-    Some(plan)
+/// `v` as the value of `flag`, which must be a number `valid` takes: read
+/// as a spec field's number is.
+fn parse_num(flag: &str, v: &str, (range, what): Valid) -> Result<f64, String> {
+    Raw::Flag(v).number(range, what).map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Quarantine and fallback events that let the run finish *exactly* despite
@@ -519,11 +413,12 @@ fn print_phase_stats(stats: &JoinStats) {
 fn export_observability(
     args: &Args,
     stats: &JoinStats,
-    algo_name: &str,
+    join: &SpatialJoin,
     recorder: Option<&Recorder>,
 ) {
     if let Some(path) = &args.metrics_json {
-        let report = stats.metrics_report(algo_name, args.threads);
+        let algo = join.algorithm();
+        let report = stats.metrics_report(algo.name(), algo.threads_used());
         if let Err(e) = report.reconcile() {
             errln!("error: refusing to write {path}: {e}");
             exit(1);
@@ -709,23 +604,6 @@ fn run_durable(args: &Args, join: &SpatialJoin, left: &[Kpe], right: &[Kpe]) -> 
     }
 }
 
-fn join_of(args: &Args, algo: Algorithm) -> SpatialJoin {
-    let mut join = SpatialJoin::new(algo.with_threads(args.threads)).with_disk_model(DiskModel {
-        channels: args.channels,
-        ..Default::default()
-    });
-    if let Some(plan) = fault_plan(args) {
-        join = join.with_faults(plan);
-    }
-    if let Some(n) = args.retry {
-        join = join.with_retry(RetryPolicy::with_max_attempts(n));
-    }
-    if let Some(d) = args.deadline {
-        join = join.with_deadline(d);
-    }
-    join
-}
-
 fn main() {
     run();
     exit(0);
@@ -743,8 +621,6 @@ fn run() {
             exit(2);
         }
     };
-    let mem = spatialjoin::mem_bytes_from_mb(args.mem_mb)
-        .unwrap_or_else(|e| die(format!("--mem-mb: {e}")));
     let left = datagen::named(&args.left, args.scale, args.seed).unwrap_or_else(die);
     let right = if args.right == "self" {
         left.clone()
@@ -759,35 +635,13 @@ fn run() {
     } else {
         (left, right)
     };
+    let (mut join, plan) =
+        args.spec.build(&left.kpes, &right.kpes, PlanSpace::All, Some(args.seed));
     // The explained plan's predicted CPU, set beside the run's priced CPU.
     let mut predicted_cpu = None;
-    let algo = if args.plan == PlanMode::Off {
-        Algorithm::from_name(&args.algo, mem).unwrap_or_else(|| {
-            die(format!(
-                "unknown algorithm {} (expected one of {})",
-                args.algo,
-                Algorithm::NAMES.join("|")
-            ))
-        })
-    } else {
-        // Planner-selected configuration. Durable runs are refused: a
-        // resume must replay the *same* configuration, and the planner's
-        // pick is a function of the data, not of the manifest.
-        if args.durable || args.crash.is_some() || args.resume.is_some() {
-            die::<()>(
-                "--plan auto|explain and durable runs don't mix; pick --algo explicitly".into(),
-            );
-        }
-        let planner = Planner::new(mem).with_disk_model(DiskModel {
-            channels: args.channels,
-            ..Default::default()
-        });
-        let plan = planner.plan(
-            &DatasetProfile::build(&left.kpes),
-            &DatasetProfile::build(&right.kpes),
-        );
+    if let Some(plan) = &plan {
         let chosen = plan.chosen();
-        if args.plan == PlanMode::Explain {
+        if args.spec.plan == PlanMode::Explain {
             out!("{}", plan.render_table());
             predicted_cpu = Some(chosen.predicted.cpu_seconds);
         }
@@ -797,16 +651,10 @@ fn run() {
             chosen.predicted.total_seconds,
             chosen.predicted.candidates,
         );
-        Algorithm::from_choice(&chosen.choice)
-    };
-    let mut join = join_of(&args, algo);
+    }
     let recorder = args.trace.as_ref().map(|_| Recorder::shared());
     if let Some(r) = &recorder {
         join = join.with_recorder(std::sync::Arc::clone(r));
-    }
-    let durable = args.durable || args.crash.is_some() || args.resume.is_some();
-    if durable && (args.refine || args.distance.is_some()) {
-        die::<()>("durable runs checkpoint the filter step only; drop --refine/--distance".into());
     }
     outln!(
         "{} ({} MBRs) ⋈ {} ({} MBRs), {} , M = {} MiB",
@@ -815,7 +663,7 @@ fn run() {
         args.right,
         right.len(),
         join.algorithm().name(),
-        args.mem_mb
+        args.spec.mem_mb
     );
 
     if args.refine || args.distance.is_some() {
@@ -848,11 +696,11 @@ fn run() {
         for (a, b) in run.pairs.iter().take(args.limit) {
             outln!("  #{} {sep} #{}", a.0, b.0);
         }
-        export_observability(&args, &run.filter, join.algorithm().name(), recorder.as_deref());
+        export_observability(&args, &run.filter, &join, recorder.as_deref());
         return;
     }
 
-    let run = if durable {
+    let run = if args.durable() {
         run_durable(&args, &join, &left.kpes, &right.kpes)
     } else {
         join.try_run(&left.kpes, &right.kpes).unwrap_or_else(die_join)
@@ -861,11 +709,11 @@ fn run() {
     outln!("duplicates       : {}", run.stats.duplicates());
     outln!("cpu (emulated)   : {:.2} s", run.stats.scaled_cpu_seconds());
     outln!("disk (simulated) : {:.2} s", run.stats.io_seconds());
-    if args.channels > 1 {
+    if args.spec.channels > 1 {
         outln!(
             "disk (parallel)  : {:.2} s over {} channels, {:.2} s hidden by prefetch",
             run.stats.io_parallel_seconds(),
-            args.channels,
+            args.spec.channels,
             run.stats.prefetch_hidden_seconds()
         );
     }
@@ -886,13 +734,13 @@ fn run() {
     for (a, b) in run.pairs.iter().take(args.limit) {
         outln!("  #{} x #{}", a.0, b.0);
     }
-    if durable {
+    if args.durable() {
         // The snapshot goes only once the listing is out: until then it is
         // the one place the pairs of this leg can still be had from.
         with_stdout(|out| out.flush());
         let _ = std::fs::remove_file(state_path(&args));
     }
-    export_observability(&args, &run.stats, join.algorithm().name(), recorder.as_deref());
+    export_observability(&args, &run.stats, &join, recorder.as_deref());
 }
 
 /// The raster stage's contribution, printed only when `--raster-filter`
@@ -924,16 +772,16 @@ mod tests {
     use super::*;
 
     /// The drift this PR fixed: every flag the parser accepts must be
-    /// documented in `--help` (and `VALID_FLAGS` is what the parser's
+    /// documented in `--help` (and `valid_flags` is what the parser's
     /// unknown-flag suggestions draw from, so it must stay complete too).
     #[test]
     fn every_valid_flag_is_documented_in_help() {
-        for flag in VALID_FLAGS {
-            if *flag == "--help" {
+        for flag in valid_flags() {
+            if flag == "--help" {
                 continue; // --help documents the others, not itself
             }
             assert!(
-                HELP.contains(flag),
+                HELP.contains(&flag),
                 "flag {flag} accepted by the parser but missing from HELP"
             );
         }
@@ -941,10 +789,10 @@ mod tests {
 
     #[test]
     fn unknown_flags_suggest_the_nearest_valid_one() {
-        assert_eq!(nearest_flag("--thread"), Some("--threads"));
-        assert_eq!(nearest_flag("--metrics-jsn"), Some("--metrics-json"));
-        assert_eq!(nearest_flag("--fault"), Some("--faults"));
-        assert_eq!(nearest_flag("--resumee"), Some("--resume"));
+        assert_eq!(nearest_flag("--thread").as_deref(), Some("--threads"));
+        assert_eq!(nearest_flag("--metrics-jsn").as_deref(), Some("--metrics-json"));
+        assert_eq!(nearest_flag("--fault").as_deref(), Some("--faults"));
+        assert_eq!(nearest_flag("--resumee").as_deref(), Some("--resume"));
         // Far from everything: no misleading suggestion.
         assert_eq!(nearest_flag("--zzzzzzzzzzzz"), None);
     }
@@ -961,13 +809,24 @@ mod tests {
         assert!(err.contains("off|auto|explain"), "{err}");
     }
 
+    /// The flags `sjoin` takes are the ones it took before the spec fields
+    /// moved into `JoinSpec`, and each spec flag names its field.
     #[test]
-    fn degraded_channel_spec_parses() {
-        assert_eq!(parse_degraded_channel("0:4"), Ok((0, 4.0)));
-        assert_eq!(parse_degraded_channel("2:1.5"), Ok((2, 1.5)));
-        assert!(parse_degraded_channel("nope").is_err());
-        assert!(parse_degraded_channel("1:0.5").is_err(), "factor < 1 must be refused");
-        assert!(parse_degraded_channel("1:").is_err());
+    fn the_accepted_flags_are_unchanged() {
+        let mut flags: Vec<String> = valid_flags().collect();
+        flags.sort();
+        let mut want = [
+            "--left", "--right", "--algo", "--mem-mb", "--scale", "--p", "--seed", "--threads",
+            "--channels", "--limit", "--refine", "--distance", "--raster-filter", "--stats",
+            "--faults", "--fault-rate", "--persistent-rate", "--disk-budget", "--degraded-channel",
+            "--retry", "--deadline", "--crash", "--durable", "--run-dir", "--resume",
+            "--metrics-json", "--trace", "--plan", "--help",
+        ];
+        want.sort();
+        assert_eq!(flags, want);
+        for field in JoinSpec::fields() {
+            assert_eq!(JoinSpec::field_of_flag(&JoinSpec::flag(field)), Some(field));
+        }
     }
 
     #[test]
@@ -1021,32 +880,31 @@ mod tests {
         let base = std::env::temp_dir().join(format!("sjoin-durable-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         let args_in = |dir: &str| Args {
-            mem_mb: 0.2,
             run_dir: base.join(dir).to_string_lossy().into_owned(),
+            spec: JoinSpec { mem_mb: 0.2, ..JoinSpec::default() },
             ..Args::default()
         };
         let solo = args_in("solo");
         let left = datagen::named(&solo.left, solo.scale, solo.seed).expect("dataset");
         let right = datagen::named(&solo.right, solo.scale, solo.seed ^ 0xFFFF).expect("dataset");
-        let algo = || {
-            Algorithm::from_name("pbsm", spatialjoin::mem_bytes_from_mb(0.2).expect("budget"))
-                .expect("algorithm")
+        let join_of = |args: &Args| {
+            args.spec.build(&left.kpes, &right.kpes, PlanSpace::All, Some(args.seed)).0
         };
         let sorted = |mut pairs: Vec<(RecordId, RecordId)>| {
             pairs.sort_unstable();
             pairs
         };
-        let want = sorted(join_of(&solo, algo()).run(&left.kpes, &right.kpes).pairs);
+        let want = sorted(join_of(&solo).run(&left.kpes, &right.kpes).pairs);
         assert_eq!(want.len(), 2807);
         for n in [1, 3] {
             let dir = format!("after-commit-{n}");
-            let crash = Args { crash: Some(CrashPoint::AfterCommit(n)), ..args_in(&dir) };
-            let (first, res) = durable_leg(&crash, &join_of(&crash, algo()), &left.kpes, &right.kpes);
+            let mut crash = args_in(&dir);
+            crash.spec.crash = Some(spatialjoin::CrashPoint::AfterCommit(n));
+            let (first, res) = durable_leg(&crash, &join_of(&crash), &left.kpes, &right.kpes);
             assert!(res.is_err_and(|e| e.is_resumable()), "after-commit:{n} must fire");
             let resume = Args { resume: Some(crash.seed), ..args_in(&dir) };
             assert!(state_path(&resume).exists(), "the interrupted leg saves its disk");
-            let (second, res) =
-                durable_leg(&resume, &join_of(&resume, algo()), &left.kpes, &right.kpes);
+            let (second, res) = durable_leg(&resume, &join_of(&resume), &left.kpes, &right.kpes);
             assert_eq!(res.expect("resume completes").results(), 2807);
             // The snapshot outlives the leg: `run` removes it after listing.
             assert!(state_path(&resume).exists());

@@ -39,6 +39,8 @@
 //! The rest are sinks for the first — [`SpatialJoin::run_with`], `try_run` /
 //! `run` (a [`JoinRun`]), `count` — and one entry per refinement predicate,
 //! [`SpatialJoin::try_run_refined`] and [`SpatialJoin::try_within_distance`].
+//! `sjoin`'s flags and `sjoind`'s join requests both describe a join as a
+//! [`JoinSpec`], and [`JoinSpec::build`] makes its `SpatialJoin`.
 //!
 //! ## Crate map
 //!
@@ -91,6 +93,9 @@ use pbsm::{Dedup, PbsmConfig, PbsmStats};
 use s3j::{S3jConfig, S3jStats};
 use shj::{ShjConfig, ShjStats};
 use sssj::{SssjConfig, SssjStats};
+
+mod spec;
+pub use spec::{JoinSpec, Raw};
 
 /// Configuration of the in-memory MX-CIF quadtree join (§4.1 machinery
 /// promoted to a runnable variant).
@@ -248,6 +253,12 @@ impl Algorithm {
         "quadtree",
     ];
 
+    /// The names of [`Algorithm::NAMES`] a durable run can checkpoint: the
+    /// partition-based joins that drop duplicates online (sort-phase dedup
+    /// and the baselines are refused by the checkpoint layer).
+    pub const CHECKPOINTABLE: [&'static str; 5] =
+        ["pbsm", "pbsm-trie", "twolayer", "s3j", "s3j-orig"];
+
     /// The configuration a CLI/wire algorithm name stands for at memory
     /// budget `mem_bytes`; `None` for a name outside [`Algorithm::NAMES`].
     pub fn from_name(name: &str, mem_bytes: usize) -> Option<Algorithm> {
@@ -347,6 +358,12 @@ impl Algorithm {
         }
     }
 
+    /// The worker threads a run uses: PBSM's knob resolved (`0` = every
+    /// core), one for every other algorithm.
+    pub fn threads_used(&self) -> usize {
+        self.threads().map_or(1, parallel::resolve_threads)
+    }
+
     /// Human-readable name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -368,18 +385,6 @@ impl Algorithm {
             Algorithm::Quadtree(_) => "MX-CIF quadtree (in-memory)",
         }
     }
-}
-
-/// Converts a memory budget given in MiB (`sjoin --mem-mb`, `sjoind`'s
-/// `"mem_mb"`) to bytes. A budget under one default-model page is refused:
-/// the cast truncates it towards 0 bytes, and formula (1) divides by it.
-pub fn mem_bytes_from_mb(mem_mb: f64) -> Result<usize, String> {
-    let bytes = (mem_mb * 1024.0 * 1024.0) as usize;
-    let page = DiskModel::default().page_size;
-    if bytes < page {
-        return Err(format!("memory budget of {mem_mb} MiB is under one {page}-byte page"));
-    }
-    Ok(bytes)
 }
 
 /// Statistics of a completed join, uniform across algorithms.

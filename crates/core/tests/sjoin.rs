@@ -33,6 +33,9 @@ fn an_out_of_range_number_is_a_usage_error_naming_its_flag() {
         ("--deadline", &["NaN", "-1", "inf"]),
         ("--fault-rate", &["2", "NaN", "-0.1"]),
         ("--persistent-rate", &["1.5", "NaN", "-1"]),
+        ("--threads", &["65"]),
+        ("--channels", &["0", "65"]),
+        ("--mem-mb", &["16385"]),
     ];
     for &(flag, values) in cases {
         for value in values {
@@ -42,6 +45,38 @@ fn an_out_of_range_number_is_a_usage_error_naming_its_flag() {
             assert!(stderr.contains(flag), "{flag} {value}: the error does not name the flag: {stderr}");
         }
     }
+}
+
+/// A durable run of an algorithm that cannot checkpoint is refused before
+/// any dataset is built, naming the ones that can: it used to generate both
+/// datasets and fail with an I/O error.
+#[test]
+fn a_durable_run_wants_a_checkpointable_algorithm() {
+    for flags in [&["--algo", "pbsm-sort", "--crash", "mid-rename"][..], &["--algo", "sssj", "--durable"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sjoin")).args(flags).output().expect("spawn sjoin");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: stderr {stderr}");
+        assert!(stderr.contains("not checkpointable; use pbsm|pbsm-trie|twolayer|s3j|s3j-orig"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?}: a dataset was built");
+    }
+}
+
+/// The metrics report records the threads the join ran on: every core for
+/// `--threads 0`, one for S3J whatever `--threads` says.
+#[test]
+fn the_metrics_report_records_the_threads_the_join_ran_on() {
+    let cores = std::thread::available_parallelism().expect("core count").get() as f64;
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sjoin-threads");
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    for (flags, threads) in [(["pbsm", "0"], cores), (["s3j", "4"], 1.0), (["pbsm", "2"], 2.0)] {
+        let path = tmp.join(format!("{}-{}.json", flags[0], flags[1]));
+        let args = ["--scale", "0.02", "--algo", flags[0], "--threads", flags[1], "--metrics-json"];
+        let out = Command::new(env!("CARGO_BIN_EXE_sjoin")).args(args).arg(&path).output().expect("spawn sjoin");
+        assert_eq!(out.status.code(), Some(0), "{flags:?}");
+        let report = Json::parse(&std::fs::read_to_string(&path).expect("metrics")).expect("json");
+        assert_eq!(report.get("threads").and_then(Json::as_f64), Some(threads), "{flags:?}");
+    }
+    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 /// `--durable --deadline D --limit`, then `--resume`: the deadline is held

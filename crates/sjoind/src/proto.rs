@@ -17,13 +17,33 @@
 //! | `crashed`         | injected crash point fired; resumable              |
 //! | `io`              | retry budget exhausted on an unrecoverable fault   |
 //! | `panicked`        | the join panicked; contained to this request       |
-//! | `unsupported`     | algorithm can't serve the requested mode           |
+//! | `unsupported`     | a member, value or mode the service does not serve |
 //! | `unknown_dataset` | join referenced an unregistered name               |
 //! | `bad_request`     | malformed JSON or missing/invalid fields           |
 //! | `draining`        | server is shutting down, not accepting joins       |
+//!
+//! A `join`'s configuration is a [`JoinSpec`], read and checked as `sjoin`
+//! reads its flags (`mem_mb` for `--mem-mb`): a value one refuses, the
+//! other refuses with the same text. The members:
+//!
+//! | member | on the wire |
+//! |---|---|
+//! | `left`, `right` | registered dataset names (required) |
+//! | `algo` | one of [`ALGOS`] (default `pbsm`); `sssj`, `shj`, `quadtree` are `unsupported` |
+//! | `plan` | `off` (default) or `auto`; `explain` is `unsupported` |
+//! | `mem_mb` | one 8 KiB page to 16384 (default 1), leased from the arbiter |
+//! | `threads` | 0..=64, 0 = every core (default 1) |
+//! | `channels` | 1..=64 (default 1) |
+//! | `deadline` | simulated seconds ≥ 0 |
+//! | `faults` | fault seed; with `faults_persistent: true`, persistent damage instead of transient faults |
+//! | `crash` | crash point of a durable leg; an algorithm of `Algorithm::CHECKPOINTABLE`, no `plan` |
+//! | `retry`, `fault_rate`, `persistent_rate`, `disk_budget`, `degraded_channel` | `unsupported` ([`UNSERVED`]) |
+//! | `limit` | pairs to send; the join still runs to its end |
+//! | `metrics` | `true` embeds the reconciled metrics report in `done` |
+//! | `panic_after`, `hold_ms` | test hooks |
 
-use spatialjoin::estimate::PlanChoice;
-use spatialjoin::CrashPoint;
+use spatialjoin::estimate::PlanMode;
+use spatialjoin::JoinSpec;
 
 use crate::json::Json;
 
@@ -39,159 +59,81 @@ pub const ALGOS: [&str; 6] = [
     "s3j-orig",
 ];
 
-/// Subset of [`ALGOS`] the durable-run machinery can checkpoint — the only
-/// algorithms `crash` requests can serve (sort-phase dedup is refused by the
-/// checkpoint layer; the two-layer class scheme, like RPM, dedups online and
-/// checkpoints fine, and so do both S³J variants).
-pub const CHECKPOINTABLE: [&str; 5] = ["pbsm", "pbsm-trie", "twolayer", "s3j", "s3j-orig"];
+/// The [`JoinSpec`] fields the wire does not serve: a request that sets one
+/// is refused `unsupported`, naming it.
+pub const UNSERVED: [&str; 5] =
+    ["retry", "fault_rate", "persistent_rate", "disk_budget", "degraded_channel"];
 
 /// Dataset generators the `register` command understands (same set and
 /// sizing rules as the `sjoin` CLI).
 pub const SOURCES: [&str; 5] = datagen::SOURCES;
 
-/// A validated `join` request.
+/// A validated `join` request: the wire's own members beside the spec.
 #[derive(Debug, Clone)]
 pub struct JoinRequest {
     pub left: String,
     pub right: String,
-    pub algo: String,
-    /// Memory budget the join sizes itself from *and* leases from the
-    /// arbiter, in bytes.
-    pub mem_bytes: usize,
-    /// PBSM's partition-join worker threads (1–64, default 1); every other
-    /// algorithm, S³J included, runs on the session thread alone.
-    pub threads: usize,
-    /// Simulated disk channels (1–64, default 1).
-    pub channels: usize,
-    /// Simulated-seconds deadline propagated into the join.
-    pub deadline: Option<f64>,
+    /// The join's configuration; `mem_mb` defaults to 1 on the wire.
+    pub spec: JoinSpec,
     /// Stop *sending* pairs after this many; the join still completes and
     /// the terminal `done` line carries the full deterministic totals.
     pub limit: Option<u64>,
-    /// Run under seeded recoverable fault injection.
-    pub faults: Option<u64>,
-    /// Escalate `faults` to the persistent-damage plan: re-reads of a bad
-    /// page always fail, exercising the quarantine-recompute paths. Results
-    /// must still be bit-identical — that is the claim the soak checks.
-    pub faults_persistent: bool,
-    /// Inject a crash point (spec string, e.g. `"mid-partition:1"`).
-    pub crash: Option<CrashPoint>,
+    /// Attach the reconciled `MetricsReport` to the `done` line.
+    pub metrics: bool,
     /// Test hook: panic the join after emitting this many pairs.
     pub panic_after: Option<u64>,
     /// Test hook: hold the memory lease this many real milliseconds before
     /// joining, to make overload windows deterministic in tests.
     pub hold_ms: Option<u64>,
-    /// Attach the reconciled `MetricsReport` to the `done` line.
-    pub metrics: bool,
-    /// `"plan": "auto"` — let the cost-based planner pick the algorithm
-    /// and its knobs over the service's streamable candidate space; any
-    /// explicit `algo` is ignored. The chosen plan is reported on the
-    /// `done` line.
-    pub plan: bool,
-    /// Filled by the server once the planner has run: the full chosen
-    /// configuration (including knobs the algorithm name alone cannot
-    /// carry, like the tile count and buffer split). Never parsed from
-    /// the wire; `chosen_plan()` renders the `done`-line description.
-    pub chosen_choice: Option<PlanChoice>,
 }
 
 impl JoinRequest {
     /// Extracts and validates a join request from a parsed protocol line.
-    pub fn from_json(v: &Json) -> Result<JoinRequest, String> {
-        let field_str = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("join requires string field {key:?}"))
-        };
-        let flag = |key: &str| -> Result<bool, String> {
-            Ok(opt(v, key, "a boolean", Json::as_bool)?.unwrap_or(false))
-        };
-        // A count outside 1..=64 is refused, not clamped: `sjoin` reads
-        // `--threads 0` as every core and refuses `--channels 0`.
-        let count = |key: &str| -> Result<usize, String> {
-            match opt_u64(v, key)?.unwrap_or(1) {
-                n @ 1..=64 => Ok(n as usize),
-                n => Err(format!("field {key:?} must be in 1..=64, got {n}")),
-            }
-        };
-
-        let algo = match v.get("algo").and_then(Json::as_str) {
-            None => "pbsm".to_owned(),
-            Some(a) if ALGOS.contains(&a) => a.to_owned(),
-            Some(other) => {
-                return Err(format!(
-                    "unknown algorithm {other:?} (expected one of {})",
-                    ALGOS.join("|")
-                ))
-            }
-        };
-        let mem_mb = opt_f64(v, "mem_mb")?.unwrap_or(1.0);
-        if mem_mb > 16_384.0 {
-            return Err("mem_mb must be at most 16384".to_owned());
+    /// A refusal is an error `kind` and its message: `unsupported` for what
+    /// the service does not serve, `bad_request` for the rest.
+    pub fn from_json(v: &Json) -> Result<JoinRequest, (&'static str, String)> {
+        let unserved = UNSERVED.into_iter().find(|f| v.get(f).is_some_and(|j| *j != Json::Null));
+        if let Some(field) = unserved {
+            return Err(("unsupported", format!("{field}: not served by sjoind")));
         }
-        let mem_bytes =
-            spatialjoin::mem_bytes_from_mb(mem_mb).map_err(|e| format!("mem_mb: {e}"))?;
-        let plan = match v.get("plan") {
-            None | Some(Json::Null) => false,
-            Some(j) => match j.as_str() {
-                Some("auto") => true,
-                Some(other) => {
-                    return Err(format!("field \"plan\" must be \"auto\", got {other:?}"))
-                }
-                None => return Err("field \"plan\" must be the string \"auto\"".to_owned()),
-            },
-        };
-        let crash = match v.get("crash") {
-            None | Some(Json::Null) => None,
-            Some(j) => {
-                let spec = j.as_str().ok_or("field \"crash\" must be a spec string")?;
-                Some(CrashPoint::from_spec(spec).ok_or_else(|| {
-                    format!(
-                        "bad crash spec {spec:?} (after-commit:N | mid-partition:N | mid-rename)"
-                    )
-                })?)
-            }
-        };
-        let req = JoinRequest {
-            left: field_str("left")?,
-            right: field_str("right")?,
-            mem_bytes,
-            threads: count("threads")?,
-            channels: count("channels")?,
-            deadline: opt_f64(v, "deadline")?,
-            limit: opt_u64(v, "limit")?,
-            faults: opt_u64(v, "faults")?,
-            faults_persistent: flag("faults_persistent")?,
-            crash,
-            panic_after: opt_u64(v, "panic_after")?,
-            hold_ms: opt_u64(v, "hold_ms")?,
-            metrics: flag("metrics")?,
-            plan,
-            chosen_choice: None,
-            algo,
-        };
-        if req.plan && req.crash.is_some() {
-            // Crash/resume keys on a *fixed* configuration fingerprint; a
-            // data-dependent planner pick would refuse the resume.
-            return Err("plan cannot be combined with crash".to_owned());
+        let req = Self::read(v).map_err(|e| ("bad_request", e))?;
+        if req.spec.plan == PlanMode::Explain {
+            return Err(("unsupported", "plan: \"explain\" is not served (use off|auto)".into()));
         }
-        if req.crash.is_some() && !CHECKPOINTABLE.contains(&req.algo.as_str()) {
-            return Err(format!(
-                "algorithm {:?} cannot serve crash requests (not checkpointable; use {})",
-                req.algo,
-                CHECKPOINTABLE.join("|")
-            ));
-        }
-        if req.crash.is_some() && req.faults.is_some() {
-            // The crash leg runs on a crash-only disk: a fault seed beside
-            // it would be read, validated and never applied.
-            return Err("crash cannot be combined with faults".to_owned());
-        }
-        if req.faults_persistent && req.faults.is_none() {
-            return Err("faults_persistent requires a faults seed".to_owned());
+        if !ALGOS.contains(&req.spec.algo.as_str()) {
+            let (algo, algos) = (&req.spec.algo, ALGOS.join("|"));
+            return Err(("unsupported", format!("algo: {algo:?} is not served (use {algos})")));
         }
         Ok(req)
+    }
+
+    fn read(v: &Json) -> Result<JoinRequest, String> {
+        // The wire's default budget is 1 MiB.
+        let mut spec = JoinSpec { mem_mb: 1.0, ..JoinSpec::default() };
+        spec.read_json(v)?;
+        // Persistent damage exercises the quarantine-recompute paths end to
+        // end: the join must still deliver the exact clean result set.
+        if opt(v, "faults_persistent", "a boolean", Json::as_bool)? == Some(true) {
+            if spec.faults.is_none() {
+                return Err("faults_persistent requires a faults seed".to_owned());
+            }
+            (spec.fault_rate, spec.persistent_rate) = (Some(0.0), Some(0.05));
+        }
+        spec.validate(false)?;
+        let name = |key: &str| {
+            let name = v.get(key).and_then(Json::as_str).map(str::to_owned);
+            name.ok_or_else(|| format!("join requires string field {key:?}"))
+        };
+        let count = |key: &str| opt(v, key, "a non-negative integer", Json::as_u64);
+        Ok(JoinRequest {
+            left: name("left")?,
+            right: name("right")?,
+            spec,
+            limit: count("limit")?,
+            metrics: opt(v, "metrics", "a boolean", Json::as_bool)?.unwrap_or(false),
+            panic_after: count("panic_after")?,
+            hold_ms: count("hold_ms")?,
+        })
     }
 }
 
@@ -209,16 +151,6 @@ pub(crate) fn opt<'a, T>(
             .map(Some)
             .ok_or_else(|| format!("field {key:?} must be {what}")),
     }
-}
-
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    opt(v, key, "a non-negative integer", Json::as_u64)
-}
-
-fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    opt(v, key, "a finite number >= 0", |j| {
-        j.as_f64().filter(|x| x.is_finite() && *x >= 0.0)
-    })
 }
 
 /// Generates a dataset's KPEs for `register`.
@@ -241,18 +173,23 @@ pub fn error_line(kind: &str, message: &str, extra: &[(&str, Json)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatialjoin::CrashPoint;
 
     fn parse(line: &str) -> Result<JoinRequest, String> {
-        JoinRequest::from_json(&Json::parse(line).expect("test line parses"))
+        JoinRequest::from_json(&Json::parse(line).expect("test line parses")).map_err(|(_, e)| e)
+    }
+
+    /// The refusal's kind.
+    fn kind(line: &str) -> &'static str {
+        JoinRequest::from_json(&Json::parse(line).expect("test line parses")).expect_err(line).0
     }
 
     #[test]
     fn minimal_join_defaults() {
         let r = parse(r#"{"cmd":"join","left":"a","right":"b"}"#).unwrap();
-        assert_eq!(r.algo, "pbsm");
-        assert_eq!(r.mem_bytes, 1024 * 1024);
-        assert_eq!((r.threads, r.channels), (1, 1));
-        assert!(r.crash.is_none() && r.deadline.is_none());
+        assert_eq!(r.spec, JoinSpec { mem_mb: 1.0, ..JoinSpec::default() });
+        assert_eq!(r.spec.mem_bytes(), 1024 * 1024);
+        assert_eq!((r.limit, r.metrics, r.panic_after, r.hold_ms), (None, false, None, None));
     }
 
     #[test]
@@ -263,12 +200,12 @@ mod tests {
                 "faults":7,"panic_after":3,"hold_ms":20,"metrics":true}"#,
         )
         .unwrap();
-        assert_eq!(r.algo, "s3j");
-        assert_eq!(r.mem_bytes, (2.5 * 1024.0 * 1024.0) as usize);
-        assert_eq!((r.threads, r.channels), (4, 2));
-        assert_eq!(r.deadline, Some(9.5));
+        assert_eq!(r.spec.algo, "s3j");
+        assert_eq!(r.spec.mem_bytes(), (2.5 * 1024.0 * 1024.0) as usize);
+        assert_eq!((r.spec.threads, r.spec.channels), (4, 2));
+        assert_eq!(r.spec.deadline, Some(9.5));
         assert_eq!(r.limit, Some(10));
-        assert_eq!((r.faults, r.panic_after, r.hold_ms), (Some(7), Some(3), Some(20)));
+        assert_eq!((r.spec.faults, r.panic_after, r.hold_ms), (Some(7), Some(3), Some(20)));
         assert!(r.metrics);
     }
 
@@ -293,14 +230,15 @@ mod tests {
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","deadline":-1}"#).is_err());
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-nothing"}"#).is_err());
         // Non-checkpointable algorithms cannot serve crash legs.
-        assert!(parse(
-            r#"{"cmd":"join","left":"a","right":"b","algo":"pbsm-sort","crash":"mid-rename"}"#
+        let err = parse(
+            r#"{"cmd":"join","left":"a","right":"b","algo":"pbsm-sort","crash":"mid-rename"}"#,
         )
-        .is_err());
-        // A crash leg takes no fault seed: it used to be read and dropped.
-        let err = parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-rename","faults":7}"#)
-            .unwrap_err();
-        assert!(err.contains("crash") && err.contains("faults"), "{err}");
+        .unwrap_err();
+        assert!(err.contains("pbsm|pbsm-trie|twolayer|s3j|s3j-orig"), "{err}");
+        // A crash leg takes a fault seed: the join's one fault plan carries both.
+        let r = parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-rename","faults":7}"#)
+            .unwrap();
+        assert_eq!((r.spec.crash, r.spec.faults), (Some(CrashPoint::MidRename), Some(7)));
         // the persistent escalation needs a seed to escalate.
         assert!(
             parse(r#"{"cmd":"join","left":"a","right":"b","faults_persistent":true}"#).is_err()
@@ -309,15 +247,38 @@ mod tests {
             r#"{"cmd":"join","left":"a","right":"b","faults":4,"faults_persistent":true}"#,
         )
         .unwrap();
-        assert!(r.faults_persistent && r.faults == Some(4));
+        // `FaultPlan::persistent(4)`, spelled as spec fields.
+        assert_eq!(r.spec.faults, Some(4));
+        assert_eq!((r.spec.fault_rate, r.spec.persistent_rate), (Some(0.0), Some(0.05)));
+    }
+
+    /// What the wire does not serve is refused `unsupported`, by name; it
+    /// used to be ignored.
+    #[test]
+    fn unserved_members_and_values_are_unsupported() {
+        for (field, value) in [
+            ("retry", "3"),
+            ("fault_rate", "0.1"),
+            ("persistent_rate", "0.1"),
+            ("disk_budget", "100"),
+            ("degraded_channel", "\"0:4\""),
+            ("plan", "\"explain\""),
+            ("algo", "\"sssj\""),
+        ] {
+            let line = format!(r#"{{"cmd":"join","left":"a","right":"b","{field}":{value}}}"#);
+            assert_eq!(kind(&line), "unsupported", "{line}");
+            assert!(parse(&line).unwrap_err().starts_with(field), "{line}");
+        }
+        assert_eq!(kind(r#"{"cmd":"join","left":"a","right":"b","algo":"nope"}"#), "bad_request");
+        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","retry":null}"#).is_ok());
     }
 
     #[test]
     fn plan_field_parses_and_validates() {
         let r = parse(r#"{"cmd":"join","left":"a","right":"b","plan":"auto"}"#).unwrap();
-        assert!(r.plan && r.chosen_choice.is_none());
-        // Only the literal "auto" is accepted on the wire.
-        assert!(parse(r#"{"cmd":"join","left":"a","right":"b","plan":"explain"}"#).is_err());
+        assert_eq!(r.spec.plan, PlanMode::Auto);
+        let r = parse(r#"{"cmd":"join","left":"a","right":"b","plan":"off"}"#).unwrap();
+        assert_eq!(r.spec.plan, PlanMode::Off);
         assert!(parse(r#"{"cmd":"join","left":"a","right":"b","plan":true}"#).is_err());
         // Planner picks are data-dependent; a fingerprint-keyed crash leg
         // refuses them.
@@ -332,7 +293,7 @@ mod tests {
     #[test]
     fn crash_spec_parses() {
         let r = parse(r#"{"cmd":"join","left":"a","right":"b","crash":"mid-partition:2"}"#).unwrap();
-        assert_eq!(r.crash, Some(CrashPoint::MidPartition(2)));
+        assert_eq!(r.spec.crash, Some(CrashPoint::MidPartition(2)));
     }
 
     #[test]
@@ -357,58 +318,18 @@ mod tests {
         assert!(dataset("mars_rr", 1.0, 1).is_err());
     }
 
-    /// One name table: the wire names are `Algorithm`'s, the checkpointable
-    /// ones are exactly those a durable run accepts, and a planner choice
-    /// materialised by name or directly is the same kind of join.
+    /// The wire's names are `Algorithm`'s, and a planner choice over the
+    /// wire's space is one of them.
     #[test]
-    fn algorithm_names_agree_across_cli_wire_and_planner() {
-        use spatialjoin::estimate::{DatasetProfile, Planner};
-        use spatialjoin::{Algorithm, IoErrorKind, SimDisk, SpatialJoin};
+    fn the_wire_serves_algorithm_names_and_streamable_plans() {
+        use spatialjoin::estimate::{DatasetProfile, PlanSpace, Planner};
+        use spatialjoin::Algorithm;
 
-        let mem = 64 * 1024;
-        // Every name is a configuration, and no two names the same one.
-        let mut configs: Vec<String> = Algorithm::NAMES
-            .iter()
-            .map(|name| format!("{:?}", Algorithm::from_name(name, mem).expect(name)))
-            .collect();
-        configs.sort();
-        configs.dedup();
-        assert_eq!(configs.len(), Algorithm::NAMES.len());
-        assert!(Algorithm::from_name("nope", mem).is_none());
         assert!(ALGOS.iter().all(|a| Algorithm::NAMES.contains(a)));
-
-        let r = dataset("uniform", 0.002, 1).unwrap();
-        let s = dataset("clustered", 0.002, 2).unwrap();
-        let durable: Vec<&str> = ALGOS
-            .into_iter()
-            .filter(|name| {
-                let join = SpatialJoin::new(Algorithm::from_name(name, mem).unwrap());
-                let disk = SimDisk::with_default_model();
-                match join.try_run_durable_with(&disk, &r, &s, 1, &mut |_, _| {}) {
-                    Ok(_) => true,
-                    Err(e) => {
-                        assert_eq!(e.io().map(|io| io.kind), Some(IoErrorKind::Unsupported));
-                        false
-                    }
-                }
-            })
-            .collect();
-        assert_eq!(durable, CHECKPOINTABLE);
-
-        // What `from_name` and `from_choice` must agree on; the tile count
-        // and buffer split are the choice's own.
-        let kind = |a: &Algorithm| match a {
-            Algorithm::Pbsm(c) => format!("pbsm {:?} {:?}", c.dedup, c.internal),
-            Algorithm::S3j(c) => format!("s3j {} {:?}", c.replicate, c.internal),
-            Algorithm::Sssj(_) => "sssj".to_owned(),
-            Algorithm::Shj(c) => format!("shj {:?}", c.internal),
-            Algorithm::Quadtree(_) => "quadtree".to_owned(),
-        };
-        let plan = Planner::new(mem).plan(&DatasetProfile::build(&r), &DatasetProfile::build(&s));
+        let r = DatasetProfile::build(&dataset("uniform", 0.002, 1).unwrap());
+        let s = DatasetProfile::build(&dataset("clustered", 0.002, 2).unwrap());
+        let plan = Planner::new(64 * 1024).with_space(PlanSpace::Streamable).plan(&r, &s);
         assert!(!plan.ranked.is_empty());
-        for cand in &plan.ranked {
-            let named = Algorithm::from_name(cand.choice.cli_name(), mem).unwrap();
-            assert_eq!(kind(&named), kind(&Algorithm::from_choice(&cand.choice)));
-        }
+        assert!(plan.ranked.iter().all(|c| ALGOS.contains(&c.choice.cli_name())));
     }
 }

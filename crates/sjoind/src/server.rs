@@ -34,6 +34,7 @@
 //! loop.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,9 +43,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use spatialjoin::estimate::{PlanChoice, PlanSpace};
 use spatialjoin::{
-    Algorithm, CancelToken, DiskModel, FaultPlan, IoError, IoErrorKind, JoinError, JoinErrorKind,
-    JoinStats, Kpe, RecordId, SpatialJoin,
+    CancelToken, IoErrorKind, JoinError, JoinErrorKind, JoinStats, Kpe, RecordId, SpatialJoin,
 };
 use storage::{AdmissionError, MemoryArbiter};
 
@@ -418,9 +419,9 @@ enum Outcome {
 }
 
 fn handle_join(inner: &Inner, out: &mut TcpStream, parsed: &Json, sid: u64) -> bool {
-    let mut jr = match JoinRequest::from_json(parsed) {
+    let jr = match JoinRequest::from_json(parsed) {
         Ok(jr) => jr,
-        Err(e) => return send(out, &proto::error_line("bad_request", &e, &[])),
+        Err((kind, e)) => return send(out, &proto::error_line(kind, &e, &[])),
     };
     let (left, right) = {
         let g = inner.datasets.lock().unwrap_or_else(PoisonError::into_inner);
@@ -445,34 +446,22 @@ fn handle_join(inner: &Inner, out: &mut TcpStream, parsed: &Json, sid: u64) -> b
             &proto::error_line("draining", "server is shutting down", &[]),
         );
     };
-    if jr.plan {
-        // Cost-based plan selection over the service's streamable candidate
-        // space: profile the resolved datasets, rank, and rewrite the
-        // request as if the client had asked for the winner explicitly.
-        let planner = spatialjoin::estimate::Planner::new(jr.mem_bytes)
-            .with_disk_model(DiskModel {
-                channels: jr.channels,
-                ..DiskModel::default()
-            })
-            .with_space(spatialjoin::estimate::PlanSpace::Streamable);
-        let plan = planner.plan(
-            &spatialjoin::estimate::DatasetProfile::build(&left),
-            &spatialjoin::estimate::DatasetProfile::build(&right),
-        );
-        let choice = plan.chosen().choice;
-        inner.log(&format!(
-            "session {sid}: plan auto chose {}",
-            choice.describe()
-        ));
-        jr.algo = choice.cli_name().to_owned();
-        jr.chosen_choice = Some(choice);
+    // A planned join runs the winner over the service's streamable
+    // candidates; a fault plan without a seed is keyed on the inputs.
+    let (join, plan) = jr.spec.build(&left, &right, PlanSpace::Streamable, None);
+    let choice = plan.map(|plan| plan.chosen().choice);
+    if let Some(choice) = choice {
+        inner.log(&format!("session {sid}: plan auto chose {}", choice.describe()));
     }
-    let jr = jr;
     inner.log(&format!(
         "session {sid}: join {}x{} algo={} mem={}B crash={:?}",
-        jr.left, jr.right, jr.algo, jr.mem_bytes, jr.crash
+        jr.left,
+        jr.right,
+        choice.map_or(jr.spec.algo.as_str(), |c| c.cli_name()),
+        jr.spec.mem_bytes(),
+        jr.spec.crash
     ));
-    match run_join(inner, out, &jr, &left, &right) {
+    match run_join(inner, out, &jr, join, choice, &left, &right) {
         Outcome::Ok => {
             inner.joins_ok.fetch_add(1, Ordering::Relaxed);
             true
@@ -584,10 +573,13 @@ impl<'a> Emitter<'a> {
             if i > 0 {
                 line.push(',');
             }
+            // The digits go straight into the line: no `String` per number.
+            // One `write!` per number: a single `write!` of the whole pair
+            // formats slower than the two `to_string`s it replaces.
             line.push('[');
-            line.push_str(&a.to_string());
+            let _ = write!(line, "{a}");
             line.push(',');
-            line.push_str(&b.to_string());
+            let _ = write!(line, "{b}");
             line.push(']');
         }
         line.push_str("]}");
@@ -595,17 +587,6 @@ impl<'a> Emitter<'a> {
         self.alive = send(self.out, &line);
         self.alive
     }
-}
-
-/// The configuration a validated request runs. A planner-selected choice
-/// carries knobs (tile count, buffer split) the algorithm name alone cannot,
-/// so it is materialised directly.
-fn algorithm_of(jr: &JoinRequest) -> Option<Algorithm> {
-    let algo = match &jr.chosen_choice {
-        Some(choice) => Algorithm::from_choice(choice),
-        None => Algorithm::from_name(&jr.algo, jr.mem_bytes)?,
-    };
-    Some(algo.with_threads(jr.threads))
 }
 
 /// Every join, on the session thread: lease, then run the join inside
@@ -618,11 +599,13 @@ fn run_join(
     inner: &Inner,
     out: &mut TcpStream,
     jr: &JoinRequest,
+    join: SpatialJoin,
+    choice: Option<PlanChoice>,
     left: &[Kpe],
     right: &[Kpe],
 ) -> Outcome {
     let token = CancelToken::new();
-    let lease = match inner.arbiter.lease(jr.mem_bytes as u64, Some(&token)) {
+    let lease = match inner.arbiter.lease(jr.spec.mem_bytes() as u64, Some(&token)) {
         Ok(lease) => lease,
         Err(e) => {
             let (line, outcome) = admission_response(&e);
@@ -633,17 +616,30 @@ fn run_join(
     if let Some(ms) = jr.hold_ms {
         std::thread::sleep(Duration::from_millis(ms.min(60_000)));
     }
+    let join = join.with_cancel(token.clone());
     let mut emitter = Emitter::new(out, inner.cfg.batch, jr.limit);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        join_streaming(jr, left, right, &token, &mut |a, b| {
-            if !emitter.pair(a, b) {
-                token.cancel();
-            }
-        })
+    let mut emitted = 0u64;
+    let mut emit = |a: RecordId, b: RecordId| {
+        emitted += 1;
+        if Some(emitted) == jr.panic_after {
+            panic!("panic_after test hook fired at pair {emitted}");
+        }
+        if !emitter.pair(a.0, b.0) {
+            token.cancel();
+        }
+    };
+    // A `crash` request runs as a durable leg on the join's own disk: the
+    // service-level equivalent of `sjoin --crash`.
+    let result = catch_unwind(AssertUnwindSafe(|| match jr.spec.crash {
+        Some(_) => {
+            let run_id = join.fingerprint(left, right);
+            join.try_run_durable_with(&join.disk(), left, right, run_id, &mut emit)
+        }
+        None => join.try_run_with(left, right, &mut emit),
     }));
     drop(lease);
     let (line, outcome) = match result {
-        Ok(Ok(stats)) => (done_line(&stats, jr, emitter.sent), Outcome::Ok),
+        Ok(Ok(stats)) => (done_line(&stats, jr, &join, choice, emitter.sent), Outcome::Ok),
         Ok(Err(e)) => join_error_response(&e),
         Err(payload) => {
             let msg = payload
@@ -661,55 +657,6 @@ fn run_join(
     } else {
         Outcome::Disconnected
     }
-}
-
-/// Runs one validated request, pushing each result pair into `sink`.
-fn join_streaming(
-    jr: &JoinRequest,
-    left: &[Kpe],
-    right: &[Kpe],
-    token: &CancelToken,
-    sink: &mut dyn FnMut(u64, u64),
-) -> Result<JoinStats, JoinError> {
-    let algo =
-        algorithm_of(jr).ok_or_else(|| JoinError::new("setup", IoError::unsupported()))?;
-    let mut join = SpatialJoin::new(algo)
-        .with_disk_model(DiskModel {
-            channels: jr.channels,
-            ..DiskModel::default()
-        })
-        .with_cancel(token.clone());
-    if let Some(d) = jr.deadline {
-        join = join.with_deadline(d);
-    }
-
-    let mut emitted = 0u64;
-    let panic_after = jr.panic_after;
-    let mut emit = |a: RecordId, b: RecordId| {
-        emitted += 1;
-        if Some(emitted) == panic_after {
-            panic!("panic_after test hook fired at pair {emitted}");
-        }
-        sink(a.0, b.0);
-    };
-
-    if let Some(point) = jr.crash {
-        // A durable run on a scratch disk with the requested crash point
-        // armed — the service-level equivalent of `sjoin --crash`.
-        let fp = join.fingerprint(left, right);
-        let join = join.with_faults(FaultPlan::crash_only(fp, point));
-        return join.try_run_durable_with(&join.disk(), left, right, fp, &mut emit);
-    }
-    if let Some(seed) = jr.faults {
-        // Persistent damage exercises the quarantine-recompute paths end to
-        // end: the join must still deliver the exact clean result set.
-        join = join.with_faults(if jr.faults_persistent {
-            FaultPlan::persistent(seed)
-        } else {
-            FaultPlan::recoverable(seed)
-        });
-    }
-    join.try_run_with(left, right, &mut emit)
 }
 
 fn admission_response(e: &AdmissionError) -> (String, Outcome) {
@@ -765,7 +712,13 @@ fn join_error_response(e: &JoinError) -> (String, Outcome) {
     )
 }
 
-fn done_line(stats: &JoinStats, jr: &JoinRequest, pairs_sent: u64) -> String {
+fn done_line(
+    stats: &JoinStats,
+    jr: &JoinRequest,
+    join: &SpatialJoin,
+    choice: Option<PlanChoice>,
+    pairs_sent: u64,
+) -> String {
     let mut done = vec![
         ("results", stats.results().into()),
         ("duplicates", stats.duplicates().into()),
@@ -774,11 +727,12 @@ fn done_line(stats: &JoinStats, jr: &JoinRequest, pairs_sent: u64) -> String {
         ("first_result_seconds", stats.first_result_seconds().into()),
         ("pairs_sent", pairs_sent.into()),
     ];
-    if let Some(choice) = &jr.chosen_choice {
+    if let Some(choice) = choice {
         done.push(("plan", choice.describe().into()));
     }
     if jr.metrics {
-        let report = stats.metrics_report(&jr.algo, jr.threads);
+        let algo = choice.map_or(jr.spec.algo.as_str(), |c| c.cli_name());
+        let report = stats.metrics_report(algo, join.algorithm().threads_used());
         done.push(match report.reconcile() {
             Ok(()) => ("metrics", report.json()),
             Err(e) => ("metrics_error", e.to_string().into()),

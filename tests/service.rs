@@ -255,7 +255,7 @@ fn assert_reuse_changes_nothing(c: &mut Client, case: &str) -> (Vec<(u64, u64)>,
 /// algorithm at one and two threads and a planned join. The solo oracle
 /// still holds, and the `metrics` verb reports `cache.hits == 0`.
 #[test]
-fn partition_reuse_is_bit_identical_and_reports_cache_hits() {
+fn a_reuse_member_changes_nothing_for_any_algorithm_or_plan() {
     let handle = start(ServerConfig::default());
     let addr = handle.addr();
     let (left, right) = register_ab(addr);
@@ -290,7 +290,7 @@ fn partition_reuse_is_bit_identical_and_reports_cache_hits() {
 /// tripped the session's cancel token, and the serving leg that followed
 /// answered `done` with `results:0`.
 #[test]
-fn reuse_miss_with_two_threads_serves_the_full_result() {
+fn a_reuse_member_changes_nothing_on_a_two_thread_self_join() {
     let handle = start(ServerConfig::default());
     let mut c = Client::connect(handle.addr()).expect("connect");
     let resp = c
@@ -488,19 +488,19 @@ fn protocol_rejects_garbage_without_dying() {
     let list = c.request("{\"cmd\":\"list\"}").expect("list");
     let datasets = list.get("ok").and_then(|o| o.get("datasets")).and_then(Json::as_arr);
     assert_eq!(datasets.map(<[Json]>::len), Some(0), "a refused register registered: {list}");
-    // A crash leg runs on a crash-only disk; a fault seed beside it used to
-    // be validated and silently dropped.
+    // A crash leg runs with its fault seed: the join's one fault plan
+    // carries both. The pair used to be refused, since the crash leg ran on
+    // a crash-only disk.
+    let (left, right) = register_ab(addr);
     let resp = c
-        .request("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"crash\":\"mid-rename\",\"faults\":7}")
-        .expect("error response");
-    let err = resp.get("error").expect("typed error");
-    assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad_request"), "{resp}");
-    let message = err.get("message").and_then(Json::as_str).expect("message");
-    assert!(message.contains("crash") && message.contains("faults"), "{message:?}");
-    // A thread or channel count outside 1..=64 is refused by name; it used
-    // to be clamped, so `threads:0` ran on one thread and not every core.
-    register_ab(addr);
-    for (field, value) in [("threads", 0), ("threads", 65), ("channels", 0), ("channels", 65)] {
+        .join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"crash\":\"mid-rename\",\"faults\":7}")
+        .expect("crash stream");
+    assert_eq!(resp.error_kind(), Some("crashed"), "{:?}", resp.error);
+    let resumable = resp.error.as_ref().and_then(|e| e.get("resumable")).and_then(Json::as_bool);
+    assert_eq!(resumable, Some(true), "{:?}", resp.error);
+    // A thread or channel count outside its range is refused by name; it
+    // used to be clamped. `threads:0` is every core, as in `sjoin`.
+    for (field, value) in [("threads", 65), ("channels", 0), ("channels", 65)] {
         let resp = c
             .request(&format!(
                 "{{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"{field}\":{value}}}"
@@ -511,6 +511,12 @@ fn protocol_rejects_garbage_without_dying() {
         let message = err.get("message").and_then(Json::as_str).expect("message");
         assert!(message.contains(field), "{message:?} does not name {field:?}");
     }
+    let resp = c
+        .join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"threads\":0}")
+        .expect("join stream");
+    let (want_pairs, want_results, _) = solo(&left, &right, MB as usize);
+    assert_eq!(resp.results(), Some(want_results), "{:?}", resp.error);
+    assert_eq!(sorted_pairs(&resp), want_pairs, "threads:0 differs from the solo run");
     let resp = c
         .join("{\"cmd\":\"join\",\"left\":\"a\",\"right\":\"b\",\"threads\":64,\"channels\":64}")
         .expect("join stream");
