@@ -80,7 +80,7 @@ pub use sweep;
 pub use geom::{dataset_stats, reference_point, DatasetStats, Kpe, Point, Rect, RecordId};
 pub use storage::{
     CancelToken, CrashPoint, DiskModel, FaultPlan, IoError, IoErrorKind, IoStats, JoinError,
-    JoinErrorKind, RetryPolicy, SimDisk,
+    JoinErrorKind, ResumeRefusal, RetryPolicy, SimDisk,
 };
 pub use storage::{MetricsReport, PhaseMetric, Recorder, RunCounters, METRICS_SCHEMA_VERSION};
 pub use sweep::InternalAlgo;
@@ -879,26 +879,15 @@ impl SpatialJoin {
         }
     }
 
-    /// Run fingerprint: FNV-1a over the algorithm configuration and both
-    /// relations' contents. A resume is refused when the fingerprint does
-    /// not match the one in the recovered manifest — a changed config or
-    /// input would silently corrupt exactly-once accounting. The worker
-    /// thread knob is normalised out: a run may legally be resumed with a
-    /// different degree of parallelism (the output stream is identical).
+    /// Run fingerprint: the word hash [`storage::fingerprint`] over the
+    /// algorithm configuration's `Debug` form and both relations. A resume
+    /// is refused when it does not match the recovered manifest's — a
+    /// changed config or input would corrupt exactly-once accounting. The
+    /// thread count is normalised out: a run may resume at another degree
+    /// of parallelism. The value is persisted and pinned.
     pub fn fingerprint(&self, r: &[Kpe], s: &[Kpe]) -> u64 {
-        let mut h = storage::Fnv1a::default();
         let algo = self.algorithm.clone().with_threads(1);
-        h.update(format!("{algo:?}").as_bytes());
-        for rel in [r, s] {
-            h.update(&(rel.len() as u64).to_le_bytes());
-            for k in rel {
-                h.update(&k.id.0.to_le_bytes());
-                for c in [k.rect.xl, k.rect.yl, k.rect.xh, k.rect.yh] {
-                    h.update(&c.to_bits().to_le_bytes());
-                }
-            }
-        }
-        h.finish()
+        storage::fingerprint(&format!("{algo:?}"), [r, s])
     }
 
     /// Runs the join as a *durable, checkpointed* run on `disk` — the
@@ -1051,11 +1040,11 @@ mod tests {
     }
 
     /// The fingerprint is a persisted identity: a resume compares it with
-    /// the one in a stored manifest. These are the values byte-wise FNV-1a
-    /// gave when the three copies of that loop were folded into
-    /// `storage::fnv1a`; they move only if the hash, the field order or an
+    /// the one in a stored manifest. These are the values of the word hash
+    /// `storage::fingerprint` (manifest format 2, which replaced byte-wise
+    /// FNV-1a); they move only if the hash, the field order or an
     /// algorithm's `Debug` form does — each of which orphans every run
-    /// directory written before.
+    /// directory written before, so it moves the manifest format too.
     #[test]
     fn fingerprint_is_pinned_to_its_persisted_values() {
         use geom::{Rect, RecordId};
@@ -1066,9 +1055,127 @@ mod tests {
         let s = vec![Kpe::new(RecordId(9), Rect::new(0.25, 0.125, 0.375, 0.625))];
         let pbsm = SpatialJoin::new(Algorithm::pbsm_rpm(1 << 20).with_threads(4));
         let s3j = SpatialJoin::new(Algorithm::s3j_replicated(1 << 20));
-        assert_eq!(pbsm.fingerprint(&r, &s), 0x3d74_cc9d_8cb6_d1b2);
-        // Moved when `S3jConfig` lost its `threads` field.
-        assert_eq!(s3j.fingerprint(&r, &s), 0xc7af_9181_5545_1c0b);
+        assert_eq!(pbsm.fingerprint(&r, &s), 0x1220_0b32_87a5_7933);
+        assert_eq!(s3j.fingerprint(&r, &s), 0x3bbf_a3c9_4b11_f82a);
+    }
+
+    /// Every knob of the two checkpointable families but `threads`, each
+    /// moved off `pbsm_rpm(1 MiB)` / `s3j_replicated(1 MiB)`.
+    fn knob_variants() -> Vec<Algorithm> {
+        use pbsm::TileScheme;
+        use s3j::ScanMode;
+        use sfc::Curve;
+        let p = PbsmConfig { mem_bytes: 1 << 20, ..Default::default() };
+        let q = S3jConfig { mem_bytes: 1 << 20, replicate: true, ..Default::default() };
+        let pbsm = [
+            PbsmConfig { mem_bytes: 2 << 20, ..p },
+            PbsmConfig { safety_factor: 1.5, ..p },
+            PbsmConfig { tiles_per_partition: p.tiles_per_partition + 1, ..p },
+            PbsmConfig { internal: InternalAlgo::PlaneSweepTrie, ..p },
+            PbsmConfig { dedup: Dedup::SortPhase, ..p },
+            PbsmConfig { tile_scheme: TileScheme::RoundRobin, ..p },
+            PbsmConfig { partition_buffer_pages: p.partition_buffer_pages + 1, ..p },
+            PbsmConfig { io_buffer_pages: p.io_buffer_pages + 1, ..p },
+            PbsmConfig { seed: p.seed + 1, ..p },
+            PbsmConfig { max_partition_requeues: p.max_partition_requeues + 1, ..p },
+        ];
+        let s3j = [
+            S3jConfig { mem_bytes: 2 << 20, ..q },
+            S3jConfig { max_level: q.max_level - 1, ..q },
+            S3jConfig { replicate: false, ..q },
+            S3jConfig { level_shift: q.level_shift + 1, ..q },
+            S3jConfig { curve: Curve::Hilbert, ..q },
+            S3jConfig { internal: InternalAlgo::PlaneSweepTrie, ..q },
+            S3jConfig { scan: ScanMode::LevelPairs, ..q },
+            S3jConfig { level_buffer_pages: q.level_buffer_pages + 1, ..q },
+            S3jConfig { io_buffer_pages: q.io_buffer_pages + 1, ..q },
+        ];
+        let mut all = vec![Algorithm::Pbsm(p), Algorithm::S3j(q)];
+        all.extend(pbsm.map(Algorithm::Pbsm));
+        all.extend(s3j.map(Algorithm::S3j));
+        all
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Every edit a resume must notice moves the fingerprint: any one
+        /// bit of any word of any record, two records swapped, a record
+        /// moved from `r` to `s`, a record appended, any knob but the
+        /// thread count. The thread count alone leaves it equal.
+        #[test]
+        fn prop_fingerprint_sees_every_edit_but_the_thread_count(
+            nr in 2usize..10,
+            ns in 1usize..10,
+            seed in proptest::prelude::any::<u64>(),
+            probe in proptest::prelude::any::<u64>(),
+        ) {
+            use geom::{Rect, RecordId};
+            let mut rng = seed;
+            let mut draw = || {
+                rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (rng ^ (rng >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                (z ^ (z >> 29)) >> 11
+            };
+            let mut kpes = |n: usize| -> Vec<Kpe> {
+                (0..n).map(|_| {
+                    let (x, y) = (draw() as f64 / (1u64 << 53) as f64, draw() as f64 / (1u64 << 53) as f64);
+                    Kpe::new(RecordId(draw()), Rect::new(x, y, x + 0.01, y + 0.02))
+                }).collect()
+            };
+            let (r, s) = (kpes(nr), kpes(ns));
+            let join = SpatialJoin::new(Algorithm::pbsm_rpm(1 << 20));
+            let fp = join.fingerprint(&r, &s);
+
+            let words = |k: &Kpe| {
+                let q = &k.rect;
+                [k.id.0, q.xl.to_bits(), q.yl.to_bits(), q.xh.to_bits(), q.yh.to_bits()]
+            };
+            let from_words = |w: [u64; 5]| {
+                let f = f64::from_bits;
+                Kpe { id: RecordId(w[0]), rect: Rect { xl: f(w[1]), yl: f(w[2]), xh: f(w[3]), yh: f(w[4]) } }
+            };
+            for side in 0..2 {
+                let rel = if side == 0 { &r } else { &s };
+                for i in 0..rel.len() {
+                    for (field, bit) in (0..5).flat_map(|f| (0..64).map(move |b| (f, b))) {
+                        let mut w = words(&rel[i]);
+                        w[field] ^= 1 << bit;
+                        let mut edited = rel.clone();
+                        edited[i] = from_words(w);
+                        let got = if side == 0 { join.fingerprint(&edited, &s) } else { join.fingerprint(&r, &edited) };
+                        proptest::prop_assert!(got != fp, "side {} record {} field {} bit {}", side, i, field, bit);
+                    }
+                }
+            }
+
+            let (i, j) = ((probe % nr as u64) as usize, (probe / 7 % nr as u64) as usize);
+            let j = if i == j { (i + 1) % nr } else { j };
+            let mut swapped = r.clone();
+            swapped.swap(i, j);
+            proptest::prop_assert!(join.fingerprint(&swapped, &s) != fp, "swap {} {}", i, j);
+
+            let (mut r2, mut s2) = (r.clone(), s.clone());
+            s2.insert((probe % (ns as u64 + 1)) as usize, r2.remove(i));
+            proptest::prop_assert!(join.fingerprint(&r2, &s2) != fp, "move {}", i);
+
+            let extra = kpes(1)[0];
+            let longer = |rel: &[Kpe]| [rel, &[extra]].concat();
+            proptest::prop_assert!(join.fingerprint(&longer(&r), &s) != fp);
+            proptest::prop_assert!(join.fingerprint(&r, &longer(&s)) != fp);
+
+            let knobs = knob_variants();
+            for (a, alg) in knobs.iter().enumerate() {
+                let fa = SpatialJoin::new(alg.clone()).fingerprint(&r, &s);
+                for t in [0, 2, 64] {
+                    let ft = SpatialJoin::new(alg.clone().with_threads(t)).fingerprint(&r, &s);
+                    proptest::prop_assert_eq!(ft, fa, "{:?} at {} threads", alg, t);
+                }
+                for b in &knobs[..a] {
+                    proptest::prop_assert!(SpatialJoin::new(b.clone()).fingerprint(&r, &s) != fa, "{:?} = {:?}", alg, b);
+                }
+            }
+        }
     }
 
     /// `from_choice` goes through `from_name` and the `with_*` setters; what

@@ -120,3 +120,26 @@ fn a_deadline_stops_the_durable_leg_alike_and_the_resume_lists_the_rest() {
     assert_eq!(union, solo, "the two legs do not add up to the solo run");
     let _ = std::fs::remove_dir_all(&tmp);
 }
+
+/// A resume with other flags than the interrupted leg's is refused naming
+/// the cause (it read "operation unsupported under fault injection"), and
+/// the saved state still resumes under the right ones.
+#[test]
+fn a_resume_with_other_flags_is_refused_naming_the_cause() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sjoin-refused");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sjoin = |flags: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sjoin"));
+        let out = cmd.args(["--scale", "0.05", "--run-dir"]).arg(&dir).args(flags).output().expect("spawn sjoin");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    assert_eq!(sjoin(&["--mem-mb", "0.2", "--crash", "after-commit:1"]).0, Some(3));
+    for other in [&["--mem-mb", "0.2", "--seed", "9"][..], &["--mem-mb", "0.4"]] {
+        let (code, stderr) = sjoin(&[other, &["--resume", "42"]].concat());
+        assert_eq!(code, Some(1), "{other:?}: {stderr}");
+        let why = "run 42 was started with other inputs or another configuration; rerun with the same flags";
+        assert!(stderr.contains(why), "{other:?}: {stderr}");
+    }
+    assert_eq!(sjoin(&["--mem-mb", "0.2", "--resume", "42"]).0, Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -704,6 +704,7 @@ fn join_error_response(e: &JoinError) -> (String, Outcome) {
             "crashed"
         }
         JoinErrorKind::Io(io) if io.kind == IoErrorKind::Unsupported => "unsupported",
+        JoinErrorKind::ResumeRefused(_) => "unsupported", // every crash leg starts fresh
         JoinErrorKind::Io(_) | JoinErrorKind::RequeueExhausted { .. } => "io",
     };
     (

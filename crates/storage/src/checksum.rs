@@ -1,53 +1,33 @@
-//! The workspace's two 64-bit checksums.
+//! The workspace's 64-bit hashes, by what outlives the process.
 //!
-//! * [`fnv1a`] is **format-bearing**: manifest, journal and superblock
-//!   records persist it, and `SpatialJoin::fingerprint` is what a resume
-//!   compares against a stored manifest. Its output is pinned by golden
-//!   values and may never change.
+//! * [`fnv1a`] and [`fingerprint`] are **format-bearing**: manifest,
+//!   journal and superblock records persist [`fnv1a`], and a manifest
+//!   stores the [`fingerprint`] a resume compares with
+//!   `SpatialJoin::fingerprint`. Golden values pin both; a new fingerprint
+//!   moves the manifest format version.
 //! * [`checksum64`] guards bytes that only ever live in this process — the
 //!   per-page sums of the simulated page format (recomputed on snapshot
 //!   restore, never exported). Nothing stores it, so it is free to be as
 //!   fast as the host allows.
 
+use geom::Kpe;
+
 /// FNV-1a, 64-bit, byte at a time, of one contiguous buffer.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
-    h.update(bytes);
-    h.finish()
-}
-
-/// Incremental FNV-1a state: feeding a concatenation piecewise gives the
-/// hash of the whole, so large inputs need no staging buffer.
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
+    let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, step)
 }
 
 const LANES: usize = 4;
 const WORD: usize = 8;
 
 // The xxHash64 primes: odd, so every multiply below is a bijection.
-const K: [u64; LANES] = [
+const K: [u64; LANES + 1] = [
     0x9E37_79B1_85EB_CA87,
     0xC2B2_AE3D_27D4_EB4F,
     0x1656_67B1_9E37_79F9,
     0x85EB_CA77_C2B2_AE63,
+    0x27D4_EB2F_1656_67C5,
 ];
 
 /// One xor-multiply-rotate step. For a fixed `h` it is a bijection of `w`
@@ -76,7 +56,7 @@ fn word(bytes: &[u8]) -> u64 {
 /// byte never collide. Words are assembled from bytes, so the value does not
 /// depend on the slice's alignment.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut lanes = K;
+    let mut lanes = [K[0], K[1], K[2], K[3]];
     let mut blocks = bytes.chunks_exact(LANES * WORD);
     for block in &mut blocks {
         for ((lane, w), k) in lanes.iter_mut().zip(block.chunks_exact(WORD)).zip(K) {
@@ -94,8 +74,37 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     for &b in words.remainder() {
         h = mix(h, u64::from(b), K[1]);
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(K[2]);
+    avalanche(h)
+}
+
+/// Run fingerprint: one xor-multiply-rotate lane of [`checksum64`]'s kind
+/// per record field (`id`, then `xl`, `yl`, `xh`, `yh` as bits) over each
+/// relation, folded with its length into [`fnv1a`] of `config`, then
+/// avalanched. Every step is a bijection of the word it absorbs, so one
+/// changed bit of any record changes the value; the chained lanes make
+/// order count, the per-relation folds which relation a record is in.
+pub fn fingerprint(config: &str, relations: [&[Kpe]; 2]) -> u64 {
+    let mut h = fnv1a(config.as_bytes());
+    for rel in relations {
+        let mut lanes = K;
+        for k in rel {
+            let r = &k.rect;
+            let words = [k.id.0, r.xl.to_bits(), r.yl.to_bits(), r.xh.to_bits(), r.yh.to_bits()];
+            for ((lane, w), k) in lanes.iter_mut().zip(words).zip(K) {
+                *lane = mix(*lane, w, k);
+            }
+        }
+        h = mix(h, rel.len() as u64, K[0]);
+        for (lane, k) in lanes.into_iter().zip(K) {
+            h = mix(h, lane, k);
+        }
+    }
+    avalanche(h)
+}
+
+/// The final scramble: spreads every bit of the state over the output.
+fn avalanche(h: u64) -> u64 {
+    let h = (h ^ (h >> 33)).wrapping_mul(K[2]);
     h ^ (h >> 29)
 }
 
@@ -110,10 +119,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-        let mut h = Fnv1a::default();
-        h.update(b"foo");
-        h.update(b"bar");
-        assert_eq!(h.finish(), fnv1a(b"foobar"));
     }
 
     /// Every length 0..=8192 is covered exhaustively for zero-extension

@@ -25,6 +25,7 @@
 //! all later attempts succeed. Each failure is consumed by whichever handle
 //! performs it, so totals stay deterministic under any interleaving.
 
+use crate::manifest::MANIFEST_VERSION;
 use crate::FileId;
 
 /// Direction of a simulated disk request, for fault-identity purposes.
@@ -239,6 +240,19 @@ pub enum JoinErrorKind {
     /// An injected [`CrashPoint`] fired: the process "died" and left its run
     /// directory behind exactly as a kill would.
     Crashed(CrashPoint),
+    /// The recovered run directory cannot be resumed by this run.
+    ResumeRefused(ResumeRefusal),
+}
+
+/// Why a recovery scan refused to resume a run directory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResumeRefusal {
+    /// The manifest's fingerprint is not this run's.
+    OtherRun { run_id: u64 },
+    /// The manifest is of format version `found`, not this build's.
+    Format { found: u32 },
+    /// The manifest fails its checksum or does not parse.
+    Unreadable,
 }
 
 /// A join-level error: what happened plus where in the pipeline it escaped.
@@ -289,28 +303,10 @@ impl JoinError {
         }
     }
 
-    pub fn deadline_exceeded(phase: &'static str, elapsed: f64, deadline: f64) -> Self {
-        JoinError {
-            phase,
-            partition: None,
-            kind: JoinErrorKind::DeadlineExceeded { elapsed, deadline },
-        }
-    }
-
-    pub fn cancelled(phase: &'static str) -> Self {
-        JoinError {
-            phase,
-            partition: None,
-            kind: JoinErrorKind::Cancelled,
-        }
-    }
-
-    pub fn crashed(phase: &'static str, point: CrashPoint) -> Self {
-        JoinError {
-            phase,
-            partition: None,
-            kind: JoinErrorKind::Crashed(point),
-        }
+    /// A run-level error of no one partition — an interruption or a
+    /// refusal — escaped from `phase`.
+    pub fn of(phase: &'static str, kind: JoinErrorKind) -> Self {
+        JoinError { phase, partition: None, kind }
     }
 
     /// The underlying [`IoError`], when the failure was I/O-shaped.
@@ -365,6 +361,19 @@ impl std::fmt::Display for JoinError {
             (JoinErrorKind::Crashed(point), _) => {
                 write!(f, "simulated crash ({point}) in phase `{}`", self.phase)
             }
+            (JoinErrorKind::ResumeRefused(why), _) => match *why {
+                ResumeRefusal::OtherRun { run_id } => write!(
+                    f,
+                    "cannot resume: run {run_id} was started with other inputs or another \
+                     configuration; rerun with the same flags"
+                ),
+                ResumeRefusal::Format { found } => write!(
+                    f,
+                    "cannot resume: manifest format {found} {} this build's {MANIFEST_VERSION}",
+                    if found < MANIFEST_VERSION { "predates" } else { "is newer than" }
+                ),
+                ResumeRefusal::Unreadable => f.write_str("cannot resume: the run's manifest is unreadable"),
+            },
         }
     }
 }
@@ -702,10 +711,13 @@ mod tests {
         let io = IoError::unsupported();
         assert!(!JoinError::new("join", io).is_resumable());
         assert!(!JoinError::requeue_exhausted("join", 0, 1, io).is_resumable());
-        assert!(JoinError::cancelled("join").is_resumable());
-        assert!(JoinError::deadline_exceeded("join", 2.0, 1.0).is_resumable());
-        assert!(JoinError::crashed("join", CrashPoint::MidRename).is_resumable());
-        assert!(JoinError::cancelled("join").io().is_none());
+        let of = |kind| JoinError::of("join", kind);
+        assert!(of(JoinErrorKind::Cancelled).is_resumable());
+        assert!(of(JoinErrorKind::DeadlineExceeded { elapsed: 2.0, deadline: 1.0 }).is_resumable());
+        assert!(of(JoinErrorKind::Crashed(CrashPoint::MidRename)).is_resumable());
+        assert!(of(JoinErrorKind::Cancelled).io().is_none());
+        let refused = of(JoinErrorKind::ResumeRefused(ResumeRefusal::Unreadable));
+        assert!(!refused.is_resumable() && refused.io().is_none());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   multi-page requests (larger buffers ⇒ fewer positioning penalties),
 //! * [`RecordWriter`] / [`RecordReader`] — typed fixed-length record streams
 //!   ([`FixedRecord`]),
-//! * [`checksum64`] / [`fnv1a`] — the in-memory page checksum and the
-//!   format-bearing record checksum (see `checksum.rs` for which is which),
+//! * [`checksum64`] / [`fnv1a`] / [`fingerprint`] — the in-memory page
+//!   checksum, the record checksum and the run fingerprint (`checksum.rs`),
 //! * [`external_sort_by`] — memory-budgeted run formation + multiway merge
 //!   on an integer key, the building block of PBSM's original
 //!   duplicate-removal phase, of S³J's level-file sorting phase and of
@@ -66,12 +66,13 @@ mod sort;
 mod work;
 
 pub use arbiter::{AdmissionError, ArbiterSnapshot, MemoryArbiter, MemoryLease};
-pub use checksum::{checksum64, fnv1a, Fnv1a};
+pub use checksum::{checksum64, fingerprint, fnv1a};
 pub use disk::{DiskModel, FileId, IoStats, SimDisk};
 // Re-exported so downstream crates can build a `RunControl` without a direct
 // `parallel` dependency.
 pub use parallel::{CancelCause, CancelToken};
 pub use fault::{CrashPoint, FaultPlan, IoError, IoErrorKind, IoOp, JoinError, JoinErrorKind};
+pub use fault::ResumeRefusal;
 pub use manifest::{
     recover, JournalEntry, Manifest, Recovered, RunCheckpoint, RunControl, RunPhase,
 };

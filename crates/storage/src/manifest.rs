@@ -65,11 +65,10 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use geom::RecordId;
 use parallel::{CancelCause, CancelToken};
 
 use crate::checksum::fnv1a;
-use crate::fault::{CrashPoint, JoinError};
+use crate::fault::{CrashPoint, JoinError, JoinErrorKind, ResumeRefusal};
 use crate::metrics::Recorder;
 use crate::record::{FixedRecord, IdPair};
 use crate::{FileId, IoError, SimDisk};
@@ -110,8 +109,10 @@ impl RunPhase {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     pub run_id: u64,
-    /// FNV-1a over the run's configuration and inputs; resume refuses a
-    /// manifest whose fingerprint does not match the caller's.
+    /// [`crate::fingerprint`] of the run's configuration and inputs (what
+    /// `SpatialJoin::fingerprint` computes); resume refuses a manifest whose
+    /// fingerprint does not match the caller's with
+    /// [`ResumeRefusal::OtherRun`].
     pub fingerprint: u64,
     pub phase: RunPhase,
     /// Algorithm tag (opaque to this layer; the caller validates it via the
@@ -126,6 +127,9 @@ pub struct Manifest {
 }
 
 const MANIFEST_MAGIC: &[u8; 4] = b"SJRM";
+/// Version 2: the fingerprint is the word hash [`crate::fingerprint`];
+/// version 1 stored a byte-wise FNV-1a over the same fields.
+pub(crate) const MANIFEST_VERSION: u32 = 2;
 const NO_FILE: u32 = u32::MAX;
 
 fn put_file(out: &mut Vec<u8>, f: Option<FileId>) {
@@ -150,7 +154,7 @@ impl Manifest {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
         out.extend_from_slice(&self.run_id.to_le_bytes());
         out.extend_from_slice(&self.fingerprint.to_le_bytes());
         out.push(self.phase.tag());
@@ -169,20 +173,28 @@ impl Manifest {
         out
     }
 
-    fn decode(buf: &[u8]) -> Option<Manifest> {
+    /// A manifest of this build's format; a checksum or layout failure is
+    /// [`ResumeRefusal::Unreadable`], another version
+    /// [`ResumeRefusal::Format`].
+    fn decode(buf: &[u8]) -> Result<Manifest, ResumeRefusal> {
+        let unreadable = ResumeRefusal::Unreadable;
         if buf.len() < 8 || !buf.starts_with(MANIFEST_MAGIC) {
-            return None;
+            return Err(unreadable);
         }
         let body = &buf[..buf.len() - 8];
         let mut pos = body.len();
-        let stored = get_u64(buf, &mut pos)?;
-        if fnv1a(body) != stored {
-            return None;
+        if get_u64(buf, &mut pos) != Some(fnv1a(body)) {
+            return Err(unreadable);
         }
         let mut pos = 4usize;
-        if get_u32(body, &mut pos)? != 1 {
-            return None;
+        match get_u32(body, &mut pos).ok_or(unreadable)? {
+            MANIFEST_VERSION => Manifest::parse(body, pos).ok_or(unreadable),
+            found => Err(ResumeRefusal::Format { found }),
         }
+    }
+
+    /// The fields after the version word; `None` unless they fill `body`.
+    fn parse(body: &[u8], mut pos: usize) -> Option<Manifest> {
         let run_id = get_u64(body, &mut pos)?;
         let fingerprint = get_u64(body, &mut pos)?;
         let tags = body.get(pos..pos + 4)?;
@@ -296,29 +308,15 @@ fn current_manifest_file(disk: &SimDisk, superblock: FileId) -> Result<Option<Fi
     }
     let mut buf = vec![0u8; len as usize];
     disk.try_read(superblock, 0, &mut buf)?;
-    let mut current = None;
-    for rec in buf.chunks(POINTER_RECORD) {
-        if rec.len() < POINTER_RECORD {
-            break; // torn tail
-        }
-        let mut pos = 8usize;
-        let stored = match get_u64(rec, &mut pos) {
-            Some(s) => s,
-            None => break,
-        };
-        if fnv1a(&rec[..8]) != stored {
-            break; // corrupt record: ignore it and everything after
-        }
-        let mut pos = 0usize;
-        if let Some(raw) = get_u32(rec, &mut pos) {
-            current = Some(FileId::from_raw(raw));
-        }
-    }
-    Ok(current)
+    // A torn or corrupt record ends the list: it and all after it are ignored.
+    let sums = |rec: &&[u8]| rec[8..] == fnv1a(&rec[..8]).to_le_bytes();
+    let valid = buf.chunks_exact(POINTER_RECORD).take_while(sums).last();
+    Ok(valid.and_then(|rec| get_u32(rec, &mut 0)).map(FileId::from_raw))
 }
 
-fn resume_error(phase: &'static str) -> JoinError {
-    JoinError::new(phase, IoError::unsupported())
+/// A commit before [`RunCheckpoint::commit_join_phase`] created the files.
+fn no_join_phase() -> JoinError {
+    JoinError::new("checkpoint", IoError::unsupported())
 }
 
 /// Counts journal commits and fires the plan's [`CrashPoint`] at the right
@@ -360,7 +358,7 @@ impl CrashInjector {
 /// Driver of one durable run: owns the superblock, manifest, journal and
 /// results files, enforces the commit protocol, and injects crashes.
 ///
-/// A `JoinError` with [`crate::JoinErrorKind::Crashed`] returned from any
+/// A `JoinError` with [`JoinErrorKind::Crashed`] returned from any
 /// method means the simulated process died: the caller must propagate it
 /// *without cleanup*, leaving the run directory exactly as the crash did.
 pub struct RunCheckpoint {
@@ -449,7 +447,7 @@ impl RunCheckpoint {
                 // Manifest bytes are durable but the pointer is not: the
                 // previous manifest stays current. The unpublished file is
                 // an orphan the recovery scan removes.
-                return Err(JoinError::crashed("checkpoint", p));
+                return Err(JoinError::of("checkpoint", JoinErrorKind::Crashed(p)));
             }
         }
         self.disk
@@ -498,28 +496,17 @@ impl RunCheckpoint {
         self.publish()
     }
 
-    fn journal_file(&self) -> Result<FileId, JoinError> {
-        self.manifest.journal.ok_or_else(|| resume_error("checkpoint"))
-    }
-
-    fn results_file(&self) -> Result<FileId, JoinError> {
-        self.manifest.results.ok_or_else(|| resume_error("checkpoint"))
-    }
-
-    /// Durably flushes one partition's result pairs (commit-protocol step 2).
-    pub fn append_results(&mut self, pairs: &[(RecordId, RecordId)]) -> Result<(), JoinError> {
-        if pairs.is_empty() {
+    /// Durably flushes one partition's result pairs (commit-protocol step
+    /// 2), `encoded` as the results file holds them: [`IdPair`] records.
+    pub fn append_results(&mut self, encoded: &[u8]) -> Result<(), JoinError> {
+        if encoded.is_empty() {
             return Ok(());
         }
-        let file = self.results_file()?;
-        let mut buf = vec![0u8; pairs.len() * IdPair::SIZE];
-        for (&(r, s), chunk) in pairs.iter().zip(buf.chunks_mut(IdPair::SIZE)) {
-            IdPair { r: r.0, s: s.0 }.encode(chunk);
-        }
+        let file = self.manifest.results.ok_or_else(no_join_phase)?;
         self.disk
-            .try_append(file, &buf)
+            .try_append(file, encoded)
             .map_err(|io| JoinError::new("checkpoint", io))?;
-        self.results_end += buf.len() as u64;
+        self.results_end += encoded.len() as u64;
         Ok(())
     }
 
@@ -532,7 +519,7 @@ impl RunCheckpoint {
         results: u64,
         duplicates: u64,
     ) -> Result<(), JoinError> {
-        let journal = self.journal_file()?;
+        let journal = self.manifest.journal.ok_or_else(no_join_phase)?;
         let entry = JournalEntry {
             partition,
             results_end: self.results_end,
@@ -547,12 +534,12 @@ impl RunCheckpoint {
             self.disk
                 .try_append(journal, &record[..JOURNAL_RECORD / 2])
                 .map_err(to_err)?;
-            return Err(JoinError::crashed("checkpoint", p));
+            return Err(JoinError::of("checkpoint", JoinErrorKind::Crashed(p)));
         }
         self.disk.try_append(journal, &record).map_err(to_err)?;
         self.committed.insert(partition, entry);
         if let Some(p) = self.injector.after_commit() {
-            return Err(JoinError::crashed("checkpoint", p));
+            return Err(JoinError::of("checkpoint", JoinErrorKind::Crashed(p)));
         }
         Ok(())
     }
@@ -581,7 +568,7 @@ impl RunCheckpoint {
     /// Reads the committed result pairs back from the results file (the
     /// bytes up to the recovered watermark). Charged like any other read.
     pub fn read_results(&self) -> Result<Vec<IdPair>, JoinError> {
-        let file = self.results_file()?;
+        let file = self.manifest.results.ok_or_else(no_join_phase)?;
         let mut buf = vec![0u8; self.results_end as usize];
         self.disk
             .try_read(file, 0, &mut buf)
@@ -605,7 +592,10 @@ pub enum Recovered {
 
 /// Recovery scan: loads the current manifest, verifies `fingerprint`,
 /// truncates a torn journal tail, rolls the results file back to the last
-/// committed watermark, and deletes all unreferenced files.
+/// committed watermark, and deletes all unreferenced files. A manifest that
+/// is unreadable, of another format, or of another run is a
+/// [`JoinErrorKind::ResumeRefused`], touching nothing: the directory
+/// is never silently restarted.
 pub fn recover(
     disk: &SimDisk,
     superblock: FileId,
@@ -628,9 +618,10 @@ pub fn recover(
     let len = disk.try_len(manifest_file).map_err(to_err)?;
     let mut buf = vec![0u8; len as usize];
     disk.try_read(manifest_file, 0, &mut buf).map_err(to_err)?;
-    let manifest = Manifest::decode(&buf).ok_or_else(|| resume_error("resume"))?;
+    let refused = |why| JoinError::of("resume", JoinErrorKind::ResumeRefused(why));
+    let manifest = Manifest::decode(&buf).map_err(refused)?;
     if manifest.fingerprint != fingerprint {
-        return Err(resume_error("resume"));
+        return Err(refused(ResumeRefusal::OtherRun { run_id: manifest.run_id }));
     }
 
     // Orphan scan: drop everything the current manifest does not reference.
@@ -653,15 +644,10 @@ pub fn recover(
         let mut buf = vec![0u8; len as usize];
         disk.try_read(journal, 0, &mut buf).map_err(to_err)?;
         let mut valid = 0usize;
-        for rec in buf.chunks(JOURNAL_RECORD) {
-            match JournalEntry::decode(rec) {
-                Some(e) => {
-                    results_end = results_end.max(e.results_end);
-                    committed.insert(e.partition, e);
-                    valid += JOURNAL_RECORD;
-                }
-                None => break,
-            }
+        for e in buf.chunks(JOURNAL_RECORD).map_while(JournalEntry::decode) {
+            results_end = results_end.max(e.results_end);
+            committed.insert(e.partition, e);
+            valid += JOURNAL_RECORD;
         }
         if (valid as u64) < len {
             disk.try_truncate(journal, valid as u64).map_err(to_err)?;
@@ -784,9 +770,10 @@ impl RunControl {
         at: impl FnOnce() -> f64,
     ) -> JoinError {
         match cause {
-            CancelCause::Cancelled => JoinError::cancelled(phase),
+            CancelCause::Cancelled => JoinError::of(phase, JoinErrorKind::Cancelled),
             CancelCause::Deadline => {
-                JoinError::deadline_exceeded(phase, at(), self.deadline.unwrap_or(0.0))
+                let (elapsed, deadline) = (at(), self.deadline.unwrap_or(0.0));
+                JoinError::of(phase, JoinErrorKind::DeadlineExceeded { elapsed, deadline })
             }
         }
     }
@@ -813,9 +800,13 @@ mod tests {
         range.map(|i| IdPair { r: i, s: i * 10 }).collect()
     }
 
-    /// [`pairs`] as the join hands them to [`RunCheckpoint::append_results`].
-    fn ids(range: std::ops::Range<u64>) -> Vec<(RecordId, RecordId)> {
-        range.map(|i| (RecordId(i), RecordId(i * 10))).collect()
+    /// [`pairs`] as [`RunCheckpoint::append_results`] takes them.
+    fn ids(range: std::ops::Range<u64>) -> Vec<u8> {
+        let mut out = vec![0u8; range.end.saturating_sub(range.start) as usize * IdPair::SIZE];
+        for (p, rec) in pairs(range).iter().zip(out.chunks_exact_mut(IdPair::SIZE)) {
+            p.encode(rec);
+        }
+        out
     }
 
     /// Runs a 3-partition join to completion under the commit protocol.
@@ -851,20 +842,22 @@ mod tests {
             files_s: vec![FileId::from_raw(6)],
         };
         let bytes = m.encode();
-        assert_eq!(Manifest::decode(&bytes), Some(m));
+        assert_eq!(Manifest::decode(&bytes), Ok(m));
         // Any corrupted byte fails the checksum.
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
-            assert_eq!(Manifest::decode(&bad), None, "byte {i}");
+            assert_eq!(Manifest::decode(&bad), Err(ResumeRefusal::Unreadable), "byte {i}");
         }
-        assert_eq!(Manifest::decode(&bytes[..bytes.len() - 1]), None);
+        assert_eq!(Manifest::decode(&bytes[..bytes.len() - 1]), Err(ResumeRefusal::Unreadable));
     }
 
 
     /// The record sums are on disk: a run directory written by an earlier
     /// build must still recover. These are the bytes byte-wise FNV-1a
-    /// produced when it moved to `crate::checksum::fnv1a`.
+    /// produced when it moved to `crate::checksum::fnv1a`; the manifest's
+    /// moved with its format version (1 → 2), and the same body with the
+    /// old version word still sums to the old value.
     #[test]
     fn record_checksums_are_pinned_to_their_persisted_values() {
         let m = Manifest {
@@ -878,8 +871,11 @@ mod tests {
             files_r: vec![FileId::from_raw(4), FileId::from_raw(5)],
             files_s: vec![FileId::from_raw(6)],
         };
-        let bytes = m.encode();
-        assert_eq!(bytes[bytes.len() - 8..], [101, 207, 123, 44, 124, 165, 111, 13]);
+        let mut bytes = m.encode();
+        let n = bytes.len() - 8;
+        assert_eq!(bytes[n..], [98, 66, 172, 30, 107, 106, 130, 227]);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(fnv1a(&bytes[..n]).to_le_bytes(), [101, 207, 123, 44, 124, 165, 111, 13]);
         let e = JournalEntry {
             partition: 3,
             results_end: 480,
@@ -931,7 +927,32 @@ mod tests {
     fn fingerprint_mismatch_refuses_resume() {
         let d = disk();
         let (sb, _) = run_to_done(&d);
-        assert!(recover(&d, sb, 0xBAD).is_err());
+        let files = d.file_ids();
+        let err = recover(&d, sb, 0xBAD).err().unwrap();
+        let why = ResumeRefusal::OtherRun { run_id: 7 };
+        assert_eq!(err.kind, JoinErrorKind::ResumeRefused(why), "{err}");
+        assert!(err.to_string().contains("run 7 was started with other inputs"), "{err}");
+        assert_eq!(d.file_ids(), files, "a refused resume touches nothing");
+    }
+
+    /// A run directory from a build whose manifests were format 1 (the
+    /// byte-wise fingerprint) is refused as such, never restarted fresh.
+    #[test]
+    fn a_version_1_manifest_is_refused_not_restarted() {
+        let d = disk();
+        let (sb, cp) = run_to_done(&d);
+        let mut old = cp.manifest.encode();
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let n = old.len() - 8;
+        let sum = fnv1a(&old[..n]);
+        old[n..].copy_from_slice(&sum.to_le_bytes());
+        let file = d.create();
+        d.append(file, &old);
+        d.append(sb, &encode_pointer(file));
+        let err = recover(&d, sb, 0xF00D).err().unwrap();
+        let why = ResumeRefusal::Format { found: 1 };
+        assert_eq!(err.kind, JoinErrorKind::ResumeRefused(why), "{err}");
+        assert!(err.to_string().contains("manifest format 1 predates this build's 2"), "{err}");
     }
 
     #[test]
@@ -996,7 +1017,7 @@ mod tests {
         assert!(
             matches!(
                 err.kind,
-                crate::JoinErrorKind::Crashed(CrashPoint::AfterCommit(2))
+                JoinErrorKind::Crashed(CrashPoint::AfterCommit(2))
             ),
             "{err}"
         );
@@ -1024,7 +1045,7 @@ mod tests {
         let err = cp.commit_partition(1, 2, 2, 0).unwrap_err();
         assert!(matches!(
             err.kind,
-            crate::JoinErrorKind::Crashed(CrashPoint::MidPartition(1))
+            JoinErrorKind::Crashed(CrashPoint::MidPartition(1))
         ));
         let journal = cp.manifest.journal.unwrap();
         assert_eq!(d.len(journal) as usize, JOURNAL_RECORD + JOURNAL_RECORD / 2);
@@ -1055,7 +1076,7 @@ mod tests {
         let err = cp.finish().unwrap_err();
         assert!(matches!(
             err.kind,
-            crate::JoinErrorKind::Crashed(CrashPoint::MidRename)
+            JoinErrorKind::Crashed(CrashPoint::MidRename)
         ));
         // Partition files must NOT have been deleted (the publish failed).
         assert!(d.exists(fr[0]) && d.exists(fs[0]));
@@ -1088,7 +1109,7 @@ mod tests {
         let err = ctl.charge("join", || 10.5).unwrap();
         assert!(matches!(
             err.kind,
-            crate::JoinErrorKind::DeadlineExceeded { .. }
+            JoinErrorKind::DeadlineExceeded { .. }
         ));
         // Once tripped, even an under-budget charge reports the expiry.
         assert!(ctl.charge("join", || 0.0).is_some());
@@ -1097,7 +1118,7 @@ mod tests {
         assert!(ctl.charge("partition", || 1e9).is_none(), "no deadline set");
         ctl.cancel.cancel();
         let err = ctl.charge("partition", || 0.0).unwrap();
-        assert!(matches!(err.kind, crate::JoinErrorKind::Cancelled));
+        assert!(matches!(err.kind, JoinErrorKind::Cancelled));
     }
 
     #[test]
@@ -1116,7 +1137,7 @@ mod tests {
         assert!(ctl.charge("scan", clock).is_none());
         assert!(ctl.charge("scan", clock).is_none());
         let err = ctl.charge("scan", clock).unwrap();
-        assert!(matches!(err.kind, crate::JoinErrorKind::Cancelled));
+        assert!(matches!(err.kind, JoinErrorKind::Cancelled));
         assert_eq!(reads.get(), 0, "no deadline, no position");
 
         // With a deadline: one read per call, and the same check counting.
@@ -1125,7 +1146,7 @@ mod tests {
         assert!(ctl.charge("scan", clock).is_none());
         assert_eq!(reads.get(), 1);
         let err = ctl.charge("scan", clock).unwrap();
-        assert!(matches!(err.kind, crate::JoinErrorKind::Cancelled));
+        assert!(matches!(err.kind, JoinErrorKind::Cancelled));
         assert_eq!(reads.get(), 2);
     }
 

@@ -26,6 +26,7 @@ use crate::disk::{DiskModel, FileId, IoStats, SimDisk};
 use crate::fault::JoinError;
 use crate::lock;
 use crate::manifest::{RunCheckpoint, RunControl, RunPhase};
+use crate::record::{FixedRecord, IdPair};
 use crate::work::Work;
 
 /// `(candidates, results, duplicates)` of one unit — its journal record.
@@ -224,17 +225,17 @@ impl<'a> UnitRun<'a> {
     }
 
     /// Commit-protocol steps 2–4 for one finished unit: durably flush its
-    /// pairs to the results file, append its journal record (the commit
-    /// point — crash injection fires here), and only then emit them.
+    /// [`IdPair`]-`encoded` pairs to the results file, append its journal
+    /// record (the commit point — crash injection fires here), then emit.
     fn commit_emit(
         &mut self,
         unit: u32,
-        pairs: &[(RecordId, RecordId)],
+        encoded: &[u8],
         (candidates, results, duplicates): Counts,
         out: &mut dyn FnMut(RecordId, RecordId),
     ) -> Result<(), JoinError> {
         let res = self.publish(|cp| {
-            cp.append_results(pairs)?;
+            cp.append_results(encoded)?;
             cp.commit_partition(unit, candidates, results, duplicates)
         });
         // The durable journal record — not the process's last instruction —
@@ -245,8 +246,9 @@ impl<'a> UnitRun<'a> {
         // stay unemitted; the resume recomputes and emits them.
         if res.is_ok() || self.is_committed(unit) {
             self.commits += 1;
-            for &(a, b) in pairs {
-                out(a, b);
+            for rec in encoded.chunks_exact(IdPair::SIZE) {
+                let p = IdPair::decode(rec);
+                out(RecordId(p.r), RecordId(p.s));
             }
         }
         res
@@ -312,9 +314,9 @@ impl<'a> UnitRun<'a> {
             out(a, b);
         };
         let res = if self.cp.is_some() {
-            let mut pairs = Vec::new();
-            body(&mut |a, b| pairs.push((a, b))).and_then(|counts| {
-                self.commit_emit(unit, &pairs, counts, &mut track)?;
+            let mut encoded = Vec::new();
+            body(&mut |a, b| encoded.extend_from_slice(&encode_pair(a, b))).and_then(|counts| {
+                self.commit_emit(unit, &encoded, counts, &mut track)?;
                 Ok(counts)
             })
         } else {
@@ -362,8 +364,10 @@ impl<'a> UnitRun<'a> {
                         }
                         out(a, b);
                     };
+                    let mut encoded = Vec::with_capacity(f.pairs.len() * IdPair::SIZE);
+                    f.pairs.iter().for_each(|&(a, b)| encoded.extend_from_slice(&encode_pair(a, b)));
                     (
-                        self.commit_emit(unit, &f.pairs, f.counts, &mut track),
+                        self.commit_emit(unit, &encoded, f.counts, &mut track),
                         first,
                     )
                 } else {
@@ -447,6 +451,13 @@ impl<'a> UnitRun<'a> {
             first_result: self.first,
         })
     }
+}
+
+/// One pair as the results file holds it, for a commit buffer.
+fn encode_pair(a: RecordId, b: RecordId) -> [u8; IdPair::SIZE] {
+    let mut rec = [0u8; IdPair::SIZE];
+    IdPair { r: a.0, s: b.0 }.encode(&mut rec);
+    rec
 }
 
 #[cfg(test)]
@@ -734,7 +745,7 @@ mod tests {
         let mut run = UnitRun::begin(&ctl, &d);
         run.deliver(0, Ok(unit(0)), &|| 0.0, &mut |_, _| ctl.cancel.cancel());
         assert!(!run.failed());
-        assert_eq!(run.settle("join", || 0.0), Err(JoinError::cancelled("join")));
+        assert_eq!(run.settle("join", || 0.0), Err(JoinError::of("join", JoinErrorKind::Cancelled)));
 
         // A deadline trip by another holder of the token reports the run's
         // own clock; an untripped token settles clean and counts no check.
@@ -747,7 +758,7 @@ mod tests {
         ctl.cancel.cancel_deadline();
         assert_eq!(
             run.settle("scan", || 3.0),
-            Err(JoinError::deadline_exceeded("scan", 3.0, 1.0))
+            Err(JoinError::of("scan", JoinErrorKind::DeadlineExceeded { elapsed: 3.0, deadline: 1.0 }))
         );
     }
 }

@@ -1,6 +1,6 @@
-//! The committed JSON artifacts — the `repro` snapshot and the conformance
-//! repros — are read, unmodified, by the workspace's one parser
-//! (`storage::json`).
+//! The committed JSON artifacts — the `repro` snapshot, the host-clock
+//! result lines and the conformance repros — are read, unmodified, by the
+//! workspace's one parser (`storage::json`).
 
 use std::path::{Path, PathBuf};
 
@@ -42,6 +42,33 @@ fn json_lines_artifacts_parse_line_by_line() {
         r.get("experiment").and_then(Json::as_str) == Some("planner") && r.get("table").and_then(Json::as_u64) == Some(1)
     });
     assert_eq!(priced_planner.count(), 10, "the planner's priced-clock rows");
+}
+
+/// Every committed `BENCH_*.host.jsonl`: `sjbench` result lines, as
+/// `benchmark/run.sh --out` appends them, one JSON document a line.
+#[test]
+fn host_result_lines_parse_line_by_line() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = 0;
+    for entry in std::fs::read_dir(root).expect("repository root") {
+        let name = entry.expect("dir entry").file_name().into_string().expect("utf-8 name");
+        if !(name.starts_with("BENCH_") && name.ends_with(".host.jsonl")) {
+            continue;
+        }
+        let (path, text) = committed(&name);
+        for (i, line) in text.lines().enumerate() {
+            let at = format!("{}:{}", path.display(), i + 1);
+            let row = Json::parse(line).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert!(row.get("workload").and_then(Json::as_str).is_some(), "{at}");
+            let result = row.get("result").unwrap_or_else(|| panic!("{at}: no result"));
+            assert_eq!(result.get("correct").and_then(Json::as_bool), Some(true), "{at}");
+            assert_eq!(result.get("failed").and_then(Json::as_u64), Some(0), "{at}");
+            let pbsm_ms = result.get("metrics").and_then(|m| m.get("pbsm_ms")?.get("value"));
+            assert!(pbsm_ms.and_then(Json::as_f64).is_some(), "{at}");
+        }
+        files += 1;
+    }
+    assert!(files >= 1, "at least one host-clock result file is committed");
 }
 
 #[test]
