@@ -1,5 +1,5 @@
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::time::Instant;
 
 use geom::{reference_point, Kpe, RecordId};
@@ -8,7 +8,7 @@ use storage::{
     try_external_sort_by, ClockPos, Counts, DiskModel, FileId, FixedRecord, IoError, IoStats,
     JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk, UnitRun, Work,
 };
-use sweep::{InternalAlgo, InternalJoin, JoinCounters};
+use sweep::{InternalAlgo, InternalJoin, JoinCounters, NestedLoops};
 
 use crate::levels::{LevelFiles, LevelRecord};
 
@@ -172,15 +172,26 @@ impl S3jStats {
     }
 }
 
-/// A loaded partition: one cell's rectangles from one relation.
+/// A loaded partition: one cell's rectangles from one relation, held as the
+/// range `lo..hi` of that relation's arena (the records of the partitions on
+/// the current root path, in path order).
+#[derive(Clone, Copy)]
 struct Part {
-    rel: usize, // 0 = R, 1 = S
     level: u8,
     /// Pre-order range of the cell on the `max_level` grid.
     start: u64,
     end: u64,
-    cell: Cell,
-    rects: Vec<Kpe>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Part {
+    /// The cell, decoded from the pre-order range: only a partition that
+    /// joins needs it, so one that never does costs no decode.
+    fn cell(&self, curve: Curve) -> Cell {
+        let shift = (self.end - self.start).trailing_zeros();
+        Cell::from_code(self.level, self.start >> shift, curve)
+    }
 }
 
 /// What a level-file cursor falls back to when its sorted file turns out to
@@ -302,129 +313,136 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Pre-order heap key of the next partition.
-    fn peek_key(&self, max_level: u8) -> Option<(u64, u8, usize)> {
+    /// Heap key of the next partition: its pre-order start, then level,
+    /// relation and cursor index `ci` packed into one word (in that order
+    /// of significance), so the heap compares two integers.
+    fn peek_key(&self, max_level: u8, ci: usize) -> Option<(u64, u32)> {
         self.pending.as_ref().map(|r| {
             let shift = 2 * (max_level - self.level) as u32;
-            (r.code << shift, self.level, self.rel)
+            let tie = u32::from(self.level) << 16 | (self.rel as u32) << 8 | ci as u32;
+            (r.code << shift, tie)
         })
     }
 
-    /// Consumes all records of the next cell's code.
-    fn collect(&mut self, code: u64, mut rects: Vec<Kpe>) -> Result<Vec<Kpe>, IoError> {
+    /// Appends the records of the partition whose first record is `first`
+    /// to `arena`.
+    fn collect(&mut self, first: LevelRecord, arena: &mut Vec<Kpe>) -> Result<(), IoError> {
+        arena.push(first.kpe);
         loop {
             match self.next_record()? {
-                Some(r) if r.code == code => rects.push(r.kpe),
+                Some(r) if r.code == first.code => arena.push(r.kpe),
                 other => {
                     self.pending = other;
-                    return Ok(rects);
+                    return Ok(());
                 }
             }
         }
     }
 
-    fn make_part(&self, code: u64, rects: Vec<Kpe>, curve: Curve, max_level: u8) -> Part {
-        let shift = 2 * (max_level - self.level) as u32;
-        let start = code << shift;
-        Part {
-            rel: self.rel,
-            level: self.level,
-            start,
-            end: start + (1u64 << shift),
-            cell: Cell::from_code(self.level, code, curve),
-            rects,
-        }
-    }
-
-    /// Consumes all records of the next cell. A transient error that
-    /// exhausted the retry budget is terminal (the partition in flight is
-    /// lost); persistent damage quarantines the file instead and the
-    /// partition is re-collected from the in-memory replay.
-    fn take_partition(&mut self, curve: Curve, max_level: u8) -> Result<Part, IoError> {
+    /// Appends all records of the next cell to `arena`. A transient error
+    /// that exhausted the retry budget is terminal (the partition in flight
+    /// is lost); persistent damage quarantines the file instead, and the
+    /// partition is truncated off the arena and re-collected from the
+    /// in-memory replay.
+    fn take_partition(&mut self, arena: &mut Vec<Kpe>, max_level: u8) -> Result<Part, IoError> {
         // Invariant: only called after `peek_key` returned `Some`, so a
         // pending record exists.
         let first = self.pending.take().expect("cursor exhausted");
-        let code = first.code;
-        match self.collect(code, vec![first.kpe]) {
-            Ok(rects) => Ok(self.make_part(code, rects, curve, max_level)),
+        let (code, lo) = (first.code, arena.len());
+        match self.collect(first, arena) {
+            Ok(()) => {}
             Err(e) if e.kind.is_persistent() => {
                 // Re-reads of a damaged page fail identically, so retrying
                 // the file is pointless: switch to the replay and restart
                 // the in-flight partition from its first record (the
                 // partially collected rects were never joined or emitted).
+                arena.truncate(lo);
                 self.quarantine(Some(code));
                 let first = self
                     .pending
                     .take()
                     .expect("rebuilt level lost the in-flight partition");
                 debug_assert_eq!(first.code, code, "replay resumed at the wrong partition");
-                let rects = self.collect(code, vec![first.kpe])?;
-                Ok(self.make_part(code, rects, curve, max_level))
+                self.collect(first, arena)?;
             }
-            Err(e) => Err(e),
+            Err(e) => return Err(e),
         }
+        let shift = 2 * (max_level - self.level) as u32;
+        let start = code << shift;
+        let (level, end, hi) = (self.level, start + (1u64 << shift), arena.len());
+        Ok(Part { level, start, end, lo, hi })
     }
+}
+
+/// The internal join: nested loops — the default, and what S³J's tiny
+/// partitions want — called statically; any other algorithm through its
+/// trait object.
+enum Kernel {
+    Nested(NestedLoops),
+    Other(Box<dyn InternalJoin + Send>),
 }
 
 struct JoinCtx<'a> {
     cfg: &'a S3jConfig,
-    internal: Box<dyn InternalJoin + Send>,
+    kernel: Kernel,
     counts: Counts,
+    /// The work of this context's joins when [`JoinCtx::unit_work`] last ran.
+    priced: Work,
 }
 
 impl<'a> JoinCtx<'a> {
     fn new(cfg: &'a S3jConfig) -> Self {
-        JoinCtx {
-            cfg,
-            internal: cfg.internal.create(),
-            counts: (0, 0, 0),
-        }
+        let kernel = match cfg.internal {
+            InternalAlgo::NestedLoops => Kernel::Nested(NestedLoops::new()),
+            other => Kernel::Other(other.create()),
+        };
+        JoinCtx { cfg, kernel, counts: (0, 0, 0), priced: Work::ZERO }
     }
 
-    /// Joins a pair of partitions where `deeper` is the one with the finer
-    /// (or equal) cell. With replication, the modified RPM (§4.3) reports a
-    /// pair only if its reference point lies in the deeper partition's cell.
+    /// Joins the partition `deeper` of relation `rel` (the one with the
+    /// finer or equal cell) with `other` of the opposite relation. `rpm` is
+    /// the deeper cell when replicating: the modified RPM (§4.3) then
+    /// reports a pair only if its reference point lies in that cell.
     fn join_parts(
         &mut self,
-        deeper: &mut Part,
-        other: &mut Part,
+        rel: usize,
+        rpm: Option<Cell>,
+        deeper: &mut [Kpe],
+        other: &mut [Kpe],
         out: &mut dyn FnMut(RecordId, RecordId),
     ) {
-        debug_assert!(deeper.level >= other.level);
-        let replicate = self.cfg.replicate;
-        let cell = deeper.cell;
-        let mut candidates = 0u64;
-        let mut results = 0u64;
-        let mut duplicates = 0u64;
-        // Orientation: callback receives (r, s) ids.
-        let flip = deeper.rel == 0; // deeper from R => internal args (other=s? no)
-        let (r_slice, s_slice) = if flip {
-            (&mut deeper.rects, &mut other.rects)
-        } else {
-            (&mut other.rects, &mut deeper.rects)
-        };
-        self.internal.join(r_slice, s_slice, &mut |a, b| {
+        let (mut candidates, mut results) = (0u64, 0u64);
+        // Orientation: the kernel and `out` take (r, s).
+        let (r, s) = if rel == 0 { (deeper, other) } else { (other, deeper) };
+        let mut emit = |a: &Kpe, b: &Kpe| {
             candidates += 1;
-            if replicate {
-                if cell.contains_point(reference_point(&a.rect, &b.rect)) {
-                    results += 1;
-                    out(a.id, b.id);
-                } else {
-                    duplicates += 1;
-                }
-            } else {
+            if rpm.is_none_or(|cell| cell.contains_point(reference_point(&a.rect, &b.rect))) {
                 results += 1;
                 out(a.id, b.id);
             }
-        });
+        };
+        match &mut self.kernel {
+            Kernel::Nested(k) => k.join_with(r, s, &mut emit),
+            Kernel::Other(k) => k.join(r, s, &mut emit),
+        }
         self.counts.0 += candidates;
         self.counts.1 += results;
-        self.counts.2 += duplicates;
+        self.counts.2 += candidates - results;
     }
 
-    /// The counted work of this context's joins so far.
-    fn work(&self) -> Work {
-        self.cfg.internal.work(&self.internal.counters())
+    fn counters(&self) -> JoinCounters {
+        match &self.kernel {
+            Kernel::Nested(k) => k.counters(),
+            Kernel::Other(k) => k.counters(),
+        }
+    }
+
+    /// The counted work of this context's joins since the last call.
+    fn unit_work(&mut self) -> Work {
+        let done = self.cfg.internal.work(&self.counters());
+        let unit = done - self.priced;
+        self.priced = done;
+        unit
     }
 
     /// Folds the scan's context into the run's stats.
@@ -435,7 +453,7 @@ impl<'a> JoinCtx<'a> {
         // original).
         debug_assert_eq!(candidates, results + duplicates, "S3J accounting broken");
         stats.add_counts(self.counts);
-        stats.join_counters.merge(&self.internal.counters());
+        stats.join_counters.merge(&self.counters());
     }
 }
 
@@ -863,17 +881,19 @@ impl<'a> Scan<'a> {
 
     /// §4.4.3, the discovery traversal of the synchronized scan: one pass
     /// over all level files, merged by a heap of cursors in pre-order; per
-    /// relation a stack of the partitions on the current root path. `visit`
-    /// gets each new partition with its discovery index — stable across
-    /// runs, hence the journal's work unit — and the other relation's stack:
-    /// its cell's ancestors-or-equal, so the new partition is always the
-    /// deeper side of every pair. It returns the partition for its own
-    /// stack; a resumed run's committed partitions are not joined but still
-    /// feed the stacks.
+    /// relation the partitions on the current root path, as a stack of
+    /// [`Part`]s over one arena of records, so unwinding the path truncates
+    /// the arena. `visit` gets each new partition with its discovery index
+    /// — stable across runs, hence the journal's work unit — its relation,
+    /// its records, and the other relation's path with that relation's
+    /// arena: its cell's ancestors-or-equal, so the new partition is always
+    /// the deeper side of every pair. A resumed run's committed partitions
+    /// are not joined but still join the paths.
     fn discover(
         &self,
         stats: &mut S3jStats,
-        mut visit: impl FnMut(u32, Part, &mut [Part]) -> Result<Part, JoinError>,
+        mut visit: impl FnMut(u32, usize, &Part, &mut [Kpe], &[Part], &mut [Kpe])
+            -> Result<(), JoinError>,
     ) -> Result<(), JoinError> {
         let to_err = |e: IoError| JoinError::new("scan", e);
         let (cfg, max_level) = (self.cfg, self.cfg.max_level);
@@ -888,43 +908,41 @@ impl<'a> Scan<'a> {
                 }
             }
         }
-        let mut heap: BinaryHeap<Reverse<(u64, u8, usize, usize)>> = BinaryHeap::new();
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some((start, level, rel)) = c.peek_key(max_level) {
-                heap.push(Reverse((start, level, rel, i)));
-            }
-        }
-        let mut stacks: [Vec<Part>; 2] = [Vec::new(), Vec::new()];
-        let mut resident = 0usize;
+        let keys = cursors.iter().enumerate().filter_map(|(i, c)| c.peek_key(max_level, i));
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = keys.map(Reverse).collect();
+        let mut paths: [Vec<Part>; 2] = [Vec::new(), Vec::new()];
+        let mut arenas: [Vec<Kpe>; 2] = [Vec::new(), Vec::new()];
         let mut d: u32 = 0; // discovery index
-        while let Some(Reverse((_, _, _, ci))) = heap.pop() {
+        // The popped cursor's next partition replaces it at the top: one
+        // sift instead of a pop and a push.
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((start, tie)) = *top;
             // Interruption check at partition granularity; a checkpointed
             // run's committed prefix stays durable and resumable.
             if let Some(e) = self.ctl.charge("scan", self.elapsed) {
                 return Err(e);
             }
-            let part = cursors[ci]
-                .take_partition(self.cfg.curve, max_level)
-                .map_err(to_err)?;
-            self.tick(PARTITION);
-            if let Some((st, lv, rl)) = cursors[ci].peek_key(max_level) {
-                heap.push(Reverse((st, lv, rl, ci)));
-            }
-            // Unwind both stacks to the root path of the new cell.
-            for stack in stacks.iter_mut() {
-                while let Some(top) = stack.last() {
-                    if top.start <= part.start && part.start < top.end {
-                        break; // ancestor (or equal): keep
-                    }
-                    resident -= top.rects.len() * Kpe::ENCODED_SIZE;
-                    stack.pop();
+            // Unwind both paths to the new cell's ancestors-or-equal.
+            for (path, arena) in paths.iter_mut().zip(arenas.iter_mut()) {
+                while path.last().is_some_and(|p| start < p.start || p.end <= start) {
+                    path.pop();
                 }
+                arena.truncate(path.last().map_or(0, |p| p.hi));
             }
-            let rel = part.rel;
-            resident += part.rects.len() * Kpe::ENCODED_SIZE;
+            let ci = (tie & 0xff) as usize;
+            let rel = cursors[ci].rel;
+            let part = cursors[ci].take_partition(&mut arenas[rel], max_level).map_err(to_err)?;
+            self.tick(PARTITION);
+            match cursors[ci].peek_key(max_level, ci) {
+                Some(key) => *top = Reverse(key),
+                None => drop(PeekMut::pop(top)),
+            }
+            let resident = (arenas[0].len() + arenas[1].len()) * Kpe::ENCODED_SIZE;
             stats.peak_partition_bytes = stats.peak_partition_bytes.max(resident);
-            let part = visit(d, part, &mut stacks[1 - rel])?;
-            stacks[rel].push(part);
+            let [r, s] = &mut arenas;
+            let (mine, theirs) = if rel == 0 { (r, s) } else { (s, r) };
+            visit(d, rel, &part, &mut mine[part.lo..], &paths[1 - rel], theirs)?;
+            paths[rel].push(part);
             d += 1;
         }
         stats.quarantined_levels += cursors.iter().filter(|c| c.quarantined).count() as u32;
@@ -944,20 +962,21 @@ fn heap_scan(
 ) -> Result<(), JoinError> {
     let mut ctx = JoinCtx::new(scan.cfg);
     let position: &dyn Fn() -> ClockPos = &|| scan.position();
-    let res = scan.discover(stats, |d, mut part: Part, others: &mut [Part]| {
-        if !others.is_empty() && !run.is_committed(d) {
-            let body = |emit: &mut dyn FnMut(RecordId, RecordId)| {
-                let ((c0, r0, d0), w0) = (ctx.counts, ctx.work());
-                for q in others.iter_mut() {
-                    ctx.join_parts(&mut part, q, emit);
-                }
-                scan.tick(ctx.work() - w0);
-                let (c, r, d) = ctx.counts;
-                Ok((c - c0, r - r0, d - d0))
-            };
-            run.stream(d, (!run.probed()).then_some(position), scan.elapsed, body, out)?;
+    let res = scan.discover(stats, |d, rel, part, mine, path, theirs| {
+        if path.is_empty() || run.is_committed(d) {
+            return Ok(());
         }
-        Ok(part)
+        let rpm = scan.cfg.replicate.then(|| part.cell(scan.cfg.curve));
+        let body = |emit: &mut dyn FnMut(RecordId, RecordId)| {
+            let (c0, r0, d0) = ctx.counts;
+            for q in path {
+                ctx.join_parts(rel, rpm, mine, &mut theirs[q.lo..q.hi], emit);
+            }
+            scan.tick(ctx.unit_work());
+            let (c, r, d) = ctx.counts;
+            Ok((c - c0, r - r0, d - d0))
+        };
+        run.stream(d, (!run.probed()).then_some(position), scan.elapsed, body, out)
     });
     ctx.fold_into(stats);
     res
@@ -975,15 +994,18 @@ fn pair_scan(
 ) -> Result<(), JoinError> {
     let Scan { disk, cfg, sources: (r, s), sorted: (sorted_r, sorted_s), .. } = *scan;
     let to_err = |e: IoError| JoinError::new("scan", e);
-    // The next whole partition of `c`, or `None` at end of file.
-    let next_part = |c: &mut Cursor<'_>| -> Result<Option<Part>, IoError> {
+    // The next whole partition of `c`, alone in `arena`, or `None` at end of
+    // file.
+    let next_part = |c: &mut Cursor<'_>, arena: &mut Vec<Kpe>| -> Result<Option<Part>, IoError> {
         if c.pending.is_none() {
             return Ok(None);
         }
-        let part = c.take_partition(cfg.curve, cfg.max_level)?;
+        arena.clear();
+        let part = c.take_partition(arena, cfg.max_level)?;
         scan.tick(PARTITION);
         Ok(Some(part))
     };
+    let (mut arena_a, mut arena_b) = (Vec::new(), Vec::new());
     let mut ctx = JoinCtx::new(cfg);
     let position = scan.position();
     let body = |out: &mut dyn FnMut(RecordId, RecordId)| {
@@ -1005,22 +1027,22 @@ fn pair_scan(
                     .map_err(to_err)?;
                 // Merge: `a` is the coarser-or-equal side, `b` the deeper side.
                 let (mut a, mut b) = if lr <= ls { (cr, cs) } else { (cs, cr) };
-                let mut pa = next_part(&mut a).map_err(to_err)?;
-                let mut pb = next_part(&mut b).map_err(to_err)?;
-                while let (Some(ca), Some(cb)) = (&mut pa, &mut pb) {
+                let mut pa = next_part(&mut a, &mut arena_a).map_err(to_err)?;
+                let mut pb = next_part(&mut b, &mut arena_b).map_err(to_err)?;
+                while let (Some(ca), Some(cb)) = (pa, pb) {
                     if ca.start <= cb.start && cb.start < ca.end {
                         // `ca` covers `cb`: join (cb is the deeper partition).
                         stats.peak_partition_bytes = stats.peak_partition_bytes.max(
-                            (ca.rects.len() + cb.rects.len()) * Kpe::ENCODED_SIZE,
+                            (arena_a.len() + arena_b.len()) * Kpe::ENCODED_SIZE,
                         );
-                        let w0 = ctx.work();
-                        ctx.join_parts(cb, ca, out);
-                        scan.tick(ctx.work() - w0);
-                        pb = next_part(&mut b).map_err(to_err)?;
+                        let rpm = cfg.replicate.then(|| cb.cell(cfg.curve));
+                        ctx.join_parts(b.rel, rpm, &mut arena_b, &mut arena_a, out);
+                        scan.tick(ctx.unit_work());
+                        pb = next_part(&mut b, &mut arena_b).map_err(to_err)?;
                     } else if ca.end <= cb.start {
-                        pa = next_part(&mut a).map_err(to_err)?;
+                        pa = next_part(&mut a, &mut arena_a).map_err(to_err)?;
                     } else {
-                        pb = next_part(&mut b).map_err(to_err)?;
+                        pb = next_part(&mut b, &mut arena_b).map_err(to_err)?;
                     }
                 }
                 // The ablation re-reads each level file once per opposite
@@ -1121,6 +1143,60 @@ mod tests {
         assert!(stats.replication_rate(r.len() + s.len()) <= 4.0);
     }
 
+    /// Emission order and every counter of the scan, pinned across the
+    /// assignment rule, the curve and the scan strategy: a change to how
+    /// partitions are held or joined must not move a single pair. Each row
+    /// is `fnv1a` of the emitted sequence, then results, candidates,
+    /// duplicates and tests, the peak partition bytes, and the join phase's
+    /// partitions, tests and candidates.
+    #[test]
+    fn pair_sequence_and_counters_are_pinned() {
+        let (r0, s0) = tiger_pair(1500);
+        let (r, s) = (scale(&r0, 3.0), scale(&s0, 3.0));
+        let (plain, repl) = ([6059, 6059, 0, 464_909], [6059, 8985, 2926, 175_219]);
+        let golden = [
+            (14_469_951_499_649_192_238_u64, plain, 15_080, [782, 464_909, 6059]),
+            (11_225_619_383_021_007_766, plain, 7080, [5798, 464_909, 6059]),
+            (7_195_408_734_872_141_830, plain, 15_080, [782, 464_909, 6059]),
+            (8_820_097_674_258_983_326, plain, 7080, [5619, 464_909, 6059]),
+            (12_351_042_422_918_907_582, repl, 6440, [812, 175_219, 8985]),
+            (2_603_033_024_109_502_170, repl, 4320, [3475, 175_219, 8985]),
+            (3_299_703_355_409_937_866, repl, 6440, [812, 175_219, 8985]),
+            (18_423_227_141_417_782_494, repl, 4320, [3288, 175_219, 8985]),
+        ];
+        let mut rows = golden.iter();
+        for replicate in [false, true] {
+            for curve in [Curve::Peano, Curve::Hilbert] {
+                for scan in [ScanMode::HeapMerge, ScanMode::LevelPairs] {
+                    let cfg = S3jConfig {
+                        replicate,
+                        curve,
+                        scan,
+                        mem_bytes: 48 * 1024,
+                        max_level: 10,
+                        ..Default::default()
+                    };
+                    let disk = SimDisk::with_default_model();
+                    let mut sequence = Vec::new();
+                    let st = s3j_join(&disk, &r, &s, &cfg, &mut |a, b| {
+                        sequence.extend_from_slice(&a.0.to_le_bytes());
+                        sequence.extend_from_slice(&b.0.to_le_bytes());
+                    });
+                    let w = st.work_join;
+                    let got = (
+                        storage::fnv1a(&sequence),
+                        [st.results, st.candidates, st.duplicates, st.join_counters.tests],
+                        st.peak_partition_bytes,
+                        [w.partitions, w.tests, w.candidates],
+                    );
+                    let (fnv, counts, peak, [partitions, tests, candidates]) = *rows.next().unwrap();
+                    assert_eq!(got, (fnv, counts, peak, [partitions, tests, candidates]), "{cfg:?}");
+                    assert_eq!(w, Work { partitions, tests, candidates, ..Work::ZERO }, "{cfg:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn persistent_corruption_quarantines_levels_and_stays_exact() {
         use storage::{FaultPlan, RetryPolicy};
@@ -1135,10 +1211,10 @@ mod tests {
             };
             let clean = run(&r, &s, &cfg).0;
             // Persistent damage is a pure function of (seed, channel, page):
-            // hunt seeds until one lands on a level file (unsorted — the
-            // sort-phase rebuild — or sorted — the scan-phase cursor
-            // replay); every seed, hit or miss, must still produce the
-            // exact result set.
+            // hunt seeds until one lands on a level file — the sort reads
+            // it first, so this is the sort-phase rebuild (the scan-phase
+            // replay has its own test); every seed, hit or miss, must still
+            // produce the exact result set.
             let mut hit = false;
             for seed in 0..48u64 {
                 let disk = SimDisk::with_default_model().with_faults(
@@ -1156,6 +1232,89 @@ mod tests {
                 }
             }
             assert!(hit, "no seed damaged a level file (replicate {replicate})");
+        }
+    }
+
+    /// Runs the synchronized scan alone over sorted level files already on
+    /// `disk`, as a durable run resumed in its join phase does.
+    fn scan_sorted(
+        disk: &SimDisk,
+        (r, s): (&[Kpe], &[Kpe]),
+        cfg: &S3jConfig,
+        (sorted_r, sorted_s): (&[Option<FileId>], &[Option<FileId>]),
+    ) -> (Vec<(u64, u64)>, S3jStats) {
+        let (ctl, clock) = (RunControl::none(), std::cell::Cell::new(Work::ZERO));
+        let scan = Scan {
+            disk,
+            cfg,
+            sources: (r, s),
+            sorted: (sorted_r, sorted_s),
+            ctl: &ctl,
+            elapsed: &|| 0.0,
+            io0: disk.stats(),
+            clock: &clock,
+        };
+        let mut stats = S3jStats::new(disk.model());
+        let mut got = Vec::new();
+        let mut run = UnitRun::begin(&ctl, disk);
+        heap_scan(&scan, &mut stats, &mut run, &mut |a, b| got.push((a.0, b.0)))
+            .expect("persistent damage must quarantine, not kill the scan");
+        (got, stats)
+    }
+
+    /// Scan-phase quarantine of a partly collected partition. In a plain run
+    /// the sort reads every page index of a level first (the sorted file
+    /// has the unsorted one's channel and length, and damage is a function
+    /// of the two), so it is the sort that quarantines; the scan meets
+    /// damage when sorted files outlive a crash onto media that has since
+    /// gone bad. Sorted files written on sound media are restored onto a
+    /// damaged volume; seeds are hunted until a page past some cursor's
+    /// first read buffer is bad while that buffer is sound. The failing read
+    /// is then a refill inside `take_partition`, with the in-flight cell's
+    /// first records already in the arena: they are truncated off and
+    /// re-collected from the replay, and the scan emits the clean scan's
+    /// sequence with its peak residency.
+    #[test]
+    fn scan_quarantine_replays_a_partly_collected_partition() {
+        use storage::{FaultPlan, RetryPolicy};
+        let (r0, s0) = tiger_pair(1200);
+        let (r, s) = (scale(&r0, 3.0), scale(&s0, 3.0));
+        for replicate in [false, true] {
+            let cfg = S3jConfig {
+                replicate,
+                mem_bytes: 48 * 1024,
+                max_level: 9,
+                ..Default::default()
+            };
+            let sound = SimDisk::with_default_model();
+            let sorted = |data: &[Kpe]| -> Vec<Option<FileId>> {
+                let lf = LevelFiles::build(&sound, data, 9, cfg.curve, replicate, cfg.level_shift, 1);
+                let sort = |f| try_external_sort_by(&sound, f, cfg.mem_bytes, |x: &LevelRecord| x.code);
+                lf.files.iter().map(|f| f.map(|f| sort(f).unwrap().0)).collect()
+            };
+            let files = (sorted(&r), sorted(&s));
+            let snapshot = sound.export_files();
+            let (clean, clean_stats) = scan_sorted(&sound, (&r, &s), &cfg, (&files.0, &files.1));
+            let page = sound.model().page_size as u64;
+            let hit = (0..256u64).find_map(|seed| {
+                let plan = FaultPlan::persistent(seed).with_persistent_rate(0.02);
+                let first_buffer = cfg.io_buffer_pages as u64;
+                let mid_file = files.0.iter().chain(&files.1).flatten().any(|&f| {
+                    let (tag, pages) = (sound.file_channel(f).unwrap(), sound.len(f).div_ceil(page));
+                    (0..first_buffer).all(|p| !plan.bad_page(tag, p))
+                        && (first_buffer..pages).any(|p| plan.bad_page(tag, p))
+                });
+                mid_file.then(|| {
+                    let disk = SimDisk::with_default_model().with_faults(plan, RetryPolicy::default());
+                    disk.restore_files(&snapshot).unwrap();
+                    (seed, scan_sorted(&disk, (&r, &s), &cfg, (&files.0, &files.1)))
+                })
+            });
+            let (seed, (got, stats)) = hit.expect("no seed damaged a level file past its first buffer");
+            assert!(stats.quarantined_levels > 0, "seed {seed} replicate {replicate}");
+            assert_eq!(got, clean, "seed {seed} replicate {replicate} diverged");
+            assert_eq!(stats.results, clean_stats.results);
+            assert_eq!(stats.peak_partition_bytes, clean_stats.peak_partition_bytes);
         }
     }
 

@@ -76,18 +76,13 @@ pub fn size_level(r: &Rect, max_level: u8) -> u8 {
 }
 
 /// All cells of `level` whose half-open region intersects `r` (clamped into
-/// the data space). For `level == size_level(r, …)` this returns at most four
-/// cells; for coarser levels it may return more.
-pub fn cells_overlapping(r: &Rect, level: u8) -> Vec<Cell> {
+/// the data space), row by row, without allocating. For
+/// `level == size_level(r, …)` these are at most four cells; for finer
+/// levels there may be more.
+pub fn cells_overlapping(r: &Rect, level: u8) -> impl Iterator<Item = Cell> {
     let lo = Cell::containing(level, Point::new(r.xl, r.yl));
     let hi = Cell::containing(level, Point::new(r.xh, r.yh));
-    let mut out = Vec::with_capacity(4);
-    for iy in lo.iy..=hi.iy {
-        for ix in lo.ix..=hi.ix {
-            out.push(Cell::new(level, ix, iy));
-        }
-    }
-    out
+    (lo.iy..=hi.iy).flat_map(move |iy| (lo.ix..=hi.ix).map(move |ix| Cell::new(level, ix, iy)))
 }
 
 #[cfg(test)]
@@ -176,9 +171,9 @@ mod tests {
         #[test]
         fn prop_size_level_at_most_four_cells(r in arb_rect()) {
             let l = size_level(&r, MAX_LEVEL);
-            let cells = cells_overlapping(&r, l);
-            prop_assert!(!cells.is_empty());
-            prop_assert!(cells.len() <= 4, "rect {:?} level {} got {} cells", r, l, cells.len());
+            let cells = cells_overlapping(&r, l).count();
+            prop_assert!(cells > 0);
+            prop_assert!(cells <= 4, "rect {:?} level {} got {} cells", r, l, cells);
         }
 
         #[test]

@@ -80,7 +80,9 @@ work! {
     /// S³J locational codes computed: 28 ns (`sfc.mxcif_ns`).
     codes: 28.0,
     /// S³J partitions discovered by the scan — read, popped, decoded, stacked:
-    /// 250 ns (`s3j.join_ms` 52.0 ms less tests and candidates, / 183 k).
+    /// 250 ns. With root paths as arenas the host reads ≈ 280 ns (`s3j.join_ms`
+    /// 55.7 ms on `lowsel` less tests and candidates, / 183 k; ≈ 430 ns with a
+    /// `Vec` per partition on the same box).
     partitions: 250.0,
 }
 

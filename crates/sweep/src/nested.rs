@@ -15,10 +15,11 @@ impl NestedLoops {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl InternalJoin for NestedLoops {
-    fn join(&mut self, r: &mut [Kpe], s: &mut [Kpe], out: &mut dyn FnMut(&Kpe, &Kpe)) {
+    /// [`InternalJoin::join`] with a statically dispatched sink, for callers
+    /// that join many tiny partition pairs and hold the kernel by type.
+    #[inline]
+    pub fn join_with(&mut self, r: &[Kpe], s: &[Kpe], mut out: impl FnMut(&Kpe, &Kpe)) {
         self.counters.tests += (r.len() * s.len()) as u64;
         for a in r.iter() {
             for b in s.iter() {
@@ -28,6 +29,12 @@ impl InternalJoin for NestedLoops {
                 }
             }
         }
+    }
+}
+
+impl InternalJoin for NestedLoops {
+    fn join(&mut self, r: &mut [Kpe], s: &mut [Kpe], out: &mut dyn FnMut(&Kpe, &Kpe)) {
+        self.join_with(r, s, out);
     }
 
     fn counters(&self) -> JoinCounters {
