@@ -21,7 +21,7 @@ use geom::{Kpe, RecordId};
 use storage::{
     external_sort_slice, radix_sorted, IoStats, RecordReader, RunClock, SimDisk, SortStats, Work,
 };
-use sweep::JoinCounters;
+use sweep::{JoinCounters, Status};
 
 /// SSSJ tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -138,20 +138,21 @@ pub fn sssj_join(
             if clock.first_result.is_none() {
                 clock.first_result = Some((work_sort, disk.stats()));
             }
+            counters.results += 1;
             out(a, b);
         };
         match (&sorted_r, &sorted_s) {
             (Sorted::Mem(rv), Sorted::Mem(sv)) => sweep(
                 rv.iter().copied(),
                 sv.iter().copied(),
-                &mut counters,
+                &mut counters.tests,
                 &mut peak_status,
                 &mut emit,
             ),
             (Sorted::Disk(fr), Sorted::Disk(fs)) => sweep(
                 RecordReader::<Kpe>::new(disk, *fr, cfg.io_buffer_pages),
                 RecordReader::<Kpe>::new(disk, *fs, cfg.io_buffer_pages),
-                &mut counters,
+                &mut counters.tests,
                 &mut peak_status,
                 &mut emit,
             ),
@@ -186,17 +187,16 @@ pub fn sssj_join(
     }
 }
 
-/// The external plane sweep over two `xl`-sorted streams: active lists with
-/// lazy deletion; each intersecting pair reported exactly once.
+/// The external plane sweep over two `xl`-sorted streams: a columnar status
+/// with lazy deletion per relation; each intersecting pair reported once.
 fn sweep(
     mut rs: impl Iterator<Item = Kpe>,
     mut ss: impl Iterator<Item = Kpe>,
-    counters: &mut JoinCounters,
+    tests: &mut u64,
     peak_status: &mut usize,
     emit: &mut dyn FnMut(RecordId, RecordId),
 ) {
-    let mut active_r: Vec<Kpe> = Vec::new();
-    let mut active_s: Vec<Kpe> = Vec::new();
+    let (mut active_r, mut active_s) = (Status::default(), Status::default());
     let mut nr = rs.next();
     let mut ns = ss.next();
     while nr.is_some() || ns.is_some() {
@@ -209,42 +209,17 @@ fn sweep(
             // Invariant: `take_r` is only true when `nr` is `Some`.
             let cur = nr.take().expect("take_r implies nr is Some");
             nr = rs.next();
-            sweep_step(&cur, &mut active_s, counters, &mut |b| emit(cur.id, b.id));
-            active_r.push(cur);
+            active_s.scan(cur.rect.xl, cur.rect.yl, cur.rect.yh, tests, |b| emit(cur.id, b));
+            active_r.push(&cur);
         } else {
             // Invariant: the loop condition guarantees `ns` is `Some` when
             // `take_r` is false (both-None ends the loop, r-only sets it).
             let cur = ns.take().expect("!take_r implies ns is Some");
             ns = ss.next();
-            sweep_step(&cur, &mut active_r, counters, &mut |a| emit(a.id, cur.id));
-            active_s.push(cur);
+            active_r.scan(cur.rect.xl, cur.rect.yl, cur.rect.yh, tests, |a| emit(a, cur.id));
+            active_s.push(&cur);
         }
         *peak_status = (*peak_status).max(active_r.len() + active_s.len());
-    }
-}
-
-/// Tests `cur` against the other relation's active list, lazily evicting
-/// rectangles the sweep line has passed.
-fn sweep_step(
-    cur: &Kpe,
-    other_active: &mut Vec<Kpe>,
-    counters: &mut JoinCounters,
-    emit: &mut dyn FnMut(&Kpe),
-) {
-    let x = cur.rect.xl;
-    let mut i = 0;
-    while i < other_active.len() {
-        if other_active[i].rect.xh < x {
-            other_active.swap_remove(i);
-            continue;
-        }
-        counters.tests += 1;
-        let e = &other_active[i];
-        if e.rect.yl <= cur.rect.yh && cur.rect.yl <= e.rect.yh {
-            counters.results += 1;
-            emit(e);
-        }
-        i += 1;
     }
 }
 
@@ -360,6 +335,63 @@ mod tests {
         });
         assert_eq!(stats.results, 0);
         assert!(stats.clock.first_result_seconds().is_none());
+    }
+
+    /// Emission order and every counter of both sweep paths, pinned: a
+    /// change to how the status is held must not move a single pair. Each
+    /// row is `fnv1a` of the emitted `(r, s)` sequence, results, tests,
+    /// `peak_status`, the bits of the first-result time, then the total
+    /// I/O's requests, pages and bytes (read, written).
+    #[test]
+    fn pair_sequence_and_counters_are_pinned() {
+        let r = tiger(3000, 11);
+        let s = tiger(3300, 12);
+        let golden = [
+            (145_476_151_695_681_232, [1209, 124_344], 60, 4_597_679_823_586_265_662, [0; 6]),
+            (4_290_834_571_427_702_701, [4296, 118_986], 62, 4_597_274_499_619_802_318, [0; 6]),
+            (
+                145_476_151_695_681_232,
+                [1209, 124_344],
+                60,
+                4_616_226_829_046_679_549,
+                [154, 177, 276, 177, 1_392_000, 1_392_000],
+            ),
+            (
+                4_290_834_571_427_702_701,
+                [4296, 118_986],
+                62,
+                4_614_894_833_161_889_383,
+                [128, 150, 240, 150, 1_200_000, 1_200_000],
+            ),
+        ];
+        let mut rows = golden.iter();
+        for mem_bytes in [SssjConfig::default().mem_bytes, 32 * 1024] {
+            for (a, b) in [(&r, &s), (&r, &r)] {
+                let cfg = SssjConfig { mem_bytes, ..Default::default() };
+                let disk = SimDisk::with_default_model();
+                let mut sequence = Vec::new();
+                let st = sssj_join(&disk, a, b, &cfg, &mut |x, y| {
+                    sequence.extend_from_slice(&x.0.to_le_bytes());
+                    sequence.extend_from_slice(&y.0.to_le_bytes());
+                });
+                let io = st.io_total();
+                let got = (
+                    storage::fnv1a(&sequence),
+                    [st.results, st.join_counters.tests],
+                    st.peak_status,
+                    st.clock.first_result_seconds().expect("has results").to_bits(),
+                    [
+                        io.read_requests,
+                        io.write_requests,
+                        io.pages_read,
+                        io.pages_written,
+                        io.bytes_read,
+                        io.bytes_written,
+                    ],
+                );
+                assert_eq!(got, *rows.next().unwrap(), "mem_bytes {mem_bytes}");
+            }
+        }
     }
 
     #[test]

@@ -68,8 +68,8 @@ work! {
     /// Rectangle tests of the block-wise forward-scan kernel: 0.85 ns
     /// (`sweep.list_ns_per_test` 0.74 on `hisel`'s long scans, 1.38 on `lowsel`'s).
     scan_tests: 0.85,
-    /// Rectangle tests against a lazily pruned sweep-line status (SSSJ's
-    /// lists, the trie's nodes): 5.8 ns (`sssj.join_ms` 219 ms less its sort, / 32.7 M).
+    /// Rectangle tests against a lazily pruned status (SSSJ's, the trie's nodes): 5.8 ns, kept as
+    /// the snapshot pins it; SSSJ's columnar sweep reads 2.5–2.6 host ns a test on J1's 32.7 M.
     status_tests: 5.8,
     /// Interval-trie (or R-tree) node visits: 33 ns (`sweep.trie_ns_per_test`
     /// 252 ns at the strip's 7.4 visits a test, less the test).

@@ -28,7 +28,7 @@ mod trie;
 
 pub use list::PlaneSweepList;
 pub use nested::NestedLoops;
-pub use strip::{forward_scan, sweep_strips, Strip};
+pub use strip::{forward_scan, sweep_strips, Status, Strip};
 pub use trie::PlaneSweepTrie;
 
 use geom::Kpe;

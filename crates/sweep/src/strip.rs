@@ -1,9 +1,9 @@
-//! The columnar forward-scan kernel under [`crate::PlaneSweepList`] and the
-//! two-layer mini-joins of PBSM (DESIGN.md "The forward-scan kernel").
+//! The columnar forward-scan kernel under [`crate::PlaneSweepList`] and PBSM's
+//! two-layer mini-joins (DESIGN.md "The forward-scan kernel"); SSSJ's status.
 
-use geom::Kpe;
+use geom::{Kpe, RecordId};
 
-/// Lanes per block of [`forward_scan`].
+/// Lanes per block of [`forward_scan`] and [`Status::scan`].
 const BLOCK: usize = 8;
 
 /// The three coordinates a forward scan reads, as columns: the scan key
@@ -118,6 +118,71 @@ pub fn sweep_strips<const LO: bool, const HI: bool>(
             let (xh, yl, yh) = (cur.rect.xh, cur.rect.yl, cur.rect.yh);
             forward_scan::<true, HI, LO>(r_strip, i, xh, yl, yh, tests, |k| emit(&r[k], cur));
             j += 1;
+        }
+    }
+}
+
+/// SSSJ's sweep-line status of one relation (DESIGN.md "SSSJ's sweep-line status").
+#[derive(Debug, Default)]
+pub struct Status {
+    xh: Vec<f64>,
+    yl: Vec<f64>,
+    yh: Vec<f64>,
+    id: Vec<RecordId>,
+}
+
+impl Status {
+    pub fn push(&mut self, k: &Kpe) {
+        self.xh.push(k.rect.xh);
+        self.yl.push(k.rect.yl);
+        self.yh.push(k.rect.yh);
+        self.id.push(k.id);
+    }
+
+    pub fn len(&self) -> usize {
+        self.id.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.id.is_empty()
+    }
+
+    /// Tests `[yl, yh]` against each record in index order, evicting it first
+    /// (`swap_remove`) if `xh < x`; counts into `tests`, calls `hit(id)` per
+    /// match. `BLOCK` records all `xh >= x` go at once, branch-free, in order.
+    pub fn scan(
+        &mut self,
+        x: f64,
+        yl: f64,
+        yh: f64,
+        tests: &mut u64,
+        mut hit: impl FnMut(RecordId),
+    ) {
+        let mut i = 0;
+        let fresh = |xh: &[f64]| xh.iter().fold(true, |all, &h| all & (h >= x));
+        while i < self.id.len() {
+            if i + BLOCK <= self.id.len() && fresh(&self.xh[i..i + BLOCK]) {
+                let (l, h, mut mask) = (&self.yl[i..i + BLOCK], &self.yh[i..i + BLOCK], 0u32);
+                for lane in 0..BLOCK {
+                    mask |= u32::from((l[lane] <= yh) & (yl <= h[lane])) << lane;
+                }
+                while mask != 0 {
+                    hit(self.id[i + mask.trailing_zeros() as usize]);
+                    mask &= mask - 1;
+                }
+                (*tests, i) = (*tests + BLOCK as u64, i + BLOCK);
+            } else if self.xh[i] < x {
+                self.xh.swap_remove(i);
+                self.yl.swap_remove(i);
+                self.yh.swap_remove(i);
+                self.id.swap_remove(i);
+            } else {
+                *tests += 1;
+                if self.yl[i] <= yh && yl <= self.yh[i] {
+                    hit(self.id[i]);
+                }
+                i += 1;
+            }
         }
     }
 }
@@ -427,8 +492,100 @@ mod tests {
         )
     }
 
+    /// SSSJ's `sweep_step` before [`Status`], its status a `Vec<Kpe>`.
+    fn aos_sweep_step(
+        cur: &Kpe,
+        other_active: &mut Vec<Kpe>,
+        counters: &mut JoinCounters,
+        emit: &mut dyn FnMut(&Kpe),
+    ) {
+        let x = cur.rect.xl;
+        let mut i = 0;
+        while i < other_active.len() {
+            if other_active[i].rect.xh < x {
+                other_active.swap_remove(i);
+                continue;
+            }
+            counters.tests += 1;
+            let e = &other_active[i];
+            if e.rect.yl <= cur.rect.yh && cur.rect.yl <= e.rect.yh {
+                counters.results += 1;
+                emit(e);
+            }
+            i += 1;
+        }
+    }
+
+    /// Replays `ops` — `(true, k)` pushes `k`, `(false, k)` scans with
+    /// `k`'s `xl` and y-interval — on a [`Status`] and on the `Vec<Kpe>`
+    /// reference: after every step the same tests, the same hit sequence
+    /// and the same surviving records in the same order.
+    fn assert_status_matches_aos(ops: &[(bool, Kpe)]) -> Result<(), TestCaseError> {
+        let (mut got, mut want) = (Status::default(), Vec::new());
+        for (step, &(push, k)) in ops.iter().enumerate() {
+            if push {
+                got.push(&k);
+                want.push(k);
+            } else {
+                let mut counters = JoinCounters::default();
+                let mut want_hits = Vec::new();
+                aos_sweep_step(&k, &mut want, &mut counters, &mut |e| want_hits.push(e.id));
+                let (mut tests, mut hits) = (0, Vec::new());
+                got.scan(k.rect.xl, k.rect.yl, k.rect.yh, &mut tests, |id| hits.push(id));
+                prop_assert_eq!((tests, hits), (counters.tests, want_hits), "step {}", step);
+            }
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            let column =
+                |f: fn(&Kpe) -> f64| want.iter().map(|k| f(k).to_bits()).collect::<Vec<_>>();
+            let ids: Vec<RecordId> = want.iter().map(|k| k.id).collect();
+            prop_assert_eq!(got.len(), want.len());
+            prop_assert_eq!(&got.id, &ids, "step {}", step);
+            prop_assert_eq!(bits(&got.xh), column(|k| k.rect.xh));
+            prop_assert_eq!(bits(&got.yl), column(|k| k.rect.yl));
+            prop_assert_eq!(bits(&got.yh), column(|k| k.rect.yh));
+        }
+        Ok(())
+    }
+
+    /// Up to 150 steps, three in four a push, so the status grows through
+    /// several blocks while scans evict records at every position of one.
+    /// Record `i` of the returned steps has id `i`; its coordinates come
+    /// from `values`.
+    fn status_ops(values: &'static [f64]) -> impl Strategy<Value = Vec<(bool, Kpe)>> {
+        let n = values.len();
+        prop::collection::vec((0u8..4, 0..n, 0..n, 0..n, 0..n), 0..151).prop_map(move |v| {
+            v.into_iter()
+                .enumerate()
+                .map(|(i, (kind, xl, yl, xh, yh))| {
+                    let rect = Rect {
+                        xl: values[xl],
+                        yl: values[yl],
+                        xh: values[xh],
+                        yh: values[yh],
+                    };
+                    (kind != 0, Kpe { id: RecordId(i as u64), rect })
+                })
+                .collect()
+        })
+    }
+
+    const LATTICE: [f64; 9] = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The columnar status against SSSJ's record-at-a-time step.
+        #[test]
+        fn prop_status_matches_aos_sweep_step(ops in status_ops(&LATTICE)) {
+            assert_status_matches_aos(&ops)?;
+        }
+
+        /// The same on signed zeros, infinities and NaNs: a NaN `xh` is
+        /// never evicted, and a NaN sweep line evicts nothing.
+        #[test]
+        fn prop_status_matches_aos_sweep_step_on_non_finite_input(ops in status_ops(&ODD)) {
+            assert_status_matches_aos(&ops)?;
+        }
 
         /// Lengths 0–40, so every split into blocks and remainder occurs.
         #[test]

@@ -20,9 +20,15 @@
 //!
 //! A fourth relation covers ENOSPC: a disk capped at a page budget forces
 //! the fallback ladder (fewer partitions, ultimately the in-memory plan),
-//! which must still produce the exact result.
+//! which must still produce the exact result. A fifth covers damage that
+//! appears between a crash and its resume: S³J's scan must quarantine a
+//! sorted level file it had partly read, exactly once across both legs.
 
-use spatialjoin::{Algorithm, DiskModel, FaultPlan, JoinStats, SpatialJoin};
+use spatialjoin::s3j::S3jConfig;
+use spatialjoin::{
+    Algorithm, CrashPoint, DiskModel, FaultPlan, JoinErrorKind, JoinStats, RetryPolicy, SimDisk,
+    SpatialJoin,
+};
 
 type Pairs = Vec<(u64, u64)>;
 
@@ -148,6 +154,79 @@ fn s3j_level_quarantine_recompute_is_exact_and_cheaper_than_cold_rerun() {
         );
         assert!(fired > 0, "channels {channels}: no seed in 0..48 forced level quarantine");
     }
+}
+
+/// S³J's scan-phase quarantine, end to end: a durable join crashes after
+/// its `Join` manifest, so the sorted level files are what a resume reads;
+/// the crashed disk's files are restored onto a volume with persistent
+/// damage past a cursor's first buffer. The resume must quarantine the
+/// partly read level file — rebuilt from the source relations, the cursor
+/// repositioned at the partition it was collecting — and the two legs
+/// together must emit the clean run's pairs, each exactly once.
+#[test]
+fn s3j_resume_quarantines_a_partly_read_sorted_level_file() {
+    let (r, s) = datagen::Adversarial { count: 1500, seed: 3 }.generate_pair();
+    let join = SpatialJoin::new(Algorithm::s3j_replicated(16 * 1024));
+    let mut clean: Pairs = Vec::new();
+    join.try_run_durable_with(&SimDisk::with_default_model(), &r, &s, 7, &mut |a, b| {
+        clean.push((a.0, b.0))
+    })
+    .expect("clean durable run");
+    clean.sort_unstable();
+
+    let crash = CrashPoint::AfterCommit(2);
+    let crashed = SimDisk::with_default_model()
+        .with_faults(FaultPlan::crash_only(0, crash), RetryPolicy::default());
+    let mut first: Pairs = Vec::new();
+    let err = join
+        .try_run_durable_with(&crashed, &r, &s, 7, &mut |a, b| first.push((a.0, b.0)))
+        .expect_err("the crash point must fire on this workload");
+    assert!(matches!(err.kind, JoinErrorKind::Crashed(p) if p == crash), "{err}");
+    // Pairs are only emitted by the scan, which starts after the `Join`
+    // manifest: what survives is the sorted level files.
+    assert!(!first.is_empty(), "the crash must come after the Join manifest");
+
+    // Persistent damage is a pure function of (seed, channel tag, page);
+    // only level files carry a tag (system files model a protected
+    // volume). Hunt a seed that spares a file's first buffer but not the
+    // rest of it.
+    let snapshot = crashed.export_files();
+    let page = crashed.model().page_size as u64;
+    let first_buffer = S3jConfig::default().io_buffer_pages as u64;
+    let level_files: Vec<(u64, u64)> = crashed
+        .file_ids()
+        .into_iter()
+        .filter_map(|f| Some((crashed.file_channel(f)?, crashed.len(f).div_ceil(page))))
+        .collect();
+    let plan = (0..256u64)
+        .map(|seed| FaultPlan::persistent(seed).with_persistent_rate(0.02))
+        .find(|plan| {
+            level_files.iter().any(|&(tag, pages)| {
+                (0..first_buffer).all(|p| !plan.bad_page(tag, p))
+                    && (first_buffer..pages).any(|p| plan.bad_page(tag, p))
+            })
+        })
+        .expect("no seed damaged a level file past its first buffer");
+    let damaged = SimDisk::with_default_model().with_faults(plan, RetryPolicy::default());
+    damaged.restore_files(&snapshot).unwrap();
+
+    let mut second: Pairs = Vec::new();
+    let stats = join
+        .try_run_durable_with(&damaged, &r, &s, 7, &mut |a, b| second.push((a.0, b.0)))
+        .expect("persistent damage must quarantine, not kill the resume");
+    let JoinStats::S3j(st) = &stats else { panic!("an S3J run reports S3J stats") };
+    assert!(st.quarantined_levels > 0, "the damaged level file was not quarantined");
+    assert_eq!(stats.results(), clean.len() as u64);
+
+    let mut union: Pairs = first.iter().chain(&second).copied().collect();
+    union.sort_unstable();
+    let distinct = {
+        let mut d = union.clone();
+        d.dedup();
+        d.len()
+    };
+    assert_eq!(distinct, union.len(), "a pair was emitted by both legs");
+    assert_eq!(union, clean, "crash + damaged resume diverge from the clean run");
 }
 
 /// A page-budgeted disk (ENOSPC mid-partitioning) walks PBSM down the
