@@ -1,5 +1,5 @@
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::{FileId, FixedRecord, IoError, IoStats, RecordReader, RecordWriter, SimDisk};
 
@@ -398,14 +398,22 @@ where
         pending.push(first);
     }
     let mut w = RecordWriter::<R>::new(disk, dst, plan.out_pages);
-    while let Some(Reverse((_, run))) = heap.pop() {
+    while let Some(mut top) = heap.peek_mut() {
         // Invariant: every heap entry was inserted together with its record
-        // in `pending[run]`, and entries per run alternate push/pop.
+        // in `pending[run]`, and a run has at most one entry. A run that
+        // still has a record replaces its entry in place (one sift instead
+        // of a pop and a push); an exhausted one leaves the heap.
+        let Reverse((_, run)) = *top;
         let rec = pending[run].take().expect("heap/pending out of sync");
         w.try_push(&rec)?;
-        if let Some(next) = readers[run].try_next()? {
-            heap.push(Reverse((key(&next).into(), run)));
-            pending[run] = Some(next);
+        match readers[run].try_next()? {
+            Some(next) => {
+                *top = Reverse((key(&next).into(), run));
+                pending[run] = Some(next);
+            }
+            None => {
+                PeekMut::pop(top);
+            }
         }
     }
     w.try_finish()?;

@@ -65,11 +65,14 @@ work! {
     /// Rectangle tests of a pairwise loop (nested loops, the quadtree's lists,
     /// SHJ's seeds and extents): 1.3 ns (`sweep.nested_ns_per_test` 1.27).
     tests: 1.3,
-    /// Rectangle tests of the block-wise forward-scan kernel: 0.85 ns
-    /// (`sweep.list_ns_per_test` 0.74 on `hisel`'s long scans, 1.38 on `lowsel`'s).
+    /// Rectangle tests of the block-wise forward-scan kernel: 0.85 ns, kept as
+    /// the snapshot pins it. With the any-hit block `sweep.list_ns_per_test`
+    /// reads 0.80–1.17 on `hisel`'s long scans and 1.51–1.94 on `lowsel`'s
+    /// (1.18–1.69 and 2.02–2.28 with the bitmask block, same 2-core VM).
     scan_tests: 0.85,
     /// Rectangle tests against a lazily pruned status (SSSJ's, the trie's nodes): 5.8 ns, kept as
-    /// the snapshot pins it; SSSJ's columnar sweep reads 2.5–2.6 host ns a test on J1's 32.7 M.
+    /// the snapshot pins it; SSSJ's columnar sweep reads 2.2 host ns a test on J1's 32.7 M and
+    /// 1.3–1.6 on J4's 130 M (2.3–2.7 and 1.4–1.8 with the bitmask block).
     status_tests: 5.8,
     /// Interval-trie (or R-tree) node visits: 33 ns (`sweep.trie_ns_per_test`
     /// 252 ns at the strip's 7.4 visits a test, less the test).

@@ -41,9 +41,10 @@ impl Strip {
 ///
 /// Blocks of `BLOCK` (8) records are taken whole while the block's **last** key
 /// is inside the bound — the strip is sorted, so the other seven are too —
-/// and their y comparisons are evaluated branch-free into a bitmask. The
-/// check is written positively (`<=` / `>=`), so a NaN last key or bound
-/// fails it and the scalar loop below, which never stops at a NaN, decides.
+/// and their y comparisons are evaluated branch-free into eight lanes, which
+/// `hit_lanes` skips on one branch when none hit. The bound check is written
+/// positively (`<=` / `>=`), so a NaN last key or bound fails it and the
+/// scalar loop below, which never stops at a NaN, decides.
 /// That loop also takes the block that crosses the bound and the tail, so
 /// `tests` counts exactly the records a record-at-a-time scan would test.
 #[inline]
@@ -69,15 +70,11 @@ pub fn forward_scan<const ASC: bool, const LO: bool, const HI: bool>(
         if !(if ASC { last <= bound } else { last >= bound }) {
             break;
         }
-        let mut mask = 0u32;
-        for lane in 0..BLOCK {
-            let overlaps = (!LO || cur_yl <= h[lane]) & (!HI || l[lane] <= cur_yh);
-            mask |= u32::from(overlaps) << lane;
+        let mut lanes = [false; BLOCK];
+        for (lane, overlaps) in lanes.iter_mut().enumerate() {
+            *overlaps = (!LO || cur_yl <= h[lane]) & (!HI || l[lane] <= cur_yh);
         }
-        while mask != 0 {
-            hit(from + i + mask.trailing_zeros() as usize);
-            mask &= mask - 1;
-        }
+        hit_lanes(&lanes, |lane| hit(from + i + lane));
         i += BLOCK;
     }
     for ((&k, &l), &h) in key[i..].iter().zip(&yl[i..]).zip(&yh[i..]) {
@@ -90,6 +87,18 @@ pub fn forward_scan<const ASC: bool, const LO: bool, const HI: bool>(
         i += 1;
     }
     *tests += i as u64;
+}
+
+/// Calls `hit(lane)` for each lane of a block that hit, in ascending order.
+/// The lanes are OR-reduced first, so a block that hit nothing — most of a
+/// long scan — costs one branch; the compares that fill `lanes` stay packed.
+#[inline(always)]
+fn hit_lanes(lanes: &[bool; BLOCK], mut hit: impl FnMut(usize)) {
+    if lanes.iter().fold(false, |any, &l| any | l) {
+        for lane in (0..BLOCK).filter(|&lane| lanes[lane]) {
+            hit(lane);
+        }
+    }
 }
 
 /// The x-interleaved plane sweep over two relations sorted by `xl`, with
@@ -149,7 +158,8 @@ impl Status {
 
     /// Tests `[yl, yh]` against each record in index order, evicting it first
     /// (`swap_remove`) if `xh < x`; counts into `tests`, calls `hit(id)` per
-    /// match. `BLOCK` records all `xh >= x` go at once, branch-free, in order.
+    /// match. `BLOCK` records all `xh >= x` go at once: eight lanes compared
+    /// branch-free, then `hit_lanes`.
     pub fn scan(
         &mut self,
         x: f64,
@@ -162,14 +172,12 @@ impl Status {
         let fresh = |xh: &[f64]| xh.iter().fold(true, |all, &h| all & (h >= x));
         while i < self.id.len() {
             if i + BLOCK <= self.id.len() && fresh(&self.xh[i..i + BLOCK]) {
-                let (l, h, mut mask) = (&self.yl[i..i + BLOCK], &self.yh[i..i + BLOCK], 0u32);
-                for lane in 0..BLOCK {
-                    mask |= u32::from((l[lane] <= yh) & (yl <= h[lane])) << lane;
+                let (l, h) = (&self.yl[i..i + BLOCK], &self.yh[i..i + BLOCK]);
+                let mut lanes = [false; BLOCK];
+                for (lane, overlaps) in lanes.iter_mut().enumerate() {
+                    *overlaps = (l[lane] <= yh) & (yl <= h[lane]);
                 }
-                while mask != 0 {
-                    hit(self.id[i + mask.trailing_zeros() as usize]);
-                    mask &= mask - 1;
-                }
+                hit_lanes(&lanes, |lane| hit(self.id[i + lane]));
                 (*tests, i) = (*tests + BLOCK as u64, i + BLOCK);
             } else if self.xh[i] < x {
                 self.xh.swap_remove(i);
@@ -458,6 +466,26 @@ mod tests {
         })
     }
 
+    /// Wide x-intervals, as in [`lattice_kpes`], so scans run through full
+    /// blocks, but each y-interval is one of `ROWS` thin rows `[row, row +
+    /// 1/2]`: two records meet only on the same row, so most full blocks hit
+    /// nothing and many hit in one lane only — the first, the last, any.
+    fn sparse_kpes() -> impl Strategy<Value = Vec<Kpe>> {
+        prop::collection::vec((0u8..6, 0u8..7, 0u8..ROWS), 0..81).prop_map(|v| {
+            v.into_iter()
+                .enumerate()
+                .map(|(i, (x, w, row))| Kpe::new(RecordId(i as u64), sparse_rect(x, x + w, row)))
+                .collect()
+        })
+    }
+
+    const ROWS: u8 = 24;
+
+    fn sparse_rect(xl: u8, xh: u8, row: u8) -> Rect {
+        let (cell, row) = (|n: u8| f64::from(n) / 8.0, f64::from(row));
+        Rect::new(cell(xl), row, cell(xh), row + 0.5)
+    }
+
     /// Coordinates no layer rejects today: signed zeros, infinities, NaNs of
     /// both signs, subnormals, unordered corners.
     const ODD: [f64; 10] = [
@@ -569,6 +597,20 @@ mod tests {
         })
     }
 
+    /// [`status_ops`] with [`sparse_kpes`]' rectangles: x on the lattice,
+    /// so scans evict, y on thin rows, so most full blocks hit nothing.
+    fn sparse_status_ops() -> impl Strategy<Value = Vec<(bool, Kpe)>> {
+        prop::collection::vec((0u8..4, 0u8..8, 0u8..8, 0u8..ROWS), 0..151).prop_map(|v| {
+            v.into_iter()
+                .enumerate()
+                .map(|(i, (kind, xl, xh, row))| {
+                    let rect = sparse_rect(xl.min(xh), xl.max(xh), row);
+                    (kind != 0, Kpe::new(RecordId(i as u64), rect))
+                })
+                .collect()
+        })
+    }
+
     const LATTICE: [f64; 9] = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0];
 
     proptest! {
@@ -587,6 +629,13 @@ mod tests {
             assert_status_matches_aos(&ops)?;
         }
 
+        /// The same where hits are sparse: a block is skipped on one test,
+        /// and a lone hit in any lane must still come out.
+        #[test]
+        fn prop_status_matches_aos_sweep_step_on_sparse_hits(ops in sparse_status_ops()) {
+            assert_status_matches_aos(&ops)?;
+        }
+
         /// Lengths 0–40, so every split into blocks and remainder occurs.
         #[test]
         fn prop_kernel_matches_scalar_scans(r in lattice_kpes(), s in lattice_kpes()) {
@@ -600,6 +649,55 @@ mod tests {
             s in odd_kpes(),
         ) {
             assert_kernel_matches_scalar(&r, &s)?;
+        }
+
+        /// Thin y-intervals: most full blocks hit nothing, some hit in one
+        /// lane only, and every instantiation must still report each hit.
+        #[test]
+        fn prop_kernel_matches_scalar_scans_on_sparse_hits(r in sparse_kpes(), s in sparse_kpes()) {
+            assert_kernel_matches_scalar(&r, &s)?;
+        }
+    }
+
+    /// One full block whose only hit is lane `lane`, for every lane, through
+    /// both kernels.
+    #[test]
+    fn a_lone_hit_in_any_lane_is_reported() {
+        for lane in 0..BLOCK {
+            let block: Vec<Kpe> = (0..BLOCK)
+                .map(|i| {
+                    let row = if i == lane { 0 } else { 1 + i as u8 };
+                    Kpe::new(RecordId(i as u64), sparse_rect(0, 1, row))
+                })
+                .collect();
+            let probe = sparse_rect(0, 1, 0);
+            let mut strip = Strip::default();
+            strip.fill(&block, |k| k.rect.xl);
+            let (mut tests, mut hits) = (0, Vec::new());
+            forward_scan::<true, true, true>(
+                &strip,
+                0,
+                probe.xh,
+                probe.yl,
+                probe.yh,
+                &mut tests,
+                |k| hits.push(k),
+            );
+            assert_eq!(
+                (tests, hits),
+                (BLOCK as u64, vec![lane]),
+                "forward_scan, lane {lane}"
+            );
+
+            let mut status = Status::default();
+            block.iter().for_each(|k| status.push(k));
+            let (mut tests, mut hits) = (0, Vec::new());
+            status.scan(probe.xl, probe.yl, probe.yh, &mut tests, |id| hits.push(id));
+            assert_eq!(
+                (tests, hits),
+                (BLOCK as u64, vec![RecordId(lane as u64)]),
+                "Status::scan, lane {lane}"
+            );
         }
     }
 
