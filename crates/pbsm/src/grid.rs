@@ -166,6 +166,28 @@ impl RegionChain {
         }
         true
     }
+
+    /// The partitioning rule of both passes: into `out`, each partition of
+    /// `map` (over the `f`-refined grid) that owns a tile of this region
+    /// overlapped by `rect`, once, in first-overlap order. A chain with no
+    /// levels contains every tile — the top-level pass. Always inlined: both
+    /// passes call it once per record.
+    #[inline(always)]
+    pub fn targets(&self, rect: &Rect, f: u32, map: PartitionMap, out: &mut Vec<u32>) {
+        out.clear();
+        let (xs, ys) = self.base.tile_range(rect, f);
+        for iy in ys {
+            for ix in xs.clone() {
+                if !self.contains_tile(ix, iy, f) {
+                    continue;
+                }
+                let pid = map.partition_of(ix, iy, self.base.gx * f);
+                if !out.contains(&pid) {
+                    out.push(pid);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@ use std::time::Instant;
 
 use geom::{reference_point, Kpe, RecordId, Rect};
 use storage::{
-    try_external_sort_by, try_read_all, Counts, DiskModel, FileId, FinishedUnit, IdPair, IoError,
-    IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, Schedule,
+    try_external_sort_by, try_read_all, Counts, DiskModel, Fanout, FileId, FinishedUnit, IdPair,
+    IoError, IoStats, JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, Schedule,
     SimDisk, SortStats, UnitRun, Work,
 };
 use sweep::{forward_scan, sweep_strips, InternalAlgo, InternalJoin, JoinCounters, Strip};
@@ -896,64 +896,26 @@ fn partition_relation(
     poll: &mut dyn FnMut(&Work) -> Option<JoinError>,
 ) -> Result<Partitioned, JoinError> {
     let io_err = |e: IoError| JoinError::new("partition", e);
-    let p = map.partitions;
     // Partition `pid` rides data channel `pid mod D` (the mod is applied at
     // metering time): with D channels the partition writes — and every later
     // read of the same files — overlap instead of serializing.
-    let mut writers: Vec<RecordWriter<Kpe>> = (0..p)
-        .map(|pid| RecordWriter::create_on(disk, u64::from(pid), buffer_pages))
-        .collect();
-    let mut copies = 0u64;
+    let mut fan = Fanout::new(disk, map.partitions, |pid| Some(u64::from(pid)), buffer_pages);
+    let whole = RegionChain { base: grid, levels: Vec::new() };
     let mut targets: Vec<u32> = Vec::with_capacity(8);
     for (n, k) in data.iter().enumerate() {
         if let Some(e) = n.is_multiple_of(64).then(|| poll(work)).flatten() {
-            for w in &writers {
-                disk.delete(w.file());
-            }
             return Err(e);
         }
         work.assigned += 1;
-        targets.clear();
-        let (xs, ys) = grid.tile_range(&k.rect, 1);
-        for iy in ys {
-            for ix in xs.clone() {
-                let pid = map.partition_of(ix, iy, grid.gx);
-                if !targets.contains(&pid) {
-                    targets.push(pid);
-                }
-            }
-        }
+        whole.targets(&k.rect, 1, map, &mut targets);
         for &pid in &targets {
-            if let Err(e) = writers[pid as usize].try_push(k) {
-                for w in &writers {
-                    disk.delete(w.file());
-                }
-                return Err(io_err(e));
-            }
-            copies += 1;
+            fan.try_push(pid, k).map_err(io_err)?;
             work.copies += 1;
         }
     }
-    let mut files = Vec::with_capacity(p as usize);
-    let mut err: Option<IoError> = None;
-    for w in writers {
-        let fid = w.file();
-        match w.try_finish() {
-            Ok(f) if err.is_none() => files.push(f),
-            Ok(_) => disk.delete(fid),
-            Err(e) => {
-                disk.delete(fid);
-                err.get_or_insert(e);
-            }
-        }
-    }
-    if let Some(e) = err {
-        for &f in &files {
-            disk.delete(f);
-        }
-        return Err(io_err(e));
-    }
-    Ok((files, copies))
+    let files = fan.try_finish().map_err(io_err)?;
+    let copies = files.iter().map(|&(_, n)| n).sum();
+    Ok((files.into_iter().map(|(f, _)| f).collect(), copies))
 }
 
 /// Joins one loaded partition pair with the configured duplicate handling.
@@ -1343,111 +1305,53 @@ fn join_pair(
     // warmed the attempt counters — so a fault outlasting one in-call retry
     // budget would otherwise be terminal right here. Re-issuing advances the
     // shared counters exactly like a partition requeue does, granting each
-    // round a fresh budget; every round's failed I/O stays charged.
+    // round a fresh budget; every round's failed I/O stays charged. A
+    // persistent error (a bad sector in the file being split, or ENOSPC on
+    // the sub-files) repeats identically on every pass, so it ends the
+    // rounds at once.
     const COPY_ROUNDS: u32 = 3;
-    let mut subfiles: Vec<FileId> = Vec::new();
-    let mut copy_err: Option<IoError> = None;
-    for _round in 0..COPY_ROUNDS {
-        copy_err = None;
+    let mut round = 0;
+    let copied = loop {
+        round += 1;
         // Sub-files stay on the top-level partition's data channel: the
         // recursion is one task, so spreading it over channels would claim
         // overlap that a single worker cannot realize.
-        let mut writers: Vec<RecordWriter<Kpe>> = (0..n_sub)
-            .map(|_| RecordWriter::create_on(disk, u64::from(top), ctx.cfg.partition_buffer_pages))
-            .collect();
+        let mut fan = Fanout::new(disk, n_sub, |_| Some(u64::from(top)), ctx.cfg.partition_buffer_pages);
         // Every round's records count, failed rounds' too: their work was
         // done.
         let work = &mut ctx.stats.work_repart;
-        let copied: Result<u64, IoError> = (|| {
-            let mut copies = 0u64;
+        let copied = (|| {
             let mut targets: Vec<u32> = Vec::with_capacity(8);
             let mut reader = RecordReader::<Kpe>::new(disk, big, io_pages);
             while let Some(k) = reader.try_next()? {
                 work.assigned += 1;
-                targets.clear();
-                let (xs, ys) = chain.base.tile_range(&k.rect, f_new);
-                for iy in ys {
-                    for ix in xs.clone() {
-                        if !chain.contains_tile(ix, iy, f_new) {
-                            continue; // tile outside this pair's region
-                        }
-                        let pid = submap.partition_of(ix, iy, chain.base.gx * f_new);
-                        if !targets.contains(&pid) {
-                            targets.push(pid);
-                        }
-                    }
-                }
+                chain.targets(&k.rect, f_new, submap, &mut targets);
                 for &pid in &targets {
-                    writers[pid as usize].try_push(&k)?;
-                    copies += 1;
+                    fan.try_push(pid, &k)?;
                     work.copies += 1;
                 }
             }
-            Ok(copies)
+            fan.try_finish()
         })();
-        match copied {
-            Ok(copies) => {
-                let mut finished: Vec<FileId> = Vec::with_capacity(writers.len());
-                let mut finish_err: Option<IoError> = None;
-                for w in writers {
-                    let fid = w.file();
-                    match w.try_finish() {
-                        Ok(f) if finish_err.is_none() => finished.push(f),
-                        Ok(_) => disk.delete(fid),
-                        Err(e) => {
-                            disk.delete(fid);
-                            finish_err.get_or_insert(e);
-                        }
-                    }
-                }
-                match finish_err {
-                    None => {
-                        ctx.stats.repart_copies += copies;
-                        subfiles = finished;
-                        break;
-                    }
-                    Some(e) => {
-                        for &f in &finished {
-                            disk.delete(f);
-                        }
-                        copy_err = Some(e);
-                    }
-                }
-            }
-            Err(e) => {
-                for w in &writers {
-                    disk.delete(w.file());
-                }
-                copy_err = Some(e);
-            }
+        match &copied {
+            Err(e) if !e.kind.is_persistent() && round < COPY_ROUNDS => {}
+            _ => break copied,
         }
-    }
+    };
     ctx.stats.io_repart = ctx.stats.io_repart.plus(&disk.stats().delta(&io0));
-    if let Some(e) = copy_err {
-        if e.kind.is_persistent() {
-            // The copy pass hit persistent damage (a bad sector in the file
-            // being split, or ENOSPC on the sub-files): no number of
-            // re-issues cures it. Quarantine and recompute from source.
-            return quarantine_join(ctx, chain, top, out, cand);
-        }
-        return Err(repart_err(e));
-    }
+    let subfiles = match copied {
+        Ok(files) => files,
+        // No number of re-issues cures it: quarantine and recompute from
+        // source.
+        Err(e) if e.kind.is_persistent() => return quarantine_join(ctx, chain, top, out, cand),
+        Err(e) => return Err(repart_err(e)),
+    };
+    ctx.stats.repart_copies += subfiles.iter().map(|&(_, n)| n).sum::<u64>();
 
     // Progress check for the stall detector: if the largest sub-partition is
     // no smaller than what we split, every record was replicated into every
     // sub-file and this side is refinement-proof.
-    let mut max_sub = 0u64;
-    for &sub in &subfiles {
-        match disk.try_len(sub) {
-            Ok(len) => max_sub = max_sub.max(len),
-            Err(e) => {
-                for &f in &subfiles {
-                    disk.delete(f);
-                }
-                return Err(repart_err(e));
-            }
-        }
-    }
+    let max_sub = subfiles.iter().map(|&(_, n)| n).max().unwrap_or(0) * Kpe::ENCODED_SIZE as u64;
     // Geometric progress is required (≥ 25% shrink), not just any shrink:
     // degenerate data that sheds one separable record per level would
     // otherwise still drive the recursion to the depth cap with full
@@ -1461,7 +1365,7 @@ fn join_pair(
     };
 
     let mut sub_err: Option<JoinError> = None;
-    for (k, &sub) in subfiles.iter().enumerate() {
+    for (k, &(sub, _)) in subfiles.iter().enumerate() {
         if sub_err.is_none() {
             let sub_chain = chain.refined(f_new, submap, k as u32);
             let res = if split_r {
@@ -1917,6 +1821,45 @@ mod tests {
             }
         }
         assert!(hit, "no seed damaged a partition file read");
+    }
+
+    /// A bad sector in the file being split fails every copy pass at the
+    /// same page, so the repartition quarantines after one pass: it never
+    /// reads more of its input than the clean run reads in full.
+    #[test]
+    fn a_persistent_error_ends_the_repartition_copy_after_one_pass() {
+        use storage::{FaultPlan, RetryPolicy};
+        let (r, s) = tiger_pair(2000);
+        // Half the usual partition count: every top-level pair overflows
+        // memory and is split by a size-triggered repartition.
+        let cfg = PbsmConfig {
+            mem_bytes: 32 * 1024,
+            safety_factor: 0.5,
+            ..Default::default()
+        };
+        let (clean, clean_stats) = run(&r, &s, &cfg);
+        assert!(clean_stats.repartitioned_pairs > 0);
+        let mut hits = 0;
+        for seed in 0..64u64 {
+            let disk = SimDisk::with_default_model().with_faults(
+                FaultPlan::persistent(seed).with_persistent_rate(0.01),
+                RetryPolicy::default(),
+            );
+            let mut got = Vec::new();
+            let stats = try_pbsm_join_ctl(&disk, &r, &s, &cfg, &RunControl::none(), &mut |a, b| got.push((a.0, b.0)))
+                .expect("persistent damage must quarantine, not kill the join");
+            got.sort_unstable();
+            assert_eq!(got, clean, "seed {seed} diverged");
+            hits += usize::from(stats.io_repart.faults_injected > 0);
+            assert!(
+                stats.work_repart.assigned <= clean_stats.work_repart.assigned,
+                "seed {seed}: {} records copied, {} in the clean run",
+                stats.work_repart.assigned,
+                clean_stats.work_repart.assigned
+            );
+            assert!(stats.io_repart.pages_read <= clean_stats.io_repart.pages_read, "seed {seed}");
+        }
+        assert!(hits > 0, "no seed damaged a file being split");
     }
 
     #[test]

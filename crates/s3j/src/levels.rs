@@ -1,6 +1,8 @@
+use std::convert::Infallible;
+
 use geom::Kpe;
-use sfc::{cells_overlapping, mxcif_cell, size_level, Curve};
-use storage::{radix_sorted, FileId, FixedRecord, IoError, RecordWriter, SimDisk};
+use sfc::{cells_overlapping, mxcif_cell, size_level, Cell, Curve};
+use storage::{radix_sorted, Fanout, FileId, FixedRecord, IoError, SimDisk};
 
 /// A record of a level file: a KPE tagged with its locational code. The
 /// level itself is implicit in which file the record lives in; the code uses
@@ -45,7 +47,9 @@ pub struct LevelFiles {
 }
 
 impl LevelFiles {
-    /// Partitioning phase for one relation.
+    /// Partitioning phase for one relation. A write that exhausts the
+    /// disk's retry budget surfaces as a typed error, after every file this
+    /// call created has been deleted.
     ///
     /// * `replicate == false`: original S³J — each rectangle goes to the
     ///   single lowest quadtree cell covering it ([`mxcif_cell`]).
@@ -58,22 +62,6 @@ impl LevelFiles {
     /// edge, roughly halving the straddle probability per axis and cutting
     /// the overall replication rate from ~3x to ~1.8x while preserving the
     /// <=4-copy bound (§4.3's second design choice: keep replication low).
-    pub fn build(
-        disk: &SimDisk,
-        data: &[Kpe],
-        max_level: u8,
-        curve: Curve,
-        replicate: bool,
-        level_shift: u8,
-        buffer_pages: usize,
-    ) -> LevelFiles {
-        Self::try_build(disk, data, max_level, curve, replicate, level_shift, buffer_pages)
-            .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
-    }
-
-    /// Fallible [`LevelFiles::build`]: a write that exhausts the disk's
-    /// retry budget surfaces as a typed error, after every file this call
-    /// created has been deleted.
     pub fn try_build(
         disk: &SimDisk,
         data: &[Kpe],
@@ -83,92 +71,32 @@ impl LevelFiles {
         level_shift: u8,
         buffer_pages: usize,
     ) -> Result<LevelFiles, IoError> {
-        let n_levels = max_level as usize + 1;
-        let mut writers: Vec<Option<RecordWriter<LevelRecord>>> = (0..n_levels).map(|_| None).collect();
-        let mut histogram = vec![0u64; n_levels];
-        let mut copies = 0u64;
+        // Level `l` rides data channel `l mod D` (both relations): the
+        // per-level partition writes and the join's level scans overlap
+        // across channels under the multi-channel clock.
+        let levels = u32::from(max_level) + 1;
+        let mut fan = Fanout::new(disk, levels, |l| Some(u64::from(l)), buffer_pages);
         let mut code_computations = 0u64;
-        let push = |writers: &mut Vec<Option<RecordWriter<LevelRecord>>>,
-                    level: u8,
-                    rec: LevelRecord|
-         -> Result<(), IoError> {
-            // Level `l` rides data channel `l mod D` (both relations): the
-            // per-level partition writes and the join's level scans overlap
-            // across channels under the multi-channel clock.
-            let w = writers[level as usize]
-                .get_or_insert_with(|| RecordWriter::create_on(disk, u64::from(level), buffer_pages));
-            w.try_push(&rec)
-        };
-        let delete_all = |writers: &[Option<RecordWriter<LevelRecord>>]| {
-            for w in writers.iter().flatten() {
-                disk.delete(w.file());
-            }
-        };
         for k in data {
-            if replicate {
-                let level = size_level(&k.rect, max_level).saturating_sub(level_shift);
-                for cell in cells_overlapping(&k.rect, level) {
-                    let code = if level == 0 {
-                        0 // level 0 has one cell; no code computation needed
-                    } else {
-                        code_computations += 1;
-                        cell.code(curve)
-                    };
-                    if let Err(e) = push(&mut writers, level, LevelRecord { code, kpe: *k }) {
-                        delete_all(&writers);
-                        return Err(e);
-                    }
-                    histogram[level as usize] += 1;
-                    copies += 1;
-                }
-            } else {
-                let cell = mxcif_cell(&k.rect, max_level);
-                let code = if cell.level == 0 {
-                    0
-                } else {
-                    code_computations += 1;
-                    cell.code(curve)
-                };
-                if let Err(e) = push(&mut writers, cell.level, LevelRecord { code, kpe: *k }) {
-                    delete_all(&writers);
-                    return Err(e);
-                }
-                histogram[cell.level as usize] += 1;
-                copies += 1;
-            }
+            place(k, max_level, replicate, level_shift, |cell| {
+                code_computations += u64::from(cell.level > 0);
+                let rec = LevelRecord { code: code_of(cell, curve), kpe: *k };
+                fan.try_push(u32::from(cell.level), &rec)
+            })?;
         }
-        let mut files: Vec<Option<FileId>> = Vec::with_capacity(n_levels);
-        let mut err: Option<IoError> = None;
-        for w in writers {
-            match w {
-                None => files.push(None),
-                Some(w) => {
-                    let fid = w.file();
-                    match w.try_finish() {
-                        Ok(f) if err.is_none() => files.push(Some(f)),
-                        Ok(_) => {
-                            disk.delete(fid);
-                            files.push(None);
-                        }
-                        Err(e) => {
-                            disk.delete(fid);
-                            err.get_or_insert(e);
-                            files.push(None);
-                        }
-                    }
-                }
+        let mut files = Vec::with_capacity(levels as usize);
+        let mut histogram = Vec::with_capacity(levels as usize);
+        for (f, n) in fan.try_finish()? {
+            if n == 0 {
+                disk.delete(f);
             }
-        }
-        if let Some(e) = err {
-            for f in files.iter().flatten() {
-                disk.delete(*f);
-            }
-            return Err(e);
+            files.push((n > 0).then_some(f));
+            histogram.push(n);
         }
         Ok(LevelFiles {
             files,
+            copies: histogram.iter().sum(),
             histogram,
-            copies,
             code_computations,
         })
     }
@@ -187,6 +115,34 @@ impl LevelFiles {
             .enumerate()
             .filter(|(_, f)| f.is_some())
             .map(|(l, _)| l as u8)
+    }
+}
+
+/// The partitioning rule of [`LevelFiles::try_build`] and of its
+/// quarantine replay: `copy` gets each cell `k` is written into.
+#[inline]
+fn place<E>(
+    k: &Kpe,
+    max_level: u8,
+    replicate: bool,
+    level_shift: u8,
+    mut copy: impl FnMut(Cell) -> Result<(), E>,
+) -> Result<(), E> {
+    if replicate {
+        let level = size_level(&k.rect, max_level).saturating_sub(level_shift);
+        cells_overlapping(&k.rect, level).try_for_each(copy)
+    } else {
+        copy(mxcif_cell(&k.rect, max_level))
+    }
+}
+
+/// A cell's locational code; level 0 has one cell, so its code is free.
+#[inline]
+fn code_of(cell: Cell, curve: Curve) -> u64 {
+    if cell.level == 0 {
+        0
+    } else {
+        cell.code(curve)
     }
 }
 
@@ -209,23 +165,13 @@ pub fn rebuild_level_sorted(
 ) -> Vec<LevelRecord> {
     let mut recs: Vec<LevelRecord> = Vec::new();
     for k in data {
-        if replicate {
-            let l = size_level(&k.rect, max_level).saturating_sub(level_shift);
-            if l != level {
-                continue;
+        let copied = place(k, max_level, replicate, level_shift, |cell| {
+            if cell.level == level {
+                recs.push(LevelRecord { code: code_of(cell, curve), kpe: *k });
             }
-            for cell in cells_overlapping(&k.rect, l) {
-                let code = if l == 0 { 0 } else { cell.code(curve) };
-                recs.push(LevelRecord { code, kpe: *k });
-            }
-        } else {
-            let cell = mxcif_cell(&k.rect, max_level);
-            if cell.level != level {
-                continue;
-            }
-            let code = if cell.level == 0 { 0 } else { cell.code(curve) };
-            recs.push(LevelRecord { code, kpe: *k });
-        }
+            Ok::<(), Infallible>(())
+        });
+        let Ok(()) = copied;
     }
     radix_sorted(&recs, |r| r.code)
 }
@@ -255,7 +201,7 @@ mod tests {
     fn original_assignment_writes_each_rect_once() {
         let d = disk();
         let data = datagen::uniform(500, 0.05, 3);
-        let lf = LevelFiles::build(&d, &data, 10, Curve::Peano, false, 0, 1);
+        let lf = LevelFiles::try_build(&d, &data, 10, Curve::Peano, false, 0, 1).unwrap();
         assert_eq!(lf.copies, 500);
         assert_eq!(lf.histogram.iter().sum::<u64>(), 500);
         let total: usize = lf
@@ -271,7 +217,7 @@ mod tests {
     fn replication_is_bounded_by_four() {
         let d = disk();
         let data = datagen::uniform(1000, 0.08, 4);
-        let lf = LevelFiles::build(&d, &data, 12, Curve::Peano, true, 0, 1);
+        let lf = LevelFiles::try_build(&d, &data, 12, Curve::Peano, true, 0, 1).unwrap();
         assert!(lf.copies >= 1000);
         assert!(lf.copies <= 4000, "copies = {}", lf.copies);
     }
@@ -281,7 +227,7 @@ mod tests {
         let d = disk();
         // A rect straddling the centre: size level > 0, four copies.
         let k = Kpe::new(RecordId(1), Rect::new(0.49, 0.49, 0.51, 0.51));
-        let lf = LevelFiles::build(&d, &[k], 12, Curve::Peano, true, 0, 1);
+        let lf = LevelFiles::try_build(&d, &[k], 12, Curve::Peano, true, 0, 1).unwrap();
         assert_eq!(lf.copies, 4);
         let level = sfc::size_level(&k.rect, 12);
         let recs: Vec<LevelRecord> =
@@ -306,8 +252,8 @@ mod tests {
                 Kpe::new(RecordId(i), Rect::new(0.4999, t, 0.5001, t + 0.001))
             })
             .collect();
-        let orig = LevelFiles::build(&d, &data, 12, Curve::Peano, false, 0, 1);
-        let repl = LevelFiles::build(&d, &data, 12, Curve::Peano, true, 0, 1);
+        let orig = LevelFiles::try_build(&d, &data, 12, Curve::Peano, false, 0, 1).unwrap();
+        let repl = LevelFiles::try_build(&d, &data, 12, Curve::Peano, true, 0, 1).unwrap();
         assert_eq!(orig.histogram[0], 50, "all straddlers clipped to root");
         assert_eq!(repl.histogram[0], 0, "size separation rescues them");
     }
@@ -317,7 +263,7 @@ mod tests {
         let d = disk();
         let wide = Kpe::new(RecordId(0), Rect::new(0.0, 0.0, 0.9, 0.9)); // level 0
         let tiny = Kpe::new(RecordId(1), Rect::new(0.1, 0.1, 0.101, 0.101));
-        let lf = LevelFiles::build(&d, &[wide, tiny], 12, Curve::Peano, true, 0, 1);
+        let lf = LevelFiles::try_build(&d, &[wide, tiny], 12, Curve::Peano, true, 0, 1).unwrap();
         // The wide rect is level 0 (one cell, free); the tiny one costs 1.
         assert_eq!(lf.code_computations, 1);
     }

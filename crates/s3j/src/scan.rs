@@ -1288,7 +1288,7 @@ mod tests {
             };
             let sound = SimDisk::with_default_model();
             let sorted = |data: &[Kpe]| -> Vec<Option<FileId>> {
-                let lf = LevelFiles::build(&sound, data, 9, cfg.curve, replicate, cfg.level_shift, 1);
+                let lf = LevelFiles::try_build(&sound, data, 9, cfg.curve, replicate, cfg.level_shift, 1).unwrap();
                 let sort = |f| try_external_sort_by(&sound, f, cfg.mem_bytes, |x: &LevelRecord| x.code);
                 lf.files.iter().map(|f| f.map(|f| sort(f).unwrap().0)).collect()
             };
@@ -1326,7 +1326,7 @@ mod tests {
         let r = scale(&r0, 3.0);
         for (replicate, shift) in [(false, 0u8), (true, 0), (true, 1)] {
             let disk = SimDisk::with_default_model();
-            let lf = LevelFiles::build(&disk, &r, 9, Curve::Peano, replicate, shift, 1);
+            let lf = LevelFiles::try_build(&disk, &r, 9, Curve::Peano, replicate, shift, 1).unwrap();
             for level in lf.occupied_levels() {
                 // A small budget: several runs and a merge, as in a real scan.
                 let unsorted = lf.files[level as usize].unwrap();

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use geom::{Kpe, Rect, RecordId};
 use rand::prelude::*;
-use storage::{FileId, IoStats, RecordReader, RecordWriter, RunClock, SimDisk, Work};
+use storage::{Fanout, IoStats, RecordReader, RunClock, SimDisk, Work};
 use sweep::{InternalAlgo, JoinCounters};
 
 /// SHJ tuning knobs.
@@ -144,14 +144,14 @@ pub fn shj_join(
     stats.buckets = b;
     let seeds = pick_seeds(r, b as usize, cfg.samples_per_bucket, cfg.seed);
 
-    // The baseline deliberately uses the panicking storage wrappers
-    // (`push`/`finish`/`RecordReader::next`): SHJ does not opt into fault
-    // injection (`SpatialJoin::try_run` refuses the combination up front),
-    // so on a fault-free disk these calls cannot fail.
+    // The baseline deliberately panics on a storage error (`expect`,
+    // `RecordReader::next`): SHJ does not opt into fault injection
+    // (`SpatialJoin::try_run` refuses the combination up front), so on a
+    // fault-free disk these calls cannot fail. Its buckets ride the shared
+    // lane.
+    const FAULT_FREE: &str = "SHJ runs on a fault-free disk";
     let mut extents: Vec<Option<Rect>> = vec![None; b as usize];
-    let mut build_writers: Vec<RecordWriter<Kpe>> = (0..b)
-        .map(|_| RecordWriter::create(disk, cfg.bucket_buffer_pages))
-        .collect();
+    let mut build_fan = Fanout::new(disk, b, |_| None, cfg.bucket_buffer_pages);
     for k in r {
         let c = k.rect.center();
         let mut best = 0usize;
@@ -165,28 +165,26 @@ pub fn shj_join(
                 best = i;
             }
         }
-        build_writers[best].push(k);
+        build_fan.try_push(best as u32, k).expect(FAULT_FREE);
         extents[best] = Some(match extents[best] {
             Some(e) => e.union(&k.rect),
             None => k.rect,
         });
     }
-    let build_files: Vec<FileId> = build_writers.into_iter().map(|w| w.finish()).collect();
+    let build_files = build_fan.try_finish().expect(FAULT_FREE);
     stats.io_build = disk.stats().delta(&io0);
     stats.cpu_build = t0.elapsed().as_secs_f64();
 
     // --- Phase 3: replicate the probe relation into overlapping buckets ----
     let t1 = Instant::now();
     let io1 = disk.stats();
-    let mut probe_writers: Vec<RecordWriter<Kpe>> = (0..b)
-        .map(|_| RecordWriter::create(disk, cfg.bucket_buffer_pages))
-        .collect();
+    let mut probe_fan = Fanout::new(disk, b, |_| None, cfg.bucket_buffer_pages);
     for k in s {
         let mut hit = false;
-        for (i, extent) in extents.iter().enumerate() {
+        for (i, extent) in (0..b).zip(&extents) {
             if let Some(e) = extent {
                 if e.intersects(&k.rect) {
-                    probe_writers[i].push(k);
+                    probe_fan.try_push(i, k).expect(FAULT_FREE);
                     stats.probe_copies += 1;
                     hit = true;
                 }
@@ -196,7 +194,7 @@ pub fn shj_join(
             stats.probe_filtered += 1; // cannot join anything
         }
     }
-    let probe_files: Vec<FileId> = probe_writers.into_iter().map(|w| w.finish()).collect();
+    let probe_files = probe_fan.try_finish().expect(FAULT_FREE);
     stats.io_probe = disk.stats().delta(&io1);
     stats.cpu_probe = t1.elapsed().as_secs_f64();
 
@@ -204,26 +202,26 @@ pub fn shj_join(
     let t2 = Instant::now();
     let io2 = disk.stats();
     let mut internal = cfg.internal.create();
-    for (fb, fp) in build_files.iter().zip(&probe_files) {
-        let bytes = disk.len(*fb) + disk.len(*fp);
+    for (&(fb, _), &(fp, _)) in build_files.iter().zip(&probe_files) {
+        let bytes = disk.len(fb) + disk.len(fp);
         if bytes == 0 {
-            disk.delete(*fb);
-            disk.delete(*fp);
+            disk.delete(fb);
+            disk.delete(fp);
             continue;
         }
         if bytes as usize > cfg.mem_bytes {
             stats.overflowed_pairs += 1;
         }
-        let mut rv: Vec<Kpe> = RecordReader::new(disk, *fb, cfg.io_buffer_pages).collect();
-        let mut sv: Vec<Kpe> = RecordReader::new(disk, *fp, cfg.io_buffer_pages).collect();
+        let mut rv: Vec<Kpe> = RecordReader::new(disk, fb, cfg.io_buffer_pages).collect();
+        let mut sv: Vec<Kpe> = RecordReader::new(disk, fp, cfg.io_buffer_pages).collect();
         let mut results = 0u64;
         internal.join(&mut rv, &mut sv, &mut |a, b| {
             results += 1;
             out(a.id, b.id);
         });
         stats.results += results;
-        disk.delete(*fb);
-        disk.delete(*fp);
+        disk.delete(fb);
+        disk.delete(fp);
     }
     stats.join_counters = internal.counters();
     let inputs = (r.len() + s.len()) as u64;

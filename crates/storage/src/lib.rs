@@ -19,7 +19,9 @@
 //! * [`FileWriter`] / [`FileReader`] — buffered sequential byte streams with
 //!   multi-page requests (larger buffers ⇒ fewer positioning penalties),
 //! * [`RecordWriter`] / [`RecordReader`] — typed fixed-length record streams
-//!   ([`FixedRecord`]),
+//!   ([`FixedRecord`]); [`Fanout`] — one writer per target of a
+//!   partitioning pass, its files created together and kept or deleted
+//!   together,
 //! * [`checksum64`] / [`fnv1a`] / [`fingerprint`] — the in-memory page
 //!   checksum, the record checksum and the run fingerprint (`checksum.rs`),
 //! * [`external_sort_by`] — memory-budgeted run formation + multiway merge
@@ -83,7 +85,7 @@ pub use metrics::{
 pub use file::{FileReader, FileWriter};
 pub use json::Json;
 pub use record::{
-    read_all, try_read_all, try_write_all, write_all, FixedRecord, IdPair, RecordReader,
+    read_all, try_read_all, try_write_all, write_all, Fanout, FixedRecord, IdPair, RecordReader,
     RecordWriter,
 };
 pub use retry::RetryPolicy;

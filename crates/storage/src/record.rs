@@ -86,14 +86,6 @@ impl<R: FixedRecord> RecordWriter<R> {
         Self::new(disk, f, buffer_pages)
     }
 
-    /// Creates the backing file pinned to data channel `channel` (see
-    /// [`SimDisk::create_on`]); its requests overlap with other channels
-    /// under the multi-channel clock instead of serializing.
-    pub fn create_on(disk: &SimDisk, channel: u64, buffer_pages: usize) -> Self {
-        let f = disk.create_on(channel);
-        Self::new(disk, f, buffer_pages)
-    }
-
     /// Buffers one record, encoding it straight into the write buffer (the
     /// scratch copy is taken only by a record that straddles a flush point);
     /// an error surfaces only when a flush exhausts the disk's retry budget.
@@ -158,6 +150,87 @@ impl<R: FixedRecord> RecordWriter<R> {
     /// Infallible wrapper over [`RecordWriter::try_finish`].
     pub fn finish(self) -> FileId {
         self.inner.finish()
+    }
+}
+
+/// The write side of every partitioning pass: one [`RecordWriter`] per
+/// target (PBSM's partitions, S³J's levels, SHJ's buckets), each record
+/// pushed to every target it belongs to.
+///
+/// Every target's file is created up front, in target order; each file sees
+/// exactly the requests its own writer would, in push order. The files come
+/// back together or not at all: dropping an unfinished fan-out deletes every
+/// file, and [`Fanout::try_finish`] either returns them all or deletes them
+/// all.
+pub struct Fanout<R: FixedRecord> {
+    disk: SimDisk,
+    writers: Vec<RecordWriter<R>>,
+}
+
+impl<R: FixedRecord> Fanout<R> {
+    /// `targets` writers of `buffer_pages` pages each. Target `t`'s file
+    /// rides data channel `tag(t)` (see [`SimDisk::create_on`]), or the
+    /// shared lane when `tag(t)` is `None`.
+    pub fn new(
+        disk: &SimDisk,
+        targets: u32,
+        tag: impl Fn(u32) -> Option<u64>,
+        buffer_pages: usize,
+    ) -> Self {
+        let writers = (0..targets)
+            .map(|t| {
+                let f = tag(t).map_or_else(|| disk.create(), |c| disk.create_on(c));
+                RecordWriter::new(disk, f, buffer_pages)
+            })
+            .collect();
+        Fanout { disk: disk.clone(), writers }
+    }
+
+    /// Buffers `r` for target `t` (see [`RecordWriter::try_push`]). After an
+    /// error the fan-out is only good for dropping.
+    #[inline]
+    pub fn try_push(&mut self, t: u32, r: &R) -> Result<(), IoError> {
+        self.writers[t as usize].try_push(r)
+    }
+
+    /// Flushes every target in order and returns each file with the records
+    /// pushed to it. A failed flush does not stop the flushes after it; the
+    /// first error is returned and every file is deleted — the failed one
+    /// and each finished after it at once (freeing its pages for the
+    /// flushes that follow), the ones finished before it at the end.
+    pub fn try_finish(mut self) -> Result<Vec<(FileId, u64)>, IoError> {
+        let mut files = Vec::with_capacity(self.writers.len());
+        let mut err: Option<IoError> = None;
+        for w in std::mem::take(&mut self.writers) {
+            let (f, count) = (w.file(), w.count());
+            match w.try_finish() {
+                Ok(_) if err.is_none() => files.push((f, count)),
+                Ok(_) => self.disk.delete(f),
+                Err(e) => {
+                    self.disk.delete(f);
+                    err.get_or_insert(e);
+                }
+            }
+        }
+        match err {
+            None => Ok(files),
+            Some(e) => {
+                for (f, _) in files {
+                    self.disk.delete(f);
+                }
+                Err(e)
+            }
+        }
+    }
+}
+
+impl<R: FixedRecord> Drop for Fanout<R> {
+    /// An unfinished fan-out (a failed push, an interrupted pass) leaves no
+    /// file behind.
+    fn drop(&mut self) {
+        for w in &self.writers {
+            self.disk.delete(w.file());
+        }
     }
 }
 
@@ -289,7 +362,7 @@ pub fn try_read_all<R: FixedRecord>(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::DiskModel;
+    use crate::{DiskModel, FaultPlan, IoErrorKind, RetryPolicy};
     use geom::{Rect, RecordId};
 
     fn disk() -> SimDisk {
@@ -472,5 +545,107 @@ mod tests {
         let slice: Vec<IdPair> =
             RecordReader::<IdPair>::with_range(&d, f, 3 * sz, 7 * sz, 1).collect();
         assert_eq!(slice.iter().map(|p| p.r).collect::<Vec<_>>(), vec![3, 4, 5, 6]);
+    }
+    fn fanout_disk(channels: usize, plan: Option<FaultPlan>) -> SimDisk {
+        let d = SimDisk::new(DiskModel {
+            channels,
+            ..disk().model()
+        });
+        match plan {
+            Some(plan) => d.with_faults(plan, RetryPolicy::default()),
+            None => d,
+        }
+    }
+
+    #[test]
+    fn an_unfinished_fanout_leaves_no_file() {
+        let d = disk();
+        let mut fan = Fanout::new(&d, 3, |t| Some(u64::from(t)), 1);
+        for (i, k) in kpes(40).iter().enumerate() {
+            fan.try_push(i as u32 % 3, k).unwrap();
+        }
+        assert!(d.pages_in_use() > 0, "some pages were flushed");
+        drop(fan);
+        assert_eq!(d.file_ids(), Vec::new());
+        assert_eq!(d.pages_in_use(), 0);
+    }
+
+    #[test]
+    fn a_full_disk_mid_pass_or_at_the_final_flush_leaves_no_file() {
+        // Mid-pass: one-page buffers flush while records are pushed.
+        let d = fanout_disk(1, Some(FaultPlan::none(7).with_disk_budget(4)));
+        let mut fan = Fanout::new(&d, 3, |_| None, 1);
+        let e = kpes(40)
+            .iter()
+            .enumerate()
+            .find_map(|(i, k)| fan.try_push(i as u32 % 3, k).err())
+            .expect("the budget runs out during the pass");
+        assert_eq!(e.kind, IoErrorKind::DiskFull);
+        drop(fan);
+        assert_eq!((d.file_ids(), d.pages_in_use()), (Vec::new(), 0));
+
+        // Final flush: every push fits in its buffer; the second target's
+        // flush overruns the budget, the third's too.
+        let d = fanout_disk(1, Some(FaultPlan::none(7).with_disk_budget(10)));
+        let mut fan = Fanout::new(&d, 3, |t| Some(u64::from(t)), 16);
+        for (i, k) in kpes(30).iter().enumerate() {
+            fan.try_push(i as u32 % 3, k).unwrap();
+        }
+        assert_eq!(d.pages_in_use(), 0, "nothing flushed before the finish");
+        let e = fan.try_finish().unwrap_err();
+        assert_eq!(e.kind, IoErrorKind::DiskFull);
+        assert_eq!((d.file_ids(), d.pages_in_use()), (Vec::new(), 0));
+    }
+
+    /// A fan-out costs exactly one `RecordWriter` per target pushed in the
+    /// same order: the same bytes, counters and per-channel counters.
+    #[test]
+    fn a_fanout_is_one_record_writer_per_target() {
+        let records = kpes(257);
+        let targets = |i: usize| -> Vec<u32> {
+            match i % 5 {
+                0 => vec![0, 2],
+                1 | 2 => vec![1],
+                _ => vec![2, 3, 0],
+            }
+        };
+        let tag = |t: u32| (t != 1).then_some(u64::from(t) * 3);
+        for pages in [1, 2, 16] {
+            let fanned = fanout_disk(4, None);
+            let mut fan = Fanout::new(&fanned, 4, tag, pages);
+            for (i, k) in records.iter().enumerate() {
+                for t in targets(i) {
+                    fan.try_push(t, k).unwrap();
+                }
+            }
+            let files = fan.try_finish().unwrap();
+
+            let one = fanout_disk(4, None);
+            let mut writers: Vec<RecordWriter<Kpe>> = (0..4)
+                .map(|t| {
+                    let f = tag(t).map_or_else(|| one.create(), |c| one.create_on(c));
+                    RecordWriter::new(&one, f, pages)
+                })
+                .collect();
+            for (i, k) in records.iter().enumerate() {
+                for t in targets(i) {
+                    writers[t as usize].push(k);
+                }
+            }
+            // Finished in target order, as the fan-out finishes them.
+            let want: Vec<(FileId, u64)> = writers
+                .into_iter()
+                .map(|w| {
+                    let count = w.count();
+                    (w.finish(), count)
+                })
+                .collect();
+            assert_eq!(fanned.stats(), one.stats(), "{pages} pages");
+            assert_eq!(fanned.channel_stats(), one.channel_stats(), "{pages} pages");
+            assert_eq!(files, want);
+            for (&(f, _), &(g, _)) in files.iter().zip(&want) {
+                assert_eq!(read_all::<Kpe>(&fanned, f, 1), read_all::<Kpe>(&one, g, 1));
+            }
+        }
     }
 }
