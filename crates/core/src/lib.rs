@@ -60,8 +60,10 @@
 //! | [`estimate`] | grid histograms, selectivity estimation, partition advice |
 //! | [`refine`] | refinement step: exact-geometry verification ([BKSS 94]) |
 //!
-//! The open-next-close operator tree (`exec`) sits *above* this crate: its
-//! streaming join operator wraps a configured [`SpatialJoin`].
+//! A consumer that wants pairs as the join finds them passes its sink to
+//! [`SpatialJoin::try_run_with`] and stops the join early by tripping a
+//! [`CancelToken`] ([`SpatialJoin::with_cancel`]); the join pushes, so no
+//! worker or channel sits between the two.
 
 pub use datagen;
 pub use refine;

@@ -15,12 +15,12 @@
 //!    created on the worker thread and returned to the caller for a
 //!    deterministic merge once all tasks finish.
 //!
-//! Scheduling is dynamic: workers claim the next unclaimed task index from
-//! one shared queue, so a straggler partition does not idle the rest of the
-//! pool (the work-stealing effect without per-worker deques — there is a
+//! Scheduling is dynamic: a free worker claims the next unclaimed task index
+//! from one shared queue, so a straggler partition does not idle the rest of
+//! the pool (the work-stealing effect without per-worker deques — there is a
 //! single global queue of indices and stealing is the common case). There
-//! is one pool body, [`run_ordered_prefetch_fallible_with`]; [`run_ordered`]
-//! is its plain-task shim.
+//! is one pool body, [`run_ordered_fallible`]; [`run_ordered`] is its
+//! plain-task shim.
 //!
 //! S³J's synchronized scan does not use the pool: one of its cells holds a
 //! couple of records, less work than handing the cell to a worker costs.
@@ -34,8 +34,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Why a [`CancelToken`] tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelCause {
-    /// Explicit cooperative cancellation (operator closed the stream, user
-    /// hit ^C, …).
+    /// Explicit cooperative cancellation (the output sink stopped reading —
+    /// a closed socket or pipe, a `LIMIT` met — the user hit ^C, …).
     Cancelled,
     /// A simulated-time deadline expired. The join layer owns the clock; it
     /// trips the shared token with this cause when the budget runs out.
@@ -178,8 +178,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 ///
 /// Returns every worker's final state (indexed by worker), for the caller
 /// to merge deterministically. Panics in `task` propagate. The one pool,
-/// [`run_ordered_prefetch_fallible_with`], with nothing to load, nothing to
-/// cancel and tasks that cannot fail.
+/// [`run_ordered_fallible`], with nothing to cancel and tasks that cannot
+/// fail.
 pub fn run_ordered<S, T, FInit, FTask, FSink>(
     threads: usize,
     n_tasks: usize,
@@ -194,14 +194,13 @@ where
     FTask: Fn(&mut S, usize) -> T + Sync,
     FSink: FnMut(usize, T),
 {
-    run_ordered_prefetch_fallible_with(
+    run_ordered_fallible(
         threads,
         n_tasks,
         0,
         None,
         init,
-        |_, _, _| (),
-        |state, i, _, ()| Ok::<T, Infallible>(task(state, i)),
+        |state, i, _| Ok::<T, Infallible>(task(state, i)),
         |i, out| {
             let Ok(out) = out;
             sink(i, out)
@@ -210,9 +209,8 @@ where
     .0
 }
 
-/// Scheduling state of [`run_ordered_prefetch_fallible_with`]: fresh task
-/// indices come from `next`, failed tasks wait in `retries` for any worker
-/// to pick up.
+/// Scheduling state of [`run_ordered_fallible`]: fresh task indices come
+/// from `next`, failed tasks wait in `retries` for any worker to pick up.
 struct Requeue {
     next: usize,
     retries: Vec<(usize, u32)>, // (task index, round = prior failures)
@@ -220,7 +218,7 @@ struct Requeue {
     requeues: u64,
 }
 
-/// Scheduler-level counters from one [`run_ordered_prefetch_fallible_with`] run, counted
+/// Scheduler-level counters from one [`run_ordered_fallible`] run, counted
 /// by the shared queue itself — independent of whatever the per-worker
 /// states accumulate, so callers can cross-check their own accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -251,17 +249,13 @@ impl Drop for InFlightGuard<'_> {
 }
 
 /// Claims the next job: a queued retry (preferred — it is oldest work) or a
-/// fresh index. With `block`, waits while in-flight tasks might still spawn
-/// retries and returns `None` only when nothing can arrive (or the token
-/// tripped); without, returns `None` as soon as nothing is immediately
-/// claimable — the non-blocking probe a pipelining worker uses while it
-/// still holds work of its own (waiting there would deadlock on itself).
+/// fresh index. Waits while in-flight tasks might still spawn retries and
+/// returns `None` only when nothing can arrive (or the token tripped).
 fn claim_job(
     queue: &Mutex<Requeue>,
     cvar: &Condvar,
     n_tasks: usize,
     cancel: Option<&CancelToken>,
-    block: bool,
 ) -> Option<(usize, u32)> {
     let mut q = queue.lock().expect("requeue lock");
     loop {
@@ -278,15 +272,15 @@ fn claim_job(
             q.in_flight += 1;
             return Some((i, 0));
         }
-        if !block || q.in_flight == 0 {
+        if q.in_flight == 0 {
             return None;
         }
         q = cvar.wait(q).expect("requeue lock");
     }
 }
 
-/// The ordered pool: fallible tasks with bounded requeueing, a split
-/// **load / compute** pipeline and cooperative cancellation.
+/// The ordered pool: fallible tasks with bounded requeueing and cooperative
+/// cancellation.
 ///
 /// A task that returns `Err` goes back into the shared queue up to
 /// `max_requeues` times before its final `Err` is delivered to the sink.
@@ -298,46 +292,34 @@ fn claim_job(
 /// task, in canonical order; worker states are returned as in
 /// [`run_ordered`].
 ///
-/// Each worker is a two-stage software pipeline that claims and `load`s
-/// task `k+1` *before* computing task `k`, so on a multi-channel disk the
-/// next partition's pages stream in on their own channel while the current
-/// partition's join runs (double-buffered prefetch — the channel model
-/// turns the overlap into hidden simulated time).
+/// * `task(&mut state, task_idx, round)` runs one task; `round = 0` on the
+///   first run and `k` on the `k`-th requeue.
 ///
-/// * `load(&mut state, task_idx, round)` performs the task's input I/O and
-///   returns whatever the compute stage needs; `round = 0` on the first run
-///   and `k` on the `k`-th requeue. It runs exactly once per (task, round)
-///   — a requeued round re-loads.
-/// * `task(&mut state, task_idx, round, loaded)` consumes the loaded input.
-///   Both stages of one task run on the same worker (same forked meter), in
-///   order, so per-task I/O deltas stay exact.
+/// A worker claims a task only when it is free: the next task goes to the
+/// first idle worker, the rule PBSM's priced clock replays
+/// (`storage::Schedule`), and a long task never holds another behind it.
 ///
 /// Cancellation: each worker polls `cancel` before claiming and stops
 /// claiming (fresh indices *and* queued retries) once the token trips.
 /// Fresh indices are claimed in order, so the sink observes exactly the
 /// contiguous prefix of tasks claimed before the trip — a cancelled run's
 /// partial output is a clean prefix of final results, never a gapped
-/// subset. A prefetched task was *claimed*, so it is computed even if the
-/// token trips before its turn.
-#[allow(clippy::too_many_arguments)] // the pool's knobs plus its four stages
-pub fn run_ordered_prefetch_fallible_with<S, L, T, E, FInit, FLoad, FTask, FSink>(
+/// subset.
+pub fn run_ordered_fallible<S, T, E, FInit, FTask, FSink>(
     threads: usize,
     n_tasks: usize,
     max_requeues: u32,
     cancel: Option<&CancelToken>,
     init: FInit,
-    load: FLoad,
     task: FTask,
     mut sink: FSink,
 ) -> (Vec<S>, PoolStats)
 where
     S: Send,
-    L: Send,
     T: Send,
     E: Send,
     FInit: Fn(usize) -> S + Sync,
-    FLoad: Fn(&mut S, usize, u32) -> L + Sync,
-    FTask: Fn(&mut S, usize, u32, L) -> Result<T, E> + Sync,
+    FTask: Fn(&mut S, usize, u32) -> Result<T, E> + Sync,
     FSink: FnMut(usize, Result<T, E>),
 {
     let threads = threads.max(1).min(n_tasks.max(1));
@@ -356,41 +338,13 @@ where
                 let queue = &queue;
                 let cvar = &cvar;
                 let init = &init;
-                let load = &load;
                 let task = &task;
                 scope.spawn(move || {
                     let mut state = init(w);
-                    // The prefetched job: claimed, loaded, awaiting compute.
-                    // Its guard keeps `in_flight` honest if compute panics.
-                    let mut held: Option<(usize, u32, L, InFlightGuard)> = None;
-                    loop {
-                        let (i, round, loaded, guard) = match held.take() {
-                            Some(j) => j,
-                            None => {
-                                // A held job is computed even after a cancel
-                                // trip (it was claimed); claim_job refuses
-                                // new claims once tripped.
-                                match claim_job(queue, cvar, n_tasks, cancel, true) {
-                                    Some((i, round)) => {
-                                        let guard = InFlightGuard { queue, cvar };
-                                        let l = load(&mut state, i, round);
-                                        (i, round, l, guard)
-                                    }
-                                    None => break,
-                                }
-                            }
-                        };
-                        // Double buffering: claim and load the next job
-                        // before computing this one. Non-blocking — waiting
-                        // here while holding unfinished work would deadlock
-                        // the pool on itself.
-                        if let Some((j, r)) = claim_job(queue, cvar, n_tasks, cancel, false) {
-                            let g = InFlightGuard { queue, cvar };
-                            let l = load(&mut state, j, r);
-                            held = Some((j, r, l, g));
-                        }
-                        let res = task(&mut state, i, round, loaded);
-                        match res {
+                    while let Some((i, round)) = claim_job(queue, cvar, n_tasks, cancel) {
+                        // Keeps `in_flight` honest if the task panics.
+                        let guard = InFlightGuard { queue, cvar };
+                        match task(&mut state, i, round) {
                             Err(e) if round < max_requeues => {
                                 let mut q = queue.lock().expect("requeue lock");
                                 q.retries.push((i, round + 1));
@@ -519,14 +473,13 @@ mod tests {
         for threads in [1, 4] {
             attempts.lock().unwrap().clear();
             let mut seen = Vec::new();
-            let (_, pool) = run_ordered_prefetch_fallible_with(
+            let (_, pool) = run_ordered_fallible(
                 threads,
                 30,
                 2,
                 None,
                 |_| (),
-                |_, _i, _round| (),
-                |_, i, round, ()| {
+                |_, i, round| {
                     *attempts.lock().unwrap().entry(i).or_insert(0) += 1;
                     if round < (i % 3) as u32 {
                         Err(format!("task {i} round {round}"))
@@ -556,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_pool_matches_a_sequential_loop() {
+    fn pool_matches_a_sequential_loop() {
         use std::collections::HashMap;
         use std::sync::Mutex as StdMutex;
         // What a plain loop with the same retry cap delivers: each task's
@@ -574,29 +527,25 @@ mod tests {
                 (i, last.expect("every task recovers within the cap"))
             })
             .collect();
-        // The pipelined pool must deliver identical final results in
-        // identical order, with load running exactly once per (task, round).
+        // The pool must deliver identical final results in identical order,
+        // running each (task, round) exactly once.
         for threads in [1, 2, 4] {
-            let loads: StdMutex<HashMap<(usize, u32), u32>> = StdMutex::new(HashMap::new());
+            let runs: StdMutex<HashMap<(usize, u32), u32>> = StdMutex::new(HashMap::new());
             let mut seen = Vec::new();
-            let (_, pool) = run_ordered_prefetch_fallible_with(
+            let (_, pool) = run_ordered_fallible(
                 threads,
                 30,
                 2,
                 None,
                 |_| (),
                 |_, i, round| {
-                    *loads.lock().unwrap().entry((i, round)).or_insert(0) += 1;
-                    i * 10 // the "loaded" payload
-                },
-                |_, i, round, loaded| {
-                    assert_eq!(loaded, i * 10, "compute sees its own load");
+                    *runs.lock().unwrap().entry((i, round)).or_insert(0) += 1;
                     attempt(i, round)
                 },
                 |i, out| seen.push((i, out)),
             );
             assert_eq!(seen, want);
-            let l = loads.lock().unwrap();
+            let l = runs.lock().unwrap();
             for i in 0..30usize {
                 for round in 0..=(i % 3) as u32 {
                     assert_eq!(l.get(&(i, round)), Some(&1), "task {i} round {round}");
@@ -608,18 +557,17 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_pool_surfaces_final_error_after_cap() {
+    fn pool_surfaces_final_error_after_cap() {
         for threads in [1, 3] {
             let mut results = Vec::new();
-            let (_, pool) = run_ordered_prefetch_fallible_with(
+            let (_, pool) = run_ordered_fallible(
                 threads,
                 10,
                 1,
                 None,
                 |_| (),
-                |_, i, _r| i,
-                |_, i, _round, loaded| {
-                    if loaded == 4 {
+                |_, i, _round| {
+                    if i == 4 {
                         Err("always fails")
                     } else {
                         Ok(i)
@@ -640,18 +588,17 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_prefetch_pool_emits_a_clean_prefix() {
+    fn cancelled_pool_emits_a_clean_prefix() {
         for threads in [1, 4] {
             let token = CancelToken::new();
             let mut seen = Vec::new();
-            run_ordered_prefetch_fallible_with(
+            run_ordered_fallible(
                 threads,
                 100,
                 0,
                 Some(&token),
                 |_| (),
-                |_, i, _r| i,
-                |_, i, _round, _loaded| {
+                |_, i, _round| {
                     if i == 10 {
                         token.cancel();
                     }
@@ -663,24 +610,57 @@ mod tests {
             for (idx, (i, out)) in seen.iter().enumerate() {
                 assert_eq!((idx, Ok(idx)), (*i, *out));
             }
-            assert!(seen.len() >= 11, "claimed (and prefetched) tasks complete");
+            assert!(seen.len() >= 11, "claimed tasks complete");
         }
     }
 
     #[test]
-    fn prefetch_pool_zero_tasks_is_fine() {
-        let (states, pool) = run_ordered_prefetch_fallible_with(
+    fn pool_zero_tasks_is_fine() {
+        let (states, pool) = run_ordered_fallible(
             4,
             0,
             3,
             None,
             |_| (),
-            |_, i, _r| i,
-            |_, _s, _i, _r| Ok::<(), ()>(()),
+            |_, _i, _r| Ok::<(), ()>(()),
             |_, _| panic!("no tasks"),
         );
         assert_eq!(states.len(), 1);
         assert_eq!(pool, PoolStats::default());
+    }
+
+    /// A worker claims a task only when it is free: while task 0 holds its
+    /// worker, the other worker runs every other task. A worker that claimed
+    /// a task ahead of its current one would hold it behind task 0, which
+    /// would then wait out its timeout.
+    #[test]
+    fn a_busy_worker_holds_no_claimed_task() {
+        use std::time::Duration;
+        let ran = Mutex::new(0usize);
+        let done = Condvar::new();
+        let mut seen_by_task_0 = None;
+        run_ordered(
+            2,
+            8,
+            |_| (),
+            |_, i| {
+                let mut n = ran.lock().unwrap();
+                if i == 0 {
+                    let timeout = Duration::from_secs(5);
+                    n = done.wait_timeout_while(n, timeout, |n| *n < 7).unwrap().0;
+                    return Some(*n);
+                }
+                *n += 1;
+                done.notify_all();
+                None
+            },
+            |i, out| {
+                if i == 0 {
+                    seen_by_task_0 = out;
+                }
+            },
+        );
+        assert_eq!(seen_by_task_0, Some(7), "tasks 1–7 ran while task 0 waited");
     }
 
     #[test]
@@ -706,21 +686,20 @@ mod tests {
         assert_eq!(t.check(), Some(CancelCause::Cancelled));
     }
 
-    /// The pool as a plain ordered pool — how `s3j`'s scan drives it: nothing
-    /// to load, tasks that cannot fail, no requeues.
+    /// The pool as a plain ordered pool: tasks that cannot fail, no
+    /// requeues, only the token to stop it.
     #[test]
     fn cancelled_ordered_pool_emits_a_clean_prefix() {
         for threads in [1, 4] {
             let token = CancelToken::new();
             let mut seen = Vec::new();
-            run_ordered_prefetch_fallible_with(
+            run_ordered_fallible(
                 threads,
                 100,
                 0,
                 Some(&token),
                 |_| (),
-                |_, _i, _round| (),
-                |_, i, _round, ()| {
+                |_, i, _round| {
                     if i == 10 {
                         token.cancel();
                     }
@@ -745,14 +724,13 @@ mod tests {
     fn cancelled_fallible_pool_stops_claiming_retries() {
         let token = CancelToken::new();
         let mut seen = Vec::new();
-        let (_, pool) = run_ordered_prefetch_fallible_with(
+        let (_, pool) = run_ordered_fallible(
             2,
             50,
             3,
             Some(&token),
             |_| (),
-            |_, _i, _round| (),
-            |_, i, round, ()| {
+            |_, i, round| {
                 if i == 5 && round == 0 {
                     token.cancel();
                     return Err("tripped mid-task");

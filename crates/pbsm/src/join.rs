@@ -533,7 +533,7 @@ pub fn try_pbsm_join_ctl(
                         join_whole(&mut ctx, &chain, emit, &mut cand)?;
                     } else {
                         let (fr, fs) = (files_r[i as usize], files_s[i as usize]);
-                        join_pair(&mut ctx, fr, fs, &chain, 0, (false, false), i, None, emit, &mut cand)?;
+                        join_pair(&mut ctx, fr, fs, &chain, 0, (false, false), i, emit, &mut cand)?;
                     }
                     clock.set(cpu_base + stats.unit_work());
                     let (c, r, d) = stats.counts();
@@ -571,7 +571,7 @@ pub fn try_pbsm_join_ctl(
             model.at(&(cpu_base + schedule.span().1), &disk.stats().plus(ahead))
         };
         let todo_ref = &todo;
-        let (workers, pool) = parallel::run_ordered_prefetch_fallible_with(
+        let (workers, pool) = parallel::run_ordered_fallible(
             threads,
             todo.len(),
             cfg.max_partition_requeues,
@@ -584,35 +584,7 @@ pub fn try_pbsm_join_ctl(
                     PbsmStats::new(model),
                 )
             },
-            // Load stage: pull the next claimed pair into memory while the
-            // previous pair is still computing — the double-buffering the
-            // multi-channel clock credits as hidden I/O. It runs on the
-            // same worker and forked meter as the compute stage, in claim
-            // order, so per-task deltas and the fault-attempt sequence are
-            // exactly the sequential path's. It hands over the preload
-            // outcome and the I/O it cost, which the compute stage folds into
-            // the attempt's join-phase bucket: the phase decomposition is the
-            // same whether the load ran early or inline.
-            |(fork, _internal, _strips, _partial), idx, _round| {
-                let i = todo_ref[idx];
-                let io0 = fork.stats();
-                let fork_ref: &SimDisk = fork;
-                let outcome = (|| {
-                    let br = fork_ref.try_len(files_r[i as usize]).ok()?;
-                    let bs = fork_ref.try_len(files_s[i as usize]).ok()?;
-                    // Only a pair the join phase would load whole is worth
-                    // prefetching; empty and over-budget pairs reach
-                    // `join_pair` untouched (`try_len` is free and not
-                    // fault-injected, so its re-check drifts nothing).
-                    if br == 0 || bs == 0 || (br + bs) as usize > cfg.mem_bytes {
-                        return None;
-                    }
-                    let (fr, fs) = (files_r[i as usize], files_s[i as usize]);
-                    Some(load_pair(fork_ref, fr, fs, cfg.io_buffer_pages))
-                })();
-                (outcome, fork_ref.stats().delta(&io0))
-            },
-            |(fork, internal, strips, partial), idx, round, (preloaded, pre_io)| {
+            |(fork, internal, strips, partial), idx, round| {
                 let i = todo_ref[idx];
                 if round > 0 {
                     partial.requeued_partitions += 1;
@@ -623,21 +595,15 @@ pub fn try_pbsm_join_ctl(
                 // I/O meter is deliberately *not* rolled back — failed
                 // attempts and their retries are real simulated disk time.
                 let snapshot = partial.clone();
-                // The load stage's I/O is join-phase I/O that ran early;
-                // folding it here (after the snapshot) keeps the rollback
-                // semantics of a failed attempt: its load I/O stays charged,
-                // and the requeued round re-loads with a fresh budget.
-                partial.io_join = partial.io_join.plus(&pre_io);
                 let io_before = fork.stats();
                 let chain = RegionChain::top(grid, map, i);
                 let mut pairs = Vec::new();
                 let mut cand = Vec::new();
                 let mut first = None;
                 let fork_ref: &SimDisk = fork;
-                // The task's own I/O so far. It includes the prefetched
-                // load: on the pipelined clock the pair's work starts at its
-                // load, wherever it was scheduled.
-                let own_io = || pre_io.plus(&fork_ref.stats().delta(&io_before));
+                // The task's own I/O so far: on the pipelined clock the
+                // pair's work starts at its load.
+                let own_io = || fork_ref.stats().delta(&io_before);
                 let mut ctx = Ctx {
                     disk: fork_ref,
                     cfg,
@@ -654,7 +620,6 @@ pub fn try_pbsm_join_ctl(
                     0,
                     (false, false),
                     i,
-                    preloaded,
                     &mut |a, b| {
                         if first.is_none() {
                             first = Some((Work::default(), base_io.plus(&own_io())));
@@ -1139,23 +1104,6 @@ fn two_layer_join(
     stats.work_join += InternalAlgo::PlaneSweepList.work(&counters);
 }
 
-/// Both sides of a partition pair in memory, or the error that exhausted the
-/// retry budget and whether it was the R side's read that failed.
-type Loaded = Result<(Vec<Kpe>, Vec<Kpe>), (IoError, bool)>;
-
-/// Reads a whole partition pair. At depth 0 on the parallel path the pool's
-/// load stage calls this early — on the same worker (same forked meter),
-/// while an earlier pair is computing: the overlap the multi-channel clock
-/// credits as [`DiskModel::prefetch_hidden_seconds`] — and hands `join_pair`
-/// the outcome, which then must not read again: failed attempts already
-/// advanced the shared fault counters, and a re-read would advance them
-/// again, diverging from the sequential path's fault behaviour.
-fn load_pair(disk: &SimDisk, fr: FileId, fs: FileId, buffer_pages: usize) -> Loaded {
-    let rv = try_read_all::<Kpe>(disk, fr, buffer_pages).map_err(|e| (e, true))?;
-    let sv = try_read_all::<Kpe>(disk, fs, buffer_pages).map_err(|e| (e, false))?;
-    Ok((rv, sv))
-}
-
 /// Quarantine-recompute for a partition pair lost to persistent media
 /// damage: the on-disk copy is abandoned where it lies and both sides'
 /// members are rebuilt **from the source relations** — a record belongs to
@@ -1203,9 +1151,6 @@ fn quarantine_join(
 /// Phases 2+3 for one partition pair: join it if it fits, else repartition
 /// the larger side (§3.2.3) and recurse. `top` is the top-level partition
 /// index this pair descends from, carried for error attribution.
-/// `preloaded` is `Some` only at depth 0 on the parallel path, when the
-/// pool's load stage already pulled (or failed to pull) the pair into
-/// memory; the recursion always passes `None`.
 ///
 /// Graceful degradation: a pair that *fits* but whose load exhausts the
 /// retry budget falls through to the repartitioning branch instead of
@@ -1229,7 +1174,6 @@ fn join_pair(
     // stalled, refinement provably cannot help: join over budget now.
     stalled: (bool, bool),
     top: u32,
-    preloaded: Option<Loaded>,
     out: &mut dyn FnMut(RecordId, RecordId),
     cand: &mut dyn FnMut(IdPair) -> Result<(), IoError>,
 ) -> Result<(), JoinError> {
@@ -1248,11 +1192,15 @@ fn join_pair(
     if fits || refinement_exhausted {
         // --- Join phase ---
         let io0 = disk.stats();
-        // A prefetched outcome substitutes for the load 1:1 — its I/O (and
-        // any failed attempts) was charged when the load stage ran, so this
-        // window's delta covers only the join work itself.
-        let loaded = preloaded
-            .unwrap_or_else(|| load_pair(disk, fr, fs, ctx.cfg.io_buffer_pages));
+        // Both sides in memory, or the error that exhausted the retry budget
+        // and whether it was the R side's read that failed.
+        let buffer_pages = ctx.cfg.io_buffer_pages;
+        let loaded = try_read_all::<Kpe>(disk, fr, buffer_pages)
+            .map_err(|e| (e, true))
+            .and_then(|rv| {
+                let sv = try_read_all::<Kpe>(disk, fs, buffer_pages).map_err(|e| (e, false))?;
+                Ok((rv, sv))
+            });
         match loaded {
             Ok((mut rv, mut sv)) => {
                 let joined = join_loaded(ctx, &mut rv, &mut sv, chain, out, cand);
@@ -1369,9 +1317,9 @@ fn join_pair(
         if sub_err.is_none() {
             let sub_chain = chain.refined(f_new, submap, k as u32);
             let res = if split_r {
-                join_pair(ctx, sub, fs, &sub_chain, depth + 1, child_stalled, top, None, out, cand)
+                join_pair(ctx, sub, fs, &sub_chain, depth + 1, child_stalled, top, out, cand)
             } else {
-                join_pair(ctx, fr, sub, &sub_chain, depth + 1, child_stalled, top, None, out, cand)
+                join_pair(ctx, fr, sub, &sub_chain, depth + 1, child_stalled, top, out, cand)
             };
             if let Err(e) = res {
                 sub_err = Some(e);

@@ -146,10 +146,10 @@ impl S3jStats {
     }
 
     /// The paper's "total runtime" on the multi-channel clock
-    /// ([`RunClock::total_seconds`]). S³J needs no explicit prefetch stage
-    /// for the overlap it credits: the synchronized scan reads level files
-    /// on several channels while it joins in-memory partitions, so
-    /// discovery reads on spare channels overlap compute.
+    /// ([`RunClock::total_seconds`]), whose prefetch credit is a formula
+    /// of the channel model: the synchronized scan reads level files on
+    /// several channels while it joins in-memory partitions, and no stage
+    /// of the code has to read ahead for the credit.
     pub fn total_seconds(&self) -> f64 {
         self.clock.total_seconds(&self.work())
     }

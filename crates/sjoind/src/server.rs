@@ -16,8 +16,8 @@
 //! zero-copy over the registered `Arc<Vec<Kpe>>`. The Reference Point Method
 //! hands pairs out as they are found, so a consumer that is *pushed* to
 //! needs nothing between itself and the join: the join's sink is the
-//! socket's batcher (`exec::SpatialJoinOp` keeps a worker and a channel
-//! because a pull interface needs one; a socket does not).
+//! socket's batcher. Only a pull interface would need a worker and a
+//! channel; a socket does not.
 //!
 //! Fault isolation: the session leases, then runs the join inside
 //! `catch_unwind`. A panicking or crashing request delivers one typed

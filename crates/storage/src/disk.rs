@@ -109,10 +109,12 @@ impl DiskModel {
     }
 
     /// Simulated seconds hidden by double-buffered prefetch: with more than
-    /// one channel, loading partition `k+1` overlaps the join computation on
-    /// partition `k`, so up to `min(priced CPU, busiest data channel)` of
-    /// I/O time disappears behind the CPU. A single channel has no idle lane
-    /// to prefetch on, and hides nothing.
+    /// one channel, loading partition `k+1` could overlap the join
+    /// computation on partition `k`, so up to `min(priced CPU, busiest data
+    /// channel)` of I/O time disappears behind the CPU. A credit of the
+    /// model, granted to every executor alike: no stage of the code reads
+    /// ahead. A single channel has no idle lane to prefetch on, and hides
+    /// nothing.
     pub fn prefetch_hidden_seconds(&self, cpu_secs: f64, data: &[IoStats]) -> f64 {
         if self.data_channels() <= 1 {
             return 0.0;

@@ -76,8 +76,8 @@ impl RunClock {
             .parallel_io_seconds(&self.io_shared, &self.io_channels)
     }
 
-    /// I/O time hidden behind computation (double-buffered prefetch, or a
-    /// coordinator reading ahead of pure-CPU workers) — zero with a single
+    /// I/O time hidden behind computation: the channel model's prefetch
+    /// credit ([`DiskModel::prefetch_hidden_seconds`]) — zero with a single
     /// channel: nowhere to overlap.
     pub fn prefetch_hidden_seconds(&self, cpu: &Work) -> f64 {
         self.model

@@ -13,7 +13,6 @@
 //! Set `FAULT_SEEDS=<n>` to sweep the first `n` recoverable seeds (the CI
 //! fault-soak job uses 16; the default keeps local runs quick).
 
-use exec::{Collected, JoinOpError, KpeScan, SpatialJoinOp};
 use geom::{Kpe, RecordId};
 use pbsm::{Dedup, PbsmConfig};
 use proptest::prelude::*;
@@ -300,8 +299,7 @@ fn persistent_corruption_is_quarantined_or_typed_never_silent() {
 }
 
 /// Unrecoverable plan: every entry point surfaces a typed error — library
-/// joins, the high-level API, and the streaming operator — and none of them
-/// panics or hangs.
+/// joins and the high-level API — and none of them panics or hangs.
 #[test]
 fn unrecoverable_faults_surface_typed_errors_everywhere() {
     let (r, s) = workload();
@@ -328,17 +326,6 @@ fn unrecoverable_faults_surface_typed_errors_everywhere() {
         .try_run(&r, &s)
         .expect_err("SpatialJoin::try_run must fail");
     assert!(err.io().is_some_and(|io| io.attempts >= 1));
-    // Streaming operator: the stream ends with an error item.
-    let mut op = SpatialJoinOp::new(
-        KpeScan::new(r.clone()),
-        KpeScan::new(s.clone()),
-        SpatialJoin::new(Algorithm::pbsm_rpm(24 * 1024)).with_faults(plan),
-    );
-    let got = Collected::drain(&mut op);
-    assert!(matches!(
-        got.items.last(),
-        Some(Err(JoinOpError::Join(_)))
-    ));
 }
 
 proptest! {

@@ -1,8 +1,7 @@
 //! Integration tests of the paper's pipelining argument (§1, §3.1, §5):
 //! first-result latency across duplicate-handling strategies, measured in
-//! simulated time, plus the streaming operator tree.
+//! simulated time.
 
-use exec::{Collected, KpeScan, Operator, SpatialJoinOp};
 use spatial_join_suite::{Algorithm, SpatialJoin};
 
 fn datasets() -> (Vec<geom::Kpe>, Vec<geom::Kpe>) {
@@ -54,53 +53,6 @@ fn sssj_first_tuple_waits_for_sorting() {
     };
     let (_, first_io) = st.clock.first_result.as_ref().unwrap();
     assert!(first_io.pages_written >= st.io_sort.pages_written);
-}
-
-/// The streaming operator pipes tuples while the worker is still joining.
-#[test]
-fn streaming_operator_delivers_incrementally() {
-    let (r, s) = datasets();
-    let mut op = SpatialJoinOp::new(
-        KpeScan::new(r),
-        KpeScan::new(s),
-        SpatialJoin::new(Algorithm::pbsm_rpm(48 * 1024)),
-    )
-    .with_pipeline_depth(1);
-    // With depth 1 the producer cannot run ahead: every next() observes a
-    // live handoff. Taking a prefix must work without draining the join.
-    op.open();
-    let mut taken = 0;
-    while taken < 100 {
-        match op.next() {
-            Some(_) => taken += 1,
-            None => break,
-        }
-    }
-    op.close();
-    assert!(taken > 0);
-}
-
-/// Drain-to-completion through the operator equals the direct API.
-#[test]
-fn operator_drain_matches_direct_run() {
-    let (r, s) = datasets();
-    let join = SpatialJoin::new(Algorithm::pbsm_rpm(48 * 1024));
-    let direct = join.run(&r, &s);
-    let mut op = SpatialJoinOp::new(KpeScan::new(r), KpeScan::new(s), join);
-    let collected = Collected::drain(&mut op);
-    assert_eq!(collected.items.len(), direct.pairs.len());
-    let mut a: Vec<(u64, u64)> = collected
-        .items
-        .iter()
-        .map(|item| {
-            let (x, y) = item.as_ref().expect("join stream delivered an error");
-            (x.0, y.0)
-        })
-        .collect();
-    let mut b: Vec<(u64, u64)> = direct.pairs.iter().map(|(x, y)| (x.0, y.0)).collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
 }
 
 /// S³J pipelines too once sorting is done: its first result lands before
