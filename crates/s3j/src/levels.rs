@@ -1,7 +1,7 @@
 use std::convert::Infallible;
 
-use geom::Kpe;
-use sfc::{cells_overlapping, mxcif_cell, size_level, Cell, Curve};
+use geom::{Kpe, Point};
+use sfc::{mxcif_cell, size_level, Cell, Curve};
 use storage::{radix_sorted, Fanout, FileId, FixedRecord, IoError, SimDisk};
 
 /// A record of a level file: a KPE tagged with its locational code. The
@@ -119,7 +119,9 @@ impl LevelFiles {
 }
 
 /// The partitioning rule of [`LevelFiles::try_build`] and of its
-/// quarantine replay: `copy` gets each cell `k` is written into.
+/// quarantine replay: `copy` gets each cell `k` is written into, in
+/// [`sfc::cells_overlapping`]'s order (row by row), walked as two plain
+/// ranges.
 #[inline]
 fn place<E>(
     k: &Kpe,
@@ -128,12 +130,18 @@ fn place<E>(
     level_shift: u8,
     mut copy: impl FnMut(Cell) -> Result<(), E>,
 ) -> Result<(), E> {
-    if replicate {
-        let level = size_level(&k.rect, max_level).saturating_sub(level_shift);
-        cells_overlapping(&k.rect, level).try_for_each(copy)
-    } else {
-        copy(mxcif_cell(&k.rect, max_level))
+    if !replicate {
+        return copy(mxcif_cell(&k.rect, max_level));
     }
+    let level = size_level(&k.rect, max_level).saturating_sub(level_shift);
+    let lo = Cell::containing(level, Point::new(k.rect.xl, k.rect.yl));
+    let hi = Cell::containing(level, Point::new(k.rect.xh, k.rect.yh));
+    for iy in lo.iy..=hi.iy {
+        for ix in lo.ix..=hi.ix {
+            copy(Cell::new(level, ix, iy))?;
+        }
+    }
+    Ok(())
 }
 
 /// A cell's locational code; level 0 has one cell, so its code is free.
@@ -256,6 +264,27 @@ mod tests {
         let repl = LevelFiles::try_build(&d, &data, 12, Curve::Peano, true, 0, 1).unwrap();
         assert_eq!(orig.histogram[0], 50, "all straddlers clipped to root");
         assert_eq!(repl.histogram[0], 0, "size separation rescues them");
+    }
+
+    #[test]
+    fn placement_walks_the_overlapping_cells_in_order() {
+        let mut data = datagen::uniform(2000, 0.05, 11);
+        // Rects on cell edges, protruding from the data space, degenerate.
+        data.push(Kpe::new(RecordId(1), Rect::new(0.25, 0.5, 0.75, 0.5)));
+        data.push(Kpe::new(RecordId(2), Rect::new(-0.1, 0.9, 0.05, 1.2)));
+        data.push(Kpe::new(RecordId(3), Rect::new(0.5, 0.5, 0.5, 0.5)));
+        for k in &data {
+            for shift in [0, 1, 3] {
+                let mut got = Vec::new();
+                let Ok(()) = place(k, 12, true, shift, |cell| {
+                    got.push(cell);
+                    Ok::<(), Infallible>(())
+                });
+                let level = sfc::size_level(&k.rect, 12).saturating_sub(shift);
+                let want: Vec<Cell> = sfc::cells_overlapping(&k.rect, level).collect();
+                assert_eq!(got, want, "{k:?} shift {shift}");
+            }
+        }
     }
 
     #[test]

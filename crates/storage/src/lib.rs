@@ -27,8 +27,9 @@
 //! * [`external_sort_by`] — memory-budgeted run formation + multiway merge
 //!   on an integer key, the building block of PBSM's original
 //!   duplicate-removal phase, of S³J's level-file sorting phase and of
-//!   SSSJ's sort; [`radix_sorted`] is its in-memory run formation, and
-//!   [`SortPlan`] its buffer split, run length and fan-in, and their cost.
+//!   SSSJ's sort; [`radix_sorted`] gathers a slice in the order its run
+//!   formation writes, and [`SortPlan`] is its buffer split, run length and
+//!   fan-in, and their cost.
 
 //!
 //! Failure model (PR 2): [`SimDisk::with_faults`] attaches a seeded

@@ -102,24 +102,29 @@ impl<R: FixedRecord> RecordWriter<R> {
     /// [`RecordWriter::try_push`] of every record of `records`, in order:
     /// the same bytes, flush points and requests, encoded a buffer's worth
     /// at a time.
-    pub fn try_push_all(&mut self, records: &[R]) -> Result<(), IoError> {
-        let mut rest = records;
-        while let Some(first) = rest.first() {
+    pub fn try_push_all<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = &'a R, IntoIter: ExactSizeIterator>,
+    ) -> Result<(), IoError>
+    where
+        R: 'a,
+    {
+        let mut rest = records.into_iter();
+        while rest.len() > 0 {
             let fit = (self.inner.room() / R::SIZE).min(rest.len());
             if fit == 0 {
-                self.try_push(first)?;
-                rest = &rest[1..];
+                if let Some(r) = rest.next() {
+                    self.try_push(r)?;
+                }
                 continue;
             }
-            let (now, later) = rest.split_at(fit);
             let in_place = self.inner.try_write_in_place(fit * R::SIZE, |slots| {
-                for (r, slot) in now.iter().zip(slots.chunks_exact_mut(R::SIZE)) {
+                for (r, slot) in rest.by_ref().take(fit).zip(slots.chunks_exact_mut(R::SIZE)) {
                     r.encode(slot);
                 }
             })?;
             debug_assert!(in_place, "`fit` records fit before the flush point");
             self.count += fit as u64;
-            rest = later;
         }
         Ok(())
     }

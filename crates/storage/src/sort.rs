@@ -120,86 +120,129 @@ impl SortPlan {
 const DIGIT_BITS: usize = 11;
 const BUCKETS: usize = 1 << DIGIT_BITS;
 
-/// `data` stably sorted by an integer key: one LSD radix pass per 11-bit
-/// digit in which the keys differ (a digit every key shares is skipped), so
-/// the order is exactly that of a stable comparison sort on the key. S³J's
-/// locational codes differ in at most `2·level` bits (about two passes);
-/// PBSM's `(r << 64) | s` pairs only in the bits the ids use. Keys that all
-/// fit in 64 bits are sorted as `u64`, at half the memory traffic.
+/// `data` stably sorted by an integer key: the order in which the external
+/// sort's run formation writes a run (an LSD radix sort on the bits in which
+/// the keys differ), gathered into a copy.
 pub fn radix_sorted<R: Copy, K: Into<u128>>(data: &[R], key: impl Fn(&R) -> K) -> Vec<R> {
-    assert!(
-        u32::try_from(data.len()).is_ok(),
-        "radix sort of more than 2^32 records"
-    );
-    let wide = |r: &R| -> u128 { key(r).into() };
-    let Some(k0) = data.first().map(wide) else {
-        return Vec::new();
-    };
-    let (differ, high) = data
-        .iter()
-        .map(wide)
-        .fold((0, 0), |(d, h), k| (d | (k ^ k0), h | (k >> 64)));
-    let shifts: Vec<usize> = (0..128)
-        .step_by(DIGIT_BITS)
-        .filter(|&s| (differ >> s) % BUCKETS as u128 != 0)
-        .collect();
-    if high == 0 {
-        lsd(
-            data,
-            data.iter().map(|r| wide(r) as u64).zip(0..).collect(),
-            &shifts,
-        )
-    } else {
-        lsd(data, data.iter().map(wide).zip(0..).collect(), &shifts)
+    Radix::default().order(data, key).map(|i| data[i]).collect()
+}
+
+/// The in-memory sort of run formation. It computes the order of a stable
+/// sort by an integer key with one LSD radix pass per 11-bit digit in which
+/// the keys differ (a digit every key shares is skipped), so the order is
+/// exactly that of a stable comparison sort on the key.
+///
+/// The keys are first cut to the bits in which they differ. When those span
+/// at most 32 bits, as S³J's locational codes always do (`2·level` bits),
+/// each record is one `u64` word `(key << 32) | index`. Spans up to 64 bits
+/// (SSSJ's `xl` images) sort as `(u64, u32)` items, wider ones (PBSM's
+/// `(r << 64) | s` pairs) as `(u128, u32)`, and their order is copied out as
+/// index words. The word buffers are kept from one run to the next.
+#[derive(Default)]
+struct Radix {
+    words: Vec<u64>,
+    scratch: Vec<u64>,
+    /// Whether a key ordered so far needs more than 64 bits.
+    wide: bool,
+}
+
+impl Radix {
+    /// The indices of `data` in sorted order.
+    fn order<R, K: Into<u128>>(
+        &mut self,
+        data: &[R],
+        key: impl Fn(&R) -> K,
+    ) -> impl ExactSizeIterator<Item = usize> + '_ {
+        assert!(
+            u32::try_from(data.len()).is_ok(),
+            "radix sort of more than 2^32 records"
+        );
+        let wide = |r: &R| -> u128 { key(r).into() };
+        let k0 = data.first().map_or(0, wide);
+        let (differ, high) = data
+            .iter()
+            .map(wide)
+            .fold((0, 0), |(d, h), k| (d | (k ^ k0), h | (k >> 64)));
+        self.wide |= high != 0;
+        let low = if differ == 0 { 0 } else { differ.trailing_zeros() };
+        let span = 128 - differ.leading_zeros() - low;
+        let cut = |r: &R| wide(r) >> low;
+        let shifts: Vec<usize> = (0..128)
+            .step_by(DIGIT_BITS)
+            .filter(|&s| (differ >> low >> s) % BUCKETS as u128 != 0)
+            .collect();
+        self.words.clear();
+        if span <= 32 {
+            self.words.extend(data.iter().zip(0..).map(|(r, i)| (cut(r) as u64) << 32 | i));
+            lsd(&mut self.words, &mut self.scratch, &shifts);
+        } else if span <= 64 {
+            let mut items = data.iter().map(|r| cut(r) as u64).zip(0..).collect();
+            lsd(&mut items, &mut Vec::new(), &shifts);
+            self.words.extend(items.iter().map(|&(_, i): &(u64, u32)| u64::from(i)));
+        } else {
+            let mut items = data.iter().map(cut).zip(0..).collect();
+            lsd(&mut items, &mut Vec::new(), &shifts);
+            self.words.extend(items.iter().map(|&(_, i): &(u128, u32)| u64::from(i)));
+        }
+        // A word's low 32 bits are its record's index.
+        self.words.iter().map(|&w| w as u32 as usize)
     }
 }
 
-/// A radix-sort key word.
-trait Word: Copy + Default {
-    /// The 11-bit digit at bit `shift`.
+/// A radix-sort item: a record's cut key and its index.
+trait Item: Copy + Default {
+    /// The 11-bit digit of the key at bit `shift`.
     fn digit(self, shift: usize) -> usize;
 }
 
-impl Word for u64 {
+/// `(key << 32) | index`.
+impl Item for u64 {
     fn digit(self, shift: usize) -> usize {
-        (self >> shift) as usize % BUCKETS
+        (self >> (32 + shift)) as usize % BUCKETS
     }
 }
 
-impl Word for u128 {
+impl Item for (u64, u32) {
     fn digit(self, shift: usize) -> usize {
-        (self >> shift) as usize % BUCKETS
+        (self.0 >> shift) as usize % BUCKETS
+    }
+}
+
+impl Item for (u128, u32) {
+    fn digit(self, shift: usize) -> usize {
+        (self.0 >> shift) as usize % BUCKETS
     }
 }
 
 /// One stable counting-sort pass per digit in `shifts`, lowest first, over
-/// `(key, index into data)` items (every digit's histogram comes from one
-/// read of the keys); returns `data` in the final items' order.
-fn lsd<R: Copy, W: Word>(data: &[R], mut items: Vec<(W, u32)>, shifts: &[usize]) -> Vec<R> {
+/// `items` (every digit's histogram comes from one read of the keys), with
+/// `scratch` as the other buffer; `items` ends up sorted.
+fn lsd<I: Item>(items: &mut Vec<I>, scratch: &mut Vec<I>, shifts: &[usize]) {
     let mut offsets = vec![[0u32; BUCKETS]; shifts.len()];
-    for &(k, _) in &items {
+    for &item in items.iter() {
         for (counts, &shift) in offsets.iter_mut().zip(shifts) {
-            counts[k.digit(shift)] += 1;
+            counts[item.digit(shift)] += 1;
         }
     }
-    let mut scratch = vec![(W::default(), 0); items.len()];
+    scratch.clear();
+    scratch.resize(items.len(), I::default());
     for (next, &shift) in offsets.iter_mut().zip(shifts) {
         let mut at = 0;
         for slot in next.iter_mut() {
             (*slot, at) = (at, at + *slot);
         }
-        for &item in &items {
-            let slot = &mut next[item.0.digit(shift)];
+        for &item in items.iter() {
+            let slot = &mut next[item.digit(shift)];
             scratch[*slot as usize] = item;
             *slot += 1;
         }
-        std::mem::swap(&mut items, &mut scratch);
+        std::mem::swap(items, scratch);
     }
-    items.iter().map(|&(_, i)| data[i as usize]).collect()
 }
 
 /// Sorts a record file by an integer key with at most `mem_bytes` of
-/// working memory: memory-bounded run formation ([`radix_sorted`]) followed
+/// working memory: memory-bounded run formation (a radix sort whose order
+/// writes each run straight from the chunk read, [`radix_sorted`]) followed
 /// by multiway merging with a memory-bounded fan-in (classic external merge
 /// sort, [Knu 70] / [Gra 93]). The sort is stable: records with equal keys
 /// keep their input order.
@@ -232,6 +275,7 @@ where
     let mut runs: Vec<(u64, u64)> = Vec::new(); // byte ranges
     let mut offset = 0u64;
     let mut chunk: Vec<R> = Vec::with_capacity(plan.run_records.min(1 << 20));
+    let mut radix = Radix::default();
     let formed = (|| -> Result<(), IoError> {
         loop {
             chunk.clear();
@@ -240,7 +284,7 @@ where
                 return Ok(());
             }
             let mut w = RecordWriter::<R>::new(disk, runs_file, plan.out_pages);
-            w.try_push_all(&radix_sorted(&chunk, key))?;
+            w.try_push_all(radix.order(&chunk, key).map(|i| &chunk[i]))?;
             let bytes = (chunk.len() * R::SIZE) as u64;
             w.try_finish()?;
             runs.push((offset, offset + bytes));
@@ -254,7 +298,7 @@ where
         return Err(e);
     }
 
-    let out = try_merge_runs(disk, runs_file, runs, plan, key, &mut stats)?;
+    let out = try_merge_runs(disk, runs_file, runs, plan, key, radix.wide, &mut stats)?;
     Ok((out, stats))
 }
 
@@ -296,19 +340,20 @@ where
     let runs_file = disk.create();
     let mut runs: Vec<(u64, u64)> = Vec::new();
     let mut offset = 0u64;
+    let mut radix = Radix::default();
     for chunk in data.chunks(plan.run_records) {
-        let sorted = radix_sorted(chunk, key);
         let mut w = RecordWriter::<R>::new(disk, runs_file, plan.out_pages);
-        if let Err(e) = w.try_push_all(&sorted).and_then(|()| w.try_finish()) {
+        let sorted = radix.order(chunk, key).map(|i| &chunk[i]);
+        if let Err(e) = w.try_push_all(sorted).and_then(|()| w.try_finish()) {
             disk.delete(runs_file);
             return Err(e);
         }
-        let bytes = (sorted.len() * R::SIZE) as u64;
+        let bytes = (chunk.len() * R::SIZE) as u64;
         runs.push((offset, offset + bytes));
         offset += bytes;
         stats.runs += 1;
     }
-    let out = try_merge_runs(disk, runs_file, runs, plan, key, &mut stats)?;
+    let out = try_merge_runs(disk, runs_file, runs, plan, key, radix.wide, &mut stats)?;
     Ok((out, stats))
 }
 
@@ -329,13 +374,16 @@ where
 }
 
 /// Repeated multiway merging until one run remains; returns the final file.
-/// On error both the current and the half-written next file are deleted.
+/// The merge heap keys on `u64` unless some key is `wide` (needs more than
+/// 64 bits). On error both the current and the half-written next file are
+/// deleted.
 fn try_merge_runs<R, K, F>(
     disk: &SimDisk,
     runs_file: FileId,
     runs: Vec<(u64, u64)>,
     plan: SortPlan,
     key: F,
+    wide: bool,
     stats: &mut SortStats,
 ) -> Result<FileId, IoError>
 where
@@ -352,7 +400,13 @@ where
         let mut out_offset = 0u64;
         for group in current_runs.chunks(plan.fan_in) {
             let bytes: u64 = group.iter().map(|(s, e)| e - s).sum();
-            if let Err(e) = try_merge_group(disk, current_file, group, next_file, key, plan) {
+            let (src, dst) = (current_file, next_file);
+            let merged = if wide {
+                try_merge_group(disk, src, group, dst, |r: &R| key(r).into(), plan)
+            } else {
+                try_merge_group(disk, src, group, dst, |r: &R| key(r).into() as u64, plan)
+            };
+            if let Err(e) = merged {
                 disk.delete(current_file);
                 disk.delete(next_file);
                 return Err(e);
@@ -371,29 +425,24 @@ where
 /// The heap orders `(key, run)`: each run holds one pending record at a
 /// time and yields its records in order, so ties leave in run order — the
 /// merge is stable.
-fn try_merge_group<R, K, F>(
+fn try_merge_group<R: FixedRecord, H: Ord + Copy>(
     disk: &SimDisk,
     src: FileId,
     runs: &[(u64, u64)],
     dst: FileId,
-    key: F,
+    key: impl Fn(&R) -> H,
     plan: SortPlan,
-) -> Result<(), IoError>
-where
-    R: FixedRecord,
-    K: Into<u128>,
-    F: Fn(&R) -> K + Copy,
-{
+) -> Result<(), IoError> {
     let mut readers: Vec<RecordReader<R>> = runs
         .iter()
         .map(|&(s, e)| RecordReader::with_range(disk, src, s, e, plan.run_pages))
         .collect();
     let mut pending: Vec<Option<R>> = Vec::with_capacity(readers.len());
-    let mut heap: BinaryHeap<Reverse<(u128, usize)>> = BinaryHeap::with_capacity(readers.len());
+    let mut heap: BinaryHeap<Reverse<(H, usize)>> = BinaryHeap::with_capacity(readers.len());
     for (run, r) in readers.iter_mut().enumerate() {
         let first = r.try_next()?;
         if let Some(ref rec) = first {
-            heap.push(Reverse((key(rec).into(), run)));
+            heap.push(Reverse((key(rec), run)));
         }
         pending.push(first);
     }
@@ -408,7 +457,7 @@ where
         w.try_push(&rec)?;
         match readers[run].try_next()? {
             Some(next) => {
-                *top = Reverse((key(&next).into(), run));
+                *top = Reverse((key(&next), run));
                 pending[run] = Some(next);
             }
             None => {
@@ -661,8 +710,191 @@ mod proptests {
         })
     }
 
+    /// The radix sort run formation used before it sorted packed words:
+    /// `(key, index)` items of the whole key's width, digits at absolute
+    /// 11-bit offsets, gathered into a sorted copy.
+    fn reference_radix_sorted<R: Copy, K: Into<u128>>(data: &[R], key: impl Fn(&R) -> K) -> Vec<R> {
+        let wide = |r: &R| -> u128 { key(r).into() };
+        let Some(k0) = data.first().map(wide) else {
+            return Vec::new();
+        };
+        let (differ, high) = data
+            .iter()
+            .map(wide)
+            .fold((0, 0), |(d, h), k| (d | (k ^ k0), h | (k >> 64)));
+        let shifts: Vec<usize> = (0..128)
+            .step_by(DIGIT_BITS)
+            .filter(|&s| (differ >> s) % BUCKETS as u128 != 0)
+            .collect();
+        if high == 0 {
+            reference_lsd(data, data.iter().map(|r| wide(r) as u64).zip(0..).collect(), &shifts)
+        } else {
+            reference_lsd(data, data.iter().map(wide).zip(0..).collect(), &shifts)
+        }
+    }
+
+    fn reference_lsd<R: Copy, W>(data: &[R], mut items: Vec<(W, u32)>, shifts: &[usize]) -> Vec<R>
+    where
+        (W, u32): Item,
+    {
+        let mut offsets = vec![[0u32; BUCKETS]; shifts.len()];
+        for &item in &items {
+            for (counts, &shift) in offsets.iter_mut().zip(shifts) {
+                counts[item.digit(shift)] += 1;
+            }
+        }
+        let mut scratch = items.clone();
+        for (next, &shift) in offsets.iter_mut().zip(shifts) {
+            let mut at = 0;
+            for slot in next.iter_mut() {
+                (*slot, at) = (at, at + *slot);
+            }
+            for &item in &items {
+                let slot = &mut next[item.digit(shift)];
+                scratch[*slot as usize] = item;
+                *slot += 1;
+            }
+            std::mem::swap(&mut items, &mut scratch);
+        }
+        items.iter().map(|&(_, i)| data[i as usize]).collect()
+    }
+
+    /// Both external sorts as they ran before: runs formed by
+    /// [`reference_radix_sorted`] and written with `try_push_all` of the copy,
+    /// merged on `u128` heap keys. `input` is the file to read (the
+    /// [`try_external_sort_by`] form), `None` for the slice form over `data`.
+    fn reference_sort<R, K, F>(
+        disk: &SimDisk,
+        input: Option<FileId>,
+        data: &[R],
+        mem: usize,
+        key: F,
+    ) -> (FileId, SortStats)
+    where
+        R: FixedRecord,
+        K: Into<u128>,
+        F: Fn(&R) -> K + Copy,
+    {
+        let plan = SortPlan::new(mem, disk.model().page_size, R::SIZE);
+        let mut stats = SortStats::default();
+        let mut reader = input.map(|f| RecordReader::<R>::new(disk, f, plan.in_pages));
+        let runs_file = input.map_or_else(|| disk.create(), |f| disk.create_like(f));
+        let mut slices = data.chunks(plan.run_records);
+        let (mut runs, mut offset) = (Vec::new(), 0u64);
+        loop {
+            let chunk = match &mut reader {
+                Some(reader) => {
+                    let mut chunk = Vec::new();
+                    reader.try_read_into(&mut chunk, plan.run_records).unwrap();
+                    chunk
+                }
+                None => slices.next().map_or_else(Vec::new, <[R]>::to_vec),
+            };
+            if chunk.is_empty() {
+                break;
+            }
+            let mut w = RecordWriter::<R>::new(disk, runs_file, plan.out_pages);
+            w.try_push_all(&reference_radix_sorted(&chunk, key)).unwrap();
+            w.try_finish().unwrap();
+            let bytes = (chunk.len() * R::SIZE) as u64;
+            runs.push((offset, offset + bytes));
+            offset += bytes;
+            stats.runs += 1;
+        }
+        drop(reader);
+        let out = try_merge_runs(disk, runs_file, runs, plan, key, true, &mut stats).unwrap();
+        (out, stats)
+    }
+
+    /// A record keyed by a full `u128`, with a tag the key does not see.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Wide {
+        key: u128,
+        tag: u64,
+    }
+
+    impl FixedRecord for Wide {
+        const SIZE: usize = 24;
+
+        fn encode(&self, buf: &mut [u8]) {
+            buf[..16].copy_from_slice(&self.key.to_le_bytes());
+            buf[16..].copy_from_slice(&self.tag.to_le_bytes());
+        }
+
+        fn decode(buf: &[u8]) -> Self {
+            Wide {
+                key: u128::from_le_bytes(buf[..16].try_into().unwrap()),
+                tag: u64::from_le_bytes(buf[16..].try_into().unwrap()),
+            }
+        }
+    }
+
+    /// Bits in which the keys of [`prop_runs_match_the_reference`] differ.
+    const SPANS: [u32; 7] = [0, 1, 31, 32, 33, 64, 65];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Both sorts give a stable `sort_by_key`'s output, and the same
+        /// runs, merge passes, bytes and `IoStats` as [`reference_sort`]:
+        /// keys drawn from six values whose differing bits span exactly 0,
+        /// 1, 31, 32, 33, 64 or 65 bits, starting at bit 0 to 64, under a
+        /// common prefix that is zero or reaches past bit 64.
+        #[test]
+        fn prop_runs_match_the_reference(
+            span in 0usize..7,
+            low in 0u32..65,
+            prefix in any::<u64>(),
+            picks in prop::collection::vec(0usize..6, 0..500),
+            mem in 256usize..2049,
+            page in 64usize..257,
+        ) {
+            let span = SPANS[span];
+            let low = low.min(128 - span);
+            let mask = if span == 0 { 0 } else { u128::MAX >> (128 - span) };
+            // Odd prefixes set bits above both the span and bit 64, so the
+            // merge keys on `u128`.
+            let top = low + span;
+            let base = match prefix % 2 {
+                1 if top < 128 => u128::from(prefix) << top.max(64),
+                _ => 0,
+            };
+            // The span's two ends, then four more values.
+            let ends = 1 | 1 << span.saturating_sub(1);
+            let (p, q) = (u128::from(prefix), u128::from(prefix.rotate_left(17)));
+            let values: Vec<u128> = [0, ends, p, q, 3, p << 20]
+                .iter()
+                .map(|&v| base | (v & mask) << low)
+                .collect();
+            let records: Vec<Wide> = picks
+                .iter()
+                .chain(&[0, 1])
+                .zip(0..)
+                .map(|(&v, tag)| Wide { key: values[v], tag })
+                .collect();
+            let differ = records.iter().fold(0, |d, w| d | (w.key ^ values[0]));
+            prop_assert_eq!(128 - differ.leading_zeros() - differ.trailing_zeros() % 128, span);
+            let key = |w: &Wide| w.key;
+            let disk = disk(page);
+            let f = write_all(&disk, &records, 2);
+            let mut want = records.clone();
+            want.sort_by_key(key);
+            for input in [Some(f), None] {
+                let before = disk.stats();
+                let (got, stats) = match input {
+                    Some(f) => external_sort_by(&disk, f, mem, key),
+                    None => external_sort_slice(&disk, &records, mem, key),
+                };
+                let io = disk.stats().delta(&before);
+                let before = disk.stats();
+                let (reference, reference_stats) = reference_sort(&disk, input, &records, mem, key);
+                prop_assert_eq!(disk.stats().delta(&before), io);
+                prop_assert_eq!(stats, reference_stats);
+                let got = read_all::<Wide>(&disk, got, 2);
+                prop_assert_eq!(&got, &read_all::<Wide>(&disk, reference, 2));
+                prop_assert_eq!(&got, &want);
+            }
+        }
 
         /// External sort equals std sort for arbitrary inputs, memory
         /// budgets and page sizes.

@@ -64,6 +64,9 @@ work! {
     swept: 45.0,
     /// Rectangle tests of a pairwise loop (nested loops, the quadtree's lists,
     /// SHJ's seeds and extents): 1.3 ns (`sweep.nested_ns_per_test` 1.27).
+    /// Inside S³J's scan on `hisel` the branch-free kernel reads ≈ 3.5 ns a
+    /// test (≈ 6.4 with a branch per comparison): traced `s3j.join_ms` less
+    /// its priced partitions and candidates, over its 24.9 M tests.
     tests: 1.3,
     /// Rectangle tests of the block-wise forward-scan kernel: 0.85 ns, kept as
     /// the snapshot pins it. With the any-hit block `sweep.list_ns_per_test`
