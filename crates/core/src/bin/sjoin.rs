@@ -255,8 +255,8 @@ const HELP: &str = "sjoin - index-free spatial joins (Dittrich & Seeger, ICDE 20
   --p F           grow MBR edges by factor p            (default 1)
   --seed N        dataset seed                          (default 42)
   --threads N     PBSM's worker threads for the join phase, 0..=64, 0 = all
-                  cores (default 1); S3J and the other algorithms run on one
-                  thread
+                  cores (default 1); S3J builds and sorts R and S as two
+                  lanes at 2 or more; the other algorithms run on one thread
   --channels D    independent simulated I/O channels, 1..=64 (default 1);
                   partition and level files overlap across channels, shared
                   files (manifest, journal, results) stay serial — results
@@ -845,7 +845,7 @@ mod tests {
         let disk = SimDisk::with_default_model();
         let f = disk.create_on(3);
         disk.append(f, &[7u8; 100]);
-        let spare = disk.create_spare_like(f);
+        let spare = disk.create_spare_on(3);
         disk.append(spare, &[8u8; 10]);
         std::fs::write(base.join("41").join("state.bin"), disk.export_files()).expect("write");
         // 42: a truncated snapshot. The awkward one: no state.bin at all.

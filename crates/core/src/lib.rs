@@ -293,15 +293,19 @@ impl Algorithm {
             .with_buffer_pages(choice.buffer_pages)
     }
 
-    /// Sets the partition-join worker-thread knob (`0` = all cores, `1` =
-    /// sequential) on PBSM, the one algorithm with parallel partition
-    /// execution; a no-op elsewhere. S³J's synchronized scan stays on one
-    /// thread: its cells hold a couple of records each, too little work to
-    /// hand to another thread. Results and deterministic counters are
-    /// identical for every value.
+    /// Sets the worker-thread knob (`0` = all cores, `1` = sequential) of
+    /// the two algorithms that use more than one: PBSM joins partition
+    /// pairs on that many workers; S³J builds, then sorts, R's and S's
+    /// level files as two lanes at once when it is two or more. S³J's
+    /// synchronized scan stays on one thread: its cells hold a couple of
+    /// records each, too little work to hand to another thread. A no-op
+    /// elsewhere. Results and deterministic counters are identical for
+    /// every value.
     pub fn with_threads(mut self, threads: usize) -> Algorithm {
-        if let Algorithm::Pbsm(c) = &mut self {
-            c.threads = threads;
+        match &mut self {
+            Algorithm::Pbsm(c) => c.threads = threads,
+            Algorithm::S3j(c) => c.threads = threads,
+            Algorithm::Sssj(_) | Algorithm::Shj(_) | Algorithm::Quadtree(_) => {}
         }
         self
     }
@@ -351,19 +355,23 @@ impl Algorithm {
         self
     }
 
-    /// The configured worker-thread knob (`None` for algorithms without
-    /// partition-level parallelism).
+    /// The configured worker-thread knob (`None` for the algorithms that
+    /// run on one thread).
     pub fn threads(&self) -> Option<usize> {
         match self {
             Algorithm::Pbsm(c) => Some(c.threads),
+            Algorithm::S3j(c) => Some(c.threads),
             _ => None,
         }
     }
 
     /// The worker threads a run uses: PBSM's knob resolved (`0` = every
-    /// core), one for every other algorithm.
+    /// core), S³J's lanes (at most two), one for every other algorithm.
     pub fn threads_used(&self) -> usize {
-        self.threads().map_or(1, parallel::resolve_threads)
+        match self {
+            Algorithm::S3j(c) => c.lanes(),
+            _ => self.threads().map_or(1, parallel::resolve_threads),
+        }
     }
 
     /// Human-readable name for reports.

@@ -68,7 +68,8 @@ spec! {
         let page = DiskModel::default().page_size;
         v.number(page as f64 / MIB..=16_384.0, &format!("MiB from one {page}-byte page to 16384"))
     };
-    /// PBSM's join-phase worker threads, 0..=64; `0` = every core.
+    /// PBSM's join-phase worker threads (S³J's build and sort lanes, at
+    /// most two), 0..=64; `0` = every core.
     threads: usize = 1 => {
         v.integer(0..=64, "an integer in 0..=64 (0 = every core)").map(|n| n as usize)
     };
@@ -454,7 +455,7 @@ mod tests {
         let (join, plan) = spec.build(&r, &r, PlanSpace::All, None);
         assert!(plan.is_none());
         assert_eq!(join.algorithm().name(), "S3J (replicated)");
-        assert_eq!(join.algorithm().threads_used(), 1, "S3J runs on one thread");
+        assert_eq!(join.algorithm().threads_used(), 2, "S3J runs at most two lanes");
         let planned = JoinSpec { plan: PlanMode::Auto, ..spec };
         let (join, plan) = planned.build(&r, &r, PlanSpace::Streamable, None);
         let chosen = plan.expect("a plan").chosen().choice;

@@ -62,13 +62,14 @@ fn a_durable_run_wants_a_checkpointable_algorithm() {
 }
 
 /// The metrics report records the threads the join ran on: every core for
-/// `--threads 0`, one for S3J whatever `--threads` says.
+/// `--threads 0`, two for S3J at any `--threads` above one (one lane per
+/// relation).
 #[test]
 fn the_metrics_report_records_the_threads_the_join_ran_on() {
     let cores = std::thread::available_parallelism().expect("core count").get() as f64;
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sjoin-threads");
     std::fs::create_dir_all(&tmp).expect("temp dir");
-    for (flags, threads) in [(["pbsm", "0"], cores), (["s3j", "4"], 1.0), (["pbsm", "2"], 2.0)] {
+    for (flags, threads) in [(["pbsm", "0"], cores), (["s3j", "4"], 2.0), (["pbsm", "2"], 2.0)] {
         let path = tmp.join(format!("{}-{}.json", flags[0], flags[1]));
         let args = ["--scale", "0.02", "--algo", flags[0], "--threads", flags[1], "--metrics-json"];
         let out = Command::new(env!("CARGO_BIN_EXE_sjoin")).args(args).arg(&path).output().expect("spawn sjoin");

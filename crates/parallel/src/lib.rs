@@ -22,8 +22,10 @@
 //! is one pool body, [`run_ordered_fallible`]; [`run_ordered`] is its
 //! plain-task shim.
 //!
-//! S³J's synchronized scan does not use the pool: one of its cells holds a
-//! couple of records, less work than handing the cell to a worker costs.
+//! S³J runs its build and sort phases on the pool as two tasks, one per
+//! relation. Its synchronized scan does not use the pool: one of its cells
+//! holds a couple of records, less work than handing the cell to a worker
+//! costs.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;

@@ -782,7 +782,7 @@ pub fn try_pbsm_join_ctl(
             .try_finish()
             .map_err(|e| JoinError::new("dedup", e))?;
         let (sorted, sort_stats) =
-            try_external_sort_by(&ddisk, cand_file, cfg.mem_bytes, IdPair::sort_key)
+            try_external_sort_by(&ddisk, cand_file, cfg.mem_bytes, IdPair::sort_key, false)
                 .map_err(|e| JoinError::new("dedup", e))?;
         ddisk.delete(cand_file);
         // All of the phase's work is the sort, ahead of the first pair.

@@ -8,7 +8,9 @@
 //! 1. **Partitioning** — each rectangle is assigned a *level* and a
 //!    *locational code* and appended to that level's file.
 //! 2. **Sorting** — every level file is sorted by locational code
-//!    (externally if necessary).
+//!    (externally if necessary). Only the scan needs both relations at
+//!    once: with [`S3jConfig::threads`] ≥ 2 each relation is partitioned,
+//!    then sorted, in a lane of its own.
 //! 3. **Join** — a synchronized scan of all level files simulates a pre-order
 //!    traversal of the two implicit quadtrees; a partition (one cell's
 //!    rectangles) is joined with the other relation's partitions on the

@@ -6,7 +6,8 @@ use geom::{reference_point, Kpe, RecordId};
 use sfc::{Cell, Curve, MAX_LEVEL};
 use storage::{
     try_external_sort_by, ClockPos, Counts, DiskModel, FileId, FixedRecord, IoError, IoStats,
-    JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk, UnitRun, Work,
+    JoinError, RecordReader, RecordWriter, RunClock, RunControl, RunPhase, SimDisk, SortStats,
+    UnitRun, Work,
 };
 use sweep::{InternalAlgo, InternalJoin, JoinCounters, NestedLoops};
 
@@ -26,7 +27,7 @@ pub enum ScanMode {
 }
 
 /// S³J tuning knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct S3jConfig {
     /// Memory budget in bytes (drives external sorting; partitions are
     /// assumed to fit, as in [KS 97]).
@@ -53,6 +54,39 @@ pub struct S3jConfig {
     pub level_buffer_pages: usize,
     /// Read-buffer pages per cursor during the join scan.
     pub io_buffer_pages: usize,
+    /// Worker threads for the build and sort phases (`0` = every core).
+    /// With two or more, R's and S's level files are built, then sorted,
+    /// as two lanes at once, each sort under the whole budget
+    /// `mem_bytes`; a third thread has nothing to do. The scan runs on the
+    /// calling thread. Results, counters and the simulated clock are the
+    /// same at every value.
+    pub threads: usize,
+}
+
+impl S3jConfig {
+    /// The lanes a run uses: one per relation when `threads` allows.
+    pub fn lanes(&self) -> usize {
+        parallel::resolve_threads(self.threads).min(2)
+    }
+}
+
+/// Every knob but `threads`, which never changes a result: the run
+/// fingerprint hashes this form, and a run may resume at another thread
+/// count.
+impl std::fmt::Debug for S3jConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("S3jConfig")
+            .field("mem_bytes", &self.mem_bytes)
+            .field("max_level", &self.max_level)
+            .field("replicate", &self.replicate)
+            .field("level_shift", &self.level_shift)
+            .field("curve", &self.curve)
+            .field("internal", &self.internal)
+            .field("scan", &self.scan)
+            .field("level_buffer_pages", &self.level_buffer_pages)
+            .field("io_buffer_pages", &self.io_buffer_pages)
+            .finish()
+    }
 }
 
 impl Default for S3jConfig {
@@ -67,6 +101,7 @@ impl Default for S3jConfig {
             scan: ScanMode::HeapMerge,
             level_buffer_pages: 1,
             io_buffer_pages: 2,
+            threads: 1,
         }
     }
 }
@@ -497,10 +532,11 @@ fn unpack_levels(files: &[FileId]) -> Vec<Option<FileId>> {
 /// the level's records are recomputed from the source relation (free, paper
 /// §2), sorted in memory, and written through a **spare** file on the same
 /// channel — the analogue of remapping damaged sectors — which the fault
-/// model never damages. The spare is created before `damaged` is reclaimed
-/// so it inherits the channel; page charges for the rewrite are real, only
-/// the doomed re-sort is skipped. On a write failure the spare is deleted
-/// and the error surfaces.
+/// model never damages. Level `l` rides channel tag `l`, as the build placed
+/// it, so the spare finds its channel even when the sort already freed
+/// `damaged`; page charges for the rewrite are real, only the doomed
+/// re-sort is skipped. On a write failure the spare is deleted and the
+/// error surfaces.
 fn rebuild_sorted_to_spare(
     disk: &SimDisk,
     damaged: FileId,
@@ -510,7 +546,7 @@ fn rebuild_sorted_to_spare(
     buffer_pages: usize,
 ) -> Result<FileId, IoError> {
     let recs = src.rebuild(level);
-    let spare = disk.create_spare_like(damaged);
+    let spare = disk.create_spare_on(u64::from(level));
     if reclaim {
         disk.delete(damaged);
     }
@@ -520,6 +556,80 @@ fn rebuild_sorted_to_spare(
         disk.delete(spare);
     }
     res
+}
+
+/// Runs `lane` for R (`0`) and S (`1`) and hands each outcome to `settle`
+/// on the calling thread, R's first. At two lanes both run at once on the
+/// ordered pool; at one they run here, one after the other, without a
+/// worker thread, whose allocator arena would hold a second copy of the
+/// phase's heap.
+fn two_lanes<T: Send>(cfg: &S3jConfig, lane: impl Fn(usize) -> T + Sync, mut settle: impl FnMut(usize, T)) {
+    if cfg.lanes() < 2 {
+        (0..2).for_each(|rel| settle(rel, lane(rel)));
+    } else {
+        parallel::run_ordered(2, 2, |_| (), |(), rel| lane(rel), settle);
+    }
+}
+
+/// One level file through the sort phase: its record count (the priced
+/// clock's `sorted`), the I/O of its sort, and the outcome — the sorted
+/// file with its run counts, or a spare rebuilt after persistent damage
+/// (`None`).
+struct LevelSort {
+    records: u64,
+    io: Vec<IoStats>,
+    outcome: Result<(FileId, Option<SortStats>), IoError>,
+}
+
+/// One relation's sort lane: its level files in level order, each sorted
+/// under the whole budget on a fresh meter of `disk`. A level that fails
+/// ends the lane, as it ends a sequential sort phase.
+fn sort_lane(
+    disk: &SimDisk,
+    files: &[Option<FileId>],
+    src: LevelSource<'_>,
+    cfg: &S3jConfig,
+    checkpointing: bool,
+) -> Vec<Option<LevelSort>> {
+    let mut failed = false;
+    files
+        .iter()
+        .enumerate()
+        .map(|(level, f)| {
+            let f = f.filter(|_| !failed)?;
+            let meter = disk.fork_counters();
+            let records = meter.try_len(f).unwrap_or(0) / LevelRecord::SIZE as u64;
+            // Without a checkpoint nothing reads the unsorted file again:
+            // the sort frees it once its runs are formed.
+            let sorted = try_external_sort_by::<LevelRecord, _, _>(
+                &meter,
+                f,
+                cfg.mem_bytes,
+                |r| r.code,
+                !checkpointing,
+            );
+            let outcome = match sorted {
+                Ok((sorted, st)) => Ok((sorted, Some(st))),
+                // Persistent damage (or ENOSPC in the sort's scratch): the
+                // external sort can never finish this file. Quarantine it
+                // and rewrite the level, recomputed from source and sorted
+                // in memory, through a spare file on the same channel — the
+                // remapped-sector analogue — exempt from further damage.
+                // Reclaiming the doomed unsorted file also frees its
+                // budget, so the direct rewrite can fit where sort scratch
+                // could not (a durable run keeps it: its manifest is what a
+                // resume re-sorts from).
+                Err(e) if e.kind.is_persistent() => {
+                    let pages = cfg.level_buffer_pages;
+                    rebuild_sorted_to_spare(&meter, f, !checkpointing, level as u8, src, pages)
+                        .map(|spare| (spare, None))
+                }
+                Err(e) => Err(e),
+            };
+            failed = outcome.is_err();
+            Some(LevelSort { records, io: meter.channel_stats(), outcome })
+        })
+        .collect()
 }
 
 /// Runs S³J on `r ⋈ s`, invoking `out` for every result pair.
@@ -533,7 +643,12 @@ fn rebuild_sorted_to_spare(
 /// surfaces as a typed [`JoinError`] naming the phase (`"build"`, `"sort"`,
 /// `"scan"`), after all intermediate files have been deleted.
 ///
-/// The scan runs on the calling thread at every thread count: an S³J cell
+/// With `cfg.threads ≥ 2` R's and S's level files are built, and then
+/// sorted, as two lanes at once on the ordered pool; their I/O, counted
+/// work and run-control charges are settled on the calling thread in the
+/// sequential order, so results, counters, simulated times and the stop
+/// outcome of a deadline or a cancellation are those of one thread. The
+/// scan runs on the calling thread at every thread count: an S³J cell
 /// holds a couple of records, far too little work to pay for handing a
 /// partition pair to another thread.
 ///
@@ -605,35 +720,55 @@ pub fn try_s3j_join_ctl(
         if let Some(e) = charge(&Work::default()) {
             return Err(e);
         }
-        let build = |data: &[Kpe]| {
-            let (shift, pages) = (cfg.level_shift, cfg.level_buffer_pages);
-            LevelFiles::try_build(disk, data, cfg.max_level, cfg.curve, cfg.replicate, shift, pages)
-                .map_err(|e| JoinError::new("build", e))
-        };
-        // Each record is assigned its level(s); each copy is coded, written.
-        let work = |data: &[Kpe], lf: &LevelFiles| Work {
-            assigned: data.len() as u64,
-            copies: lf.copies,
-            codes: lf.code_computations,
-            ..Work::default()
-        };
-        let lf_r = build(r)?;
-        stats.work_partition = work(r, &lf_r);
-        if let Some(e) = charge(&stats.work_partition) {
-            lf_r.delete(disk);
+        // R's and S's level files are built as two lanes, each on its own
+        // meter. Each outcome is settled on this thread in relation order:
+        // its I/O joins the disk's meter, then the clock is charged, so
+        // every charge sees what a sequential build had done by then.
+        let mut built: Vec<LevelFiles> = Vec::with_capacity(2);
+        let mut err: Option<JoinError> = None;
+        two_lanes(
+            cfg,
+            |rel| {
+                let meter = disk.fork_counters();
+                let (shift, pages) = (cfg.level_shift, cfg.level_buffer_pages);
+                let data = [r, s][rel];
+                let lf = LevelFiles::try_build(&meter, data, cfg.max_level, cfg.curve, cfg.replicate, shift, pages);
+                (lf, meter.channel_stats())
+            },
+            |rel, (lf, io)| match lf {
+                Ok(lf) if err.is_some() => lf.delete(disk),
+                Ok(lf) => {
+                    disk.add_channel_stats(&io);
+                    // Each record is assigned its level(s); each copy is
+                    // coded, written.
+                    stats.work_partition += Work {
+                        assigned: [r, s][rel].len() as u64,
+                        copies: lf.copies,
+                        codes: lf.code_computations,
+                        ..Work::default()
+                    };
+                    err = charge(&stats.work_partition);
+                    built.push(lf);
+                }
+                Err(e) if err.is_none() => {
+                    disk.add_channel_stats(&io);
+                    err = Some(JoinError::new("build", e));
+                }
+                Err(_) => {}
+            },
+        );
+        if let Some(e) = err {
+            built.iter().for_each(|lf| lf.delete(disk));
             return Err(e);
         }
-        let lf_s = build(s).inspect_err(|_| lf_r.delete(disk))?;
-        stats.work_partition += work(s, &lf_s);
-        if let Some(e) = charge(&stats.work_partition) {
-            lf_r.delete(disk);
-            lf_s.delete(disk);
-            return Err(e);
-        }
+        let [lf_r, lf_s]: [LevelFiles; 2] = match built.try_into() {
+            Ok(both) => both,
+            Err(_) => unreachable!("a build without an error settles both lanes"),
+        };
         stats.copies_r = lf_r.copies;
         stats.copies_s = lf_s.copies;
-        stats.histogram_r = lf_r.histogram.clone();
-        stats.histogram_s = lf_s.histogram.clone();
+        stats.histogram_r = lf_r.histogram;
+        stats.histogram_s = lf_s.histogram;
         stats.code_computations = lf_r.code_computations + lf_s.code_computations;
         (lf_r.files, lf_s.files)
     };
@@ -661,103 +796,62 @@ pub fn try_s3j_join_ctl(
     let (sorted_r, sorted_s) = if resume_join {
         manifest_levels.unwrap_or_default()
     } else {
-        // A sort failure (or interruption) is latched; later level files
-        // are skipped and every already-sorted file is cleaned up before
-        // the error surfaces. Without a checkpoint each unsorted file is
-        // deleted as soon as it is consumed; a durable run keeps them until
-        // the `Join` manifest — which references the sorted files instead —
-        // is published, so an interrupted sort phase stays resumable.
+        // Each relation's level files are sorted in one lane, every level
+        // on its own meter. Settling replays the sequential run on this
+        // thread, level by level in relation order: charge the clock, count
+        // the level's records, fold its I/O, take its outcome. A sort
+        // failure (or interruption) is latched: later levels are dropped,
+        // and every sorted file is cleaned up before the error surfaces.
+        // Without a checkpoint each unsorted file is freed by its sort; a
+        // durable run keeps them until the `Join` manifest — which
+        // references the sorted files instead — is published, so an
+        // interrupted sort phase stays resumable.
         let elapsed = || disk.io_seconds() + model.priced_cpu(&clock.get());
         let mut sort_err: Option<JoinError> = None;
-        let sort_levels = |lf: &[Option<FileId>],
-                           src: LevelSource<'_>,
-                           stats: &mut S3jStats,
-                           err: &mut Option<JoinError>|
-         -> Vec<Option<FileId>> {
-            lf.iter()
-                .enumerate()
-                .map(|(level, f)| {
-                    f.and_then(|f| {
-                        if err.is_none() {
-                            *err = ctl.charge("sort", elapsed);
+        let mut sorted: [Vec<Option<FileId>>; 2] = [Vec::new(), Vec::new()];
+        let unsorted = [&unsorted_r, &unsorted_s];
+        two_lanes(
+            cfg,
+            |rel| {
+                let src = LevelSource::for_rel(cfg, r, s, rel);
+                sort_lane(disk, unsorted[rel], src, cfg, checkpointing)
+            },
+            |rel, levels| {
+                sorted[rel] = levels
+                    .into_iter()
+                    .map(|lv| {
+                        let lv = lv?;
+                        if sort_err.is_none() {
+                            sort_err = ctl.charge("sort", elapsed);
                         }
-                        if err.is_some() {
-                            if !checkpointing {
+                        if sort_err.is_some() {
+                            if let Ok((f, _)) = lv.outcome {
                                 disk.delete(f);
                             }
                             return None;
                         }
-                        let sorted = disk.try_len(f).unwrap_or(0) / LevelRecord::SIZE as u64;
-                        clock.set(clock.get() + Work { sorted, ..Work::default() });
-                        match try_external_sort_by::<LevelRecord, _, _>(
-                            disk,
-                            f,
-                            cfg.mem_bytes,
-                            |r| r.code,
-                        ) {
-                            Ok((sorted, st)) => {
-                                if !checkpointing {
-                                    disk.delete(f);
-                                }
+                        clock.set(clock.get() + Work { sorted: lv.records, ..Work::default() });
+                        disk.add_channel_stats(&lv.io);
+                        match lv.outcome {
+                            Ok((f, Some(st))) => {
                                 stats.sort_runs += st.runs;
                                 stats.sort_passes_max = stats.sort_passes_max.max(st.merge_passes);
-                                Some(sorted)
+                                Some(f)
                             }
-                            Err(e) if e.kind.is_persistent() => {
-                                // Persistent damage (or ENOSPC in the sort's
-                                // scratch): the external sort can never
-                                // finish this file. Quarantine it and
-                                // rewrite the level, recomputed from source
-                                // and sorted in memory, through a spare file
-                                // on the same channel — the remapped-sector
-                                // analogue — exempt from further damage.
-                                // Reclaiming the doomed unsorted file also
-                                // frees its budget, so the direct rewrite
-                                // can fit where sort scratch could not (a
-                                // durable run keeps it: its manifest is
-                                // what a resume re-sorts from).
-                                match rebuild_sorted_to_spare(
-                                    disk,
-                                    f,
-                                    !checkpointing,
-                                    level as u8,
-                                    src,
-                                    cfg.level_buffer_pages,
-                                ) {
-                                    Ok(spare) => {
-                                        stats.quarantined_levels += 1;
-                                        Some(spare)
-                                    }
-                                    Err(e2) => {
-                                        *err = Some(JoinError::new("sort", e2));
-                                        None
-                                    }
-                                }
+                            Ok((spare, None)) => {
+                                stats.quarantined_levels += 1;
+                                Some(spare)
                             }
                             Err(e) => {
-                                if !checkpointing {
-                                    disk.delete(f);
-                                }
-                                *err = Some(JoinError::new("sort", e));
+                                sort_err = Some(JoinError::new("sort", e));
                                 None
                             }
                         }
                     })
-                })
-                .collect()
-        };
-        let sorted_r = sort_levels(
-            &unsorted_r,
-            LevelSource::for_rel(cfg, r, s, 0),
-            &mut stats,
-            &mut sort_err,
+                    .collect();
+            },
         );
-        let sorted_s = sort_levels(
-            &unsorted_s,
-            LevelSource::for_rel(cfg, r, s, 1),
-            &mut stats,
-            &mut sort_err,
-        );
+        let [sorted_r, sorted_s] = sorted;
         stats.io_sort = disk.stats().delta(&io1);
         stats.cpu_sort = t1.elapsed().as_secs_f64();
         stats.work_sort = clock.get() - stats.work_partition;
@@ -767,6 +861,11 @@ pub fn try_s3j_join_ctl(
             // references them; resume redoes the sort).
             for f in sorted_r.iter().chain(sorted_s.iter()).flatten() {
                 disk.delete(*f);
+            }
+            if !checkpointing {
+                for f in unsorted_r.iter().chain(unsorted_s.iter()).flatten() {
+                    disk.delete(*f);
+                }
             }
             return Err(e);
         }
@@ -1289,7 +1388,7 @@ mod tests {
             let sound = SimDisk::with_default_model();
             let sorted = |data: &[Kpe]| -> Vec<Option<FileId>> {
                 let lf = LevelFiles::try_build(&sound, data, 9, cfg.curve, replicate, cfg.level_shift, 1).unwrap();
-                let sort = |f| try_external_sort_by(&sound, f, cfg.mem_bytes, |x: &LevelRecord| x.code);
+                let sort = |f| try_external_sort_by(&sound, f, cfg.mem_bytes, |x: &LevelRecord| x.code, false);
                 lf.files.iter().map(|f| f.map(|f| sort(f).unwrap().0)).collect()
             };
             let files = (sorted(&r), sorted(&s));
@@ -1331,7 +1430,7 @@ mod tests {
                 // A small budget: several runs and a merge, as in a real scan.
                 let unsorted = lf.files[level as usize].unwrap();
                 let (sorted, _) =
-                    try_external_sort_by(&disk, unsorted, 48 * 1024, |rec: &LevelRecord| rec.code)
+                    try_external_sort_by(&disk, unsorted, 48 * 1024, |rec: &LevelRecord| rec.code, false)
                         .unwrap();
                 let on_disk: Vec<LevelRecord> = read_all(&disk, sorted, 1);
                 let rebuilt =

@@ -1,6 +1,5 @@
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::checksum::checksum64;
 use crate::fault::{FaultPlan, IoError, IoErrorKind, IoOp, PERMANENT};
@@ -458,13 +457,37 @@ impl FaultState {
     }
 }
 
+/// The file table: a slot per file ever created, `None` once deleted.
+/// The table's lock only finds a file; each file has its own lock, so
+/// requests to different files — two S³J lanes, two PBSM workers — copy
+/// and checksum their pages at once. Creating or deleting a file, and an
+/// append under a disk budget, take the table exclusively.
+type FileTable = RwLock<Vec<Option<Mutex<StoredFile>>>>;
+
+fn read(t: &FileTable) -> RwLockReadGuard<'_, Vec<Option<Mutex<StoredFile>>>> {
+    t.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write(t: &FileTable) -> RwLockWriteGuard<'_, Vec<Option<Mutex<StoredFile>>>> {
+    t.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The live file `f` of `table`, if any.
+fn slot(table: &[Option<Mutex<StoredFile>>], f: FileId) -> Option<&Mutex<StoredFile>> {
+    table.get(f.0 as usize).and_then(Option::as_ref)
+}
+
+/// Pages the live files of `table` occupy, on pages of `ps` bytes.
+fn pages_in_use(table: &[Option<Mutex<StoredFile>>], ps: usize) -> u64 {
+    table.iter().flatten().map(|file| lock(file).len.div_ceil(ps) as u64).sum()
+}
+
 /// The simulated disk. Cheap to clone (shared handle): clones share both the
 /// file store and the I/O meter. [`SimDisk::fork_counters`] instead shares
 /// only the file store and gives the fork a fresh meter — parallel join
 /// workers each run on a fork, so their per-worker counters can be merged
 /// back deterministically (via [`SimDisk::add_channel_stats`]) regardless of how the
-/// scheduler interleaved their requests. Lock contention is irrelevant —
-/// the simulation itself is not a benchmark target, the *counters* are.
+/// scheduler interleaved their requests.
 ///
 /// Fault injection: [`SimDisk::with_faults`] attaches a seeded [`FaultPlan`]
 /// and a [`RetryPolicy`]. The fallible entry points ([`SimDisk::try_read`],
@@ -477,7 +500,7 @@ impl FaultState {
 /// never attach a plan are unaffected.
 #[derive(Clone)]
 pub struct SimDisk {
-    files: Arc<Mutex<Vec<Option<StoredFile>>>>,
+    files: Arc<FileTable>,
     /// Per-bucket meter: index 0 is the serial shared lane, indexes
     /// `1..=D` the data channels. [`SimDisk::stats`] sums the buckets, so
     /// single-meter callers observe the historic counters unchanged.
@@ -489,7 +512,7 @@ pub struct SimDisk {
 impl SimDisk {
     pub fn new(model: DiskModel) -> Self {
         SimDisk {
-            files: Arc::new(Mutex::new(Vec::new())),
+            files: Arc::new(RwLock::new(Vec::new())),
             stats: Arc::new(Mutex::new(vec![
                 IoStats::default();
                 1 + model.data_channels()
@@ -546,7 +569,7 @@ impl SimDisk {
     /// too.
     pub fn scratch_disk(&self) -> SimDisk {
         SimDisk {
-            files: Arc::new(Mutex::new(Vec::new())),
+            files: Arc::new(RwLock::new(Vec::new())),
             stats: Arc::new(Mutex::new(vec![
                 IoStats::default();
                 1 + self.model.data_channels()
@@ -586,8 +609,12 @@ impl SimDisk {
 
     /// Creates an empty file on the serial shared lane.
     pub fn create(&self) -> FileId {
-        let mut g = lock(&self.files);
-        g.push(Some(StoredFile::new(None)));
+        self.add(StoredFile::new(None))
+    }
+
+    fn add(&self, file: StoredFile) -> FileId {
+        let mut g = write(&self.files);
+        g.push(Some(Mutex::new(file)));
         FileId((g.len() - 1) as u32)
     }
 
@@ -596,17 +623,14 @@ impl SimDisk {
     /// index) — *not* a channel index — so the same file lands on the same
     /// channel however many channels the model has.
     pub fn create_on(&self, tag: u64) -> FileId {
-        let mut g = lock(&self.files);
-        g.push(Some(StoredFile::new(Some(tag))));
-        FileId((g.len() - 1) as u32)
+        self.add(StoredFile::new(Some(tag)))
     }
 
     /// The channel tag a file was created with (`None` for shared-lane
     /// files, deleted files and stale ids). Derived files (sort runs, merge
     /// outputs) inherit their input's tag through this.
     pub fn file_channel(&self, f: FileId) -> Option<u64> {
-        let g = lock(&self.files);
-        g.get(f.0 as usize).and_then(|s| s.as_ref()).and_then(|file| file.channel)
+        slot(&read(&self.files), f).and_then(|file| lock(file).channel)
     }
 
     /// Creates an empty file on the same channel as `other` (shared lane if
@@ -626,46 +650,26 @@ impl SimDisk {
     /// spares so a rebuilt file cannot land on the very sectors that
     /// poisoned the original.
     pub fn create_spare_on(&self, tag: u64) -> FileId {
-        let mut g = lock(&self.files);
         let mut file = StoredFile::new(Some(tag));
         file.spare = true;
-        g.push(Some(file));
-        FileId((g.len() - 1) as u32)
-    }
-
-    /// Creates a spare file on the same channel as `other` (a plain
-    /// shared-lane file if `other` is untagged or gone — untagged files are
-    /// never damaged, so the spare property is moot there).
-    pub fn create_spare_like(&self, other: FileId) -> FileId {
-        match self.file_channel(other) {
-            Some(t) => self.create_spare_on(t),
-            None => self.create(),
-        }
+        self.add(file)
     }
 
     /// `true` iff the file was created through a spare-sector constructor.
     pub fn is_spare(&self, f: FileId) -> bool {
-        let g = lock(&self.files);
-        g.get(f.0 as usize)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|file| file.spare)
+        slot(&read(&self.files), f).is_some_and(|file| lock(file).spare)
     }
 
     /// Pages occupied by live files on this handle's store — the quantity
     /// [`FaultPlan::disk_budget_pages`] caps. Scratch disks are separate
     /// volumes with their own (identical) budget.
     pub fn pages_in_use(&self) -> u64 {
-        let ps = self.model.page_size;
-        let g = lock(&self.files);
-        g.iter()
-            .flatten()
-            .map(|file| file.len.div_ceil(ps) as u64)
-            .sum()
+        pages_in_use(&read(&self.files), self.model.page_size)
     }
 
     /// Deletes a file, releasing its space. Idempotent.
     pub fn delete(&self, f: FileId) {
-        let mut g = lock(&self.files);
+        let mut g = write(&self.files);
         let gone = g.get_mut(f.0 as usize).and_then(Option::take);
         drop(g);
         drop(gone); // hands its blocks back outside the table's lock
@@ -673,15 +677,14 @@ impl SimDisk {
 
     /// `true` iff the file exists (was created and not deleted).
     pub fn exists(&self, f: FileId) -> bool {
-        let g = lock(&self.files);
-        matches!(g.get(f.0 as usize), Some(Some(_)))
+        slot(&read(&self.files), f).is_some()
     }
 
     /// Ids of all live (non-deleted) files, in creation order. Used by the
     /// recovery scan to find orphans — files a crashed run created that no
     /// committed manifest references.
     pub fn file_ids(&self) -> Vec<FileId> {
-        let g = lock(&self.files);
+        let g = read(&self.files);
         g.iter()
             .enumerate()
             .filter(|(_, slot)| slot.is_some())
@@ -694,8 +697,8 @@ impl SimDisk {
     /// Recovery uses this to drop a torn journal tail and to roll the
     /// results file back to the last committed watermark.
     pub fn try_truncate(&self, f: FileId, len: u64) -> Result<(), IoError> {
-        let mut g = lock(&self.files);
-        let Some(file) = g.get_mut(f.0 as usize).and_then(|s| s.as_mut()) else {
+        let g = read(&self.files);
+        let Some(mut file) = slot(&g, f).map(lock) else {
             return Err(IoError {
                 kind: IoErrorKind::FileDeleted,
                 file: f,
@@ -717,7 +720,7 @@ impl SimDisk {
     /// filesystem surviving the crash; it is not a disk request and charges
     /// nothing to the meter.
     pub fn export_files(&self) -> Vec<u8> {
-        let g = lock(&self.files);
+        let g = read(&self.files);
         let mut out = Vec::new();
         out.extend_from_slice(b"SJDK");
         // Version 2 added the per-file channel tag so a resumed run bins its
@@ -726,7 +729,7 @@ impl SimDisk {
         out.extend_from_slice(&3u32.to_le_bytes());
         out.extend_from_slice(&(g.len() as u32).to_le_bytes());
         for slot in g.iter() {
-            match slot {
+            match slot.as_ref().map(lock) {
                 None => out.push(0),
                 Some(file) => {
                     out.push(1);
@@ -784,7 +787,7 @@ impl SimDisk {
         let ps = self.model.page_size;
         // Every slot takes at least one byte, so a corrupt count cannot
         // reserve more slots than the snapshot could hold.
-        let mut table: Vec<Option<StoredFile>> = Vec::with_capacity(count.min(rest.len()));
+        let mut table: Vec<Option<Mutex<StoredFile>>> = Vec::with_capacity(count.min(rest.len()));
         for _ in 0..count {
             match take(&mut rest, 1)?[0] {
                 0 => table.push(None),
@@ -815,7 +818,7 @@ impl SimDisk {
                     let mut file = StoredFile::new(channel);
                     file.spare = spare;
                     file.append(take(&mut rest, len)?, ps);
-                    table.push(Some(file));
+                    table.push(Some(Mutex::new(file)));
                 }
                 _ => return Err(bad()),
             }
@@ -823,7 +826,7 @@ impl SimDisk {
         if !rest.is_empty() {
             return Err(bad());
         }
-        *lock(&self.files) = table;
+        *write(&self.files) = table;
         Ok(())
     }
 
@@ -840,9 +843,8 @@ impl SimDisk {
 
     /// Length of a file in bytes. A metadata lookup — free and fault-exempt.
     pub fn try_len(&self, f: FileId) -> Result<u64, IoError> {
-        let g = lock(&self.files);
-        match g.get(f.0 as usize).and_then(|s| s.as_ref()) {
-            Some(file) => Ok(file.len as u64),
+        match slot(&read(&self.files), f) {
+            Some(file) => Ok(lock(file).len as u64),
             None => Err(IoError {
                 kind: IoErrorKind::FileDeleted,
                 file: f,
@@ -880,45 +882,22 @@ impl SimDisk {
         let ps = self.model.page_size;
         let pages = data.len().div_ceil(ps) as u64;
         let max_attempts = self.faults.policy.max_attempts.max(1);
+        let budget = self.faults.plan.as_ref().and_then(|p| p.disk_budget_pages);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let mut files = lock(&self.files);
-            // ENOSPC: the allocator rejects the append before any transfer
-            // when the store's live pages would exceed the plan's capacity.
-            // Retrying cannot free space, so the error surfaces immediately
-            // (the policy classifies DiskFull as not-retryable) and nothing
-            // is charged beyond the fault counter.
-            if let Some(budget) = self.faults.plan.as_ref().and_then(|p| p.disk_budget_pages) {
-                if let Some(file) = files.get(f.0 as usize).and_then(|s| s.as_ref()) {
-                    let len_now = file.len;
-                    let new_pages =
-                        ((len_now + data.len()).div_ceil(ps) - len_now.div_ceil(ps)) as u64;
-                    if new_pages > 0 {
-                        let used: u64 = files
-                            .iter()
-                            .flatten()
-                            .map(|sf| sf.len.div_ceil(ps) as u64)
-                            .sum();
-                        if used + new_pages > budget {
-                            let kind = IoErrorKind::DiskFull;
-                            debug_assert!(!self.faults.policy.should_retry(kind));
-                            let offset = len_now as u64;
-                            let bucket = self.bucket_of(file.channel);
-                            drop(files);
-                            lock(&self.stats)[bucket].faults_injected += 1;
-                            return Err(IoError {
-                                kind,
-                                file: f,
-                                offset,
-                                len: data.len() as u64,
-                                attempts: attempt,
-                            });
-                        }
-                    }
-                }
-            }
-            let Some(file) = files.get_mut(f.0 as usize).and_then(|s| s.as_mut()) else {
+            // Under a budget the append holds the whole table, so its check
+            // and its write are one step across files; otherwise it holds
+            // only its own file.
+            let (shared, exclusive);
+            let table: &[Option<Mutex<StoredFile>>] = if budget.is_some() {
+                exclusive = write(&self.files);
+                &exclusive
+            } else {
+                shared = read(&self.files);
+                &shared
+            };
+            let Some(slot) = slot(table, f) else {
                 return Err(IoError {
                     kind: IoErrorKind::FileDeleted,
                     file: f,
@@ -927,6 +906,31 @@ impl SimDisk {
                     attempts: attempt,
                 });
             };
+            // ENOSPC: the allocator rejects the append before any transfer
+            // when the store's live pages would exceed the plan's capacity.
+            // Retrying cannot free space, so the error surfaces immediately
+            // (the policy classifies DiskFull as not-retryable) and nothing
+            // is charged beyond the fault counter.
+            if let Some(budget) = budget {
+                let (len_now, channel) = {
+                    let file = lock(slot);
+                    (file.len, file.channel)
+                };
+                let new_pages = ((len_now + data.len()).div_ceil(ps) - len_now.div_ceil(ps)) as u64;
+                if new_pages > 0 && pages_in_use(table, ps) + new_pages > budget {
+                    let kind = IoErrorKind::DiskFull;
+                    debug_assert!(!self.faults.policy.should_retry(kind));
+                    lock(&self.stats)[self.bucket_of(channel)].faults_injected += 1;
+                    return Err(IoError {
+                        kind,
+                        file: f,
+                        offset: len_now as u64,
+                        len: data.len() as u64,
+                        attempts: attempt,
+                    });
+                }
+            }
+            let mut file = lock(slot);
             let offset = file.len as u64;
             let bucket = self.bucket_of(file.channel);
             {
@@ -941,7 +945,7 @@ impl SimDisk {
                     return Ok(());
                 }
                 Some((kind, global_idx, salt)) => {
-                    drop(files); // nothing persisted: atomic rollback
+                    drop(file); // nothing persisted: atomic rollback
                     let s = &mut lock(&self.stats)[bucket];
                     s.faults_injected += 1;
                     if attempt < max_attempts {
@@ -988,8 +992,8 @@ impl SimDisk {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let files = lock(&self.files);
-            let Some(file) = files.get(f.0 as usize).and_then(|s| s.as_ref()) else {
+            let table = read(&self.files);
+            let Some(file) = slot(&table, f).map(lock) else {
                 return Err(IoError {
                     kind: IoErrorKind::FileDeleted,
                     file: f,
@@ -1025,7 +1029,7 @@ impl SimDisk {
                 if !file.spare && (first_page..=last_page).any(|p| plan.bad_page(t, p)) {
                     let kind = IoErrorKind::PersistentCorruption;
                     debug_assert!(!self.faults.policy.should_retry(kind));
-                    drop(files);
+                    drop(file);
                     lock(&self.stats)[bucket].faults_injected += 1;
                     return Err(IoError {
                         kind,
@@ -1059,7 +1063,7 @@ impl SimDisk {
                 }
                 Some((kind, idx, salt)) => (kind, Some((idx, salt))),
             };
-            drop(files);
+            drop(file);
             let s = &mut lock(&self.stats)[bucket];
             match salt_and_idx {
                 Some((global_idx, salt)) => {
@@ -1782,13 +1786,6 @@ mod fault_tests {
         assert_eq!(d.file_channel(spare), Some(5));
         d.try_append(spare, &[2u8; 32]).unwrap();
         d.try_read(spare, 0, &mut out).expect("spares never rot");
-        // create_spare_like inherits channel and spare-ness.
-        let like = d.create_spare_like(spare);
-        assert!(d.is_spare(like));
-        assert_eq!(d.file_channel(like), Some(5));
-        // A spare derived from an untagged file is just a shared-lane file.
-        let from_sys = d.create_spare_like(sys);
-        assert_eq!(d.file_channel(from_sys), None);
     }
 
     #[test]
@@ -1919,6 +1916,75 @@ mod block_tests {
         (0..n).map(|i| ((i * 31 + salt) % 251) as u8).collect()
     }
 
+    /// One thread's requests on its own file: appends of 1 byte to three
+    /// blocks, each read back at once, then the whole file.
+    fn busy_file(d: &SimDisk, f: FileId, salt: usize) -> Vec<u8> {
+        for i in 0..120 {
+            let at = d.len(f);
+            let bytes = pattern(1 + i * 1663 % (3 * BLOCK_BYTES), salt + i);
+            d.append(f, &bytes);
+            let mut back = vec![0; bytes.len()];
+            d.read(f, at, &mut back);
+            assert_eq!(back, bytes);
+        }
+        let mut all = vec![0; d.len(f) as usize];
+        d.read(f, 0, &mut all);
+        all
+    }
+
+    /// Two threads append to and read their own files on one disk at once,
+    /// one through the disk and one through a fork: the files hold what the
+    /// same requests issued in turn wrote, and the two meters sum to the
+    /// serial one, bucket by bucket.
+    #[test]
+    fn two_threads_on_their_own_files_match_the_requests_in_turn() {
+        let model = DiskModel { page_size: 1000, channels: 2, ..DiskModel::default() };
+        let serial = SimDisk::new(model);
+        let want = [serial.create_on(0), serial.create_on(1)].map(|f| busy_file(&serial, f, f.0 as usize));
+        let d = SimDisk::new(model);
+        let (f0, f1) = (d.create_on(0), d.create_on(1));
+        let fork = d.fork_counters();
+        let got = std::thread::scope(|scope| {
+            let other = scope.spawn(|| busy_file(&fork, f1, 1));
+            [busy_file(&d, f0, 0), other.join().unwrap()]
+        });
+        assert!(got == want, "the files differ from the serial run's");
+        assert_ne!(fork.stats(), IoStats::default());
+        d.add_channel_stats(&fork.channel_stats());
+        assert_eq!(d.channel_stats(), serial.channel_stats());
+        assert_eq!(d.export_files(), serial.export_files());
+    }
+
+    /// Under a disk budget, two threads appending to their own files (one
+    /// through a fork) never take the store past it while a third watches:
+    /// a budgeted append checks and writes in one step.
+    #[test]
+    fn concurrent_appends_never_overrun_the_disk_budget() {
+        let budget = 400;
+        let d = disk(64).with_faults(FaultPlan::none(3).with_disk_budget(budget), RetryPolicy::default());
+        let fork = d.fork_counters();
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        let fill = |d: &SimDisk, salt: usize| {
+            let f = d.create();
+            let mut i = 0;
+            while d.try_append(f, &pattern(1 + (i * 37 + salt) % 200, i)).is_ok() {
+                assert!(d.pages_in_use() <= budget);
+                i += 1;
+            }
+            done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| fill(&d, 0));
+            scope.spawn(|| fill(&fork, 1));
+            while done.load(std::sync::atomic::Ordering::SeqCst) < 2 {
+                assert!(d.pages_in_use() <= budget);
+            }
+        });
+        // Each thread stopped at an append of at most four pages that did
+        // not fit.
+        assert!((budget - 3..=budget).contains(&d.pages_in_use()), "{}", d.pages_in_use());
+    }
+
     #[test]
     fn recycled_blocks_never_show_their_old_bytes() {
         let d = disk(8192);
@@ -1962,9 +2028,9 @@ mod block_tests {
         for _ in 0..9 {
             d.append(big, &[7; 8192]);
         }
-        let g = lock(&d.files);
+        let g = read(&d.files);
         let caps = |f: FileId| -> Vec<usize> {
-            let file = g[f.0 as usize].as_ref().unwrap();
+            let file = lock(slot(&g, f).unwrap());
             file.blocks.iter().map(Vec::capacity).collect()
         };
         assert_eq!(caps(manifest), [8192]);

@@ -247,8 +247,11 @@ fn lsd<I: Item>(items: &mut Vec<I>, scratch: &mut Vec<I>, shifts: &[usize]) {
 /// sort, [Knu 70] / [Gra 93]). The sort is stable: records with equal keys
 /// keep their input order.
 ///
-/// The input file is left untouched; the sorted output is a fresh file.
-/// `key` must be cheap — it is evaluated once per record per pass.
+/// The sorted output is a fresh file. With `release_input` the input file
+/// is deleted as soon as the runs are formed, for a caller that does not
+/// read it again: its pages are free before the merge writes its own.
+/// Otherwise it is left untouched. `key` must be cheap — it is evaluated
+/// once per record per pass.
 ///
 /// An error surfaces when a page request exhausts the disk's retry budget;
 /// intermediate run files are deleted before returning it.
@@ -257,6 +260,7 @@ pub fn try_external_sort_by<R, K, F>(
     input: FileId,
     mem_bytes: usize,
     key: F,
+    release_input: bool,
 ) -> Result<(FileId, SortStats), IoError>
 where
     R: FixedRecord,
@@ -297,6 +301,9 @@ where
         disk.delete(runs_file);
         return Err(e);
     }
+    if release_input {
+        disk.delete(input);
+    }
 
     let out = try_merge_runs(disk, runs_file, runs, plan, key, radix.wide, &mut stats)?;
     Ok((out, stats))
@@ -315,7 +322,7 @@ where
     K: Into<u128>,
     F: Fn(&R) -> K + Copy,
 {
-    try_external_sort_by(disk, input, mem_bytes, key)
+    try_external_sort_by(disk, input, mem_bytes, key, false)
         .unwrap_or_else(|e| panic!("unhandled simulated-disk error: {e}"))
 }
 
